@@ -1,0 +1,339 @@
+"""Command-line interface with bit-exact JSON output.
+
+Exit codes: 0 success, 2 parse error, 3 unsupported input, 4 internal
+bound exceeded.  All rationals and other potentially large numbers are
+emitted as decimal strings; output is deterministic for identical requests.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from fractions import Fraction
+
+from .cells import Ball, Cell1, Decomposition, ZP
+from .decompose import decompose_set, prepare, preserves_balls_report
+from .dim import dim_of
+from .errors import InternalBoundError, ParseError, UnsupportedInputError
+from .kgroup import chi, cv_check
+from .measure import (
+    ZetaFn,
+    decomposition_measure,
+    exact_partition_check,
+    igusa_zeta,
+    measure_of_order,
+)
+from .oracle import count_roots_mod, verify_laws, verify_partition
+from .parser import parse_formula, parse_poly
+from .poly import Poly, format_poly
+
+SCHEMA = "padic-cells/1"
+
+
+def _frac_str(x: Fraction) -> str:
+    x = Fraction(x)
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def _val_json(v) -> str:
+    return "inf" if v.is_infinite else str(v.value)
+
+
+def _cell_json(cell: Cell1) -> dict:
+    center = cell.center
+    if center.is_rational:
+        cj = {"type": "rational", "value": _frac_str(center.value)}
+    else:
+        r = center.value
+        cj = {
+            "type": "hensel-root",
+            "witness": format_poly(r.witness),
+            "approx": _frac_str(r.approx),
+            "precision": r.precision,
+            "rv_tag": {
+                "depth": r.rv_tag.depth,
+                "valuation": r.rv_tag.valuation,
+                "unit": r.rv_tag.unit.digits if r.rv_tag.unit else None,
+            },
+        }
+    if center.term is not None:
+        cj["term"] = str(center.term)
+    out = {
+        "kind": cell.kind,
+        "center": cj,
+        "level": center.level,
+        "keep": cell.keep,
+        "laws": {
+            format_poly(f): {"e0": _val_json(law.e0), "i0": law.i0}
+            for f, law in cell.laws
+        },
+    }
+    if cell.is_point:
+        out["m_range"] = "point"
+        out["residue"] = None
+    else:
+        rng = cell.m_range
+        out["m_range"] = {"lo": rng.lo, "hi": rng.hi, "step": rng.step}
+        out["residue"] = {
+            "depth": cell.residues.depth,
+            "units": "all" if cell.residues.is_all
+            else [str(u) for u in cell.residues.members(cell.prime)],
+        }
+    return out
+
+
+def _zeta_json(z: ZetaFn) -> dict:
+    return {
+        "num": [_frac_str(c) for c in z.num.coeffs],
+        "den": [_frac_str(c) for c in z.den.coeffs],
+        "t": "p^-s",
+    }
+
+
+def _chi_json(element) -> list:
+    out = []
+    for (shape, grade), mult in element.parts:
+        orders = "*".join("H" if x is None else f"len:{x}" for x in shape.order_parts)
+        out.append({
+            "residues": shape.residue_count,
+            "orders": orders if orders else "point",
+            "grade": grade,
+            "mult": mult,
+        })
+    return out
+
+
+def _parse_domain(text: str) -> Ball:
+    if text == "zp":
+        return ZP
+    center, radius = text.split(":")
+    return Ball(Fraction(center), int(radius))
+
+
+def _emit(payload: dict, as_json: bool) -> None:
+    if as_json:
+        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    else:
+        _print_text(payload)
+
+
+def _print_text(payload: dict, indent: int = 0) -> None:
+    pad = "  " * indent
+    for key in payload:
+        value = payload[key]
+        if isinstance(value, dict):
+            print(f"{pad}{key}:")
+            _print_text(value, indent + 1)
+        elif isinstance(value, list):
+            print(f"{pad}{key}:")
+            for item in value:
+                if isinstance(item, dict):
+                    _print_text(item, indent + 1)
+                    print(f"{pad}  -")
+                else:
+                    print(f"{pad}  {item}")
+        else:
+            print(f"{pad}{key}: {value}")
+
+
+def _decomposition_for(args) -> tuple[Decomposition, Poly | None]:
+    domain = _parse_domain(args.domain)
+    if args.poly is not None:
+        f = parse_poly(args.poly)
+        if f.is_zero:
+            raise UnsupportedInputError("the zero polynomial is not supported")
+        return prepare(f, args.prime, domain), f
+    phi = parse_formula(args.formula)
+    return decompose_set(phi, args.prime, domain), None
+
+
+def _cmd_decompose(args) -> dict:
+    dec, f = _decomposition_for(args)
+    payload = {
+        "schema": SCHEMA,
+        "command": "decompose",
+        "prime": args.prime,
+        "input": args.poly if args.poly is not None else args.formula,
+        "k_depth": dec.k_depth,
+        "cells": [_cell_json(c) for c in dec.cells],
+    }
+    if args.verify:
+        chk = exact_partition_check(dec)
+        vp = verify_partition(dec, args.k)
+        payload["verify"] = {
+            "exact_disjoint": chk.disjoint,
+            "exact_cover": chk.covers,
+            "partition_violations": len(vp.violations),
+            "partition_undecided": len(vp.undecided),
+        }
+        if f is not None:
+            payload["verify"]["law_failures"] = len(
+                verify_laws(dec, f, samples=args.samples, seed=args.seed).failures
+            )
+    return payload
+
+
+def _cmd_measure(args) -> dict:
+    dec, f = _decomposition_for(args)
+    payload = {"schema": SCHEMA, "command": "measure", "prime": args.prime}
+    if f is not None and args.ord is not None:
+        payload["ord"] = args.ord
+        payload["measure"] = _frac_str(measure_of_order(dec, f, args.ord))
+    else:
+        payload["measure"] = _frac_str(decomposition_measure(dec, kept_only=f is None))
+    return payload
+
+
+def _cmd_zeta(args) -> dict:
+    f = parse_poly(args.poly)
+    if f.is_zero:
+        raise UnsupportedInputError("the zero polynomial is not supported")
+    dec = prepare(f, args.prime, _parse_domain(args.domain))
+    z = igusa_zeta(dec, f, args.prime)
+    return {"schema": SCHEMA, "command": "zeta", "prime": args.prime,
+            "poly": args.poly, "zeta": _zeta_json(z)}
+
+
+def _cmd_oracle_compare(args) -> dict:
+    f = parse_poly(args.poly)
+    if f.is_zero:
+        raise UnsupportedInputError("the zero polynomial is not supported")
+    p = args.prime
+    dec = prepare(f, p, _parse_domain(args.domain))
+    table = []
+    agree = True
+    for m in range(args.k + 1):
+        mu = measure_of_order(dec, f, m)
+        n_m = count_roots_mod(f, p, m) if m >= 1 else 1
+        n_m1 = count_roots_mod(f, p, m + 1)
+        oracle = Fraction(n_m, p**m) - Fraction(n_m1, p ** (m + 1))
+        ok = mu == oracle
+        agree = agree and ok
+        table.append({"m": m, "cells": _frac_str(mu), "oracle": _frac_str(oracle),
+                      "equal": ok})
+    return {"schema": SCHEMA, "command": "oracle-compare", "prime": p,
+            "poly": args.poly, "agree": agree, "table": table}
+
+
+def _cmd_chi(args) -> dict:
+    dec, f = _decomposition_for(args)
+    element = chi(dec, kept_only=f is None)
+    return {"schema": SCHEMA, "command": "chi", "prime": args.prime,
+            "chi": _chi_json(element)}
+
+
+def _cmd_cv_check(args) -> dict:
+    domain = _parse_domain(args.domain)
+    d1 = decompose_set(parse_formula(args.formula), args.prime, domain)
+    d2 = decompose_set(parse_formula(args.formula_b), args.prime, domain)
+    return {"schema": SCHEMA, "command": "cv-check", "prime": args.prime,
+            "equal": cv_check(d1, d2)}
+
+
+def _cmd_dim(args) -> dict:
+    dec, f = _decomposition_for(args)
+    d = dim_of(dec if f is None else list(dec.cells))
+    return {"schema": SCHEMA, "command": "dim", "prime": args.prime,
+            "dim": "-inf" if d.is_minus_infinity else d.value}
+
+
+def _cmd_preserves_balls(args) -> dict:
+    f = parse_poly(args.poly)
+    if f.is_zero:
+        raise UnsupportedInputError("the zero polynomial is not supported")
+    dec = prepare(f, args.prime, _parse_domain(args.domain))
+    rep = preserves_balls_report(dec, f, args.prime)
+    return {
+        "schema": SCHEMA,
+        "command": "preserves-balls",
+        "prime": args.prime,
+        "all_ball_or_point": rep.all_ball_or_point,
+        "entries": [
+            {"kind": e.cell.kind, "verdict": e.verdict,
+             "radius_law": None if e.radius_law is None else
+             {"e0": _val_json(e.radius_law.e0), "i0": e.radius_law.i0}}
+            for e in rep.entries
+        ],
+    }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    top = argparse.ArgumentParser(prog="padic-cells")
+    sub = top.add_subparsers(dest="command", required=True)
+
+    def common(sp, poly=True, formula=True):
+        sp.add_argument("--prime", type=int, required=True)
+        sp.add_argument("--domain", default="zp",
+                        help="zp, or CENTER:RADIUS_ORD for a ball")
+        sp.add_argument("--json", action="store_true")
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--samples", type=int, default=200)
+        if poly:
+            sp.add_argument("--poly")
+        if formula:
+            sp.add_argument("--formula")
+
+    sp = sub.add_parser("decompose")
+    common(sp)
+    sp.add_argument("--verify", action="store_true")
+    sp.add_argument("--k", type=int, default=4)
+    sp.set_defaults(func=_cmd_decompose)
+
+    sp = sub.add_parser("measure")
+    common(sp)
+    sp.add_argument("--ord", type=int, default=None)
+    sp.set_defaults(func=_cmd_measure)
+
+    sp = sub.add_parser("zeta")
+    common(sp, formula=False)
+    sp.set_defaults(func=_cmd_zeta)
+
+    sp = sub.add_parser("oracle-compare")
+    common(sp, formula=False)
+    sp.add_argument("--k", type=int, default=5)
+    sp.set_defaults(func=_cmd_oracle_compare)
+
+    sp = sub.add_parser("chi")
+    common(sp)
+    sp.set_defaults(func=_cmd_chi)
+
+    sp = sub.add_parser("cv-check")
+    common(sp, poly=False)
+    sp.add_argument("--formula-b", required=True)
+    sp.set_defaults(func=_cmd_cv_check)
+
+    sp = sub.add_parser("dim")
+    common(sp)
+    sp.set_defaults(func=_cmd_dim)
+
+    sp = sub.add_parser("preserves-balls")
+    common(sp, formula=False)
+    sp.set_defaults(func=_cmd_preserves_balls)
+
+    return top
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
+    if getattr(args, "poly", None) is None and getattr(args, "formula", None) is None \
+            and args.command not in ("cv-check",):
+        print("error: one of --poly or --formula is required", file=sys.stderr)
+        return 2
+    try:
+        payload = args.func(args)
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except UnsupportedInputError as exc:
+        print(f"unsupported input: {exc}", file=sys.stderr)
+        return 3
+    except InternalBoundError as exc:
+        print(f"internal bound exceeded: {exc}", file=sys.stderr)
+        return 4
+    _emit(payload, args.json)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,837 @@
+"""Cell decomposition of Z_p adapted to polynomial valuation data.
+
+`prepare` follows the constructive recursion on the degree: decompose for
+the derivative first, Taylor-expand the polynomial at each inherited center,
+and partition every valuation range at the breakpoints of the Newton polygon
+of the Taylor coefficients.  Where one term dominates strictly the cell is
+kept with an exact order law (case B1); where terms tie, the residue class
+either contains a certified root of the squarefree part -- the cell is then
+re-centered at that root, realizing the Hensel law ord f(y) = ord b1 +
+ord(y - c) (case B2) -- or it is translated one digit deeper and re-analyzed.
+Descents are capped by a resultant-based budget.
+
+`decompose_set` applies `prepare` to every polynomial of a quantifier-free
+formula, forms the common refinement, and splits cells until every atom is
+constant per cell, recording keep flags.  Every fiber of every kept cell is
+a point or a ball by construction.
+"""
+
+from __future__ import annotations
+
+import os
+from dataclasses import dataclass, replace
+from fractions import Fraction
+from math import comb, factorial
+from math import gcd as int_gcd
+
+from .cells import (
+    ArithRange,
+    Ball,
+    Cell1,
+    Center,
+    Decomposition,
+    OrderLaw,
+    Residues,
+    TAdd,
+    TConst,
+    TH,
+    TMul,
+    TRv,
+    Term,
+    ZP,
+    refine_common,
+    sorted_cells,
+)
+from .errors import InternalBoundError, UnsupportedInputError
+from .hensel import (
+    PadicApprox,
+    certified_root_points,
+    digits_of_poly_at,
+    make_root_approx,
+    ord_of_poly_at,
+    reduce_mod,
+    refine_root,
+    shift_approx,
+    transfer_basin,
+)
+from .padics import INFINITY, RvData, Val, ord_p, unit_digits
+from .poly import Poly, resultant_val, squarefree_part
+
+CenterValue = Fraction | PadicApprox
+
+_ENV_DEPTH = "PADIC_CELLS_MAX_DEPTH"
+
+
+# ---------------------------------------------------------------------------
+# Quantifier-free formulas over one p-adic variable.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class OrdCmp:
+    """ord f(y) REL ord g(y) + offset; g=None compares against the constant."""
+
+    f: Poly
+    g: Poly | None
+    offset: int
+    rel: str  # one of < <= = >= >
+
+    def __post_init__(self):
+        if self.rel not in ("<", "<=", "=", ">=", ">"):
+            raise ValueError(f"unknown relation {self.rel!r}")
+
+
+@dataclass(frozen=True)
+class OrdEqInf:
+    """f(y) = 0, i.e. ord f(y) = infinity."""
+
+    f: Poly
+
+
+@dataclass(frozen=True)
+class OrdModEq:
+    """ord f(y) = residue (mod modulus), with f(y) != 0."""
+
+    f: Poly
+    modulus: int
+    residue: int
+
+
+@dataclass(frozen=True)
+class AcEq:
+    """unit_digits(f(y), depth) = unit (false where f(y) = 0)."""
+
+    depth: int
+    f: Poly
+    unit: int
+
+
+@dataclass(frozen=True)
+class RvEq:
+    """rv_depth(f(y)) = tag (the tag may be the zero element)."""
+
+    depth: int
+    f: Poly
+    tag: RvData
+
+
+Atom = OrdCmp | OrdEqInf | OrdModEq | AcEq | RvEq
+
+
+@dataclass(frozen=True)
+class FAtom:
+    atom: Atom
+
+
+@dataclass(frozen=True)
+class FNot:
+    sub: "Formula"
+
+
+@dataclass(frozen=True)
+class FAnd:
+    left: "Formula"
+    right: "Formula"
+
+
+@dataclass(frozen=True)
+class FOr:
+    left: "Formula"
+    right: "Formula"
+
+
+Formula = FAtom | FNot | FAnd | FOr
+
+
+def formula_atoms(phi: Formula) -> list[Atom]:
+    if isinstance(phi, FAtom):
+        return [phi.atom]
+    if isinstance(phi, FNot):
+        return formula_atoms(phi.sub)
+    return formula_atoms(phi.left) + formula_atoms(phi.right)
+
+
+def eval_formula(phi: Formula, truth: dict[Atom, bool]) -> bool:
+    if isinstance(phi, FAtom):
+        return truth[phi.atom]
+    if isinstance(phi, FNot):
+        return not eval_formula(phi.sub, truth)
+    if isinstance(phi, FAnd):
+        return eval_formula(phi.left, truth) and eval_formula(phi.right, truth)
+    return eval_formula(phi.left, truth) or eval_formula(phi.right, truth)
+
+
+# ---------------------------------------------------------------------------
+# The decomposition engine.
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _Box:
+    """A full ball family around a center, awaiting laws for the current f."""
+
+    center: CenterValue
+    term: Term | None
+    m_range: ArithRange
+    laws: dict[Poly, OrderLaw]
+
+
+def _budget(f: Poly, p: int) -> int:
+    env = os.environ.get(_ENV_DEPTH)
+    if env:
+        return int(env)
+    w = squarefree_part(f)
+    r = 0
+    if w.degree >= 1:
+        res = resultant_val(w, w.derivative(), p)
+        r = 0 if res.is_infinite else max(res.value, 0)
+    return max(2 * r + f.degree + 4, 8)
+
+
+def _taylor_polys(f: Poly) -> list[Poly]:
+    """q_i with q_i(c) = i-th Taylor coefficient of f at c."""
+    out = [f]
+    q = f
+    for i in range(1, f.degree + 1):
+        q = q.derivative() * Fraction(1, i)
+        out.append(q)
+    return out
+
+
+def _taylor_ords(f: Poly, center: CenterValue, p: int) -> list[Val]:
+    if isinstance(center, Fraction):
+        sh = f.taylor_shift(center)
+        return [ord_p(sh.coeff(i), p) for i in range(f.degree + 1)]
+    return [ord_of_poly_at(q, center, p) for q in _taylor_polys(f)]
+
+
+def _dominance_regions(lines: list[tuple[int, int]], lo: int, hi: int | None):
+    """Partition [lo, hi] by the lower envelope of the lines v_i + i*m.
+
+    Yields ("strict", lo', hi', i0) segments with a unique minimizing line
+    and ("tie", m, achievers) singletons where the minimum is shared.
+    """
+    if not lines:
+        raise ValueError("no finite Taylor coefficients")
+    if len(lines) == 1:
+        yield ("strict", lo, hi, lines[0][0])
+        return
+
+    bounds: set[int] = set()
+    for a in range(len(lines)):
+        ia, va = lines[a]
+        for b in range(a + 1, len(lines)):
+            ib, vb = lines[b]
+            t = Fraction(va - vb, ib - ia)
+            fl = t.numerator // t.denominator
+            for cand in (fl, fl + 1):
+                if cand >= lo and (hi is None or cand <= hi):
+                    bounds.add(cand)
+
+    def winners(m: int) -> list[int]:
+        best = min(v + i * m for i, v in lines)
+        return [i for i, v in lines if v + i * m == best]
+
+    segments: list[tuple[int, int | None]] = []
+    pos = lo
+    for c in sorted(bounds):
+        if pos < c:
+            segments.append((pos, c - 1))
+        segments.append((c, c))
+        pos = c + 1
+    if hi is None or pos <= hi:
+        segments.append((pos, hi))
+
+    pending: tuple[int, int | None, int] | None = None
+    for seg_lo, seg_hi in segments:
+        win = winners(seg_lo)
+        if len(win) == 1:
+            if pending is not None and pending[2] == win[0] and pending[1] == seg_lo - 1:
+                pending = (pending[0], seg_hi, win[0])
+            else:
+                if pending is not None:
+                    yield ("strict", pending[0], pending[1], pending[2])
+                pending = (seg_lo, seg_hi, win[0])
+        else:
+            if pending is not None:
+                yield ("strict", pending[0], pending[1], pending[2])
+                pending = None
+            yield ("tie", seg_lo, win)
+    if pending is not None:
+        yield ("strict", pending[0], pending[1], pending[2])
+
+
+def _frozen_laws(laws: dict[Poly, OrderLaw], m_const: int) -> dict[Poly, OrderLaw]:
+    return {f: OrderLaw(law.apply(m_const), 0) for f, law in laws.items()}
+
+
+def _law_tuple(laws: dict[Poly, OrderLaw]) -> tuple[tuple[Poly, OrderLaw], ...]:
+    return tuple(sorted(laws.items(), key=lambda kv: kv[0].coeffs))
+
+
+def _proxy(center: CenterValue, p: int, precision: int) -> Fraction:
+    if isinstance(center, Fraction):
+        return center
+    return reduce_mod(refine_root(center, precision).approx, p, precision)
+
+
+def _term_is_zero(t: Term | None) -> bool:
+    return isinstance(t, TConst) and t.value == 0
+
+
+def _shift_center(center: CenterValue, term: Term | None, off: Fraction):
+    if isinstance(center, Fraction):
+        value: CenterValue = center + off
+        new_term: Term | None = None if term is None else TConst(value)
+        return value, new_term
+    value = shift_approx(center, off)
+    new_term = None if term is None else TAdd(term, TConst(off))
+    return value, new_term
+
+
+def _taylor_coeff_terms(w: Poly, c_term: Term, c_value: CenterValue) -> tuple[Term, ...]:
+    """Terms whose values are the Taylor coefficients of w at the center."""
+    if isinstance(c_value, Fraction):
+        sh = w.taylor_shift(c_value)
+        return tuple(TConst(sh.coeff(i)) for i in range(w.degree + 1))
+    terms: list[Term] = []
+    for i in range(w.degree + 1):
+        acc: Term | None = None
+        for j in range(i, w.degree + 1):
+            coef = comb(j, i) * w.coeff(j)
+            if coef == 0:
+                continue
+            piece: Term = TConst(coef)
+            for _ in range(j - i):
+                piece = TMul(piece, c_term)
+            acc = piece if acc is None else TAdd(acc, piece)
+        terms.append(acc if acc is not None else TConst(Fraction(0)))
+    return tuple(terms)
+
+
+def _base_cells(p: int, laws: dict[Poly, OrderLaw]) -> list[Cell1]:
+    """The canonical decomposition of Z_p around 0: the origin plus the
+    family of spheres ord(y) = m >= 0."""
+    lt = _law_tuple(laws)
+    zero = Center(Fraction(0), 1, TConst(Fraction(0)))
+    return [
+        Cell1(p, zero, None, None, lt),
+        Cell1(p, zero, ArithRange(0, None), Residues(1, None), lt),
+    ]
+
+
+def _prepare_zp(f: Poly, p: int, budget: int) -> list[Cell1]:
+    if f.degree == 0:
+        return _base_cells(p, {f: OrderLaw(ord_p(f.coeff(0), p), 0)})
+    if f.degree == 1:
+        return _prepare_linear(f, p)
+
+    d0 = _prepare_zp(f.derivative(), p, budget)
+    out: list[Cell1] = []
+    work: list[_Box] = []
+    for cell in d0:
+        if cell.is_point:
+            v = ord_of_poly_at(f, cell.center.value, p)
+            out.append(cell.with_laws({f: OrderLaw(v, 0)}))
+        else:
+            work.append(_Box(cell.center.value, cell.center.term, cell.m_range, dict(cell.laws)))
+    while work:
+        _process_box(f, p, work.pop(), out, work, budget)
+    return out
+
+
+def _prepare_linear(f: Poly, p: int) -> list[Cell1]:
+    """Linear polynomials: center globally at the root when it is p-integral."""
+    a0, a1 = f.coeff(0), f.coeff(1)
+    df = f.derivative()
+    root = -a0 / a1
+    v_root = ord_p(root, p)
+    d1_law = OrderLaw(ord_p(a1, p), 0)
+    if v_root.is_infinite or v_root.value >= 0:
+        if root == 0:
+            term: Term = TConst(Fraction(0))
+        else:
+            term = TH(1, 1, (TConst(a0), TConst(a1)), TRv(1, TConst(root)))
+        center = Center(root, 1, term)
+        return [
+            Cell1(p, center, None, None,
+                  _law_tuple({f: OrderLaw(INFINITY, 0), df: d1_law})),
+            Cell1(p, center, ArithRange(0, None), Residues(1, None),
+                  _law_tuple({f: OrderLaw(ord_p(a1, p), 1), df: d1_law})),
+        ]
+    # root outside Z_p: ord f is the constant ord(a0) on Z_p
+    return _base_cells(p, {f: OrderLaw(ord_p(a0, p), 0), df: d1_law})
+
+
+def _process_box(
+    f: Poly, p: int, box: _Box, out: list[Cell1], work: list[_Box], budget: int
+) -> None:
+    ords = _taylor_ords(f, box.center, p)
+    lines = [(i, v.value) for i, v in enumerate(ords) if not v.is_infinite]
+    if not lines:
+        raise InternalBoundError("all Taylor coefficients vanished for a nonzero polynomial")
+    line_val = dict(lines)
+    w = squarefree_part(f)
+
+    for region in _dominance_regions(lines, box.m_range.lo, box.m_range.hi):
+        if region[0] == "strict":
+            _, lo, hi, i0 = region
+            laws = dict(box.laws)
+            laws[f] = OrderLaw(Val(line_val[i0]), i0)
+            out.append(
+                Cell1(p, Center(box.center, 1, box.term), ArithRange(lo, hi),
+                      Residues(1, None), _law_tuple(laws))
+            )
+            continue
+        _, m_star, _achievers = region
+        if m_star + 1 > budget:
+            raise InternalBoundError(
+                f"descent depth {m_star + 1} exceeded the termination budget {budget}"
+            )
+        for u0 in range(1, p):
+            _split_tie_class(f, w, p, box, m_star, u0, out, work, budget)
+
+
+def _split_tie_class(
+    f: Poly,
+    w: Poly,
+    p: int,
+    box: _Box,
+    m_star: int,
+    u0: int,
+    out: list[Cell1],
+    work: list[_Box],
+    budget: int,
+) -> None:
+    """Handle the residue class ord(y - c) = m*, first digit u0: re-center at
+    a certified root of the squarefree part if the class contains one, else
+    translate one digit deeper and re-analyze."""
+    off = Fraction(u0) * Fraction(p) ** m_star
+    frozen = _frozen_laws(box.laws, m_star)
+    ball_ord = m_star + 1
+
+    # hunt for roots of w inside the class ball {ord(y - c - off) >= m*+1}
+    base = _proxy(box.center, p, max(ball_ord + 4, 8)) + off
+    scale = Fraction(p) ** ball_ord
+    scaled = w.shift_var(scale, base)
+    points = certified_root_points(scaled, p, budget + 4)
+
+    if points:
+        y_point = transfer_basin(w, scaled, lambda t: base + scale * t, points[0], p)
+        root = make_root_approx(w, y_point, p, 1)
+        center_value: CenterValue = root.approx if root.is_exact else root
+        new_term: Term | None = None
+        if box.term is not None:
+            h_term = TH(w.degree, 1, _taylor_coeff_terms(w, box.term, box.center),
+                        TRv(1, TConst(off)))
+            new_term = h_term if _term_is_zero(box.term) else TAdd(box.term, h_term)
+        point_laws = dict(frozen)
+        point_laws[f] = OrderLaw(INFINITY, 0)
+        out.append(Cell1(p, Center(center_value, 1, new_term), None, None,
+                         _law_tuple(point_laws)))
+        work.append(_Box(center_value, new_term, ArithRange(ball_ord, None), frozen))
+        return
+
+    value, term = _shift_center(box.center, box.term, off)
+    point_laws = dict(frozen)
+    point_laws[f] = OrderLaw(ord_of_poly_at(f, value, p), 0)
+    out.append(Cell1(p, Center(value, 1, term), None, None, _law_tuple(point_laws)))
+    work.append(_Box(value, term, ArithRange(ball_ord, None), frozen))
+
+
+def prepare(f: Poly, p: int, domain: Ball = ZP) -> Decomposition:
+    """A decomposition of the domain with an exact order law for f (and for
+    the whole derivative tower, inherited from the recursion) on every cell."""
+    if f.is_zero:
+        raise UnsupportedInputError("cannot decompose for the zero polynomial")
+    budget = _budget(f, p)
+    if domain == ZP:
+        cells = _prepare_zp(f, p, budget)
+    else:
+        scale = Fraction(p) ** domain.radius_ord
+        g = f.shift_var(scale, domain.center)
+        cells = [_map_cell_back(c, f, g, domain, p) for c in _prepare_zp(g, p, budget)]
+    k_depth = 1
+    for c in cells:
+        k_depth = max(k_depth, c.center.level)
+        if c.residues is not None:
+            k_depth = max(k_depth, c.residues.depth)
+    return Decomposition(p, domain, sorted_cells(cells), k_depth)
+
+
+def _map_cell_back(cell: Cell1, f: Poly, g: Poly, domain: Ball, p: int) -> Cell1:
+    """Transport a cell for g(z) = f(b + p^r z) on Z_p back to the ball."""
+    r = domain.radius_ord
+    scale = Fraction(p) ** r
+    value = cell.center.value
+    if isinstance(value, Fraction):
+        new_value: CenterValue = domain.center + scale * value
+    else:
+        wit = value.witness.shift_var(1 / scale, -Fraction(domain.center) / scale).monic()
+        new_value = make_root_approx(wit, domain.center + scale * value.approx, p,
+                                     value.rv_tag.depth, value.precision + r)
+    term = cell.center.term
+    if term is not None:
+        term = TConst(Fraction(domain.center)) if _term_is_zero(term) \
+            else TAdd(TConst(Fraction(domain.center)), TMul(TConst(scale), term))
+    new_laws: dict[Poly, OrderLaw] = {}
+    g_law = cell.law_for(g)
+    if g_law is not None:
+        # ord f(y) at ord(y - c) = m equals the g-law at m - r
+        new_laws[f] = OrderLaw(g_law.e0 + (-g_law.i0 * r), g_law.i0)
+    center = Center(new_value, cell.center.level, term)
+    if cell.is_point:
+        return Cell1(cell.prime, center, None, None, _law_tuple(new_laws), cell.keep)
+    rng = ArithRange(cell.m_range.lo + r,
+                     None if cell.m_range.hi is None else cell.m_range.hi + r,
+                     cell.m_range.step)
+    return Cell1(cell.prime, center, rng, cell.residues, _law_tuple(new_laws), cell.keep)
+
+
+# ---------------------------------------------------------------------------
+# Atom evaluation on cells.
+# ---------------------------------------------------------------------------
+
+
+def _compare(rel: str, left: Val, right: Val) -> bool:
+    if rel == "<":
+        return left < right
+    if rel == "<=":
+        return left <= right
+    if rel == "=":
+        return left == right
+    if rel == ">=":
+        return left >= right
+    return left > right
+
+
+def _atom_polys(atom: Atom) -> list[Poly]:
+    if isinstance(atom, OrdCmp):
+        return [atom.f] + ([atom.g] if atom.g is not None else [])
+    return [atom.f]
+
+
+def _validate_atom(atom: Atom) -> None:
+    for q in _atom_polys(atom):
+        if q.is_zero and not isinstance(atom, (OrdEqInf, RvEq)):
+            raise UnsupportedInputError("zero polynomial in an order comparison")
+    if isinstance(atom, OrdModEq) and atom.modulus < 1:
+        raise UnsupportedInputError("modulus must be positive")
+
+
+def _law_of(cell: Cell1, f: Poly) -> OrderLaw:
+    law = cell.law_for(f)
+    if law is None:
+        raise ValueError("cell lacks a law for an atom polynomial")
+    return law
+
+
+def _split_range(cell: Cell1, parts) -> list[tuple[Cell1, bool]]:
+    return [(replace(cell, m_range=rng), flag) for rng, flag in parts if rng is not None]
+
+
+def _ord_atom_pieces(cell: Cell1, atom: Atom, p: int) -> list[tuple[Cell1, bool]]:
+    law_f = _law_of(cell, atom.f)
+
+    if isinstance(atom, OrdEqInf):
+        if cell.is_point:
+            return [(cell, law_f.e0.is_infinite)]
+        return [(cell, False)]
+
+    if isinstance(atom, OrdModEq):
+        if cell.is_point:
+            v = law_f.e0
+            ok = (not v.is_infinite) and (v.value - atom.residue) % atom.modulus == 0
+            return [(cell, ok)]
+        e0, i0 = law_f.e0.value, law_f.i0
+        q = atom.modulus
+        if q == 1:
+            return [(cell, True)]
+        if i0 == 0:
+            return [(cell, (e0 - atom.residue) % q == 0)]
+        g = int_gcd(i0, q)
+        if (atom.residue - e0) % g != 0:
+            return [(cell, False)]
+        qq = q // g
+        if qq == 1:
+            return [(cell, True)]
+        m0 = ((atom.residue - e0) // g * pow(i0 // g, -1, qq)) % qq
+        rng = cell.m_range
+        classes = qq // int_gcd(rng.step, qq)
+        pieces = []
+        for v in rng.values(limit=classes):
+            sub = ArithRange(v, rng.hi, rng.step * classes)
+            pieces.append((sub, (v - m0) % qq == 0))
+        return _split_range(cell, pieces)
+
+    assert isinstance(atom, OrdCmp)
+    if atom.g is None:
+        e_g, i_g = Val(atom.offset), 0
+    else:
+        law_g = _law_of(cell, atom.g)
+        e_g, i_g = law_g.e0 + atom.offset, law_g.i0
+    if cell.is_point:
+        return [(cell, _compare(atom.rel, law_f.e0, e_g))]
+    e_f, i_f = law_f.e0, law_f.i0
+    if e_f.is_infinite or e_g.is_infinite:
+        return [(cell, _compare(atom.rel, e_f, e_g))]
+    a = i_f - i_g
+    b = e_f.value - e_g.value
+    rng = cell.m_range
+    if a == 0:
+        return [(cell, _compare(atom.rel, Val(b), Val(0)))]
+    crossing = Fraction(-b, a)
+    fl = crossing.numerator // crossing.denominator
+    exact = crossing == fl
+    pieces = []
+    below = rng.restrict(hi=fl - 1 if exact else fl)
+    at = rng.restrict(lo=fl, hi=fl) if exact else None
+    above = rng.restrict(lo=fl + 1)
+    for sub in (below, at, above):
+        if sub is None:
+            continue
+        pieces.append((sub, _compare(atom.rel, Val(b + a * sub.lo), Val(0))))
+    return _split_range(cell, pieces)
+
+
+def _value_digits_at(cell: Cell1, f: Poly, m: int, u: int, depth: int, p: int) -> int:
+    """Unit digits at `depth` of f(c + p^m u), computed exactly."""
+    c = cell.center.value
+    y_rel = Fraction(u) * Fraction(p) ** m
+    if isinstance(c, Fraction):
+        return unit_digits(f.eval(c + y_rel), p, depth).digits
+    precision = m + depth + 8
+    for _ in range(64):
+        proxy = _proxy(c, p, precision)
+        val = f.eval(proxy + y_rel)
+        v0 = ord_p(val, p)
+        sh = f.taylor_shift(proxy + y_rel)
+        cmin = INFINITY
+        for i in range(1, len(sh.coeffs)):
+            t = ord_p(sh.coeff(i), p)
+            if t < cmin:
+                cmin = t
+        if not v0.is_infinite and (cmin.is_infinite or Val(v0.value + depth) <= cmin + precision):
+            return unit_digits(val, p, depth).digits
+        precision = 2 * precision + 8
+    raise InternalBoundError("digit evaluation failed to stabilize")
+
+
+def _digit_atom_pieces(cell: Cell1, f: Poly, depth: int, want, p: int):
+    """Split a family cell so that want(unit_digits(f(y), depth)) is constant
+    on each piece."""
+    law = _law_of(cell, f)
+    assert not law.e0.is_infinite
+    ords = _taylor_ords(f, cell.center.value, p)
+    lines = [(i, v.value) for i, v in enumerate(ords) if not v.is_infinite]
+    rng = cell.m_range
+    e0, i0 = law.e0.value, law.i0
+    qd = p**depth
+    pieces: list[tuple[Cell1, bool]] = []
+
+    def enumerate_m(m: int) -> None:
+        min_line = min(v + i * m for i, v in lines)
+        law_m = e0 + i0 * m
+        d_m = max(cell.residues.depth, depth + law_m - min_line)
+        groups: dict[bool, list[int]] = {}
+        for u in cell.residues.lift(d_m, p).members(p):
+            dig = _value_digits_at(cell, f, m, u, depth, p)
+            groups.setdefault(want(dig), []).append(u)
+        for flag in sorted(groups):
+            pieces.append(
+                (replace(cell, m_range=ArithRange(m, m),
+                         residues=Residues(d_m, frozenset(groups[flag]))), flag)
+            )
+
+    if rng.hi is not None:
+        for m in rng.values():
+            enumerate_m(m)
+        return pieces
+
+    # infinite range: the law line is the envelope minimum with the smallest
+    # index beyond the last breakpoint; its digits go uniform once every other
+    # term is at least p^depth smaller
+    m_d = rng.lo
+    for j, vj in lines:
+        if j == i0:
+            continue
+        if j < i0:
+            # a smaller index would eventually dominate: impossible on an
+            # unbounded exact-law range unless its coefficient vanishes
+            raise InternalBoundError("unbounded range with a decreasing dominance gap")
+        m_need = -(-(depth + e0 - vj) // (j - i0))
+        m_d = max(m_d, m_need)
+    for m in rng.values():
+        if m >= m_d:
+            break
+        enumerate_m(m)
+    tail = rng.restrict(lo=m_d)
+    if tail is not None:
+        work_depth = max(cell.residues.depth, depth)
+        ai0_digits = digits_of_poly_at(_taylor_polys(f)[i0], cell.center.value, p, depth)
+        groups: dict[bool, list[int]] = {}
+        for u in cell.residues.lift(work_depth, p).members(p):
+            dig = (ai0_digits * pow(u, i0, qd)) % qd
+            groups.setdefault(want(dig), []).append(u)
+        for flag in sorted(groups):
+            pieces.append(
+                (replace(cell, m_range=tail,
+                         residues=Residues(work_depth, frozenset(groups[flag]))), flag)
+            )
+    return pieces
+
+
+def _split_by_atom(cell: Cell1, atom: Atom, p: int) -> list[tuple[Cell1, bool]]:
+    if isinstance(atom, (OrdCmp, OrdEqInf, OrdModEq)):
+        return _ord_atom_pieces(cell, atom, p)
+
+    if isinstance(atom, AcEq):
+        law = _law_of(cell, atom.f)
+        target = atom.unit % p**atom.depth
+        if cell.is_point:
+            if law.e0.is_infinite:
+                return [(cell, False)]
+            dig = digits_of_poly_at(atom.f, cell.center.value, p, atom.depth)
+            return [(cell, dig == target)]
+        return _digit_atom_pieces(cell, atom.f, atom.depth, lambda d: d == target, p)
+
+    assert isinstance(atom, RvEq)
+    law = _law_of(cell, atom.f)
+    if atom.tag.is_zero:
+        return [(cell, cell.is_point and law.e0.is_infinite)]
+    if cell.is_point:
+        if law.e0.is_infinite:
+            return [(cell, False)]
+        ok = law.e0.value == atom.tag.valuation and \
+            digits_of_poly_at(atom.f, cell.center.value, p, atom.depth) == atom.tag.unit.digits
+        return [(cell, ok)]
+    out: list[tuple[Cell1, bool]] = []
+    val_atom = OrdCmp(atom.f, None, atom.tag.valuation, "=")
+    want_digits = atom.tag.unit.digits
+    for piece, v_ok in _ord_atom_pieces(cell, val_atom, p):
+        if not v_ok:
+            out.append((piece, False))
+        else:
+            out.extend(_digit_atom_pieces(piece, atom.f, atom.depth,
+                                          lambda d: d == want_digits, p))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# decompose_set and preservation of balls.
+# ---------------------------------------------------------------------------
+
+
+def decompose_set(phi: Formula, p: int, domain: Ball = ZP) -> Decomposition:
+    """A decomposition of the domain on which the formula is constant per
+    cell; the truth value is recorded as the cell's keep flag."""
+    atoms: list[Atom] = []
+    for atom in formula_atoms(phi):
+        _validate_atom(atom)
+        if atom not in atoms:
+            atoms.append(atom)
+    polys: list[Poly] = []
+    for atom in atoms:
+        for q in _atom_polys(atom):
+            if not q.is_zero and q.degree >= 1 and q not in polys:
+                polys.append(q)
+    if not polys:
+        polys = [Poly.of(0, 1)]
+    dec = prepare(polys[0], p, domain)
+    for q in polys[1:]:
+        dec = refine_common(dec, prepare(q, p, domain))
+
+    const_laws = {
+        q: OrderLaw(ord_p(q.coeff(0), p), 0)
+        for atom in atoms
+        for q in _atom_polys(atom)
+        if not q.is_zero and q.degree == 0
+    }
+
+    final: list[Cell1] = []
+    for cell in dec.cells:
+        if const_laws:
+            cell = cell.with_laws(const_laws)
+        pending: list[tuple[Cell1, dict[Atom, bool]]] = [(cell, {})]
+        for atom in atoms:
+            nxt = []
+            for piece, truth in pending:
+                if atom.f.is_zero and isinstance(atom, (OrdEqInf, RvEq)):
+                    flag = True if isinstance(atom, OrdEqInf) else atom.tag.is_zero
+                    nxt.append((piece, {**truth, atom: flag}))
+                    continue
+                for sub, flag in _split_by_atom(piece, atom, p):
+                    nxt.append((sub, {**truth, atom: flag}))
+            pending = nxt
+        for piece, truth in pending:
+            final.append(replace(piece, keep=eval_formula(phi, truth)))
+    return Decomposition(p, dec.domain, sorted_cells(final), dec.k_depth)
+
+
+@dataclass(frozen=True)
+class FiberImageEntry:
+    cell: Cell1
+    verdict: str                  # "ball" or "point"
+    radius_law: OrderLaw | None   # ord of the image-ball radius as a law in m
+
+
+@dataclass(frozen=True)
+class PreservesBallsReport:
+    entries: tuple[FiberImageEntry, ...]
+
+    @property
+    def all_ball_or_point(self) -> bool:
+        return all(e.verdict in ("ball", "point") for e in self.entries)
+
+
+def preserves_balls_report(dec: Decomposition, big_f: Poly, p: int) -> PreservesBallsReport:
+    """Decide per cell fiber whether the polynomial image of the fiber ball
+    is a ball or a point, using the derivative-tower order laws.
+
+    Cells whose residue depth is too shallow for the linear Taylor term to
+    dominate are split deeper until the verdict is certified, so the report
+    is always exact.
+    """
+    entries: list[FiberImageEntry] = []
+    for cell in dec.cells:
+        if big_f.degree <= 0 or cell.is_point:
+            entries.append(FiberImageEntry(cell, "point", None))
+            continue
+        entries.append(_fiber_entry(cell, big_f, p))
+    return PreservesBallsReport(tuple(entries))
+
+
+def _fiber_entry(cell: Cell1, big_f: Poly, p: int) -> FiberImageEntry:
+    # laws for the derivative tower, as laws for the Taylor coefficients:
+    # ord c_j(member) = law_j(m) - ord(j!)
+    laws: list[OrderLaw] = []
+    q = big_f
+    for j in range(big_f.degree + 1):
+        if j > 0:
+            q = q.derivative()
+        law = _law_of(cell, q) if j > 0 else None
+        laws.append(law)
+    law1 = laws[1]
+    if law1.e0.is_infinite:
+        raise InternalBoundError("derivative law is infinite on a family cell")
+    rng = cell.m_range
+    d = cell.residues.depth
+    d_need = d
+    for j in range(2, big_f.degree + 1):
+        law_j = laws[j]
+        if law_j.e0.is_infinite:
+            continue
+        fact = ord_p(Fraction(factorial(j)), p).value
+        # need (law_j(m) - fact) + j(m+d) > law_1(m) + (m+d) for all m in rng
+        slope = (law_j.i0 - law1.i0) + (j - 1)
+        const = (law_j.e0.value - fact - law1.e0.value)
+        if slope < 0 and rng.hi is None:
+            raise InternalBoundError("fiber-image criterion degenerates on an unbounded range")
+        worst_m = rng.lo if slope >= 0 else rng.hi
+        need = -(const + slope * worst_m) // (j - 1) + 1
+        d_need = max(d_need, need)
+    piece = cell if d_need == d else replace(cell, residues=cell.residues.lift(d_need, p))
+    depth = piece.residues.depth
+    radius = OrderLaw(law1.e0 + depth, law1.i0 + 1)
+    return FiberImageEntry(piece, "ball", radius)
+

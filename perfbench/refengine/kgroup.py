@@ -1,0 +1,174 @@
+"""The positive Grothendieck semiring of auxiliary classes and the chi map.
+
+A decomposed set contributes, per cell, the class of its auxiliary image
+(the index set of (valuation, residue) pairs) placed in the grade equal to
+the cell's type sum.  Auxiliary classes are canonicalized by residue count
+and order-part shape: finite valuation ranges by their length, unbounded
+ones by the symbol H (arithmetic progressions are definably bijective to H).
+Working with parameters, finite sets of equal size are definably isomorphic,
+so this quotient is sound for the implemented relations.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .cells import Cell1, Decomposition, ProductCell
+
+
+@dataclass(frozen=True)
+class AuxShape:
+    """An auxiliary set: a residue count times a product of order parts,
+    each a finite interval (recorded by length) or half-infinite (H=None)."""
+
+    residue_count: int
+    order_parts: tuple[int | None, ...] = ()
+
+    def __post_init__(self):
+        parts = tuple(sorted(
+            (x for x in self.order_parts if x != 1),
+            key=lambda x: (x is None, x if x is not None else 0),
+        ))
+        object.__setattr__(self, "order_parts", parts)
+
+    def __mul__(self, other: "AuxShape") -> "AuxShape":
+        return AuxShape(self.residue_count * other.residue_count,
+                        self.order_parts + other.order_parts)
+
+    def __str__(self) -> str:
+        parts = [str(self.residue_count)]
+        parts += ["H" if x is None else f"len:{x}" for x in self.order_parts]
+        return " x ".join(parts)
+
+
+POINT_SHAPE = AuxShape(1, ())
+
+
+@dataclass(frozen=True)
+class K0Element:
+    """A finite multiset of graded auxiliary classes: pairs ((shape, grade),
+    multiplicity), canonically sorted."""
+
+    parts: tuple[tuple[tuple[AuxShape, int], int], ...] = ()
+
+    @staticmethod
+    def of(items: list[tuple[AuxShape, int]]) -> "K0Element":
+        counts: dict[tuple[AuxShape, int], int] = {}
+        for shape, grade in items:
+            key = (shape, grade)
+            counts[key] = counts.get(key, 0) + 1
+        return K0Element(_canonical(counts))
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.parts
+
+    def __str__(self) -> str:
+        if not self.parts:
+            return "0"
+        bits = []
+        for (shape, grade), mult in self.parts:
+            head = f"{mult}*" if mult > 1 else ""
+            bits.append(f"{head}[{shape}][{grade}]")
+        return " + ".join(bits)
+
+
+def _canonical(counts: dict[tuple[AuxShape, int], int]):
+    items = [(key, m) for key, m in counts.items() if m != 0]
+    items.sort(key=lambda km: (km[0][1], km[0][0].residue_count,
+                               tuple(-1 if x is None else x for x in km[0][0].order_parts)))
+    return tuple(items)
+
+
+def k0_add(a: K0Element, b: K0Element) -> K0Element:
+    counts: dict[tuple[AuxShape, int], int] = {}
+    for (key, m) in a.parts + b.parts:
+        counts[key] = counts.get(key, 0) + m
+    return K0Element(_canonical(counts))
+
+
+def k0_mul(a: K0Element, b: K0Element) -> K0Element:
+    counts: dict[tuple[AuxShape, int], int] = {}
+    for (sa, ga), ma in a.parts:
+        for (sb, gb), mb in b.parts:
+            key = (sa * sb, ga + gb)
+            counts[key] = counts.get(key, 0) + ma * mb
+    return K0Element(_canonical(counts))
+
+
+def _cell_shape(cell: Cell1) -> AuxShape:
+    if cell.is_point:
+        return POINT_SHAPE
+    rng = cell.m_range
+    length = None if rng.hi is None else rng.count()
+    return AuxShape(cell.residues.count(cell.prime), (length,))
+
+
+def chi(dec: Decomposition | list[Cell1], kept_only: bool = True) -> K0Element:
+    """The Euler-characteristic element: one graded auxiliary class per cell."""
+    if isinstance(dec, Decomposition):
+        cells = dec.kept_cells if kept_only else dec.cells
+    else:
+        cells = tuple(dec)
+    return K0Element.of([(_cell_shape(c), c.kind) for c in cells])
+
+
+def chi_product(cells: list[ProductCell]) -> K0Element:
+    """chi of a decomposition into product cells: shapes multiply, grades add."""
+    items = []
+    for pc in cells:
+        shape = POINT_SHAPE
+        grade = 0
+        for factor in pc.factors:
+            shape = shape * _cell_shape(factor)
+            grade += factor.kind
+        items.append((shape, grade))
+    return K0Element.of(items)
+
+
+def cv_check(d1: Decomposition, d2: Decomposition) -> bool:
+    """Whether the chi classes of two decompositions of the same set are
+    identified by the refinement-generated relations.
+
+    The common refinement R is computed; grouping its cells under each input
+    decomposition must partition every parent cell exactly -- certified by
+    exact measure bookkeeping, coverage of every center point in the group,
+    and type consistency -- after which both reductions land on the identical
+    canonical element chi(R).  Decompositions of different sets are rejected.
+    """
+    from .cells import _point_in_cell, centers_equal, intersect_cells, refine_common
+    from .measure import cell_measure
+
+    if d1.prime != d2.prime or d1.domain != d2.domain:
+        raise ValueError("decompositions are not over the same domain")
+    p = d1.prime
+    for a in d1.cells:
+        for b in d2.cells:
+            if intersect_cells(a, b) and a.keep != b.keep:
+                raise ValueError("the decompositions describe different sets")
+    refined = refine_common(d1, d2)
+    for parent_dec in (d1, d2):
+        for parent in parent_dec.cells:
+            children = [c for c in refined.cells if intersect_cells(parent, c)]
+            total = sum((cell_measure(c) for c in children), Fraction(0))
+            if total != cell_measure(parent):
+                return False
+            if any(c.kind > parent.kind for c in children):
+                return False
+            # every center point of the group that belongs to the parent
+            # must be covered by exactly one child
+            probes = [parent.center.value] + [c.center.value for c in children]
+            for v in probes:
+                if not (_point_in_cell(v, parent, p)
+                        or (parent.is_point and centers_equal(v, parent.center.value, p))):
+                    continue
+                hits = 0
+                for c in children:
+                    if c.is_point:
+                        hits += centers_equal(v, c.center.value, p)
+                    elif _point_in_cell(v, c, p):
+                        hits += 1
+                if hits != 1:
+                    return False
+    return True

@@ -1,0 +1,215 @@
+"""Exact Haar measure and Igusa-type zeta functions from decompositions.
+
+The measure is normalized so that mu(Z_p) = 1; a fiber ball of a family
+cell at valuation m and residue depth d has measure p^(-m-d).  All sums are
+closed-form geometric series over the arithmetic progressions of the cell
+ranges, so every result is an exact rational, and the zeta function
+Z(t) = sum_m mu(ord f = m) t^m is an exact rational function in t = p^(-s).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .cells import Cell1, Decomposition, centers_equal
+from .errors import UnsupportedInputError
+from .poly import Poly, format_poly, poly_gcd
+
+
+def cell_measure(cell: Cell1, p: int | None = None) -> Fraction:
+    """Haar measure of a cell: 0 for points, a geometric sum for families."""
+    p = cell.prime if p is None else p
+    if cell.is_point:
+        return Fraction(0)
+    rng = cell.m_range
+    count = cell.residues.count(p)
+    d = cell.residues.depth
+    per_m0 = Fraction(count, p ** (rng.lo + d))
+    ratio = Fraction(1, p**rng.step)
+    if rng.hi is None:
+        return per_m0 / (1 - ratio)
+    n = rng.count()
+    return per_m0 * (1 - ratio**n) / (1 - ratio)
+
+
+def decomposition_measure(dec: Decomposition, kept_only: bool = False) -> Fraction:
+    cells = dec.kept_cells if kept_only else dec.cells
+    return sum((cell_measure(c, dec.prime) for c in cells), Fraction(0))
+
+
+def measure_of_order(dec: Decomposition, f: Poly, m: int) -> Fraction:
+    """mu{ y in domain : ord f(y) = m } from the cells' order laws."""
+    total = Fraction(0)
+    p = dec.prime
+    for cell in dec.cells:
+        law = cell.law_for(f)
+        if law is None:
+            raise ValueError("decomposition lacks laws for this polynomial")
+        if cell.is_point:
+            continue  # points have measure zero
+        if law.e0.is_infinite:
+            continue
+        e0, i0 = law.e0.value, law.i0
+        if i0 == 0:
+            if e0 == m:
+                total += cell_measure(cell, p)
+            continue
+        if (m - e0) % i0 != 0:
+            continue
+        m_y = (m - e0) // i0
+        if m_y not in cell.m_range:
+            continue
+        total += Fraction(cell.residues.count(p), p ** (m_y + cell.residues.depth))
+    return total
+
+
+@dataclass(frozen=True)
+class ZetaFn:
+    """A rational function in t, in canonical reduced form: coprime numerator
+    and denominator, denominator normalized so its lowest-degree nonzero
+    coefficient is 1."""
+
+    num: Poly
+    den: Poly
+
+    @staticmethod
+    def of(num: Poly, den: Poly) -> "ZetaFn":
+        if den.is_zero:
+            raise ZeroDivisionError("zero denominator")
+        if num.is_zero:
+            return ZetaFn(Poly.of(), Poly.of(1))
+        g = poly_gcd(num, den)
+        if g.degree >= 1:
+            num = num.divmod(g)[0]
+            den = den.divmod(g)[0]
+        lead = next(c for c in den.coeffs if c != 0)
+        num = num * (1 / lead)
+        den = den * (1 / lead)
+        return ZetaFn(num, den)
+
+    @staticmethod
+    def zero() -> "ZetaFn":
+        return ZetaFn(Poly.of(), Poly.of(1))
+
+    def __add__(self, other: "ZetaFn") -> "ZetaFn":
+        return ZetaFn.of(self.num * other.den + other.num * self.den,
+                         self.den * other.den)
+
+    def eval(self, t: Fraction) -> Fraction:
+        den = self.den.eval(t)
+        if den == 0:
+            raise ZeroDivisionError("pole of the zeta function")
+        return self.num.eval(t) / den
+
+    def taylor_coefficients(self, n: int) -> list[Fraction]:
+        """The first n+1 coefficients of the series expansion at t = 0."""
+        d0 = self.den.coeff(0)
+        assert d0 != 0
+        out: list[Fraction] = []
+        for k in range(n + 1):
+            acc = self.num.coeff(k)
+            for j in range(1, k + 1):
+                acc -= self.den.coeff(j) * out[k - j]
+            out.append(acc / d0)
+        return out
+
+    def __str__(self) -> str:
+        return f"({format_poly(self.num, 't')}) / ({format_poly(self.den, 't')})"
+
+
+def igusa_zeta(dec: Decomposition, f: Poly, p: int | None = None) -> ZetaFn:
+    """Z(t) = sum_m mu(ord f = m) t^m, in closed form cell by cell."""
+    if f.is_zero:
+        raise UnsupportedInputError("the zeta function of the zero polynomial diverges")
+    p = dec.prime if p is None else p
+    total = ZetaFn.zero()
+    for cell in dec.cells:
+        if cell.is_point:
+            continue
+        law = cell.law_for(f)
+        if law is None:
+            raise ValueError("decomposition lacks laws for this polynomial")
+        assert not law.e0.is_infinite
+        e0, i0 = law.e0.value, law.i0
+        rng = cell.m_range
+        d = cell.residues.depth
+        count = cell.residues.count(p)
+        # contribution: sum over m in rng of count * p^(-m-d) * t^(e0 + i0*m)
+        # = count p^(-lo-d) t^(e0+i0*lo) * sum_k (p^-step t^(i0*step))^k
+        lead_coeff = Fraction(count, p ** (rng.lo + d))
+        lead_exp = e0 + i0 * rng.lo
+        if lead_exp < 0:
+            raise UnsupportedInputError("negative valuations need a shifted series")
+        ratio_num = Poly.of(*([Fraction(0)] * (i0 * rng.step) + [Fraction(1, p**rng.step)])) \
+            if i0 * rng.step > 0 else Poly.of(Fraction(1, p**rng.step))
+        lead = Poly.of(*([Fraction(0)] * lead_exp + [lead_coeff]))
+        if rng.hi is None:
+            term = ZetaFn.of(lead, Poly.of(1) - ratio_num)
+        else:
+            acc = Poly.of()
+            power = Poly.of(1)
+            for _ in range(rng.count()):
+                acc = acc + power
+                power = power * ratio_num
+            term = ZetaFn.of(lead * acc, Poly.of(1))
+        total = total + term
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Exact partition checking by constraint algebra.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PartitionCheck:
+    disjoint: bool
+    covers: bool
+    overlaps: tuple[tuple[int, int], ...]   # indices of intersecting cell pairs
+    missing_measure: Fraction
+    uncovered_centers: int
+
+    @property
+    def ok(self) -> bool:
+        return self.disjoint and self.covers
+
+
+def exact_partition_check(dec: Decomposition) -> PartitionCheck:
+    """Disjointness and exact cover of the domain, by constraint algebra.
+
+    Cover is certified by (a) total measure equal to the domain measure and
+    (b) every center point being covered exactly once: any gap in a finite
+    union of fiber balls and points is either of positive measure or a
+    subset of the centers, so the two conditions are complete.
+    """
+    from .cells import intersect_cells
+
+    p = dec.prime
+    overlaps = []
+    for i in range(len(dec.cells)):
+        for j in range(i + 1, len(dec.cells)):
+            if intersect_cells(dec.cells[i], dec.cells[j]):
+                overlaps.append((i, j))
+    domain_measure = Fraction(1, p**dec.domain.radius_ord)
+    total = decomposition_measure(dec)
+    uncovered = 0
+    from .cells import _point_in_cell
+
+    for cell in dec.cells:
+        hits = 0
+        for other in dec.cells:
+            if other.is_point:
+                if centers_equal(cell.center.value, other.center.value, p):
+                    hits += 1
+            elif _point_in_cell(cell.center.value, other, p):
+                hits += 1
+        if hits != 1:
+            uncovered += 1
+    return PartitionCheck(
+        disjoint=not overlaps,
+        covers=(total == domain_measure and uncovered == 0),
+        overlaps=tuple(overlaps),
+        missing_measure=domain_measure - total,
+        uncovered_centers=uncovered,
+    )

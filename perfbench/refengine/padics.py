@@ -1,0 +1,214 @@
+"""Exact arithmetic in Q_p on rational representatives.
+
+Everything here works on `fractions.Fraction` values, which already enforce
+the reduced-form invariant (coprime numerator/denominator, positive
+denominator).  The three building blocks are the p-adic valuation, the unit
+digits of the prime-free part, and the combined rv-data (valuation plus a
+fixed number of leading unit digits).
+
+Levels are always digit depths: the coset 1 + p^d Z_p is the only kind of
+congruence subgroup that matters over Q_p, so a level is stored as the
+positive integer d.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Union
+
+Rat = Union[int, Fraction]
+
+
+class Val:
+    """An element of the value group Z extended by an absorbing infinity.
+
+    ``Val(n)`` wraps an integer; ``INFINITY`` is the valuation of zero.
+    Addition, scalar multiplication and comparisons follow the usual
+    conventions: infinity absorbs sums and is larger than every integer.
+    """
+
+    __slots__ = ("_v",)
+
+    def __init__(self, v: int | None):
+        self._v = v
+
+    @property
+    def is_infinite(self) -> bool:
+        return self._v is None
+
+    @property
+    def value(self) -> int:
+        if self._v is None:
+            raise ValueError("infinite valuation has no integer value")
+        return self._v
+
+    def __add__(self, other: "Val | int") -> "Val":
+        o = other._v if isinstance(other, Val) else other
+        if self._v is None or o is None:
+            return INFINITY
+        return Val(self._v + o)
+
+    __radd__ = __add__
+
+    def __mul__(self, k: int) -> "Val":
+        if self._v is None:
+            if k == 0:
+                raise ValueError("0 * infinity is undefined")
+            return INFINITY
+        return Val(self._v * k)
+
+    __rmul__ = __mul__
+
+    def _key(self, other: "Val | int") -> tuple[int | None, int | None]:
+        o = other._v if isinstance(other, Val) else other
+        return self._v, o
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Val):
+            return self._v == other._v
+        if isinstance(other, int):
+            return self._v == other
+        return NotImplemented
+
+    def __lt__(self, other: "Val | int") -> bool:
+        a, b = self._key(other)
+        if a is None:
+            return False
+        if b is None:
+            return True
+        return a < b
+
+    def __le__(self, other: "Val | int") -> bool:
+        return self == other or self < other
+
+    def __gt__(self, other: "Val | int") -> bool:
+        return not self <= other
+
+    def __ge__(self, other: "Val | int") -> bool:
+        return not self < other
+
+    def __hash__(self) -> int:
+        return hash(("Val", self._v))
+
+    def __repr__(self) -> str:
+        return "INFINITY" if self._v is None else f"Val({self._v})"
+
+
+INFINITY = Val(None)
+
+
+def val_min(*vals: Val) -> Val:
+    """min(INFINITY, v) = v; the empty min is INFINITY."""
+    best = INFINITY
+    for v in vals:
+        if v < best:
+            best = v
+    return best
+
+
+def _int_val(n: int, p: int) -> int:
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def ord_p(x: Rat, p: int) -> Val:
+    """The p-adic valuation of a rational, with ord_p(0) = INFINITY."""
+    x = Fraction(x)
+    if x == 0:
+        return INFINITY
+    return Val(_int_val(x.numerator, p) - _int_val(x.denominator, p))
+
+
+@dataclass(frozen=True)
+class UnitDigits:
+    """The first `depth` base-p digits of a unit, i.e. a residue in (Z/p^d)^x."""
+
+    depth: int
+    digits: int
+
+    def project(self, depth: int, p: int) -> "UnitDigits":
+        if depth > self.depth:
+            raise ValueError("cannot project to a deeper level")
+        return UnitDigits(depth, self.digits % p**depth)
+
+    def __repr__(self) -> str:
+        return f"u{self.digits}@{self.depth}"
+
+
+def unit_digits(x: Rat, p: int, d: int) -> UnitDigits:
+    """Unit part of x modulo p^d, i.e. (x / p^ord(x)) mod p^d, computed exactly.
+
+    The denominator is prime to p after stripping the p-part, so it has a
+    modular inverse and the result is a genuine residue in (Z/p^d)^x.
+    """
+    x = Fraction(x)
+    if x == 0:
+        raise ValueError("unit digits of 0 are undefined")
+    if d < 1:
+        raise ValueError("depth must be >= 1")
+    num, den = x.numerator, x.denominator
+    vn, vd = _int_val(num, p), _int_val(den, p)
+    num //= p**vn
+    den //= p**vd
+    q = p**d
+    u = num * pow(den, -1, q) % q
+    return UnitDigits(d, u)
+
+
+@dataclass(frozen=True)
+class RvData:
+    """The value rv_d(x): zero, or valuation plus d leading unit digits.
+
+    The zero element is shared between all depths, mirroring the convention
+    that rv sends 0 to 0 in every RV_n.
+    """
+
+    depth: int
+    valuation: int | None
+    unit: UnitDigits | None
+
+    def __post_init__(self):
+        if self.depth < 1:
+            raise ValueError("depth must be >= 1")
+        if (self.valuation is None) != (self.unit is None):
+            raise ValueError("zero rv-data has neither valuation nor unit")
+        if self.unit is not None and self.unit.depth != self.depth:
+            raise ValueError("unit depth must match rv depth")
+
+    @property
+    def is_zero(self) -> bool:
+        return self.valuation is None
+
+    @classmethod
+    def zero(cls, depth: int = 1) -> "RvData":
+        return cls(depth, None, None)
+
+    def project(self, depth: int, p: int) -> "RvData":
+        """The natural projection RV_n -> RV_m for m dividing n (here: d' <= d)."""
+        if self.is_zero:
+            return RvData.zero(depth)
+        return RvData(depth, self.valuation, self.unit.project(depth, p))
+
+    def __repr__(self) -> str:
+        if self.is_zero:
+            return f"rv0@{self.depth}"
+        return f"rv({self.valuation};{self.unit.digits})@{self.depth}"
+
+
+def rv(x: Rat, p: int, d: int) -> RvData:
+    """rv_d(x) over Q_p: ZERO for x = 0, else (d, ord_p(x), unit digits)."""
+    x = Fraction(x)
+    if x == 0:
+        return RvData.zero(d)
+    return RvData(d, ord_p(x, p).value, unit_digits(x, p, d))
+
+
+def canonical_lift(r: RvData, p: int) -> Fraction:
+    """The smallest representative p^m * u of a nonzero rv-class."""
+    if r.is_zero:
+        return Fraction(0)
+    return Fraction(r.unit.digits) * Fraction(p) ** r.valuation

@@ -1,0 +1,342 @@
+"""Parser for the polynomial and formula surface syntax.
+
+Polynomials use the variable y with + - * ^ and rational literals a/b.
+Formula atoms:  ord(f) REL ord(g) + c   |  ord(f) REL c  |  ord(f) % q = r
+             |  ac(d, f) = u            |  rv(d, f) = (m, u)  |  rv(d, f) = 0
+             |  f = 0
+combined with & | ! and parentheses.  Quantifier tokens are rejected with a
+position-annotated error.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .decompose import (
+    AcEq,
+    FAnd,
+    FAtom,
+    FNot,
+    FOr,
+    Formula,
+    OrdCmp,
+    OrdEqInf,
+    OrdModEq,
+    RvEq,
+)
+from .errors import ParseError
+from .padics import RvData, UnitDigits
+from .poly import Poly
+
+_QUANTIFIERS = {"exists", "forall", "all", "some"}
+_SYMBOLS = ("<=", ">=", "!=", "<", ">", "=", "+", "-", "*", "^", "/", "%",
+            "(", ")", ",", "&", "|", "!")
+
+
+@dataclass
+class _Token:
+    kind: str  # "int", "name", or the symbol itself
+    text: str
+    pos: int
+
+
+def _tokenize(text: str) -> list[_Token]:
+    out: list[_Token] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            out.append(_Token("int", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            if word.lower() in _QUANTIFIERS:
+                raise ParseError("quantifiers are not supported", i)
+            out.append(_Token("name", word, i))
+            i = j
+            continue
+        for sym in _SYMBOLS:
+            if text.startswith(sym, i):
+                out.append(_Token(sym, sym, i))
+                i += len(sym)
+                break
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i)
+    return out
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    def peek(self, kind: str | None = None) -> _Token | None:
+        if self.i >= len(self.tokens):
+            return None
+        tok = self.tokens[self.i]
+        if kind is not None and tok.kind != kind:
+            return None
+        return tok
+
+    def next(self, kind: str | None = None) -> _Token:
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of input", len(self.text))
+        if kind is not None and tok.kind != kind:
+            raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.pos)
+        self.i += 1
+        return tok
+
+    def at_end(self) -> bool:
+        return self.i >= len(self.tokens)
+
+    def expect_end(self) -> None:
+        if not self.at_end():
+            tok = self.tokens[self.i]
+            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
+
+    # -- integers and rationals ------------------------------------------
+
+    def parse_int(self) -> int:
+        sign = 1
+        if self.peek("-"):
+            self.next("-")
+            sign = -1
+        return sign * int(self.next("int").text)
+
+    def parse_rational(self) -> Fraction:
+        num = self.parse_int()
+        if self.peek("/"):
+            self.next("/")
+            den = int(self.next("int").text)
+            return Fraction(num, den)
+        return Fraction(num)
+
+    # -- polynomials ------------------------------------------------------
+
+    def parse_poly(self) -> Poly:
+        acc = self._poly_term()
+        while True:
+            if self.peek("+"):
+                self.next("+")
+                acc = acc + self._poly_term()
+            elif self.peek("-"):
+                self.next("-")
+                acc = acc - self._poly_term()
+            else:
+                return acc
+
+    def _poly_term(self) -> Poly:
+        acc = self._poly_factor()
+        while self.peek("*"):
+            self.next("*")
+            acc = acc * self._poly_factor()
+        return acc
+
+    def _poly_factor(self) -> Poly:
+        base = self._poly_atom()
+        if self.peek("^"):
+            self.next("^")
+            tok = self.next("int")
+            e = int(tok.text)
+            out = Poly.of(1)
+            for _ in range(e):
+                out = out * base
+            return out
+        return base
+
+    def _poly_atom(self) -> Poly:
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of polynomial", len(self.text))
+        if tok.kind == "-":
+            self.next("-")
+            return -self._poly_factor()
+        if tok.kind == "int":
+            return Poly.constant(self.parse_rational())
+        if tok.kind == "name":
+            if tok.text != "y":
+                raise ParseError(f"unknown name {tok.text!r} (the variable is y)", tok.pos)
+            self.next("name")
+            return Poly.of(0, 1)
+        if tok.kind == "(":
+            self.next("(")
+            inner = self.parse_poly()
+            self.next(")")
+            return inner
+        raise ParseError(f"unexpected token {tok.text!r} in polynomial", tok.pos)
+
+    # -- formulas ----------------------------------------------------------
+
+    def parse_formula(self) -> Formula:
+        acc = self._conj()
+        while self.peek("|"):
+            self.next("|")
+            acc = FOr(acc, self._conj())
+        return acc
+
+    def _conj(self) -> Formula:
+        acc = self._unary()
+        while self.peek("&"):
+            self.next("&")
+            acc = FAnd(acc, self._unary())
+        return acc
+
+    def _unary(self) -> Formula:
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of formula", len(self.text))
+        if tok.kind == "!":
+            self.next("!")
+            return FNot(self._unary())
+        if tok.kind == "(":
+            # try a parenthesized formula; fall back to `poly = 0`
+            saved = self.i
+            try:
+                self.next("(")
+                inner = self.parse_formula()
+                self.next(")")
+                return inner
+            except ParseError:
+                self.i = saved
+                return self._poly_eq_zero()
+        return self._atom()
+
+    def _poly_eq_zero(self) -> Formula:
+        f = self.parse_poly()
+        self.next("=")
+        tok = self.next("int")
+        if tok.text != "0":
+            raise ParseError("polynomial equations must compare with 0", tok.pos)
+        return FAtom(OrdEqInf(f))
+
+    def _atom(self) -> Formula:
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of formula", len(self.text))
+        if tok.kind == "name" and tok.text == "ord":
+            return self._ord_atom()
+        if tok.kind == "name" and tok.text == "ac":
+            self.next("name")
+            self.next("(")
+            depth = self.parse_int()
+            self.next(",")
+            f = self.parse_poly()
+            self.next(")")
+            self.next("=")
+            unit = self.parse_int()
+            if depth < 1:
+                raise ParseError("ac depth must be >= 1", tok.pos)
+            return FAtom(AcEq(depth, f, unit))
+        if tok.kind == "name" and tok.text == "rv":
+            self.next("name")
+            self.next("(")
+            depth = self.parse_int()
+            self.next(",")
+            f = self.parse_poly()
+            self.next(")")
+            self.next("=")
+            if depth < 1:
+                raise ParseError("rv depth must be >= 1", tok.pos)
+            if self.peek("int"):
+                zero = self.next("int")
+                if zero.text != "0":
+                    raise ParseError("rv values are 0 or a pair (m, u)", zero.pos)
+                return FAtom(RvEq(depth, f, RvData.zero(depth)))
+            self.next("(")
+            m = self.parse_int()
+            self.next(",")
+            u = self.parse_int()
+            self.next(")")
+            return FAtom(RvEq(depth, f, RvData(depth, m, UnitDigits(depth, u))))
+        # bare polynomial equation f = 0
+        return self._poly_eq_zero()
+
+    def _ord_atom(self) -> Formula:
+        self.next("name")  # 'ord'
+        self.next("(")
+        f = self.parse_poly()
+        self.next(")")
+        if self.peek("%"):
+            self.next("%")
+            modulus = self.parse_int()
+            self.next("=")
+            residue = self.parse_int()
+            return FAtom(OrdModEq(f, modulus, residue % max(modulus, 1)))
+        rel_tok = self.peek()
+        if rel_tok is None or rel_tok.kind not in ("<", "<=", "=", ">=", ">"):
+            raise ParseError("expected a relation after ord(...)",
+                             rel_tok.pos if rel_tok else len(self.text))
+        rel = self.next().kind
+        if self.peek("name") and self.peek("name").text == "ord":
+            self.next("name")
+            self.next("(")
+            g = self.parse_poly()
+            self.next(")")
+            offset = 0
+            if self.peek("+"):
+                self.next("+")
+                offset = self.parse_int()
+            elif self.peek("-"):
+                self.next("-")
+                offset = -self.parse_int()
+            return FAtom(OrdCmp(f, g, offset, rel))
+        c = self.parse_int()
+        return FAtom(OrdCmp(f, None, c, rel))
+
+
+def parse_poly(text: str) -> Poly:
+    p = _Parser(text)
+    out = p.parse_poly()
+    p.expect_end()
+    return out
+
+
+def parse_formula(text: str) -> Formula:
+    p = _Parser(text)
+    out = p.parse_formula()
+    p.expect_end()
+    return out
+
+
+def print_formula(phi: Formula) -> str:
+    if isinstance(phi, FAtom):
+        return _print_atom(phi.atom)
+    if isinstance(phi, FNot):
+        return f"!({print_formula(phi.sub)})"
+    if isinstance(phi, FAnd):
+        return f"({print_formula(phi.left)} & {print_formula(phi.right)})"
+    return f"({print_formula(phi.left)} | {print_formula(phi.right)})"
+
+
+def _print_atom(atom) -> str:
+    from .poly import format_poly
+
+    if isinstance(atom, OrdCmp):
+        rhs = str(atom.offset) if atom.g is None else (
+            f"ord({format_poly(atom.g)})"
+            + (f" + {atom.offset}" if atom.offset > 0 else f" - {-atom.offset}" if atom.offset < 0 else "")
+        )
+        return f"ord({format_poly(atom.f)}) {atom.rel} {rhs}"
+    if isinstance(atom, OrdEqInf):
+        return f"{format_poly(atom.f)} = 0"
+    if isinstance(atom, OrdModEq):
+        return f"ord({format_poly(atom.f)}) % {atom.modulus} = {atom.residue}"
+    if isinstance(atom, AcEq):
+        return f"ac({atom.depth}, {format_poly(atom.f)}) = {atom.unit}"
+    tag = atom.tag
+    rhs = "0" if tag.is_zero else f"({tag.valuation}, {tag.unit.digits})"
+    return f"rv({atom.depth}, {format_poly(atom.f)}) = {rhs}"

@@ -1,0 +1,207 @@
+"""Exact univariate polynomial algebra over the rationals.
+
+Polynomials are immutable coefficient tuples (index i = coefficient of y^i,
+trailing zeros trimmed, zero polynomial = empty tuple with degree -1).
+Besides evaluation, derivative and Taylor recentering, this module provides
+the handful of classical algorithms the decomposition engine leans on:
+polynomial gcd, Yun's squarefree part, and the valuation of a resultant.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from math import comb
+
+from .padics import INFINITY, Rat, Val, ord_p
+
+
+@dataclass(frozen=True)
+class Poly:
+    coeffs: tuple[Fraction, ...]
+
+    @staticmethod
+    def of(*coeffs: Rat) -> "Poly":
+        """Build from low-to-high coefficients, trimming trailing zeros."""
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return Poly(tuple(cs))
+
+    @staticmethod
+    def constant(c: Rat) -> "Poly":
+        return Poly.of(c)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def coeff(self, i: int) -> Fraction:
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+
+    def leading(self) -> Fraction:
+        if self.is_zero:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    def eval(self, x: Rat) -> Fraction:
+        """Horner evaluation, exact."""
+        x = Fraction(x)
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def derivative(self) -> "Poly":
+        return Poly.of(*(i * c for i, c in enumerate(self.coeffs) if i > 0))
+
+    def taylor_shift(self, c: Rat) -> "Poly":
+        """Coefficients b_i with f(y) = sum b_i (y - c)^i, i.e. f(y + c)."""
+        c = Fraction(c)
+        n = len(self.coeffs)
+        out = [Fraction(0)] * n
+        for j, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            power = Fraction(1)
+            for i in range(j, -1, -1):
+                out[i] += a * comb(j, i) * power
+                power *= c
+        return Poly.of(*out)
+
+    def __add__(self, other: "Poly") -> "Poly":
+        n = max(len(self.coeffs), len(other.coeffs))
+        return Poly.of(*(self.coeff(i) + other.coeff(i) for i in range(n)))
+
+    def __sub__(self, other: "Poly") -> "Poly":
+        n = max(len(self.coeffs), len(other.coeffs))
+        return Poly.of(*(self.coeff(i) - other.coeff(i) for i in range(n)))
+
+    def __neg__(self) -> "Poly":
+        return Poly.of(*(-c for c in self.coeffs))
+
+    def __mul__(self, other: "Poly | Rat") -> "Poly":
+        if isinstance(other, (int, Fraction)):
+            return Poly.of(*(c * other for c in self.coeffs))
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return Poly.of(*out)
+
+    __rmul__ = __mul__
+
+    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        quo = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
+        d = other.degree
+        lc = other.leading()
+        for i in range(len(rem) - 1, d - 1, -1):
+            if rem[i] == 0:
+                continue
+            q = rem[i] / lc
+            quo[i - d] = q
+            for j, b in enumerate(other.coeffs):
+                rem[i - d + j] -= q * b
+        return Poly.of(*quo), Poly.of(*rem)
+
+    def __mod__(self, other: "Poly") -> "Poly":
+        return self.divmod(other)[1]
+
+    def monic(self) -> "Poly":
+        if self.is_zero:
+            return self
+        lc = self.leading()
+        return Poly.of(*(c / lc for c in self.coeffs))
+
+    def shift_var(self, scale: Rat, offset: Rat) -> "Poly":
+        """The polynomial g(z) = f(scale * z + offset), exact."""
+        g = self.taylor_shift(offset)
+        s = Fraction(scale)
+        return Poly.of(*(c * s**i for i, c in enumerate(g.coeffs)))
+
+    def __repr__(self) -> str:
+        return f"Poly({format_poly(self)})"
+
+
+def poly_gcd(f: Poly, g: Poly) -> Poly:
+    """Monic gcd over Q by the Euclidean algorithm."""
+    a, b = f, g
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic() if not a.is_zero else a
+
+
+def squarefree_part(f: Poly) -> Poly:
+    """f / gcd(f, f'), monic; the radical of f over Q."""
+    if f.is_zero:
+        raise ValueError("zero polynomial has no squarefree part")
+    if f.degree == 0:
+        return Poly.of(1)
+    g = poly_gcd(f, f.derivative())
+    q, r = f.divmod(g)
+    assert r.is_zero
+    return q.monic()
+
+
+def resultant(f: Poly, g: Poly) -> Fraction:
+    """Res(f, g) by the Euclidean recurrence, exact over Q."""
+    if f.is_zero or g.is_zero:
+        raise ValueError("resultant of the zero polynomial is not supported")
+    if f.degree == 0:
+        return f.coeffs[0] ** g.degree
+    if g.degree == 0:
+        return g.coeffs[0] ** f.degree
+    r = f % g
+    if r.is_zero:
+        return Fraction(0)
+    sign = -1 if (f.degree % 2) and (g.degree % 2) else 1
+    return sign * g.leading() ** (f.degree - r.degree) * resultant(g, r)
+
+
+def resultant_val(f: Poly, g: Poly, p: int) -> Val:
+    """ord_p of Res(f, g); INFINITY exactly when f and g share a factor."""
+    if f.is_zero or g.is_zero:
+        raise ValueError("resultant_val requires nonzero polynomials")
+    return ord_p(resultant(f, g), p)
+
+
+def content_val(f: Poly, p: int) -> Val:
+    """Minimum of ord_p over the coefficients (INFINITY for the zero poly)."""
+    out = INFINITY
+    for c in f.coeffs:
+        v = ord_p(c, p)
+        if v < out:
+            out = v
+    return out
+
+
+def format_poly(f: Poly, var: str = "y") -> str:
+    """Human-readable form, parseable back by the CLI grammar."""
+    if f.is_zero:
+        return "0"
+    parts: list[str] = []
+    for i in range(f.degree, -1, -1):
+        c = f.coeff(i)
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else "+"
+        mag = abs(c)
+        if i == 0:
+            body = str(mag)
+        else:
+            head = "" if mag == 1 else f"{mag}*"
+            body = f"{head}{var}" if i == 1 else f"{head}{var}^{i}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f" {sign} {body}")
+    return "".join(parts)
