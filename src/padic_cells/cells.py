@@ -6,9 +6,11 @@ constructive proof.  Families carry an arithmetic-progression range for the
 valuation, a residue constraint at some digit depth, and exact per-polynomial
 order laws ord f(y) = e0 + i0 * ord(y - c) valid on every member.
 
-Centers are rational numbers or Hensel-certified root approximations; both
-support exact membership tests, so disjointness, refinement and measures are
-all decidable by finite constraint algebra.
+Centers are rational numbers or Hensel-certified root approximations.  This
+module never tells the two apart: equality, distance and digits of the
+difference of two centers come from the center queries in `hensel`, so
+membership, disjointness, refinement and measures are all decidable by finite
+constraint algebra over those exact answers.
 """
 
 from __future__ import annotations
@@ -18,18 +20,15 @@ from fractions import Fraction
 
 from .errors import UnsupportedInputError
 from .hensel import (
-    PadicApprox,
-    digits_at_root,
+    CenterValue,
+    centers_equal,
+    digits_between,
     h as hensel_h,
-    is_root_of,
-    ord_at_root,
+    ord_between,
     refine_root,
-    root_separation_bound,
 )
-from .padics import INFINITY, Rat, RvData, Val, ord_p, rv, unit_digits
-from .poly import Poly, format_poly, poly_gcd
-
-CenterValue = Fraction | PadicApprox
+from .padics import INFINITY, Rat, RvData, Val, ord_p, rv
+from .poly import Poly, format_poly
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +154,6 @@ class ArithRange:
             raise ValueError("empty range")
         if self.hi is not None:
             object.__setattr__(self, "hi", self.lo + (self.hi - self.lo) // self.step * self.step)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.hi is not None
 
     def __contains__(self, m: int) -> bool:
         if m < self.lo or (self.hi is not None and m > self.hi):
@@ -341,112 +336,25 @@ class Cell1:
         known.update(extra)
         return replace(self, laws=tuple(sorted(known.items(), key=lambda kv: kv[0].coeffs)))
 
-    def member_digits_depth(self) -> int:
-        return self.residues.depth if self.residues is not None else self.center.level
-
-
-# ---------------------------------------------------------------------------
-# Exact comparisons between centers.
-# ---------------------------------------------------------------------------
-
-
-def _diff_poly(y: Fraction) -> Poly:
-    """q(Y) = y - Y, so q(center) = y - center."""
-    return Poly.of(y, -1)
-
-
-def centers_equal(a: CenterValue, b: CenterValue, p: int) -> bool:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a == b
-    if isinstance(a, Fraction):
-        return centers_equal(b, a, p)
-    if isinstance(b, Fraction):
-        # a is an approximated root: equal iff b is the pinned root
-        if not is_root_of(_zero_shift(b), a):
-            return False
-        sep = root_separation_bound(a.witness, p)
-        ra = refine_root(a, sep + 1)
-        return ord_p(b - ra.approx, p) >= sep + 1
-    g = poly_gcd(a.witness, b.witness)
-    if g.degree < 1:
-        return False
-    if not (is_root_of(g, a) and is_root_of(g, b)):
-        return False
-    sep = root_separation_bound(g, p)
-    ra, rb = refine_root(a, sep + 1), refine_root(b, sep + 1)
-    return ord_p(ra.approx - rb.approx, p) >= sep + 1
-
-
-def _zero_shift(b: Fraction) -> Poly:
-    return Poly.of(-b, 1)  # Y - b
-
-
-def ord_between(a: CenterValue, b: CenterValue, p: int) -> Val:
-    """ord(a - b), INFINITY exactly when the centers coincide."""
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return ord_p(a - b, p)
-    if isinstance(b, Fraction):
-        return ord_at_root(_diff_poly(b) * Fraction(-1), a)  # ord(a - b)
-    if isinstance(a, Fraction):
-        return ord_at_root(_diff_poly(a), b)  # ord(a - b) = ord(-(b - a))
-    if centers_equal(a, b, p):
-        return INFINITY
-    n = max(a.precision, b.precision, 2)
-    from .errors import InternalBoundError
-
-    for _ in range(64):
-        ra, rb = refine_root(a, n), refine_root(b, n)
-        v = ord_p(ra.approx - rb.approx, p)
-        if v < n:
-            return v
-        n = 2 * n + 4
-    raise InternalBoundError("difference of roots failed to stabilize")
-
-
-def digits_between(a: CenterValue, b: CenterValue, p: int, depth: int) -> int:
-    """Unit digits of (a - b) at the given depth; centers must differ."""
-    v = ord_between(a, b, p)
-    if v.is_infinite:
-        raise ValueError("digits of 0 are undefined")
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return unit_digits(a - b, p, depth).digits
-    if isinstance(b, Fraction):
-        return digits_at_root(Poly.of(-b, 1), a, depth)  # (Y - b) at a
-    if isinstance(a, Fraction):
-        return digits_at_root(Poly.of(a, -1), b, depth)  # (a - Y) at b
-    n = max(a.precision, b.precision, v.value + depth + 1)
-    ra, rb = refine_root(a, n), refine_root(b, n)
-    return unit_digits(ra.approx - rb.approx, p, depth).digits
-
-
-def ord_to_member(y: Rat, c: CenterValue, p: int) -> Val:
-    """ord(y - c) for a rational y."""
-    return ord_between(Fraction(y), c, p)
-
-
-def digits_to_member(y: Rat, c: CenterValue, p: int, depth: int) -> int:
-    return digits_between(Fraction(y), c, p, depth)
-
 
 # ---------------------------------------------------------------------------
 # Membership, types, products.
 # ---------------------------------------------------------------------------
 
 
-def contains(cell: Cell1, y: Rat, p: int | None = None) -> bool:
-    """Exact membership of a rational point."""
+def contains(cell: Cell1, y: Rat | CenterValue, p: int | None = None) -> bool:
+    """Exact membership of a point: a rational, or another cell's center."""
     p = cell.prime if p is None else p
-    y = Fraction(y)
     if cell.is_point:
         return centers_equal(y, cell.center.value, p)
-    v = ord_to_member(y, cell.center.value, p)
+    v = ord_between(y, cell.center.value, p)
     if v.is_infinite:
         return False  # the center itself is not a member of a family
     if v.value not in cell.m_range:
         return False
     if cell.residues.is_all:
         return True
-    u = digits_to_member(y, cell.center.value, p, cell.residues.depth)
+    u = digits_between(y, cell.center.value, p, cell.residues.depth)
     return cell.residues.contains(u, p)
 
 
@@ -520,17 +428,9 @@ class Decomposition:
     def kept_cells(self) -> tuple[Cell1, ...]:
         return tuple(c for c in self.cells if c.keep)
 
-    def law_polys(self) -> list[Poly]:
-        seen: list[Poly] = []
-        for c in self.cells:
-            for f, _ in c.laws:
-                if f not in seen:
-                    seen.append(f)
-        return seen
-
 
 def center_sort_key(c: Center):
-    if isinstance(c.value, Fraction):
+    if c.is_rational:
         return (0, c.value, ())
     r = c.value
     tag = r.rv_tag
@@ -561,29 +461,21 @@ def _laws_frozen(cell: Cell1, m_const: int | None) -> dict[Poly, OrderLaw]:
     return out
 
 
-def _laws_dict(cell: Cell1) -> dict[Poly, OrderLaw]:
-    return dict(cell.laws)
-
-
-def _merge_laws(primary: dict[Poly, OrderLaw], secondary: dict[Poly, OrderLaw]):
+def _merge_laws(primary, secondary):
+    """Laws from both sides (mappings or pairs), the primary side winning."""
     out = dict(secondary)
     out.update(primary)
     return tuple(sorted(out.items(), key=lambda kv: kv[0].coeffs))
 
 
-def _point_in_cell(value: CenterValue, cell: Cell1, p: int) -> bool:
-    """Exact membership of a (possibly algebraic) point in a cell."""
-    if cell.is_point:
-        return centers_equal(value, cell.center.value, p)
-    v = ord_between(value, cell.center.value, p)
-    if v.is_infinite:
-        return False
-    if v.value not in cell.m_range:
-        return False
-    if cell.residues.is_all:
-        return True
-    u = digits_between(value, cell.center.value, p, cell.residues.depth)
-    return cell.residues.contains(u, p)
+def _transport(own: Residues, other: Residues, depth: int, scale: int, shift: int,
+               k: int, p: int) -> frozenset[int]:
+    """The units u at `depth` allowed by `own` whose image t = scale*u + shift
+    mod p^k is a unit allowed by `other`: the digits of y around one center
+    that put the digits of y around the other center in its residue set."""
+    q = p**k
+    return frozenset(u for u in Residues(depth).members(p) if own.contains(u, p)
+                     and (t := (scale * u + shift) % q) % p and other.contains(t, p))
 
 
 def intersect_cells(a: Cell1, b: Cell1) -> list[Cell1]:
@@ -601,19 +493,19 @@ def intersect_cells(a: Cell1, b: Cell1) -> list[Cell1]:
     if a.is_point and b.is_point:
         if not centers_equal(a.center.value, b.center.value, p):
             return []
-        return [replace(a, keep=keep, laws=_merge_laws(_laws_dict(a), _laws_dict(b)))]
+        return [replace(a, keep=keep, laws=_merge_laws(a.laws, b.laws))]
     if a.is_point:
-        if _point_in_cell(a.center.value, b, p):
-            va = ord_between(a.center.value, b.center.value, p)
-            m_const = None if va.is_infinite else va.value
-            return [replace(a, keep=keep, laws=_merge_laws(_laws_dict(a), _laws_frozen(b, m_const)))]
-        return []
+        if not contains(b, a.center.value, p):
+            return []
+        # a member of a family is never its center, so the distance is finite
+        m_const = ord_between(a.center.value, b.center.value, p).value
+        return [replace(a, keep=keep, laws=_merge_laws(a.laws, _laws_frozen(b, m_const)))]
     if b.is_point:
         got = intersect_cells(b, a)
         return [replace(c, keep=keep) for c in got]
 
-    out: list[Cell1] = []
-    if centers_equal(a.center.value, b.center.value, p):
+    d = ord_between(a.center.value, b.center.value, p)
+    if d.is_infinite:
         rng = a.m_range.intersect(b.m_range)
         if rng is None:
             return []
@@ -627,123 +519,59 @@ def intersect_cells(a: Cell1, b: Cell1) -> list[Cell1]:
             res = Residues(depth, frozenset(ra.units) & frozenset(rb.units))
             if not res.units:
                 return []
-        laws = _merge_laws(_laws_dict(a), _laws_dict(b))
+        laws = _merge_laws(a.laws, b.laws)
         level = max(a.center.level, b.center.level, depth)
         return [Cell1(p, replace(a.center, level=level), rng, res, laws, keep)]
 
-    d_ab = ord_between(a.center.value, b.center.value, p).value
-    dA, dB = a.residues.depth, b.residues.depth
+    d_ab = d.value
+    depth = max(a.residues.depth, b.residues.depth)
+    out: list[Cell1] = []
+
+    def add(base: Cell1, other: Cell1, m: int, m_other: int, d: int,
+            units: frozenset[int]) -> None:
+        """A piece around base's center at ord(y - c) = m with the units at
+        depth d, where the distance to the other center is the constant m_other."""
+        if units:
+            laws = _merge_laws(base.laws, _laws_frozen(other, m_other))
+            out.append(Cell1(p, replace(base.center, level=max(base.center.level, d)),
+                             ArithRange(m, m), Residues(d, units), laws, keep))
 
     # Region 1: ord(y - cA) = m < d_ab, so ord(y - cB) = m as well and the
     # unit of y - cB is the unit of y - cA minus p^(d_ab - m) * unit(cB - cA).
     rng1 = a.m_range.restrict(hi=d_ab - 1)
     if rng1 is not None:
-        work_depth = max(dA, dB)
-        delta_digits = digits_between(b.center.value, a.center.value, p, work_depth)
+        delta = digits_between(b.center.value, a.center.value, p, depth)
         for m in rng1.values():
-            if m not in b.m_range:
-                continue
-            units = []
-            for u in Residues(work_depth, None).members(p):
-                if not a.residues.contains(u, p):
-                    continue
-                gap = d_ab - m
-                ub = (u - delta_digits * p**gap) % p**work_depth if gap < work_depth else u
-                if not b.residues.contains(ub, p):
-                    continue
-                units.append(u)
-            if units:
-                laws = _merge_laws(_laws_dict(a), _laws_frozen(b, m))
-                level = max(a.center.level, work_depth)
-                out.append(
-                    Cell1(p, replace(a.center, level=level), ArithRange(m, m),
-                          Residues(work_depth, frozenset(units)), laws, keep)
-                )
+            if m in b.m_range:
+                add(a, b, m, m, depth, _transport(a.residues, b.residues, depth, 1,
+                                                  -delta * p ** (d_ab - m), depth, p))
 
-    # Region 2: ord(y - cA) = m > d_ab, so ord(y - cB) = d_ab constant.
-    if d_ab in b.m_range:
-        rng2 = a.m_range.restrict(lo=d_ab + 1)
-        if rng2 is not None:
-            delta = digits_between(a.center.value, b.center.value, p, dB)
-            # digits of (y - cB) = digits of (cA - cB) once m - d_ab >= dB
-            tail = rng2.restrict(lo=d_ab + dB)
-            head_ms = [m for m in rng2.values(limit=max(0, dB))] if rng2.hi is None else list(rng2.values())
-            head_ms = [m for m in head_ms if m < d_ab + dB]
-            for m in head_ms:
-                units = []
-                work_depth = max(dA, dB)
-                for u in Residues(work_depth, None).members(p):
-                    if not a.residues.contains(u, p):
-                        continue
-                    ub = (delta + u * p ** (m - d_ab)) % p**dB
-                    if ub % p == 0:
-                        continue
-                    if not b.residues.contains(ub, p):
-                        continue
-                    units.append(u)
-                if units:
-                    laws = _merge_laws(_laws_dict(a), _laws_frozen(b, d_ab))
-                    out.append(
-                        Cell1(p, replace(a.center, level=max(a.center.level, work_depth)),
-                              ArithRange(m, m), Residues(work_depth, frozenset(units)), laws, keep)
-                    )
-            if tail is not None and b.residues.contains(delta, p):
-                laws = _merge_laws(_laws_dict(a), _laws_frozen(b, d_ab))
-                out.append(replace(a, m_range=tail, laws=laws, keep=keep))
+    # Regions 2 and 3: ord(y - c) = m > d_ab around one center c, so the
+    # distance to the other center c' is d_ab throughout and the unit of
+    # y - c' is unit(c - c') + p^(m - d_ab) * unit(y - c).  Once m - d_ab
+    # reaches the depth k of the other cell, membership there is uniform.
+    for inner, outer in ((a, b), (b, a)):
+        k = outer.residues.depth
+        rng = inner.m_range.restrict(lo=d_ab + 1)
+        if d_ab not in outer.m_range or rng is None:
+            continue
+        delta = digits_between(inner.center.value, outer.center.value, p, k)
+        head = rng.restrict(hi=d_ab + k - 1)
+        for m in head.values() if head is not None else ():
+            add(inner, outer, m, d_ab, depth, _transport(inner.residues, outer.residues, depth,
+                                                         p ** (m - d_ab), delta, k, p))
+        tail = rng.restrict(lo=d_ab + k)
+        if tail is not None and outer.residues.contains(delta, p):
+            laws = _merge_laws(inner.laws, _laws_frozen(outer, d_ab))
+            out.append(replace(inner, m_range=tail, laws=laws, keep=keep))
 
-    # Region 3: ord(y - cA) = d_ab exactly: cancellation against the other
-    # center; pieces live naturally around cB.
-    if d_ab in a.m_range:
-        delta_b = digits_between(b.center.value, a.center.value, p, dA)  # digits of cB - cA
-        # y - cA = (y - cB) + (cB - cA): for ord(y - cB) = mB > d_ab the
-        # distance to cA stays d_ab; membership in A is then uniform once
-        # mB - d_ab >= dA.
-        rngB = b.m_range.restrict(lo=d_ab + 1)
-        if rngB is not None:
-            head = [m for m in (rngB.values() if rngB.hi is not None else rngB.values(limit=dA)) if m < d_ab + dA]
-            for mB in head:
-                units = []
-                work_depth = max(dA, dB)
-                for u in Residues(work_depth, None).members(p):
-                    if not b.residues.contains(u, p):
-                        continue
-                    ua = (delta_b + u * p ** (mB - d_ab)) % p**dA
-                    if ua % p == 0:
-                        continue
-                    if not a.residues.contains(ua, p):
-                        continue
-                    units.append(u)
-                if units:
-                    laws = _merge_laws(_laws_dict(b), _laws_frozen(a, d_ab))
-                    out.append(
-                        Cell1(p, replace(b.center, level=max(b.center.level, work_depth)),
-                              ArithRange(mB, mB), Residues(work_depth, frozenset(units)), laws, keep)
-                    )
-            tailB = rngB.restrict(lo=d_ab + dA)
-            if tailB is not None and a.residues.contains(delta_b, p):
-                laws = _merge_laws(_laws_dict(b), _laws_frozen(a, d_ab))
-                out.append(replace(b, m_range=tailB, laws=laws, keep=keep))
-        # mB = d_ab on both sides: members equidistant from both centers;
-        # split by matching digits of (y - cA) against (cB - cA).
-        if d_ab in b.m_range:
-            work_depth = max(dA, dB) + 1
-            delta_deep = digits_between(b.center.value, a.center.value, p, work_depth)
-            units = []
-            for u in Residues(work_depth, None).members(p):
-                if not a.residues.contains(u, p):
-                    continue
-                diff = (u - delta_deep) % p**work_depth
-                if diff % p == 0:
-                    continue  # handled by the deeper regions around cB
-                if not b.residues.contains(diff, p):
-                    continue
-                units.append(u)
-            if units:
-                laws = _merge_laws(_laws_dict(a), _laws_frozen(b, d_ab))
-                out.append(
-                    Cell1(p, replace(a.center, level=max(a.center.level, work_depth)),
-                          ArithRange(d_ab, d_ab), Residues(work_depth, frozenset(units)), laws, keep)
-                )
+    # ord(y - cA) = ord(y - cB) = d_ab: members equidistant from both centers;
+    # split by matching digits of (y - cA) against (cB - cA).  Where they
+    # cancel, y lies in the deeper regions around cB.
+    if d_ab in a.m_range and d_ab in b.m_range:
+        k = depth + 1
+        delta = digits_between(b.center.value, a.center.value, p, k)
+        add(a, b, d_ab, d_ab, k, _transport(a.residues, b.residues, k, 1, -delta, k, p))
     return out
 
 

@@ -107,8 +107,11 @@ def _chi_json(element) -> list:
 def _parse_domain(text: str) -> Ball:
     if text == "zp":
         return ZP
-    center, radius = text.split(":")
-    return Ball(Fraction(center), int(radius))
+    try:
+        center, radius = text.split(":")
+        return Ball(Fraction(center), int(radius))
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"malformed domain {text!r}: expected zp or CENTER:RADIUS_ORD") from None
 
 
 def _emit(payload: dict, as_json: bool) -> None:
@@ -141,8 +144,6 @@ def _decomposition_for(args) -> tuple[Decomposition, Poly | None]:
     domain = _parse_domain(args.domain)
     if args.poly is not None:
         f = parse_poly(args.poly)
-        if f.is_zero:
-            raise UnsupportedInputError("the zero polynomial is not supported")
         return prepare(f, args.prime, domain), f
     phi = parse_formula(args.formula)
     return decompose_set(phi, args.prime, domain), None
@@ -187,8 +188,6 @@ def _cmd_measure(args) -> dict:
 
 def _cmd_zeta(args) -> dict:
     f = parse_poly(args.poly)
-    if f.is_zero:
-        raise UnsupportedInputError("the zero polynomial is not supported")
     dec = prepare(f, args.prime, _parse_domain(args.domain))
     z = igusa_zeta(dec, f, args.prime)
     return {"schema": SCHEMA, "command": "zeta", "prime": args.prime,
@@ -197,8 +196,6 @@ def _cmd_zeta(args) -> dict:
 
 def _cmd_oracle_compare(args) -> dict:
     f = parse_poly(args.poly)
-    if f.is_zero:
-        raise UnsupportedInputError("the zero polynomial is not supported")
     p = args.prime
     dec = prepare(f, p, _parse_domain(args.domain))
     table = []
@@ -240,8 +237,6 @@ def _cmd_dim(args) -> dict:
 
 def _cmd_preserves_balls(args) -> dict:
     f = parse_poly(args.poly)
-    if f.is_zero:
-        raise UnsupportedInputError("the zero polynomial is not supported")
     dec = prepare(f, args.prime, _parse_domain(args.domain))
     rep = preserves_balls_report(dec, f, args.prime)
     return {

@@ -44,20 +44,22 @@ from .cells import (
 )
 from .errors import InternalBoundError, UnsupportedInputError
 from .hensel import (
-    PadicApprox,
+    CenterValue,
+    center_of,
+    center_proxy,
     certified_root_points,
+    certify,
     digits_of_poly_at,
+    exact_value,
     make_root_approx,
     ord_of_poly_at,
-    reduce_mod,
-    refine_root,
-    shift_approx,
+    scale_center,
+    shift_center,
+    taylor_ords,
     transfer_basin,
 )
-from .padics import INFINITY, RvData, Val, ord_p, unit_digits
-from .poly import Poly, resultant_val, squarefree_part
-
-CenterValue = Fraction | PadicApprox
+from .padics import INFINITY, RvData, Val, is_prime, ord_p, unit_digits
+from .poly import Poly, format_poly, resultant_val, squarefree_part, taylor_polys
 
 _ENV_DEPTH = "PADIC_CELLS_MAX_DEPTH"
 
@@ -176,33 +178,27 @@ class _Box:
     laws: dict[Poly, OrderLaw]
 
 
+def _check_input(p: int, domain: Ball) -> None:
+    """Reject a p that is not a prime and a domain that is not a ball in Z_p."""
+    if not is_prime(p):
+        raise UnsupportedInputError(f"p = {p} is not a prime")
+    if domain.radius_ord < 0 or ord_p(domain.center, p) < 0:
+        raise UnsupportedInputError(f"the domain {domain} is not a ball inside Z_{p}")
+
+
 def _budget(f: Poly, p: int) -> int:
     env = os.environ.get(_ENV_DEPTH)
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise UnsupportedInputError(f"{_ENV_DEPTH}={env!r} is not an integer") from None
     w = squarefree_part(f)
     r = 0
     if w.degree >= 1:
         res = resultant_val(w, w.derivative(), p)
         r = 0 if res.is_infinite else max(res.value, 0)
     return max(2 * r + f.degree + 4, 8)
-
-
-def _taylor_polys(f: Poly) -> list[Poly]:
-    """q_i with q_i(c) = i-th Taylor coefficient of f at c."""
-    out = [f]
-    q = f
-    for i in range(1, f.degree + 1):
-        q = q.derivative() * Fraction(1, i)
-        out.append(q)
-    return out
-
-
-def _taylor_ords(f: Poly, center: CenterValue, p: int) -> list[Val]:
-    if isinstance(center, Fraction):
-        sh = f.taylor_shift(center)
-        return [ord_p(sh.coeff(i), p) for i in range(f.degree + 1)]
-    return [ord_of_poly_at(q, center, p) for q in _taylor_polys(f)]
 
 
 def _dominance_regions(lines: list[tuple[int, int]], lo: int, hi: int | None):
@@ -269,30 +265,15 @@ def _law_tuple(laws: dict[Poly, OrderLaw]) -> tuple[tuple[Poly, OrderLaw], ...]:
     return tuple(sorted(laws.items(), key=lambda kv: kv[0].coeffs))
 
 
-def _proxy(center: CenterValue, p: int, precision: int) -> Fraction:
-    if isinstance(center, Fraction):
-        return center
-    return reduce_mod(refine_root(center, precision).approx, p, precision)
-
-
 def _term_is_zero(t: Term | None) -> bool:
     return isinstance(t, TConst) and t.value == 0
 
 
-def _shift_center(center: CenterValue, term: Term | None, off: Fraction):
-    if isinstance(center, Fraction):
-        value: CenterValue = center + off
-        new_term: Term | None = None if term is None else TConst(value)
-        return value, new_term
-    value = shift_approx(center, off)
-    new_term = None if term is None else TAdd(term, TConst(off))
-    return value, new_term
-
-
 def _taylor_coeff_terms(w: Poly, c_term: Term, c_value: CenterValue) -> tuple[Term, ...]:
     """Terms whose values are the Taylor coefficients of w at the center."""
-    if isinstance(c_value, Fraction):
-        sh = w.taylor_shift(c_value)
+    x = exact_value(c_value)
+    if x is not None:
+        sh = w.taylor_shift(x)
         return tuple(TConst(sh.coeff(i)) for i in range(w.degree + 1))
     terms: list[Term] = []
     for i in range(w.degree + 1):
@@ -366,7 +347,7 @@ def _prepare_linear(f: Poly, p: int) -> list[Cell1]:
 def _process_box(
     f: Poly, p: int, box: _Box, out: list[Cell1], work: list[_Box], budget: int
 ) -> None:
-    ords = _taylor_ords(f, box.center, p)
+    ords = taylor_ords(f, box.center, p)
     lines = [(i, v.value) for i, v in enumerate(ords) if not v.is_infinite]
     if not lines:
         raise InternalBoundError("all Taylor coefficients vanished for a nonzero polynomial")
@@ -383,10 +364,11 @@ def _process_box(
                       Residues(1, None), _law_tuple(laws))
             )
             continue
-        _, m_star, _achievers = region
+        m_star = region[1]
         if m_star + 1 > budget:
             raise InternalBoundError(
-                f"descent depth {m_star + 1} exceeded the termination budget {budget}"
+                f"descent for {format_poly(f)} (p = {p}) around the center {box.center} "
+                f"reached depth {m_star + 1}, past the termination budget {budget}"
             )
         for u0 in range(1, p):
             _split_tie_class(f, w, p, box, m_star, u0, out, work, budget)
@@ -411,15 +393,14 @@ def _split_tie_class(
     ball_ord = m_star + 1
 
     # hunt for roots of w inside the class ball {ord(y - c - off) >= m*+1}
-    base = _proxy(box.center, p, max(ball_ord + 4, 8)) + off
+    base = center_proxy(box.center, p, max(ball_ord + 4, 8)) + off
     scale = Fraction(p) ** ball_ord
     scaled = w.shift_var(scale, base)
     points = certified_root_points(scaled, p, budget + 4)
 
     if points:
         y_point = transfer_basin(w, scaled, lambda t: base + scale * t, points[0], p)
-        root = make_root_approx(w, y_point, p, 1)
-        center_value: CenterValue = root.approx if root.is_exact else root
+        center_value = center_of(make_root_approx(w, y_point, p, 1))
         new_term: Term | None = None
         if box.term is not None:
             h_term = TH(w.degree, 1, _taylor_coeff_terms(w, box.term, box.center),
@@ -432,7 +413,10 @@ def _split_tie_class(
         work.append(_Box(center_value, new_term, ArithRange(ball_ord, None), frozen))
         return
 
-    value, term = _shift_center(box.center, box.term, off)
+    value, term = shift_center(box.center, off), box.term
+    if term is not None:
+        x = exact_value(value)
+        term = TAdd(term, TConst(off)) if x is None else TConst(x)
     point_laws = dict(frozen)
     point_laws[f] = OrderLaw(ord_of_poly_at(f, value, p), 0)
     out.append(Cell1(p, Center(value, 1, term), None, None, _law_tuple(point_laws)))
@@ -442,6 +426,7 @@ def _split_tie_class(
 def prepare(f: Poly, p: int, domain: Ball = ZP) -> Decomposition:
     """A decomposition of the domain with an exact order law for f (and for
     the whole derivative tower, inherited from the recursion) on every cell."""
+    _check_input(p, domain)
     if f.is_zero:
         raise UnsupportedInputError("cannot decompose for the zero polynomial")
     budget = _budget(f, p)
@@ -463,13 +448,7 @@ def _map_cell_back(cell: Cell1, f: Poly, g: Poly, domain: Ball, p: int) -> Cell1
     """Transport a cell for g(z) = f(b + p^r z) on Z_p back to the ball."""
     r = domain.radius_ord
     scale = Fraction(p) ** r
-    value = cell.center.value
-    if isinstance(value, Fraction):
-        new_value: CenterValue = domain.center + scale * value
-    else:
-        wit = value.witness.shift_var(1 / scale, -Fraction(domain.center) / scale).monic()
-        new_value = make_root_approx(wit, domain.center + scale * value.approx, p,
-                                     value.rv_tag.depth, value.precision + r)
+    new_value = scale_center(cell.center.value, Fraction(domain.center), r, p)
     term = cell.center.term
     if term is not None:
         term = TConst(Fraction(domain.center)) if _term_is_zero(term) \
@@ -594,35 +573,12 @@ def _ord_atom_pieces(cell: Cell1, atom: Atom, p: int) -> list[tuple[Cell1, bool]
     return _split_range(cell, pieces)
 
 
-def _value_digits_at(cell: Cell1, f: Poly, m: int, u: int, depth: int, p: int) -> int:
-    """Unit digits at `depth` of f(c + p^m u), computed exactly."""
-    c = cell.center.value
-    y_rel = Fraction(u) * Fraction(p) ** m
-    if isinstance(c, Fraction):
-        return unit_digits(f.eval(c + y_rel), p, depth).digits
-    precision = m + depth + 8
-    for _ in range(64):
-        proxy = _proxy(c, p, precision)
-        val = f.eval(proxy + y_rel)
-        v0 = ord_p(val, p)
-        sh = f.taylor_shift(proxy + y_rel)
-        cmin = INFINITY
-        for i in range(1, len(sh.coeffs)):
-            t = ord_p(sh.coeff(i), p)
-            if t < cmin:
-                cmin = t
-        if not v0.is_infinite and (cmin.is_infinite or Val(v0.value + depth) <= cmin + precision):
-            return unit_digits(val, p, depth).digits
-        precision = 2 * precision + 8
-    raise InternalBoundError("digit evaluation failed to stabilize")
-
-
 def _digit_atom_pieces(cell: Cell1, f: Poly, depth: int, want, p: int):
     """Split a family cell so that want(unit_digits(f(y), depth)) is constant
     on each piece."""
     law = _law_of(cell, f)
     assert not law.e0.is_infinite
-    ords = _taylor_ords(f, cell.center.value, p)
+    ords = taylor_ords(f, cell.center.value, p)
     lines = [(i, v.value) for i, v in enumerate(ords) if not v.is_infinite]
     rng = cell.m_range
     e0, i0 = law.e0.value, law.i0
@@ -635,7 +591,10 @@ def _digit_atom_pieces(cell: Cell1, f: Poly, depth: int, want, p: int):
         d_m = max(cell.residues.depth, depth + law_m - min_line)
         groups: dict[bool, list[int]] = {}
         for u in cell.residues.lift(d_m, p).members(p):
-            dig = _value_digits_at(cell, f, m, u, depth, p)
+            # f is nonzero at the member c + p^m u by the finite law, so its
+            # value is certified directly, without a zero test
+            member = shift_center(cell.center.value, Fraction(u) * Fraction(p) ** m)
+            dig = unit_digits(certify(f, member, depth), p, depth).digits
             groups.setdefault(want(dig), []).append(u)
         for flag in sorted(groups):
             pieces.append(
@@ -668,7 +627,7 @@ def _digit_atom_pieces(cell: Cell1, f: Poly, depth: int, want, p: int):
     tail = rng.restrict(lo=m_d)
     if tail is not None:
         work_depth = max(cell.residues.depth, depth)
-        ai0_digits = digits_of_poly_at(_taylor_polys(f)[i0], cell.center.value, p, depth)
+        ai0_digits = digits_of_poly_at(taylor_polys(f)[i0], cell.center.value, p, depth)
         groups: dict[bool, list[int]] = {}
         for u in cell.residues.lift(work_depth, p).members(p):
             dig = (ai0_digits * pow(u, i0, qd)) % qd
@@ -725,6 +684,7 @@ def _split_by_atom(cell: Cell1, atom: Atom, p: int) -> list[tuple[Cell1, bool]]:
 def decompose_set(phi: Formula, p: int, domain: Ball = ZP) -> Decomposition:
     """A decomposition of the domain on which the formula is constant per
     cell; the truth value is recorded as the cell's keep flag."""
+    _check_input(p, domain)
     atoms: list[Atom] = []
     for atom in formula_atoms(phi):
         _validate_atom(atom)

@@ -1,12 +1,21 @@
-"""Quantitative Hensel lifting and certified root approximations.
+"""Quantitative Hensel lifting, certified root approximations, and every
+exact query at a cell center.
 
 The central object is `PadicApprox`: a root of a squarefree witness
 polynomial pinned down by an rv-class, carried as a rational approximation
 together with a Newton certificate (ord f(z) >= precision + ord f'(z)).
 Such approximations can be refined to any precision, so exact questions
-about the root -- the valuation or leading digits of q(root) for any
-rational polynomial q, or whether q(root) = 0 -- are all decidable and are
-answered here.  The decomposition engine treats these roots as cell centers.
+about the root are decidable.
+
+A cell center is a rational or a `PadicApprox`, and this is the only module
+that knows which.  The center queries at the end of the file -- the
+valuation or leading digits of q(center) for a rational polynomial q,
+equality, valuation and digits of the difference of two centers, rational
+proxies, shifts -- branch once on whether the point is known exactly, and
+answer every question about an inexact root through one certification loop
+(`_certified`): refine until the Taylor tail can no longer change the digits
+asked for.  The decomposition engine and the cell algebra use only these
+queries.
 
 `check_conditions` and `h` realize the quantitative Hensel conditions and
 the total root-or-zero functions built from them; `h` decides existence by
@@ -32,7 +41,7 @@ from .padics import (
     rv,
     unit_digits,
 )
-from .poly import Poly, poly_gcd, resultant_val, squarefree_part
+from .poly import Poly, format_poly, poly_gcd, resultant_val, squarefree_part, taylor_polys
 
 _MAX_DOUBLINGS = 64
 
@@ -194,139 +203,6 @@ def make_root_approx(
         z, prec = _newton(witness, z, p, vz.value + depth + 1)
     tag = rv(z, p, depth)
     return PadicApprox(witness, z, prec, tag, p)
-
-
-def shift_approx(r: PadicApprox, offset: Rat) -> PadicApprox:
-    """The approximation of root + offset, with a translated witness."""
-    offset = Fraction(offset)
-    w = r.witness.taylor_shift(-offset)
-    z = r.approx + offset
-    rr = PadicApprox(w, z, r.precision, r.rv_tag, r.prime)
-    depth = r.rv_tag.depth
-    vz = ord_p(z, r.prime)
-    if not vz.is_infinite and rr.precision < vz.value + depth + 1 and not rr.is_exact:
-        rr = refine_root(rr, vz.value + depth + 1)
-    elif vz.is_infinite and not rr.is_exact:
-        rr = refine_root(rr, rr.precision + depth + 1)
-        vz = ord_p(rr.approx, r.prime)
-    tag = rv(rr.approx, r.prime, depth) if (rr.is_exact or not vz.is_infinite) else RvData.zero(depth)
-    return replace(rr, rv_tag=tag)
-
-
-# ---------------------------------------------------------------------------
-# Exact queries about the value q(root) for rational polynomials q.
-# ---------------------------------------------------------------------------
-
-
-def _stable_ord(q: Poly, r: PadicApprox) -> Val:
-    """ord_p(q(root)) for q known not to vanish at the root."""
-    p = r.prime
-    if q.degree <= 0:
-        return ord_p(q.coeff(0), p)
-    n = max(r.precision, 2)
-    for _ in range(_MAX_DOUBLINGS):
-        rr = refine_root(r, n)
-        sh = q.taylor_shift(rr.approx)
-        v0 = ord_p(sh.coeff(0), p)
-        cmin = _tail_min(sh, p)
-        if cmin.is_infinite or v0 < cmin + n:
-            return v0
-        n = 2 * n + 4
-    raise InternalBoundError("valuation at root failed to stabilize")
-
-
-def _tail_min(shifted: Poly, p: int) -> Val:
-    """Minimum valuation over the degree >= 1 Taylor coefficients."""
-    out = INFINITY
-    for i in range(1, len(shifted.coeffs)):
-        v = ord_p(shifted.coeff(i), p)
-        if v < out:
-            out = v
-    return out
-
-
-def _owning_factor(r: PadicApprox, g: Poly, h: Poly) -> Poly:
-    """Which of two coprime factors of the witness has this root."""
-    p = r.prime
-    n = max(r.precision, 2)
-    for _ in range(_MAX_DOUBLINGS):
-        rr = refine_root(r, n)
-        for q, other in ((g, h), (h, g)):
-            if q.degree < 1:
-                continue
-            sh = q.taylor_shift(rr.approx)
-            v0 = ord_p(sh.coeff(0), p)
-            cmin = _tail_min(sh, p)
-            if cmin.is_infinite or v0 < cmin + n:
-                # q(root) has finite valuation, so the root lives in `other`
-                return other
-        n = 2 * n + 4
-    raise InternalBoundError("factor ownership failed to stabilize")
-
-
-def is_root_of(q: Poly, r: PadicApprox) -> bool:
-    """Whether q vanishes exactly at the root described by r."""
-    if r.is_exact:
-        return q.eval(r.approx) == 0
-    if q.is_zero:
-        return True
-    qr = q % r.witness
-    if qr.is_zero:
-        return True
-    g = poly_gcd(r.witness, qr)
-    if g.degree < 1:
-        return False
-    h, rem = r.witness.divmod(g)
-    assert rem.is_zero
-    if h.degree < 1:
-        return True
-    return _owning_factor(r, g, h) is g
-
-
-def ord_at_root(q: Poly, r: PadicApprox) -> Val:
-    """ord_p(q(root)), exactly; INFINITY iff q vanishes at the root."""
-    if r.is_exact:
-        return ord_p(q.eval(r.approx), r.prime)
-    if q.is_zero:
-        return INFINITY
-    qr = q % r.witness
-    if qr.is_zero:
-        return INFINITY
-    g = poly_gcd(r.witness, qr)
-    if g.degree >= 1:
-        h, _ = r.witness.divmod(g)
-        if h.degree < 1 or _owning_factor(r, g, h) is g:
-            return INFINITY
-    return _stable_ord(qr, r)
-
-
-def digits_at_root(q: Poly, r: PadicApprox, depth: int) -> int:
-    """Unit digits of q(root) at the given depth; q(root) must be nonzero."""
-    p = r.prime
-    v = ord_at_root(q, r)
-    if v.is_infinite:
-        raise ValueError("unit digits of 0 are undefined")
-    if r.is_exact:
-        return unit_digits(q.eval(r.approx), p, depth).digits
-    qr = q % r.witness
-    n = max(r.precision, 2)
-    for _ in range(_MAX_DOUBLINGS):
-        rr = refine_root(r, n)
-        sh = qr.taylor_shift(rr.approx)
-        cmin = _tail_min(sh, p)
-        if cmin.is_infinite or Val(v.value + depth) <= cmin + n:
-            return unit_digits(sh.coeff(0), p, depth).digits
-        n = 2 * n + 4
-    raise InternalBoundError("digits at root failed to stabilize")
-
-
-def rv_at_root(q: Poly, r: PadicApprox, depth: int) -> RvData:
-    """rv_depth(q(root)), exactly."""
-    v = ord_at_root(q, r)
-    if v.is_infinite:
-        return RvData.zero(depth)
-    u = digits_at_root(q, r, depth)
-    return RvData(depth, v.value, unit_digits(Fraction(u), r.prime, depth))
 
 
 def root_separation_bound(w: Poly, p: int) -> int:
@@ -506,7 +382,7 @@ def h(a: list[Rat], x0: RvData, p: int) -> PadicApprox | None:
     d = x0.depth
     res = resultant_val(w, w.derivative(), p)
     cap = 2 * (0 if res.is_infinite else max(res.value, 0)) + 2 * d + 2
-    coeff_ords = [ord_p(c, p) for c in w.coeffs] + [INFINITY] * 0
+    coeff_ords = [ord_p(c, p) for c in w.coeffs]
     dwpoly = w.derivative()
     m = x0.valuation
 
@@ -517,7 +393,7 @@ def h(a: list[Rat], x0: RvData, p: int) -> PadicApprox | None:
     accepted: list[PadicApprox] = []
     for z in roots:
         root = make_root_approx(w, z, p, d)
-        deep = refine_root(root, m + d + cap + 4) if not root.is_exact else root
+        deep = refine_root(root, m + d + cap + 4)
         # candidate points: the class representative and reductions of the
         # root at every depth up to the search cap
         cands = [canonical_lift(x0, p)]
@@ -547,40 +423,219 @@ def order_law_at_root(f: Poly, r: PadicApprox, p: int) -> Val:
 
     Signals NonSimpleRootError when f' also vanishes there.
     """
-    if not is_root_of(f, r):
+    if not ord_of_poly_at(f, r, p).is_infinite:
         raise ValueError("the approximation is not a root of f")
-    df = f.derivative()
-    if is_root_of(df, r):
+    v = ord_of_poly_at(f.derivative(), r, p)
+    if v.is_infinite:
         raise NonSimpleRootError("derivative vanishes at the root")
-    return ord_at_root(df, r)
+    return v
 
 
 # ---------------------------------------------------------------------------
-# Uniform access to values of polynomials at cell centers.
+# Exact queries at centers.  A center is a rational or a PadicApprox, and no
+# other module tells the two apart.  Each query branches once on whether the
+# point is known exactly (a rational, or a root recognized as one); at an
+# inexact root it becomes a rational estimate certified by `_certified`.
 # ---------------------------------------------------------------------------
 
-Center = Fraction | PadicApprox
+CenterValue = Fraction | PadicApprox
 
 
-def ord_of_poly_at(q: Poly, center: Center, p: int) -> Val:
-    if isinstance(center, PadicApprox):
-        return ord_at_root(q, center)
-    return ord_p(q.eval(center), p)
+def exact_value(c: CenterValue | Rat) -> Rat | None:
+    """The value of a point known exactly, else None."""
+    if isinstance(c, PadicApprox):
+        return c.approx if c.is_exact else None
+    return c
 
 
-def is_zero_poly_at(q: Poly, center: Center, p: int) -> bool:
-    if isinstance(center, PadicApprox):
-        return is_root_of(q, center)
-    return q.eval(center) == 0
+def center_of(r: PadicApprox) -> CenterValue:
+    """A root as a center: its rational value when it is known exactly."""
+    x = exact_value(r)
+    return r if x is None else x
 
 
-def digits_of_poly_at(q: Poly, center: Center, p: int, depth: int) -> int:
-    if isinstance(center, PadicApprox):
-        return digits_at_root(q, center, depth)
-    return unit_digits(q.eval(center), p, depth).digits
+def _tail_min(shifted: Poly, p: int) -> Val:
+    """Minimum valuation over the degree >= 1 Taylor coefficients."""
+    out = INFINITY
+    for i in range(1, len(shifted.coeffs)):
+        v = ord_p(shifted.coeff(i), p)
+        if v < out:
+            out = v
+    return out
 
 
-def rv_of_poly_at(q: Poly, center: Center, p: int, depth: int) -> RvData:
-    if isinstance(center, PadicApprox):
-        return rv_at_root(q, center, depth)
-    return rv(q.eval(center), p, depth)
+def _certified(start: int, digits: int, estimates, p: int, subject) -> tuple[int, Fraction]:
+    """The one refine-until-certified loop behind every query at an inexact root.
+
+    `estimates(n)` refines the roots involved to precision at least n and
+    yields pairs (x, err) with ord(value - x) >= err, one per value asked
+    about.  n grows until some x is nonzero with ord x + digits <= err, so x
+    has the valuation and the first `digits` unit digits of its value; the
+    index and x of the first such pair are returned.  A value of 0 never
+    certifies, so callers rule it out first.  `subject()` names the values
+    for the error raised at the cap.
+    """
+    n = max(start, 2)
+    for _ in range(_MAX_DOUBLINGS):
+        for i, (x, err) in enumerate(estimates(n)):
+            if x != 0 and ord_p(x, p) + digits <= err:
+                return i, x
+        n = 2 * n + 4
+    raise InternalBoundError(
+        f"certifying {subject()} (p = {p}) reached precision {n} without settling "
+        f"{digits} digit(s), past the cap of {_MAX_DOUBLINGS} refinements")
+
+
+def _at_root(r: PadicApprox, *qs: Poly):
+    """Estimates of q(root): the constant Taylor term at the refined
+    approximation, off by at most the Taylor tail."""
+    def estimates(n: int):
+        rr = refine_root(r, n)
+        for q in qs:
+            sh = q.taylor_shift(rr.approx)
+            yield sh.coeff(0), _tail_min(sh, r.prime) + rr.precision
+    return estimates
+
+
+def certify(q: Poly, center: CenterValue, digits: int) -> Rat:
+    """A rational with the valuation and the first `digits` unit digits of
+    q(center), which must be nonzero; at an exact point, q(center) itself."""
+    x = exact_value(center)
+    if x is not None:
+        return q.eval(x)
+    return _certified(center.precision, digits, _at_root(center, q), center.prime,
+                      lambda: f"{format_poly(q)} at the root {center}")[1]
+
+
+def _residue(q: Poly, r: PadicApprox) -> Poly | None:
+    """q mod the witness of an inexact root, or None when q(root) = 0."""
+    qr = q % r.witness
+    if qr.is_zero:
+        return None
+    g = poly_gcd(r.witness, qr)
+    if g.degree < 1:
+        return qr
+    h, _ = r.witness.divmod(g)
+    if h.degree < 1:
+        return None
+    # the root is a root of exactly one of the coprime factors g and h, and
+    # only the other one certifies as nonzero there
+    nonzero, _ = _certified(r.precision, 1, _at_root(r, g, h), r.prime,
+                            lambda: f"the factors {format_poly(g)}, {format_poly(h)} "
+                                    f"at the root {r}")
+    return qr if nonzero == 0 else None
+
+
+def _value_at(q: Poly, center: CenterValue, digits: int) -> Rat:
+    """`certify`, or 0 where q vanishes at the center."""
+    if exact_value(center) is None:
+        q = _residue(q, center)
+        if q is None:
+            return Fraction(0)
+    return certify(q, center, digits)
+
+
+def ord_of_poly_at(q: Poly, center: CenterValue, p: int) -> Val:
+    """ord_p(q(center)), exactly; INFINITY iff q vanishes at the center."""
+    return ord_p(_value_at(q, center, 1), p)
+
+
+def digits_of_poly_at(q: Poly, center: CenterValue, p: int, depth: int) -> int:
+    """Unit digits of q(center) at the given depth; q(center) must be nonzero."""
+    return unit_digits(_value_at(q, center, depth), p, depth).digits
+
+
+def _same_root(a: PadicApprox, b: PadicApprox, p: int) -> bool:
+    """Whether two inexact roots coincide: both are roots of the common factor
+    of their witnesses, closer than two of its roots can be."""
+    g = poly_gcd(a.witness, b.witness)
+    if g.degree < 1 or _residue(g, a) is not None or _residue(g, b) is not None:
+        return False
+    sep = root_separation_bound(g, p) + 1
+    return ord_p(refine_root(a, sep).approx - refine_root(b, sep).approx, p) >= sep
+
+
+def centers_equal(a: CenterValue | Rat, b: CenterValue | Rat, p: int) -> bool:
+    if exact_value(a) is None and exact_value(b) is None:
+        return _same_root(a, b, p)
+    return _difference(a, b, p, 1) == 0
+
+
+def _difference(a: CenterValue | Rat, b: CenterValue | Rat, p: int, digits: int) -> Rat:
+    """a - b, certified like `certify`; 0 exactly when the points coincide."""
+    xa, xb = exact_value(a), exact_value(b)
+    if xa is not None and xb is not None:
+        return xa - xb
+    if xb is not None:
+        return _value_at(Poly.of(-xb, 1), a, digits)  # (Y - b) at a
+    if xa is not None:
+        return _value_at(Poly.of(xa, -1), b, digits)  # (a - Y) at b
+    if _same_root(a, b, p):
+        return Fraction(0)
+
+    def estimates(n: int):
+        ra, rb = refine_root(a, n), refine_root(b, n)
+        yield ra.approx - rb.approx, Val(min(ra.precision, rb.precision))
+
+    return _certified(max(a.precision, b.precision), digits, estimates, p,
+                      lambda: f"the difference of the roots {a} and {b}")[1]
+
+
+def ord_between(a: CenterValue | Rat, b: CenterValue | Rat, p: int) -> Val:
+    """ord(a - b) for two points; INFINITY exactly when they coincide."""
+    return ord_p(_difference(a, b, p, 1), p)
+
+
+def digits_between(a: CenterValue | Rat, b: CenterValue | Rat, p: int, depth: int) -> int:
+    """Unit digits of a - b at the given depth; the points must differ."""
+    return unit_digits(_difference(a, b, p, depth), p, depth).digits
+
+
+def taylor_ords(f: Poly, center: CenterValue, p: int) -> list[Val]:
+    """ord_p of the Taylor coefficients of f at the center."""
+    x = exact_value(center)
+    if x is None:
+        return [ord_of_poly_at(q, center, p) for q in taylor_polys(f)]
+    sh = f.taylor_shift(x)
+    return [ord_p(sh.coeff(i), p) for i in range(f.degree + 1)]
+
+
+def center_proxy(center: CenterValue, p: int, precision: int) -> Rat:
+    """A rational congruent to the center mod p^precision."""
+    x = exact_value(center)
+    if x is not None:
+        return x
+    return reduce_mod(refine_root(center, precision).approx, p, precision)
+
+
+def shift_center(center: CenterValue, offset: Fraction) -> CenterValue:
+    """center + offset; an inexact root gets the translated witness and a
+    fresh rv-tag of the same depth."""
+    x = exact_value(center)
+    if x is not None:
+        return x + offset
+    # the shifted root stays inexact: the new witness at the new approximation
+    # takes the old nonzero value
+    p, depth = center.prime, center.rv_tag.depth
+    w = center.witness.taylor_shift(-offset)
+    rr = PadicApprox(w, center.approx + offset, center.precision, center.rv_tag, p)
+    vz = ord_p(rr.approx, p)
+    if vz.is_infinite:
+        rr = refine_root(rr, rr.precision + depth + 1)
+        vz = ord_p(rr.approx, p)
+    elif rr.precision < vz.value + depth + 1:
+        rr = refine_root(rr, vz.value + depth + 1)
+    tag = RvData.zero(depth) if vz.is_infinite else rv(rr.approx, p, depth)
+    return replace(rr, rv_tag=tag)
+
+
+def scale_center(center: CenterValue, offset: Fraction, r: int, p: int) -> CenterValue:
+    """offset + p^r * center: where a center in Z_p lands in the ball
+    B(offset, r).  An inexact root is re-packaged for the mapped witness."""
+    scale = Fraction(p) ** r
+    x = exact_value(center)
+    if x is not None:
+        return offset + scale * x
+    wit = center.witness.shift_var(1 / scale, -offset / scale).monic()
+    return make_root_approx(wit, offset + scale * center.approx, p,
+                            center.rv_tag.depth, center.precision + r)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cells import Cell1, Decomposition, ProductCell
+from .errors import UnsupportedInputError
 
 
 @dataclass(frozen=True)
@@ -59,10 +60,6 @@ class K0Element:
             key = (shape, grade)
             counts[key] = counts.get(key, 0) + 1
         return K0Element(_canonical(counts))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.parts
 
     def __str__(self) -> str:
         if not self.parts:
@@ -137,16 +134,16 @@ def cv_check(d1: Decomposition, d2: Decomposition) -> bool:
     and type consistency -- after which both reductions land on the identical
     canonical element chi(R).  Decompositions of different sets are rejected.
     """
-    from .cells import _point_in_cell, centers_equal, intersect_cells, refine_common
+    from .cells import contains, intersect_cells, refine_common
     from .measure import cell_measure
 
     if d1.prime != d2.prime or d1.domain != d2.domain:
-        raise ValueError("decompositions are not over the same domain")
+        raise UnsupportedInputError("decompositions are not over the same domain")
     p = d1.prime
     for a in d1.cells:
         for b in d2.cells:
             if intersect_cells(a, b) and a.keep != b.keep:
-                raise ValueError("the decompositions describe different sets")
+                raise UnsupportedInputError("the decompositions describe different sets")
     refined = refine_common(d1, d2)
     for parent_dec in (d1, d2):
         for parent in parent_dec.cells:
@@ -160,15 +157,6 @@ def cv_check(d1: Decomposition, d2: Decomposition) -> bool:
             # must be covered by exactly one child
             probes = [parent.center.value] + [c.center.value for c in children]
             for v in probes:
-                if not (_point_in_cell(v, parent, p)
-                        or (parent.is_point and centers_equal(v, parent.center.value, p))):
-                    continue
-                hits = 0
-                for c in children:
-                    if c.is_point:
-                        hits += centers_equal(v, c.center.value, p)
-                    elif _point_in_cell(v, c, p):
-                        hits += 1
-                if hits != 1:
+                if contains(parent, v, p) and sum(contains(c, v, p) for c in children) != 1:
                     return False
     return True

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cells import Cell1, Decomposition, centers_equal
+from .cells import Cell1, Decomposition, contains, intersect_cells
 from .errors import UnsupportedInputError
 from .poly import Poly, format_poly, poly_gcd
 
@@ -183,8 +183,6 @@ def exact_partition_check(dec: Decomposition) -> PartitionCheck:
     union of fiber balls and points is either of positive measure or a
     subset of the centers, so the two conditions are complete.
     """
-    from .cells import intersect_cells
-
     p = dec.prime
     overlaps = []
     for i in range(len(dec.cells)):
@@ -194,16 +192,8 @@ def exact_partition_check(dec: Decomposition) -> PartitionCheck:
     domain_measure = Fraction(1, p**dec.domain.radius_ord)
     total = decomposition_measure(dec)
     uncovered = 0
-    from .cells import _point_in_cell
-
     for cell in dec.cells:
-        hits = 0
-        for other in dec.cells:
-            if other.is_point:
-                if centers_equal(cell.center.value, other.center.value, p):
-                    hits += 1
-            elif _point_in_cell(cell.center.value, other, p):
-                hits += 1
+        hits = sum(contains(other, cell.center.value, p) for other in dec.cells)
         if hits != 1:
             uncovered += 1
     return PartitionCheck(

@@ -13,8 +13,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cells import Cell1, Decomposition, ord_to_member
+from .cells import Cell1, Decomposition
 from .errors import UnsupportedInputError
+from .hensel import center_proxy, ord_between, taylor_ords
 from .padics import INFINITY, Val, ord_p
 from .poly import Poly
 
@@ -109,11 +110,7 @@ class PartitionReport:
 
 def _center_mod(cell: Cell1, k: int, p: int) -> int:
     """The center reduced mod p^k (centers of Z_p-cells are p-integral)."""
-    from .hensel import reduce_mod, refine_root
-
-    c = cell.center.value
-    if not isinstance(c, Fraction):
-        c = reduce_mod(refine_root(c, k + 2).approx, p, k + 2)
+    c = center_proxy(cell.center.value, p, k + 2)
     q = p**k
     return c.numerator * pow(c.denominator, -1, q) % q
 
@@ -263,7 +260,6 @@ def verify_laws(dec: Decomposition, f: Poly, samples: int = 200, seed: int = 0) 
     p = dec.prime
     rng = random.Random(seed)
     failures: list[LawFailure] = []
-    from .decompose import _taylor_ords
 
     for idx, cell in enumerate(dec.cells):
         law = cell.law_for(f)
@@ -304,13 +300,13 @@ def verify_laws(dec: Decomposition, f: Poly, samples: int = 200, seed: int = 0) 
                 if not ok:
                     failures.append(LawFailure(idx, rr.approx, want, got))
             continue
-        taylor = _taylor_ords(f, cell.center.value, p)
+        taylor = taylor_ords(f, cell.center.value, p)
         for member, m in _cell_samples(cell, p, samples, rng):
             got = ord_p(f.eval(member), p)
             want = law.apply(m)
             if got != want:
                 # guard against proxy-precision artifacts for approx centers
-                true_m = ord_to_member(member, cell.center.value, p)
+                true_m = ord_between(member, cell.center.value, p)
                 if true_m.is_infinite or true_m.value != m:
                     continue
                 failures.append(LawFailure(idx, member, want, got))

@@ -115,6 +115,28 @@ def _int_val(n: int, p: int) -> int:
     return v
 
 
+def is_prime(n: int) -> bool:
+    """Miller-Rabin with the twelve primes up to 37 as bases: exact for
+    n < 3.18e23, a strong probable-prime test beyond."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def ord_p(x: Rat, p: int) -> Val:
     """The p-adic valuation of a rational, with ord_p(0) = INFINITY."""
     x = Fraction(x)

@@ -174,6 +174,16 @@ def resultant_val(f: Poly, g: Poly, p: int) -> Val:
     return ord_p(resultant(f, g), p)
 
 
+def taylor_polys(f: Poly) -> list[Poly]:
+    """q_i with q_i(c) = i-th Taylor coefficient of f at c."""
+    out = [f]
+    q = f
+    for i in range(1, f.degree + 1):
+        q = q.derivative() * Fraction(1, i)
+        out.append(q)
+    return out
+
+
 def content_val(f: Poly, p: int) -> Val:
     """Minimum of ord_p over the coefficients (INFINITY for the zero poly)."""
     out = INFINITY

@@ -118,6 +118,32 @@ def test_cli_internal_bound_exit(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "decompose", "--prime", "2",
                            "--poly", "y^2 - 66*y + 65")
     assert code == 4 and "bound" in err
+    # the error carries what it takes to reproduce it
+    assert "y^2 - 66*y + 65" in err and "budget 3" in err
+
+
+@pytest.mark.parametrize("env,argv,want", [
+    (None, ["measure", "--prime", "1", "--poly", "y"], 3),
+    (None, ["measure", "--prime", "0", "--poly", "y"], 3),
+    (None, ["measure", "--prime", "4", "--poly", "y"], 3),
+    (None, ["measure", "--prime", "-3", "--poly", "y"], 3),
+    (None, ["decompose", "--prime", "9", "--formula", "ord(y) >= 1"], 3),
+    (None, ["measure", "--prime", "5", "--domain", "0:-1", "--poly", "y"], 3),
+    (None, ["decompose", "--prime", "5", "--domain", "0:-1", "--poly", "y", "--verify"], 3),
+    (None, ["decompose", "--prime", "5", "--domain", "1/5:0", "--poly", "y", "--verify"], 3),
+    (None, ["measure", "--prime", "5", "--domain", "abc", "--poly", "y"], 2),
+    (None, ["measure", "--prime", "5", "--domain", "1/0:1", "--poly", "y"], 2),
+    (None, ["measure", "--prime", "5", "--domain", "0:1:2", "--poly", "y"], 2),
+    (None, ["cv-check", "--prime", "5", "--formula", "ord(y) >= 1",
+            "--formula-b", "ord(y) >= 0"], 3),
+    ("abc", ["decompose", "--prime", "5", "--poly", "y^2 - 1"], 3),
+])
+def test_cli_rejects_bad_input(capsys, monkeypatch, env, argv, want):
+    # bad input ends in its documented exit code: never a hang or a traceback
+    if env is not None:
+        monkeypatch.setenv("PADIC_CELLS_MAX_DEPTH", env)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == want and out == "" and err
 
 
 def test_cli_measure_and_dim(capsys):

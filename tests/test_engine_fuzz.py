@@ -4,8 +4,9 @@ corpus, verified exhaustively over residue lifts."""
 import random
 from fractions import Fraction
 
-from padic_cells.cells import contains, ord_to_member
+from padic_cells.cells import contains
 from padic_cells.decompose import prepare
+from padic_cells.hensel import ord_between
 from padic_cells.measure import exact_partition_check
 from padic_cells.oracle import verify_laws, verify_partition
 from padic_cells.padics import ord_p
@@ -22,7 +23,7 @@ def exhaustive_check(f: Poly, p: int, k: int) -> None:
         cells = [c for c in dec.cells if contains(c, y, p)]
         assert len(cells) == 1, (r, len(cells))
         law = cells[0].law_for(f)
-        m = ord_to_member(y, cells[0].center.value, p)
+        m = ord_between(y, cells[0].center.value, p)
         assert ord_p(f.eval(y), p) == law.apply(None if m.is_infinite else m.value), r
 
 

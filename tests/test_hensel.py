@@ -3,13 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from padic_cells import hensel
+from padic_cells.errors import InternalBoundError
 from padic_cells.hensel import (
     NonSimpleRootError,
+    centers_equal,
     check_conditions,
-    digits_at_root,
+    digits_between,
+    digits_of_poly_at,
     h,
-    is_root_of,
-    ord_at_root,
+    ord_between,
+    ord_of_poly_at,
     order_law_at_root,
     rational_reconstruct,
     reduce_mod,
@@ -137,19 +141,47 @@ def test_h5_identity_sampled():
 def test_ord_at_root_splits_factors():
     # witness y^2-1 pins the root 1; queries must tell the factors apart
     r = h([-1, 0, 1], rv(1, 5, 1), 5)
-    assert is_root_of(Poly.of(-1, 1), r)           # y - 1
-    assert not is_root_of(Poly.of(1, 1), r)        # y + 1
-    assert ord_at_root(Poly.of(1, 1), r) == Val(0)
-    assert ord_at_root(Poly.of(-1, 1), r).is_infinite
+    assert ord_of_poly_at(Poly.of(-1, 1), r, 5).is_infinite      # y - 1
+    assert not ord_of_poly_at(Poly.of(1, 1), r, 5).is_infinite   # y + 1
+    assert ord_of_poly_at(Poly.of(1, 1), r, 5) == Val(0)
+    assert ord_of_poly_at(Poly.of(-1, 1), r, 5).is_infinite
 
 
 def test_ord_at_root_algebraic():
     r = h([-6, 0, 1], rv(1, 5, 1), 5)
-    assert ord_at_root(Poly.of(0, 2), r) == Val(0)          # 2*y0
-    assert ord_at_root(Poly.of(-6, 0, 1), r).is_infinite    # its own witness
-    v = ord_at_root(Poly.of(-1, 1), r)                      # y0 - 1: ord 1
+    assert ord_of_poly_at(Poly.of(0, 2), r, 5) == Val(0)          # 2*y0
+    assert ord_of_poly_at(Poly.of(-6, 0, 1), r, 5).is_infinite    # its own witness
+    v = ord_of_poly_at(Poly.of(-1, 1), r, 5)                      # y0 - 1: ord 1
     assert v == Val(1)
-    assert digits_at_root(Poly.of(0, 1), r, 2) == 16
+    assert digits_of_poly_at(Poly.of(0, 1), r, 5, 2) == 16
+
+
+def test_exact_root_answers_like_its_rational():
+    # y^2 - 1 pins the exact root 1: every center query must answer for it
+    # what it answers for Fraction(1), whatever the other point is
+    p, one = 5, Fraction(1)
+    r = h([-1, 0, 1], rv(1, p, 1), p)
+    assert r.is_exact and r.approx == one
+    sqrt6 = h([-6, 0, 1], rv(1, p, 1), p)  # inexact, = 1 mod 5
+    for q in (Poly.of(-1, 1), Poly.of(1, 1), Poly.of(-6, 0, 1), Poly.of(3, 0, 2)):
+        assert ord_of_poly_at(q, r, p) == ord_of_poly_at(q, one, p)
+        if not ord_of_poly_at(q, one, p).is_infinite:
+            assert digits_of_poly_at(q, r, p, 3) == digits_of_poly_at(q, one, p, 3)
+    for x in (one, Fraction(26), Fraction(-4), Fraction(7, 3), sqrt6, r):
+        for a, b in ((r, x), (x, r)):
+            a1, b1 = (one if a is r else a), (one if b is r else b)
+            assert centers_equal(a, b, p) == centers_equal(a1, b1, p)
+            assert ord_between(a, b, p) == ord_between(a1, b1, p)
+            if not centers_equal(a1, b1, p):
+                assert digits_between(a, b, p, 3) == digits_between(a1, b1, p, 3)
+
+
+def test_certification_cap_names_its_input(monkeypatch):
+    r = h([-6, 0, 1], rv(1, 5, 1), 5)
+    monkeypatch.setattr(hensel, "_MAX_DOUBLINGS", 0)
+    with pytest.raises(InternalBoundError,
+                       match=r"y - 1 at the root .* \(p = 5\) reached precision \d+.* cap of 0"):
+        ord_of_poly_at(Poly.of(-1, 1), r, 5)
 
 
 def test_rational_reconstruction():
