@@ -556,6 +556,7 @@ def _same_root(a: PadicApprox, b: PadicApprox, p: int) -> bool:
 
 
 def centers_equal(a: CenterValue | Rat, b: CenterValue | Rat, p: int) -> bool:
+    """Whether two points (rationals or centers) coincide, exactly."""
     if exact_value(a) is None and exact_value(b) is None:
         return _same_root(a, b, p)
     return _difference(a, b, p, 1) == 0
