@@ -3,8 +3,11 @@
 A cell is either a single point or a family of balls around an explicit
 center: the presentation y |-> (ord(y - c), unit digits of (y - c)) of the
 constructive proof.  Families carry an arithmetic-progression range for the
-valuation, a residue constraint at some digit depth, and exact per-polynomial
-order laws ord f(y) = e0 + i0 * ord(y - c) valid on every member.
+valuation and a residue constraint at some digit depth.  Every cell carries
+a law table: exact per-polynomial order laws ord f(y) = e0 + i0 * ord(y - c)
+valid on every member, one per polynomial, sorted by coefficients.  `Cell1`
+keeps the table in that order, answers `law_for` (a missing law is a
+ValueError), and freezes the laws to constants where ord(y - c) is fixed.
 
 Centers are rational numbers or Hensel-certified root approximations.  This
 module never tells the two apart: equality, distance and digits of the
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 
 from .errors import UnsupportedInputError
 from .hensel import (
@@ -234,10 +238,11 @@ class Residues:
             return (p - 1) * p ** (self.depth - 1)
         return len(self.units)
 
-    def members(self, p: int) -> list[int]:
+    def members(self, p: int, limit: int | None = None) -> list[int]:
+        """The units in increasing order; with a limit, only the first ones."""
         if self.units is not None:
-            return sorted(self.units)
-        return [u for u in range(1, p**self.depth) if u % p != 0]
+            return sorted(self.units)[:limit]
+        return list(islice((u for u in range(1, p**self.depth) if u % p != 0), limit))
 
     def contains(self, u: int, p: int) -> bool:
         if self.units is None:
@@ -304,7 +309,11 @@ class Center:
 
 @dataclass(frozen=True)
 class Cell1:
-    """A univariate cell: a point, or a family of balls around its center."""
+    """A univariate cell: a point, or a family of balls around its center.
+
+    `laws` is the law table: (polynomial, law) pairs sorted by coefficients,
+    one per polynomial.  A mapping passed in its place is sorted into one.
+    """
 
     prime: int
     center: Center
@@ -316,6 +325,9 @@ class Cell1:
     def __post_init__(self):
         if (self.m_range is None) != (self.residues is None):
             raise ValueError("point cells have neither range nor residues")
+        if not isinstance(self.laws, tuple):
+            table = sorted(self.laws.items(), key=lambda kv: kv[0].coeffs)
+            object.__setattr__(self, "laws", tuple(table))
 
     @property
     def is_point(self) -> bool:
@@ -325,16 +337,19 @@ class Cell1:
     def kind(self) -> int:
         return 0 if self.is_point else 1
 
-    def law_for(self, f: Poly) -> OrderLaw | None:
+    def law_for(self, f: Poly) -> OrderLaw:
+        """The order law of f on the cell; ValueError when it has none."""
         for g, law in self.laws:
             if g == f:
                 return law
-        return None
+        raise ValueError(f"the cell has no order law for {format_poly(f)}")
 
     def with_laws(self, extra: dict[Poly, OrderLaw]) -> "Cell1":
-        known = dict(self.laws)
-        known.update(extra)
-        return replace(self, laws=tuple(sorted(known.items(), key=lambda kv: kv[0].coeffs)))
+        return replace(self, laws={**dict(self.laws), **extra})
+
+    def frozen_laws(self, m: int) -> dict[Poly, OrderLaw]:
+        """The laws as constants, valid where ord(y - center) = m."""
+        return {f: OrderLaw(law.apply(m), 0) for f, law in self.laws}
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +455,7 @@ def center_sort_key(c: Center):
 def cell_sort_key(cell: Cell1):
     point = 0 if cell.is_point else 1
     lo = -1 if cell.is_point else cell.m_range.lo
-    res = () if cell.is_point else (cell.residues.depth, tuple(cell.residues.members(cell.prime))[:4])
+    res = () if cell.is_point else (cell.residues.depth, tuple(cell.residues.members(cell.prime, 4)))
     return (center_sort_key(cell.center), point, lo, res)
 
 
@@ -453,19 +468,9 @@ def sorted_cells(cells: list[Cell1]) -> tuple[Cell1, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _laws_frozen(cell: Cell1, m_const: int | None) -> dict[Poly, OrderLaw]:
-    """The cell's laws as constants, valid where ord(y - center) is m_const."""
-    out = {}
-    for f, law in cell.laws:
-        out[f] = OrderLaw(law.apply(m_const), 0)
-    return out
-
-
-def _merge_laws(primary, secondary):
+def _merge_laws(primary, secondary) -> dict[Poly, OrderLaw]:
     """Laws from both sides (mappings or pairs), the primary side winning."""
-    out = dict(secondary)
-    out.update(primary)
-    return tuple(sorted(out.items(), key=lambda kv: kv[0].coeffs))
+    return {**dict(secondary), **dict(primary)}
 
 
 def _transport(own: Residues, other: Residues, depth: int, scale: int, shift: int,
@@ -499,7 +504,7 @@ def intersect_cells(a: Cell1, b: Cell1) -> list[Cell1]:
             return []
         # a member of a family is never its center, so the distance is finite
         m_const = ord_between(a.center.value, b.center.value, p).value
-        return [replace(a, keep=keep, laws=_merge_laws(a.laws, _laws_frozen(b, m_const)))]
+        return [replace(a, keep=keep, laws=_merge_laws(a.laws, b.frozen_laws(m_const)))]
     if b.is_point:
         got = intersect_cells(b, a)
         return [replace(c, keep=keep) for c in got]
@@ -532,7 +537,7 @@ def intersect_cells(a: Cell1, b: Cell1) -> list[Cell1]:
         """A piece around base's center at ord(y - c) = m with the units at
         depth d, where the distance to the other center is the constant m_other."""
         if units:
-            laws = _merge_laws(base.laws, _laws_frozen(other, m_other))
+            laws = _merge_laws(base.laws, other.frozen_laws(m_other))
             out.append(Cell1(p, replace(base.center, level=max(base.center.level, d)),
                              ArithRange(m, m), Residues(d, units), laws, keep))
 
@@ -562,7 +567,7 @@ def intersect_cells(a: Cell1, b: Cell1) -> list[Cell1]:
                                                          p ** (m - d_ab), delta, k, p))
         tail = rng.restrict(lo=d_ab + k)
         if tail is not None and outer.residues.contains(delta, p):
-            laws = _merge_laws(inner.laws, _laws_frozen(outer, d_ab))
+            laws = _merge_laws(inner.laws, outer.frozen_laws(d_ab))
             out.append(replace(inner, m_range=tail, laws=laws, keep=keep))
 
     # ord(y - cA) = ord(y - cB) = d_ab: members equidistant from both centers;

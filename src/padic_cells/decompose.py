@@ -1,13 +1,16 @@
 """Cell decomposition of Z_p adapted to polynomial valuation data.
 
 `prepare` follows the constructive recursion on the degree: decompose for
-the derivative first, Taylor-expand the polynomial at each inherited center,
-and partition every valuation range at the breakpoints of the Newton polygon
-of the Taylor coefficients.  Where one term dominates strictly the cell is
-kept with an exact order law (case B1); where terms tie, the residue class
-either contains a certified root of the squarefree part -- the cell is then
-re-centered at that root, realizing the Hensel law ord f(y) = ord b1 +
-ord(y - c) (case B2) -- or it is translated one digit deeper and re-analyzed.
+the derivative first, then give every inherited family cell a law for the
+polynomial.  The polynomial is Taylor-expanded at the cell's center and the
+valuation range is partitioned at the breakpoints of the Newton polygon of
+the Taylor coefficients.  Where one term dominates strictly the range keeps
+an exact order law (case B1); where terms tie, each residue class either
+contains a certified root of the squarefree part -- it is then re-centered
+at that root, realizing the Hensel law ord f(y) = ord b1 + ord(y - c) (case
+B2) -- or it is translated one digit deeper.  Either way the class becomes a
+point cell and a new family cell, which is processed in turn.  Every cell
+`prepare` builds has level 1 and, if a family, all units at depth 1.
 Descents are capped by a resultant-based budget.
 
 `decompose_set` applies `prepare` to every polynomial of a quantifier-free
@@ -58,10 +61,13 @@ from .hensel import (
     taylor_ords,
     transfer_basin,
 )
-from .padics import INFINITY, RvData, Val, is_prime, ord_p, unit_digits
+from .padics import INFINITY, RvData, Val, is_prime, ord_p, require_classes, unit_digits
 from .poly import Poly, format_poly, resultant_val, squarefree_part, taylor_polys
 
 _ENV_DEPTH = "PADIC_CELLS_MAX_DEPTH"
+# p^r for the domain radius r stays below 2^_MAX_RADIUS_BITS, so measures
+# and the numbers printed for them stay far from Python's 4,300-digit limit
+_MAX_RADIUS_BITS = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -168,22 +174,16 @@ def eval_formula(phi: Formula, truth: dict[Atom, bool]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Box:
-    """A full ball family around a center, awaiting laws for the current f."""
-
-    center: CenterValue
-    term: Term | None
-    m_range: ArithRange
-    laws: dict[Poly, OrderLaw]
-
-
 def _check_input(p: int, domain: Ball) -> None:
     """Reject a p that is not a prime and a domain that is not a ball in Z_p."""
     if not is_prime(p):
         raise UnsupportedInputError(f"p = {p} is not a prime")
     if domain.radius_ord < 0 or ord_p(domain.center, p) < 0:
         raise UnsupportedInputError(f"the domain {domain} is not a ball inside Z_{p}")
+    if domain.radius_ord * p.bit_length() > _MAX_RADIUS_BITS:
+        raise UnsupportedInputError(
+            f"the domain {domain} is too small: p^{domain.radius_ord} must stay "
+            f"below 2^{_MAX_RADIUS_BITS}")
 
 
 def _budget(f: Poly, p: int) -> int:
@@ -257,14 +257,6 @@ def _dominance_regions(lines: list[tuple[int, int]], lo: int, hi: int | None):
         yield ("strict", pending[0], pending[1], pending[2])
 
 
-def _frozen_laws(laws: dict[Poly, OrderLaw], m_const: int) -> dict[Poly, OrderLaw]:
-    return {f: OrderLaw(law.apply(m_const), 0) for f, law in laws.items()}
-
-
-def _law_tuple(laws: dict[Poly, OrderLaw]) -> tuple[tuple[Poly, OrderLaw], ...]:
-    return tuple(sorted(laws.items(), key=lambda kv: kv[0].coeffs))
-
-
 def _term_is_zero(t: Term | None) -> bool:
     return isinstance(t, TConst) and t.value == 0
 
@@ -293,11 +285,10 @@ def _taylor_coeff_terms(w: Poly, c_term: Term, c_value: CenterValue) -> tuple[Te
 def _base_cells(p: int, laws: dict[Poly, OrderLaw]) -> list[Cell1]:
     """The canonical decomposition of Z_p around 0: the origin plus the
     family of spheres ord(y) = m >= 0."""
-    lt = _law_tuple(laws)
     zero = Center(Fraction(0), 1, TConst(Fraction(0)))
     return [
-        Cell1(p, zero, None, None, lt),
-        Cell1(p, zero, ArithRange(0, None), Residues(1, None), lt),
+        Cell1(p, zero, None, None, laws),
+        Cell1(p, zero, ArithRange(0, None), Residues(1, None), laws),
     ]
 
 
@@ -307,17 +298,18 @@ def _prepare_zp(f: Poly, p: int, budget: int) -> list[Cell1]:
     if f.degree == 1:
         return _prepare_linear(f, p)
 
-    d0 = _prepare_zp(f.derivative(), p, budget)
+    # every cell built here has level 1 and, when it is a family, all units
+    # at depth 1; a family still without a law for f is a work item
+    w = squarefree_part(f)
     out: list[Cell1] = []
-    work: list[_Box] = []
-    for cell in d0:
+    work: list[Cell1] = []
+    for cell in _prepare_zp(f.derivative(), p, budget):
         if cell.is_point:
-            v = ord_of_poly_at(f, cell.center.value, p)
-            out.append(cell.with_laws({f: OrderLaw(v, 0)}))
+            out.append(cell.with_laws({f: OrderLaw(ord_of_poly_at(f, cell.center.value, p), 0)}))
         else:
-            work.append(_Box(cell.center.value, cell.center.term, cell.m_range, dict(cell.laws)))
+            work.append(cell)
     while work:
-        _process_box(f, p, work.pop(), out, work, budget)
+        _process_box(f, w, p, work.pop(), out, work, budget)
     return out
 
 
@@ -335,92 +327,72 @@ def _prepare_linear(f: Poly, p: int) -> list[Cell1]:
             term = TH(1, 1, (TConst(a0), TConst(a1)), TRv(1, TConst(root)))
         center = Center(root, 1, term)
         return [
-            Cell1(p, center, None, None,
-                  _law_tuple({f: OrderLaw(INFINITY, 0), df: d1_law})),
+            Cell1(p, center, None, None, {f: OrderLaw(INFINITY, 0), df: d1_law}),
             Cell1(p, center, ArithRange(0, None), Residues(1, None),
-                  _law_tuple({f: OrderLaw(ord_p(a1, p), 1), df: d1_law})),
+                  {f: OrderLaw(ord_p(a1, p), 1), df: d1_law}),
         ]
     # root outside Z_p: ord f is the constant ord(a0) on Z_p
     return _base_cells(p, {f: OrderLaw(ord_p(a0, p), 0), df: d1_law})
 
 
 def _process_box(
-    f: Poly, p: int, box: _Box, out: list[Cell1], work: list[_Box], budget: int
+    f: Poly, w: Poly, p: int, cell: Cell1, out: list[Cell1], work: list[Cell1], budget: int
 ) -> None:
-    ords = taylor_ords(f, box.center, p)
+    """Give a family cell laws for f: keep the strict regions of the Newton
+    polygon, and split each tie into a point cell and a family cell per
+    residue class, the family going back on the work list."""
+    ords = taylor_ords(f, cell.center.value, p)
     lines = [(i, v.value) for i, v in enumerate(ords) if not v.is_infinite]
     if not lines:
         raise InternalBoundError("all Taylor coefficients vanished for a nonzero polynomial")
     line_val = dict(lines)
-    w = squarefree_part(f)
 
-    for region in _dominance_regions(lines, box.m_range.lo, box.m_range.hi):
+    for region in _dominance_regions(lines, cell.m_range.lo, cell.m_range.hi):
         if region[0] == "strict":
             _, lo, hi, i0 = region
-            laws = dict(box.laws)
-            laws[f] = OrderLaw(Val(line_val[i0]), i0)
-            out.append(
-                Cell1(p, Center(box.center, 1, box.term), ArithRange(lo, hi),
-                      Residues(1, None), _law_tuple(laws))
-            )
+            out.append(replace(cell, m_range=ArithRange(lo, hi))
+                       .with_laws({f: OrderLaw(Val(line_val[i0]), i0)}))
             continue
         m_star = region[1]
         if m_star + 1 > budget:
             raise InternalBoundError(
-                f"descent for {format_poly(f)} (p = {p}) around the center {box.center} "
+                f"descent for {format_poly(f)} (p = {p}) around the center {cell.center} "
                 f"reached depth {m_star + 1}, past the termination budget {budget}"
             )
+        frozen = cell.frozen_laws(m_star)
         for u0 in range(1, p):
-            _split_tie_class(f, w, p, box, m_star, u0, out, work, budget)
+            off = Fraction(u0) * Fraction(p) ** m_star
+            center, f_law = _split_tie_class(f, w, p, cell.center, off, m_star + 1, budget)
+            out.append(Cell1(p, center, None, None, {**frozen, f: f_law}))
+            work.append(Cell1(p, center, ArithRange(m_star + 1, None), Residues(1, None), frozen))
 
 
-def _split_tie_class(
-    f: Poly,
-    w: Poly,
-    p: int,
-    box: _Box,
-    m_star: int,
-    u0: int,
-    out: list[Cell1],
-    work: list[_Box],
-    budget: int,
-) -> None:
-    """Handle the residue class ord(y - c) = m*, first digit u0: re-center at
-    a certified root of the squarefree part if the class contains one, else
-    translate one digit deeper and re-analyze."""
-    off = Fraction(u0) * Fraction(p) ** m_star
-    frozen = _frozen_laws(box.laws, m_star)
-    ball_ord = m_star + 1
-
-    # hunt for roots of w inside the class ball {ord(y - c - off) >= m*+1}
-    base = center_proxy(box.center, p, max(ball_ord + 4, 8)) + off
+def _split_tie_class(f: Poly, w: Poly, p: int, center: Center, off: Fraction, ball_ord: int,
+                     budget: int) -> tuple[Center, OrderLaw]:
+    """The center of the tie class {ord(y - c - off) >= ball_ord} and the law
+    of f there.  The center is a certified root of the squarefree part w if
+    the class holds one; else it is c + off, one digit deeper than c."""
+    c_value, c_term = center.value, center.term
+    # hunt for roots of w inside the class ball
+    base = center_proxy(c_value, p, max(ball_ord + 4, 8)) + off
     scale = Fraction(p) ** ball_ord
     scaled = w.shift_var(scale, base)
     points = certified_root_points(scaled, p, budget + 4)
 
     if points:
         y_point = transfer_basin(w, scaled, lambda t: base + scale * t, points[0], p)
-        center_value = center_of(make_root_approx(w, y_point, p, 1))
-        new_term: Term | None = None
-        if box.term is not None:
-            h_term = TH(w.degree, 1, _taylor_coeff_terms(w, box.term, box.center),
+        value = center_of(make_root_approx(w, y_point, p, 1))
+        term: Term | None = None
+        if c_term is not None:
+            h_term = TH(w.degree, 1, _taylor_coeff_terms(w, c_term, c_value),
                         TRv(1, TConst(off)))
-            new_term = h_term if _term_is_zero(box.term) else TAdd(box.term, h_term)
-        point_laws = dict(frozen)
-        point_laws[f] = OrderLaw(INFINITY, 0)
-        out.append(Cell1(p, Center(center_value, 1, new_term), None, None,
-                         _law_tuple(point_laws)))
-        work.append(_Box(center_value, new_term, ArithRange(ball_ord, None), frozen))
-        return
-
-    value, term = shift_center(box.center, off), box.term
+            term = h_term if _term_is_zero(c_term) else TAdd(c_term, h_term)
+        return Center(value, 1, term), OrderLaw(INFINITY, 0)
+    value, term = shift_center(c_value, off), c_term
     if term is not None:
         x = exact_value(value)
         term = TAdd(term, TConst(off)) if x is None else TConst(x)
-    point_laws = dict(frozen)
-    point_laws[f] = OrderLaw(ord_of_poly_at(f, value, p), 0)
-    out.append(Cell1(p, Center(value, 1, term), None, None, _law_tuple(point_laws)))
-    work.append(_Box(value, term, ArithRange(ball_ord, None), frozen))
+    return Center(value, 1, term), OrderLaw(ord_of_poly_at(f, value, p), 0)
 
 
 def prepare(f: Poly, p: int, domain: Ball = ZP) -> Decomposition:
@@ -436,12 +408,7 @@ def prepare(f: Poly, p: int, domain: Ball = ZP) -> Decomposition:
         scale = Fraction(p) ** domain.radius_ord
         g = f.shift_var(scale, domain.center)
         cells = [_map_cell_back(c, f, g, domain, p) for c in _prepare_zp(g, p, budget)]
-    k_depth = 1
-    for c in cells:
-        k_depth = max(k_depth, c.center.level)
-        if c.residues is not None:
-            k_depth = max(k_depth, c.residues.depth)
-    return Decomposition(p, domain, sorted_cells(cells), k_depth)
+    return Decomposition(p, domain, sorted_cells(cells))
 
 
 def _map_cell_back(cell: Cell1, f: Poly, g: Poly, domain: Ball, p: int) -> Cell1:
@@ -453,18 +420,14 @@ def _map_cell_back(cell: Cell1, f: Poly, g: Poly, domain: Ball, p: int) -> Cell1
     if term is not None:
         term = TConst(Fraction(domain.center)) if _term_is_zero(term) \
             else TAdd(TConst(Fraction(domain.center)), TMul(TConst(scale), term))
-    new_laws: dict[Poly, OrderLaw] = {}
+    # ord f(y) at ord(y - c) = m equals the g-law at m - r
     g_law = cell.law_for(g)
-    if g_law is not None:
-        # ord f(y) at ord(y - c) = m equals the g-law at m - r
-        new_laws[f] = OrderLaw(g_law.e0 + (-g_law.i0 * r), g_law.i0)
-    center = Center(new_value, cell.center.level, term)
-    if cell.is_point:
-        return Cell1(cell.prime, center, None, None, _law_tuple(new_laws), cell.keep)
-    rng = ArithRange(cell.m_range.lo + r,
-                     None if cell.m_range.hi is None else cell.m_range.hi + r,
-                     cell.m_range.step)
-    return Cell1(cell.prime, center, rng, cell.residues, _law_tuple(new_laws), cell.keep)
+    laws = {f: OrderLaw(g_law.e0 + (-g_law.i0 * r), g_law.i0)}
+    rng = cell.m_range
+    if rng is not None:
+        rng = ArithRange(rng.lo + r, None if rng.hi is None else rng.hi + r, rng.step)
+    return replace(cell, center=Center(new_value, cell.center.level, term), m_range=rng,
+                   laws=laws)
 
 
 # ---------------------------------------------------------------------------
@@ -490,19 +453,14 @@ def _atom_polys(atom: Atom) -> list[Poly]:
     return [atom.f]
 
 
-def _validate_atom(atom: Atom) -> None:
+def _validate_atom(atom: Atom, p: int) -> None:
     for q in _atom_polys(atom):
         if q.is_zero and not isinstance(atom, (OrdEqInf, RvEq)):
             raise UnsupportedInputError("zero polynomial in an order comparison")
     if isinstance(atom, OrdModEq) and atom.modulus < 1:
         raise UnsupportedInputError("modulus must be positive")
-
-
-def _law_of(cell: Cell1, f: Poly) -> OrderLaw:
-    law = cell.law_for(f)
-    if law is None:
-        raise ValueError("cell lacks a law for an atom polynomial")
-    return law
+    if isinstance(atom, (AcEq, RvEq)):
+        require_classes(p, atom.depth, "the ac/rv depth")
 
 
 def _split_range(cell: Cell1, parts) -> list[tuple[Cell1, bool]]:
@@ -510,7 +468,7 @@ def _split_range(cell: Cell1, parts) -> list[tuple[Cell1, bool]]:
 
 
 def _ord_atom_pieces(cell: Cell1, atom: Atom, p: int) -> list[tuple[Cell1, bool]]:
-    law_f = _law_of(cell, atom.f)
+    law_f = cell.law_for(atom.f)
 
     if isinstance(atom, OrdEqInf):
         if cell.is_point:
@@ -547,7 +505,7 @@ def _ord_atom_pieces(cell: Cell1, atom: Atom, p: int) -> list[tuple[Cell1, bool]
     if atom.g is None:
         e_g, i_g = Val(atom.offset), 0
     else:
-        law_g = _law_of(cell, atom.g)
+        law_g = cell.law_for(atom.g)
         e_g, i_g = law_g.e0 + atom.offset, law_g.i0
     if cell.is_point:
         return [(cell, _compare(atom.rel, law_f.e0, e_g))]
@@ -576,7 +534,7 @@ def _ord_atom_pieces(cell: Cell1, atom: Atom, p: int) -> list[tuple[Cell1, bool]
 def _digit_atom_pieces(cell: Cell1, f: Poly, depth: int, want, p: int):
     """Split a family cell so that want(unit_digits(f(y), depth)) is constant
     on each piece."""
-    law = _law_of(cell, f)
+    law = cell.law_for(f)
     assert not law.e0.is_infinite
     ords = taylor_ords(f, cell.center.value, p)
     lines = [(i, v.value) for i, v in enumerate(ords) if not v.is_infinite]
@@ -645,7 +603,7 @@ def _split_by_atom(cell: Cell1, atom: Atom, p: int) -> list[tuple[Cell1, bool]]:
         return _ord_atom_pieces(cell, atom, p)
 
     if isinstance(atom, AcEq):
-        law = _law_of(cell, atom.f)
+        law = cell.law_for(atom.f)
         target = atom.unit % p**atom.depth
         if cell.is_point:
             if law.e0.is_infinite:
@@ -655,7 +613,7 @@ def _split_by_atom(cell: Cell1, atom: Atom, p: int) -> list[tuple[Cell1, bool]]:
         return _digit_atom_pieces(cell, atom.f, atom.depth, lambda d: d == target, p)
 
     assert isinstance(atom, RvEq)
-    law = _law_of(cell, atom.f)
+    law = cell.law_for(atom.f)
     if atom.tag.is_zero:
         return [(cell, cell.is_point and law.e0.is_infinite)]
     if cell.is_point:
@@ -687,7 +645,7 @@ def decompose_set(phi: Formula, p: int, domain: Ball = ZP) -> Decomposition:
     _check_input(p, domain)
     atoms: list[Atom] = []
     for atom in formula_atoms(phi):
-        _validate_atom(atom)
+        _validate_atom(atom, p)
         if atom not in atoms:
             atoms.append(atom)
     polys: list[Poly] = []
@@ -764,13 +722,11 @@ def preserves_balls_report(dec: Decomposition, big_f: Poly, p: int) -> Preserves
 def _fiber_entry(cell: Cell1, big_f: Poly, p: int) -> FiberImageEntry:
     # laws for the derivative tower, as laws for the Taylor coefficients:
     # ord c_j(member) = law_j(m) - ord(j!)
-    laws: list[OrderLaw] = []
+    laws: list[OrderLaw | None] = [None]
     q = big_f
-    for j in range(big_f.degree + 1):
-        if j > 0:
-            q = q.derivative()
-        law = _law_of(cell, q) if j > 0 else None
-        laws.append(law)
+    for _ in range(big_f.degree):
+        q = q.derivative()
+        laws.append(cell.law_for(q))
     law1 = laws[1]
     if law1.e0.is_infinite:
         raise InternalBoundError("derivative law is infinite on a family cell")

@@ -32,7 +32,6 @@ from math import isqrt
 
 from .errors import InternalBoundError
 from .padics import (
-    INFINITY,
     Rat,
     RvData,
     Val,
@@ -41,7 +40,8 @@ from .padics import (
     rv,
     unit_digits,
 )
-from .poly import Poly, format_poly, poly_gcd, resultant_val, squarefree_part, taylor_polys
+from .poly import (Poly, format_poly, newton_min, poly_gcd, resultant_val, squarefree_part,
+                   taylor_polys)
 
 _MAX_DOUBLINGS = 64
 
@@ -120,11 +120,7 @@ def _newton(w: Poly, z: Fraction, p: int, target: int) -> tuple[Fraction, int]:
     vz = ord_p(z, p)
     if not vz.is_infinite and vz.value < 0:
         guard += -vz.value * w.degree
-    for c in w.coeffs:
-        vc = ord_p(c, p)
-        if not vc.is_infinite and vc.value < 0:
-            guard = max(guard, -vc.value)
-    guard *= 2
+    guard = 2 * max(guard, -newton_min(w, p).value)
     for _ in range(_MAX_DOUBLINGS):
         fz = w.eval(z)
         if fz == 0:
@@ -237,9 +233,7 @@ def root_separation_bound(w: Poly, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _conditions_index(
-    coeff_ords: list[Val], m: int, vfx: Val, vdfx: Val, d: int
-) -> int | None:
+def _conditions_index(f: Poly, p: int, m: int, vfx: Val, vdfx: Val, d: int) -> int | None:
     """Smallest i0 > 0 satisfying (h0b), (h1), (h2) at a point of valuation m.
 
     A class of digit depth d is the coset of 1 + p^d Z_p; since n M_K =
@@ -248,14 +242,10 @@ def _conditions_index(
     one class would need ord f' too large for (h2)).
     """
     nd = d - 1
-    term = [coeff_ords[i] + i * m for i in range(len(coeff_ords))]
-    vmin = INFINITY
-    for t in term:
-        if t < vmin:
-            vmin = t
-    for i0 in range(1, len(coeff_ords)):
-        if term[i0] == vmin and vfx > term[i0] + 2 * nd \
-                and vdfx <= coeff_ords[i0] + (i0 - 1) * m + nd:
+    vmin = newton_min(f, p, m)
+    for i0 in range(1, f.degree + 1):
+        term = ord_p(f.coeff(i0), p) + i0 * m
+        if term == vmin and vfx > term + 2 * nd and vdfx <= term + (nd - m):
             return i0
     return None
 
@@ -270,11 +260,10 @@ def check_conditions(
     if rv(x, p, d) != x0:
         raise ValueError("rv(x) does not match the given rv-data")
     f = Poly.of(*a)
-    coeff_ords = [ord_p(Fraction(c), p) for c in a]
     m = ord_p(x, p).value
     vfx = ord_p(f.eval(x), p)
     vdfx = ord_p(f.derivative().eval(x), p)
-    return _conditions_index(coeff_ords, m, vfx, vdfx, d)
+    return _conditions_index(f, p, m, vfx, vdfx, d)
 
 
 def certified_root_points(w: Poly, p: int, depth_cap: int,
@@ -287,11 +276,9 @@ def certified_root_points(w: Poly, p: int, depth_cap: int,
     once it lies inside a Newton basin.  `start = (c, j)` restricts the
     search to the class c mod p^j.
     """
-    from .poly import content_val
-
     # the basin criterion ord w > 2 ord w' presumes p-integral coefficients;
     # scaling by a power of p fixes the content at 0 without moving roots
-    content = content_val(w, p)
+    content = newton_min(w, p)
     if not content.is_infinite and content.value != 0:
         w = w * Fraction(p) ** (-content.value)
     out: list[Fraction] = []
@@ -316,13 +303,7 @@ def certified_root_points(w: Poly, p: int, depth_cap: int,
             if ord_p(z - c, p) >= j:
                 out.append(z)
             return
-        sh = poly.taylor_shift(Fraction(c))
-        tail = INFINITY
-        for i in range(1, len(sh.coeffs)):
-            t = ord_p(sh.coeff(i), p) + i * j
-            if t < tail:
-                tail = t
-        if v0 < tail:
+        if v0 < newton_min(poly.taylor_shift(Fraction(c)), p, j, 1):
             return  # the constant term dominates on the whole class: no root
         for t in range(p):
             search(poly, c + t * p**j, j + 1)
@@ -382,7 +363,6 @@ def h(a: list[Rat], x0: RvData, p: int) -> PadicApprox | None:
     d = x0.depth
     res = resultant_val(w, w.derivative(), p)
     cap = 2 * (0 if res.is_infinite else max(res.value, 0)) + 2 * d + 2
-    coeff_ords = [ord_p(c, p) for c in w.coeffs]
     dwpoly = w.derivative()
     m = x0.valuation
 
@@ -408,7 +388,7 @@ def h(a: list[Rat], x0: RvData, p: int) -> PadicApprox | None:
                 continue
             vfx = ord_p(w.eval(x), p)
             vdfx = ord_p(dwpoly.eval(x), p)
-            if _conditions_index(coeff_ords, m, vfx, vdfx, d) is not None:
+            if _conditions_index(w, p, m, vfx, vdfx, d) is not None:
                 accepted.append(root)
                 break
     if not accepted:
@@ -454,16 +434,6 @@ def center_of(r: PadicApprox) -> CenterValue:
     return r if x is None else x
 
 
-def _tail_min(shifted: Poly, p: int) -> Val:
-    """Minimum valuation over the degree >= 1 Taylor coefficients."""
-    out = INFINITY
-    for i in range(1, len(shifted.coeffs)):
-        v = ord_p(shifted.coeff(i), p)
-        if v < out:
-            out = v
-    return out
-
-
 def _certified(start: int, digits: int, estimates, p: int, subject) -> tuple[int, Fraction]:
     """The one refine-until-certified loop behind every query at an inexact root.
 
@@ -493,7 +463,7 @@ def _at_root(r: PadicApprox, *qs: Poly):
         rr = refine_root(r, n)
         for q in qs:
             sh = q.taylor_shift(rr.approx)
-            yield sh.coeff(0), _tail_min(sh, r.prime) + rr.precision
+            yield sh.coeff(0), newton_min(sh, r.prime, start=1) + rr.precision
     return estimates
 
 

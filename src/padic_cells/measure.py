@@ -44,8 +44,6 @@ def measure_of_order(dec: Decomposition, f: Poly, m: int) -> Fraction:
     p = dec.prime
     for cell in dec.cells:
         law = cell.law_for(f)
-        if law is None:
-            raise ValueError("decomposition lacks laws for this polynomial")
         if cell.is_point:
             continue  # points have measure zero
         if law.e0.is_infinite:
@@ -128,8 +126,6 @@ def igusa_zeta(dec: Decomposition, f: Poly, p: int | None = None) -> ZetaFn:
         if cell.is_point:
             continue
         law = cell.law_for(f)
-        if law is None:
-            raise ValueError("decomposition lacks laws for this polynomial")
         assert not law.e0.is_infinite
         e0, i0 = law.e0.value, law.i0
         rng = cell.m_range

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .cells import Cell1, Decomposition
 from .errors import UnsupportedInputError
 from .hensel import center_proxy, ord_between, taylor_ords
-from .padics import INFINITY, Val, ord_p
+from .padics import INFINITY, Val, ord_p, require_classes
 from .poly import Poly
 
 
@@ -156,6 +156,7 @@ def verify_partition(dec: Decomposition, k: int) -> PartitionReport:
     it, or the class is flagged undecided (a cell boundary needs more
     digits).  Anything else is a violation."""
     p = dec.prime
+    require_classes(p, k, "k")
     q = p**k
     count = [0] * q
     fuzzy = [0] * q
@@ -263,8 +264,6 @@ def verify_laws(dec: Decomposition, f: Poly, samples: int = 200, seed: int = 0) 
 
     for idx, cell in enumerate(dec.cells):
         law = cell.law_for(f)
-        if law is None:
-            raise ValueError("decomposition lacks laws for this polynomial")
         if cell.is_point:
             c = cell.center.value
             want = law.apply(None)

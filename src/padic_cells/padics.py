@@ -17,7 +17,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .errors import UnsupportedInputError
+
 Rat = Union[int, Fraction]
+
+# The most residue classes mod p^k that one scan or one digit atom may
+# enumerate; the acceptance suite's largest scan is 7^6 = 117,649 classes.
+MAX_CLASSES = 10**6
+
+# The least strong pseudoprime to all twelve bases of `is_prime`.
+_MR_EXACT_BELOW = 318665857834031151167461
 
 
 class Val:
@@ -116,8 +125,12 @@ def _int_val(n: int, p: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin with the twelve primes up to 37 as bases: exact for
-    n < 3.18e23, a strong probable-prime test beyond."""
+    """Miller-Rabin with the twelve primes up to 37 as bases, which is exact
+    for n < 318665857834031151167461.  From that value up the test can be
+    fooled, so it raises UnsupportedInputError instead of answering."""
+    if n >= _MR_EXACT_BELOW:
+        raise UnsupportedInputError(
+            f"primality is certified only below {_MR_EXACT_BELOW}, and {n} is not")
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     if n < 2 or any(n % b == 0 for b in bases):
         return n in bases
@@ -135,6 +148,16 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def require_classes(p: int, depth: int, what: str) -> None:
+    """Reject an enumeration of the p^depth classes mod p^depth when depth is
+    below 1 or p^depth is past MAX_CLASSES."""
+    # p >= 2, so a depth past the bit length of the limit is past the limit
+    if depth < 1 or depth > MAX_CLASSES.bit_length() or p**depth > MAX_CLASSES:
+        raise UnsupportedInputError(
+            f"{what} = {depth} is out of range: it must be at least 1, "
+            f"with {p}^{depth} at most {MAX_CLASSES}")
 
 
 def ord_p(x: Rat, p: int) -> Val:

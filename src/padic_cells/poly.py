@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .padics import INFINITY, Rat, Val, ord_p
+from .padics import Rat, Val, ord_p, val_min
 
 
 @dataclass(frozen=True)
@@ -184,14 +184,13 @@ def taylor_polys(f: Poly) -> list[Poly]:
     return out
 
 
-def content_val(f: Poly, p: int) -> Val:
-    """Minimum of ord_p over the coefficients (INFINITY for the zero poly)."""
-    out = INFINITY
-    for c in f.coeffs:
-        v = ord_p(c, p)
-        if v < out:
-            out = v
-    return out
+def newton_min(f: Poly, p: int, m: int = 0, start: int = 0) -> Val:
+    """min over i >= start of ord_p(a_i) + i*m: the lower envelope of the
+    Newton polygon of f at slope m (INFINITY when those coefficients vanish).
+
+    With m = 0 and start = 0 this is the content valuation of f; with
+    start = 1 at a Taylor expansion it bounds the Taylor tail."""
+    return val_min(*(ord_p(f.coeff(i), p) + i * m for i in range(start, len(f.coeffs))))
 
 
 def format_poly(f: Poly, var: str = "y") -> str:

@@ -7,6 +7,7 @@ from padic_cells.cells import (
     Cell1,
     Center,
     Decomposition,
+    OrderLaw,
     Residues,
     TConst,
     TH,
@@ -25,7 +26,7 @@ from padic_cells.decompose import prepare
 from padic_cells.errors import UnsupportedInputError
 from padic_cells.hensel import refine_root
 from padic_cells.measure import decomposition_measure, exact_partition_check
-from padic_cells.padics import ord_p, rv
+from padic_cells.padics import Val, ord_p, rv
 from padic_cells.poly import Poly
 
 
@@ -212,3 +213,26 @@ def test_type_uniqueness_on_produced_cells():
                 continue
             inter = intersect_cells(a, b)
             assert not inter  # partition: no two cells share members
+
+
+def test_law_table():
+    p, y, sq = 5, Poly.of(0, 1), Poly.of(-1, 0, 1)
+    law_y, law_sq = OrderLaw(Val(0), 1), OrderLaw(Val(2), 0)
+    cell = Cell1(p, Center(Fraction(0), 1), ArithRange(0, None), Residues(1), {sq: law_sq, y: law_y})
+    # a mapping becomes pairs sorted by coefficients, one per polynomial
+    assert cell.laws == ((sq, law_sq), (y, law_y))
+    assert cell.law_for(y) == law_y
+    with pytest.raises(ValueError):
+        cell.law_for(Poly.of(1, 1))
+    assert cell.frozen_laws(3) == {sq: law_sq, y: OrderLaw(Val(3), 0)}
+    updated = cell.with_laws({y: OrderLaw(Val(1), 0)})
+    assert updated.laws == ((sq, law_sq), (y, OrderLaw(Val(1), 0)))
+
+
+def test_sort_key_reads_only_the_first_units():
+    # the full unit list at p = 10^9 + 7 would hold 10^9 entries
+    p = 1000000007
+    cell = Cell1(p, Center(Fraction(0), 1), ArithRange(0, None), Residues(1))
+    assert Residues(1).members(p, limit=4) == [1, 2, 3, 4]
+    assert Residues(2, frozenset({9, 3, 7, 1, 5})).members(p, limit=4) == [1, 3, 5, 7]
+    assert sorted_cells([cell, pt(p, 0)]) == (pt(p, 0), cell)

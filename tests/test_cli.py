@@ -137,6 +137,14 @@ def test_cli_internal_bound_exit(capsys, monkeypatch):
     (None, ["cv-check", "--prime", "5", "--formula", "ord(y) >= 1",
             "--formula-b", "ord(y) >= 0"], 3),
     ("abc", ["decompose", "--prime", "5", "--poly", "y^2 - 1"], 3),
+    # resource bounds: the domain radius, p^k of the scan, p^depth of digit atoms
+    (None, ["measure", "--prime", "5", "--domain", "0:100000", "--poly", "y"], 3),
+    (None, ["decompose", "--prime", "5", "--poly", "y", "--verify", "--k", "12"], 3),
+    (None, ["decompose", "--prime", "5", "--poly", "y", "--verify", "--k", "-1"], 3),
+    (None, ["decompose", "--json", "--prime", "5", "--formula", "ac(9, y) = 1"], 3),
+    (None, ["decompose", "--prime", "5", "--formula", "rv(9, y) = 0"], 3),
+    # the least strong pseudoprime to every base of the primality test
+    (None, ["measure", "--prime", "318665857834031151167461", "--poly", "y"], 3),
 ])
 def test_cli_rejects_bad_input(capsys, monkeypatch, env, argv, want):
     # bad input ends in its documented exit code: never a hang or a traceback
@@ -144,6 +152,23 @@ def test_cli_rejects_bad_input(capsys, monkeypatch, env, argv, want):
         monkeypatch.setenv("PADIC_CELLS_MAX_DEPTH", env)
     code, out, err = run_cli(capsys, *argv)
     assert code == want and out == "" and err
+
+
+def test_cli_measure_at_a_large_prime(capsys):
+    code, out, _ = run_cli(capsys, "measure", "--prime", "1000000007", "--poly", "y", "--json")
+    assert code == 0 and json.loads(out)["measure"] == "1"
+
+
+def test_cli_text_output(capsys):
+    code, out, _ = run_cli(capsys, "decompose", "--prime", "5", "--poly", "y")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:3] == ["schema: padic-cells/1", "command: decompose", "prime: 5"]
+    # cells are nested dicts in a list, each closed by a dash
+    assert "cells:" in lines and lines.count("  -") == 2
+    assert "    depth: 1" in lines and "    units: all" in lines
+    code, out, _ = run_cli(capsys, "measure", "--prime", "5", "--poly", "y^2 - 1", "--ord", "1")
+    assert code == 0 and out.splitlines()[-2:] == ["ord: 1", "measure: 8/25"]
 
 
 def test_cli_measure_and_dim(capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from padic_cells.cells import Ball, contains
+from padic_cells.cells import Ball, TAdd, contains
 from padic_cells.decompose import (
     AcEq,
     FAnd,
@@ -115,6 +115,24 @@ def test_prepare_on_sub_ball():
             if y is None:
                 continue
             assert ord_p(f.eval(y), 5) == law.apply(m)
+
+
+@pytest.mark.parametrize("coeffs,p,center,radius", [
+    ([-2, 0, 1], 7, 3, 1),      # sqrt(2) in 3 + 7 Z_7
+    ([-2, 0, 0, 1], 5, 3, 1),   # cube root of 2 in 3 + 5 Z_5
+    ([1, 0, 1], 5, 7, 1),       # sqrt(-1) in 2 + 5 Z_5
+])
+def test_prepare_on_sub_ball_with_hensel_centers(coeffs, p, center, radius):
+    # irrational roots inside the ball: the centers come back through the
+    # inexact branch of scale_center, with terms of the form b + p^r * t
+    f = Poly.of(*coeffs)
+    D = prepare(f, p, Ball(Fraction(center), radius))
+    roots = [c for c in D.cells if not c.center.is_rational]
+    assert roots and all(isinstance(c.center.term, TAdd) for c in roots)
+    assert all(c.center.level == 1 for c in D.cells) and D.k_depth == 1
+    assert exact_partition_check(D).ok
+    assert verify_partition(D, 4).ok
+    assert verify_laws(D, f, samples=50).ok
 
 
 def test_budget_env_override():

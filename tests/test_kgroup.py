@@ -92,6 +92,18 @@ def test_cv_check_different_centers():
     assert cv_check(D0, D1)
 
 
+def test_cv_check_false_on_a_broken_partition():
+    # one family is covered twice, so the measures of its children overshoot
+    p = 5
+    zero = Center(Fraction(0), 1, TConst(Fraction(0)))
+    overlapping = Decomposition(p, ZP, sorted_cells([
+        Cell1(p, zero, None, None, ()),
+        Cell1(p, zero, ArithRange(0, None), Residues(1, None), ()),
+        Cell1(p, zero, ArithRange(1, 2), Residues(1, None), ()),
+    ]))
+    assert cv_check(overlapping, prepare(Poly.of(0, 1), p)) is False
+
+
 def test_cv_check_rejects_different_sets():
     with pytest.raises(ValueError):
         cv_check(punctured_zp(5, 1), punctured_zp(5, 1, keep_point=True))

@@ -111,3 +111,24 @@ def test_verify_laws_deterministic():
     a = verify_laws(D, f, samples=80, seed=3)
     b = verify_laws(D, f, samples=80, seed=3)
     assert a == b
+
+
+def test_verify_partition_below_the_residue_depth():
+    # at k = 1 a depth-2 residue constraint is not decided by the class alone
+    from padic_cells.decompose import AcEq, FAtom, decompose_set
+
+    p = 3
+    zero = Center(Fraction(0), 1, TConst(Fraction(0)))
+    punctured = Decomposition(p, ZP, sorted_cells([
+        Cell1(p, zero, None, None, ()),
+        Cell1(p, zero, ArithRange(0, None), Residues(2, None), ()),
+    ]))
+    # all units at depth 2 still cover the classes 1 and 2 whole
+    rep = verify_partition(punctured, 1)
+    assert rep.ok and rep.undecided == (0,)
+
+    ac = decompose_set(FAtom(AcEq(2, Poly.of(0, 1), 1)), p)
+    assert any(not c.is_point and c.residues.depth == 2 for c in ac.cells)
+    rep = verify_partition(ac, 1)
+    assert rep.ok and rep.undecided == (0, 1, 2)
+    assert verify_partition(ac, 3).ok

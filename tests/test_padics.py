@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
+from padic_cells.errors import UnsupportedInputError
 from padic_cells.padics import (
     INFINITY,
     Val,
     canonical_lift,
+    is_prime,
     ord_p,
     rv,
     unit_digits,
@@ -84,3 +87,19 @@ def test_ultrametric_laws():
 def test_canonical_lift_roundtrip():
     r = rv(Fraction(50), 5, 2)
     assert rv(canonical_lift(r, 5), 5, 2) == r
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+    assert [n for n in range(20000) if is_prime(n)] == [n for n in range(20000) if trial(n)]
+
+
+def test_is_prime_pseudoprimes_and_its_bound():
+    assert not is_prime(561)             # a Carmichael number
+    assert not is_prime(3215031751)      # a strong pseudoprime to the bases 2, 3, 5, 7
+    assert is_prime(2**61 - 1)
+    # the least strong pseudoprime to all twelve bases: no answer from it up
+    with pytest.raises(UnsupportedInputError):
+        is_prime(318665857834031151167461)

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from padic_cells.padics import Val
+from padic_cells.padics import INFINITY, Val, ord_p
 from padic_cells.poly import (
     Poly,
     format_poly,
+    newton_min,
     poly_gcd,
     resultant,
     resultant_val,
@@ -133,3 +134,18 @@ def test_format_poly():
     assert format_poly(Poly.of(-1, 0, 1)) == "y^2 - 1"
     assert format_poly(Poly.of()) == "0"
     assert format_poly(Poly.of(Fraction(1, 2), -2)) == "-2*y + 1/2"
+
+
+def test_newton_min_is_the_polygon_envelope():
+    rng = random.Random(7)
+    for _ in range(50):
+        f = Poly.of(*(Fraction(rng.randint(-50, 50), rng.choice([1, 3, 9])) for _ in range(5)))
+        for p in (2, 3, 5):
+            for m in (-1, 0, 2):
+                for start in (0, 1, 3):
+                    vals = [ord_p(f.coeff(i), p) + i * m for i in range(start, f.degree + 1)]
+                    finite = [v.value for v in vals if not v.is_infinite]
+                    want = Val(min(finite)) if finite else INFINITY
+                    assert newton_min(f, p, m, start) == want
+    assert newton_min(Poly.of(), 5) is INFINITY
+    assert newton_min(Poly.of(7), 5, start=1) is INFINITY
