@@ -197,14 +197,15 @@ def _cmd_zeta(args) -> dict:
 def _cmd_oracle_compare(args) -> dict:
     f = parse_poly(args.poly)
     p = args.prime
+    if args.k < 0:
+        raise UnsupportedInputError(f"--k = {args.k} is out of range: it must be at least 0")
     dec = prepare(f, p, _parse_domain(args.domain))
+    counts = [1] + [count_roots_mod(f, p, m) for m in range(1, args.k + 2)]
     table = []
     agree = True
     for m in range(args.k + 1):
         mu = measure_of_order(dec, f, m)
-        n_m = count_roots_mod(f, p, m) if m >= 1 else 1
-        n_m1 = count_roots_mod(f, p, m + 1)
-        oracle = Fraction(n_m, p**m) - Fraction(n_m1, p ** (m + 1))
+        oracle = Fraction(counts[m], p**m) - Fraction(counts[m + 1], p ** (m + 1))
         ok = mu == oracle
         agree = agree and ok
         table.append({"m": m, "cells": _frac_str(mu), "oracle": _frac_str(oracle),

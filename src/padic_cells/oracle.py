@@ -2,9 +2,10 @@
 
 Root counting modulo prime powers by digit-lifting (with a class-level prune
 when the polynomial vanishes identically to the requested depth), exhaustive
-cell-membership verification over all residue classes, and deterministic
-order-law sampling.  Nothing here consults the cell engine's reasoning: the
-checks work from raw membership and evaluation only.
+cell-membership verification over the domain's residue classes, and
+deterministic order-law sampling.  Nothing here consults the cell engine's
+reasoning: the checks work from raw membership and evaluation only, and
+polynomials are evaluated in the oracle's own integer arithmetic.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .cells import Cell1, Decomposition
 from .errors import UnsupportedInputError
 from .hensel import center_proxy, ord_between, taylor_ords
-from .padics import INFINITY, Val, ord_p, require_classes
+from .padics import INFINITY, MAX_CLASSES, Val, ord_p, require_classes
 from .poly import Poly
 
 
@@ -31,27 +33,83 @@ class RootCounts:
                 raise ValueError("root counts violate the lifting bound")
 
 
-def _require_p_integral(f: Poly, p: int) -> Poly:
-    """Clear denominators prime to p; reject p-fractional coefficients."""
-    from math import lcm
+# ---------------------------------------------------------------------------
+# Integer arithmetic: the oracle's own, so that it shares no evaluation code
+# with the engine.
+# ---------------------------------------------------------------------------
 
-    den = 1
-    for c in f.coeffs:
-        den = lcm(den, c.denominator)
-    if den % p == 0:
+
+def _ord_int(n: int, p: int) -> int:
+    """ord_p of a nonzero integer."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def _clear_denominators(f: Poly, p: int) -> tuple[list[int], int]:
+    """Integers c_i with f = (sum c_i y^i) / L, L the lcm of f's
+    denominators, and ord_p(L)."""
+    den = lcm(*(c.denominator for c in f.coeffs))
+    return [c.numerator * (den // c.denominator) for c in f.coeffs], _ord_int(den, p)
+
+
+def _require_p_integral(f: Poly, p: int) -> list[int]:
+    """The integer coefficients of f with its denominators cleared; rejects
+    p-fractional coefficients."""
+    coeffs, shift = _clear_denominators(f, p)
+    if shift:
         raise UnsupportedInputError("coefficient denominators divisible by p")
-    return f * Fraction(den)
+    return coeffs
+
+
+def _eval_mod(coeffs: list[int], y: int, q: int) -> int:
+    """sum c_i y^i mod q, by Horner."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * y + c) % q
+    return acc
+
+
+def _taylor_shift(coeffs: list[int], a: int) -> list[int]:
+    """The coefficients of f(y + a) for f = sum c_i y^i."""
+    b = list(coeffs)
+    for i in range(len(b) - 1):
+        for j in range(len(b) - 1, i, -1):
+            b[j - 1] += a * b[j]
+    return b
+
+
+def _ord_value(coeffs: list[int], shift: int, num: int, den: int, p: int) -> Val:
+    """ord_p f(num/den) for f = (sum c_i y^i) / L with ord_p(L) = shift and
+    den nonzero, from den^deg L f(num/den) = sum c_i num^i den^(deg-i)."""
+    acc, power = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * num + c * power
+        power *= den
+    if acc == 0:
+        return INFINITY
+    return Val(_ord_int(acc, p) - shift - (len(coeffs) - 1) * _ord_int(den, p))
 
 
 def count_roots_mod(f: Poly, p: int, k: int) -> int:
-    """#{ y mod p^k : f(y) = 0 mod p^k }, exact, by digit lifting."""
+    """#{ y mod p^k : f(y) = 0 mod p^k }, exact, by digit lifting.
+
+    Raises UnsupportedInputError unless 1 <= k <= 20 (past 20, p^k is past
+    MAX_CLASSES for every p) and the lifting tests at most MAX_CLASSES
+    classes.  p^k itself may pass MAX_CLASSES: the lifting only follows the
+    roots mod p^j."""
     if f.is_zero:
         raise UnsupportedInputError("zero polynomial")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    f = _require_p_integral(f, p)
+    if not 1 <= k <= MAX_CLASSES.bit_length():
+        raise UnsupportedInputError(
+            f"roots are counted mod p^k for k from 1 to {MAX_CLASSES.bit_length()}, "
+            f"and k = {k} is out of range")
+    coeffs = _require_p_integral(f, p)
 
     total = 0
+    tested = 0
     stack = [(0, 0)]  # (residue, digits fixed)
     while stack:
         c, j = stack.pop()
@@ -59,23 +117,28 @@ def count_roots_mod(f: Poly, p: int, k: int) -> int:
             total += 1
             continue
         # prune: if f vanishes mod p^k on the whole class, count it wholesale
-        sh = f.taylor_shift(Fraction(c))
-        if all(ord_p(sh.coeff(i), p) + i * j >= Val(k) for i in range(len(sh.coeffs))):
+        # (ord b_i + i*j >= k for every Taylor coefficient b_i at c)
+        if all(b % p ** max(k - i * j, 0) == 0 for i, b in enumerate(_taylor_shift(coeffs, c))):
             total += p ** (k - j)
             continue
+        tested += p
+        if tested > MAX_CLASSES:
+            raise UnsupportedInputError(
+                f"counting the roots mod {p}^{k} tests more than {MAX_CLASSES} classes")
         step = p**j
+        q = step * p
         for t in range(p):
             cc = c + t * step
-            if f.eval(Fraction(cc)) % Fraction(p) ** min(k, j + 1) == 0:
+            if _eval_mod(coeffs, cc, q) == 0:
                 stack.append((cc, j + 1))
     return total
 
 
 def count_roots_mod_scan(f: Poly, p: int, k: int) -> int:
     """Full-scan reference counter for validating the pruned version."""
-    f = _require_p_integral(f, p)
+    coeffs = _require_p_integral(f, p)
     q = p**k
-    return sum(1 for y in range(q) if f.eval(Fraction(y)) % q == 0)
+    return sum(1 for y in range(q) if _eval_mod(coeffs, y, q) == 0)
 
 
 def root_counts(f: Poly, p: int, k_max: int) -> RootCounts:
@@ -151,6 +214,15 @@ def _mark_cell(cell: Cell1, k: int, p: int, count: list[int], fuzzy: list[int]) 
                 fuzzy[cls] = 1
 
 
+def _domain_classes(dec: Decomposition, k: int) -> range:
+    """The representatives 0 <= r < p^k that lie in the domain ball."""
+    p, b, rad = dec.prime, dec.domain.center, dec.domain.radius_ord
+    if b.denominator % p == 0:  # ord(r - b) = ord(b) < 0 for every integer r
+        return range(p**k) if ord_p(b, p) >= rad else range(0)
+    step = p ** max(rad, 0)
+    return range(b.numerator * pow(b.denominator, -1, step) % step, p**k, step)
+
+
 def verify_partition(dec: Decomposition, k: int) -> PartitionReport:
     """For every residue class mod p^k: exactly one cell decidedly contains
     it, or the class is flagged undecided (a cell boundary needs more
@@ -164,9 +236,7 @@ def verify_partition(dec: Decomposition, k: int) -> PartitionReport:
         _mark_cell(cell, k, p, count, fuzzy)
     violations = []
     undecided = []
-    for r in range(q):
-        if not dec.domain.contains(Fraction(r), p):
-            continue
+    for r in _domain_classes(dec, k):
         hits = count[r]
         if hits == 1 and not fuzzy[r]:
             continue
@@ -213,11 +283,11 @@ class LawReport:
         }
 
 
-def _cell_samples(cell: Cell1, p: int, n: int, rng: random.Random) -> list[tuple[Fraction, int]]:
-    """Deterministic members (y, m) of a family cell: every residue class at
-    the cell's depth, the first valuations of the range, and random deeper
-    digits."""
-    out: list[tuple[Fraction, int]] = []
+def _cell_samples(cell: Cell1, p: int, n: int, rng: random.Random) -> list[tuple[int, int, int]]:
+    """Deterministic members num/den of a family cell, with m = ord(y - c):
+    every residue class at the cell's depth, the first valuations of the
+    range, and random deeper digits.  Each member is a triple (num, den, m)."""
+    out: list[tuple[int, int, int]] = []
     d = cell.residues.depth
     units = cell.residues.members(p)
     ms = list(cell.m_range.values(limit=4))
@@ -239,13 +309,16 @@ def _cell_samples(cell: Cell1, p: int, n: int, rng: random.Random) -> list[tuple
         return c_proxy
 
     c_proxy = c if isinstance(c, Fraction) else Fraction(0)
+    p3, pd = p**3, p**d
     while len(out) < n:
         for m in ms:
             base = proxy_for(m)
+            # base + (u + extra p^d) p^m over the denominator of base
+            bn, bd = base.numerator, base.denominator
+            scale = bd * p**m
             for u in units:
-                extra = rng.randrange(p**3)
-                member = base + Fraction(u + extra * p**d) * Fraction(p) ** m
-                out.append((member, m))
+                extra = rng.randrange(p3)
+                out.append((bn + (u + extra * pd) * scale, bd, m))
                 if len(out) >= n:
                     return out
         if cell.m_range.hi is None:
@@ -261,6 +334,7 @@ def verify_laws(dec: Decomposition, f: Poly, samples: int = 200, seed: int = 0) 
     p = dec.prime
     rng = random.Random(seed)
     failures: list[LawFailure] = []
+    coeffs, shift = _clear_denominators(f, p)
 
     for idx, cell in enumerate(dec.cells):
         law = cell.law_for(f)
@@ -268,7 +342,7 @@ def verify_laws(dec: Decomposition, f: Poly, samples: int = 200, seed: int = 0) 
             c = cell.center.value
             want = law.apply(None)
             if isinstance(c, Fraction):
-                got = ord_p(f.eval(c), p)
+                got = _ord_value(coeffs, shift, c.numerator, c.denominator, p)
                 if got != want:
                     failures.append(LawFailure(idx, c, want, got))
             else:
@@ -300,22 +374,24 @@ def verify_laws(dec: Decomposition, f: Poly, samples: int = 200, seed: int = 0) 
                     failures.append(LawFailure(idx, rr.approx, want, got))
             continue
         taylor = taylor_ords(f, cell.center.value, p)
-        for member, m in _cell_samples(cell, p, samples, rng):
-            got = ord_p(f.eval(member), p)
-            want = law.apply(m)
+        # per m: the law's value, and the depth-k bound when the law breaks it
+        at_m: dict[int, tuple[Val, Val | None]] = {}
+        for num, den, m in _cell_samples(cell, p, samples, rng):
+            if m not in at_m:
+                want = law.apply(m)
+                bound = min((v + i * m + dec.k_depth for i, v in enumerate(taylor)),
+                            default=INFINITY)
+                at_m[m] = (want, None if want <= bound else bound)
+            want, broken = at_m[m]
+            got = _ord_value(coeffs, shift, num, den, p)
             if got != want:
                 # guard against proxy-precision artifacts for approx centers
+                member = Fraction(num, den)
                 true_m = ord_between(member, cell.center.value, p)
                 if true_m.is_infinite or true_m.value != m:
                     continue
                 failures.append(LawFailure(idx, member, want, got))
-                continue
-            # the coarse inequality with the recorded depth k
-            bound = INFINITY
-            for i, v in enumerate(taylor):
-                vv = v + i * m + dec.k_depth
-                if vv < bound:
-                    bound = vv
-            if not got <= bound:
-                failures.append(LawFailure(idx, member, bound, got))
+            elif broken is not None:
+                # the coarse inequality ord f(y) <= ord(k a_i (y-c)^i)
+                failures.append(LawFailure(idx, Fraction(num, den), broken, got))
     return LawReport(seed, samples, tuple(failures))

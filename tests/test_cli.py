@@ -137,12 +137,15 @@ def test_cli_internal_bound_exit(capsys, monkeypatch):
     (None, ["cv-check", "--prime", "5", "--formula", "ord(y) >= 1",
             "--formula-b", "ord(y) >= 0"], 3),
     ("abc", ["decompose", "--prime", "5", "--poly", "y^2 - 1"], 3),
-    # resource bounds: the domain radius, p^k of the scan, p^depth of digit atoms
+    # resource bounds: the domain radius, p^k of the scan, p^depth of digit
+    # atoms, the depth of oracle-compare's root counts
     (None, ["measure", "--prime", "5", "--domain", "0:100000", "--poly", "y"], 3),
     (None, ["decompose", "--prime", "5", "--poly", "y", "--verify", "--k", "12"], 3),
     (None, ["decompose", "--prime", "5", "--poly", "y", "--verify", "--k", "-1"], 3),
     (None, ["decompose", "--json", "--prime", "5", "--formula", "ac(9, y) = 1"], 3),
     (None, ["decompose", "--prime", "5", "--formula", "rv(9, y) = 0"], 3),
+    (None, ["oracle-compare", "--prime", "5", "--poly", "y", "--k", "-1"], 3),
+    (None, ["oracle-compare", "--prime", "5", "--poly", "y", "--k", "3000"], 3),
     # the least strong pseudoprime to every base of the primality test
     (None, ["measure", "--prime", "318665857834031151167461", "--poly", "y"], 3),
 ])

@@ -39,6 +39,15 @@ def test_count_rejects_p_denominator():
     assert count_roots_mod(Poly.of(Fraction(1, 3), 1), 5, 2) == 1
 
 
+def test_count_bounds():
+    # the depth and the lifting's work are bounded, p^k itself is not: the
+    # level sets at p = 101 behind perfbench's large-prime answers stay countable
+    for p, k in ((5, 0), (5, 21), (1000000007, 1)):
+        with pytest.raises(UnsupportedInputError):
+            count_roots_mod(Poly.of(0, 1), p, k)
+    assert count_roots_mod(Poly.of(-1, 0, 1), 101, 3) == 2
+
+
 def test_root_counts_monotone():
     rc = root_counts(Poly.of(0, 0, 1), 3, 6)
     for a, b in zip(rc.counts, rc.counts[1:]):

@@ -1,0 +1,266 @@
+"""Differential test of the oracle's integer arithmetic against the
+`Fraction` loops it replaced, kept here as the reference: equal reports,
+failures included, on random polynomials, ball domains and broken inputs."""
+
+import random
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+from padic_cells.cells import Ball, Decomposition, OrderLaw
+from padic_cells.decompose import prepare
+from padic_cells.hensel import ord_between, reduce_mod, refine_root, taylor_ords
+from padic_cells.oracle import (
+    LawFailure,
+    LawReport,
+    PartitionReport,
+    _clear_denominators,
+    _mark_cell,
+    _ord_value,
+    count_roots_mod,
+    count_roots_mod_scan,
+    verify_laws,
+    verify_partition,
+)
+from padic_cells.padics import INFINITY, Val, ord_p
+from padic_cells.poly import Poly
+
+PRIMES = (2, 3, 5, 7, 11)
+
+
+# ---------------------------------------------------------------------------
+# The reference: the Fraction loops, verbatim in what they compute.
+# ---------------------------------------------------------------------------
+
+
+def ref_count_roots_mod(f: Poly, p: int, k: int) -> int:
+    from math import lcm
+
+    den = 1
+    for c in f.coeffs:
+        den = lcm(den, c.denominator)
+    f = f * Fraction(den)
+    total = 0
+    stack = [(0, 0)]
+    while stack:
+        c, j = stack.pop()
+        if j == k:
+            total += 1
+            continue
+        sh = f.taylor_shift(Fraction(c))
+        if all(ord_p(sh.coeff(i), p) + i * j >= Val(k) for i in range(len(sh.coeffs))):
+            total += p ** (k - j)
+            continue
+        for t in range(p):
+            cc = c + t * p**j
+            if f.eval(Fraction(cc)) % Fraction(p) ** min(k, j + 1) == 0:
+                stack.append((cc, j + 1))
+    return total
+
+
+def ref_verify_partition(dec: Decomposition, k: int) -> PartitionReport:
+    p = dec.prime
+    q = p**k
+    count = [0] * q
+    fuzzy = [0] * q
+    for cell in dec.cells:
+        _mark_cell(cell, k, p, count, fuzzy)
+    violations, undecided = [], []
+    for r in range(q):
+        if not dec.domain.contains(Fraction(r), p):
+            continue
+        hits = count[r]
+        if hits == 1 and not fuzzy[r]:
+            continue
+        if fuzzy[r] and hits <= 1:
+            undecided.append(r)
+        else:
+            violations.append((r, hits))
+    return PartitionReport(p, k, tuple(violations), tuple(undecided))
+
+
+def ref_cell_samples(cell, p, n, rng):
+    out = []
+    d = cell.residues.depth
+    units = cell.residues.members(p)
+    ms = list(cell.m_range.values(limit=4))
+    if cell.m_range.hi is not None:
+        tail = [m for m in cell.m_range.values() if m >= cell.m_range.hi - 2 * cell.m_range.step]
+        ms = sorted(set(ms + tail))
+    c = cell.center.value
+    precision = 0
+    c_proxy = c if isinstance(c, Fraction) else Fraction(0)
+    while len(out) < n:
+        for m in ms:
+            need = m + d + 10
+            if need > precision:
+                precision = need + 16
+                if not isinstance(c, Fraction):
+                    c_proxy = reduce_mod(refine_root(c, precision).approx, p, precision)
+            for u in units:
+                extra = rng.randrange(p**3)
+                out.append((c_proxy + Fraction(u + extra * p**d) * Fraction(p) ** m, m))
+                if len(out) >= n:
+                    return out
+        if cell.m_range.hi is None:
+            ms = [m + cell.m_range.step for m in ms[-2:]]
+    return out
+
+
+def ref_verify_laws(dec: Decomposition, f: Poly, samples: int = 200, seed: int = 0) -> LawReport:
+    p = dec.prime
+    rng = random.Random(seed)
+    failures = []
+    for idx, cell in enumerate(dec.cells):
+        law = cell.law_for(f)
+        if cell.is_point:
+            c = cell.center.value
+            want = law.apply(None)
+            if isinstance(c, Fraction):
+                got = ord_p(f.eval(c), p)
+                if got != want:
+                    failures.append(LawFailure(idx, c, want, got))
+            else:
+                floor = 8 if want.is_infinite else abs(want.value) + 8
+                ok = False
+                rr = c
+                for _ in range(6):
+                    rr = refine_root(c, floor)
+                    sh = f.taylor_shift(rr.approx)
+                    got = ord_p(sh.coeff(0), p)
+                    cmin = INFINITY
+                    for i in range(1, len(sh.coeffs)):
+                        t = ord_p(sh.coeff(i), p)
+                        if t < cmin:
+                            cmin = t
+                    bound = cmin + rr.precision
+                    if want.is_infinite:
+                        ok = got >= bound
+                        break
+                    if bound > want:
+                        ok = got == want
+                        break
+                    floor = 2 * floor + 8
+                if not ok:
+                    failures.append(LawFailure(idx, rr.approx, want, got))
+            continue
+        taylor = taylor_ords(f, cell.center.value, p)
+        for member, m in ref_cell_samples(cell, p, samples, rng):
+            got = ord_p(f.eval(member), p)
+            want = law.apply(m)
+            if got != want:
+                true_m = ord_between(member, cell.center.value, p)
+                if true_m.is_infinite or true_m.value != m:
+                    continue
+                failures.append(LawFailure(idx, member, want, got))
+                continue
+            bound = INFINITY
+            for i, v in enumerate(taylor):
+                vv = v + i * m + dec.k_depth
+                if vv < bound:
+                    bound = vv
+            if not got <= bound:
+                failures.append(LawFailure(idx, member, bound, got))
+    return LawReport(seed, samples, tuple(failures))
+
+
+# ---------------------------------------------------------------------------
+# The cases.
+# ---------------------------------------------------------------------------
+
+
+def _depth(p: int) -> int:
+    """The largest k with p^k <= 10^4."""
+    k = 1
+    while p ** (k + 1) <= 10**4:
+        k += 1
+    return k
+
+
+def _random_poly(rng: random.Random, p: int) -> Poly:
+    """Degree 1-5, small coefficients, denominators prime to p."""
+    deg = rng.randint(1, 5)
+    dens = [d for d in (1, 1, 1, 2, 3, 4, 6) if d % p]
+    coeffs = [Fraction(rng.randint(-12, 12), rng.choice(dens)) for _ in range(deg)]
+    coeffs.append(Fraction(rng.choice([c for c in range(-6, 7) if c]), rng.choice(dens)))
+    return Poly.of(*coeffs)
+
+
+def _assert_same(dec: Decomposition, f: Poly, k: int, samples: int = 30) -> None:
+    assert verify_partition(dec, k) == ref_verify_partition(dec, k)
+    assert verify_laws(dec, f, samples=samples, seed=7) == ref_verify_laws(dec, f, samples=samples, seed=7)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_random_polynomials_agree_with_the_fraction_loops(p):
+    rng = random.Random(1000 + p)
+    k = _depth(p)
+    for _ in range(3):
+        f = _random_poly(rng, p)
+        _assert_same(prepare(f, p), f, k)
+        for j in range(1, min(k, 3) + 1):
+            assert count_roots_mod(f, p, j) == ref_count_roots_mod(f, p, j)
+            assert count_roots_mod_scan(f, p, j) == ref_count_roots_mod(f, p, j)
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_ball_domains_agree_with_the_fraction_loops(p):
+    rng = random.Random(2000 + p)
+    k = _depth(p)
+    for center, radius in ((Fraction(2), 1), (Fraction(1, 2), 2), (Fraction(7), k),
+                           (Fraction(-1, 4), k + 1), (Fraction(4), k + 3)):
+        f = _random_poly(rng, p)
+        _assert_same(prepare(f, p, Ball(center, radius)), f, k)
+
+
+def test_domains_outside_the_engine_contract_agree():
+    # hand-made decompositions may carry any ball: a p-fractional center, a
+    # negative radius; the scan then keeps all classes or none, as before
+    p, k = 3, 4
+    f = Poly.of(-2, 0, 1)
+    dec = prepare(f, p)
+    for domain in (Ball(Fraction(1, 3), -1), Ball(Fraction(1, 3), 0), Ball(Fraction(5), -2)):
+        moved = replace(dec, domain=domain)
+        assert verify_partition(moved, k) == ref_verify_partition(moved, k)
+
+
+def test_rational_centers_and_p_fractional_polynomials_agree():
+    # samples around 2/3 and -1/2 have a denominator; 1/5, 2/9, 1/2 are p-fractional
+    for p, f in ((5, Poly.of(-2, 3)), (7, Poly.of(-2, -1, 6)),
+                 (5, Poly.of(Fraction(-1, 5), 1)), (3, Poly.of(1, Fraction(2, 9), 0, 1)),
+                 (2, Poly.of(Fraction(1, 2), 0, Fraction(3, 4)))):
+        _assert_same(prepare(f, p), f, _depth(p))
+
+
+@pytest.mark.parametrize("p,f", [(5, Poly.of(-6, 0, 1)), (7, Poly.of(-2, -1, 6))])
+def test_broken_decompositions_report_the_same_faults(p, f):
+    dec = prepare(f, p)
+    k = _depth(p)
+    # a dropped cell leaves classes uncovered
+    dropped = replace(dec, cells=dec.cells[:1] + dec.cells[2:])
+    new, ref = verify_partition(dropped, k), ref_verify_partition(dropped, k)
+    assert new == ref and new.violations
+    # tampered laws fail on their cells' samples, the same members in both
+    broken = {i for i, c in enumerate(dec.cells)
+              if not c.is_point and not c.law_for(f).e0.is_infinite}
+    cells = tuple(replace(c, laws=tuple((g, OrderLaw(law.e0 + 1, law.i0)) for g, law in c.laws))
+                  if i in broken else c for i, c in enumerate(dec.cells))
+    tampered = replace(dec, cells=cells)
+    new, ref = verify_laws(tampered, f, samples=40), ref_verify_laws(tampered, f, samples=40)
+    assert new == ref
+    assert {x.cell_index for x in new.failures} == broken
+    # a recorded depth too small for the laws breaks the depth-k inequality
+    shallow = replace(dec, k_depth=-5)
+    new, ref = verify_laws(shallow, f, samples=40), ref_verify_laws(shallow, f, samples=40)
+    assert new == ref and new.failures
+
+
+def test_integer_valuation_matches_fractions():
+    rng = random.Random(5)
+    for p in PRIMES:
+        for _ in range(40):
+            f = _random_poly(rng, p) * Poly.of(Fraction(1, p ** rng.randint(0, 2)))
+            coeffs, shift = _clear_denominators(f, p)
+            x = Fraction(rng.randint(-500, 500), rng.choice([1, 2, 3, p, p * p, 7 * p]))
+            assert _ord_value(coeffs, shift, x.numerator, x.denominator, p) == ord_p(f.eval(x), p)
