@@ -24,7 +24,7 @@ from .measure import (
     igusa_zeta,
     measure_of_order,
 )
-from .oracle import count_roots_mod, verify_laws, verify_partition
+from .oracle import order_tails, verify_laws, verify_partition
 from .parser import parse_formula, parse_poly
 from .poly import Poly, format_poly
 
@@ -199,13 +199,14 @@ def _cmd_oracle_compare(args) -> dict:
     p = args.prime
     if args.k < 0:
         raise UnsupportedInputError(f"--k = {args.k} is out of range: it must be at least 0")
-    dec = prepare(f, p, _parse_domain(args.domain))
-    counts = [1] + [count_roots_mod(f, p, m) for m in range(1, args.k + 2)]
+    domain = _parse_domain(args.domain)
+    dec = prepare(f, p, domain)
+    tails = order_tails(f, p, domain, args.k + 1)
     table = []
     agree = True
     for m in range(args.k + 1):
         mu = measure_of_order(dec, f, m)
-        oracle = Fraction(counts[m], p**m) - Fraction(counts[m + 1], p ** (m + 1))
+        oracle = tails[m] - tails[m + 1]
         ok = mu == oracle
         agree = agree and ok
         table.append({"m": m, "cells": _frac_str(mu), "oracle": _frac_str(oracle),

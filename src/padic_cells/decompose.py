@@ -1,17 +1,19 @@
-"""Cell decomposition of Z_p adapted to polynomial valuation data.
+"""Cell decomposition of a ball in Z_p adapted to polynomial valuation data.
 
-`prepare` follows the constructive recursion on the degree: decompose for
-the derivative first, then give every inherited family cell a law for the
-polynomial.  The polynomial is Taylor-expanded at the cell's center and the
-valuation range is partitioned at the breakpoints of the Newton polygon of
-the Taylor coefficients.  Where one term dominates strictly the range keeps
+`prepare` follows the constructive recursion on the degree, on the domain
+ball B(b, r) itself (Z_p is B(0, 0)): it starts from the point b and the
+spheres ord(y - b) = m >= r, decomposes for the derivative first, then
+gives every inherited family cell a law for the polynomial.  The polynomial
+is Taylor-expanded at the cell's center and the valuation range is
+partitioned at the breakpoints of the Newton polygon of the Taylor
+coefficients.  Where one term dominates strictly the range keeps
 an exact order law (case B1); where terms tie, each residue class either
 contains a certified root of the squarefree part -- it is then re-centered
 at that root, realizing the Hensel law ord f(y) = ord b1 + ord(y - c) (case
 B2) -- or it is translated one digit deeper.  Either way the class becomes a
 point cell and a new family cell, which is processed in turn.  Every cell
 `prepare` builds has level 1 and, if a family, all units at depth 1.
-Descents are capped by a resultant-based budget.
+Descents below the ball's radius are capped by a resultant-based budget.
 
 `decompose_set` applies `prepare` to every polynomial of a quantifier-free
 formula, forms the common refinement, and splits cells until every atom is
@@ -56,7 +58,6 @@ from .hensel import (
     exact_value,
     make_root_approx,
     ord_of_poly_at,
-    scale_center,
     shift_center,
     taylor_ords,
     transfer_basin,
@@ -282,45 +283,45 @@ def _taylor_coeff_terms(w: Poly, c_term: Term, c_value: CenterValue) -> tuple[Te
     return tuple(terms)
 
 
-def _base_cells(p: int, laws: dict[Poly, OrderLaw]) -> list[Cell1]:
-    """The canonical decomposition of Z_p around 0: the origin plus the
-    family of spheres ord(y) = m >= 0."""
-    zero = Center(Fraction(0), 1, TConst(Fraction(0)))
+def _base_cells(p: int, domain: Ball, laws: dict[Poly, OrderLaw]) -> list[Cell1]:
+    """The canonical decomposition of the ball B(b, r) around b: the point b
+    plus the family of spheres ord(y - b) = m >= r."""
+    b = Fraction(domain.center)
+    center = Center(b, 1, TConst(b))
     return [
-        Cell1(p, zero, None, None, laws),
-        Cell1(p, zero, ArithRange(0, None), Residues(1, None), laws),
+        Cell1(p, center, None, None, laws),
+        Cell1(p, center, ArithRange(domain.radius_ord, None), Residues(1, None), laws),
     ]
 
 
-def _prepare_zp(f: Poly, p: int, budget: int) -> list[Cell1]:
+def _prepare_ball(f: Poly, p: int, domain: Ball, budget: int) -> list[Cell1]:
     if f.degree == 0:
-        return _base_cells(p, {f: OrderLaw(ord_p(f.coeff(0), p), 0)})
+        return _base_cells(p, domain, {f: OrderLaw(ord_p(f.coeff(0), p), 0)})
     if f.degree == 1:
-        return _prepare_linear(f, p)
+        return _prepare_linear(f, p, domain)
 
     # every cell built here has level 1 and, when it is a family, all units
     # at depth 1; a family still without a law for f is a work item
     w = squarefree_part(f)
     out: list[Cell1] = []
     work: list[Cell1] = []
-    for cell in _prepare_zp(f.derivative(), p, budget):
+    for cell in _prepare_ball(f.derivative(), p, domain, budget):
         if cell.is_point:
             out.append(cell.with_laws({f: OrderLaw(ord_of_poly_at(f, cell.center.value, p), 0)}))
         else:
             work.append(cell)
     while work:
-        _process_box(f, w, p, work.pop(), out, work, budget)
+        _process_box(f, w, p, work.pop(), out, work, domain.radius_ord, budget)
     return out
 
 
-def _prepare_linear(f: Poly, p: int) -> list[Cell1]:
-    """Linear polynomials: center globally at the root when it is p-integral."""
+def _prepare_linear(f: Poly, p: int, domain: Ball) -> list[Cell1]:
+    """Linear polynomials: center at the root when it lies in the ball."""
     a0, a1 = f.coeff(0), f.coeff(1)
     df = f.derivative()
     root = -a0 / a1
-    v_root = ord_p(root, p)
     d1_law = OrderLaw(ord_p(a1, p), 0)
-    if v_root.is_infinite or v_root.value >= 0:
+    if ord_p(root - domain.center, p) >= domain.radius_ord:
         if root == 0:
             term: Term = TConst(Fraction(0))
         else:
@@ -328,19 +329,20 @@ def _prepare_linear(f: Poly, p: int) -> list[Cell1]:
         center = Center(root, 1, term)
         return [
             Cell1(p, center, None, None, {f: OrderLaw(INFINITY, 0), df: d1_law}),
-            Cell1(p, center, ArithRange(0, None), Residues(1, None),
+            Cell1(p, center, ArithRange(domain.radius_ord, None), Residues(1, None),
                   {f: OrderLaw(ord_p(a1, p), 1), df: d1_law}),
         ]
-    # root outside Z_p: ord f is the constant ord(a0) on Z_p
-    return _base_cells(p, {f: OrderLaw(ord_p(a0, p), 0), df: d1_law})
+    # root outside the ball: ord f is the constant ord f(b) on the ball
+    return _base_cells(p, domain, {f: OrderLaw(ord_p(f.eval(domain.center), p), 0),
+                                   df: d1_law})
 
 
-def _process_box(
-    f: Poly, w: Poly, p: int, cell: Cell1, out: list[Cell1], work: list[Cell1], budget: int
-) -> None:
+def _process_box(f: Poly, w: Poly, p: int, cell: Cell1, out: list[Cell1], work: list[Cell1],
+                 r: int, budget: int) -> None:
     """Give a family cell laws for f: keep the strict regions of the Newton
     polygon, and split each tie into a point cell and a family cell per
-    residue class, the family going back on the work list."""
+    residue class, the family going back on the work list.  Descents are
+    counted from the domain radius r."""
     ords = taylor_ords(f, cell.center.value, p)
     lines = [(i, v.value) for i, v in enumerate(ords) if not v.is_infinite]
     if not lines:
@@ -354,10 +356,10 @@ def _process_box(
                        .with_laws({f: OrderLaw(Val(line_val[i0]), i0)}))
             continue
         m_star = region[1]
-        if m_star + 1 > budget:
+        if m_star + 1 - r > budget:
             raise InternalBoundError(
                 f"descent for {format_poly(f)} (p = {p}) around the center {cell.center} "
-                f"reached depth {m_star + 1}, past the termination budget {budget}"
+                f"reached depth {m_star + 1 - r}, past the termination budget {budget}"
             )
         frozen = cell.frozen_laws(m_star)
         for u0 in range(1, p):
@@ -396,38 +398,16 @@ def _split_tie_class(f: Poly, w: Poly, p: int, center: Center, off: Fraction, ba
 
 
 def prepare(f: Poly, p: int, domain: Ball = ZP) -> Decomposition:
-    """A decomposition of the domain with an exact order law for f (and for
-    the whole derivative tower, inherited from the recursion) on every cell."""
+    """A decomposition of the domain ball with an exact order law for f (and
+    for the whole derivative tower, inherited from the recursion) on every
+    cell.  The recursion runs on the ball itself, with centers in f's own
+    coordinates; descents are counted from the ball's radius, so the budget
+    bounds the depth below the ball, not below Z_p."""
     _check_input(p, domain)
     if f.is_zero:
         raise UnsupportedInputError("cannot decompose for the zero polynomial")
-    budget = _budget(f, p)
-    if domain == ZP:
-        cells = _prepare_zp(f, p, budget)
-    else:
-        scale = Fraction(p) ** domain.radius_ord
-        g = f.shift_var(scale, domain.center)
-        cells = [_map_cell_back(c, f, g, domain, p) for c in _prepare_zp(g, p, budget)]
+    cells = _prepare_ball(f, p, domain, _budget(f, p))
     return Decomposition(p, domain, sorted_cells(cells))
-
-
-def _map_cell_back(cell: Cell1, f: Poly, g: Poly, domain: Ball, p: int) -> Cell1:
-    """Transport a cell for g(z) = f(b + p^r z) on Z_p back to the ball."""
-    r = domain.radius_ord
-    scale = Fraction(p) ** r
-    new_value = scale_center(cell.center.value, Fraction(domain.center), r, p)
-    term = cell.center.term
-    if term is not None:
-        term = TConst(Fraction(domain.center)) if _term_is_zero(term) \
-            else TAdd(TConst(Fraction(domain.center)), TMul(TConst(scale), term))
-    # ord f(y) at ord(y - c) = m equals the g-law at m - r
-    g_law = cell.law_for(g)
-    laws = {f: OrderLaw(g_law.e0 + (-g_law.i0 * r), g_law.i0)}
-    rng = cell.m_range
-    if rng is not None:
-        rng = ArithRange(rng.lo + r, None if rng.hi is None else rng.hi + r, rng.step)
-    return replace(cell, center=Center(new_value, cell.center.level, term), m_range=rng,
-                   laws=laws)
 
 
 # ---------------------------------------------------------------------------

@@ -164,26 +164,19 @@ def _try_exact(w: Poly, z: Fraction, p: int, prec: int) -> Fraction | None:
     return None
 
 
-def make_root_approx(
-    witness: Poly,
-    approx: Fraction,
-    p: int,
-    tag_depth: int,
-    min_precision: int = 0,
-) -> PadicApprox:
+def make_root_approx(witness: Poly, approx: Fraction, p: int, tag_depth: int) -> PadicApprox:
     """Package a Newton-certified point as a PadicApprox with a stamped rv-tag."""
     dw = witness.derivative()
     fz = witness.eval(approx)
-    if fz == 0:
-        prec = min_precision
-    else:
+    prec = 0
+    if fz != 0:
         vf, vd = ord_p(fz, p), ord_p(dw.eval(approx), p)
         if not vf > vd * 2:
             raise ValueError("point is not Newton-certified for the witness")
         prec = vf.value - vd.value
     e1 = ord_p(dw.eval(approx), p)
     default = 2 * ((0 if e1.is_infinite else max(e1.value, 0)) + tag_depth) + 4
-    target = max(prec, default, min_precision)
+    target = max(prec, default)
     z, prec = (approx, target) if fz == 0 else _newton(witness, approx, p, target)
     exact = _try_exact(witness, z, p, prec)
     if exact is not None:
@@ -598,15 +591,3 @@ def shift_center(center: CenterValue, offset: Fraction) -> CenterValue:
         rr = refine_root(rr, vz.value + depth + 1)
     tag = RvData.zero(depth) if vz.is_infinite else rv(rr.approx, p, depth)
     return replace(rr, rv_tag=tag)
-
-
-def scale_center(center: CenterValue, offset: Fraction, r: int, p: int) -> CenterValue:
-    """offset + p^r * center: where a center in Z_p lands in the ball
-    B(offset, r).  An inexact root is re-packaged for the mapped witness."""
-    scale = Fraction(p) ** r
-    x = exact_value(center)
-    if x is not None:
-        return offset + scale * x
-    wit = center.witness.shift_var(1 / scale, -offset / scale).monic()
-    return make_root_approx(wit, offset + scale * center.approx, p,
-                            center.rv_tag.depth, center.precision + r)

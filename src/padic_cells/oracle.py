@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .cells import Cell1, Decomposition
+from .cells import Ball, Cell1, Decomposition
 from .errors import UnsupportedInputError
-from .hensel import center_proxy, ord_between, taylor_ords
+from .hensel import center_proxy, ord_between, refine_root, taylor_ords
 from .padics import INFINITY, MAX_CLASSES, Val, ord_p, require_classes
 from .poly import Poly
 
@@ -64,6 +64,11 @@ def _require_p_integral(f: Poly, p: int) -> list[int]:
     return coeffs
 
 
+def _residue(x: Fraction, q: int) -> int:
+    """The integer 0 <= r < q congruent to x mod q (x's denominator prime to q)."""
+    return x.numerator * pow(x.denominator, -1, q) % q
+
+
 def _eval_mod(coeffs: list[int], y: int, q: int) -> int:
     """sum c_i y^i mod q, by Horner."""
     acc = 0
@@ -93,8 +98,9 @@ def _ord_value(coeffs: list[int], shift: int, num: int, den: int, p: int) -> Val
     return Val(_ord_int(acc, p) - shift - (len(coeffs) - 1) * _ord_int(den, p))
 
 
-def count_roots_mod(f: Poly, p: int, k: int) -> int:
-    """#{ y mod p^k : f(y) = 0 mod p^k }, exact, by digit lifting.
+def count_roots_mod(f: Poly, p: int, k: int, start: tuple[int, int] = (0, 0)) -> int:
+    """#{ y mod p^k : y = c mod p^j, f(y) = 0 mod p^k } for start = (c, j)
+    with 0 <= j <= k, exact, by digit lifting from the class c mod p^j.
 
     Raises UnsupportedInputError unless 1 <= k <= 20 (past 20, p^k is past
     MAX_CLASSES for every p) and the lifting tests at most MAX_CLASSES
@@ -106,11 +112,15 @@ def count_roots_mod(f: Poly, p: int, k: int) -> int:
         raise UnsupportedInputError(
             f"roots are counted mod p^k for k from 1 to {MAX_CLASSES.bit_length()}, "
             f"and k = {k} is out of range")
+    c, j = start
+    if not 0 <= j <= k:
+        raise ValueError(f"the class mod p^{j} is not inside the count mod p^{k}")
     coeffs = _require_p_integral(f, p)
 
     total = 0
     tested = 0
-    stack = [(0, 0)]  # (residue, digits fixed)
+    c %= p**j
+    stack = [(c, j)] if _eval_mod(coeffs, c, p**j) == 0 else []  # (residue, digits fixed)
     while stack:
         c, j = stack.pop()
         if j == k:
@@ -145,6 +155,25 @@ def root_counts(f: Poly, p: int, k_max: int) -> RootCounts:
     return RootCounts(p, tuple(count_roots_mod(f, p, k) for k in range(1, k_max + 1)))
 
 
+def order_tails(f: Poly, p: int, domain: Ball, k: int) -> list[Fraction]:
+    """mu{y in the ball B(b, r) : ord f(y) >= m} for m = 0..k.
+
+    Past r, the roots mod p^m are counted in the ball's class b mod p^r; up
+    to r, f is constant mod p^r on the ball, so the whole ball has
+    ord f >= m or none of it does, as f(b) says."""
+    coeffs = _require_p_integral(f, p)
+    r = domain.radius_ord
+    c = _residue(domain.center, p**r)
+    tails = []
+    for m in range(k + 1):
+        if m <= r:
+            hit = _eval_mod(coeffs, c, p**m) == 0
+            tails.append(Fraction(1, p**r) if hit else Fraction(0))
+        else:
+            tails.append(Fraction(count_roots_mod(f, p, m, (c, r)), p**m))
+    return tails
+
+
 # ---------------------------------------------------------------------------
 # Partition verification over residue classes.
 # ---------------------------------------------------------------------------
@@ -161,21 +190,10 @@ class PartitionReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def as_json(self) -> dict:
-        return {
-            "prime": self.prime,
-            "depth": self.depth,
-            "ok": self.ok,
-            "violations": [{"class": str(c), "cells": n} for c, n in self.violations],
-            "undecided": [str(c) for c in self.undecided],
-        }
-
 
 def _center_mod(cell: Cell1, k: int, p: int) -> int:
     """The center reduced mod p^k (centers of Z_p-cells are p-integral)."""
-    c = center_proxy(cell.center.value, p, k + 2)
-    q = p**k
-    return c.numerator * pow(c.denominator, -1, q) % q
+    return _residue(center_proxy(cell.center.value, p, k + 2), p**k)
 
 
 def _mark_cell(cell: Cell1, k: int, p: int, count: list[int], fuzzy: list[int]) -> None:
@@ -220,7 +238,7 @@ def _domain_classes(dec: Decomposition, k: int) -> range:
     if b.denominator % p == 0:  # ord(r - b) = ord(b) < 0 for every integer r
         return range(p**k) if ord_p(b, p) >= rad else range(0)
     step = p ** max(rad, 0)
-    return range(b.numerator * pow(b.denominator, -1, step) % step, p**k, step)
+    return range(_residue(b, step), p**k, step)
 
 
 def verify_partition(dec: Decomposition, k: int) -> PartitionReport:
@@ -270,18 +288,6 @@ class LawReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def as_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "samples_per_cell": self.samples,
-            "ok": self.ok,
-            "failures": [
-                {"cell": x.cell_index, "member": str(x.member),
-                 "expected": str(x.expected), "got": str(x.got)}
-                for x in self.failures
-            ],
-        }
-
 
 def _cell_samples(cell: Cell1, p: int, n: int, rng: random.Random) -> list[tuple[int, int, int]]:
     """Deterministic members num/den of a family cell, with m = ord(y - c):
@@ -294,21 +300,16 @@ def _cell_samples(cell: Cell1, p: int, n: int, rng: random.Random) -> list[tuple
     if cell.m_range.hi is not None:
         tail = [m for m in cell.m_range.values() if m >= cell.m_range.hi - 2 * cell.m_range.step]
         ms = sorted(set(ms + tail))
-    from .hensel import reduce_mod, refine_root
-
-    c = cell.center.value
-    precision = 0
+    precision, c_proxy = 0, Fraction(0)
 
     def proxy_for(m: int) -> Fraction:
         nonlocal precision, c_proxy
         need = m + d + 10
         if need > precision:
             precision = need + 16
-            if not isinstance(c, Fraction):
-                c_proxy = reduce_mod(refine_root(c, precision).approx, p, precision)
+            c_proxy = center_proxy(cell.center.value, p, precision)
         return c_proxy
 
-    c_proxy = c if isinstance(c, Fraction) else Fraction(0)
     p3, pd = p**3, p**d
     while len(out) < n:
         for m in ms:
@@ -348,8 +349,6 @@ def verify_laws(dec: Decomposition, f: Poly, samples: int = 200, seed: int = 0) 
             else:
                 # evaluate at a certified refinement of the center; the value
                 # is only pinned modulo p^(precision + min Taylor-tail ord)
-                from .hensel import refine_root
-
                 floor = 8 if want.is_infinite else abs(want.value) + 8
                 ok = False
                 rr = c

@@ -166,7 +166,7 @@ class _Parser:
             self.next("-")
             return -self._poly_factor()
         if tok.kind == "int":
-            return Poly.constant(self.parse_rational())
+            return Poly.of(self.parse_rational())
         if tok.kind == "name":
             if tok.text != "y":
                 raise ParseError(f"unknown name {tok.text!r} (the variable is y)", tok.pos)

@@ -28,10 +28,6 @@ class Poly:
             cs.pop()
         return Poly(tuple(cs))
 
-    @staticmethod
-    def constant(c: Rat) -> "Poly":
-        return Poly.of(c)
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1

@@ -157,6 +157,30 @@ def test_cli_rejects_bad_input(capsys, monkeypatch, env, argv, want):
     assert code == want and out == "" and err
 
 
+@pytest.mark.parametrize("command", [
+    ["decompose", "--verify", "--poly", "y^3 - y"],
+    ["measure", "--poly", "y^3 - y", "--ord", "1"],
+    ["zeta", "--poly", "y^3 - y"],
+    ["oracle-compare", "--poly", "y^3 - y", "--k", "4"],
+    ["chi", "--formula", "ord(y^2 - 1) >= 1"],
+    ["cv-check", "--formula", "ord(y - 1) >= 1", "--formula-b", "!(ord(y - 1) < 1)"],
+    ["dim", "--formula", "y^2 - 1 = 0"],
+    ["preserves-balls", "--poly", "y^3 - y"],
+])
+def test_cli_subcommands_on_a_ball(capsys, command):
+    # every subcommand works on the ball 1 + 3^2 Z_3, which holds the root 1
+    code, out, err = run_cli(capsys, *command, "--prime", "3", "--domain", "1:2", "--json")
+    assert code == 0, err
+    payload = json.loads(out)
+    if command[0] == "preserves-balls":
+        assert payload["all_ball_or_point"] is True
+    if command[0] == "oracle-compare":
+        assert payload["agree"] is True
+    if command[0] == "decompose":
+        assert payload["verify"]["partition_violations"] == 0
+        assert payload["verify"]["law_failures"] == 0
+
+
 def test_cli_measure_at_a_large_prime(capsys):
     code, out, _ = run_cli(capsys, "measure", "--prime", "1000000007", "--poly", "y", "--json")
     assert code == 0 and json.loads(out)["measure"] == "1"

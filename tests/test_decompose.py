@@ -3,7 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from padic_cells.cells import Ball, TAdd, contains
+from conftest import PRIMES
+
+from padic_cells.cells import (
+    ZP,
+    ArithRange,
+    Ball,
+    Cell1,
+    Center,
+    Decomposition,
+    Residues,
+    TAdd,
+    contains,
+    intersect_cells,
+)
 from padic_cells.decompose import (
     AcEq,
     FAnd,
@@ -19,6 +32,7 @@ from padic_cells.decompose import (
     preserves_balls_report,
 )
 from padic_cells.errors import UnsupportedInputError
+from padic_cells.hensel import center_proxy
 from padic_cells.measure import (
     decomposition_measure,
     exact_partition_check,
@@ -87,15 +101,16 @@ def test_prepare_multiplicity_law():
     assert verify_laws(D, f, samples=120).ok
 
 
-def test_prepare_derivative_tower_laws():
+@pytest.mark.parametrize("domain", [ZP, Ball(Fraction(1), 1), Ball(Fraction(3), 2)],
+                         ids=["zp", "B(1,1)", "B(3,2)"])
+def test_prepare_derivative_tower_laws(domain):
+    # every cell carries an exact law for f, f' and f'', on Z_p and on balls
     f = Poly.of(0, -1, 0, 1)  # y^3 - y
-    D = prepare(f, 7)
-    df, ddf = f.derivative(), f.derivative().derivative()
-    for cell in D.cells:
-        assert cell.law_for(f) is not None
-        assert cell.law_for(df) is not None
-        assert cell.law_for(ddf) is not None
-    assert verify_laws(D, df, samples=80).ok
+    D = prepare(f, 7, domain)
+    for q in (f, f.derivative(), f.derivative().derivative()):
+        for cell in D.cells:
+            assert cell.law_for(q) is not None
+        assert verify_laws(D, q, samples=80).ok
 
 
 def test_prepare_on_sub_ball():
@@ -123,8 +138,8 @@ def test_prepare_on_sub_ball():
     ([1, 0, 1], 5, 7, 1),       # sqrt(-1) in 2 + 5 Z_5
 ])
 def test_prepare_on_sub_ball_with_hensel_centers(coeffs, p, center, radius):
-    # irrational roots inside the ball: the centers come back through the
-    # inexact branch of scale_center, with terms of the form b + p^r * t
+    # irrational roots inside the ball: Hensel centers found around the
+    # ball's center b, with terms of the form b + h(...)
     f = Poly.of(*coeffs)
     D = prepare(f, p, Ball(Fraction(center), radius))
     roots = [c for c in D.cells if not c.center.is_rational]
@@ -133,6 +148,35 @@ def test_prepare_on_sub_ball_with_hensel_centers(coeffs, p, center, radius):
     assert exact_partition_check(D).ok
     assert verify_partition(D, 4).ok
     assert verify_laws(D, f, samples=50).ok
+
+
+def test_prepare_on_a_deep_ball():
+    # the descent budget counts from the ball's radius: a ball of radius 20
+    # around sqrt(2) in Z_7 descends past the budget of Z_p and still ends
+    f = Poly.of(-2, 0, 1)
+    root = next(c.center.value for c in prepare(f, 7).cells if not c.center.is_rational)
+    D = prepare(f, 7, Ball(center_proxy(root, 7, 20), 20))
+    assert any(c.is_point and c.law_for(f).e0.is_infinite for c in D.cells)
+    assert exact_partition_check(D).ok
+    assert verify_laws(D, f, samples=50).ok
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_ball_domain_is_the_zp_decomposition_restricted(corpus, corpus_decompositions, p):
+    # prepare on B(b, r) measures the level sets of ord f like the Z_p
+    # decomposition cut down to the ball: the point b plus ord(y - b) >= r
+    for b, r in ((1, 1), (2, 1), (3, 2)):
+        ball = Ball(Fraction(b), r)
+        center = Center(Fraction(b), 1, None)
+        halves = [Cell1(p, center, None, None, {}),
+                  Cell1(p, center, ArithRange(r, None), Residues(1, None), {})]
+        for name, f in corpus.items():
+            cut = Decomposition(p, ball, tuple(
+                piece for cell in corpus_decompositions[name, p].cells for half in halves
+                for piece in intersect_cells(cell, half)))
+            D = prepare(f, p, ball)
+            for m in range(r + 5):
+                assert measure_of_order(cut, f, m) == measure_of_order(D, f, m), (f, b, r, m)
 
 
 def test_budget_env_override():

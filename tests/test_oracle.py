@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from padic_cells.cells import ArithRange, Cell1, Center, Decomposition, OrderLaw, Residues, TConst, ZP, sorted_cells
+from padic_cells.cells import (ArithRange, Ball, Cell1, Center, Decomposition, OrderLaw, Residues,
+                               TConst, ZP, sorted_cells)
 from padic_cells.decompose import prepare
 from padic_cells.errors import UnsupportedInputError
 from padic_cells.oracle import (
     RootCounts,
     count_roots_mod,
     count_roots_mod_scan,
+    order_tails,
     root_counts,
     verify_laws,
     verify_partition,
@@ -30,6 +32,36 @@ def test_count_matches_full_scan():
         for p in (2, 3, 5):
             for k in range(1, 5):
                 assert count_roots_mod(f, p, k) == count_roots_mod_scan(f, p, k)
+
+
+def test_count_in_a_class_matches_a_scan():
+    # start = (c, j) counts only the roots y = c mod p^j
+    for coeffs in ([0, 1], [-1, 0, 1], [1, -1, -1, 1], [-6, 0, 1], [20, 0, -1, 1]):
+        f = Poly.of(*coeffs)
+        for p in (2, 3, 5):
+            for k in range(1, 5):
+                roots = [f.eval(Fraction(y)) % p**k == 0 for y in range(p**k)]
+                for j in range(k + 1):
+                    for c in (0, 1, p + 1, 7):
+                        want = sum(roots[c % p**j::p**j])
+                        assert count_roots_mod(f, p, k, (c, j)) == want
+
+
+def test_order_tails_on_balls():
+    # Z_p: the root counts over p^m; a ball: the tails measured by a scan of
+    # its classes mod p^k, whatever the ball's radius against m
+    f = Poly.of(-1, -1, 1, 1)  # (y - 1)(y + 1)^2
+    for p in (2, 3, 5):
+        assert order_tails(f, p, ZP, 4) == [1] + [
+            Fraction(count_roots_mod(f, p, m), p**m) for m in range(1, 5)]
+        k = 5
+        for b, r in ((1, 1), (2, 1), (Fraction(1, 2) if p != 2 else 5, 2), (3, 0), (-1, 3)):
+            ball = Ball(Fraction(b), r)
+            tails = order_tails(f, p, ball, k)
+            values = [f.eval(Fraction(y)) for y in range(p**k) if ball.contains(y, p)]
+            for m in range(k + 1):
+                hits = sum(1 for v in values if v % p**m == 0)
+                assert tails[m] == Fraction(hits, p**k), (p, b, r, m)
 
 
 def test_count_rejects_p_denominator():
