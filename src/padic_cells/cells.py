@@ -580,15 +580,18 @@ def intersect_cells(a: Cell1, b: Cell1) -> list[Cell1]:
     return out
 
 
+def common_pieces(d1: Decomposition, d2: Decomposition) -> list[tuple[int, int, Cell1]]:
+    """Every piece that intersect_cells cuts from a pair of input cells, as
+    (i, j, piece): the piece lies in d1.cells[i] and in d2.cells[j].  This
+    one pass over the pairs is where provenance is recorded."""
+    if d1.prime != d2.prime or d1.domain != d2.domain:
+        raise UnsupportedInputError("decompositions are not over the same domain")
+    return [(i, j, piece) for i, a in enumerate(d1.cells) for j, b in enumerate(d2.cells)
+            for piece in intersect_cells(a, b)]
+
+
 def refine_common(d1: Decomposition, d2: Decomposition) -> Decomposition:
-    """A common refinement: every output cell lies in exactly one cell of
-    each input, with presentations and laws refining both sides."""
-    if d1.prime != d2.prime:
-        raise ValueError("prime mismatch")
-    if d1.domain != d2.domain:
-        raise ValueError("domain mismatch")
-    out: list[Cell1] = []
-    for a in d1.cells:
-        for b in d2.cells:
-            out.extend(intersect_cells(a, b))
-    return Decomposition(d1.prime, d1.domain, sorted_cells(out), max(d1.k_depth, d2.k_depth))
+    """A common refinement made of the pieces of common_pieces: each lies in
+    exactly one cell of each input, with presentations and laws refining both."""
+    cells = [piece for _, _, piece in common_pieces(d1, d2)]
+    return Decomposition(d1.prime, d1.domain, sorted_cells(cells), max(d1.k_depth, d2.k_depth))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -187,8 +188,7 @@ def _cmd_measure(args) -> dict:
 
 
 def _cmd_zeta(args) -> dict:
-    f = parse_poly(args.poly)
-    dec = prepare(f, args.prime, _parse_domain(args.domain))
+    dec, f = _decomposition_for(args)
     z = igusa_zeta(dec, f, args.prime)
     return {"schema": SCHEMA, "command": "zeta", "prime": args.prime,
             "poly": args.poly, "zeta": _zeta_json(z)}
@@ -238,8 +238,7 @@ def _cmd_dim(args) -> dict:
 
 
 def _cmd_preserves_balls(args) -> dict:
-    f = parse_poly(args.poly)
-    dec = prepare(f, args.prime, _parse_domain(args.domain))
+    dec, f = _decomposition_for(args)
     rep = preserves_balls_report(dec, f, args.prime)
     return {
         "schema": SCHEMA,
@@ -259,53 +258,52 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="padic-cells")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(sp, poly=True, formula=True):
+    def common(sp, *inputs):
         sp.add_argument("--prime", type=int, required=True)
         sp.add_argument("--domain", default="zp",
                         help="zp, or CENTER:RADIUS_ORD for a ball")
         sp.add_argument("--json", action="store_true")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--samples", type=int, default=200)
-        if poly:
-            sp.add_argument("--poly")
-        if formula:
-            sp.add_argument("--formula")
+        group = sp.add_mutually_exclusive_group(required=True)
+        for flag in inputs:
+            group.add_argument(flag)
 
     sp = sub.add_parser("decompose")
-    common(sp)
+    common(sp, "--poly", "--formula")
     sp.add_argument("--verify", action="store_true")
     sp.add_argument("--k", type=int, default=4)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--samples", type=int, default=200)
     sp.set_defaults(func=_cmd_decompose)
 
     sp = sub.add_parser("measure")
-    common(sp)
+    common(sp, "--poly", "--formula")
     sp.add_argument("--ord", type=int, default=None)
     sp.set_defaults(func=_cmd_measure)
 
     sp = sub.add_parser("zeta")
-    common(sp, formula=False)
+    common(sp, "--poly")
     sp.set_defaults(func=_cmd_zeta)
 
     sp = sub.add_parser("oracle-compare")
-    common(sp, formula=False)
+    common(sp, "--poly")
     sp.add_argument("--k", type=int, default=5)
     sp.set_defaults(func=_cmd_oracle_compare)
 
     sp = sub.add_parser("chi")
-    common(sp)
+    common(sp, "--poly", "--formula")
     sp.set_defaults(func=_cmd_chi)
 
     sp = sub.add_parser("cv-check")
-    common(sp, poly=False)
+    common(sp, "--formula")
     sp.add_argument("--formula-b", required=True)
     sp.set_defaults(func=_cmd_cv_check)
 
     sp = sub.add_parser("dim")
-    common(sp)
+    common(sp, "--poly", "--formula")
     sp.set_defaults(func=_cmd_dim)
 
     sp = sub.add_parser("preserves-balls")
-    common(sp, formula=False)
+    common(sp, "--poly")
     sp.set_defaults(func=_cmd_preserves_balls)
 
     return top
@@ -313,10 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "poly", None) is None and getattr(args, "formula", None) is None \
-            and args.command not in ("cv-check",):
-        print("error: one of --poly or --formula is required", file=sys.stderr)
-        return 2
     try:
         payload = args.func(args)
     except ParseError as exc:
@@ -328,7 +322,12 @@ def main(argv: list[str] | None = None) -> int:
     except InternalBoundError as exc:
         print(f"internal bound exceeded: {exc}", file=sys.stderr)
         return 4
-    _emit(payload, args.json)
+    try:
+        _emit(payload, args.json)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early: point stdout at devnull so the exit flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

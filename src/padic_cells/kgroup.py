@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cells import Cell1, Decomposition, ProductCell
+from .cells import Cell1, Decomposition, ProductCell, common_pieces, contains, intersect_cells
 from .errors import UnsupportedInputError
+from .measure import cell_measure
 
 
 @dataclass(frozen=True)
@@ -128,30 +129,24 @@ def cv_check(d1: Decomposition, d2: Decomposition) -> bool:
     """Whether the chi classes of two decompositions of the same set are
     identified by the refinement-generated relations.
 
-    The common refinement R is computed; grouping its cells under each input
-    decomposition must partition every parent cell exactly -- certified by
-    exact measure bookkeeping, coverage of every center point in the group,
-    and type consistency -- after which both reductions land on the identical
-    canonical element chi(R).  Decompositions of different sets are rejected.
+    The pieces of the common refinement R come from common_pieces, with the
+    two parents that intersect_cells put each one inside.  Grouped by parent,
+    they must partition every parent cell exactly -- certified by exact
+    measure bookkeeping, coverage of every center point in the group, type
+    consistency and disjointness -- after which both reductions land on the
+    identical canonical element chi(R).  Different sets are rejected.
     """
-    from .cells import contains, intersect_cells, refine_common
-    from .measure import cell_measure
-
-    if d1.prime != d2.prime or d1.domain != d2.domain:
-        raise UnsupportedInputError("decompositions are not over the same domain")
     p = d1.prime
-    for a in d1.cells:
-        for b in d2.cells:
-            if intersect_cells(a, b) and a.keep != b.keep:
-                raise UnsupportedInputError("the decompositions describe different sets")
-    refined = refine_common(d1, d2)
-    for parent_dec in (d1, d2):
-        for parent in parent_dec.cells:
-            children = [c for c in refined.cells if intersect_cells(parent, c)]
+    groups = ([[] for _ in d1.cells], [[] for _ in d2.cells])
+    for i, j, piece in common_pieces(d1, d2):
+        if d1.cells[i].keep != d2.cells[j].keep:
+            raise UnsupportedInputError("the decompositions describe different sets")
+        groups[0][i].append(piece)
+        groups[1][j].append(piece)
+    for parent_dec, children_of in zip((d1, d2), groups):
+        for parent, children in zip(parent_dec.cells, children_of):
             total = sum((cell_measure(c) for c in children), Fraction(0))
-            if total != cell_measure(parent):
-                return False
-            if any(c.kind > parent.kind for c in children):
+            if total != cell_measure(parent) or any(c.kind > parent.kind for c in children):
                 return False
             # every center point of the group that belongs to the parent
             # must be covered by exactly one child
@@ -159,4 +154,7 @@ def cv_check(d1: Decomposition, d2: Decomposition) -> bool:
             for v in probes:
                 if contains(parent, v, p) and sum(contains(c, v, p) for c in children) != 1:
                     return False
+            # children must be disjoint: an overlap could hide a gap of equal measure
+            if any(intersect_cells(a, b) for n, a in enumerate(children) for b in children[n + 1:]):
+                return False
     return True

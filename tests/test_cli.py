@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import padic_cells
 from padic_cells.cli import main
 from padic_cells.errors import ParseError
 from padic_cells.parser import parse_formula, parse_poly, print_formula
@@ -10,7 +15,10 @@ from padic_cells.poly import Poly, format_poly
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects the argv
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -148,13 +156,17 @@ def test_cli_internal_bound_exit(capsys, monkeypatch):
     (None, ["oracle-compare", "--prime", "5", "--poly", "y", "--k", "3000"], 3),
     # the least strong pseudoprime to every base of the primality test
     (None, ["measure", "--prime", "318665857834031151167461", "--poly", "y"], 3),
+    # argparse owns the input flags of each subcommand
+    (None, ["cv-check", "--prime", "5", "--formula-b", "ord(y) >= 0"], 2),
+    (None, ["measure", "--prime", "5", "--poly", "y", "--formula", "ord(y) >= 0"], 2),
+    (None, ["zeta", "--prime", "5", "--poly", "y", "--seed", "1"], 2),
 ])
 def test_cli_rejects_bad_input(capsys, monkeypatch, env, argv, want):
     # bad input ends in its documented exit code: never a hang or a traceback
     if env is not None:
         monkeypatch.setenv("PADIC_CELLS_MAX_DEPTH", env)
     code, out, err = run_cli(capsys, *argv)
-    assert code == want and out == "" and err
+    assert code == want and out == "" and err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", [
@@ -219,6 +231,23 @@ def test_cli_cv_check(capsys):
                            "--formula", "ord(y) >= 0",
                            "--formula-b", "ord(y) >= 0", "--json")
     assert code == 0 and json.loads(out)["equal"] is True
+
+
+@pytest.mark.parametrize("fmt", [["--json"], []])
+def test_cli_exits_cleanly_when_stdout_is_closed(fmt):
+    # the pipe's read end is closed before the child starts, so every write
+    # fails: a short payload at the flush, a long text one at a print
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(padic_cells.__file__).parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "padic_cells.cli", "oracle-compare", "--prime", "3",
+             "--poly", "y^3-y", "--domain", "0:1", "--k", "6", *fmt],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0 and proc.stderr == b""
 
 
 def test_cli_preserves_balls(capsys):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,10 +11,15 @@ from padic_cells.cells import (
     Residues,
     TConst,
     ZP,
+    common_pieces,
+    contains,
+    intersect_cells,
     product,
+    refine_common,
     sorted_cells,
 )
-from padic_cells.decompose import prepare
+from padic_cells.decompose import decompose_set, prepare
+from padic_cells.errors import UnsupportedInputError
 from padic_cells.kgroup import (
     AuxShape,
     K0Element,
@@ -24,6 +30,8 @@ from padic_cells.kgroup import (
     k0_add,
     k0_mul,
 )
+from padic_cells.measure import cell_measure
+from padic_cells.parser import parse_formula
 from padic_cells.poly import Poly
 
 
@@ -110,9 +118,6 @@ def test_cv_check_rejects_different_sets():
 
 
 def test_cv_check_across_formulas():
-    from padic_cells.decompose import decompose_set
-    from padic_cells.parser import parse_formula
-
     d1 = decompose_set(parse_formula("ord(y) >= 1"), 5)
     d2 = decompose_set(parse_formula("ord(y) > 0"), 5)
     d3 = decompose_set(parse_formula("ord(y^2) >= 2"), 5)
@@ -124,3 +129,88 @@ def test_shape_canonicalization():
     # length-1 order parts are definably redundant and dropped
     assert AuxShape(3, (1,)) == AuxShape(3, ())
     assert AuxShape(3, (2, None)) == AuxShape(3, (None, 2))
+
+
+def _index_of_holder(piece, dec):
+    """The index of the one cell of dec that meets piece, checked to hold it."""
+    meets = [i for i, c in enumerate(dec.cells) if intersect_cells(c, piece)]
+    assert len(meets) == 1
+    parent = dec.cells[meets[0]]
+    if piece.is_point:
+        assert contains(parent, piece.center.value, dec.prime)
+    else:
+        inside = sum((cell_measure(c) for c in intersect_cells(parent, piece)), Fraction(0))
+        assert inside == cell_measure(piece)
+    return meets[0]
+
+
+FORMULAS = ["ord(y^2 - 1) >= 1", "ord(y) % 2 = 0 & ord(y - 1) < 2",
+            "ac(1, y + 1) = 1 | ord(y^3 - y) > 1", "!(ord(y - 2) = 1)"]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_refinement_pieces_lie_in_one_cell_of_each_input(p, corpus_decompositions):
+    # the recorded parents of each piece are the one cell of each input
+    # that holds it, and refine_common is made of exactly these pieces
+    decs = [d for (_, q), d in corpus_decompositions.items() if q == p]
+    pairs = list(zip(decs, decs[1:]))[::4]
+    formulas = [decompose_set(parse_formula(text), p) for text in FORMULAS]
+    pairs += [(a, b) for i, a in enumerate(formulas) for b in formulas[i + 1:]]
+    for d1, d2 in pairs:
+        pieces = common_pieces(d1, d2)
+        assert refine_common(d1, d2).cells == sorted_cells([c for _, _, c in pieces])
+        for i, j, piece in pieces:
+            assert _index_of_holder(piece, d1) == i
+            assert _index_of_holder(piece, d2) == j
+
+
+def _broken(dec):
+    """dec with one cell dropped, with one cell duplicated, with one family
+    duplicated in place of another of equal measure (so the measure sums
+    stay right), or with a family added that overlaps other cells."""
+    cells = list(dec.cells)
+    zero = Center(Fraction(0), 1, TConst(Fraction(0)))
+    overlap = Cell1(dec.prime, zero, ArithRange(1, 2), Residues(1, None), ())
+    variants = [cells[:i] + cells[i + 1:] for i in range(len(cells))]
+    variants += [cells + [c] for c in cells] + [cells + [overlap]]
+    variants += [cells[:i] + cells[i + 1:] + [c] for i, gone in enumerate(cells)
+                 for n, c in enumerate(cells)
+                 if n != i and not gone.is_point and cell_measure(c) == cell_measure(gone)]
+    return [replace(dec, cells=sorted_cells(v)) for v in variants]
+
+
+def _holds(d1, d2):
+    try:
+        return cv_check(d1, d2)
+    except UnsupportedInputError:
+        return False
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_cv_check_false_on_every_broken_partition(p):
+    for f in (Poly.of(-1, 0, 1), Poly.of(0, -1, 0, 1), Poly.of(-2, 0, 1)):
+        good = prepare(f, p)
+        for other in (good, prepare(Poly.of(-1, 1), p)):
+            for broken in _broken(good):
+                assert not _holds(broken, other)
+                assert not _holds(other, broken)
+
+
+EQUIVALENT = [
+    # De Morgan
+    ("!(ord(y^2 - 1) >= 1 & ord(y - 2) < 2)", "!(ord(y^2 - 1) >= 1) | !(ord(y - 2) < 2)"),
+    ("!(ac(1, y + 1) = 1 | ord(y) % 2 = 0)", "!(ac(1, y + 1) = 1) & !(ord(y) % 2 = 0)"),
+    # double negation
+    ("!(!(ord(y^3 - y) > 1))", "ord(y^3 - y) > 1"),
+    # ord(f) >= c against !(ord(f) < c)
+    ("ord(2*y + 1) >= 1", "!(ord(2*y + 1) < 1)"),
+    ("ord(y^2 - 2) >= 2", "!(ord(y^2 - 2) < 2)"),
+]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("phi,psi", EQUIVALENT)
+def test_cv_check_holds_between_equivalent_formulas(p, phi, psi):
+    d1 = decompose_set(parse_formula(phi), p)
+    d2 = decompose_set(parse_formula(psi), p)
+    assert cv_check(d1, d2) and cv_check(d2, d1)
