@@ -41,7 +41,8 @@ def _val_json(v) -> str:
     return "inf" if v.is_infinite else str(v.value)
 
 
-def _cell_json(cell: Cell1) -> dict:
+def _cell_json(cell: Cell1, names: dict[Poly, str]) -> dict:
+    """The cell as JSON; `names` caches `format_poly` across one payload."""
     center = cell.center
     if center.is_rational:
         cj = {"type": "rational", "value": _frac_str(center.value)}
@@ -49,7 +50,7 @@ def _cell_json(cell: Cell1) -> dict:
         r = center.value
         cj = {
             "type": "hensel-root",
-            "witness": format_poly(r.witness),
+            "witness": _name(r.witness, names),
             "approx": _frac_str(r.approx),
             "precision": r.precision,
             "rv_tag": {
@@ -66,7 +67,7 @@ def _cell_json(cell: Cell1) -> dict:
         "level": center.level,
         "keep": cell.keep,
         "laws": {
-            format_poly(f): {"e0": _val_json(law.e0), "i0": law.i0}
+            _name(f, names): {"e0": _val_json(law.e0), "i0": law.i0}
             for f, law in cell.laws
         },
     }
@@ -82,6 +83,13 @@ def _cell_json(cell: Cell1) -> dict:
             else [str(u) for u in cell.residues.members(cell.prime)],
         }
     return out
+
+
+def _name(f: Poly, names: dict[Poly, str]) -> str:
+    name = names.get(f)
+    if name is None:
+        name = names[f] = format_poly(f)
+    return name
 
 
 def _zeta_json(z: ZetaFn) -> dict:
@@ -152,17 +160,18 @@ def _decomposition_for(args) -> tuple[Decomposition, Poly | None]:
 
 def _cmd_decompose(args) -> dict:
     dec, f = _decomposition_for(args)
+    names: dict[Poly, str] = {}
     payload = {
         "schema": SCHEMA,
         "command": "decompose",
         "prime": args.prime,
         "input": args.poly if args.poly is not None else args.formula,
         "k_depth": dec.k_depth,
-        "cells": [_cell_json(c) for c in dec.cells],
+        "cells": [_cell_json(c, names) for c in dec.cells],
     }
     if args.verify:
         chk = exact_partition_check(dec)
-        vp = verify_partition(dec, args.k)
+        vp = verify_partition(dec, 4 if args.k is None else args.k)
         payload["verify"] = {
             "exact_disjoint": chk.disjoint,
             "exact_cover": chk.covers,
@@ -170,16 +179,15 @@ def _cmd_decompose(args) -> dict:
             "partition_undecided": len(vp.undecided),
         }
         if f is not None:
-            payload["verify"]["law_failures"] = len(
-                verify_laws(dec, f, samples=args.samples, seed=args.seed).failures
-            )
+            given = {k: v for k in ("samples", "seed") if (v := getattr(args, k)) is not None}
+            payload["verify"]["law_failures"] = len(verify_laws(dec, f, **given).failures)
     return payload
 
 
 def _cmd_measure(args) -> dict:
     dec, f = _decomposition_for(args)
     payload = {"schema": SCHEMA, "command": "measure", "prime": args.prime}
-    if f is not None and args.ord is not None:
+    if args.ord is not None:  # main rejects --ord with --formula
         payload["ord"] = args.ord
         payload["measure"] = _frac_str(measure_of_order(dec, f, args.ord))
     else:
@@ -266,19 +274,23 @@ def _build_parser() -> argparse.ArgumentParser:
         group = sp.add_mutually_exclusive_group(required=True)
         for flag in inputs:
             group.add_argument(flag)
+        sp.set_defaults(usage=sp, poly_only=(), verify_only=())
 
     sp = sub.add_parser("decompose")
     common(sp, "--poly", "--formula")
     sp.add_argument("--verify", action="store_true")
-    sp.add_argument("--k", type=int, default=4)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--samples", type=int, default=200)
-    sp.set_defaults(func=_cmd_decompose)
+    sp.add_argument("--k", type=int, help="scan depth, --verify only (default 4)")
+    sp.add_argument("--seed", type=int,
+                    help="law-check seed, --verify and --poly only (default 0)")
+    sp.add_argument("--samples", type=int,
+                    help="law-check samples, --verify and --poly only (default 200)")
+    sp.set_defaults(func=_cmd_decompose, poly_only=("seed", "samples"),
+                    verify_only=("k", "seed", "samples"))
 
     sp = sub.add_parser("measure")
     common(sp, "--poly", "--formula")
-    sp.add_argument("--ord", type=int, default=None)
-    sp.set_defaults(func=_cmd_measure)
+    sp.add_argument("--ord", type=int, help="measure of ord f = ORD, --poly only")
+    sp.set_defaults(func=_cmd_measure, poly_only=("ord",))
 
     sp = sub.add_parser("zeta")
     common(sp, "--poly")
@@ -311,6 +323,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # options that the given input or a missing --verify would leave unread
+    for names, needed, read in (
+            (args.poly_only, "--poly", getattr(args, "formula", None) is None),
+            (args.verify_only, "--verify", getattr(args, "verify", False))):
+        ignored = [f"--{name}" for name in names if getattr(args, name) is not None]
+        if ignored and not read:
+            args.usage.error(f"{', '.join(ignored)}: used only with {needed}")
     try:
         payload = args.func(args)
     except ParseError as exc:

@@ -32,13 +32,16 @@ from math import isqrt
 
 from .errors import InternalBoundError
 from .padics import (
+    INFINITY,
     Rat,
     RvData,
     Val,
     canonical_lift,
+    int_val,
     ord_p,
     rv,
     unit_digits,
+    val_min,
 )
 from .poly import (Poly, format_poly, newton_min, poly_gcd, resultant_val, squarefree_part,
                    taylor_polys)
@@ -281,23 +284,28 @@ def certified_root_points(w: Poly, p: int, depth_cap: int,
             raise InternalBoundError("root search exceeded its depth bound")
         if poly.degree < 1:
             return
-        val = poly.eval(Fraction(c))
-        if val == 0:
+        # one integer expansion per class: poly(y + c) = sum_i (h_i / D) y^i;
+        # poly is p-integral, so D is prime to p and ord b_i = ord h_i
+        hs = poly.shifted_numerators(c)
+        if hs[0] == 0:
             out.append(Fraction(c))
             quo, rem = poly.divmod(Poly.of(-c, 1))
             assert rem.is_zero
             search(quo, c, j)
             return
-        v0 = ord_p(val, p)
-        v1 = ord_p(poly.derivative().eval(Fraction(c)), p)
-        if not v1.is_infinite and v0 > v1 * 2 and Val(j) > v1:
-            # the class sits inside the uniqueness basin around c
-            z, _prec = _newton(poly, Fraction(c), p, max(v0.value - v1.value, j + 1))
-            if ord_p(z - c, p) >= j:
-                out.append(z)
+        v0 = int_val(hs[0], p)  # ord poly(c)
+        if hs[1]:
+            v1 = int_val(hs[1], p)  # ord poly'(c)
+            if v0 > 2 * v1 and j > v1:
+                # the class sits inside the uniqueness basin around c
+                z, _prec = _newton(poly, Fraction(c), p, max(v0 - v1, j + 1))
+                if ord_p(z - c, p) >= j:
+                    out.append(z)
+                return
+        # the constant term dominates on the whole class, so there is no
+        # root, when ord h_0 < ord h_i + i*j for every i >= 1
+        if all(h % p ** max(v0 - i * j + 1, 0) == 0 for i, h in enumerate(hs) if i):
             return
-        if v0 < newton_min(poly.taylor_shift(Fraction(c)), p, j, 1):
-            return  # the constant term dominates on the whole class: no root
         for t in range(p):
             search(poly, c + t * p**j, j + 1)
 
@@ -455,8 +463,8 @@ def _at_root(r: PadicApprox, *qs: Poly):
     def estimates(n: int):
         rr = refine_root(r, n)
         for q in qs:
-            sh = q.taylor_shift(rr.approx)
-            yield sh.coeff(0), newton_min(sh, r.prime, start=1) + rr.precision
+            tail = val_min(*taylor_ords(q, rr.approx, r.prime)[1:])
+            yield q.eval(rr.approx), tail + rr.precision
     return estimates
 
 
@@ -560,8 +568,11 @@ def taylor_ords(f: Poly, center: CenterValue, p: int) -> list[Val]:
     x = exact_value(center)
     if x is None:
         return [ord_of_poly_at(q, center, p) for q in taylor_polys(f)]
-    sh = f.taylor_shift(x)
-    return [ord_p(sh.coeff(i), p) for i in range(f.degree + 1)]
+    # coefficient i is h_i / (D b^(n-i)) for x = a/b
+    hs = f.shifted_numerators(x.numerator, x.denominator)
+    n, vd, vb = f.degree, int_val(f.integral[1], p), int_val(x.denominator, p)
+    return [Val(int_val(h, p) - vd - (n - i) * vb) if h else INFINITY
+            for i, h in enumerate(hs)]
 
 
 def center_proxy(center: CenterValue, p: int, precision: int) -> Rat:

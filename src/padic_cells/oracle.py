@@ -17,7 +17,7 @@ from math import lcm
 
 from .cells import Ball, Cell1, Decomposition
 from .errors import UnsupportedInputError
-from .hensel import center_proxy, ord_between, refine_root, taylor_ords
+from .hensel import center_proxy, exact_value, ord_between, refine_root, taylor_ords
 from .padics import INFINITY, MAX_CLASSES, Val, ord_p, require_classes
 from .poly import Poly
 
@@ -84,6 +84,18 @@ def _taylor_shift(coeffs: list[int], a: int) -> list[int]:
         for j in range(len(b) - 1, i, -1):
             b[j - 1] += a * b[j]
     return b
+
+
+def _taylor_ords(coeffs: list[int], shift: int, x: Fraction, p: int) -> list[Val]:
+    """ord_p of the Taylor coefficients at x = a/b of f = (sum c_i y^i) / L
+    with ord_p(L) = shift: with c_j scaled by b^(n-j) and shifted by a,
+    coefficient i is h_i / (L b^(n-i))."""
+    a, b = x.numerator, x.denominator
+    n = len(coeffs) - 1
+    hs = _taylor_shift([c * b ** (n - j) for j, c in enumerate(coeffs)], a)
+    vb = _ord_int(b, p)
+    return [Val(_ord_int(h, p) - shift - (n - i) * vb) if h else INFINITY
+            for i, h in enumerate(hs)]
 
 
 def _ord_value(coeffs: list[int], shift: int, num: int, den: int, p: int) -> Val:
@@ -354,11 +366,9 @@ def verify_laws(dec: Decomposition, f: Poly, samples: int = 200, seed: int = 0) 
                 rr = c
                 for _ in range(6):
                     rr = refine_root(c, floor)
-                    sh = f.taylor_shift(rr.approx)
-                    got = ord_p(sh.coeff(0), p)
+                    got, *tail = _taylor_ords(coeffs, shift, rr.approx, p)
                     cmin = INFINITY
-                    for i in range(1, len(sh.coeffs)):
-                        t = ord_p(sh.coeff(i), p)
+                    for t in tail:
                         if t < cmin:
                             cmin = t
                     bound = cmin + rr.precision
@@ -372,7 +382,12 @@ def verify_laws(dec: Decomposition, f: Poly, samples: int = 200, seed: int = 0) 
                 if not ok:
                     failures.append(LawFailure(idx, rr.approx, want, got))
             continue
-        taylor = taylor_ords(f, cell.center.value, p)
+        # Taylor valuations at an exact center from the oracle's own expansion
+        x = exact_value(cell.center.value)
+        if x is not None:
+            taylor = _taylor_ords(coeffs, shift, x, p)
+        else:
+            taylor = taylor_ords(f, cell.center.value, p)
         # per m: the law's value, and the depth-k bound when the law breaks it
         at_m: dict[int, tuple[Val, Val | None]] = {}
         for num, den, m in _cell_samples(cell, p, samples, rng):

@@ -116,7 +116,8 @@ def val_min(*vals: Val) -> Val:
     return best
 
 
-def _int_val(n: int, p: int) -> int:
+def int_val(n: int, p: int) -> int:
+    """ord_p of a nonzero integer."""
     v = 0
     while n % p == 0:
         n //= p
@@ -165,7 +166,7 @@ def ord_p(x: Rat, p: int) -> Val:
     x = Fraction(x)
     if x == 0:
         return INFINITY
-    return Val(_int_val(x.numerator, p) - _int_val(x.denominator, p))
+    return Val(int_val(x.numerator, p) - int_val(x.denominator, p))
 
 
 @dataclass(frozen=True)
@@ -196,7 +197,7 @@ def unit_digits(x: Rat, p: int, d: int) -> UnitDigits:
     if d < 1:
         raise ValueError("depth must be >= 1")
     num, den = x.numerator, x.denominator
-    vn, vd = _int_val(num, p), _int_val(den, p)
+    vn, vd = int_val(num, p), int_val(den, p)
     num //= p**vn
     den //= p**vd
     q = p**d

@@ -5,13 +5,19 @@ trailing zeros trimmed, zero polynomial = empty tuple with degree -1).
 Besides evaluation, derivative and Taylor recentering, this module provides
 the handful of classical algorithms the decomposition engine leans on:
 polynomial gcd, Yun's squarefree part, and the valuation of a resultant.
+
+Evaluation and recentering run on integers: each polynomial clears its
+denominators once (`Poly.integral`), and `eval`, `taylor_shift` and
+`shift_var` work on those numerators, building `Fraction`s only for their
+results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import cached_property
+from math import lcm
 
 from .padics import Rat, Val, ord_p, val_min
 
@@ -44,30 +50,48 @@ class Poly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
+    @cached_property
+    def integral(self) -> tuple[tuple[int, ...], int]:
+        """(N, D): the least common denominator D of the coefficients and the
+        integers N_i = D * coefficient i.  Computed once per instance; it
+        takes no part in equality or hashing."""
+        den = lcm(*(c.denominator for c in self.coeffs))
+        return tuple(c.numerator * (den // c.denominator) for c in self.coeffs), den
+
     def eval(self, x: Rat) -> Fraction:
-        """Horner evaluation, exact."""
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """f(a/b) = (sum N_j a^j b^(n-j)) / (D b^n), by homogeneous integer Horner."""
+        nums, den = self.integral
+        a, b = x.numerator, x.denominator
+        acc, power = 0, 1
+        for i in range(len(nums) - 1, -1, -1):
+            acc = acc * a + nums[i] * power
+            if i:
+                power *= b
+        return Fraction(acc, den * power)
 
     def derivative(self) -> "Poly":
         return Poly.of(*(i * c for i, c in enumerate(self.coeffs) if i > 0))
 
+    def shifted_numerators(self, a: int, b: int = 1) -> list[int]:
+        """Integers H_i with f(y + a/b) = sum_i H_i / (D b^(n-i)) y^i, where
+        (N, D) = `integral` and n is the degree: numerator j is scaled by
+        b^(n-j), then shifted by a with synthetic division.  H_n = N_n."""
+        h = list(self.integral[0])
+        n = len(h) - 1
+        if b != 1:
+            power = 1
+            for j in range(n, -1, -1):
+                h[j] *= power
+                power *= b
+        if a:
+            for i in range(n):
+                for j in range(n - 1, i - 1, -1):
+                    h[j] += a * h[j + 1]
+        return h
+
     def taylor_shift(self, c: Rat) -> "Poly":
         """Coefficients b_i with f(y) = sum b_i (y - c)^i, i.e. f(y + c)."""
-        c = Fraction(c)
-        n = len(self.coeffs)
-        out = [Fraction(0)] * n
-        for j, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            power = Fraction(1)
-            for i in range(j, -1, -1):
-                out[i] += a * comb(j, i) * power
-                power *= c
-        return Poly.of(*out)
+        return self.shift_var(1, c)
 
     def __add__(self, other: "Poly") -> "Poly":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -119,10 +143,20 @@ class Poly:
         return Poly.of(*(c / lc for c in self.coeffs))
 
     def shift_var(self, scale: Rat, offset: Rat) -> "Poly":
-        """The polynomial g(z) = f(scale * z + offset), exact."""
-        g = self.taylor_shift(offset)
-        s = Fraction(scale)
-        return Poly.of(*(c * s**i for i, c in enumerate(g.coeffs)))
+        """The polynomial g(z) = f(scale * z + offset), exact: with offset a/b
+        and scale u/v, coefficient i is H_i u^i / (D b^(n-i) v^i), H the
+        `shifted_numerators` at a/b."""
+        h = self.shifted_numerators(offset.numerator, offset.denominator)
+        u, v, b = scale.numerator, scale.denominator, offset.denominator
+        low = self.integral[1]  # D b^(n-i), from i = n down
+        out = [Fraction(0)] * len(h)
+        for i in range(len(h) - 1, -1, -1):
+            if h[i]:
+                out[i] = Fraction(h[i] * u**i, low * v**i)
+            low *= b
+        while out and out[-1] == 0:  # only a zero scale leaves zeros on top
+            out.pop()
+        return Poly(tuple(out))
 
     def __repr__(self) -> str:
         return f"Poly({format_poly(self)})"

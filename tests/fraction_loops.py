@@ -1,0 +1,79 @@
+"""The Fraction loops that `Poly`'s integer kernel and the Hensel root search
+replaced, kept as references for the tests that compare the two."""
+
+import random
+from fractions import Fraction
+from math import comb
+
+from padic_cells.errors import InternalBoundError
+from padic_cells.hensel import _newton
+from padic_cells.padics import Val, ord_p
+from padic_cells.poly import Poly, newton_min
+
+
+def fraction_eval(f: Poly, x) -> Fraction:
+    x = Fraction(x)
+    acc = Fraction(0)
+    for c in reversed(f.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def fraction_taylor_shift(f: Poly, c) -> Poly:
+    c = Fraction(c)
+    n = len(f.coeffs)
+    out = [Fraction(0)] * n
+    for j, a in enumerate(f.coeffs):
+        if a == 0:
+            continue
+        power = Fraction(1)
+        for i in range(j, -1, -1):
+            out[i] += a * comb(j, i) * power
+            power *= c
+    return Poly.of(*out)
+
+
+def fraction_shift_var(f: Poly, scale, offset) -> Poly:
+    g = fraction_taylor_shift(f, offset)
+    s = Fraction(scale)
+    return Poly.of(*(c * s**i for i, c in enumerate(g.coeffs)))
+
+
+def random_rational(rng: random.Random, p: int) -> Fraction:
+    # denominators with and without p, numerators of either sign
+    return Fraction(rng.randint(-60, 60), rng.choice([1, 1, 2, 3, 7, p, p * p, 2 * p]))
+
+
+def fraction_root_points(w: Poly, p: int, depth_cap: int, start=(0, 0)) -> list[Fraction]:
+    """`certified_root_points` as it was written on Fraction arithmetic."""
+    content = newton_min(w, p)
+    if not content.is_infinite and content.value != 0:
+        w = w * Fraction(p) ** (-content.value)
+    out: list[Fraction] = []
+
+    def search(poly: Poly, c: int, j: int) -> None:
+        if j > depth_cap:
+            raise InternalBoundError("root search exceeded its depth bound")
+        if poly.degree < 1:
+            return
+        val = fraction_eval(poly, c)
+        if val == 0:
+            out.append(Fraction(c))
+            quo, rem = poly.divmod(Poly.of(-c, 1))
+            assert rem.is_zero
+            search(quo, c, j)
+            return
+        v0 = ord_p(val, p)
+        v1 = ord_p(fraction_eval(poly.derivative(), c), p)
+        if not v1.is_infinite and v0 > v1 * 2 and Val(j) > v1:
+            z, _prec = _newton(poly, Fraction(c), p, max(v0.value - v1.value, j + 1))
+            if ord_p(z - c, p) >= j:
+                out.append(z)
+            return
+        if v0 < newton_min(fraction_taylor_shift(poly, c), p, j, 1):
+            return
+        for t in range(p):
+            search(poly, c + t * p**j, j + 1)
+
+    search(w, start[0], start[1])
+    return out

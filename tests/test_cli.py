@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import padic_cells
+from padic_cells import cli
 from padic_cells.cli import main
 from padic_cells.errors import ParseError
 from padic_cells.parser import parse_formula, parse_poly, print_formula
@@ -160,6 +161,16 @@ def test_cli_internal_bound_exit(capsys, monkeypatch):
     (None, ["cv-check", "--prime", "5", "--formula-b", "ord(y) >= 0"], 2),
     (None, ["measure", "--prime", "5", "--poly", "y", "--formula", "ord(y) >= 0"], 2),
     (None, ["zeta", "--prime", "5", "--poly", "y", "--seed", "1"], 2),
+    # options that only a polynomial input reads
+    (None, ["measure", "--prime", "5", "--formula", "ord(y) >= 1", "--ord", "2"], 2),
+    (None, ["decompose", "--prime", "5", "--formula", "ord(y) >= 1", "--verify",
+            "--samples", "10"], 2),
+    (None, ["decompose", "--prime", "5", "--formula", "ord(y) >= 1", "--verify",
+            "--seed", "1"], 2),
+    # options that only the checks of --verify read
+    (None, ["decompose", "--prime", "5", "--poly", "y^2 - 1", "--samples", "10"], 2),
+    (None, ["decompose", "--prime", "5", "--poly", "y^2 - 1", "--seed", "1"], 2),
+    (None, ["decompose", "--prime", "5", "--formula", "ord(y) >= 1", "--k", "9"], 2),
 ])
 def test_cli_rejects_bad_input(capsys, monkeypatch, env, argv, want):
     # bad input ends in its documented exit code: never a hang or a traceback
@@ -208,6 +219,20 @@ def test_cli_text_output(capsys):
     assert "    depth: 1" in lines and "    units: all" in lines
     code, out, _ = run_cli(capsys, "measure", "--prime", "5", "--poly", "y^2 - 1", "--ord", "1")
     assert code == 0 and out.splitlines()[-2:] == ["ord: 1", "measure: 8/25"]
+
+
+def test_cli_law_check_options(capsys, monkeypatch):
+    # --samples and --seed reach the law check, which keeps its own defaults
+    calls = []
+    real = cli.verify_laws
+    monkeypatch.setattr(cli, "verify_laws", lambda *a, **kw: calls.append(kw) or real(*a, **kw))
+    base = ["decompose", "--prime", "5", "--poly", "y^2 - 1", "--verify", "--json"]
+    code, plain, _ = run_cli(capsys, *base)
+    assert code == 0 and calls.pop() == {}
+    code, given, _ = run_cli(capsys, *base, "--samples", "200", "--seed", "0")
+    assert code == 0 and calls.pop() == {"samples": 200, "seed": 0} and given == plain
+    code, _, _ = run_cli(capsys, *base, "--samples", "7")
+    assert code == 0 and calls.pop() == {"samples": 7}
 
 
 def test_cli_measure_and_dim(capsys):

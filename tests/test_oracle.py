@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ from padic_cells.decompose import prepare
 from padic_cells.errors import UnsupportedInputError
 from padic_cells.oracle import (
     RootCounts,
+    _clear_denominators,
+    _taylor_ords,
     count_roots_mod,
     count_roots_mod_scan,
     order_tails,
@@ -16,8 +19,10 @@ from padic_cells.oracle import (
     verify_laws,
     verify_partition,
 )
-from padic_cells.padics import Val
+from padic_cells.padics import Val, ord_p
 from padic_cells.poly import Poly
+
+from fraction_loops import fraction_taylor_shift, random_rational
 
 
 def test_count_examples():
@@ -173,3 +178,15 @@ def test_verify_partition_below_the_residue_depth():
     rep = verify_partition(ac, 1)
     assert rep.ok and rep.undecided == (0, 1, 2)
     assert verify_partition(ac, 3).ok
+
+
+def test_taylor_ords_match_the_fraction_expansion():
+    # the oracle's own expansion, at points whose denominators hold p
+    rng = random.Random(13)
+    for p in (2, 3, 5):
+        for _ in range(60):
+            f = Poly.of(*(random_rational(rng, p) for _ in range(rng.randint(1, 7))))
+            coeffs, shift = _clear_denominators(f, p)
+            for x in (Fraction(rng.randint(-30, 30)), random_rational(rng, p)):
+                want = [ord_p(c, p) for c in fraction_taylor_shift(f, x).coeffs]
+                assert _taylor_ords(coeffs, shift, x, p) == want

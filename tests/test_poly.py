@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from padic_cells.errors import InternalBoundError
+from padic_cells.hensel import _at_root, certified_root_points, refine_root, taylor_ords
 from padic_cells.padics import INFINITY, Val, ord_p
 from padic_cells.poly import (
     Poly,
@@ -12,6 +14,15 @@ from padic_cells.poly import (
     resultant,
     resultant_val,
     squarefree_part,
+)
+
+from conftest import CORPUS
+from fraction_loops import (
+    fraction_eval,
+    fraction_root_points,
+    fraction_shift_var,
+    fraction_taylor_shift,
+    random_rational,
 )
 
 
@@ -80,6 +91,8 @@ def test_resultant_examples():
     assert resultant_val(Poly.of(-1, 0, 1), Poly.of(0, 2), 5) == Val(0)
     assert resultant_val(Poly.of(0, 1), Poly.of(-5, 1), 5) == Val(1)
     assert resultant_val(Poly.of(0, 0, 1), Poly.of(0, 2), 5).is_infinite
+    # lc(f)^5 times the product of g over the roots of f
+    assert resultant(Poly.of(2, 0, 0, 1), Poly.of(1, 1, 0, 0, 0, 1)) == -45
     with pytest.raises(ValueError):
         resultant_val(Poly.of(), Poly.of(1), 5)
 
@@ -149,3 +162,98 @@ def test_newton_min_is_the_polygon_envelope():
                     assert newton_min(f, p, m, start) == want
     assert newton_min(Poly.of(), 5) is INFINITY
     assert newton_min(Poly.of(7), 5, start=1) is INFINITY
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel against the Fraction loops it replaced (fraction_loops.py).
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_kernel_matches_the_fraction_loops(p):
+    rng = random.Random(p)
+    polys = [Poly.of()]
+    for _ in range(150):
+        polys.append(Poly.of(*(random_rational(rng, p) for _ in range(rng.randint(1, 9)))))
+    for f in polys:
+        assert f.degree <= 8
+        for x in (0, 1, -3, random_rational(rng, p), random_rational(rng, p)):
+            assert f.eval(x) == fraction_eval(f, x)
+            sh = fraction_taylor_shift(f, x)
+            assert f.taylor_shift(x).coeffs == sh.coeffs
+            assert taylor_ords(f, Fraction(x), p) == [ord_p(c, p) for c in sh.coeffs]
+        scale, offset = random_rational(rng, p), random_rational(rng, p)
+        for s in (scale, Fraction(p) ** 3, Fraction(1, p), 0):
+            assert f.shift_var(s, offset).coeffs == fraction_shift_var(f, s, offset).coeffs
+    # every coefficient stays a normalized Fraction
+    g = Poly.of(Fraction(1, 3), -2, 0, 5).taylor_shift(Fraction(-2, 9))
+    assert all(type(c) is Fraction for c in g.coeffs)
+
+
+def test_integral_form_is_not_part_of_equality():
+    f = Poly.of(Fraction(1, 6), Fraction(-3, 4), 2)
+    assert f.integral == ((2, -9, 24), 12)
+    g = Poly.of(Fraction(1, 6), Fraction(-3, 4), 2)
+    assert f == g and hash(f) == hash(g) and "integral" not in repr(f)
+    assert Poly.of().integral == ((), 1)
+
+
+def test_estimates_at_roots_match_the_fraction_expansion(corpus_decompositions):
+    # q(root) and its Taylor-tail error bound at refined approximations
+    roots = [(cell.center.value, f, p) for (name, p), dec in corpus_decompositions.items()
+             for cell in dec.cells if not cell.center.is_rational
+             for f in [Poly.of(*CORPUS[name])]]
+    assert len(roots) > 20
+    for r, f, p in roots:
+        qs = [f, f.derivative(), Poly.of(Fraction(1, p), -3, 0, p)]
+        for n in (r.precision, 2 * r.precision + 4):
+            rr = refine_root(r, n)
+            want = []
+            for q in qs:
+                sh = fraction_taylor_shift(q, rr.approx)
+                want.append((sh.coeff(0), newton_min(sh, p, start=1) + rr.precision))
+            assert list(_at_root(r, *qs)(n)) == want
+
+
+def large_prime_polys() -> list[Poly]:
+    """The polynomials of the large-prime benchmark pool: y^2 - 1, (y^2 - 1)^3
+    and its seeded products of 2, 2, 3 and 4 linear factors over Z."""
+    rng = random.Random("20061001:large-prime")
+    polys = [Poly.of(-1, 0, 1), Poly.of(-1, 0, 3, 0, -3, 0, 1)]
+    for degree in (2, 2, 3, 4):
+        f = Poly.of(rng.choice([1, 1, 2, 3]))
+        for _ in range(degree):
+            f = f * Poly.of(-rng.randint(-12, 12), 1)
+        polys.append(f)
+    return polys
+
+
+def root_search_cases():
+    for coeffs in CORPUS.values():
+        for p in (2, 3, 5, 7):
+            yield squarefree_part(Poly.of(*coeffs)), p
+    for f in large_prime_polys():
+        for p in (31, 101):
+            yield squarefree_part(f), p
+
+
+def test_root_search_matches_the_fraction_search():
+    cases = 0
+    for w, p in root_search_cases():
+        if w.degree < 1:
+            continue
+        # Z_p, the classes mod p, and the balls p*Z_p + t as the tie split
+        # scales them, with a cap that some searches reach
+        inputs = [(w, (0, 0)), *((w, (t, 1)) for t in range(min(p, 4)))]
+        inputs += [(w.shift_var(Fraction(p), t), (0, 0)) for t in (0, 1, -1)]
+        for poly, start in inputs:
+            for cap in (1, 30):
+                try:
+                    want = fraction_root_points(poly, p, cap, start)
+                except InternalBoundError:
+                    with pytest.raises(InternalBoundError):
+                        certified_root_points(poly, p, cap, start)
+                    continue
+                assert certified_root_points(poly, p, cap, start) == want
+                cases += 1
+    assert cases > 300
