@@ -53,7 +53,6 @@ from .hensel import (
     center_of,
     center_proxy,
     certified_root_points,
-    certify,
     digits_of_poly_at,
     exact_value,
     make_root_approx,
@@ -62,7 +61,7 @@ from .hensel import (
     taylor_ords,
     transfer_basin,
 )
-from .padics import INFINITY, RvData, Val, is_prime, ord_p, require_classes, unit_digits
+from .padics import INFINITY, RvData, Val, int_val, is_prime, ord_p, require_classes
 from .poly import Poly, format_poly, resultant_val, squarefree_part, taylor_polys
 
 _ENV_DEPTH = "PADIC_CELLS_MAX_DEPTH"
@@ -511,6 +510,43 @@ def _ord_atom_pieces(cell: Cell1, atom: Atom, p: int) -> list[tuple[Cell1, bool]
     return _split_range(cell, pieces)
 
 
+def _sphere_digits(f: Poly, center: CenterValue, m: int, law_m: int, depth: int,
+                   units: list[int], p: int) -> list[int]:
+    """The first `depth` unit digits of f(c + p^m u) for each unit u, where
+    ord f = law_m on the sphere ord(y - c) = m.
+
+    One integer expansion per sphere: with (N, D) = `f.integral`, N moves by
+    at least as much as y on Z_p, so f moves by at least ord(y - y') - ord D.
+    A rational x = a/b congruent to the center mod p^(law_m + ord D + depth)
+    therefore gives f(x + p^m u) the digits of f(c + p^m u), and
+    f(x + p^m u) = G(u) / (D b^n) with G_i = H_i (b p^m)^i, H the shifted
+    numerators at a/b.  G(u) has valuation v = law_m + ord D, so G mod
+    p^(v + depth), divided by p^v, is the unit part of the numerator."""
+    den = f.integral[1]
+    vd = int_val(den, p)
+    v = law_m + vd
+    qd, pv = p**depth, p**v
+    mod = pv * qd
+    x = center_proxy(center, p, v + depth)
+    a, b = x.numerator, x.denominator
+    step = b * p**m
+    coeffs = [h * pow(step, i, mod) % mod
+              for i, h in enumerate(f.shifted_numerators(a, b))][::-1]
+    inv = pow(den // p**vd * b**f.degree, -1, qd)
+    out = []
+    for u in units:
+        acc = 0
+        for g in coeffs:
+            acc = (acc * u + g) % mod
+        unit, low = divmod(acc, pv)
+        if low or unit % p == 0:
+            raise InternalBoundError(
+                f"the law ord {format_poly(f)} = {law_m} (p = {p}) fails at the unit "
+                f"{u} of the sphere m = {m} around the center {center}")
+        out.append(unit * inv % qd)
+    return out
+
+
 def _digit_atom_pieces(cell: Cell1, f: Poly, depth: int, want, p: int):
     """Split a family cell so that want(unit_digits(f(y), depth)) is constant
     on each piece."""
@@ -527,12 +563,10 @@ def _digit_atom_pieces(cell: Cell1, f: Poly, depth: int, want, p: int):
         min_line = min(v + i * m for i, v in lines)
         law_m = e0 + i0 * m
         d_m = max(cell.residues.depth, depth + law_m - min_line)
+        units = cell.residues.lift(d_m, p).members(p)
         groups: dict[bool, list[int]] = {}
-        for u in cell.residues.lift(d_m, p).members(p):
-            # f is nonzero at the member c + p^m u by the finite law, so its
-            # value is certified directly, without a zero test
-            member = shift_center(cell.center.value, Fraction(u) * Fraction(p) ** m)
-            dig = unit_digits(certify(f, member, depth), p, depth).digits
+        for u, dig in zip(units, _sphere_digits(f, cell.center.value, m, law_m, depth,
+                                                 units, p)):
             groups.setdefault(want(dig), []).append(u)
         for flag in sorted(groups):
             pieces.append(

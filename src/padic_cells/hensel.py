@@ -468,16 +468,6 @@ def _at_root(r: PadicApprox, *qs: Poly):
     return estimates
 
 
-def certify(q: Poly, center: CenterValue, digits: int) -> Rat:
-    """A rational with the valuation and the first `digits` unit digits of
-    q(center), which must be nonzero; at an exact point, q(center) itself."""
-    x = exact_value(center)
-    if x is not None:
-        return q.eval(x)
-    return _certified(center.precision, digits, _at_root(center, q), center.prime,
-                      lambda: f"{format_poly(q)} at the root {center}")[1]
-
-
 def _residue(q: Poly, r: PadicApprox) -> Poly | None:
     """q mod the witness of an inexact root, or None when q(root) = 0."""
     qr = q % r.witness
@@ -498,12 +488,17 @@ def _residue(q: Poly, r: PadicApprox) -> Poly | None:
 
 
 def _value_at(q: Poly, center: CenterValue, digits: int) -> Rat:
-    """`certify`, or 0 where q vanishes at the center."""
-    if exact_value(center) is None:
-        q = _residue(q, center)
-        if q is None:
-            return Fraction(0)
-    return certify(q, center, digits)
+    """A rational with the valuation and the first `digits` unit digits of
+    q(center); q(center) itself at an exact point, and 0 where q vanishes at
+    the center."""
+    x = exact_value(center)
+    if x is not None:
+        return q.eval(x)
+    q = _residue(q, center)
+    if q is None:
+        return Fraction(0)
+    return _certified(center.precision, digits, _at_root(center, q), center.prime,
+                      lambda: f"{format_poly(q)} at the root {center}")[1]
 
 
 def ord_of_poly_at(q: Poly, center: CenterValue, p: int) -> Val:
@@ -534,7 +529,7 @@ def centers_equal(a: CenterValue | Rat, b: CenterValue | Rat, p: int) -> bool:
 
 
 def _difference(a: CenterValue | Rat, b: CenterValue | Rat, p: int, digits: int) -> Rat:
-    """a - b, certified like `certify`; 0 exactly when the points coincide."""
+    """a - b, certified like `_value_at`; 0 exactly when the points coincide."""
     xa, xb = exact_value(a), exact_value(b)
     if xa is not None and xb is not None:
         return xa - xb

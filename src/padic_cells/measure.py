@@ -86,14 +86,6 @@ class ZetaFn:
         den = den * (1 / lead)
         return ZetaFn(num, den)
 
-    @staticmethod
-    def zero() -> "ZetaFn":
-        return ZetaFn(Poly.of(), Poly.of(1))
-
-    def __add__(self, other: "ZetaFn") -> "ZetaFn":
-        return ZetaFn.of(self.num * other.den + other.num * self.den,
-                         self.den * other.den)
-
     def eval(self, t: Fraction) -> Fraction:
         den = self.den.eval(t)
         if den == 0:
@@ -103,7 +95,8 @@ class ZetaFn:
     def taylor_coefficients(self, n: int) -> list[Fraction]:
         """The first n+1 coefficients of the series expansion at t = 0."""
         d0 = self.den.coeff(0)
-        assert d0 != 0
+        if d0 == 0:
+            raise ValueError("a Laurent series: the denominator vanishes at t = 0")
         out: list[Fraction] = []
         for k in range(n + 1):
             acc = self.num.coeff(k)
@@ -117,11 +110,18 @@ class ZetaFn:
 
 
 def igusa_zeta(dec: Decomposition, f: Poly, p: int | None = None) -> ZetaFn:
-    """Z(t) = sum_m mu(ord f = m) t^m, in closed form cell by cell."""
+    """Z(t) = sum_m mu(ord f = m) t^m, in closed form cell by cell.
+
+    The cell terms are summed over their shared denominators and reduced
+    once.  Where ord f takes negative values (p-fractional coefficients),
+    every term is shifted by t^-e for the least lead exponent e < 0, and Z
+    is returned as N / (t^-e D)."""
     if f.is_zero:
         raise UnsupportedInputError("the zeta function of the zero polynomial diverges")
     p = dec.prime if p is None else p
-    total = ZetaFn.zero()
+    # per cell: count p^(-lo-d) t^(e0+i0*lo) * sum_k (p^-step t^(i0*step))^k
+    # over the k of its range, as (lead exponent, numerator without it, den)
+    terms: list[tuple[int, Poly, Poly]] = []
     for cell in dec.cells:
         if cell.is_point:
             continue
@@ -129,28 +129,29 @@ def igusa_zeta(dec: Decomposition, f: Poly, p: int | None = None) -> ZetaFn:
         assert not law.e0.is_infinite
         e0, i0 = law.e0.value, law.i0
         rng = cell.m_range
-        d = cell.residues.depth
-        count = cell.residues.count(p)
-        # contribution: sum over m in rng of count * p^(-m-d) * t^(e0 + i0*m)
-        # = count p^(-lo-d) t^(e0+i0*lo) * sum_k (p^-step t^(i0*step))^k
-        lead_coeff = Fraction(count, p ** (rng.lo + d))
-        lead_exp = e0 + i0 * rng.lo
-        if lead_exp < 0:
-            raise UnsupportedInputError("negative valuations need a shifted series")
-        ratio_num = Poly.of(*([Fraction(0)] * (i0 * rng.step) + [Fraction(1, p**rng.step)])) \
-            if i0 * rng.step > 0 else Poly.of(Fraction(1, p**rng.step))
-        lead = Poly.of(*([Fraction(0)] * lead_exp + [lead_coeff]))
+        lead = Fraction(cell.residues.count(p), p ** (rng.lo + cell.residues.depth))
+        ratio = Poly.of(*([Fraction(0)] * (i0 * rng.step) + [Fraction(1, p**rng.step)]))
         if rng.hi is None:
-            term = ZetaFn.of(lead, Poly.of(1) - ratio_num)
-        else:
-            acc = Poly.of()
-            power = Poly.of(1)
-            for _ in range(rng.count()):
-                acc = acc + power
-                power = power * ratio_num
-            term = ZetaFn.of(lead * acc, Poly.of(1))
-        total = total + term
-    return total
+            terms.append((e0 + i0 * rng.lo, Poly.of(lead), Poly.of(1) - ratio))
+            continue
+        acc, power = Poly.of(), Poly.of(lead)
+        for _ in range(rng.count()):
+            acc = acc + power
+            power = power * ratio
+        terms.append((e0 + i0 * rng.lo, acc, Poly.of(1)))
+    shift = min([0] + [e for e, _, _ in terms])
+    by_den: dict[Poly, Poly] = {}
+    for e, num, den in terms:
+        by_den[den] = by_den.get(den, Poly.of()) + _times_t(num, e - shift)
+    num, den = Poly.of(), Poly.of(1)
+    for d, n in by_den.items():
+        num, den = num * d + n * den, den * d
+    return ZetaFn.of(num, _times_t(den, -shift))
+
+
+def _times_t(f: Poly, e: int) -> Poly:
+    """t^e f(t) for e >= 0."""
+    return Poly.of(*([Fraction(0)] * e + list(f.coeffs)))
 
 
 # ---------------------------------------------------------------------------

@@ -163,9 +163,9 @@ def require_classes(p: int, depth: int, what: str) -> None:
 
 def ord_p(x: Rat, p: int) -> Val:
     """The p-adic valuation of a rational, with ord_p(0) = INFINITY."""
-    x = Fraction(x)
     if x == 0:
         return INFINITY
+    # an int is its own numerator, over the denominator 1
     return Val(int_val(x.numerator, p) - int_val(x.denominator, p))
 
 

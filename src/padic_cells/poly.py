@@ -29,7 +29,7 @@ class Poly:
     @staticmethod
     def of(*coeffs: Rat) -> "Poly":
         """Build from low-to-high coefficients, trimming trailing zeros."""
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         return Poly(tuple(cs))

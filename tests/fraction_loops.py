@@ -1,13 +1,14 @@
-"""The Fraction loops that `Poly`'s integer kernel and the Hensel root search
-replaced, kept as references for the tests that compare the two."""
+"""The Fraction loops that `Poly`'s integer kernel, the Hensel root search and
+the digit-atom sphere loop replaced, kept as references for the tests that
+compare the two."""
 
 import random
 from fractions import Fraction
 from math import comb
 
 from padic_cells.errors import InternalBoundError
-from padic_cells.hensel import _newton
-from padic_cells.padics import Val, ord_p
+from padic_cells.hensel import _at_root, _certified, _newton, exact_value, shift_center
+from padic_cells.padics import Val, ord_p, unit_digits
 from padic_cells.poly import Poly, newton_min
 
 
@@ -76,4 +77,21 @@ def fraction_root_points(w: Poly, p: int, depth_cap: int, start=(0, 0)) -> list[
             search(poly, c + t * p**j, j + 1)
 
     search(w, start[0], start[1])
+    return out
+
+
+def fraction_sphere_digits(f: Poly, center, m: int, law_m: int, depth: int,
+                           units: list[int], p: int) -> list[int]:
+    """`decompose._sphere_digits` as it was written: shift the center to each
+    member c + p^m u and certify f there (law_m is not read)."""
+    out = []
+    for u in units:
+        member = shift_center(center, Fraction(u) * Fraction(p) ** m)
+        x = exact_value(member)
+        if x is not None:
+            value = fraction_eval(f, x)
+        else:
+            value = _certified(member.precision, depth, _at_root(member, f), p,
+                               lambda: f"{f} at {member}")[1]
+        out.append(unit_digits(value, p, depth).digits)
     return out

@@ -82,6 +82,13 @@ def test_cli_zeta(capsys):
     assert payload["zeta"] == {"num": ["4/5"], "den": ["1", "-1/5"], "t": "p^-s"}
 
 
+def test_cli_zeta_laurent(capsys):
+    # ord(y - 1/5) = -1 on Z_5, so Z(t) = 1/t
+    code, out, _ = run_cli(capsys, "zeta", "--prime", "5", "--poly", "y - 1/5", "--json")
+    assert code == 0
+    assert json.loads(out)["zeta"] == {"num": ["1"], "den": ["0", "1"], "t": "p^-s"}
+
+
 def test_cli_decompose_json(capsys):
     code, out, _ = run_cli(capsys, "decompose", "--prime", "5", "--poly", "y^2-1",
                            "--json", "--verify")

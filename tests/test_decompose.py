@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import PRIMES
+from fraction_loops import fraction_sphere_digits
 
+import padic_cells.decompose as decompose_module
 from padic_cells.cells import (
     ZP,
     ArithRange,
@@ -12,6 +14,7 @@ from padic_cells.cells import (
     Cell1,
     Center,
     Decomposition,
+    OrderLaw,
     Residues,
     TAdd,
     contains,
@@ -27,19 +30,21 @@ from padic_cells.decompose import (
     OrdEqInf,
     OrdModEq,
     RvEq,
+    _digit_atom_pieces,
+    _split_by_atom,
     decompose_set,
     prepare,
     preserves_balls_report,
 )
-from padic_cells.errors import UnsupportedInputError
-from padic_cells.hensel import center_proxy
+from padic_cells.errors import InternalBoundError, UnsupportedInputError
+from padic_cells.hensel import center_proxy, exact_value
 from padic_cells.measure import (
     decomposition_measure,
     exact_partition_check,
     measure_of_order,
 )
 from padic_cells.oracle import verify_laws, verify_partition
-from padic_cells.padics import RvData, Val, ord_p
+from padic_cells.padics import RvData, UnitDigits, Val, ord_p
 from padic_cells.poly import Poly
 
 Y = Poly.of(0, 1)
@@ -272,6 +277,71 @@ def test_set_ac_depth_two():
         want = (u.numerator * pow(u.denominator, -1, 25)) % 25 == 7
         got = any(contains(c, y, 5) for c in D.kept_cells)
         assert want == got, r
+
+
+# (coefficients, p, domain, deepest depth, whether a center is inexact):
+# exact and Hensel centers, p-fractional coefficients, Z_p and ball domains
+DIGIT_KERNEL_CASES = [
+    ([-1, 0, 1], 3, ZP, 3, False),
+    ([-17, 0, 1], 2, ZP, 3, True),
+    ([-7, 0, 1], 2, Ball(Fraction(1), 1), 3, False),
+    ([-2, 0, 0, 1], 3, ZP, 3, False),
+    ([1, 0, 1], 5, ZP, 2, True),
+    ([Fraction(-1, 5), 1], 5, ZP, 3, False),
+    ([Fraction(-1, 3), 0, 2], 5, ZP, 2, True),
+    ([-2, 0, 1], 7, Ball(Fraction(3), 1), 2, True),
+    ([Fraction(-1, 3), 0, 2], 7, ZP, 2, False),
+    ([-1, 1, 6], 5, ZP, 3, False),  # centers 1/3 and -1/2
+    ([-3, 0, 1], 11, ZP, 2, True),
+]
+
+
+@pytest.mark.parametrize("coeffs,p,domain,deepest,inexact", DIGIT_KERNEL_CASES)
+def test_digit_kernel_matches_the_fraction_loop(monkeypatch, coeffs, p, domain, deepest,
+                                                inexact):
+    """The integer sphere loop of `_digit_atom_pieces` cuts every cell into
+    the same pieces as shifting the center to each member and certifying f
+    there: per digit value (ac) and through the valuation split (rv)."""
+    f = Poly.of(*coeffs)
+    families = [c for c in prepare(f, p, domain).cells if not c.is_point]
+    assert any(exact_value(c.center.value) is None for c in families) == inexact
+    seen = {"exact": 0, "inexact": 0}
+
+    def counted(f, center, m, law_m, depth, units, p):
+        seen["exact" if exact_value(center) is not None else "inexact"] += len(units)
+        return kernel(f, center, m, law_m, depth, units, p)
+
+    def pieces():
+        out = []
+        for cell in families:
+            law = cell.law_for(f)
+            for depth in range(1, deepest + 1):
+                out.append(_digit_atom_pieces(cell, f, depth, lambda d: d, p))
+                tag = RvData(depth, law.apply(cell.m_range.lo + 1).value,
+                             UnitDigits(depth, 1))
+                out.append(_split_by_atom(cell, RvEq(depth, f, tag), p))
+        return out
+
+    kernel = decompose_module._sphere_digits
+    monkeypatch.setattr(decompose_module, "_sphere_digits", counted)
+    new = pieces()
+    monkeypatch.setattr(decompose_module, "_sphere_digits", fraction_sphere_digits)
+    assert pieces() == new
+    assert seen["exact"] > 0 and (seen["inexact"] > 0) == inexact
+
+
+def test_digit_kernel_rejects_a_contradicted_law():
+    """A law that the values of f do not obey is an internal bound error
+    naming f, p, the center, the sphere and the unit, not a wrong digit."""
+    f = Poly.of(-1, 0, 1)
+    cell = next(c for c in prepare(f, 3).cells
+                if not c.is_point and c.center.value == 1)
+    law = cell.law_for(f)
+    for shift in (1, -1):  # too high a valuation, and too low a one
+        tampered = cell.with_laws({f: OrderLaw(law.e0 + shift, law.i0)})
+        with pytest.raises(InternalBoundError, match=r"y\^2 - 1 .*p = 3.*unit 1 of the "
+                                                     r"sphere m = 1 around the center 1"):
+            _digit_atom_pieces(tampered, f, 3, lambda d: d, 3)
 
 
 # ---------------------------------------------------------------------------

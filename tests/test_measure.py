@@ -1,7 +1,12 @@
+import random
 from fractions import Fraction
 
-from padic_cells.cells import ArithRange, Cell1, Center, Decomposition, Residues, TConst, ZP, sorted_cells
-from padic_cells.decompose import prepare
+import pytest
+
+from padic_cells.cells import (ArithRange, Ball, Cell1, Center, Decomposition, Residues, TConst,
+                               ZP, sorted_cells)
+from padic_cells.decompose import (AcEq, FAnd, FAtom, FNot, FOr, OrdCmp, RvEq, decompose_set,
+                                   prepare)
 from padic_cells.measure import (
     ZetaFn,
     cell_measure,
@@ -11,6 +16,7 @@ from padic_cells.measure import (
     measure_of_order,
 )
 from padic_cells.oracle import count_roots_mod
+from padic_cells.padics import RvData, UnitDigits, ord_p
 from padic_cells.poly import Poly
 
 
@@ -111,6 +117,79 @@ def test_igusa_two_unit_roots_closed_form():
         num = Poly.of(Fraction(p - 2, p)) * (Poly.of(1) - tp) \
             + Fraction(2) * (1 - Fraction(1, p)) * tp
         assert z == ZetaFn.of(num, Poly.of(1) - tp)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_zeta_of_a_scaled_polynomial_is_shifted(corpus, corpus_decompositions, p):
+    """Z_{cf}(t) = t^(ord c) Z_f(t), also where ord c < 0 makes Z a Laurent
+    series: ord cf = ord c + ord f at every point."""
+    laurent = 0
+    for name, f in corpus.items():
+        z = igusa_zeta(corpus_decompositions[name, p], f, p)
+        for c in (Fraction(1, p * p), Fraction(1, p), Fraction(3), Fraction(p)):
+            cf = f * c
+            e = ord_p(c, p).value
+            power = Poly.of(*([0] * abs(e) + [1]))
+            want = ZetaFn.of(z.num * power, z.den) if e >= 0 else \
+                ZetaFn.of(z.num, z.den * power)
+            assert igusa_zeta(prepare(cf, p), cf, p) == want, (name, c)
+            laurent += want.den.coeff(0) == 0
+    assert laurent >= len(corpus)
+
+
+def test_laurent_zeta_examples():
+    # ord(y - 1/5) = -1 on Z_5; ord(y (y - 1/5)) = ord y - 1
+    f = Poly.of(Fraction(-1, 5), 1)
+    assert igusa_zeta(prepare(f, 5), f, 5) == ZetaFn(Poly.of(1), Poly.of(0, 1))
+    g = Poly.of(0, Fraction(-1, 5), 1)
+    z = igusa_zeta(prepare(g, 5), g, 5)
+    assert z == ZetaFn.of(Poly.of(Fraction(4, 5)), Poly.of(0, 1, Fraction(-1, 5)))
+    with pytest.raises(ValueError, match="Laurent"):
+        z.taylor_coefficients(3)
+
+
+def _random_digit_formula(rng: random.Random, p: int, polys: list[Poly]):
+    """A formula of one to three atoms, mostly ac/rv at depths with p^d <= 125."""
+    depths = [d for d in (1, 2, 3) if p**d <= 125]
+
+    def atom():
+        f = rng.choice(polys)
+        d = rng.choice(depths)
+        unit = rng.choice([u for u in range(1, p**d) if u % p])
+        kind = rng.random()
+        if kind < 0.4:
+            return FAtom(AcEq(d, f, unit))
+        if kind < 0.8:
+            return FAtom(RvEq(d, f, RvData(d, rng.randint(-1, 2), UnitDigits(d, unit))))
+        return FAtom(OrdCmp(f, None, rng.randint(0, 2), rng.choice(["<", ">=", "="])))
+
+    phi = atom()
+    for _ in range(rng.randint(0, 2)):
+        phi = (FAnd if rng.random() < 0.5 else FOr)(phi, atom())
+        if rng.random() < 0.3:
+            phi = FNot(phi)
+    return phi
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_measures_of_digit_formulas_are_additive(p):
+    """mu(phi) + mu(!phi) = mu(domain) and mu(phi & psi) + mu(phi | psi) =
+    mu(phi) + mu(psi) on seeded random ac/rv formulas, over Z_p and a ball."""
+    rng = random.Random(8000 + p)
+    polys = [Poly.of(-2, 0, 1), Poly.of(1, 1, 0, 1), Poly.of(Fraction(-1, p), 3),
+             Poly.of(p, -1, p)]
+    for domain, pairs in ((ZP, 2), (Ball(Fraction(1), 1), 1)):
+        whole = Fraction(1, p**domain.radius_ord)
+        for _ in range(pairs):
+            phi = _random_digit_formula(rng, p, polys)
+            psi = _random_digit_formula(rng, p, polys)
+
+            def mu(formula):
+                return decomposition_measure(decompose_set(formula, p, domain), kept_only=True)
+
+            m_phi, m_psi = mu(phi), mu(psi)
+            assert m_phi + mu(FNot(phi)) == whole, phi
+            assert mu(FAnd(phi, psi)) + mu(FOr(phi, psi)) == m_phi + m_psi, (phi, psi)
 
 
 def test_zeta_canonical_form():
