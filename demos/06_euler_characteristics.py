@@ -21,8 +21,8 @@ print("chi(Z_5)          =", chi(D, kept_only=False))
 # the punctured line Z_5 \ {0}
 zero = Center(Fraction(0), 1, TConst(Fraction(0)))
 punct = lambda depth: Decomposition(p, ZP, sorted_cells([
-    Cell1(p, zero, None, None, (), keep=False),
-    Cell1(p, zero, ArithRange(0, None), Residues(depth, None), (), keep=True),
+    Cell1(p, zero, None, None, {}, keep=False),
+    Cell1(p, zero, ArithRange(0, None), Residues(depth, None), {}, keep=True),
 ]))
 print("chi at depth 1    =", chi(punct(1)))
 print("chi at depth 2    =", chi(punct(2)))

@@ -4,10 +4,10 @@ A cell is either a single point or a family of balls around an explicit
 center: the presentation y |-> (ord(y - c), unit digits of (y - c)) of the
 constructive proof.  Families carry an arithmetic-progression range for the
 valuation and a residue constraint at some digit depth.  Every cell carries
-a law table: exact per-polynomial order laws ord f(y) = e0 + i0 * ord(y - c)
-valid on every member, one per polynomial, sorted by coefficients.  `Cell1`
-keeps the table in that order, answers `law_for` (a missing law is a
-ValueError), and freezes the laws to constants where ord(y - c) is fixed.
+a law table: a mapping from each polynomial to its exact order law
+ord f(y) = e0 + i0 * ord(y - c), valid on every member.  A table is never
+mutated once built.  `Cell1` answers `law_for` (a missing law is a
+ValueError) and freezes the laws to constants where ord(y - c) is fixed.
 
 Centers are rational numbers or Hensel-certified root approximations.  This
 module never tells the two apart: equality, distance and digits of the
@@ -18,7 +18,7 @@ constraint algebra over those exact answers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import islice
 
@@ -311,23 +311,20 @@ class Center:
 class Cell1:
     """A univariate cell: a point, or a family of balls around its center.
 
-    `laws` is the law table: (polynomial, law) pairs sorted by coefficients,
-    one per polynomial.  A mapping passed in its place is sorted into one.
+    `laws` is the law table, polynomial -> law; it is never mutated, so
+    cells built from one another may share it.
     """
 
     prime: int
     center: Center
     m_range: ArithRange | None          # None = point cell
     residues: Residues | None           # None = point cell
-    laws: tuple[tuple[Poly, OrderLaw], ...] = ()
+    laws: dict[Poly, OrderLaw] = field(default_factory=dict)
     keep: bool = True
 
     def __post_init__(self):
         if (self.m_range is None) != (self.residues is None):
             raise ValueError("point cells have neither range nor residues")
-        if not isinstance(self.laws, tuple):
-            table = sorted(self.laws.items(), key=lambda kv: kv[0].coeffs)
-            object.__setattr__(self, "laws", tuple(table))
 
     @property
     def is_point(self) -> bool:
@@ -339,17 +336,17 @@ class Cell1:
 
     def law_for(self, f: Poly) -> OrderLaw:
         """The order law of f on the cell; ValueError when it has none."""
-        for g, law in self.laws:
-            if g == f:
-                return law
-        raise ValueError(f"the cell has no order law for {format_poly(f)}")
+        law = self.laws.get(f)
+        if law is None:
+            raise ValueError(f"the cell has no order law for {format_poly(f)}")
+        return law
 
     def with_laws(self, extra: dict[Poly, OrderLaw]) -> "Cell1":
-        return replace(self, laws={**dict(self.laws), **extra})
+        return replace(self, laws={**self.laws, **extra})
 
     def frozen_laws(self, m: int) -> dict[Poly, OrderLaw]:
         """The laws as constants, valid where ord(y - center) = m."""
-        return {f: OrderLaw(law.apply(m), 0) for f, law in self.laws}
+        return {f: OrderLaw(law.apply(m), 0) for f, law in self.laws.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +466,8 @@ def sorted_cells(cells: list[Cell1]) -> tuple[Cell1, ...]:
 
 
 def _merge_laws(primary, secondary) -> dict[Poly, OrderLaw]:
-    """Laws from both sides (mappings or pairs), the primary side winning."""
-    return {**dict(secondary), **dict(primary)}
+    """A new table with the laws of both sides, the primary side winning."""
+    return {**secondary, **primary}
 
 
 def _transport(own: Residues, other: Residues, depth: int, scale: int, shift: int,

@@ -66,9 +66,10 @@ def _cell_json(cell: Cell1, names: dict[Poly, str]) -> dict:
         "center": cj,
         "level": center.level,
         "keep": cell.keep,
+        # the one place laws are ordered: text output prints them in this order
         "laws": {
             _name(f, names): {"e0": _val_json(law.e0), "i0": law.i0}
-            for f, law in cell.laws
+            for f, law in sorted(cell.laws.items(), key=lambda kv: kv[0].coeffs)
         },
     }
     if cell.is_point:

@@ -62,7 +62,7 @@ from .hensel import (
     transfer_basin,
 )
 from .padics import INFINITY, RvData, Val, int_val, is_prime, ord_p, require_classes
-from .poly import Poly, format_poly, resultant_val, squarefree_part, taylor_polys
+from .poly import MAX_DEGREE, Poly, format_poly, resultant_val, squarefree_part, taylor_polys
 
 _ENV_DEPTH = "PADIC_CELLS_MAX_DEPTH"
 # p^r for the domain radius r stays below 2^_MAX_RADIUS_BITS, so measures
@@ -202,59 +202,34 @@ def _budget(f: Poly, p: int) -> int:
 
 
 def _dominance_regions(lines: list[tuple[int, int]], lo: int, hi: int | None):
-    """Partition [lo, hi] by the lower envelope of the lines v_i + i*m.
+    """Partition [lo, hi] by the lower envelope of the lines v_i + i*m, in one
+    walk up from lo.
 
-    Yields ("strict", lo', hi', i0) segments with a unique minimizing line
-    and ("tie", m, achievers) singletons where the minimum is shared.
+    Yields ("strict", lo', hi', i0) for each maximal run with a unique
+    minimizing line and ("tie", m, achievers) where the minimum is shared.
+    A unique minimizer i0 stays unique until the first m at which a line of
+    smaller index reaches it; lines of larger index only fall further behind.
     """
     if not lines:
         raise ValueError("no finite Taylor coefficients")
-    if len(lines) == 1:
-        yield ("strict", lo, hi, lines[0][0])
-        return
-
-    bounds: set[int] = set()
-    for a in range(len(lines)):
-        ia, va = lines[a]
-        for b in range(a + 1, len(lines)):
-            ib, vb = lines[b]
-            t = Fraction(va - vb, ib - ia)
-            fl = t.numerator // t.denominator
-            for cand in (fl, fl + 1):
-                if cand >= lo and (hi is None or cand <= hi):
-                    bounds.add(cand)
-
-    def winners(m: int) -> list[int]:
+    m = lo
+    while hi is None or m <= hi:
         best = min(v + i * m for i, v in lines)
-        return [i for i, v in lines if v + i * m == best]
-
-    segments: list[tuple[int, int | None]] = []
-    pos = lo
-    for c in sorted(bounds):
-        if pos < c:
-            segments.append((pos, c - 1))
-        segments.append((c, c))
-        pos = c + 1
-    if hi is None or pos <= hi:
-        segments.append((pos, hi))
-
-    pending: tuple[int, int | None, int] | None = None
-    for seg_lo, seg_hi in segments:
-        win = winners(seg_lo)
-        if len(win) == 1:
-            if pending is not None and pending[2] == win[0] and pending[1] == seg_lo - 1:
-                pending = (pending[0], seg_hi, win[0])
-            else:
-                if pending is not None:
-                    yield ("strict", pending[0], pending[1], pending[2])
-                pending = (seg_lo, seg_hi, win[0])
-        else:
-            if pending is not None:
-                yield ("strict", pending[0], pending[1], pending[2])
-                pending = None
-            yield ("tie", seg_lo, win)
-    if pending is not None:
-        yield ("strict", pending[0], pending[1], pending[2])
+        win = [i for i, v in lines if v + i * m == best]
+        if len(win) > 1:
+            yield ("tie", m, win)
+            m += 1
+            continue
+        i0 = win[0]
+        v0 = best - i0 * m
+        # line j reaches line i0 at m >= (v_j - v0) / (i0 - j), rounded up
+        end = min((-((v0 - v) // (i0 - i)) - 1 for i, v in lines if i < i0), default=hi)
+        if hi is not None:
+            end = min(end, hi)
+        yield ("strict", m, end, i0)
+        if end is None:
+            return
+        m = end + 1
 
 
 def _term_is_zero(t: Term | None) -> bool:
@@ -405,6 +380,8 @@ def prepare(f: Poly, p: int, domain: Ball = ZP) -> Decomposition:
     _check_input(p, domain)
     if f.is_zero:
         raise UnsupportedInputError("cannot decompose for the zero polynomial")
+    if f.degree > MAX_DEGREE:
+        raise UnsupportedInputError(f"deg f = {f.degree} is above the supported bound {MAX_DEGREE}")
     cells = _prepare_ball(f, p, domain, _budget(f, p))
     return Decomposition(p, domain, sorted_cells(cells))
 

@@ -25,9 +25,9 @@ from .decompose import (
     OrdModEq,
     RvEq,
 )
-from .errors import ParseError
+from .errors import ParseError, UnsupportedInputError
 from .padics import RvData, UnitDigits
-from .poly import Poly
+from .poly import MAX_DEGREE, Poly
 
 _QUANTIFIERS = {"exists", "forall", "all", "some"}
 _SYMBOLS = ("<=", ">=", "!=", "<", ">", "=", "+", "-", "*", "^", "/", "%",
@@ -142,8 +142,10 @@ class _Parser:
     def _poly_term(self) -> Poly:
         acc = self._poly_factor()
         while self.peek("*"):
-            self.next("*")
-            acc = acc * self._poly_factor()
+            tok = self.next("*")
+            factor = self._poly_factor()
+            _check_degree(acc.degree + factor.degree, tok.pos)
+            acc = acc * factor
         return acc
 
     def _poly_factor(self) -> Poly:
@@ -152,6 +154,8 @@ class _Parser:
             self.next("^")
             tok = self.next("int")
             e = int(tok.text)
+            # a large exponent is refused even on a constant: its digits grow too
+            _check_degree(max(e, base.degree * e), tok.pos)
             out = Poly.of(1)
             for _ in range(e):
                 out = out * base
@@ -296,6 +300,13 @@ class _Parser:
             return FAtom(OrdCmp(f, g, offset, rel))
         c = self.parse_int()
         return FAtom(OrdCmp(f, None, c, rel))
+
+
+def _check_degree(degree: int, pos: int) -> None:
+    """Refuse a power or product past MAX_DEGREE before expanding it."""
+    if degree > MAX_DEGREE:
+        raise UnsupportedInputError(f"the power or product at position {pos} reaches "
+                                    f"{degree}, past the degree bound {MAX_DEGREE}")
 
 
 def parse_poly(text: str) -> Poly:

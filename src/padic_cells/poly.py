@@ -21,6 +21,13 @@ from math import lcm
 
 from .padics import Rat, Val, ord_p, val_min
 
+# The largest degree the parser and `prepare` accept.  `prepare` recurses
+# once per derivative, so its stack depth grows with the degree, and the
+# parser expands powers by repeated products, in time quadratic in the
+# degree.  No workload or test goes past degree 8, and y^100 decomposes in
+# under a second.
+MAX_DEGREE = 100
+
 
 @dataclass(frozen=True)
 class Poly:

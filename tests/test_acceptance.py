@@ -6,7 +6,6 @@ threshold is the criterion-1 runtime budget.
 """
 
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -218,8 +217,8 @@ def test_criterion_6_paper_examples():
 def _punctured(p, depth):
     zero = Center(Fraction(0), 1, TConst(Fraction(0)))
     return Decomposition(p, ZP, sorted_cells([
-        Cell1(p, zero, None, None, (), keep=False),
-        Cell1(p, zero, ArithRange(0, None), Residues(depth, None), (), keep=True),
+        Cell1(p, zero, None, None, {}, keep=False),
+        Cell1(p, zero, ArithRange(0, None), Residues(depth, None), {}, keep=True),
     ]))
 
 
@@ -291,9 +290,9 @@ def test_criterion_9_negative_controls(capsys):
     p = 5
     zero = Center(Fraction(0), 1, TConst(Fraction(0)))
     overlap = Decomposition(p, ZP, sorted_cells([
-        Cell1(p, zero, None, None, ()),
-        Cell1(p, zero, ArithRange(0, None), Residues(1, None), ()),
-        Cell1(p, zero, ArithRange(2, 2), Residues(1, None), ()),
+        Cell1(p, zero, None, None, {}),
+        Cell1(p, zero, ArithRange(0, None), Residues(1, None), {}),
+        Cell1(p, zero, ArithRange(2, 2), Residues(1, None), {}),
     ]))
     rep = verify_partition(overlap, 4)
     assert rep.violations
@@ -306,8 +305,7 @@ def test_criterion_9_negative_controls(capsys):
     idx = next(i for i, c in enumerate(cells)
                if not c.is_point and not c.law_for(f).e0.is_infinite)
     law = cells[idx].law_for(f)
-    cells[idx] = replace(cells[idx], laws=tuple(
-        (g, OrderLaw(v.e0 + 1, v.i0) if g == f else v) for g, v in cells[idx].laws))
+    cells[idx] = cells[idx].with_laws({f: OrderLaw(law.e0 + 1, law.i0)})
     bad = Decomposition(p, ZP, tuple(cells))
     rep2 = verify_laws(bad, f, samples=60)
     assert rep2.failures and {x.cell_index for x in rep2.failures} == {idx}

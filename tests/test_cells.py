@@ -100,8 +100,8 @@ def test_refine_common_idempotent():
 def test_refine_common_depths():
     zero = Center(Fraction(0), 1, TConst(Fraction(0)))
     mk = lambda depth: Decomposition(5, ZP, sorted_cells([
-        Cell1(5, zero, None, None, ()),
-        Cell1(5, zero, ArithRange(0, None), Residues(depth, None), ()),
+        Cell1(5, zero, None, None, {}),
+        Cell1(5, zero, ArithRange(0, None), Residues(depth, None), {}),
     ]))
     R = refine_common(mk(1), mk(2))
     fams = [c for c in R.cells if not c.is_point]
@@ -219,14 +219,16 @@ def test_law_table():
     p, y, sq = 5, Poly.of(0, 1), Poly.of(-1, 0, 1)
     law_y, law_sq = OrderLaw(Val(0), 1), OrderLaw(Val(2), 0)
     cell = Cell1(p, Center(Fraction(0), 1), ArithRange(0, None), Residues(1), {sq: law_sq, y: law_y})
-    # a mapping becomes pairs sorted by coefficients, one per polynomial
-    assert cell.laws == ((sq, law_sq), (y, law_y))
+    # the table is a mapping, one law per polynomial
+    assert cell.laws == {y: law_y, sq: law_sq}
     assert cell.law_for(y) == law_y
     with pytest.raises(ValueError):
         cell.law_for(Poly.of(1, 1))
     assert cell.frozen_laws(3) == {sq: law_sq, y: OrderLaw(Val(3), 0)}
     updated = cell.with_laws({y: OrderLaw(Val(1), 0)})
-    assert updated.laws == ((sq, law_sq), (y, OrderLaw(Val(1), 0)))
+    assert updated.laws == {sq: law_sq, y: OrderLaw(Val(1), 0)}
+    # with_laws builds a new table and leaves the old one as it was
+    assert cell.laws[y] == law_y
 
 
 def test_sort_key_reads_only_the_first_units():

@@ -162,6 +162,11 @@ def test_cli_internal_bound_exit(capsys, monkeypatch):
     (None, ["decompose", "--prime", "5", "--formula", "rv(9, y) = 0"], 3),
     (None, ["oracle-compare", "--prime", "5", "--poly", "y", "--k", "-1"], 3),
     (None, ["oracle-compare", "--prime", "5", "--poly", "y", "--k", "3000"], 3),
+    # the degree bound, checked before a power or a product is expanded
+    (None, ["measure", "--prime", "5", "--poly", "y^1100"], 3),
+    (None, ["measure", "--prime", "5", "--poly", "y^200000"], 3),
+    (None, ["measure", "--prime", "5", "--poly", "2^100000"], 3),
+    (None, ["decompose", "--prime", "5", "--formula", "ord(y^101) >= 0"], 3),
     # the least strong pseudoprime to every base of the primality test
     (None, ["measure", "--prime", "318665857834031151167461", "--poly", "y"], 3),
     # argparse owns the input flags of each subcommand

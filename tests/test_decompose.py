@@ -1,4 +1,5 @@
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from padic_cells.decompose import (
     OrdModEq,
     RvEq,
     _digit_atom_pieces,
+    _dominance_regions,
     _split_by_atom,
     decompose_set,
     prepare,
@@ -45,7 +47,7 @@ from padic_cells.measure import (
 )
 from padic_cells.oracle import verify_laws, verify_partition
 from padic_cells.padics import RvData, UnitDigits, Val, ord_p
-from padic_cells.poly import Poly
+from padic_cells.poly import MAX_DEGREE, Poly
 
 Y = Poly.of(0, 1)
 
@@ -66,6 +68,47 @@ def test_prepare_monomial():
 def test_prepare_rejects_zero():
     with pytest.raises(UnsupportedInputError):
         prepare(Poly.of(), 5)
+
+
+def test_prepare_rejects_degree_above_the_bound():
+    # the recursion takes one level per derivative, so the degree is bounded
+    f = Poly.of(*[0] * (MAX_DEGREE + 1), 1)
+    with pytest.raises(UnsupportedInputError, match="bound"):
+        prepare(f, 5)
+    with pytest.raises(UnsupportedInputError, match="bound"):
+        decompose_set(FAtom(OrdCmp(f, None, 0, ">=")), 5)
+
+
+def test_dominance_regions_match_the_envelope():
+    # the regions tile [lo, hi] in order and agree with the brute-force
+    # minimum of v_i + i*m at every m (a 40-wide window when hi is None)
+    rng = random.Random(20061001)
+    for _ in range(400):
+        lines = [(i, rng.randint(-6, 12)) for i in sorted(rng.sample(range(9), rng.randint(1, 6)))]
+        lo = rng.randint(-5, 6)
+        hi = rng.choice([None, lo + rng.randint(0, 25)])
+        top = lo + 40 if hi is None else hi
+
+        def achievers(m):
+            best = min(v + i * m for i, v in lines)
+            return [i for i, v in lines if v + i * m == best]
+
+        regions = list(_dominance_regions(lines, lo, hi))
+        m, prev = lo, None
+        for n, region in enumerate(regions):
+            assert m is not None  # only the last region may be unbounded
+            if region[0] == "tie":
+                _, at, win = region
+                assert at == m and len(win) >= 2 and win == achievers(at)
+                m, prev = at + 1, None
+                continue
+            _, start, end, i0 = region
+            assert start == m and i0 != prev
+            assert end is None or start <= end
+            for x in range(start, (top if end is None else end) + 1):
+                assert achievers(x) == [i0], (lines, lo, hi, x)
+            m, prev = (None if end is None else end + 1), i0
+        assert m == (None if hi is None else hi + 1), (lines, lo, hi)
 
 
 def test_prepare_squares_minus_one():

@@ -38,8 +38,8 @@ from padic_cells.poly import Poly
 def punctured_zp(p, depth, keep_point=False):
     zero = Center(Fraction(0), 1, TConst(Fraction(0)))
     return Decomposition(p, ZP, sorted_cells([
-        Cell1(p, zero, None, None, (), keep=keep_point),
-        Cell1(p, zero, ArithRange(0, None), Residues(depth, None), (), keep=True),
+        Cell1(p, zero, None, None, {}, keep=keep_point),
+        Cell1(p, zero, ArithRange(0, None), Residues(depth, None), {}, keep=True),
     ]))
 
 
@@ -105,9 +105,9 @@ def test_cv_check_false_on_a_broken_partition():
     p = 5
     zero = Center(Fraction(0), 1, TConst(Fraction(0)))
     overlapping = Decomposition(p, ZP, sorted_cells([
-        Cell1(p, zero, None, None, ()),
-        Cell1(p, zero, ArithRange(0, None), Residues(1, None), ()),
-        Cell1(p, zero, ArithRange(1, 2), Residues(1, None), ()),
+        Cell1(p, zero, None, None, {}),
+        Cell1(p, zero, ArithRange(0, None), Residues(1, None), {}),
+        Cell1(p, zero, ArithRange(1, 2), Residues(1, None), {}),
     ]))
     assert cv_check(overlapping, prepare(Poly.of(0, 1), p)) is False
 
@@ -170,7 +170,7 @@ def _broken(dec):
     stay right), or with a family added that overlaps other cells."""
     cells = list(dec.cells)
     zero = Center(Fraction(0), 1, TConst(Fraction(0)))
-    overlap = Cell1(dec.prime, zero, ArithRange(1, 2), Residues(1, None), ())
+    overlap = Cell1(dec.prime, zero, ArithRange(1, 2), Residues(1, None), {})
     variants = [cells[:i] + cells[i + 1:] for i in range(len(cells))]
     variants += [cells + [c] for c in cells] + [cells + [overlap]]
     variants += [cells[:i] + cells[i + 1:] + [c] for i, gone in enumerate(cells)

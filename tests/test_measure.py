@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import PRIMES
 
 from padic_cells.cells import (ArithRange, Ball, Cell1, Center, Decomposition, Residues, TConst,
                                ZP, sorted_cells)
@@ -135,6 +136,19 @@ def test_zeta_of_a_scaled_polynomial_is_shifted(corpus, corpus_decompositions, p
             assert igusa_zeta(prepare(cf, p), cf, p) == want, (name, c)
             laurent += want.den.coeff(0) == 0
     assert laurent >= len(corpus)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_zeta_is_invariant_under_unit_affine_substitutions(corpus, corpus_decompositions, p):
+    """Z_{f(ay+b)} = Z_f for a unit a and an integral b: y -> ay + b maps Z_p
+    onto itself and preserves its Haar measure."""
+    unit = 5 if p == 2 else 2
+    for name, f in corpus.items():
+        z = igusa_zeta(corpus_decompositions[name, p], f, p)
+        for a, b in ((-1, 0), (1, 1), (p + 1, p), (unit, 1 + p * p)):
+            assert ord_p(a, p) == 0
+            g = f.shift_var(Fraction(a), Fraction(b))
+            assert igusa_zeta(prepare(g, p), g, p) == z, (name, a, b)
 
 
 def test_laurent_zeta_examples():

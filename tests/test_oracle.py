@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -113,9 +112,9 @@ def test_verify_partition_detects_overlap():
     p = 5
     zero = Center(Fraction(0), 1, TConst(Fraction(0)))
     cells = sorted_cells([
-        Cell1(p, zero, None, None, ()),
-        Cell1(p, zero, ArithRange(0, None), Residues(1, None), ()),
-        Cell1(p, zero, ArithRange(1, 2), Residues(1, None), ()),  # overlap
+        Cell1(p, zero, None, None, {}),
+        Cell1(p, zero, ArithRange(0, None), Residues(1, None), {}),
+        Cell1(p, zero, ArithRange(1, 2), Residues(1, None), {}),  # overlap
     ])
     rep = verify_partition(Decomposition(p, ZP, cells), 4)
     assert not rep.ok and rep.violations
@@ -139,9 +138,7 @@ def test_verify_laws_detects_corruption():
     for i, c in enumerate(D.cells):
         law = c.law_for(f)
         if not c.is_point and tampered is None and not law.e0.is_infinite:
-            laws = tuple((g, OrderLaw(v.e0 + 1, v.i0) if g == f else v)
-                         for g, v in c.laws)
-            bad_cells.append(replace(c, laws=laws))
+            bad_cells.append(c.with_laws({f: OrderLaw(law.e0 + 1, law.i0)}))
             tampered = i
         else:
             bad_cells.append(c)
@@ -166,8 +163,8 @@ def test_verify_partition_below_the_residue_depth():
     p = 3
     zero = Center(Fraction(0), 1, TConst(Fraction(0)))
     punctured = Decomposition(p, ZP, sorted_cells([
-        Cell1(p, zero, None, None, ()),
-        Cell1(p, zero, ArithRange(0, None), Residues(2, None), ()),
+        Cell1(p, zero, None, None, {}),
+        Cell1(p, zero, ArithRange(0, None), Residues(2, None), {}),
     ]))
     # all units at depth 2 still cover the classes 1 and 2 whole
     rep = verify_partition(punctured, 1)

@@ -244,7 +244,7 @@ def test_broken_decompositions_report_the_same_faults(p, f):
     # tampered laws fail on their cells' samples, the same members in both
     broken = {i for i, c in enumerate(dec.cells)
               if not c.is_point and not c.law_for(f).e0.is_infinite}
-    cells = tuple(replace(c, laws=tuple((g, OrderLaw(law.e0 + 1, law.i0)) for g, law in c.laws))
+    cells = tuple(replace(c, laws={g: OrderLaw(law.e0 + 1, law.i0) for g, law in c.laws.items()})
                   if i in broken else c for i, c in enumerate(dec.cells))
     tampered = replace(dec, cells=cells)
     new, ref = verify_laws(tampered, f, samples=40), ref_verify_laws(tampered, f, samples=40)

@@ -1,7 +1,9 @@
-"""Byte-identity pins for `decompose --json`.
+"""Byte-identity pins for `decompose --json` and for text output.
 
-Each digest is the first 16 hex digits of the sha256 of the command's stdout,
-recorded before the center queries were consolidated in `hensel`.  A cleanup
+Each digest is the first 16 hex digits of the sha256 of the command's stdout.
+The JSON pins were recorded before the center queries were consolidated in
+`hensel`; the text pins before the law table became a mapping, since text
+output prints each cell's laws in the order the CLI sorts them.  A cleanup
 that changes a decomposition, even by one byte, fails here; a change that is
 meant to alter decompositions must update these digests and say why in
 CHANGES.md.
@@ -63,9 +65,25 @@ FORMULA_PINS = [
 ]
 
 
-def _digest(capsys, *argv: str) -> str:
-    assert main(["decompose", "--json", *argv]) == 0
+TEXT_PINS = [
+    (["decompose", "--prime", "5", "--poly", "y^3 - y"], "f12ec6c2ab143e88"),
+    (["decompose", "--prime", "3", "--poly", "(y^2-1)^2", "--domain", "1:1"], "7b9ea765ff52915c"),
+    (["decompose", "--prime", "3", "--formula", "ord(y^2-1) >= ord(2*y+1) + 1"],
+     "d7a11eaff3532825"),
+    (["decompose", "--prime", "7", "--formula", "(ac(2, y^2 - 2) = 10 & ord(y - 3) % 2 = 1)"],
+     "689451ae84c6d4a6"),
+    (["zeta", "--prime", "5", "--poly", "(y^2-1)^2"], "35dc1f80ccffb343"),
+    (["chi", "--prime", "5", "--formula", "ord(y^2 - 1) >= 1"], "7d6d956f944e6047"),
+]
+
+
+def _stdout_digest(capsys, *argv: str) -> str:
+    assert main(list(argv)) == 0
     return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+
+
+def _digest(capsys, *argv: str) -> str:
+    return _stdout_digest(capsys, "decompose", "--json", *argv)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -82,3 +100,8 @@ def test_formula_output_pinned(capsys, p, formula, pin):
 
 def test_large_prime_output_pinned(capsys):
     assert _digest(capsys, "--prime", "31", "--poly", "y^2 - 1") == "9983b2ec70a9c1f0"
+
+
+@pytest.mark.parametrize("argv,pin", TEXT_PINS)
+def test_text_output_pinned(capsys, argv, pin):
+    assert _stdout_digest(capsys, *argv) == pin
