@@ -23,7 +23,6 @@ a point or a ball by construction.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, factorial
@@ -52,19 +51,16 @@ from .hensel import (
     CenterValue,
     center_of,
     center_proxy,
-    certified_root_points,
     digits_of_poly_at,
     exact_value,
-    make_root_approx,
     ord_of_poly_at,
+    roots_in_ball,
     shift_center,
     taylor_ords,
-    transfer_basin,
 )
 from .padics import INFINITY, RvData, Val, int_val, is_prime, ord_p, require_classes
 from .poly import MAX_DEGREE, Poly, format_poly, resultant_val, squarefree_part, taylor_polys
 
-_ENV_DEPTH = "PADIC_CELLS_MAX_DEPTH"
 # p^r for the domain radius r stays below 2^_MAX_RADIUS_BITS, so measures
 # and the numbers printed for them stay far from Python's 4,300-digit limit
 _MAX_RADIUS_BITS = 8192
@@ -187,12 +183,6 @@ def _check_input(p: int, domain: Ball) -> None:
 
 
 def _budget(f: Poly, p: int) -> int:
-    env = os.environ.get(_ENV_DEPTH)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise UnsupportedInputError(f"{_ENV_DEPTH}={env!r} is not an integer") from None
     w = squarefree_part(f)
     r = 0
     if w.degree >= 1:
@@ -349,15 +339,10 @@ def _split_tie_class(f: Poly, w: Poly, p: int, center: Center, off: Fraction, ba
     of f there.  The center is a certified root of the squarefree part w if
     the class holds one; else it is c + off, one digit deeper than c."""
     c_value, c_term = center.value, center.term
-    # hunt for roots of w inside the class ball
     base = center_proxy(c_value, p, max(ball_ord + 4, 8)) + off
-    scale = Fraction(p) ** ball_ord
-    scaled = w.shift_var(scale, base)
-    points = certified_root_points(scaled, p, budget + 4)
-
-    if points:
-        y_point = transfer_basin(w, scaled, lambda t: base + scale * t, points[0], p)
-        value = center_of(make_root_approx(w, y_point, p, 1))
+    root = next(roots_in_ball(w, base, ball_ord, p, budget + 4, 1), None)
+    if root is not None:
+        value = center_of(root)
         term: Term | None = None
         if c_term is not None:
             h_term = TH(w.degree, 1, _taylor_coeff_terms(w, c_term, c_value),

@@ -17,11 +17,14 @@ answer every question about an inexact root through one certification loop
 asked for.  The decomposition engine and the cell algebra use only these
 queries.
 
+`roots_in_ball` is the one root search: it scales a ball to Z_p, runs the
+pruned digit search `certified_root_points` there and certifies each root it
+finds.  The engine's tie split takes the first root of a tie class from it.
 `check_conditions` and `h` realize the quantitative Hensel conditions and
 the total root-or-zero functions built from them; `h` decides existence by
-locating the roots of the (squarefree part of the) input inside the given
-rv-class rather than by scanning every digit lift, which gives the same
-answer with polynomially many candidates.
+searching the ball of the given rv-class with `roots_in_ball` rather than by
+scanning every digit lift, which gives the same answer with polynomially
+many candidates.
 """
 
 from __future__ import annotations
@@ -262,15 +265,13 @@ def check_conditions(
     return _conditions_index(f, p, m, vfx, vdfx, d)
 
 
-def certified_root_points(w: Poly, p: int, depth_cap: int,
-                          start: tuple[int, int] = (0, 0)) -> list[Fraction]:
+def certified_root_points(w: Poly, p: int, depth_cap: int) -> list[Fraction]:
     """Rational points in Z_p, one per root of squarefree w, each either an
     exact root or Newton-certified for w (ord w > 2 ord w').
 
     Digit-lifting search with pruning: a residue class is abandoned as soon
     as the constant Taylor term dominates on the whole class, and accepted
-    once it lies inside a Newton basin.  `start = (c, j)` restricts the
-    search to the class c mod p^j.
+    once it lies inside a Newton basin.
     """
     # the basin criterion ord w > 2 ord w' presumes p-integral coefficients;
     # scaling by a power of p fixes the content at 0 without moving roots
@@ -309,7 +310,7 @@ def certified_root_points(w: Poly, p: int, depth_cap: int,
         for t in range(p):
             search(poly, c + t * p**j, j + 1)
 
-    search(w, start[0], start[1])
+    search(w, 0, 0)
     return out
 
 
@@ -333,16 +334,16 @@ def transfer_basin(w: Poly, inner: Poly, embed, t: Fraction, p: int) -> Fraction
     raise InternalBoundError("basin transfer failed for a class root")
 
 
-def _roots_in_class(w: Poly, x0: RvData, p: int, depth_cap: int) -> list[Fraction]:
-    """Newton-certified starting points (for w itself) of every root of
-    squarefree w with rv_{x0.depth}(root) = x0."""
-    m = x0.valuation
-    assert m is not None
-    scale = Fraction(p) ** m
-    bigw = w.shift_var(scale, 0)  # roots are the unit parts z = y / p^m
-    points = certified_root_points(bigw, p, depth_cap + x0.depth,
-                                   (x0.unit.digits, x0.depth))
-    return [transfer_basin(w, bigw, lambda z: z * scale, z, p) for z in points]
+def roots_in_ball(w: Poly, a: Fraction, k: int, p: int, depth_cap: int, tag_depth: int):
+    """One PadicApprox per root of squarefree w in the ball ord(y - a) >= k,
+    in search order: the ball is scaled to Z_p by y = a + p^k t, searched to
+    `depth_cap` digits, and each point is carried back to a certified root
+    of w with an rv-tag of depth `tag_depth` or deeper."""
+    scale = Fraction(p) ** k
+    inner = w.shift_var(scale, a)
+    for t in certified_root_points(inner, p, depth_cap):
+        y = transfer_basin(w, inner, lambda z: a + scale * z, t, p)
+        yield make_root_approx(w, y, p, tag_depth)
 
 
 def h(a: list[Rat], x0: RvData, p: int) -> PadicApprox | None:
@@ -366,37 +367,23 @@ def h(a: list[Rat], x0: RvData, p: int) -> PadicApprox | None:
     cap = 2 * (0 if res.is_infinite else max(res.value, 0)) + 2 * d + 2
     dwpoly = w.derivative()
     m = x0.valuation
+    lift = canonical_lift(x0, p)
 
-    roots = _roots_in_class(w, x0, p, cap)
-    if not roots:
-        return None
+    def conditions_hold(x: Fraction) -> bool:
+        return rv(x, p, d) == x0 and _conditions_index(
+            w, p, m, ord_p(w.eval(x), p), ord_p(dwpoly.eval(x), p), d) is not None
 
     accepted: list[PadicApprox] = []
-    for z in roots:
-        root = make_root_approx(w, z, p, d)
+    for root in roots_in_ball(w, lift, m + d, p, cap, d):
         deep = refine_root(root, m + d + cap + 4)
         # candidate points: the class representative and reductions of the
         # root at every depth up to the search cap
-        cands = [canonical_lift(x0, p)]
-        for extra in range(0, cap + 1):
-            cands.append(reduce_mod(deep.approx, p, m + d + extra))
-        seen: set[Fraction] = set()
-        for x in cands:
-            if x == 0 or x in seen:
-                continue
-            seen.add(x)
-            if rv(x, p, d) != x0:
-                continue
-            vfx = ord_p(w.eval(x), p)
-            vdfx = ord_p(dwpoly.eval(x), p)
-            if _conditions_index(w, p, m, vfx, vdfx, d) is not None:
-                accepted.append(root)
-                break
-    if not accepted:
-        return None
+        cands = [lift] + [reduce_mod(deep.approx, p, m + d + e) for e in range(cap + 1)]
+        if any(map(conditions_hold, dict.fromkeys(cands))):
+            accepted.append(root)
     if len(accepted) > 1:
         raise InternalBoundError("Hensel conditions accepted a non-unique class")
-    return accepted[0]
+    return accepted[0] if accepted else None
 
 
 def order_law_at_root(f: Poly, r: PadicApprox, p: int) -> Val:

@@ -12,11 +12,10 @@ so this quotient is sound for the implemented relations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .cells import Cell1, Decomposition, ProductCell, common_pieces, contains, intersect_cells
+from .cells import Cell1, Decomposition, ProductCell, common_pieces, contains
 from .errors import UnsupportedInputError
-from .measure import cell_measure
+from .measure import cell_measure, partition_check
 
 
 @dataclass(frozen=True)
@@ -131,12 +130,11 @@ def cv_check(d1: Decomposition, d2: Decomposition) -> bool:
 
     The pieces of the common refinement R come from common_pieces, with the
     two parents that intersect_cells put each one inside.  Grouped by parent,
-    they must partition every parent cell exactly -- certified by exact
-    measure bookkeeping, coverage of every center point in the group, type
-    consistency and disjointness -- after which both reductions land on the
-    identical canonical element chi(R).  Different sets are rejected.
+    they must partition every parent cell exactly -- `partition_check` with
+    the parent's measure and the group's centers inside the parent as probes
+    -- with no child of a larger type, after which both reductions land on
+    the identical canonical element chi(R).  Different sets are rejected.
     """
-    p = d1.prime
     groups = ([[] for _ in d1.cells], [[] for _ in d2.cells])
     for i, j, piece in common_pieces(d1, d2):
         if d1.cells[i].keep != d2.cells[j].keep:
@@ -145,16 +143,9 @@ def cv_check(d1: Decomposition, d2: Decomposition) -> bool:
         groups[1][j].append(piece)
     for parent_dec, children_of in zip((d1, d2), groups):
         for parent, children in zip(parent_dec.cells, children_of):
-            total = sum((cell_measure(c) for c in children), Fraction(0))
-            if total != cell_measure(parent) or any(c.kind > parent.kind for c in children):
-                return False
-            # every center point of the group that belongs to the parent
-            # must be covered by exactly one child
             probes = [parent.center.value] + [c.center.value for c in children]
-            for v in probes:
-                if contains(parent, v, p) and sum(contains(c, v, p) for c in children) != 1:
-                    return False
-            # children must be disjoint: an overlap could hide a gap of equal measure
-            if any(intersect_cells(a, b) for n, a in enumerate(children) for b in children[n + 1:]):
+            if any(c.kind > parent.kind for c in children) or not partition_check(
+                    children, cell_measure(parent),
+                    lambda v: contains(parent, v, parent.prime), probes).ok:
                 return False
     return True

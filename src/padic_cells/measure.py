@@ -9,11 +9,13 @@ Z(t) = sum_m mu(ord f = m) t^m is an exact rational function in t = p^(-s).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .cells import Cell1, Decomposition, contains, intersect_cells
 from .errors import UnsupportedInputError
+from .hensel import center_proxy
+from .padics import ord_p
 from .poly import Poly, format_poly, poly_gcd
 
 
@@ -172,31 +174,31 @@ class PartitionCheck:
         return self.disjoint and self.covers
 
 
-def exact_partition_check(dec: Decomposition) -> PartitionCheck:
-    """Disjointness and exact cover of the domain, by constraint algebra.
+def partition_check(cells, measure: Fraction, inside, probes) -> PartitionCheck:
+    """Whether `cells` partition a set of the given measure: they are pairwise
+    disjoint (the one all-pairs overlap loop), their measures sum to
+    `measure`, and every probe that `inside` accepts lies in exactly one
+    cell.  Any gap in a finite union of fiber balls and points has positive
+    measure or consists of centers, so with the centers probed the three
+    tests are complete."""
+    overlaps = tuple((i, j) for i in range(len(cells)) for j in range(i + 1, len(cells))
+                     if intersect_cells(cells[i], cells[j]))
+    total = sum(map(cell_measure, cells), Fraction(0))
+    uncovered = sum(inside(v) and sum(contains(c, v, c.prime) for c in cells) != 1
+                    for v in probes)
+    return PartitionCheck(disjoint=not overlaps, covers=total == measure and not uncovered,
+                          overlaps=overlaps, missing_measure=measure - total,
+                          uncovered_centers=uncovered)
 
-    Cover is certified by (a) total measure equal to the domain measure and
-    (b) every center point being covered exactly once: any gap in a finite
-    union of fiber balls and points is either of positive measure or a
-    subset of the centers, so the two conditions are complete.
-    """
-    p = dec.prime
-    overlaps = []
-    for i in range(len(dec.cells)):
-        for j in range(i + 1, len(dec.cells)):
-            if intersect_cells(dec.cells[i], dec.cells[j]):
-                overlaps.append((i, j))
-    domain_measure = Fraction(1, p**dec.domain.radius_ord)
-    total = decomposition_measure(dec)
-    uncovered = 0
-    for cell in dec.cells:
-        hits = sum(contains(other, cell.center.value, p) for other in dec.cells)
-        if hits != 1:
-            uncovered += 1
-    return PartitionCheck(
-        disjoint=not overlaps,
-        covers=(total == domain_measure and uncovered == 0),
-        overlaps=tuple(overlaps),
-        missing_measure=domain_measure - total,
-        uncovered_centers=uncovered,
-    )
+
+def exact_partition_check(dec: Decomposition) -> PartitionCheck:
+    """`partition_check` of the domain ball B(b, r), with every center probed.
+    Cover also needs each cell's support ball -- B(center, lo) for a family,
+    the center for a point -- inside B(b, r): a cell outside could stand in
+    for a gap of the same measure."""
+    p, b, r = dec.prime, dec.domain.center, dec.domain.radius_ord
+    chk = partition_check(dec.cells, Fraction(1, p**r), lambda v: True,
+                          [c.center.value for c in dec.cells])
+    inside = all((c.is_point or c.m_range.lo >= r)
+                 and ord_p(center_proxy(c.center.value, p, r) - b, p) >= r for c in dec.cells)
+    return replace(chk, covers=chk.covers and inside)

@@ -6,10 +6,14 @@ Formula atoms:  ord(f) REL ord(g) + c   |  ord(f) REL c  |  ord(f) % q = r
              |  f = 0
 combined with & | ! and parentheses.  Quantifier tokens are rejected with a
 position-annotated error.
+Literals longer than MAX_LITERAL_DIGITS and nesting or formula trees deeper
+than MAX_NESTING are refused before Python's integer-string or recursion
+limit is reached.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +32,9 @@ from .decompose import (
 from .errors import ParseError, UnsupportedInputError
 from .padics import RvData, UnitDigits
 from .poly import MAX_DEGREE, Poly
+
+MAX_LITERAL_DIGITS = 1000
+MAX_NESTING = 100
 
 _QUANTIFIERS = {"exists", "forall", "all", "some"}
 _SYMBOLS = ("<=", ">=", "!=", "<", ">", "=", "+", "-", "*", "^", "/", "%",
@@ -54,6 +61,9 @@ def _tokenize(text: str) -> list[_Token]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if j - i > MAX_LITERAL_DIGITS:
+                raise UnsupportedInputError(f"the literal at position {i} has {j - i} digits, "
+                                            f"past the bound {MAX_LITERAL_DIGITS}")
             out.append(_Token("int", text[i:j], i))
             i = j
             continue
@@ -82,6 +92,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # parentheses, signs and negations open around the cursor
 
     def peek(self, kind: str | None = None) -> _Token | None:
         if self.i >= len(self.tokens):
@@ -103,6 +114,15 @@ class _Parser:
     def at_end(self) -> bool:
         return self.i >= len(self.tokens)
 
+    @contextmanager
+    def _nested(self, pos: int):
+        """Parse one level deeper."""
+        self.depth = _nesting(self.depth + 1, pos)
+        try:
+            yield
+        finally:
+            self.depth -= 1
+
     def expect_end(self) -> None:
         if not self.at_end():
             tok = self.tokens[self.i]
@@ -120,8 +140,10 @@ class _Parser:
     def parse_rational(self) -> Fraction:
         num = self.parse_int()
         if self.peek("/"):
-            self.next("/")
+            tok = self.next("/")
             den = int(self.next("int").text)
+            if den == 0:
+                raise ParseError("zero denominator", tok.pos)
             return Fraction(num, den)
         return Fraction(num)
 
@@ -168,7 +190,8 @@ class _Parser:
             raise ParseError("unexpected end of polynomial", len(self.text))
         if tok.kind == "-":
             self.next("-")
-            return -self._poly_factor()
+            with self._nested(tok.pos):
+                return -self._poly_factor()
         if tok.kind == "int":
             return Poly.of(self.parse_rational())
         if tok.kind == "name":
@@ -178,46 +201,53 @@ class _Parser:
             return Poly.of(0, 1)
         if tok.kind == "(":
             self.next("(")
-            inner = self.parse_poly()
+            with self._nested(tok.pos):
+                inner = self.parse_poly()
             self.next(")")
             return inner
         raise ParseError(f"unexpected token {tok.text!r} in polynomial", tok.pos)
 
     # -- formulas ----------------------------------------------------------
+    # Each method returns a formula and the height of its tree, which & and |
+    # grow without nesting.
 
-    def parse_formula(self) -> Formula:
-        acc = self._conj()
-        while self.peek("|"):
-            self.next("|")
-            acc = FOr(acc, self._conj())
-        return acc
+    def parse_formula(self) -> tuple[Formula, int]:
+        return self._chain("|", FOr, self._conj)
 
-    def _conj(self) -> Formula:
-        acc = self._unary()
-        while self.peek("&"):
-            self.next("&")
-            acc = FAnd(acc, self._unary())
-        return acc
+    def _conj(self) -> tuple[Formula, int]:
+        return self._chain("&", FAnd, self._unary)
 
-    def _unary(self) -> Formula:
+    def _chain(self, op: str, node, operand) -> tuple[Formula, int]:
+        """operand (op operand)*, as a left-deep tree."""
+        acc, height = operand()
+        while self.peek(op):
+            pos = self.next(op).pos
+            right, h = operand()
+            acc, height = node(acc, right), _nesting(max(height, h) + 1, pos)
+        return acc, height
+
+    def _unary(self) -> tuple[Formula, int]:
         tok = self.peek()
         if tok is None:
             raise ParseError("unexpected end of formula", len(self.text))
         if tok.kind == "!":
             self.next("!")
-            return FNot(self._unary())
+            with self._nested(tok.pos):
+                sub, height = self._unary()
+            return FNot(sub), _nesting(height + 1, tok.pos)
         if tok.kind == "(":
             # try a parenthesized formula; fall back to `poly = 0`
             saved = self.i
             try:
                 self.next("(")
-                inner = self.parse_formula()
+                with self._nested(tok.pos):
+                    inner = self.parse_formula()
                 self.next(")")
                 return inner
             except ParseError:
                 self.i = saved
-                return self._poly_eq_zero()
-        return self._atom()
+                return self._poly_eq_zero(), 1
+        return self._atom(), 1
 
     def _poly_eq_zero(self) -> Formula:
         f = self.parse_poly()
@@ -233,19 +263,7 @@ class _Parser:
             raise ParseError("unexpected end of formula", len(self.text))
         if tok.kind == "name" and tok.text == "ord":
             return self._ord_atom()
-        if tok.kind == "name" and tok.text == "ac":
-            self.next("name")
-            self.next("(")
-            depth = self.parse_int()
-            self.next(",")
-            f = self.parse_poly()
-            self.next(")")
-            self.next("=")
-            unit = self.parse_int()
-            if depth < 1:
-                raise ParseError("ac depth must be >= 1", tok.pos)
-            return FAtom(AcEq(depth, f, unit))
-        if tok.kind == "name" and tok.text == "rv":
+        if tok.kind == "name" and tok.text in ("ac", "rv"):
             self.next("name")
             self.next("(")
             depth = self.parse_int()
@@ -254,7 +272,9 @@ class _Parser:
             self.next(")")
             self.next("=")
             if depth < 1:
-                raise ParseError("rv depth must be >= 1", tok.pos)
+                raise ParseError(f"{tok.text} depth must be >= 1", tok.pos)
+            if tok.text == "ac":
+                return FAtom(AcEq(depth, f, self.parse_int()))
             if self.peek("int"):
                 zero = self.next("int")
                 if zero.text != "0":
@@ -302,6 +322,13 @@ class _Parser:
         return FAtom(OrdCmp(f, None, c, rel))
 
 
+def _nesting(level: int, pos: int) -> int:
+    """A nesting depth or formula height, refused past MAX_NESTING."""
+    if level > MAX_NESTING:
+        raise UnsupportedInputError(f"the input nests past depth {MAX_NESTING} at position {pos}")
+    return level
+
+
 def _check_degree(degree: int, pos: int) -> None:
     """Refuse a power or product past MAX_DEGREE before expanding it."""
     if degree > MAX_DEGREE:
@@ -318,7 +345,7 @@ def parse_poly(text: str) -> Poly:
 
 def parse_formula(text: str) -> Formula:
     p = _Parser(text)
-    out = p.parse_formula()
+    out, _ = p.parse_formula()
     p.expect_end()
     return out
 

@@ -45,7 +45,7 @@ def random_rational(rng: random.Random, p: int) -> Fraction:
     return Fraction(rng.randint(-60, 60), rng.choice([1, 1, 2, 3, 7, p, p * p, 2 * p]))
 
 
-def fraction_root_points(w: Poly, p: int, depth_cap: int, start=(0, 0)) -> list[Fraction]:
+def fraction_root_points(w: Poly, p: int, depth_cap: int) -> list[Fraction]:
     """`certified_root_points` as it was written on Fraction arithmetic."""
     content = newton_min(w, p)
     if not content.is_infinite and content.value != 0:
@@ -76,7 +76,7 @@ def fraction_root_points(w: Poly, p: int, depth_cap: int, start=(0, 0)) -> list[
         for t in range(p):
             search(poly, c + t * p**j, j + 1)
 
-    search(w, start[0], start[1])
+    search(w, 0, 0)
     return out
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,9 +9,9 @@ from pathlib import Path
 import pytest
 
 import padic_cells
-from padic_cells import cli
+from padic_cells import cli, decompose
 from padic_cells.cli import main
-from padic_cells.errors import ParseError
+from padic_cells.errors import ParseError, UnsupportedInputError
 from padic_cells.parser import parse_formula, parse_poly, print_formula
 from padic_cells.poly import Poly, format_poly
 
@@ -74,6 +75,29 @@ def test_parse_errors_have_positions():
     assert err.value.position is not None
 
 
+PARSER_TOKENS = ("y", "0", "1", "2", "5", "12", "+", "-", "*", "^", "/", "%", "(", ")", ",",
+                 "=", "<", "<=", ">", ">=", "!=", "&", "|", "!", "ord", "ac", "rv",
+                 "exists", "z", " ")
+
+
+def test_parser_fuzz_returns_or_raises_input_errors():
+    # strings of grammar tokens, now and then with one token repeated past
+    # the nesting bound: every call parses or raises one of the two input
+    # errors, never another exception
+    rng = random.Random(1)
+    for _ in range(20000):
+        if rng.random() < 0.01:
+            parts = [rng.choice(PARSER_TOKENS)] * rng.randint(90, 120) + ["y"]
+        else:
+            parts = rng.choices(PARSER_TOKENS, k=rng.randint(1, 14))
+        text = rng.choice(("", " ")).join(parts)
+        for parse in (parse_poly, parse_formula):
+            try:
+                parse(text)
+            except (ParseError, UnsupportedInputError):
+                pass
+
+
 def test_cli_zeta(capsys):
     code, out, _ = run_cli(capsys, "zeta", "--prime", "5", "--poly", "y", "--json")
     assert code == 0
@@ -130,7 +154,7 @@ def test_cli_exit_codes(capsys):
 
 def test_cli_internal_bound_exit(capsys, monkeypatch):
     # an artificially low depth budget trips the internal-defect path
-    monkeypatch.setenv("PADIC_CELLS_MAX_DEPTH", "3")
+    monkeypatch.setattr(decompose, "_budget", lambda f, p: 3)
     code, _, err = run_cli(capsys, "decompose", "--prime", "2",
                            "--poly", "y^2 - 66*y + 65")
     assert code == 4 and "bound" in err
@@ -138,56 +162,63 @@ def test_cli_internal_bound_exit(capsys, monkeypatch):
     assert "y^2 - 66*y + 65" in err and "budget 3" in err
 
 
-@pytest.mark.parametrize("env,argv,want", [
-    (None, ["measure", "--prime", "1", "--poly", "y"], 3),
-    (None, ["measure", "--prime", "0", "--poly", "y"], 3),
-    (None, ["measure", "--prime", "4", "--poly", "y"], 3),
-    (None, ["measure", "--prime", "-3", "--poly", "y"], 3),
-    (None, ["decompose", "--prime", "9", "--formula", "ord(y) >= 1"], 3),
-    (None, ["measure", "--prime", "5", "--domain", "0:-1", "--poly", "y"], 3),
-    (None, ["decompose", "--prime", "5", "--domain", "0:-1", "--poly", "y", "--verify"], 3),
-    (None, ["decompose", "--prime", "5", "--domain", "1/5:0", "--poly", "y", "--verify"], 3),
-    (None, ["measure", "--prime", "5", "--domain", "abc", "--poly", "y"], 2),
-    (None, ["measure", "--prime", "5", "--domain", "1/0:1", "--poly", "y"], 2),
-    (None, ["measure", "--prime", "5", "--domain", "0:1:2", "--poly", "y"], 2),
-    (None, ["cv-check", "--prime", "5", "--formula", "ord(y) >= 1",
-            "--formula-b", "ord(y) >= 0"], 3),
-    ("abc", ["decompose", "--prime", "5", "--poly", "y^2 - 1"], 3),
+@pytest.mark.parametrize("argv,want", [
+    (["measure", "--prime", "1", "--poly", "y"], 3),
+    (["measure", "--prime", "0", "--poly", "y"], 3),
+    (["measure", "--prime", "4", "--poly", "y"], 3),
+    (["measure", "--prime", "-3", "--poly", "y"], 3),
+    (["decompose", "--prime", "9", "--formula", "ord(y) >= 1"], 3),
+    (["measure", "--prime", "5", "--domain", "0:-1", "--poly", "y"], 3),
+    (["decompose", "--prime", "5", "--domain", "0:-1", "--poly", "y", "--verify"], 3),
+    (["decompose", "--prime", "5", "--domain", "1/5:0", "--poly", "y", "--verify"], 3),
+    (["measure", "--prime", "5", "--domain", "abc", "--poly", "y"], 2),
+    (["measure", "--prime", "5", "--domain", "1/0:1", "--poly", "y"], 2),
+    (["measure", "--prime", "5", "--domain", "0:1:2", "--poly", "y"], 2),
+    (["cv-check", "--prime", "5", "--formula", "ord(y) >= 1",
+     "--formula-b", "ord(y) >= 0"], 3),
     # resource bounds: the domain radius, p^k of the scan, p^depth of digit
     # atoms, the depth of oracle-compare's root counts
-    (None, ["measure", "--prime", "5", "--domain", "0:100000", "--poly", "y"], 3),
-    (None, ["decompose", "--prime", "5", "--poly", "y", "--verify", "--k", "12"], 3),
-    (None, ["decompose", "--prime", "5", "--poly", "y", "--verify", "--k", "-1"], 3),
-    (None, ["decompose", "--json", "--prime", "5", "--formula", "ac(9, y) = 1"], 3),
-    (None, ["decompose", "--prime", "5", "--formula", "rv(9, y) = 0"], 3),
-    (None, ["oracle-compare", "--prime", "5", "--poly", "y", "--k", "-1"], 3),
-    (None, ["oracle-compare", "--prime", "5", "--poly", "y", "--k", "3000"], 3),
+    (["measure", "--prime", "5", "--domain", "0:100000", "--poly", "y"], 3),
+    (["decompose", "--prime", "5", "--poly", "y", "--verify", "--k", "12"], 3),
+    (["decompose", "--prime", "5", "--poly", "y", "--verify", "--k", "-1"], 3),
+    (["decompose", "--json", "--prime", "5", "--formula", "ac(9, y) = 1"], 3),
+    (["decompose", "--prime", "5", "--formula", "rv(9, y) = 0"], 3),
+    (["oracle-compare", "--prime", "5", "--poly", "y", "--k", "-1"], 3),
+    (["oracle-compare", "--prime", "5", "--poly", "y", "--k", "3000"], 3),
     # the degree bound, checked before a power or a product is expanded
-    (None, ["measure", "--prime", "5", "--poly", "y^1100"], 3),
-    (None, ["measure", "--prime", "5", "--poly", "y^200000"], 3),
-    (None, ["measure", "--prime", "5", "--poly", "2^100000"], 3),
-    (None, ["decompose", "--prime", "5", "--formula", "ord(y^101) >= 0"], 3),
+    (["measure", "--prime", "5", "--poly", "y^1100"], 3),
+    (["measure", "--prime", "5", "--poly", "y^200000"], 3),
+    (["measure", "--prime", "5", "--poly", "2^100000"], 3),
+    (["decompose", "--prime", "5", "--formula", "ord(y^101) >= 0"], 3),
+    # the parser: a zero denominator, and literals and nesting past its
+    # bounds, refused before int() or recursion reaches Python's limits
+    (["measure", "--prime", "5", "--poly", "y + 1/0"], 2),
+    (["measure", "--prime", "5", "--formula", "ord(y - 1/0) >= 0"], 2),
+    (["measure", "--prime", "5", "--poly", "y^" + "1" * 5000], 3),
+    (["measure", "--prime", "5", "--poly", "3" * 5000 + "*y"], 3),
+    (["measure", "--prime", "5", "--poly", "(" * 2000 + "y" + ")" * 2000], 3),
+    (["decompose", "--prime", "5", "--formula", "!" * 3000 + "y = 0"], 3),
+    (["measure", "--prime", "5", "--poly=" + "-" * 1500 + "y"], 3),
+    (["measure", "--prime", "5", "--formula", " & ".join(["ord(y) >= 0"] * 1500)], 3),
     # the least strong pseudoprime to every base of the primality test
-    (None, ["measure", "--prime", "318665857834031151167461", "--poly", "y"], 3),
+    (["measure", "--prime", "318665857834031151167461", "--poly", "y"], 3),
     # argparse owns the input flags of each subcommand
-    (None, ["cv-check", "--prime", "5", "--formula-b", "ord(y) >= 0"], 2),
-    (None, ["measure", "--prime", "5", "--poly", "y", "--formula", "ord(y) >= 0"], 2),
-    (None, ["zeta", "--prime", "5", "--poly", "y", "--seed", "1"], 2),
+    (["cv-check", "--prime", "5", "--formula-b", "ord(y) >= 0"], 2),
+    (["measure", "--prime", "5", "--poly", "y", "--formula", "ord(y) >= 0"], 2),
+    (["zeta", "--prime", "5", "--poly", "y", "--seed", "1"], 2),
     # options that only a polynomial input reads
-    (None, ["measure", "--prime", "5", "--formula", "ord(y) >= 1", "--ord", "2"], 2),
-    (None, ["decompose", "--prime", "5", "--formula", "ord(y) >= 1", "--verify",
-            "--samples", "10"], 2),
-    (None, ["decompose", "--prime", "5", "--formula", "ord(y) >= 1", "--verify",
-            "--seed", "1"], 2),
+    (["measure", "--prime", "5", "--formula", "ord(y) >= 1", "--ord", "2"], 2),
+    (["decompose", "--prime", "5", "--formula", "ord(y) >= 1", "--verify",
+     "--samples", "10"], 2),
+    (["decompose", "--prime", "5", "--formula", "ord(y) >= 1", "--verify",
+     "--seed", "1"], 2),
     # options that only the checks of --verify read
-    (None, ["decompose", "--prime", "5", "--poly", "y^2 - 1", "--samples", "10"], 2),
-    (None, ["decompose", "--prime", "5", "--poly", "y^2 - 1", "--seed", "1"], 2),
-    (None, ["decompose", "--prime", "5", "--formula", "ord(y) >= 1", "--k", "9"], 2),
+    (["decompose", "--prime", "5", "--poly", "y^2 - 1", "--samples", "10"], 2),
+    (["decompose", "--prime", "5", "--poly", "y^2 - 1", "--seed", "1"], 2),
+    (["decompose", "--prime", "5", "--formula", "ord(y) >= 1", "--k", "9"], 2),
 ])
-def test_cli_rejects_bad_input(capsys, monkeypatch, env, argv, want):
+def test_cli_rejects_bad_input(capsys, argv, want):
     # bad input ends in its documented exit code: never a hang or a traceback
-    if env is not None:
-        monkeypatch.setenv("PADIC_CELLS_MAX_DEPTH", env)
     code, out, err = run_cli(capsys, *argv)
     assert code == want and out == "" and err and "Traceback" not in err
 

@@ -1,4 +1,3 @@
-import os
 import random
 from fractions import Fraction
 
@@ -225,15 +224,6 @@ def test_ball_domain_is_the_zp_decomposition_restricted(corpus, corpus_decomposi
             D = prepare(f, p, ball)
             for m in range(r + 5):
                 assert measure_of_order(cut, f, m) == measure_of_order(D, f, m), (f, b, r, m)
-
-
-def test_budget_env_override():
-    os.environ["PADIC_CELLS_MAX_DEPTH"] = "40"
-    try:
-        D = prepare(Poly.of(-6, 0, 1), 5)
-        assert exact_partition_check(D).ok
-    finally:
-        del os.environ["PADIC_CELLS_MAX_DEPTH"]
 
 
 # ---------------------------------------------------------------------------

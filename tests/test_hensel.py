@@ -18,13 +18,43 @@ from padic_cells.hensel import (
     rational_reconstruct,
     reduce_mod,
     refine_root,
+    roots_in_ball,
 )
 from padic_cells.padics import Val, ord_p, rv
-from padic_cells.poly import Poly
+from padic_cells.poly import Poly, resultant_val, squarefree_part
+
+from conftest import CORPUS
 
 
 def lift_mod(x: Fraction, q: int) -> int:
     return x.numerator * pow(x.denominator, -1, q) % q
+
+
+def test_roots_in_ball_finds_every_root_once():
+    # the balls B(t, k), t < p^k, cut Z_p into p^k pieces, so at every k the
+    # roots found in them are the roots found in Z_p (k = 0)
+    found = 0
+    for coeffs in CORPUS.values():
+        w = squarefree_part(Poly.of(*coeffs))
+        if w.degree < 1:
+            continue
+        for p in (2, 3, 5, 7):
+            res = resultant_val(w, w.derivative(), p)
+            cap = 2 * (0 if res.is_infinite else max(res.value, 0)) + 8
+            counts = []
+            for k in (0, 1, 2):
+                count = 0
+                for t in range(p**k):
+                    roots = list(roots_in_ball(w, Fraction(t), k, p, cap, 1))
+                    for n, r in enumerate(roots):
+                        assert ord_between(r, t, p) >= k, (w, p, t, k, r)
+                        assert ord_of_poly_at(w, r, p).is_infinite, (w, p, r)
+                        assert not any(centers_equal(r, s, p) for s in roots[:n]), (w, p, r)
+                    count += len(roots)
+                counts.append(count)
+            assert counts[0] == counts[1] == counts[2], (w, p, counts)
+            found += counts[0]
+    assert found > 50
 
 
 def test_check_conditions_exact_root():

@@ -16,7 +16,7 @@ from padic_cells.measure import (
     igusa_zeta,
     measure_of_order,
 )
-from padic_cells.oracle import count_roots_mod
+from padic_cells.oracle import count_roots_mod, verify_partition
 from padic_cells.padics import RvData, UnitDigits, ord_p
 from padic_cells.poly import Poly
 
@@ -235,6 +235,21 @@ def test_exact_partition_check_detects_gap():
     chk = exact_partition_check(bad)
     assert chk.disjoint and not chk.covers
     assert chk.missing_measure == Fraction(4, 5)
+
+
+def test_exact_partition_check_rejects_cells_outside_the_domain():
+    # the sphere ord(y) = 1 of B(0, 1) is missing, and {ord(y - 1) = 1},
+    # outside the domain, has its measure 4/25: measures, centers and
+    # disjointness all pass, so only the support ball of each cell shows it
+    p = 5
+    point = Cell1(p, Center(Fraction(0), 1, TConst(Fraction(0))), None, None)
+    one = Cell1(p, Center(Fraction(1), 1, TConst(Fraction(1))), None, None)
+    bad = Decomposition(p, Ball(Fraction(0), 1),
+                        sorted_cells([point, fam(p, 0, 2), one, fam(p, 1, 1, 1)]))
+    chk = exact_partition_check(bad)
+    assert chk.disjoint and chk.missing_measure == 0 and chk.uncovered_centers == 0
+    assert not chk.covers
+    assert not verify_partition(bad, 3).ok
 
 
 def test_exact_partition_check_detects_missing_point():

@@ -242,18 +242,18 @@ def test_root_search_matches_the_fraction_search():
     for w, p in root_search_cases():
         if w.degree < 1:
             continue
-        # Z_p, the classes mod p, and the balls p*Z_p + t as the tie split
-        # scales them, with a cap that some searches reach
-        inputs = [(w, (0, 0)), *((w, (t, 1)) for t in range(min(p, 4)))]
-        inputs += [(w.shift_var(Fraction(p), t), (0, 0)) for t in (0, 1, -1)]
-        for poly, start in inputs:
+        # Z_p and the balls B(t, k) scaled to Z_p as `roots_in_ball` scales
+        # them, with a cap that some searches reach
+        balls = [(t, 1) for t in (*range(min(p, 4)), -1)] + [(1, 2), (-1, 2)]
+        inputs = [w] + [w.shift_var(Fraction(p) ** k, Fraction(t)) for t, k in balls]
+        for poly in inputs:
             for cap in (1, 30):
                 try:
-                    want = fraction_root_points(poly, p, cap, start)
+                    want = fraction_root_points(poly, p, cap)
                 except InternalBoundError:
                     with pytest.raises(InternalBoundError):
-                        certified_root_points(poly, p, cap, start)
+                        certified_root_points(poly, p, cap)
                     continue
-                assert certified_root_points(poly, p, cap, start) == want
+                assert certified_root_points(poly, p, cap) == want
                 cases += 1
     assert cases > 300
