@@ -7,11 +7,17 @@ gives every inherited family cell a law for the polynomial.  The polynomial
 is Taylor-expanded at the cell's center and the valuation range is
 partitioned at the breakpoints of the Newton polygon of the Taylor
 coefficients.  Where one term dominates strictly the range keeps
-an exact order law (case B1); where terms tie, each residue class either
+an exact order law (case B1); where terms tie, each residue class u0 either
 contains a certified root of the squarefree part -- it is then re-centered
 at that root, realizing the Hensel law ord f(y) = ord b1 + ord(y - c) (case
 B2) -- or it is translated one digit deeper.  Either way the class becomes a
-point cell and a new family cell, which is processed in turn.  Every cell
+point cell and a new family cell.  The residual polynomial of the tie over
+F_p, R(u) = sum of the first unit digits of the tied Taylor coefficients
+times u^i, decides most classes at once: f = p^best R(u0) mod p^(best+1) on
+the class, so where R(u0) is nonzero mod p the class holds no root and ord f
+is the constant best on all of it, and its family gets that law directly.
+Only the classes where R vanishes are searched for a root, and their
+families are processed in turn.  Every cell
 `prepare` builds has level 1 and, if a family, all units at depth 1.
 Descents below the ball's radius are capped by a resultant-based budget.
 
@@ -56,6 +62,7 @@ from .hensel import (
     ord_of_poly_at,
     roots_in_ball,
     shift_center,
+    taylor_digits,
     taylor_ords,
 )
 from .padics import INFINITY, RvData, Val, int_val, is_prime, ord_p, require_classes
@@ -301,12 +308,34 @@ def _prepare_linear(f: Poly, p: int, domain: Ball) -> list[Cell1]:
                                    df: d1_law})
 
 
+def _residual_zeros(digits: dict[int, int], p: int) -> set[int]:
+    """The units u0 in [1, p) where the residual polynomial of a tie,
+    R(u) = sum_i d_i u^i with d_i the first unit digit of each achieving
+    Taylor coefficient, vanishes mod p."""
+    coeffs = [digits.get(i, 0) for i in range(max(digits), -1, -1)]
+    zeros = set()
+    for u in range(1, p):
+        acc = 0
+        for c in coeffs:
+            acc = (acc * u + c) % p
+        if not acc:
+            zeros.add(u)
+    return zeros
+
+
 def _process_box(f: Poly, w: Poly, p: int, cell: Cell1, out: list[Cell1], work: list[Cell1],
                  r: int, budget: int) -> None:
     """Give a family cell laws for f: keep the strict regions of the Newton
-    polygon, and split each tie into a point cell and a family cell per
-    residue class, the family going back on the work list.  Descents are
-    counted from the domain radius r."""
+    polygon, and split each tie at m* into a point cell and a family cell per
+    residue class u0.  Descents are counted from the domain radius r.
+
+    On the class y = c + p^m* (u0 + p t), f(y) = p^best R(u0) mod p^(best+1),
+    R the residual polynomial of the tie.  Where R(u0) is nonzero mod p, ord f
+    is best on the whole class, which holds no root, and at c' = c + u0 p^m*
+    every Taylor line i >= 1 stays above best for m > m*; so the class gets
+    the law (best, 0) on its point and on its whole family [m* + 1, oo),
+    with no root search.  The other classes go through `_split_tie_class`,
+    their families back on the work list."""
     ords = taylor_ords(f, cell.center.value, p)
     lines = [(i, v.value) for i, v in enumerate(ords) if not v.is_infinite]
     if not lines:
@@ -319,18 +348,38 @@ def _process_box(f: Poly, w: Poly, p: int, cell: Cell1, out: list[Cell1], work: 
             out.append(replace(cell, m_range=ArithRange(lo, hi))
                        .with_laws({f: OrderLaw(Val(line_val[i0]), i0)}))
             continue
-        m_star = region[1]
+        _, m_star, win = region
         if m_star + 1 - r > budget:
             raise InternalBoundError(
                 f"descent for {format_poly(f)} (p = {p}) around the center {cell.center} "
                 f"reached depth {m_star + 1 - r}, past the termination budget {budget}"
             )
         frozen = cell.frozen_laws(m_star)
+        best = line_val[win[0]] + win[0] * m_star
+        rootless = {**frozen, f: OrderLaw(Val(best), 0)}
+        zeros = _residual_zeros(dict(zip(win, taylor_digits(f, cell.center.value, p, win))), p)
+        below = ArithRange(m_star + 1, None)
+        step = Fraction(p) ** m_star
         for u0 in range(1, p):
-            off = Fraction(u0) * Fraction(p) ** m_star
-            center, f_law = _split_tie_class(f, w, p, cell.center, off, m_star + 1, budget)
-            out.append(Cell1(p, center, None, None, {**frozen, f: f_law}))
-            work.append(Cell1(p, center, ArithRange(m_star + 1, None), Residues(1, None), frozen))
+            off = u0 * step
+            if u0 in zeros:
+                center, f_law = _split_tie_class(f, w, p, cell.center, off, m_star + 1, budget)
+                out.append(Cell1(p, center, None, None, {**frozen, f: f_law}))
+                work.append(Cell1(p, center, below, Residues(1, None), frozen))
+            else:
+                center = _shifted_center(cell.center, off)
+                out.append(Cell1(p, center, None, None, rootless))
+                out.append(Cell1(p, center, below, Residues(1, None), rootless))
+
+
+def _shifted_center(center: Center, off: Fraction) -> Center:
+    """The center c + off of a tie class that holds no root, one digit deeper
+    than c, with the term c + off (a constant where the new center is exact)."""
+    value, term = shift_center(center.value, off), center.term
+    if term is not None:
+        x = exact_value(value)
+        term = TAdd(term, TConst(off)) if x is None else TConst(x)
+    return Center(value, 1, term)
 
 
 def _split_tie_class(f: Poly, w: Poly, p: int, center: Center, off: Fraction, ball_ord: int,
@@ -341,19 +390,14 @@ def _split_tie_class(f: Poly, w: Poly, p: int, center: Center, off: Fraction, ba
     c_value, c_term = center.value, center.term
     base = center_proxy(c_value, p, max(ball_ord + 4, 8)) + off
     root = next(roots_in_ball(w, base, ball_ord, p, budget + 4, 1), None)
-    if root is not None:
-        value = center_of(root)
-        term: Term | None = None
-        if c_term is not None:
-            h_term = TH(w.degree, 1, _taylor_coeff_terms(w, c_term, c_value),
-                        TRv(1, TConst(off)))
-            term = h_term if _term_is_zero(c_term) else TAdd(c_term, h_term)
-        return Center(value, 1, term), OrderLaw(INFINITY, 0)
-    value, term = shift_center(c_value, off), c_term
-    if term is not None:
-        x = exact_value(value)
-        term = TAdd(term, TConst(off)) if x is None else TConst(x)
-    return Center(value, 1, term), OrderLaw(ord_of_poly_at(f, value, p), 0)
+    if root is None:
+        shifted = _shifted_center(center, off)
+        return shifted, OrderLaw(ord_of_poly_at(f, shifted.value, p), 0)
+    term: Term | None = None
+    if c_term is not None:
+        h_term = TH(w.degree, 1, _taylor_coeff_terms(w, c_term, c_value), TRv(1, TConst(off)))
+        term = h_term if _term_is_zero(c_term) else TAdd(c_term, h_term)
+    return Center(center_of(root), 1, term), OrderLaw(INFINITY, 0)
 
 
 def prepare(f: Poly, p: int, domain: Ball = ZP) -> Decomposition:

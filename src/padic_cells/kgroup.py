@@ -12,6 +12,7 @@ so this quotient is sound for the implemented relations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .cells import Cell1, Decomposition, ProductCell, common_pieces, contains
 from .errors import UnsupportedInputError
@@ -133,7 +134,9 @@ def cv_check(d1: Decomposition, d2: Decomposition) -> bool:
     they must partition every parent cell exactly -- `partition_check` with
     the parent's measure and the group's centers inside the parent as probes
     -- with no child of a larger type, after which both reductions land on
-    the identical canonical element chi(R).  Different sets are rejected.
+    the identical canonical element chi(R).  The types and measures of every
+    group are compared first, so a partition that misses a measure fails
+    without any overlap loop.  Different sets are rejected.
     """
     groups = ([[] for _ in d1.cells], [[] for _ in d2.cells])
     for i, j, piece in common_pieces(d1, d2):
@@ -141,11 +144,13 @@ def cv_check(d1: Decomposition, d2: Decomposition) -> bool:
             raise UnsupportedInputError("the decompositions describe different sets")
         groups[0][i].append(piece)
         groups[1][j].append(piece)
-    for parent_dec, children_of in zip((d1, d2), groups):
-        for parent, children in zip(parent_dec.cells, children_of):
-            probes = [parent.center.value] + [c.center.value for c in children]
-            if any(c.kind > parent.kind for c in children) or not partition_check(
-                    children, cell_measure(parent),
-                    lambda v: contains(parent, v, parent.prime), probes).ok:
-                return False
-    return True
+    parents = [(parent, children, cell_measure(parent))
+               for parent_dec, children_of in zip((d1, d2), groups)
+               for parent, children in zip(parent_dec.cells, children_of)]
+    if any(any(c.kind > parent.kind for c in children)
+           or sum(map(cell_measure, children), Fraction(0)) != measure
+           for parent, children, measure in parents):
+        return False
+    return all(partition_check(children, measure, lambda v: contains(parent, v, parent.prime),
+                               [parent.center.value] + [c.center.value for c in children]).ok
+               for parent, children, measure in parents)

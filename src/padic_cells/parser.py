@@ -6,9 +6,10 @@ Formula atoms:  ord(f) REL ord(g) + c   |  ord(f) REL c  |  ord(f) % q = r
              |  f = 0
 combined with & | ! and parentheses.  Quantifier tokens are rejected with a
 position-annotated error.
-Literals longer than MAX_LITERAL_DIGITS and nesting or formula trees deeper
-than MAX_NESTING are refused before Python's integer-string or recursion
-limit is reached.
+Literals longer than MAX_LITERAL_DIGITS, sums, products and powers whose
+expanded coefficients outgrow that many digits, and nesting or formula trees
+deeper than MAX_NESTING are refused before Python's integer-string or
+recursion limit is reached.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .poly import MAX_DEGREE, Poly
 
 MAX_LITERAL_DIGITS = 1000
 MAX_NESTING = 100
+_LITERAL_BOUND = 10**MAX_LITERAL_DIGITS
 
 _QUANTIFIERS = {"exists", "forall", "all", "some"}
 _SYMBOLS = ("<=", ">=", "!=", "<", ">", "=", "+", "-", "*", "^", "/", "%",
@@ -153,11 +155,11 @@ class _Parser:
         acc = self._poly_term()
         while True:
             if self.peek("+"):
-                self.next("+")
-                acc = acc + self._poly_term()
+                pos = self.next("+").pos
+                acc = _check_size(acc + self._poly_term(), pos)
             elif self.peek("-"):
-                self.next("-")
-                acc = acc - self._poly_term()
+                pos = self.next("-").pos
+                acc = _check_size(acc - self._poly_term(), pos)
             else:
                 return acc
 
@@ -167,7 +169,7 @@ class _Parser:
             tok = self.next("*")
             factor = self._poly_factor()
             _check_degree(acc.degree + factor.degree, tok.pos)
-            acc = acc * factor
+            acc = _check_size(acc * factor, tok.pos)
         return acc
 
     def _poly_factor(self) -> Poly:
@@ -180,7 +182,7 @@ class _Parser:
             _check_degree(max(e, base.degree * e), tok.pos)
             out = Poly.of(1)
             for _ in range(e):
-                out = out * base
+                out = _check_size(out * base, tok.pos)
             return out
         return base
 
@@ -334,6 +336,16 @@ def _check_degree(degree: int, pos: int) -> None:
     if degree > MAX_DEGREE:
         raise UnsupportedInputError(f"the power or product at position {pos} reaches "
                                     f"{degree}, past the degree bound {MAX_DEGREE}")
+
+
+def _check_size(f: Poly, pos: int) -> Poly:
+    """Refuse a sum, product or power whose expansion has a numerator or a
+    denominator of more than MAX_LITERAL_DIGITS digits, as it expands."""
+    if any(abs(c.numerator) >= _LITERAL_BOUND or c.denominator >= _LITERAL_BOUND
+           for c in f.coeffs):
+        raise UnsupportedInputError(f"the expression at position {pos} expands to a "
+                                    f"coefficient past {MAX_LITERAL_DIGITS} digits")
+    return f
 
 
 def parse_poly(text: str) -> Poly:

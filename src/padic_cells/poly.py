@@ -65,6 +65,15 @@ class Poly:
         den = lcm(*(c.denominator for c in self.coeffs))
         return tuple(c.numerator * (den // c.denominator) for c in self.coeffs), den
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.coeffs,))
+
+    def __hash__(self) -> int:
+        """The dataclass hash of the coefficients, computed once per instance:
+        law tables are dicts keyed by polynomials."""
+        return self._hash
+
     def eval(self, x: Rat) -> Fraction:
         """f(a/b) = (sum N_j a^j b^(n-j)) / (D b^n), by homogeneous integer Horner."""
         nums, den = self.integral

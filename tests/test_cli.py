@@ -196,6 +196,11 @@ def test_cli_internal_bound_exit(capsys, monkeypatch):
     (["measure", "--prime", "5", "--formula", "ord(y - 1/0) >= 0"], 2),
     (["measure", "--prime", "5", "--poly", "y^" + "1" * 5000], 3),
     (["measure", "--prime", "5", "--poly", "3" * 5000 + "*y"], 3),
+    # a power and a sum whose expansions outgrow the literal bound: 50 digits
+    # to the 100th, and five 999-digit denominators with no common factor
+    (["decompose", "--prime", "5", "--poly", "(" + "9" * 50 + "*y+1)^100"], 3),
+    (["decompose", "--prime", "5", "--poly",
+      " + ".join(f"1/{10**998 * k + 1}" for k in range(1, 6)) + " + y"], 3),
     (["measure", "--prime", "5", "--poly", "(" * 2000 + "y" + ")" * 2000], 3),
     (["decompose", "--prime", "5", "--formula", "!" * 3000 + "y = 0"], 3),
     (["measure", "--prime", "5", "--poly=" + "-" * 1500 + "y"], 3),

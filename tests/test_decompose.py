@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from padic_cells.cells import (
     contains,
     intersect_cells,
 )
+from padic_cells.cli import _cell_json
 from padic_cells.decompose import (
     AcEq,
     FAnd,
@@ -206,6 +208,44 @@ def test_prepare_on_a_deep_ball():
     assert any(c.is_point and c.law_for(f).e0.is_infinite for c in D.cells)
     assert exact_partition_check(D).ok
     assert verify_laws(D, f, samples=50).ok
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 31])
+def test_residual_filter_matches_the_full_class_walk(monkeypatch, corpus, p):
+    """The tie classes where the residual polynomial does not vanish get the
+    same cells as the root search over every class would give them: equal
+    decompositions and equal cells in the `--json` payload, on Z_p and on
+    two balls.  Besides the corpus, y^2 + 1, whose residual at p = 3 has no
+    zero, and y^2 - 2y + 4, whose residual at p = 2 vanishes on a class
+    with no 2-adic root."""
+    polys = list(corpus.values()) + [Poly.of(1, 0, 1), Poly.of(4, -2, 1)]
+    domains = [ZP, Ball(Fraction(1), 1), Ball(Fraction(3), 2)]
+    split = decompose_module._split_tie_class
+
+    def outputs():
+        seen = {"root": 0, "rootless": 0}
+
+        def counted(*args):
+            center, law = split(*args)
+            seen["root" if law.e0.is_infinite else "rootless"] += 1
+            return center, law
+
+        monkeypatch.setattr(decompose_module, "_split_tie_class", counted)
+        decs = [prepare(f, p, domain) for f in polys for domain in domains]
+        names = {}
+        payloads = [json.dumps([_cell_json(c, names) for c in dec.cells], sort_keys=True)
+                    for dec in decs]
+        return decs, payloads, seen
+
+    filtered = outputs()
+    monkeypatch.setattr(decompose_module, "_residual_zeros", lambda digits, p: set(range(1, p)))
+    walked = outputs()
+    assert filtered[:2] == walked[:2]
+    # the filter skips only rootless classes, and some of them at every prime
+    assert filtered[2]["root"] == walked[2]["root"]
+    assert filtered[2]["rootless"] < walked[2]["rootless"]
+    # the kept rootless branch: y^2 - 2y + 4 at p = 2, y^3 - 2 and y^4 - y at p = 3
+    assert (filtered[2]["rootless"] > 0) == (p in (2, 3))
 
 
 @pytest.mark.parametrize("p", PRIMES)

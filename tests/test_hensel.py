@@ -19,8 +19,9 @@ from padic_cells.hensel import (
     reduce_mod,
     refine_root,
     roots_in_ball,
+    taylor_digits,
 )
-from padic_cells.padics import Val, ord_p, rv
+from padic_cells.padics import Val, ord_p, rv, unit_digits
 from padic_cells.poly import Poly, resultant_val, squarefree_part
 
 from conftest import CORPUS
@@ -184,6 +185,18 @@ def test_ord_at_root_algebraic():
     v = ord_of_poly_at(Poly.of(-1, 1), r, 5)                      # y0 - 1: ord 1
     assert v == Val(1)
     assert digits_of_poly_at(Poly.of(0, 1), r, 5, 2) == 16
+
+
+def test_taylor_digits_at_a_root():
+    # at sqrt(6) in Z_5 the Taylor coefficients of (y - 1)^3 + 5y are those of
+    # a deep rational approximation, to their first unit digit
+    p, f = 5, Poly.of(-1, 8, -3, 1)
+    r = h([-6, 0, 1], rv(1, p, 1), p)
+    x = refine_root(r, 30).approx
+    coeffs = f.taylor_shift(x).coeffs
+    assert taylor_digits(f, r, p, [0, 1, 2, 3]) == \
+        [unit_digits(c, p, 1).digits for c in coeffs]
+    assert taylor_digits(f, r, p, [3, 1]) == [1, unit_digits(coeffs[1], p, 1).digits]
 
 
 def test_exact_root_answers_like_its_rational():

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from padic_cells.errors import InternalBoundError
-from padic_cells.hensel import _at_root, certified_root_points, refine_root, taylor_ords
-from padic_cells.padics import INFINITY, Val, ord_p
+from padic_cells.hensel import (_at_root, certified_root_points, refine_root, taylor_digits,
+                                taylor_ords)
+from padic_cells.padics import INFINITY, Val, ord_p, unit_digits
 from padic_cells.poly import (
     Poly,
     format_poly,
@@ -182,6 +183,9 @@ def test_kernel_matches_the_fraction_loops(p):
             sh = fraction_taylor_shift(f, x)
             assert f.taylor_shift(x).coeffs == sh.coeffs
             assert taylor_ords(f, Fraction(x), p) == [ord_p(c, p) for c in sh.coeffs]
+            nonzero = [i for i, c in enumerate(sh.coeffs) if c]
+            assert taylor_digits(f, Fraction(x), p, nonzero) == \
+                [unit_digits(sh.coeffs[i], p, 1).digits for i in nonzero]
         scale, offset = random_rational(rng, p), random_rational(rng, p)
         for s in (scale, Fraction(p) ** 3, Fraction(1, p), 0):
             assert f.shift_var(s, offset).coeffs == fraction_shift_var(f, s, offset).coeffs
@@ -195,6 +199,8 @@ def test_integral_form_is_not_part_of_equality():
     assert f.integral == ((2, -9, 24), 12)
     g = Poly.of(Fraction(1, 6), Fraction(-3, 4), 2)
     assert f == g and hash(f) == hash(g) and "integral" not in repr(f)
+    # the hash is the dataclass hash of the coefficients, kept after the first call
+    assert hash(f) == hash((f.coeffs,)) and f._hash == hash(f)
     assert Poly.of().integral == ((), 1)
 
 
