@@ -13,7 +13,9 @@ Centers are rational numbers or Hensel-certified root approximations.  This
 module never tells the two apart: equality, distance and digits of the
 difference of two centers come from the center queries in `hensel`, so
 membership, disjointness, refinement and measures are all decidable by finite
-constraint algebra over those exact answers.
+constraint algebra over those exact answers.  Two cells meet only where their
+support balls are nested, so `candidate_pairs` buckets the centers by their
+digits and the passes over pairs of cells test only the pairs it returns.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from itertools import islice
 from .errors import UnsupportedInputError
 from .hensel import (
     CenterValue,
+    center_proxy,
     centers_equal,
     digits_between,
     h as hensel_h,
@@ -577,14 +580,77 @@ def intersect_cells(a: Cell1, b: Cell1) -> list[Cell1]:
     return out
 
 
+# The most digits of a center that candidate_pairs reads: a deeper radius
+# counts as this one, which only adds candidates and keeps p^D small where a
+# family starts at a huge valuation.
+_KEY_DIGITS = 64
+
+
+def _support(item, p: int, depth: int) -> tuple[int, int] | None:
+    """The support ball of a cell, or of a point given by its value, as
+    (radius, center mod p^depth), where a point's radius, or a deeper one,
+    counts as depth; None when the center is not p-integral or the radius is
+    negative."""
+    if isinstance(item, Cell1):
+        center, r = item.center.value, depth if item.is_point else item.m_range.lo
+    else:
+        center, r = item, depth
+    x = center_proxy(center, p, depth)
+    if r < 0 or x.denominator % p == 0:
+        return None
+    q = p**depth
+    return min(r, depth), x.numerator * pow(x.denominator, -1, q) % q
+
+
+def candidate_pairs(left, right) -> list[tuple[int, int]]:
+    """The pairs (i, j), in increasing order, where left[i] and right[j] may
+    meet: a superset of the pairs that intersect_cells or contains finds
+    nonempty.  An item is a cell or a point given by its value.
+
+    A family lies in its support ball B(center, lo), a point in {center}.
+    Two balls meet only if one holds the other, so a pair is a candidate only
+    if the two centers agree mod p^r for the smaller radius r.  Each center
+    is keyed mod p^D, where D exceeds every lo (up to _KEY_DIGITS) and stands
+    for the radius of a point; the items are bucketed by (t, key mod p^t) for
+    every radius t up to their own, and a pair is read from the bucket of its
+    smaller radius.  An item with a center that is not p-integral or with
+    lo < 0 pairs with everything."""
+    cells = [x for side in (left, right) for x in side if isinstance(x, Cell1)]
+    if not left or not right or not cells:
+        return []
+    p = cells[0].prime
+    depth = 1 + min(max([0] + [x.m_range.lo for x in cells if not x.is_point]), _KEY_DIGITS)
+    keys = [[_support(x, p, depth) for x in left]]
+    keys.append(keys[0] if right is left else [_support(x, p, depth) for x in right])
+    pairs = {(i, j) for i, k in enumerate(keys[0]) if k is None for j in range(len(right))}
+    pairs |= {(i, j) for j, k in enumerate(keys[1]) if k is None for i in range(len(left))}
+    levels = sorted({k[0] for side in keys for k in side if k is not None})
+    # (t, key mod p^t) -> per side, the items of radius t and the deeper ones
+    buckets: dict[tuple[int, int], tuple[list[list[int]], list[list[int]]]] = {}
+    for s, side in enumerate(keys):
+        for n, k in enumerate(side):
+            if k is None:
+                continue
+            r, key = k
+            for t in levels:
+                if t > r:
+                    break
+                buckets.setdefault((t, key % p**t), ([[], []], [[], []]))[s][t < r].append(n)
+    for (left_at, left_deeper), (right_at, right_deeper) in buckets.values():
+        pairs.update((i, j) for i in left_at for j in right_at + right_deeper)
+        pairs.update((i, j) for i in left_deeper for j in right_at)
+    return sorted(pairs)
+
+
 def common_pieces(d1: Decomposition, d2: Decomposition) -> list[tuple[int, int, Cell1]]:
     """Every piece that intersect_cells cuts from a pair of input cells, as
-    (i, j, piece): the piece lies in d1.cells[i] and in d2.cells[j].  This
-    one pass over the pairs is where provenance is recorded."""
+    (i, j, piece) in the order of (i, j): the piece lies in d1.cells[i] and in
+    d2.cells[j].  Only the pairs of candidate_pairs, whose support balls are
+    nested, are cut.  This one pass is where provenance is recorded."""
     if d1.prime != d2.prime or d1.domain != d2.domain:
         raise UnsupportedInputError("decompositions are not over the same domain")
-    return [(i, j, piece) for i, a in enumerate(d1.cells) for j, b in enumerate(d2.cells)
-            for piece in intersect_cells(a, b)]
+    return [(i, j, piece) for i, j in candidate_pairs(d1.cells, d2.cells)
+            for piece in intersect_cells(d1.cells[i], d2.cells[j])]
 
 
 def refine_common(d1: Decomposition, d2: Decomposition) -> Decomposition:

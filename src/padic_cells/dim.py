@@ -65,16 +65,15 @@ def verify_dim_product(xa, xb) -> bool:
 
 def dim_union(decs: list[Decomposition]) -> Dim:
     """Dimension of a disjoint union: the maximum of the dimensions."""
-    from .cells import intersect_cells
+    from .cells import candidate_pairs, intersect_cells
 
     for i in range(len(decs)):
         for j in range(i + 1, len(decs)):
             if decs[i].prime != decs[j].prime:
                 raise ValueError("prime mismatch")
-            for a in decs[i].kept_cells:
-                for b in decs[j].kept_cells:
-                    if intersect_cells(a, b):
-                        raise ValueError("union is not disjoint")
+            ka, kb = decs[i].kept_cells, decs[j].kept_cells
+            if any(intersect_cells(ka[s], kb[t]) for s, t in candidate_pairs(ka, kb)):
+                raise ValueError("union is not disjoint")
     out = MINUS_INFINITY
     for d in decs:
         got = dim_of(d)

@@ -127,17 +127,19 @@ def _newton(w: Poly, z: Fraction, p: int, target: int) -> tuple[Fraction, int]:
     if not vz.is_infinite and vz.value < 0:
         guard += -vz.value * w.degree
     guard = 2 * max(guard, -newton_min(w, p).value)
+    start, reached = z, None
     for _ in range(_MAX_DOUBLINGS):
         fz = w.eval(z)
         if fz == 0:
             return z, target
-        vf = ord_p(fz, p).value
-        vd = ord_p(dw.eval(z), p).value
-        if vf - vd >= target:
-            return z, vf - vd
+        reached = ord_p(fz, p).value - ord_p(dw.eval(z), p).value
+        if reached >= target:
+            return z, reached
         z = z - fz / dw.eval(z)
-        z = reduce_mod(z, p, 2 * max(target, vf - vd + 1) + guard + 4)
-    raise InternalBoundError("Newton iteration failed to reach target precision")
+        z = reduce_mod(z, p, 2 * max(target, reached + 1) + guard + 4)
+    raise InternalBoundError(
+        f"Newton iteration on {format_poly(w)} (p = {p}) from {start} reached precision "
+        f"{reached} short of the target {target}, past the cap of {_MAX_DOUBLINGS} steps")
 
 
 def refine_root(r: PadicApprox, target: int) -> PadicApprox:
@@ -275,14 +277,16 @@ def certified_root_points(w: Poly, p: int, depth_cap: int) -> list[Fraction]:
     """
     # the basin criterion ord w > 2 ord w' presumes p-integral coefficients;
     # scaling by a power of p fixes the content at 0 without moving roots
-    content = newton_min(w, p)
+    given, content = w, newton_min(w, p)
     if not content.is_infinite and content.value != 0:
         w = w * Fraction(p) ** (-content.value)
     out: list[Fraction] = []
 
     def search(poly: Poly, c: int, j: int) -> None:
         if j > depth_cap:
-            raise InternalBoundError("root search exceeded its depth bound")
+            raise InternalBoundError(
+                f"the root search for {format_poly(given)} (p = {p}) reached the class "
+                f"{c} mod {p}^{j}, past its depth bound of {depth_cap}")
         if poly.degree < 1:
             return
         # one integer expansion per class: poly(y + c) = sum_i (h_i / D) y^i;
@@ -321,7 +325,7 @@ def transfer_basin(w: Poly, inner: Poly, embed, t: Fraction, p: int) -> Fraction
     under which Newton's iteration commutes); the point is refined on the
     inner side until the raw basin inequality holds for w itself.
     """
-    target = 4
+    start, reached, target = t, None, 4
     for _ in range(_MAX_DOUBLINGS):
         y = embed(t)
         if w.eval(y) == 0:
@@ -329,9 +333,12 @@ def transfer_basin(w: Poly, inner: Poly, embed, t: Fraction, p: int) -> Fraction
         v0, v1 = ord_p(w.eval(y), p), ord_p(w.derivative().eval(y), p)
         if v0 > v1 * 2:
             return y
-        t, _prec = _newton(inner, t, p, target)
+        t, reached = _newton(inner, t, p, target)
         target = 2 * target + 4
-    raise InternalBoundError("basin transfer failed for a class root")
+    raise InternalBoundError(
+        f"carrying the root of {format_poly(inner)} near {start} into the basin of "
+        f"{format_poly(w)} (p = {p}) reached precision {reached}, past the cap of "
+        f"{_MAX_DOUBLINGS} refinements")
 
 
 def roots_in_ball(w: Poly, a: Fraction, k: int, p: int, depth_cap: int, tag_depth: int):
@@ -382,7 +389,9 @@ def h(a: list[Rat], x0: RvData, p: int) -> PadicApprox | None:
         if any(map(conditions_hold, dict.fromkeys(cands))):
             accepted.append(root)
     if len(accepted) > 1:
-        raise InternalBoundError("Hensel conditions accepted a non-unique class")
+        raise InternalBoundError(
+            f"the Hensel conditions for {format_poly(w)} (p = {p}) accepted {len(accepted)} "
+            f"roots in the class {x0}, searched to depth {cap}; at most one is possible")
     return accepted[0] if accepted else None
 
 

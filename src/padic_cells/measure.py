@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .cells import Cell1, Decomposition, contains, intersect_cells
+from .cells import Cell1, Decomposition, candidate_pairs, contains, intersect_cells
 from .errors import UnsupportedInputError
 from .hensel import center_proxy
 from .padics import ord_p
@@ -176,16 +176,20 @@ class PartitionCheck:
 
 def partition_check(cells, measure: Fraction, inside, probes) -> PartitionCheck:
     """Whether `cells` partition a set of the given measure: they are pairwise
-    disjoint (the one all-pairs overlap loop), their measures sum to
-    `measure`, and every probe that `inside` accepts lies in exactly one
-    cell.  Any gap in a finite union of fiber balls and points has positive
-    measure or consists of centers, so with the centers probed the three
-    tests are complete."""
-    overlaps = tuple((i, j) for i in range(len(cells)) for j in range(i + 1, len(cells))
-                     if intersect_cells(cells[i], cells[j]))
+    disjoint, their measures sum to `measure`, and every probe that `inside`
+    accepts lies in exactly one cell.  Any gap in a finite union of fiber
+    balls and points has positive measure or consists of centers, so with the
+    centers probed the three tests are complete.  Only the pairs of
+    `candidate_pairs` can meet, so only those are intersected, and a probe is
+    tested only against the cells whose support balls hold it."""
+    overlaps = tuple((i, j) for i, j in candidate_pairs(cells, cells)
+                     if i < j and intersect_cells(cells[i], cells[j]))
     total = sum(map(cell_measure, cells), Fraction(0))
-    uncovered = sum(inside(v) and sum(contains(c, v, c.prime) for c in cells) != 1
-                    for v in probes)
+    holders = [[] for _ in probes]
+    for n, i in candidate_pairs(probes, cells):
+        holders[n].append(cells[i])
+    uncovered = sum(inside(v) and sum(contains(c, v, c.prime) for c in held) != 1
+                    for v, held in zip(probes, holders))
     return PartitionCheck(disjoint=not overlaps, covers=total == measure and not uncovered,
                           overlaps=overlaps, missing_measure=measure - total,
                           uncovered_centers=uncovered)

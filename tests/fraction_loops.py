@@ -1,13 +1,16 @@
 """The Fraction loops that `Poly`'s integer kernel, the Hensel root search and
-the digit-atom sphere loop replaced, kept as references for the tests that
-compare the two."""
+the digit-atom sphere loop replaced, and the all-pairs loops that the
+support-ball index replaced, kept as references for the tests that compare
+the two."""
 
 import random
 from fractions import Fraction
 from math import comb
 
-from padic_cells.errors import InternalBoundError
+from padic_cells.cells import contains, intersect_cells
+from padic_cells.errors import InternalBoundError, UnsupportedInputError
 from padic_cells.hensel import _at_root, _certified, _newton, exact_value, shift_center
+from padic_cells.measure import PartitionCheck, cell_measure
 from padic_cells.padics import Val, ord_p, unit_digits
 from padic_cells.poly import Poly, newton_min
 
@@ -95,3 +98,24 @@ def fraction_sphere_digits(f: Poly, center, m: int, law_m: int, depth: int,
                                lambda: f"{f} at {member}")[1]
         out.append(unit_digits(value, p, depth).digits)
     return out
+
+
+def all_pairs_partition_check(cells, measure, inside, probes) -> PartitionCheck:
+    """`measure.partition_check` as it was written: every pair of cells
+    intersected, every probe tested against every cell."""
+    overlaps = tuple((i, j) for i in range(len(cells)) for j in range(i + 1, len(cells))
+                     if intersect_cells(cells[i], cells[j]))
+    total = sum(map(cell_measure, cells), Fraction(0))
+    uncovered = sum(inside(v) and sum(contains(c, v, c.prime) for c in cells) != 1
+                    for v in probes)
+    return PartitionCheck(disjoint=not overlaps, covers=total == measure and not uncovered,
+                          overlaps=overlaps, missing_measure=measure - total,
+                          uncovered_centers=uncovered)
+
+
+def all_pairs_common_pieces(d1, d2):
+    """`cells.common_pieces` as it was written: every pair of cells cut."""
+    if d1.prime != d2.prime or d1.domain != d2.domain:
+        raise UnsupportedInputError("decompositions are not over the same domain")
+    return [(i, j, piece) for i, a in enumerate(d1.cells) for j, b in enumerate(d2.cells)
+            for piece in intersect_cells(a, b)]

@@ -12,6 +12,8 @@ from padic_cells.cells import (
     TConst,
     TH,
     ZP,
+    Ball,
+    candidate_pairs,
     cell_type,
     center_term,
     contains,
@@ -22,11 +24,12 @@ from padic_cells.cells import (
     refine_common,
     sorted_cells,
 )
-from padic_cells.decompose import prepare
+from padic_cells.decompose import decompose_set, prepare
 from padic_cells.errors import UnsupportedInputError
 from padic_cells.hensel import refine_root
 from padic_cells.measure import decomposition_measure, exact_partition_check
 from padic_cells.padics import Val, ord_p, rv
+from padic_cells.parser import parse_formula
 from padic_cells.poly import Poly
 
 
@@ -238,3 +241,84 @@ def test_sort_key_reads_only_the_first_units():
     assert Residues(1).members(p, limit=4) == [1, 2, 3, 4]
     assert Residues(2, frozenset({9, 3, 7, 1, 5})).members(p, limit=4) == [1, 3, 5, 7]
     assert sorted_cells([cell, pt(p, 0)]) == (pt(p, 0), cell)
+
+
+def _assert_candidates_cover(left, right):
+    """candidate_pairs(left, right) comes in (i, j) order, once each, and
+    holds every pair where intersect_cells is nonempty or, for a point given
+    by its value, where contains holds."""
+    got = candidate_pairs(left, right)
+    assert got == sorted(set(got))
+    for i, a in enumerate(left):
+        for j, b in enumerate(right):
+            meets = intersect_cells(a, b) if isinstance(a, Cell1) else contains(b, a)
+            if meets:
+                assert (i, j) in got, (a, b)
+    return got
+
+
+def _assert_index_covers(d1, d2):
+    """The index covers d1 against d2, d1 against itself, and d1's centers."""
+    _assert_candidates_cover(d1.cells, d1.cells)
+    _assert_candidates_cover([c.center.value for c in d1.cells], d1.cells)
+    return _assert_candidates_cover(d1.cells, d2.cells)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_candidate_pairs_cover_corpus_pairs(p, corpus_decompositions):
+    decs = [d for (_, q), d in corpus_decompositions.items() if q == p]
+    candidates = everything = 0
+    for d1, d2 in zip(decs, decs[1:]):
+        candidates += len(_assert_index_covers(d1, d2))
+        everything += len(d1.cells) * len(d2.cells)
+    assert candidates < everything / 2  # the index prunes
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_candidate_pairs_cover_formula_decompositions(p):
+    texts = ["ord(y^2 - 1) >= 1", "ord(y) % 2 = 0 & ord(y - 1) < 2",
+             "ac(1, y + 1) = 1 | ord(y^3 - y) > 1", "rv(2, y - 3) = (1, 2) | ord(y - 2) = 1"]
+    decs = [decompose_set(parse_formula(t), p) for t in texts]
+    for d1 in decs:
+        for d2 in decs:
+            _assert_index_covers(d1, d2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_candidate_pairs_cover_ball_domains(p):
+    for ball in (Ball(Fraction(1), 1), Ball(Fraction(3), 2), Ball(Fraction(0), 3)):
+        decs = [prepare(Poly.of(*c), p, ball) for c in ([-1, 0, 1], [0, -1, 0, 1], [-7, 0, 1])]
+        for d1, d2 in zip(decs, decs[1:]):
+            _assert_index_covers(d1, d2)
+
+
+def test_candidate_pairs_fall_back_to_every_pair():
+    # a center that is not 5-integral, or a negative lo, pairs with everything
+    p = 5
+    cells = list(prepare(Poly.of(-6, 0, 1), p).cells) + [fam(p, 3, 2), pt(p, 7)]
+    odd = [fam(p, Fraction(1, 5), 0), pt(p, Fraction(2, 5)), fam(p, 0, -1, 0),
+           fam(p, Fraction(1, 25), -2, depth=2, units={3})]
+    mixed = cells[:3] + odd + cells[3:]
+    for left, right in ((mixed, cells), (cells, mixed), (mixed, mixed)):
+        got = set(_assert_candidates_cover(left, right))
+        for n, cell in enumerate(left):
+            if cell in odd:
+                assert {(n, j) for j in range(len(right))} <= got
+        for n, cell in enumerate(right):
+            if cell in odd:
+                assert {(i, n) for i in range(len(left))} <= got
+    probes = [Fraction(1, 5), Fraction(3), Fraction(-2, 25)] + [c.center.value for c in cells]
+    got = set(_assert_candidates_cover(probes, mixed))
+    assert {(0, j) for j in range(len(mixed))} <= got
+    assert candidate_pairs([], cells) == candidate_pairs(cells, []) == []
+    assert candidate_pairs([], []) == []
+
+
+def test_candidate_pairs_read_a_bounded_number_of_digits():
+    # a family from valuation 10^6 on: its radius counts as the cap, so keys
+    # stay small and the pairs that agree to the cap stay candidates
+    p, deep = 5, 10**6
+    cells = [fam(p, 0, deep), pt(p, 0), pt(p, 5**70), fam(p, 1, deep), fam(p, 0, 1, 1)]
+    got = _assert_candidates_cover(cells, cells)
+    assert (0, 2) in got and (1, 2) in got
+    assert (0, 3) not in got and (1, 3) not in got

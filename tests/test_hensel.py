@@ -7,7 +7,9 @@ from padic_cells import hensel
 from padic_cells.errors import InternalBoundError
 from padic_cells.hensel import (
     NonSimpleRootError,
+    _newton,
     centers_equal,
+    certified_root_points,
     check_conditions,
     digits_between,
     digits_of_poly_at,
@@ -225,6 +227,22 @@ def test_certification_cap_names_its_input(monkeypatch):
     with pytest.raises(InternalBoundError,
                        match=r"y - 1 at the root .* \(p = 5\) reached precision \d+.* cap of 0"):
         ord_of_poly_at(Poly.of(-1, 1), r, 5)
+
+
+def test_root_search_cap_names_its_input():
+    # cap 1, as in test_root_search_matches_the_fraction_search: both square
+    # roots of 17 lie in the class 1 mod 2, so the search needs a second digit
+    with pytest.raises(InternalBoundError, match=r"root search for y\^2 - 17 \(p = 2\) "
+                                                 r"reached the class 1 mod 2\^2, past its depth bound of 1$"):
+        certified_root_points(Poly.of(-17, 0, 1), 2, 1)
+    assert len(certified_root_points(Poly.of(-17, 0, 1), 2, 30)) == 2
+
+
+def test_newton_cap_names_its_input(monkeypatch):
+    monkeypatch.setattr(hensel, "_MAX_DOUBLINGS", 1)
+    with pytest.raises(InternalBoundError, match=r"Newton iteration on y\^2 - 6 \(p = 5\) from 1 "
+                                                 r"reached precision 1 short of the target 30"):
+        _newton(Poly.of(-6, 0, 1), Fraction(1), 5, 30)
 
 
 def test_rational_reconstruction():

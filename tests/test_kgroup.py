@@ -30,9 +30,12 @@ from padic_cells.kgroup import (
     k0_add,
     k0_mul,
 )
-from padic_cells.measure import cell_measure
+from padic_cells import measure
+from padic_cells.measure import cell_measure, exact_partition_check, partition_check
 from padic_cells.parser import parse_formula
 from padic_cells.poly import Poly
+
+from fraction_loops import all_pairs_common_pieces, all_pairs_partition_check
 
 
 def punctured_zp(p, depth, keep_point=False):
@@ -194,6 +197,43 @@ def test_cv_check_false_on_every_broken_partition(p):
             for broken in _broken(good):
                 assert not _holds(broken, other)
                 assert not _holds(other, broken)
+
+
+def _parent_checks(d1, d2, pieces, check):
+    """The partition check of every parent cell over its pieces, as cv_check
+    runs it, by the given implementation of partition_check."""
+    groups = ([[] for _ in d1.cells], [[] for _ in d2.cells])
+    for i, j, piece in pieces:
+        groups[0][i].append(piece)
+        groups[1][j].append(piece)
+    return [check(children, cell_measure(parent),
+                  lambda v, parent=parent: contains(parent, v, parent.prime),
+                  [parent.center.value] + [c.center.value for c in children])
+            for dec, kids in zip((d1, d2), groups) for parent, children in zip(dec.cells, kids)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_indexed_loops_match_the_all_pairs_loops(p, corpus_decompositions, monkeypatch):
+    # the same pieces in the same order, and equal PartitionChecks (overlaps,
+    # missing measure, uncovered centers), on corpus pairs and on the broken
+    # partitions of test_cv_check_false_on_every_broken_partition, on either side
+    decs = [d for (_, q), d in corpus_decompositions.items() if q == p]
+    pairs = list(zip(decs, decs[1:]))[::2]
+    broken = []
+    for f in (Poly.of(-1, 0, 1), Poly.of(0, -1, 0, 1), Poly.of(-2, 0, 1)):
+        good, line = prepare(f, p), prepare(Poly.of(-1, 1), p)
+        variants = _broken(good)
+        broken += variants
+        pairs += [pair for d in variants for pair in ((d, good), (line, d))]
+    for d1, d2 in pairs:
+        pieces = common_pieces(d1, d2)
+        assert pieces == all_pairs_common_pieces(d1, d2)
+        assert (_parent_checks(d1, d2, pieces, partition_check)
+                == _parent_checks(d1, d2, pieces, all_pairs_partition_check))
+    checks = [exact_partition_check(d) for d in decs + broken]
+    assert all(c.ok for c in checks[:len(decs)]) and not any(c.ok for c in checks[len(decs):])
+    monkeypatch.setattr(measure, "partition_check", all_pairs_partition_check)
+    assert checks == [exact_partition_check(d) for d in decs + broken]
 
 
 EQUIVALENT = [

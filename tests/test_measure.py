@@ -1,11 +1,12 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from conftest import PRIMES
 
-from padic_cells.cells import (ArithRange, Ball, Cell1, Center, Decomposition, Residues, TConst,
-                               ZP, sorted_cells)
+from padic_cells.cells import (ArithRange, Ball, Cell1, Center, Decomposition, OrderLaw, Residues,
+                               TConst, ZP, refine_common, sorted_cells)
 from padic_cells.decompose import (AcEq, FAnd, FAtom, FNot, FOr, OrdCmp, RvEq, decompose_set,
                                    prepare)
 from padic_cells.measure import (
@@ -149,6 +150,29 @@ def test_zeta_is_invariant_under_unit_affine_substitutions(corpus, corpus_decomp
             assert ord_p(a, p) == 0
             g = f.shift_var(Fraction(a), Fraction(b))
             assert igusa_zeta(prepare(g, p), g, p) == z, (name, a, b)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_zeta_of_a_product_agrees_with_refine_common(corpus, corpus_decompositions, p):
+    """On each piece of refine_common(prepare(f), prepare(g)) the law of fg is
+    the sum of the laws of f and g, both around the piece's center; the
+    measures mu(ord fg = m) summed from those laws equal measure_of_order on
+    prepare(fg), and so does the whole zeta function."""
+    names = list(corpus)
+    decs = {name: corpus_decompositions[name, p] if p in PRIMES else prepare(corpus[name], p)
+            for name in names}
+    for a, b in zip(names, names[1:]):
+        f, g = corpus[a], corpus[b]
+        fg = f * g
+        pieces = refine_common(decs[a], decs[b])
+        summed = replace(pieces, cells=tuple(
+            c.with_laws({fg: OrderLaw(c.law_for(f).e0 + c.law_for(g).e0,
+                                      c.law_for(f).i0 + c.law_for(g).i0)})
+            for c in pieces.cells))
+        direct = prepare(fg, p)
+        for m in range(6):
+            assert measure_of_order(summed, fg, m) == measure_of_order(direct, fg, m), (a, b, m)
+        assert igusa_zeta(summed, fg) == igusa_zeta(direct, fg), (a, b)
 
 
 def test_laurent_zeta_examples():
