@@ -17,7 +17,13 @@ times u^i, decides most classes at once: f = p^best R(u0) mod p^(best+1) on
 the class, so where R(u0) is nonzero mod p the class holds no root and ord f
 is the constant best on all of it, and its family gets that law directly.
 Only the classes where R vanishes are searched for a root, and their
-families are processed in turn.  Every cell
+families are processed in turn.
+
+Every digit of f that the engine reads -- R(u0) at a tie, the unit digits
+of an `ac`/`rv` atom on a sphere, on the unbounded tail of a family and at a
+point -- is read where ord f is already known to be at least some v, so it
+is f(c + p^m u) / p^v mod p^depth: `_sphere_digits` computes it from one
+integer expansion of f at a rational proxy of the center.  Every cell
 `prepare` builds has level 1 and, if a family, all units at depth 1.
 Descents below the ball's radius are capped by a resultant-based budget.
 
@@ -57,16 +63,14 @@ from .hensel import (
     CenterValue,
     center_of,
     center_proxy,
-    digits_of_poly_at,
     exact_value,
     ord_of_poly_at,
     roots_in_ball,
     shift_center,
-    taylor_digits,
     taylor_ords,
 )
 from .padics import INFINITY, RvData, Val, int_val, is_prime, ord_p, require_classes
-from .poly import MAX_DEGREE, Poly, format_poly, resultant_val, squarefree_part, taylor_polys
+from .poly import MAX_DEGREE, Poly, format_poly, resultant_val, squarefree_part
 
 # p^r for the domain radius r stays below 2^_MAX_RADIUS_BITS, so measures
 # and the numbers printed for them stay far from Python's 4,300-digit limit
@@ -308,21 +312,6 @@ def _prepare_linear(f: Poly, p: int, domain: Ball) -> list[Cell1]:
                                    df: d1_law})
 
 
-def _residual_zeros(digits: dict[int, int], p: int) -> set[int]:
-    """The units u0 in [1, p) where the residual polynomial of a tie,
-    R(u) = sum_i d_i u^i with d_i the first unit digit of each achieving
-    Taylor coefficient, vanishes mod p."""
-    coeffs = [digits.get(i, 0) for i in range(max(digits), -1, -1)]
-    zeros = set()
-    for u in range(1, p):
-        acc = 0
-        for c in coeffs:
-            acc = (acc * u + c) % p
-        if not acc:
-            zeros.add(u)
-    return zeros
-
-
 def _process_box(f: Poly, w: Poly, p: int, cell: Cell1, out: list[Cell1], work: list[Cell1],
                  r: int, budget: int) -> None:
     """Give a family cell laws for f: keep the strict regions of the Newton
@@ -330,7 +319,9 @@ def _process_box(f: Poly, w: Poly, p: int, cell: Cell1, out: list[Cell1], work: 
     residue class u0.  Descents are counted from the domain radius r.
 
     On the class y = c + p^m* (u0 + p t), f(y) = p^best R(u0) mod p^(best+1),
-    R the residual polynomial of the tie.  Where R(u0) is nonzero mod p, ord f
+    R the residual polynomial of the tie, so R(u0) is f(c + p^m* u0) / p^best
+    mod p, which `_sphere_digits` reads for all u0 at once, ord f >= best
+    holding on the whole sphere.  Where R(u0) is nonzero mod p, ord f
     is best on the whole class, which holds no root, and at c' = c + u0 p^m*
     every Taylor line i >= 1 stays above best for m > m*; so the class gets
     the law (best, 0) on its point and on its whole family [m* + 1, oo),
@@ -357,12 +348,12 @@ def _process_box(f: Poly, w: Poly, p: int, cell: Cell1, out: list[Cell1], work: 
         frozen = cell.frozen_laws(m_star)
         best = line_val[win[0]] + win[0] * m_star
         rootless = {**frozen, f: OrderLaw(Val(best), 0)}
-        zeros = _residual_zeros(dict(zip(win, taylor_digits(f, cell.center.value, p, win))), p)
+        residual = _sphere_digits(f, cell.center.value, m_star, best, 1, range(1, p), p)
         below = ArithRange(m_star + 1, None)
         step = Fraction(p) ** m_star
-        for u0 in range(1, p):
+        for u0, r_u0 in zip(range(1, p), residual):
             off = u0 * step
-            if u0 in zeros:
+            if r_u0 == 0:
                 center, f_law = _split_tie_class(f, w, p, cell.center, off, m_star + 1, budget)
                 out.append(Cell1(p, center, None, None, {**frozen, f: f_law}))
                 work.append(Cell1(p, center, below, Residues(1, None), frozen))
@@ -516,41 +507,59 @@ def _ord_atom_pieces(cell: Cell1, atom: Atom, p: int) -> list[tuple[Cell1, bool]
     return _split_range(cell, pieces)
 
 
-def _sphere_digits(f: Poly, center: CenterValue, m: int, law_m: int, depth: int,
-                   units: list[int], p: int) -> list[int]:
-    """The first `depth` unit digits of f(c + p^m u) for each unit u, where
-    ord f = law_m on the sphere ord(y - c) = m.
+def _sphere_digits(f: Poly, center: CenterValue, m: int, v: int, depth: int,
+                   units, p: int) -> list[int]:
+    """f(c + p^m u) / p^v mod p^depth for each u, where ord f >= v at those
+    points: a value is divisible by p exactly where ord f > v, and a point
+    where ord f < v is an internal bound error.  u = 0 reads f at the center.
 
     One integer expansion per sphere: with (N, D) = `f.integral`, N moves by
     at least as much as y on Z_p, so f moves by at least ord(y - y') - ord D.
-    A rational x = a/b congruent to the center mod p^(law_m + ord D + depth)
-    therefore gives f(x + p^m u) the digits of f(c + p^m u), and
-    f(x + p^m u) = G(u) / (D b^n) with G_i = H_i (b p^m)^i, H the shifted
-    numerators at a/b.  G(u) has valuation v = law_m + ord D, so G mod
-    p^(v + depth), divided by p^v, is the unit part of the numerator."""
+    A rational x = a/b congruent to the center mod p^(v + ord D + depth)
+    therefore gives f(x + p^m u) the value of f(c + p^m u) mod p^(v + depth),
+    and f(x + p^m u) = G(u) / (D b^n) with G_i = H_i (b p^m)^i, H the shifted
+    numerators at a/b.  G(u) is an integer of valuation at least
+    w = max(v + ord D, 0), so G mod p^(w + depth), divided by p^w and times
+    p^(w - v - ord D), is the numerator of f / p^v."""
     den = f.integral[1]
     vd = int_val(den, p)
-    v = law_m + vd
-    qd, pv = p**depth, p**v
-    mod = pv * qd
-    x = center_proxy(center, p, v + depth)
+    w = max(v + vd, 0)
+    qd, pw = p**depth, p**w
+    mod = pw * qd
+    x = center_proxy(center, p, w + depth)
     a, b = x.numerator, x.denominator
     step = b * p**m
     coeffs = [h * pow(step, i, mod) % mod
               for i, h in enumerate(f.shifted_numerators(a, b))][::-1]
-    inv = pow(den // p**vd * b**f.degree, -1, qd)
+    inv = pow(den // p**vd * b**f.degree, -1, qd) * p**(w - v - vd)
     out = []
     for u in units:
         acc = 0
         for g in coeffs:
             acc = (acc * u + g) % mod
-        unit, low = divmod(acc, pv)
-        if low or unit % p == 0:
-            raise InternalBoundError(
-                f"the law ord {format_poly(f)} = {law_m} (p = {p}) fails at the unit "
-                f"{u} of the sphere m = {m} around the center {center}")
-        out.append(unit * inv % qd)
+        high, low = divmod(acc, pw)
+        if low:
+            raise _law_error(f, v, p, center, m, u)
+        out.append(high * inv % qd)
     return out
+
+
+def _law_error(f: Poly, v: int, p: int, center: CenterValue, m: int, u: int):
+    """ord f = v fails at c + p^m u: below v in `_sphere_digits`, above in its callers."""
+    at = f"the unit {u} of the sphere m = {m} around the center" if u else "the center"
+    return InternalBoundError(
+        f"the law ord {format_poly(f)} = {v} (p = {p}) fails at {at} {center}")
+
+
+def _point_digits(cell: Cell1, f: Poly, depth: int, p: int) -> int | None:
+    """The first `depth` unit digits of f at a point cell; None where f vanishes."""
+    law = cell.law_for(f)
+    if law.e0.is_infinite:
+        return None
+    dig = _sphere_digits(f, cell.center.value, 0, law.e0.value, depth, [0], p)[0]
+    if dig % p == 0:
+        raise _law_error(f, law.e0.value, p, cell.center.value, 0, 0)
+    return dig
 
 
 def _digit_atom_pieces(cell: Cell1, f: Poly, depth: int, want, p: int):
@@ -562,10 +571,11 @@ def _digit_atom_pieces(cell: Cell1, f: Poly, depth: int, want, p: int):
     lines = [(i, v.value) for i, v in enumerate(ords) if not v.is_infinite]
     rng = cell.m_range
     e0, i0 = law.e0.value, law.i0
-    qd = p**depth
     pieces: list[tuple[Cell1, bool]] = []
 
-    def enumerate_m(m: int) -> None:
+    def enumerate_m(sub: ArithRange) -> None:
+        # the digits on the sphere m = sub.lo, which hold on all of sub
+        m = sub.lo
         min_line = min(v + i * m for i, v in lines)
         law_m = e0 + i0 * m
         d_m = max(cell.residues.depth, depth + law_m - min_line)
@@ -573,21 +583,24 @@ def _digit_atom_pieces(cell: Cell1, f: Poly, depth: int, want, p: int):
         groups: dict[bool, list[int]] = {}
         for u, dig in zip(units, _sphere_digits(f, cell.center.value, m, law_m, depth,
                                                  units, p)):
+            if dig % p == 0:
+                raise _law_error(f, law_m, p, cell.center.value, m, u)
             groups.setdefault(want(dig), []).append(u)
         for flag in sorted(groups):
             pieces.append(
-                (replace(cell, m_range=ArithRange(m, m),
+                (replace(cell, m_range=sub,
                          residues=Residues(d_m, frozenset(groups[flag]))), flag)
             )
 
     if rng.hi is not None:
         for m in rng.values():
-            enumerate_m(m)
+            enumerate_m(ArithRange(m, m))
         return pieces
 
     # infinite range: the law line is the envelope minimum with the smallest
     # index beyond the last breakpoint; its digits go uniform once every other
-    # term is at least p^depth smaller
+    # term is at least p^depth smaller, so from m_d on the first sphere's
+    # digits hold on every sphere
     m_d = rng.lo
     for j, vj in lines:
         if j == i0:
@@ -601,20 +614,10 @@ def _digit_atom_pieces(cell: Cell1, f: Poly, depth: int, want, p: int):
     for m in rng.values():
         if m >= m_d:
             break
-        enumerate_m(m)
+        enumerate_m(ArithRange(m, m))
     tail = rng.restrict(lo=m_d)
     if tail is not None:
-        work_depth = max(cell.residues.depth, depth)
-        ai0_digits = digits_of_poly_at(taylor_polys(f)[i0], cell.center.value, p, depth)
-        groups: dict[bool, list[int]] = {}
-        for u in cell.residues.lift(work_depth, p).members(p):
-            dig = (ai0_digits * pow(u, i0, qd)) % qd
-            groups.setdefault(want(dig), []).append(u)
-        for flag in sorted(groups):
-            pieces.append(
-                (replace(cell, m_range=tail,
-                         residues=Residues(work_depth, frozenset(groups[flag]))), flag)
-            )
+        enumerate_m(tail)
     return pieces
 
 
@@ -623,13 +626,9 @@ def _split_by_atom(cell: Cell1, atom: Atom, p: int) -> list[tuple[Cell1, bool]]:
         return _ord_atom_pieces(cell, atom, p)
 
     if isinstance(atom, AcEq):
-        law = cell.law_for(atom.f)
         target = atom.unit % p**atom.depth
         if cell.is_point:
-            if law.e0.is_infinite:
-                return [(cell, False)]
-            dig = digits_of_poly_at(atom.f, cell.center.value, p, atom.depth)
-            return [(cell, dig == target)]
+            return [(cell, _point_digits(cell, atom.f, atom.depth, p) == target)]
         return _digit_atom_pieces(cell, atom.f, atom.depth, lambda d: d == target, p)
 
     assert isinstance(atom, RvEq)
@@ -637,10 +636,8 @@ def _split_by_atom(cell: Cell1, atom: Atom, p: int) -> list[tuple[Cell1, bool]]:
     if atom.tag.is_zero:
         return [(cell, cell.is_point and law.e0.is_infinite)]
     if cell.is_point:
-        if law.e0.is_infinite:
-            return [(cell, False)]
-        ok = law.e0.value == atom.tag.valuation and \
-            digits_of_poly_at(atom.f, cell.center.value, p, atom.depth) == atom.tag.unit.digits
+        ok = law.e0 == atom.tag.valuation and \
+            _point_digits(cell, atom.f, atom.depth, p) == atom.tag.unit.digits
         return [(cell, ok)]
     out: list[tuple[Cell1, bool]] = []
     val_atom = OrdCmp(atom.f, None, atom.tag.valuation, "=")

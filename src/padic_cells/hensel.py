@@ -9,13 +9,16 @@ about the root are decidable.
 
 A cell center is a rational or a `PadicApprox`, and this is the only module
 that knows which.  The center queries at the end of the file -- the
-valuation or leading digits of q(center) for a rational polynomial q and of
-the Taylor coefficients of f at the center, equality, valuation and digits
-of the difference of two centers, rational proxies, shifts -- branch once
-on whether the point is known exactly, and answer every question about an
-inexact root through one certification loop (`_certified`): refine until
-the Taylor tail can no longer change the digits asked for.  The
-decomposition engine and the cell algebra use only these queries.
+valuation or leading digits of q(center) for a rational polynomial q, the
+valuations of the Taylor coefficients of f at the center, equality,
+valuation and digits of the difference of two centers, rational proxies,
+shifts -- branch once on whether the point is known exactly, and answer
+every question about an inexact root through one certification loop
+(`_certified`): refine until the Taylor tail can no longer change the digits
+asked for.  The decomposition engine and the cell algebra use only these
+queries.  Where the engine already knows a lower bound v for ord f, as on
+every cell with an order law, it reads the digits of f near a center from
+one `center_proxy` exact to v plus the digits wanted, with no certification.
 
 `roots_in_ball` is the one root search: it scales a ball to Z_p, runs the
 pruned digit search `certified_root_points` there and certifies each root it
@@ -564,18 +567,6 @@ def taylor_ords(f: Poly, center: CenterValue, p: int) -> list[Val]:
     n, vd, vb = f.degree, int_val(f.integral[1], p), int_val(x.denominator, p)
     return [Val(int_val(h, p) - vd - (n - i) * vb) if h else INFINITY
             for i, h in enumerate(hs)]
-
-
-def taylor_digits(f: Poly, center: CenterValue, p: int, indices: list[int]) -> list[int]:
-    """The first unit digit of the Taylor coefficients of f at the center with
-    the given indices; each of those coefficients must be nonzero."""
-    x = exact_value(center)
-    if x is None:
-        qs = taylor_polys(f)
-        return [digits_of_poly_at(qs[i], center, p, 1) for i in indices]
-    hs = f.shifted_numerators(x.numerator, x.denominator)
-    n, den, b = f.degree, f.integral[1], x.denominator
-    return [unit_digits(Fraction(hs[i], den * b ** (n - i)), p, 1).digits for i in indices]
 
 
 def center_proxy(center: CenterValue, p: int, precision: int) -> Rat:

@@ -131,26 +131,31 @@ def cv_check(d1: Decomposition, d2: Decomposition) -> bool:
 
     The pieces of the common refinement R come from common_pieces, with the
     two parents that intersect_cells put each one inside.  Grouped by parent,
-    they must partition every parent cell exactly -- `partition_check` with
-    the parent's measure and the group's centers inside the parent as probes
-    -- with no child of a larger type, after which both reductions land on
-    the identical canonical element chi(R).  The types and measures of every
-    group are compared first, so a partition that misses a measure fails
+    they must partition every parent cell exactly -- the measures of the
+    pieces, each computed once, sum to the parent's, and `partition_check`
+    with the group's centers inside the parent as probes finds no overlap and
+    no uncovered center -- with no child of a larger type, after which both
+    reductions land on the identical canonical element chi(R).  Types and
+    measures are compared first, so a partition that misses a measure fails
     without any overlap loop.  Different sets are rejected.
     """
     groups = ([[] for _ in d1.cells], [[] for _ in d2.cells])
+    totals = ([Fraction(0)] * len(d1.cells), [Fraction(0)] * len(d2.cells))
     for i, j, piece in common_pieces(d1, d2):
         if d1.cells[i].keep != d2.cells[j].keep:
             raise UnsupportedInputError("the decompositions describe different sets")
         groups[0][i].append(piece)
         groups[1][j].append(piece)
-    parents = [(parent, children, cell_measure(parent))
-               for parent_dec, children_of in zip((d1, d2), groups)
-               for parent, children in zip(parent_dec.cells, children_of)]
-    if any(any(c.kind > parent.kind for c in children)
-           or sum(map(cell_measure, children), Fraction(0)) != measure
-           for parent, children, measure in parents):
+        mu = cell_measure(piece)
+        totals[0][i] += mu
+        totals[1][j] += mu
+    parents = [(parent, children, total)
+               for parent_dec, children_of, totals_of in zip((d1, d2), groups, totals)
+               for parent, children, total in zip(parent_dec.cells, children_of, totals_of)]
+    if any(any(c.kind > parent.kind for c in children) or total != cell_measure(parent)
+           for parent, children, total in parents):
         return False
-    return all(partition_check(children, measure, lambda v: contains(parent, v, parent.prime),
-                               [parent.center.value] + [c.center.value for c in children]).ok
-               for parent, children, measure in parents)
+    # no overlapping pair and no uncovered center in any group
+    return all(partition_check(children, lambda v: contains(parent, v, parent.prime),
+                               [parent.center.value] + [c.center.value for c in children])
+               == ((), 0) for parent, children, _ in parents)

@@ -9,7 +9,7 @@ Z(t) = sum_m mu(ord f = m) t^m is an exact rational function in t = p^(-s).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .cells import Cell1, Decomposition, candidate_pairs, contains, intersect_cells
@@ -174,35 +174,36 @@ class PartitionCheck:
         return self.disjoint and self.covers
 
 
-def partition_check(cells, measure: Fraction, inside, probes) -> PartitionCheck:
-    """Whether `cells` partition a set of the given measure: they are pairwise
-    disjoint, their measures sum to `measure`, and every probe that `inside`
-    accepts lies in exactly one cell.  Any gap in a finite union of fiber
-    balls and points has positive measure or consists of centers, so with the
-    centers probed the three tests are complete.  Only the pairs of
-    `candidate_pairs` can meet, so only those are intersected, and a probe is
-    tested only against the cells whose support balls hold it."""
+def partition_check(cells, inside, probes) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The index pairs of intersecting `cells`, and the number of probes that
+    `inside` accepts but that do not lie in exactly one cell.  Cells partition
+    a set when both are empty and their measures sum to the set's measure,
+    which the callers compare: any gap in a finite union of fiber balls and
+    points has positive measure or consists of centers, so with the centers
+    probed the three tests are complete.  Only the pairs of `candidate_pairs`
+    can meet, so only those are intersected, and a probe is tested only
+    against the cells whose support balls hold it."""
     overlaps = tuple((i, j) for i, j in candidate_pairs(cells, cells)
                      if i < j and intersect_cells(cells[i], cells[j]))
-    total = sum(map(cell_measure, cells), Fraction(0))
     holders = [[] for _ in probes]
     for n, i in candidate_pairs(probes, cells):
         holders[n].append(cells[i])
     uncovered = sum(inside(v) and sum(contains(c, v, c.prime) for c in held) != 1
                     for v, held in zip(probes, holders))
-    return PartitionCheck(disjoint=not overlaps, covers=total == measure and not uncovered,
-                          overlaps=overlaps, missing_measure=measure - total,
-                          uncovered_centers=uncovered)
+    return overlaps, uncovered
 
 
 def exact_partition_check(dec: Decomposition) -> PartitionCheck:
-    """`partition_check` of the domain ball B(b, r), with every center probed.
-    Cover also needs each cell's support ball -- B(center, lo) for a family,
-    the center for a point -- inside B(b, r): a cell outside could stand in
-    for a gap of the same measure."""
+    """`partition_check` of the domain ball B(b, r), with every center probed,
+    and the measures of the cells against p^-r.  Cover also needs each cell's
+    support ball -- B(center, lo) for a family, the center for a point --
+    inside B(b, r): a cell outside could stand in for a gap of the same
+    measure."""
     p, b, r = dec.prime, dec.domain.center, dec.domain.radius_ord
-    chk = partition_check(dec.cells, Fraction(1, p**r), lambda v: True,
-                          [c.center.value for c in dec.cells])
+    overlaps, uncovered = partition_check(dec.cells, lambda v: True,
+                                          [c.center.value for c in dec.cells])
+    missing = Fraction(1, p**r) - decomposition_measure(dec)
     inside = all((c.is_point or c.m_range.lo >= r)
                  and ord_p(center_proxy(c.center.value, p, r) - b, p) >= r for c in dec.cells)
-    return replace(chk, covers=chk.covers and inside)
+    return PartitionCheck(disjoint=not overlaps, covers=not missing and not uncovered and inside,
+                          overlaps=overlaps, missing_measure=missing, uncovered_centers=uncovered)

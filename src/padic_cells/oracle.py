@@ -17,7 +17,7 @@ from math import lcm
 
 from .cells import Ball, Cell1, Decomposition
 from .errors import UnsupportedInputError
-from .hensel import center_proxy, exact_value, ord_between, refine_root, taylor_ords
+from .hensel import center_proxy, exact_value, refine_root, taylor_ords
 from .padics import INFINITY, MAX_CLASSES, Val, ord_p, require_classes
 from .poly import Poly
 
@@ -399,12 +399,8 @@ def verify_laws(dec: Decomposition, f: Poly, samples: int = 200, seed: int = 0) 
             want, broken = at_m[m]
             got = _ord_value(coeffs, shift, num, den, p)
             if got != want:
-                # guard against proxy-precision artifacts for approx centers
-                member = Fraction(num, den)
-                true_m = ord_between(member, cell.center.value, p)
-                if true_m.is_infinite or true_m.value != m:
-                    continue
-                failures.append(LawFailure(idx, member, want, got))
+                # _cell_samples puts every sample at distance exactly m
+                failures.append(LawFailure(idx, Fraction(num, den), want, got))
             elif broken is not None:
                 # the coarse inequality ord f(y) <= ord(k a_i (y-c)^i)
                 failures.append(LawFailure(idx, Fraction(num, den), broken, got))

@@ -1,7 +1,8 @@
 """The Fraction loops that `Poly`'s integer kernel, the Hensel root search and
-the digit-atom sphere loop replaced, and the all-pairs loops that the
-support-ball index replaced, kept as references for the tests that compare
-the two."""
+the digit-atom sphere loop replaced, the exact-query digit reads (residual
+polynomial of a tie, unbounded tail, point) that the sphere kernel replaced,
+and the all-pairs loops that the support-ball index replaced, kept as
+references for the tests that compare the two."""
 
 import random
 from fractions import Fraction
@@ -9,10 +10,10 @@ from math import comb
 
 from padic_cells.cells import contains, intersect_cells
 from padic_cells.errors import InternalBoundError, UnsupportedInputError
-from padic_cells.hensel import _at_root, _certified, _newton, exact_value, shift_center
-from padic_cells.measure import PartitionCheck, cell_measure
+from padic_cells.hensel import (_at_root, _certified, _newton, digits_of_poly_at, exact_value,
+                                shift_center)
 from padic_cells.padics import Val, ord_p, unit_digits
-from padic_cells.poly import Poly, newton_min
+from padic_cells.poly import Poly, newton_min, taylor_polys
 
 
 def fraction_eval(f: Poly, x) -> Fraction:
@@ -83,10 +84,10 @@ def fraction_root_points(w: Poly, p: int, depth_cap: int) -> list[Fraction]:
     return out
 
 
-def fraction_sphere_digits(f: Poly, center, m: int, law_m: int, depth: int,
+def fraction_sphere_digits(f: Poly, center, m: int, v: int, depth: int,
                            units: list[int], p: int) -> list[int]:
-    """`decompose._sphere_digits` as it was written: shift the center to each
-    member c + p^m u and certify f there (law_m is not read)."""
+    """`decompose._sphere_digits` as a Fraction loop: shift the center to each
+    member c + p^m u, certify f there and read f / p^v mod p^depth."""
     out = []
     for u in units:
         member = shift_center(center, Fraction(u) * Fraction(p) ** m)
@@ -96,21 +97,64 @@ def fraction_sphere_digits(f: Poly, center, m: int, law_m: int, depth: int,
         else:
             value = _certified(member.precision, depth, _at_root(member, f), p,
                                lambda: f"{f} at {member}")[1]
-        out.append(unit_digits(value, p, depth).digits)
+        e = ord_p(value, p)
+        if e < v:
+            raise InternalBoundError(f"ord {f} < {v} at the unit {u}")
+        out.append(0 if e >= v + depth else
+                   p ** (e.value - v) * unit_digits(value, p, depth).digits % p**depth)
     return out
 
 
-def all_pairs_partition_check(cells, measure, inside, probes) -> PartitionCheck:
+def taylor_digits(f: Poly, center, p: int, indices: list[int]) -> list[int]:
+    """The first unit digits of the Taylor coefficients of f at the center
+    with the given indices, by exact queries, as `hensel` computed them for
+    the residual polynomial of a tie."""
+    x = exact_value(center)
+    if x is None:
+        qs = taylor_polys(f)
+        return [digits_of_poly_at(qs[i], center, p, 1) for i in indices]
+    hs = f.shifted_numerators(x.numerator, x.denominator)
+    n, den, b = f.degree, f.integral[1], x.denominator
+    return [unit_digits(Fraction(hs[i], den * b ** (n - i)), p, 1).digits for i in indices]
+
+
+def residual_zeros(digits: dict[int, int], p: int) -> set[int]:
+    """The units u0 in [1, p) where the residual polynomial of a tie,
+    R(u) = sum_i d_i u^i with d_i the first unit digit of each achieving
+    Taylor coefficient, vanishes mod p."""
+    coeffs = [digits.get(i, 0) for i in range(max(digits), -1, -1)]
+    zeros = set()
+    for u in range(1, p):
+        acc = 0
+        for c in coeffs:
+            acc = (acc * u + c) % p
+        if not acc:
+            zeros.add(u)
+    return zeros
+
+
+def tail_digits(f: Poly, center, i0: int, depth: int, units: list[int], p: int) -> list[int]:
+    """The digits of f on the unbounded tail of a family with law index i0,
+    as `_digit_atom_pieces` read them: the unit digits of the Taylor
+    coefficient a_i0 at the center, by an exact query, times u^i0."""
+    qd = p**depth
+    a = digits_of_poly_at(taylor_polys(f)[i0], center, p, depth)
+    return [a * pow(u, i0, qd) % qd for u in units]
+
+
+def point_digits(f: Poly, center, p: int, depth: int) -> int:
+    """The digits of f at a point cell, as `_split_by_atom` read them."""
+    return digits_of_poly_at(f, center, p, depth)
+
+
+def all_pairs_partition_check(cells, inside, probes):
     """`measure.partition_check` as it was written: every pair of cells
     intersected, every probe tested against every cell."""
     overlaps = tuple((i, j) for i in range(len(cells)) for j in range(i + 1, len(cells))
                      if intersect_cells(cells[i], cells[j]))
-    total = sum(map(cell_measure, cells), Fraction(0))
     uncovered = sum(inside(v) and sum(contains(c, v, c.prime) for c in cells) != 1
                     for v in probes)
-    return PartitionCheck(disjoint=not overlaps, covers=total == measure and not uncovered,
-                          overlaps=overlaps, missing_measure=measure - total,
-                          uncovered_centers=uncovered)
+    return overlaps, uncovered
 
 
 def all_pairs_common_pieces(d1, d2):

@@ -1,11 +1,13 @@
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from conftest import PRIMES
-from fraction_loops import fraction_sphere_digits
+from fraction_loops import (fraction_sphere_digits, point_digits, residual_zeros,
+                            tail_digits, taylor_digits)
 
 import padic_cells.decompose as decompose_module
 from padic_cells.cells import (
@@ -34,20 +36,21 @@ from padic_cells.decompose import (
     RvEq,
     _digit_atom_pieces,
     _dominance_regions,
+    _sphere_digits,
     _split_by_atom,
     decompose_set,
     prepare,
     preserves_balls_report,
 )
 from padic_cells.errors import InternalBoundError, UnsupportedInputError
-from padic_cells.hensel import center_proxy, exact_value
+from padic_cells.hensel import center_proxy, exact_value, h, taylor_ords
 from padic_cells.measure import (
     decomposition_measure,
     exact_partition_check,
     measure_of_order,
 )
 from padic_cells.oracle import verify_laws, verify_partition
-from padic_cells.padics import RvData, UnitDigits, Val, ord_p
+from padic_cells.padics import RvData, UnitDigits, Val, ord_p, rv
 from padic_cells.poly import MAX_DEGREE, Poly
 
 Y = Poly.of(0, 1)
@@ -238,7 +241,9 @@ def test_residual_filter_matches_the_full_class_walk(monkeypatch, corpus, p):
         return decs, payloads, seen
 
     filtered = outputs()
-    monkeypatch.setattr(decompose_module, "_residual_zeros", lambda digits, p: set(range(1, p)))
+    # a residual that vanishes everywhere sends every class to the root search
+    monkeypatch.setattr(decompose_module, "_sphere_digits",
+                        lambda f, c, m, v, depth, units, p: [0] * len(units))
     walked = outputs()
     assert filtered[:2] == walked[:2]
     # the filter skips only rootless classes, and some of them at every prime
@@ -405,16 +410,115 @@ def test_digit_kernel_matches_the_fraction_loop(monkeypatch, coeffs, p, domain, 
 
 def test_digit_kernel_rejects_a_contradicted_law():
     """A law that the values of f do not obey is an internal bound error
-    naming f, p, the center, the sphere and the unit, not a wrong digit."""
+    naming f, p, the center, the sphere and the unit, not a wrong digit: on
+    a finite sphere, on the unbounded tail of a family (whose spheres from
+    m = 3 on all read like the first) and at a point."""
     f = Poly.of(-1, 0, 1)
-    cell = next(c for c in prepare(f, 3).cells
-                if not c.is_point and c.center.value == 1)
-    law = cell.law_for(f)
-    for shift in (1, -1):  # too high a valuation, and too low a one
-        tampered = cell.with_laws({f: OrderLaw(law.e0 + shift, law.i0)})
-        with pytest.raises(InternalBoundError, match=r"y\^2 - 1 .*p = 3.*unit 1 of the "
-                                                     r"sphere m = 1 around the center 1"):
-            _digit_atom_pieces(tampered, f, 3, lambda d: d, 3)
+    cells = prepare(f, 3).cells
+    family = next(c for c in cells if not c.is_point and c.center.value == 1)
+    point = next(c for c in cells if c.is_point and c.center.value == 0)
+    cases = [(family, r"unit 1 of the sphere m = 1 around the center 1$"),
+             (replace(family, m_range=ArithRange(5, None)),
+              r"unit 1 of the sphere m = 5 around the center 1$"),
+             (point, r"fails at the center 0$")]
+    for cell, where in cases:
+        law = cell.law_for(f)
+        for shift in (1, -1):  # too high a valuation, and too low a one
+            tampered = cell.with_laws({f: OrderLaw(law.e0 + shift, law.i0)})
+            with pytest.raises(InternalBoundError, match=r"y\^2 - 1 = .*p = 3.*" + where):
+                _split_by_atom(tampered, AcEq(3, f, 1), 3)
+
+
+def _tie_zeros(f, center, m, p):
+    """The classes of the tie at m where the residual polynomial vanishes,
+    read by the kernel and by the exact queries, and whether m is a tie."""
+    lines = [(i, v.value) for i, v in enumerate(taylor_ords(f, center, p))
+             if not v.is_infinite]
+    best = min(v + i * m for i, v in lines)
+    win = [i for i, v in lines if v + i * m == best]
+    units = range(1, p)
+    kernel = {u for u, r in zip(units, _sphere_digits(f, center, m, best, 1, units, p))
+              if r == 0}
+    return kernel, residual_zeros(dict(zip(win, taylor_digits(f, center, p, win))), p), \
+        len(win) > 1
+
+
+def _assert_reads_match(f, center, p):
+    """The kernel against the exact-query reads at one center: the residual
+    zeros at every tie of f's Newton polygon, the digits on the unbounded
+    tail of its last region and the digits at the center.  Returns the
+    numbers of ties, tails and points compared."""
+    lines = [(i, v.value) for i, v in enumerate(taylor_ords(f, center, p))
+             if not v.is_infinite]
+    seen = [0, 0, 0]
+    for region in _dominance_regions(lines, 0, None):
+        if region[0] == "tie":
+            kernel, exact, _ = _tie_zeros(f, center, region[1], p)
+            assert kernel == exact, (f, center, p, region)
+            seen[0] += 1
+        elif region[2] is None:
+            _, lo, _, i0 = region
+            v0 = dict(lines)[i0]
+            for depth in (1, 2):
+                m_d = max([lo] + [-(-(depth + v0 - v) // (i - i0)) for i, v in lines if i != i0])
+                units = [u for u in range(1, p**depth) if u % p][::max(1, p**depth // 16)]
+                assert _sphere_digits(f, center, m_d, v0 + i0 * m_d, depth, units, p) == \
+                    tail_digits(f, center, i0, depth, units, p), (f, center, p, depth)
+            seen[1] += 1
+    if lines[0][0] == 0:
+        for depth in (1, 2, 3):
+            assert _sphere_digits(f, center, 0, lines[0][1], depth, [0], p) == \
+                [point_digits(f, center, p, depth)], (f, center, p, depth)
+        seen[2] += 1
+    return seen
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 31])
+def test_sphere_kernel_matches_the_exact_query_reads(monkeypatch, corpus, p):
+    """At every tie that `prepare` splits, the kernel's zero set is the
+    residual polynomial's from the exact Taylor digits.  At every center of
+    the decomposition, for f and f', the kernel reads the same residual
+    zeros, tail digits and point digits as the exact queries.  Exact and
+    inexact centers both occur."""
+    ties = []
+
+    def recorded(f, center, m, v, depth, units, p):
+        ties.append((f, center, m))
+        return kernel(f, center, m, v, depth, units, p)
+
+    kernel = decompose_module._sphere_digits
+    monkeypatch.setattr(decompose_module, "_sphere_digits", recorded)
+    decs = [prepare(f, p) for f in corpus.values()]
+    seen = {True: [0, 0, 0, 0], False: [0, 0, 0, 0]}
+    for f, center, m in ties:
+        kernel_zeros, exact_zeros, is_tie = _tie_zeros(f, center, m, p)
+        assert is_tie and kernel_zeros == exact_zeros, (f, center, m, p)
+        seen[exact_value(center) is None][0] += 1
+    for f, dec in zip(corpus.values(), decs):
+        centers = {c.center.value: None for c in dec.cells}
+        for center in centers:
+            for q in (f, f.derivative()):
+                if q.degree >= 1:
+                    counts = _assert_reads_match(q, center, p)
+                    for k, n in enumerate(counts):
+                        seen[exact_value(center) is None][k + 1] += n
+    # inexact centers meet the engine's own ties only at p = 2 and 31
+    assert all(seen[False]) and all(seen[True][1:]), seen
+
+
+def test_sphere_kernel_at_sqrt6_in_z5():
+    # at sqrt(6) in Z_5, for (y - 1)^3 + 5y, its derivative and the first
+    # Taylor polynomial, every read agrees with the exact queries
+    p, f = 5, Poly.of(-1, 8, -3, 1)
+    r = h([-6, 0, 1], rv(1, p, 1), p)
+    assert exact_value(r) is None
+    seen = [0, 0, 0]
+    for q in (f, f.derivative(), f.derivative().derivative(), Poly.of(-6, 0, 1) + f):
+        seen = [a + b for a, b in zip(seen, _assert_reads_match(q, r, p))]
+        for m in range(4):
+            kernel, exact, _ = _tie_zeros(q, r, m, p)
+            assert kernel == exact, (q, m)
+    assert all(seen), seen
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,12 @@ from padic_cells.hensel import (
     reduce_mod,
     refine_root,
     roots_in_ball,
-    taylor_digits,
 )
 from padic_cells.padics import Val, ord_p, rv, unit_digits
 from padic_cells.poly import Poly, resultant_val, squarefree_part
 
 from conftest import CORPUS
+from fraction_loops import taylor_digits
 
 
 def lift_mod(x: Fraction, q: int) -> int:

@@ -30,7 +30,7 @@ from padic_cells.kgroup import (
     k0_add,
     k0_mul,
 )
-from padic_cells import measure
+from padic_cells import kgroup, measure
 from padic_cells.measure import cell_measure, exact_partition_check, partition_check
 from padic_cells.parser import parse_formula
 from padic_cells.poly import Poly
@@ -206,8 +206,7 @@ def _parent_checks(d1, d2, pieces, check):
     for i, j, piece in pieces:
         groups[0][i].append(piece)
         groups[1][j].append(piece)
-    return [check(children, cell_measure(parent),
-                  lambda v, parent=parent: contains(parent, v, parent.prime),
+    return [check(children, lambda v, parent=parent: contains(parent, v, parent.prime),
                   [parent.center.value] + [c.center.value for c in children])
             for dec, kids in zip((d1, d2), groups) for parent, children in zip(dec.cells, kids)]
 
@@ -234,6 +233,26 @@ def test_indexed_loops_match_the_all_pairs_loops(p, corpus_decompositions, monke
     assert all(c.ok for c in checks[:len(decs)]) and not any(c.ok for c in checks[len(decs):])
     monkeypatch.setattr(measure, "partition_check", all_pairs_partition_check)
     assert checks == [exact_partition_check(d) for d in decs + broken]
+
+
+def test_cv_check_measures_each_cell_once(monkeypatch):
+    """cv_check measures every parent once and every piece of the common
+    refinement once, though each piece sits in two groups."""
+    calls = []
+
+    def counted(cell, p=None):
+        calls.append(cell)
+        return cell_measure(cell, p)
+
+    monkeypatch.setattr(kgroup, "cell_measure", counted)
+    monkeypatch.setattr(measure, "cell_measure", counted)
+    for text, other in (("ord(y^2 - 1) >= 1 | ac(1, y) = 2", "ac(1, y) = 2 | ord(y^2 - 1) > 0"),
+                        ("ord(y) >= 1000 | ord(y - 1) >= 3", "!(ord(y) < 1000) | ord(y - 1) > 2")):
+        d1, d2 = (decompose_set(parse_formula(t), 5) for t in (text, other))
+        pieces = common_pieces(d1, d2)
+        calls.clear()
+        assert cv_check(d1, d2)
+        assert len(calls) == len(d1.cells) + len(d2.cells) + len(pieces)
 
 
 EQUIVALENT = [

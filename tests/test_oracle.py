@@ -6,7 +6,9 @@ import pytest
 from padic_cells.cells import (ArithRange, Ball, Cell1, Center, Decomposition, OrderLaw, Residues,
                                TConst, ZP, sorted_cells)
 from padic_cells.decompose import prepare
+from padic_cells import oracle
 from padic_cells.errors import UnsupportedInputError
+from padic_cells.hensel import exact_value
 from padic_cells.oracle import (
     RootCounts,
     _clear_denominators,
@@ -18,7 +20,7 @@ from padic_cells.oracle import (
     verify_laws,
     verify_partition,
 )
-from padic_cells.padics import Val, ord_p
+from padic_cells.padics import INFINITY, Val, ord_p
 from padic_cells.poly import Poly
 
 from fraction_loops import fraction_taylor_shift, random_rational
@@ -146,6 +148,23 @@ def test_verify_laws_detects_corruption():
     rep = verify_laws(bad, f, samples=60)
     assert not rep.ok
     assert {fail.cell_index for fail in rep.failures} == {tampered}
+
+
+def test_verify_laws_trusts_no_engine_distance(monkeypatch):
+    """A law off by one on the family around an inexact root fails at every
+    sample, whatever the engine's ord_between would say of the samples: the
+    oracle draws each one at distance exactly m and asks nothing more."""
+    f = Poly.of(-2, 0, 1)
+    D = prepare(f, 7)
+    i = next(i for i, c in enumerate(D.cells)
+             if not c.is_point and exact_value(c.center.value) is None)
+    law = D.cells[i].law_for(f)
+    cells = list(D.cells)
+    cells[i] = cells[i].with_laws({f: OrderLaw(law.e0 + 1, law.i0)})
+    monkeypatch.setattr(oracle, "ord_between", lambda a, b, p: INFINITY, raising=False)
+    rep = verify_laws(Decomposition(7, ZP, tuple(cells)), f)
+    assert len(rep.failures) == 200
+    assert {fail.cell_index for fail in rep.failures} == {i}
 
 
 def test_verify_laws_deterministic():

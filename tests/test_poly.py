@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from padic_cells.errors import InternalBoundError
-from padic_cells.hensel import (_at_root, certified_root_points, refine_root, taylor_digits,
-                                taylor_ords)
+from padic_cells.hensel import _at_root, certified_root_points, refine_root, taylor_ords
 from padic_cells.padics import INFINITY, Val, ord_p, unit_digits
 from padic_cells.poly import (
     Poly,
@@ -24,6 +23,7 @@ from fraction_loops import (
     fraction_shift_var,
     fraction_taylor_shift,
     random_rational,
+    taylor_digits,
 )
 
 
