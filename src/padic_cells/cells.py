@@ -439,6 +439,12 @@ class Decomposition:
     cells: tuple[Cell1, ...]
     k_depth: int = 1
 
+    @classmethod
+    def of_cells(cls, prime: int, domain: Ball, cells: list[Cell1]) -> Decomposition:
+        """The cells sorted, with k_depth the deepest residue depth among them."""
+        depth = max((c.residues.depth for c in cells if not c.is_point), default=1)
+        return cls(prime, domain, sorted_cells(cells), depth)
+
     @property
     def kept_cells(self) -> tuple[Cell1, ...]:
         return tuple(c for c in self.cells if c.keep)
@@ -657,4 +663,4 @@ def refine_common(d1: Decomposition, d2: Decomposition) -> Decomposition:
     """A common refinement made of the pieces of common_pieces: each lies in
     exactly one cell of each input, with presentations and laws refining both."""
     cells = [piece for _, _, piece in common_pieces(d1, d2)]
-    return Decomposition(d1.prime, d1.domain, sorted_cells(cells), max(d1.k_depth, d2.k_depth))
+    return Decomposition.of_cells(d1.prime, d1.domain, cells)

@@ -700,7 +700,7 @@ def decompose_set(phi: Formula, p: int, domain: Ball = ZP) -> Decomposition:
             pending = nxt
         for piece, truth in pending:
             final.append(replace(piece, keep=eval_formula(phi, truth)))
-    return Decomposition(p, dec.domain, sorted_cells(final), dec.k_depth)
+    return Decomposition.of_cells(p, dec.domain, final)
 
 
 @dataclass(frozen=True)

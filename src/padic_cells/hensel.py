@@ -12,8 +12,9 @@ that knows which.  The center queries at the end of the file -- the
 valuation or leading digits of q(center) for a rational polynomial q, the
 valuations of the Taylor coefficients of f at the center, equality,
 valuation and digits of the difference of two centers, rational proxies,
-shifts -- branch once on whether the point is known exactly, and answer
-every question about an inexact root through one certification loop
+shifts -- branch once on whether the point is known exactly.  At an inexact
+root, zeros and equality are one Newton-polygon root count (`_roots_near`) in
+its isolating ball; every other question goes through one certification loop
 (`_certified`): refine until the Taylor tail can no longer change the digits
 asked for.  The decomposition engine and the cell algebra use only these
 queries.  Where the engine already knows a lower bound v for ord f, as on
@@ -66,7 +67,8 @@ class PadicApprox:
     Invariants: the witness is squarefree and has exactly one root with
     rv-data `rv_tag`; `ord(root - approx) >= precision`; and the Newton
     certificate ord(w(approx)) >= precision + ord(w'(approx)) holds, so the
-    approximation can be refined quadratically.
+    approximation can be refined quadratically and its ball ord(y - approx) >=
+    precision holds no other root of the witness (`_isolated` checks this).
     """
 
     witness: Poly
@@ -203,33 +205,6 @@ def make_root_approx(witness: Poly, approx: Fraction, p: int, tag_depth: int) ->
         z, prec = _newton(witness, z, p, vz.value + depth + 1)
     tag = rv(z, p, depth)
     return PadicApprox(witness, z, prec, tag, p)
-
-
-def root_separation_bound(w: Poly, p: int) -> int:
-    """An upper bound on ord(a - b) over distinct roots a, b of squarefree w.
-
-    Derived from ord Res(w, w') = (2d-1) ord(lc) + 2 sum of pairwise root
-    distances, bounding the other pairs below by the Newton-polygon root
-    valuations.  Only finiteness matters for the callers (loop caps and
-    equal-root decisions), so the bound is deliberately generous.
-    """
-    d = w.degree
-    if d <= 1:
-        return 0
-    res = resultant_val(w, w.derivative(), p)
-    if res.is_infinite:
-        raise ValueError("witness is not squarefree")
-    vlc = ord_p(w.leading(), p).value
-    # smallest possible root valuation = minus the largest polygon slope
-    slopes = []
-    pts = [(i, ord_p(c, p)) for i, c in enumerate(w.coeffs) if c != 0]
-    for (i, vi), (j, vj) in zip(pts, pts[1:]):
-        slopes.append(Fraction(vj.value - vi.value, j - i))
-    min_root_val = -max(slopes) if slopes else Fraction(0)
-    pair_floor = min(0, int(min_root_val) - 1)
-    pairs = d * (d - 1) // 2
-    bound = (res.value - (2 * d - 1) * vlc) // 2 - (pairs - 1) * pair_floor
-    return max(bound, 0) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +390,8 @@ def order_law_at_root(f: Poly, r: PadicApprox, p: int) -> Val:
 # Exact queries at centers.  A center is a rational or a PadicApprox, and no
 # other module tells the two apart.  Each query branches once on whether the
 # point is known exactly (a rational, or a root recognized as one); at an
-# inexact root it becomes a rational estimate certified by `_certified`.
+# inexact root, zeros and equality are root counts in its isolating ball and
+# every other answer is a rational estimate certified by `_certified`.
 # ---------------------------------------------------------------------------
 
 CenterValue = Fraction | PadicApprox
@@ -434,56 +410,48 @@ def center_of(r: PadicApprox) -> CenterValue:
     return r if x is None else x
 
 
-def _certified(start: int, digits: int, estimates, p: int, subject) -> tuple[int, Fraction]:
+def _certified(start: int, digits: int, estimate, p: int, subject) -> Fraction:
     """The one refine-until-certified loop behind every query at an inexact root.
 
-    `estimates(n)` refines the roots involved to precision at least n and
-    yields pairs (x, err) with ord(value - x) >= err, one per value asked
-    about.  n grows until some x is nonzero with ord x + digits <= err, so x
-    has the valuation and the first `digits` unit digits of its value; the
-    index and x of the first such pair are returned.  A value of 0 never
-    certifies, so callers rule it out first.  `subject()` names the values
-    for the error raised at the cap.
+    `estimate(n)` refines the roots involved to precision at least n and
+    returns a pair (x, err) with ord(value - x) >= err.  n grows until x is
+    nonzero with ord x + digits <= err, so x has the valuation and the first
+    `digits` unit digits of the value, and x is returned.  A value of 0 never
+    certifies, so callers rule it out first.  `subject()` names the value for
+    the error raised at the cap.
     """
     n = max(start, 2)
     for _ in range(_MAX_DOUBLINGS):
-        for i, (x, err) in enumerate(estimates(n)):
-            if x != 0 and ord_p(x, p) + digits <= err:
-                return i, x
+        x, err = estimate(n)
+        if x != 0 and ord_p(x, p) + digits <= err:
+            return x
         n = 2 * n + 4
     raise InternalBoundError(
         f"certifying {subject()} (p = {p}) reached precision {n} without settling "
         f"{digits} digit(s), past the cap of {_MAX_DOUBLINGS} refinements")
 
 
-def _at_root(r: PadicApprox, *qs: Poly):
-    """Estimates of q(root): the constant Taylor term at the refined
+def _at_root(r: PadicApprox, q: Poly):
+    """The estimate of q(root): the constant Taylor term at the refined
     approximation, off by at most the Taylor tail."""
-    def estimates(n: int):
+    def estimate(n: int):
         rr = refine_root(r, n)
-        for q in qs:
-            tail = val_min(*taylor_ords(q, rr.approx, r.prime)[1:])
-            yield q.eval(rr.approx), tail + rr.precision
-    return estimates
+        tail = val_min(*taylor_ords(q, rr.approx, r.prime)[1:])
+        return q.eval(rr.approx), tail + rr.precision
+    return estimate
 
 
 def _residue(q: Poly, r: PadicApprox) -> Poly | None:
-    """q mod the witness of an inexact root, or None when q(root) = 0."""
+    """q mod the witness w of an inexact root, or None when q(root) = 0: when
+    g = gcd(w, q mod w) has a root in the root's isolating ball."""
     qr = q % r.witness
     if qr.is_zero:
         return None
     g = poly_gcd(r.witness, qr)
     if g.degree < 1:
         return qr
-    h, _ = r.witness.divmod(g)
-    if h.degree < 1:
-        return None
-    # the root is a root of exactly one of the coprime factors g and h, and
-    # only the other one certifies as nonzero there
-    nonzero, _ = _certified(r.precision, 1, _at_root(r, g, h), r.prime,
-                            lambda: f"the factors {format_poly(g)}, {format_poly(h)} "
-                                    f"at the root {r}")
-    return qr if nonzero == 0 else None
+    r = _isolated(r)
+    return None if _roots_near(g, r.approx, r.precision, r.prime) else qr
 
 
 def _value_at(q: Poly, center: CenterValue, digits: int) -> Rat:
@@ -497,7 +465,7 @@ def _value_at(q: Poly, center: CenterValue, digits: int) -> Rat:
     if q is None:
         return Fraction(0)
     return _certified(center.precision, digits, _at_root(center, q), center.prime,
-                      lambda: f"{format_poly(q)} at the root {center}")[1]
+                      lambda: f"{format_poly(q)} at the root {center}")
 
 
 def ord_of_poly_at(q: Poly, center: CenterValue, p: int) -> Val:
@@ -510,20 +478,19 @@ def digits_of_poly_at(q: Poly, center: CenterValue, p: int, depth: int) -> int:
     return unit_digits(_value_at(q, center, depth), p, depth).digits
 
 
-def _same_root(a: PadicApprox, b: PadicApprox, p: int) -> bool:
-    """Whether two inexact roots coincide: both are roots of the common factor
-    of their witnesses, closer than two of its roots can be."""
-    g = poly_gcd(a.witness, b.witness)
-    if g.degree < 1 or _residue(g, a) is not None or _residue(g, b) is not None:
+def _same_root(a: PadicApprox, b: PadicApprox) -> bool:
+    """Whether two inexact roots coincide: b is a root of a's witness inside
+    a's isolating ball, which holds no other root of that witness."""
+    if _residue(a.witness, b) is not None:
         return False
-    sep = root_separation_bound(g, p) + 1
-    return ord_p(refine_root(a, sep).approx - refine_root(b, sep).approx, p) >= sep
+    a = _isolated(a)
+    return ord_p(refine_root(b, a.precision).approx - a.approx, a.prime) >= a.precision
 
 
 def centers_equal(a: CenterValue | Rat, b: CenterValue | Rat, p: int) -> bool:
     """Whether two points (rationals or centers) coincide, exactly."""
     if exact_value(a) is None and exact_value(b) is None:
-        return _same_root(a, b, p)
+        return _same_root(a, b)
     return _difference(a, b, p, 1) == 0
 
 
@@ -536,15 +503,15 @@ def _difference(a: CenterValue | Rat, b: CenterValue | Rat, p: int, digits: int)
         return _value_at(Poly.of(-xb, 1), a, digits)  # (Y - b) at a
     if xa is not None:
         return _value_at(Poly.of(xa, -1), b, digits)  # (a - Y) at b
-    if _same_root(a, b, p):
+    if _same_root(a, b):
         return Fraction(0)
 
-    def estimates(n: int):
+    def estimate(n: int):
         ra, rb = refine_root(a, n), refine_root(b, n)
-        yield ra.approx - rb.approx, Val(min(ra.precision, rb.precision))
+        return ra.approx - rb.approx, Val(min(ra.precision, rb.precision))
 
-    return _certified(max(a.precision, b.precision), digits, estimates, p,
-                      lambda: f"the difference of the roots {a} and {b}")[1]
+    return _certified(max(a.precision, b.precision), digits, estimate, p,
+                      lambda: f"the difference of the roots {a} and {b}")
 
 
 def ord_between(a: CenterValue | Rat, b: CenterValue | Rat, p: int) -> Val:
@@ -567,6 +534,30 @@ def taylor_ords(f: Poly, center: CenterValue, p: int) -> list[Val]:
     n, vd, vb = f.degree, int_val(f.integral[1], p), int_val(x.denominator, p)
     return [Val(int_val(h, p) - vd - (n - i) * vb) if h else INFINITY
             for i, h in enumerate(hs)]
+
+
+def _roots_near(q: Poly, a: Fraction, n: int, p: int) -> int:
+    """How many roots q has in C_p, with multiplicity, at ord(y - a) >= n for
+    a rational a: by the Newton polygon of q(a + t), the largest index i that
+    minimizes ord b_i + i*n over the Taylor coefficients b_i."""
+    terms = [v + i * n for i, v in enumerate(taylor_ords(q, a, p))]
+    low = val_min(*terms)
+    return max(i for i, t in enumerate(terms) if t == low)
+
+
+def _isolated(r: PadicApprox) -> PadicApprox:
+    """r refined until its ball ord(y - approx) >= precision holds no root of
+    the witness but r itself."""
+    n = r.precision
+    for _ in range(_MAX_DOUBLINGS):
+        r = refine_root(r, n)
+        if _roots_near(r.witness, r.approx, r.precision, r.prime) == 1:
+            return r
+        n = 2 * r.precision + 4
+    raise InternalBoundError(
+        f"isolating the root {r} of {format_poly(r.witness)} (p = {r.prime}) reached "
+        f"precision {r.precision} with other roots still in its ball, past the cap of "
+        f"{_MAX_DOUBLINGS} refinements")
 
 
 def center_proxy(center: CenterValue, p: int, precision: int) -> Rat:

@@ -1,8 +1,9 @@
 """The Fraction loops that `Poly`'s integer kernel, the Hensel root search and
 the digit-atom sphere loop replaced, the exact-query digit reads (residual
 polynomial of a tie, unbounded tail, point) that the sphere kernel replaced,
-and the all-pairs loops that the support-ball index replaced, kept as
-references for the tests that compare the two."""
+the all-pairs loops that the support-ball index replaced, and the factor
+race and separation bound that the root count in an isolating ball replaced,
+kept as references for the tests that compare the two."""
 
 import random
 from fractions import Fraction
@@ -10,10 +11,10 @@ from math import comb
 
 from padic_cells.cells import contains, intersect_cells
 from padic_cells.errors import InternalBoundError, UnsupportedInputError
-from padic_cells.hensel import (_at_root, _certified, _newton, digits_of_poly_at, exact_value,
-                                shift_center)
+from padic_cells.hensel import (_MAX_DOUBLINGS, _at_root, _certified, _newton,
+                                digits_of_poly_at, exact_value, refine_root, shift_center)
 from padic_cells.padics import Val, ord_p, unit_digits
-from padic_cells.poly import Poly, newton_min, taylor_polys
+from padic_cells.poly import Poly, newton_min, poly_gcd, resultant_val, taylor_polys
 
 
 def fraction_eval(f: Poly, x) -> Fraction:
@@ -96,7 +97,7 @@ def fraction_sphere_digits(f: Poly, center, m: int, v: int, depth: int,
             value = fraction_eval(f, x)
         else:
             value = _certified(member.precision, depth, _at_root(member, f), p,
-                               lambda: f"{f} at {member}")[1]
+                               lambda: f"{f} at {member}")
         e = ord_p(value, p)
         if e < v:
             raise InternalBoundError(f"ord {f} < {v} at the unit {u}")
@@ -163,3 +164,58 @@ def all_pairs_common_pieces(d1, d2):
         raise UnsupportedInputError("decompositions are not over the same domain")
     return [(i, j, piece) for i, a in enumerate(d1.cells) for j, b in enumerate(d2.cells)
             for piece in intersect_cells(a, b)]
+
+
+def race_residue(q: Poly, r) -> Poly | None:
+    """`hensel._residue` as it was written: q mod the witness w, or None when
+    q vanishes at the inexact root r, decided by refining r until one of the
+    coprime factors g = gcd(w, q mod w) and w/g certifies as nonzero there;
+    the root is a root of the other one."""
+    qr = q % r.witness
+    if qr.is_zero:
+        return None
+    g = poly_gcd(r.witness, qr)
+    if g.degree < 1:
+        return qr
+    h, _ = r.witness.divmod(g)
+    if h.degree < 1:
+        return None
+    n = max(r.precision, 2)
+    for _ in range(_MAX_DOUBLINGS):
+        for factor, residue in ((g, qr), (h, None)):
+            x, err = _at_root(r, factor)(n)
+            if x != 0 and ord_p(x, r.prime) + 1 <= err:
+                return residue
+        n = 2 * n + 4
+    raise InternalBoundError(f"neither factor certified at the root {r}")
+
+
+def root_separation_bound(w: Poly, p: int) -> int:
+    """An upper bound on ord(a - b) over distinct roots a, b of squarefree w,
+    from ord Res(w, w') and the Newton-polygon root valuations."""
+    d = w.degree
+    if d <= 1:
+        return 0
+    res = resultant_val(w, w.derivative(), p)
+    if res.is_infinite:
+        raise ValueError("witness is not squarefree")
+    vlc = ord_p(w.leading(), p).value
+    slopes = []
+    pts = [(i, ord_p(c, p)) for i, c in enumerate(w.coeffs) if c != 0]
+    for (i, vi), (j, vj) in zip(pts, pts[1:]):
+        slopes.append(Fraction(vj.value - vi.value, j - i))
+    min_root_val = -max(slopes) if slopes else Fraction(0)
+    pair_floor = min(0, int(min_root_val) - 1)
+    pairs = d * (d - 1) // 2
+    bound = (res.value - (2 * d - 1) * vlc) // 2 - (pairs - 1) * pair_floor
+    return max(bound, 0) + 1
+
+
+def separated_same_root(a, b, p: int) -> bool:
+    """`hensel._same_root` as it was written: both roots are roots of the
+    common factor g of their witnesses, closer than two roots of g can be."""
+    g = poly_gcd(a.witness, b.witness)
+    if g.degree < 1 or race_residue(g, a) is not None or race_residue(g, b) is not None:
+        return False
+    sep = root_separation_bound(g, p) + 1
+    return ord_p(refine_root(a, sep).approx - refine_root(b, sep).approx, p) >= sep

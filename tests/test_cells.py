@@ -110,6 +110,8 @@ def test_refine_common_depths():
     fams = [c for c in R.cells if not c.is_point]
     assert len(fams) == 1 and fams[0].residues.depth == 2
     assert exact_partition_check(R).ok
+    # k_depth reports the depth of the cells, not the inputs' k_depth of 1
+    assert R.k_depth == 2
 
 
 def test_refine_common_different_centers():

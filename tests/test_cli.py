@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -327,3 +328,105 @@ def test_cli_preserves_balls(capsys):
     code, out, _ = run_cli(capsys, "preserves-balls", "--prime", "5",
                            "--poly", "y^2", "--json")
     assert code == 0 and json.loads(out)["all_ball_or_point"] is True
+
+
+FUZZ_POLYS = ("y", "y - 1", "y + 2", "y^2 - 2", "y^2 + 1", "y^2 - 7", "y^3 - 2", "2*y^2 - 3",
+              "y^2 - y - 1", "(y^2 - 2)*(y - 3)", "y^2 - 5*y + 6")
+FUZZ_TOKENS = ("decompose", "measure", "zeta", "chi", "dim", "cv-check", "preserves-balls",
+               "oracle-compare", "--prime", "--poly", "--formula", "--formula-b", "--domain",
+               "--json", "--verify", "--k", "--seed", "--samples", "--ord", "2", "3", "5", "0",
+               "-1", "4", "x", "y", "y^2 - 2", "ord(y) >= 1", "ac(1, y) = 1", "zp", "1:1",
+               "a:b", "1/2:1", "", "--")
+
+
+def fuzz_formula(rng, p, depth=0):
+    """A random ord/ac/rv formula over polynomials with inexact roots, with
+    digit depths of at most 2."""
+    if depth < 2 and rng.random() < 0.6:
+        if rng.random() < 0.25:
+            return f"!({fuzz_formula(rng, p, depth + 1)})"
+        op = rng.choice(("&", "|"))
+        return f"({fuzz_formula(rng, p, depth + 1)} {op} {fuzz_formula(rng, p, depth + 1)})"
+    f, d, kind = rng.choice(FUZZ_POLYS), rng.choice((1, 1, 2)), rng.randrange(6)
+    rel = rng.choice(("=", "<", "<=", ">", ">="))
+    if kind == 0:
+        return f"ord({f}) {rel} {rng.randint(-1, 3)}"
+    if kind == 1:
+        return f"ord({f}) {rel} ord({rng.choice(FUZZ_POLYS)}) {rng.choice('+-')} {rng.randint(0, 2)}"
+    if kind == 2:
+        m = rng.randint(1, 3)
+        return f"ord({f}) % {m} = {rng.randrange(m)}"
+    if kind == 3:
+        return f"ac({d}, {f}) = {rng.randrange(1, p**d)}"
+    if kind == 4:
+        return f"rv({d}, {f}) = ({rng.randint(-1, 2)}, {rng.randrange(1, p**d)})"
+    return f"{f} = 0"
+
+
+def fuzz_argv(rng):
+    """A well-formed request of a random subcommand, with p^k at most 49."""
+    p = rng.choice((2, 3, 5, 7))
+    command = rng.choice(("decompose", "measure", "chi", "dim", "cv-check", "zeta",
+                          "preserves-balls", "oracle-compare"))
+    argv = [command, "--prime", str(p)]
+    if rng.random() < 0.3:
+        argv += ["--domain", rng.choice(("zp", "1:1", "3:2", "2:1"))]
+    if rng.random() < 0.5:
+        argv.append("--json")
+    poly = command in ("zeta", "preserves-balls", "oracle-compare") or (
+        command != "cv-check" and rng.random() < 0.3)
+    if poly:
+        argv += ["--poly", rng.choice(FUZZ_POLYS)]
+    else:
+        phi = fuzz_formula(rng, p)
+        argv += ["--formula", phi]
+        if command == "cv-check":
+            argv += ["--formula-b", rng.choice((f"!!({phi})", fuzz_formula(rng, p)))]
+    if command == "decompose" and rng.random() < 0.3:
+        argv += ["--verify", "--k", rng.choice(("1", "2"))]
+        if poly:
+            argv += ["--samples", str(rng.randint(1, 20)), "--seed", str(rng.randint(0, 9))]
+    if command == "measure" and poly and rng.random() < 0.5:
+        argv += ["--ord", str(rng.randint(-1, 3))]
+    if command == "oracle-compare":
+        argv += ["--k", str(rng.randint(0, 3))]
+    return argv
+
+
+def mangled_argv(rng):
+    """Random tokens, or a well-formed request with one to three tokens
+    dropped, inserted or replaced at random."""
+    if rng.random() < 0.3:
+        return rng.choices(FUZZ_TOKENS, k=rng.randint(0, 9))
+    argv = fuzz_argv(rng)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(argv) + 1)
+        action = rng.randrange(3)
+        if action == 0 and i < len(argv):
+            del argv[i]
+        elif action == 1 or i == len(argv):
+            argv.insert(i, rng.choice(FUZZ_TOKENS))
+        else:
+            argv[i] = rng.choice(FUZZ_TOKENS)
+    return argv
+
+
+def test_cli_fuzz_exits_with_a_documented_code(capsys):
+    # seeded random requests, a third of them mangled: each call ends with a
+    # documented exit code, quickly, with no traceback, and prints nothing to
+    # stdout unless it succeeds
+    rng = random.Random(14)
+    reached = 0
+    for n in range(150):
+        argv = fuzz_argv(rng) if n % 3 else mangled_argv(rng)
+        start = time.perf_counter()
+        try:
+            code = main(argv)
+            reached += 1
+        except SystemExit as exc:  # argparse rejects the argv, or prints --help
+            code = exc.code
+        out = capsys.readouterr()
+        assert time.perf_counter() - start < 5, argv
+        assert code in (0, 2, 3, 4) and "Traceback" not in out.err, argv
+        assert code == 0 or (out.out == "" and out.err), argv
+    assert reached > 100

@@ -51,9 +51,20 @@ from padic_cells.measure import (
 )
 from padic_cells.oracle import verify_laws, verify_partition
 from padic_cells.padics import RvData, UnitDigits, Val, ord_p, rv
+from padic_cells.parser import parse_formula
 from padic_cells.poly import MAX_DEGREE, Poly
 
 Y = Poly.of(0, 1)
+
+
+def test_k_depth_is_the_deepest_residue_depth():
+    # digit atoms of depth 3 cut families of residue depth 3; prepare's cells
+    # all have depth 1
+    for text, want in (("ac(3, y) = 1", 3), ("rv(2, y - 1) = (0, 6) | ord(y) >= 2", 2),
+                       ("ord(y^2 - 1) >= 1", 1)):
+        D = decompose_set(parse_formula(text), 5)
+        assert D.k_depth == want == max(c.residues.depth for c in D.cells if not c.is_point)
+    assert prepare(Poly.of(-1, 0, 1), 5).k_depth == 1
 
 
 def test_prepare_monomial():

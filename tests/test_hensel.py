@@ -1,13 +1,19 @@
 import random
 from fractions import Fraction
 
+from dataclasses import replace
+
 import pytest
 
 from padic_cells import hensel
+from padic_cells.cells import ZP, Ball
+from padic_cells.decompose import prepare
 from padic_cells.errors import InternalBoundError
 from padic_cells.hensel import (
     NonSimpleRootError,
+    _isolated,
     _newton,
+    _roots_near,
     centers_equal,
     certified_root_points,
     check_conditions,
@@ -21,12 +27,13 @@ from padic_cells.hensel import (
     reduce_mod,
     refine_root,
     roots_in_ball,
+    shift_center,
 )
 from padic_cells.padics import Val, ord_p, rv, unit_digits
-from padic_cells.poly import Poly, resultant_val, squarefree_part
+from padic_cells.poly import Poly, resultant_val, squarefree_part, taylor_polys
 
 from conftest import CORPUS
-from fraction_loops import taylor_digits
+from fraction_loops import race_residue, separated_same_root, taylor_digits
 
 
 def lift_mod(x: Fraction, q: int) -> int:
@@ -271,3 +278,79 @@ def test_h_linear_inverse_trick():
     xi = rv(1 / x, p, 1)
     r = h([-1, 7], xi, p)
     assert r is not None and r.is_exact and r.approx == Fraction(1, 7)
+
+
+def test_roots_near_counts_roots_in_a_ball():
+    # y (y - 5^3): both roots lie within 5^-3 of 0, only 0 within 5^-4
+    f = Poly.of(0, -125, 1)
+    assert [_roots_near(f, Fraction(0), n, 5) for n in (2, 3, 4)] == [2, 2, 1]
+    # a double root counts twice; -1 is at distance 1 from 1
+    assert _roots_near(Poly.of(1, -1, -1, 1), Fraction(1), 1, 5) == 2
+    # sqrt(2) and sqrt(2 + 7^4) agree to 4 digits in Z_7
+    p = 7
+    w = Poly.of(-2, 0, 1) * Poly.of(-2 - p**4, 0, 1)
+    a = reduce_mod(refine_root(h([-2, 0, 1], rv(3, p, 1), p), 6).approx, p, 6)
+    assert [_roots_near(w, a, n, p) for n in range(1, 7)] == [2, 2, 2, 2, 1, 1]
+
+
+def test_isolated_refines_until_the_ball_holds_one_root(monkeypatch):
+    # a true approximation of sqrt(2) that claims only 3 digits: its ball
+    # also holds sqrt(2 + 7^4), so the root is refined until that one drops out
+    p = 7
+    w = Poly.of(-2, 0, 1) * Poly.of(-2 - p**4, 0, 1)
+    a = reduce_mod(refine_root(h([-2, 0, 1], rv(3, p, 1), p), 6).approx, p, 6)
+    loose = hensel.PadicApprox(w, a, 3, rv(a, p, 1), p)
+    assert _roots_near(w, a, 3, p) == 2
+    r = _isolated(loose)
+    assert r.precision >= 5 and _roots_near(w, r.approx, r.precision, p) == 1
+    assert ord_of_poly_at(Poly.of(-2, 0, 1), loose, p).is_infinite
+    assert not ord_of_poly_at(Poly.of(-2 - p**4, 0, 1), loose, p).is_infinite
+    monkeypatch.setattr(hensel, "_MAX_DOUBLINGS", 1)
+    with pytest.raises(InternalBoundError, match=r"isolating the root .* of y\^4 - 2405\*y\^2 \+ 4806 "
+                                                 r"\(p = 7\) reached precision 3 .* cap of 1"):
+        _isolated(loose)
+
+
+def test_same_root_needs_a_root_of_the_witness():
+    # sqrt(2 + 7^11) lies in the isolating ball of sqrt(2) (precision 8) but is
+    # not a root of its witness y^2 - 2, so the two centers differ
+    p = 7
+    a = h([-2, 0, 1], rv(3, p, 1), p)
+    b = h([-2 - p**11, 0, 1], rv(3, p, 1), p)
+    assert a.precision == b.precision == 8
+    assert not centers_equal(a, b, p) and not centers_equal(b, a, p)
+    assert ord_between(a, b, p) == Val(11)
+    back = shift_center(shift_center(a, Fraction(1)), Fraction(-1))
+    assert centers_equal(a, back, p) and centers_equal(back, a, p)
+
+
+def _inexact_centers(f: Poly, p: int, domain: Ball) -> list:
+    return [c.center.value for c in prepare(f, p, domain).cells if not c.center.is_rational]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_root_count_decisions_match_the_race_and_the_separation_bound(p):
+    # zeros and equality at inexact centers, decided by a root count in the
+    # isolating ball, against the factor race and the separation bound
+    domains = [ZP, Ball(Fraction(1), 1), Ball(Fraction(3), 2)]
+    zeros = equal = 0
+    for coeffs in CORPUS.values():
+        f = Poly.of(*coeffs)
+        for domain in domains:
+            centers = _inexact_centers(f, p, domain)
+            if f.degree > 1:
+                centers += _inexact_centers(f.derivative(), p, domain)
+            # shifted roots, and a round trip that comes back with the same witness
+            centers += [shift_center(c, o) for c in centers[:2] for o in (Fraction(p), Fraction(-1))]
+            centers += [shift_center(shift_center(c, Fraction(1)), Fraction(-1)) for c in centers[:2]]
+            for c in centers:
+                for q in taylor_polys(f) + [c.witness]:
+                    zero = ord_of_poly_at(q, c, p).is_infinite
+                    assert zero == (race_residue(q, c) is None)
+                    zeros += zero
+            for i, a in enumerate(centers):
+                for b in centers[i:]:
+                    same = centers_equal(a, b, p)
+                    assert same == separated_same_root(a, b, p)
+                    equal += same
+    assert zeros and equal

@@ -218,7 +218,7 @@ def test_estimates_at_roots_match_the_fraction_expansion(corpus_decompositions):
             for q in qs:
                 sh = fraction_taylor_shift(q, rr.approx)
                 want.append((sh.coeff(0), newton_min(sh, p, start=1) + rr.precision))
-            assert list(_at_root(r, *qs)(n)) == want
+            assert [_at_root(r, q)(n) for q in qs] == want
 
 
 def large_prime_polys() -> list[Poly]:
