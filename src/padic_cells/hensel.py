@@ -13,12 +13,13 @@ valuation or leading digits of q(center) for a rational polynomial q, the
 valuations of the Taylor coefficients of f at the center, equality,
 valuation and digits of the difference of two centers, rational proxies,
 shifts -- branch once on whether the point is known exactly.  At an inexact
-root, zeros and equality are one Newton-polygon root count (`_roots_near`) in
-its isolating ball; every other question goes through one certification loop
-(`_certified`): refine until the Taylor tail can no longer change the digits
-asked for.  The decomposition engine and the cell algebra use only these
-queries.  Where the engine already knows a lower bound v for ord f, as on
-every cell with an order law, it reads the digits of f near a center from
+root every question goes through one loop (`_certified`): its first estimate
+almost always settles a nonzero answer; only when it does not is the value
+tested for zero, once, by a Newton-polygon root count (`_roots_near`) in the
+root's isolating ball, and refined until the Taylor tail can no longer change
+the digits asked for.  The decomposition engine and the cell algebra use only
+these queries.  Where the engine already knows a lower bound v for ord f, as
+on every cell with an order law, it reads the digits of f near a center from
 one `center_proxy` exact to v plus the digits wanted, with no certification.
 
 `roots_in_ball` is the one root search: it scales a ball to Z_p, runs the
@@ -54,6 +55,7 @@ from .poly import (Poly, format_poly, newton_min, poly_gcd, resultant_val, squar
                    taylor_polys)
 
 _MAX_DOUBLINGS = 64
+_MAX_PRECISION = 2**13  # digits past which no estimate, ball or basin point is refined
 
 
 class NonSimpleRootError(ValueError):
@@ -304,19 +306,18 @@ def transfer_basin(w: Poly, inner: Poly, embed, t: Fraction, p: int) -> Fraction
     inner side until the raw basin inequality holds for w itself.
     """
     start, reached, target = t, None, 4
-    for _ in range(_MAX_DOUBLINGS):
+    while True:
         y = embed(t)
-        if w.eval(y) == 0:
+        wy = w.eval(y)
+        if wy == 0 or ord_p(wy, p) > ord_p(w.derivative().eval(y), p) * 2:
             return y
-        v0, v1 = ord_p(w.eval(y), p), ord_p(w.derivative().eval(y), p)
-        if v0 > v1 * 2:
-            return y
+        if target > _MAX_PRECISION:
+            raise InternalBoundError(
+                f"carrying the root of {format_poly(inner)} near {start} into the basin of "
+                f"{format_poly(w)} (p = {p}) reached precision {reached}, past the cap of "
+                f"{_MAX_PRECISION} digits")
         t, reached = _newton(inner, t, p, target)
         target = 2 * target + 4
-    raise InternalBoundError(
-        f"carrying the root of {format_poly(inner)} near {start} into the basin of "
-        f"{format_poly(w)} (p = {p}) reached precision {reached}, past the cap of "
-        f"{_MAX_DOUBLINGS} refinements")
 
 
 def roots_in_ball(w: Poly, a: Fraction, k: int, p: int, depth_cap: int, tag_depth: int):
@@ -390,8 +391,9 @@ def order_law_at_root(f: Poly, r: PadicApprox, p: int) -> Val:
 # Exact queries at centers.  A center is a rational or a PadicApprox, and no
 # other module tells the two apart.  Each query branches once on whether the
 # point is known exactly (a rational, or a root recognized as one); at an
-# inexact root, zeros and equality are root counts in its isolating ball and
-# every other answer is a rational estimate certified by `_certified`.
+# inexact root, every answer is a rational estimate settled by `_certified`,
+# which tests the value for zero at most once, only when its first estimate
+# does not settle: a root count in the root's isolating ball.
 # ---------------------------------------------------------------------------
 
 CenterValue = Fraction | PadicApprox
@@ -410,25 +412,28 @@ def center_of(r: PadicApprox) -> CenterValue:
     return r if x is None else x
 
 
-def _certified(start: int, digits: int, estimate, p: int, subject) -> Fraction:
-    """The one refine-until-certified loop behind every query at an inexact root.
+def _certified(start: int, digits: int, estimate, p: int, subject, is_zero) -> Fraction:
+    """The one decision loop behind every query at an inexact root.
 
     `estimate(n)` refines the roots involved to precision at least n and
-    returns a pair (x, err) with ord(value - x) >= err.  n grows until x is
-    nonzero with ord x + digits <= err, so x has the valuation and the first
-    `digits` unit digits of the value, and x is returned.  A value of 0 never
-    certifies, so callers rule it out first.  `subject()` names the value for
-    the error raised at the cap.
+    returns a pair (x, err) with ord(value - x) >= err.  It settles when x is
+    nonzero with ord x + digits <= err: x then has the valuation and first
+    `digits` unit digits of the value, which is nonzero, and x is returned.
+    Only when the first estimate does not settle is `is_zero()` asked, once:
+    a zero gives 0, a nonzero value is refined until it settles, but never
+    past _MAX_PRECISION digits; `subject()` names the value at that cap.
     """
-    n = max(start, 2)
-    for _ in range(_MAX_DOUBLINGS):
+    n = first = max(start, 2)
+    while n <= _MAX_PRECISION:
         x, err = estimate(n)
         if x != 0 and ord_p(x, p) + digits <= err:
             return x
+        if n == first and is_zero():
+            return Fraction(0)
         n = 2 * n + 4
     raise InternalBoundError(
         f"certifying {subject()} (p = {p}) reached precision {n} without settling "
-        f"{digits} digit(s), past the cap of {_MAX_DOUBLINGS} refinements")
+        f"{digits} digit(s), past the cap of {_MAX_PRECISION} digits")
 
 
 def _at_root(r: PadicApprox, q: Poly):
@@ -441,17 +446,17 @@ def _at_root(r: PadicApprox, q: Poly):
     return estimate
 
 
-def _residue(q: Poly, r: PadicApprox) -> Poly | None:
-    """q mod the witness w of an inexact root, or None when q(root) = 0: when
-    g = gcd(w, q mod w) has a root in the root's isolating ball."""
+def _vanishes(q: Poly, r: PadicApprox) -> bool:
+    """Whether q vanishes at the inexact root r: when q mod its witness w is
+    0, or g = gcd(w, q mod w) has a root in the root's isolating ball."""
     qr = q % r.witness
     if qr.is_zero:
-        return None
+        return True
     g = poly_gcd(r.witness, qr)
     if g.degree < 1:
-        return qr
+        return False
     r = _isolated(r)
-    return None if _roots_near(g, r.approx, r.precision, r.prime) else qr
+    return _roots_near(g, r.approx, r.precision, r.prime) > 0
 
 
 def _value_at(q: Poly, center: CenterValue, digits: int) -> Rat:
@@ -461,11 +466,9 @@ def _value_at(q: Poly, center: CenterValue, digits: int) -> Rat:
     x = exact_value(center)
     if x is not None:
         return q.eval(x)
-    q = _residue(q, center)
-    if q is None:
-        return Fraction(0)
     return _certified(center.precision, digits, _at_root(center, q), center.prime,
-                      lambda: f"{format_poly(q)} at the root {center}")
+                      lambda: f"{format_poly(q)} at the root {center}",
+                      lambda: _vanishes(q, center))
 
 
 def ord_of_poly_at(q: Poly, center: CenterValue, p: int) -> Val:
@@ -481,7 +484,7 @@ def digits_of_poly_at(q: Poly, center: CenterValue, p: int, depth: int) -> int:
 def _same_root(a: PadicApprox, b: PadicApprox) -> bool:
     """Whether two inexact roots coincide: b is a root of a's witness inside
     a's isolating ball, which holds no other root of that witness."""
-    if _residue(a.witness, b) is not None:
+    if not _vanishes(a.witness, b):
         return False
     a = _isolated(a)
     return ord_p(refine_root(b, a.precision).approx - a.approx, a.prime) >= a.precision
@@ -489,8 +492,6 @@ def _same_root(a: PadicApprox, b: PadicApprox) -> bool:
 
 def centers_equal(a: CenterValue | Rat, b: CenterValue | Rat, p: int) -> bool:
     """Whether two points (rationals or centers) coincide, exactly."""
-    if exact_value(a) is None and exact_value(b) is None:
-        return _same_root(a, b)
     return _difference(a, b, p, 1) == 0
 
 
@@ -503,15 +504,14 @@ def _difference(a: CenterValue | Rat, b: CenterValue | Rat, p: int, digits: int)
         return _value_at(Poly.of(-xb, 1), a, digits)  # (Y - b) at a
     if xa is not None:
         return _value_at(Poly.of(xa, -1), b, digits)  # (a - Y) at b
-    if _same_root(a, b):
-        return Fraction(0)
 
     def estimate(n: int):
         ra, rb = refine_root(a, n), refine_root(b, n)
         return ra.approx - rb.approx, Val(min(ra.precision, rb.precision))
 
     return _certified(max(a.precision, b.precision), digits, estimate, p,
-                      lambda: f"the difference of the roots {a} and {b}")
+                      lambda: f"the difference of the roots {a} and {b}",
+                      lambda: _same_root(a, b))
 
 
 def ord_between(a: CenterValue | Rat, b: CenterValue | Rat, p: int) -> Val:
@@ -548,16 +548,16 @@ def _roots_near(q: Poly, a: Fraction, n: int, p: int) -> int:
 def _isolated(r: PadicApprox) -> PadicApprox:
     """r refined until its ball ord(y - approx) >= precision holds no root of
     the witness but r itself."""
-    n = r.precision
-    for _ in range(_MAX_DOUBLINGS):
+    start, n = r, r.precision
+    while n <= _MAX_PRECISION:
         r = refine_root(r, n)
         if _roots_near(r.witness, r.approx, r.precision, r.prime) == 1:
             return r
         n = 2 * r.precision + 4
     raise InternalBoundError(
-        f"isolating the root {r} of {format_poly(r.witness)} (p = {r.prime}) reached "
+        f"isolating the root {start} of {format_poly(r.witness)} (p = {r.prime}) reached "
         f"precision {r.precision} with other roots still in its ball, past the cap of "
-        f"{_MAX_DOUBLINGS} refinements")
+        f"{_MAX_PRECISION} digits")
 
 
 def center_proxy(center: CenterValue, p: int, precision: int) -> Rat:

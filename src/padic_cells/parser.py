@@ -238,7 +238,8 @@ class _Parser:
                 sub, height = self._unary()
             return FNot(sub), _nesting(height + 1, tok.pos)
         if tok.kind == "(":
-            # try a parenthesized formula; fall back to `poly = 0`
+            # try a parenthesized formula, then `poly = 0`; when both fail,
+            # the branch that read further into the input names the fault
             saved = self.i
             try:
                 self.next("(")
@@ -246,9 +247,12 @@ class _Parser:
                     inner = self.parse_formula()
                 self.next(")")
                 return inner
-            except ParseError:
+            except ParseError as formula_error:
                 self.i = saved
-                return self._poly_eq_zero(), 1
+                try:
+                    return self._poly_eq_zero(), 1
+                except ParseError as poly_error:
+                    raise max(formula_error, poly_error, key=lambda e: e.position) from None
         return self._atom(), 1
 
     def _poly_eq_zero(self) -> Formula:

@@ -1,9 +1,10 @@
 """The Fraction loops that `Poly`'s integer kernel, the Hensel root search and
 the digit-atom sphere loop replaced, the exact-query digit reads (residual
 polynomial of a tie, unbounded tail, point) that the sphere kernel replaced,
-the all-pairs loops that the support-ball index replaced, and the factor
-race and separation bound that the root count in an isolating ball replaced,
-kept as references for the tests that compare the two."""
+the all-pairs loops that the support-ball index replaced, the factor race
+and separation bound that the root count in an isolating ball replaced, and
+the eager zero tests that the lazy one behind `_certified` replaced, kept as
+references for the tests that compare the two."""
 
 import random
 from fractions import Fraction
@@ -11,8 +12,9 @@ from math import comb
 
 from padic_cells.cells import contains, intersect_cells
 from padic_cells.errors import InternalBoundError, UnsupportedInputError
-from padic_cells.hensel import (_MAX_DOUBLINGS, _at_root, _certified, _newton,
-                                digits_of_poly_at, exact_value, refine_root, shift_center)
+from padic_cells.hensel import (_MAX_DOUBLINGS, _at_root, _certified, _isolated, _newton,
+                                _roots_near, digits_of_poly_at, exact_value, refine_root,
+                                shift_center)
 from padic_cells.padics import Val, ord_p, unit_digits
 from padic_cells.poly import Poly, newton_min, poly_gcd, resultant_val, taylor_polys
 
@@ -97,7 +99,7 @@ def fraction_sphere_digits(f: Poly, center, m: int, v: int, depth: int,
             value = fraction_eval(f, x)
         else:
             value = _certified(member.precision, depth, _at_root(member, f), p,
-                               lambda: f"{f} at {member}")
+                               lambda: f"{f} at {member}", lambda: False)
         e = ord_p(value, p)
         if e < v:
             raise InternalBoundError(f"ord {f} < {v} at the unit {u}")
@@ -219,3 +221,60 @@ def separated_same_root(a, b, p: int) -> bool:
         return False
     sep = root_separation_bound(g, p) + 1
     return ord_p(refine_root(a, sep).approx - refine_root(b, sep).approx, p) >= sep
+
+
+def eager_residue(q: Poly, r) -> Poly | None:
+    """`hensel._residue` as it was last written, before the zero test moved
+    behind the first estimate: q mod the witness w of an inexact root, or
+    None when q(root) = 0: when g = gcd(w, q mod w) has a root in the root's
+    isolating ball."""
+    qr = q % r.witness
+    if qr.is_zero:
+        return None
+    g = poly_gcd(r.witness, qr)
+    if g.degree < 1:
+        return qr
+    r = _isolated(r)
+    return None if _roots_near(g, r.approx, r.precision, r.prime) else qr
+
+
+def eager_value_at(q: Poly, center, digits: int):
+    """`hensel._value_at` as it was written: zero ruled out by
+    `eager_residue` before any estimate, and the residue certified."""
+    x = exact_value(center)
+    if x is not None:
+        return q.eval(x)
+    q = eager_residue(q, center)
+    if q is None:
+        return Fraction(0)
+    return _certified(center.precision, digits, _at_root(center, q), center.prime,
+                      lambda: f"{q} at {center}", lambda: False)
+
+
+def eager_same_root(a, b) -> bool:
+    """`hensel._same_root` as it was written, on `eager_residue`."""
+    if eager_residue(a.witness, b) is not None:
+        return False
+    a = _isolated(a)
+    return ord_p(refine_root(b, a.precision).approx - a.approx, a.prime) >= a.precision
+
+
+def eager_difference(a, b, p: int, digits: int):
+    """`hensel._difference` as it was written: equality of two inexact roots
+    ruled out by `eager_same_root` before any estimate."""
+    xa, xb = exact_value(a), exact_value(b)
+    if xa is not None and xb is not None:
+        return xa - xb
+    if xb is not None:
+        return eager_value_at(Poly.of(-xb, 1), a, digits)
+    if xa is not None:
+        return eager_value_at(Poly.of(xa, -1), b, digits)
+    if eager_same_root(a, b):
+        return Fraction(0)
+
+    def estimate(n: int):
+        ra, rb = refine_root(a, n), refine_root(b, n)
+        return ra.approx - rb.approx, Val(min(ra.precision, rb.precision))
+
+    return _certified(max(a.precision, b.precision), digits, estimate, p,
+                      lambda: f"{a} - {b}", lambda: False)

@@ -229,6 +229,17 @@ def test_cli_rejects_bad_input(capsys, argv, want):
     assert code == want and out == "" and err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("formula,message", [
+    # inside parentheses the branch that read further names the fault, not
+    # the `poly = 0` fallback that gave up at the first token
+    ("(ord(y) = 1 | ord(y) != 2)", "expected a relation after ord(...) (at position 21)"),
+    ("(y = 0 | y = 1)", "polynomial equations must compare with 0 (at position 13)"),
+])
+def test_cli_parse_errors_inside_parentheses(capsys, formula, message):
+    code, out, err = run_cli(capsys, "measure", "--prime", "5", "--formula", formula)
+    assert code == 2 and out == "" and message in err
+
+
 @pytest.mark.parametrize("command", [
     ["decompose", "--verify", "--poly", "y^3 - y"],
     ["measure", "--poly", "y^3 - y", "--ord", "1"],

@@ -33,7 +33,8 @@ from padic_cells.padics import Val, ord_p, rv, unit_digits
 from padic_cells.poly import Poly, resultant_val, squarefree_part, taylor_polys
 
 from conftest import CORPUS
-from fraction_loops import race_residue, separated_same_root, taylor_digits
+from fraction_loops import (eager_difference, eager_value_at, race_residue, separated_same_root,
+                            taylor_digits)
 
 
 def lift_mod(x: Fraction, q: int) -> int:
@@ -230,7 +231,7 @@ def test_exact_root_answers_like_its_rational():
 
 def test_certification_cap_names_its_input(monkeypatch):
     r = h([-6, 0, 1], rv(1, 5, 1), 5)
-    monkeypatch.setattr(hensel, "_MAX_DOUBLINGS", 0)
+    monkeypatch.setattr(hensel, "_MAX_PRECISION", 0)
     with pytest.raises(InternalBoundError,
                        match=r"y - 1 at the root .* \(p = 5\) reached precision \d+.* cap of 0"):
         ord_of_poly_at(Poly.of(-1, 1), r, 5)
@@ -305,9 +306,10 @@ def test_isolated_refines_until_the_ball_holds_one_root(monkeypatch):
     assert r.precision >= 5 and _roots_near(w, r.approx, r.precision, p) == 1
     assert ord_of_poly_at(Poly.of(-2, 0, 1), loose, p).is_infinite
     assert not ord_of_poly_at(Poly.of(-2 - p**4, 0, 1), loose, p).is_infinite
-    monkeypatch.setattr(hensel, "_MAX_DOUBLINGS", 1)
+    # the ball is tested at precision 3, and refining to 10 would pass the cap
+    monkeypatch.setattr(hensel, "_MAX_PRECISION", 9)
     with pytest.raises(InternalBoundError, match=r"isolating the root .* of y\^4 - 2405\*y\^2 \+ 4806 "
-                                                 r"\(p = 7\) reached precision 3 .* cap of 1"):
+                                                 r"\(p = 7\) reached precision 3 .* cap of 9"):
         _isolated(loose)
 
 
@@ -322,6 +324,38 @@ def test_same_root_needs_a_root_of_the_witness():
     assert ord_between(a, b, p) == Val(11)
     back = shift_center(shift_center(a, Fraction(1)), Fraction(-1))
     assert centers_equal(a, back, p) and centers_equal(back, a, p)
+
+
+def test_zero_test_runs_only_when_the_first_estimate_does_not_settle(monkeypatch):
+    # sqrt(2) in Z_7 is known to 8 digits
+    p = 7
+    r = h([-2, 0, 1], rv(3, p, 1), p)
+    assert r.precision == 8
+    vanishes, asked = hensel._vanishes, []
+
+    def refuse(q, center):
+        raise AssertionError(f"zero test asked for {q}")
+
+    # sqrt(2) - 1 is a unit: the first estimate settles
+    monkeypatch.setattr(hensel, "_vanishes", refuse)
+    assert ord_of_poly_at(Poly.of(-1, 1), r, p) == Val(0)
+    monkeypatch.setattr(hensel, "_vanishes", lambda q, c: asked.append(q) or vanishes(q, c))
+    # the value -7^12 lies below the first estimate's 8 digits
+    assert ord_of_poly_at(Poly.of(-2 - p**12, 0, 1), r, p) == Val(12)
+    assert len(asked) == 1
+    assert ord_of_poly_at(Poly.of(-2, 0, 1) * Poly.of(1, 1), r, p).is_infinite
+    assert len(asked) == 2
+
+
+def test_faulty_zero_test_stops_at_the_precision_cap(monkeypatch):
+    # a zero test that misses the zero of y^2 - 2 at sqrt(2) leaves an
+    # estimate that never settles; the loop raises at the cap
+    p = 7
+    r = h([-2, 0, 1], rv(3, p, 1), p)
+    monkeypatch.setattr(hensel, "_vanishes", lambda q, center: False)
+    with pytest.raises(InternalBoundError, match=r"y\^2 - 2 at the root .* \(p = 7\) reached "
+                                                 r"precision \d+ .* cap of 8192 digits"):
+        ord_of_poly_at(Poly.of(-2, 0, 1), r, p)
 
 
 def _inexact_centers(f: Poly, p: int, domain: Ball) -> list:
@@ -345,12 +379,22 @@ def test_root_count_decisions_match_the_race_and_the_separation_bound(p):
             centers += [shift_center(shift_center(c, Fraction(1)), Fraction(-1)) for c in centers[:2]]
             for c in centers:
                 for q in taylor_polys(f) + [c.witness]:
-                    zero = ord_of_poly_at(q, c, p).is_infinite
+                    v = ord_of_poly_at(q, c, p)
+                    zero = v.is_infinite
                     assert zero == (race_residue(q, c) is None)
+                    # the lazy zero test answers like the eager one
+                    assert v == ord_p(eager_value_at(q, c, 1), p)
+                    if not zero:
+                        assert digits_of_poly_at(q, c, p, 2) == unit_digits(
+                            eager_value_at(q, c, 2), p, 2).digits
                     zeros += zero
             for i, a in enumerate(centers):
                 for b in centers[i:]:
                     same = centers_equal(a, b, p)
                     assert same == separated_same_root(a, b, p)
+                    assert ord_between(a, b, p) == ord_p(eager_difference(a, b, p, 1), p)
+                    if not same:
+                        assert digits_between(a, b, p, 2) == unit_digits(
+                            eager_difference(a, b, p, 2), p, 2).digits
                     equal += same
     assert zeros and equal
