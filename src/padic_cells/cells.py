@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import islice
+from math import lcm
 
 from .errors import UnsupportedInputError
 from .hensel import (
@@ -450,23 +451,31 @@ class Decomposition:
         return tuple(c for c in self.cells if c.keep)
 
 
-def center_sort_key(c: Center):
+def center_sort_key(c: Center, scale: int):
+    """Rational centers first, in increasing order, then Hensel roots by
+    witness and rv tag.  `scale` is a common multiple of the denominators of
+    the rational centers, so a/b is keyed by the integer a * (scale / b)."""
     if c.is_rational:
-        return (0, c.value, ())
+        x = c.value
+        return (0, x.numerator * (scale // x.denominator), ())
     r = c.value
     tag = r.rv_tag
-    return (1, Fraction(0), (r.witness.coeffs, tag.valuation, tag.unit.digits if tag.unit else -1, tag.depth))
+    return (1, 0, (r.witness.coeffs, tag.valuation, tag.unit.digits if tag.unit else -1, tag.depth))
 
 
-def cell_sort_key(cell: Cell1):
+def cell_sort_key(cell: Cell1, scale: int):
+    """The center's key, then points before families, then `m_range.lo` and
+    the first residues."""
     point = 0 if cell.is_point else 1
     lo = -1 if cell.is_point else cell.m_range.lo
     res = () if cell.is_point else (cell.residues.depth, tuple(cell.residues.members(cell.prime, 4)))
-    return (center_sort_key(cell.center), point, lo, res)
+    return (center_sort_key(cell.center, scale), point, lo, res)
 
 
 def sorted_cells(cells: list[Cell1]) -> tuple[Cell1, ...]:
-    return tuple(sorted(cells, key=cell_sort_key))
+    """The cells in `cell_sort_key` order, compared on integers, not Fractions."""
+    scale = lcm(*{c.center.value.denominator for c in cells if c.center.is_rational})
+    return tuple(sorted(cells, key=lambda c: cell_sort_key(c, scale)))
 
 
 # ---------------------------------------------------------------------------

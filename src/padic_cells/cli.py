@@ -8,6 +8,7 @@ emitted as decimal strings; output is deterministic for identical requests.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -33,16 +34,27 @@ SCHEMA = "padic-cells/1"
 
 
 def _frac_str(x: Fraction) -> str:
+    """The rational as decimal text; UnsupportedInputError where its numerator
+    or denominator has more digits than the interpreter converts to text."""
     x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    try:
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise UnsupportedInputError(
+            f"the answer has a number of more than {limit} digits, past the "
+            f"interpreter's int-to-string limit") from None
 
 
 def _val_json(v) -> str:
     return "inf" if v.is_infinite else str(v.value)
 
 
-def _cell_json(cell: Cell1, names: dict[Poly, str]) -> dict:
-    """The cell as JSON; `names` caches `format_poly` across one payload."""
+def _cell_json(cell: Cell1, names: dict[Poly, str],
+               orders: dict[frozenset[Poly], list[tuple[Poly, str]]]) -> dict:
+    """The cell as JSON.  `names` caches `format_poly` and `orders` the
+    ordered law table of each set of polynomials across one payload: the
+    cells of one decomposition mostly carry laws for the same polynomials."""
     center = cell.center
     if center.is_rational:
         cj = {"type": "rational", "value": _frac_str(center.value)}
@@ -61,16 +73,19 @@ def _cell_json(cell: Cell1, names: dict[Poly, str]) -> dict:
         }
     if center.term is not None:
         cj["term"] = str(center.term)
+    polys = frozenset(cell.laws)
+    order = orders.get(polys)
+    if order is None:
+        # the one place laws are ordered: text output prints them in this order
+        order = orders[polys] = [(f, _name(f, names))
+                                 for f in sorted(polys, key=lambda f: f.coeffs)]
+    laws = cell.laws
     out = {
         "kind": cell.kind,
         "center": cj,
         "level": center.level,
         "keep": cell.keep,
-        # the one place laws are ordered: text output prints them in this order
-        "laws": {
-            _name(f, names): {"e0": _val_json(law.e0), "i0": law.i0}
-            for f, law in sorted(cell.laws.items(), key=lambda kv: kv[0].coeffs)
-        },
+        "laws": {name: {"e0": _val_json(laws[f].e0), "i0": laws[f].i0} for f, name in order},
     }
     if cell.is_point:
         out["m_range"] = "point"
@@ -162,13 +177,14 @@ def _decomposition_for(args) -> tuple[Decomposition, Poly | None]:
 def _cmd_decompose(args) -> dict:
     dec, f = _decomposition_for(args)
     names: dict[Poly, str] = {}
+    orders: dict[frozenset[Poly], list[tuple[Poly, str]]] = {}
     payload = {
         "schema": SCHEMA,
         "command": "decompose",
         "prime": args.prime,
         "input": args.poly if args.poly is not None else args.formula,
         "k_depth": dec.k_depth,
-        "cells": [_cell_json(c, names) for c in dec.cells],
+        "cells": [_cell_json(c, names, orders) for c in dec.cells],
     }
     if args.verify:
         chk = exact_partition_check(dec)
@@ -263,7 +279,10 @@ def _cmd_preserves_balls(args) -> dict:
     }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and then reused: it holds
+    no request data, and `parse_args` returns a fresh namespace each time."""
     top = argparse.ArgumentParser(prog="padic-cells")
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -330,7 +330,9 @@ def _process_box(f: Poly, w: Poly, p: int, cell: Cell1, out: list[Cell1], work: 
     ords = taylor_ords(f, cell.center.value, p)
     lines = [(i, v.value) for i, v in enumerate(ords) if not v.is_infinite]
     if not lines:
-        raise InternalBoundError("all Taylor coefficients vanished for a nonzero polynomial")
+        raise InternalBoundError(
+            f"all Taylor coefficients of {format_poly(f)} (p = {p}) vanished at the center "
+            f"{cell.center} of the family on m in {cell.m_range}")
     line_val = dict(lines)
 
     for region in _dominance_regions(lines, cell.m_range.lo, cell.m_range.hi):
@@ -564,18 +566,39 @@ def _point_digits(cell: Cell1, f: Poly, depth: int, p: int) -> int | None:
 
 def _digit_atom_pieces(cell: Cell1, f: Poly, depth: int, want, p: int):
     """Split a family cell so that want(unit_digits(f(y), depth)) is constant
-    on each piece."""
+    on each piece: a piece per sphere m and truth value, and on an unbounded
+    range one tail piece from the first sphere whose digits hold on all later
+    ones.
+
+    On the sphere m every Taylor term of f other than the law's index i0 is
+    p^gap(m) smaller than the law's; where every gap is at least `depth`, the
+    digits are those of the law's term alone, the same on each such sphere.
+    The gaps of larger indices grow with m and those of smaller ones shrink,
+    so these spheres form a window [m_d, m_u]: the first of them is read and
+    its digits serve the others.  An unbounded exact-law range has no term of
+    smaller index, so its window has no end and becomes the tail."""
     law = cell.law_for(f)
     assert not law.e0.is_infinite
     ords = taylor_ords(f, cell.center.value, p)
     lines = [(i, v.value) for i, v in enumerate(ords) if not v.is_infinite]
     rng = cell.m_range
     e0, i0 = law.e0.value, law.i0
-    pieces: list[tuple[Cell1, bool]] = []
+    m_d, m_u = rng.lo, rng.hi
+    for j, vj in lines:
+        if j > i0:
+            m_d = max(m_d, -(-(depth + e0 - vj) // (j - i0)))
+        elif j < i0:
+            if rng.hi is None:
+                # a smaller index would eventually dominate: impossible on an
+                # unbounded exact-law range unless its coefficient vanishes
+                raise InternalBoundError(
+                    f"the law {law} of ord {format_poly(f)} (p = {p}) on m in {rng} around "
+                    f"the center {cell.center} has a decreasing dominance gap to the "
+                    f"Taylor term {j}")
+            m_u = min(m_u, (vj - e0 - depth) // (i0 - j))
 
-    def enumerate_m(sub: ArithRange) -> None:
-        # the digits on the sphere m = sub.lo, which hold on all of sub
-        m = sub.lo
+    def read(m: int) -> tuple[int, dict[bool, list[int]]]:
+        # the residue depth of the sphere m and its units grouped by truth value
         min_line = min(v + i * m for i, v in lines)
         law_m = e0 + i0 * m
         d_m = max(cell.residues.depth, depth + law_m - min_line)
@@ -586,38 +609,22 @@ def _digit_atom_pieces(cell: Cell1, f: Poly, depth: int, want, p: int):
             if dig % p == 0:
                 raise _law_error(f, law_m, p, cell.center.value, m, u)
             groups.setdefault(want(dig), []).append(u)
-        for flag in sorted(groups):
-            pieces.append(
-                (replace(cell, m_range=sub,
-                         residues=Residues(d_m, frozenset(groups[flag]))), flag)
-            )
+        return d_m, groups
 
-    if rng.hi is not None:
-        for m in rng.values():
-            enumerate_m(ArithRange(m, m))
-        return pieces
-
-    # infinite range: the law line is the envelope minimum with the smallest
-    # index beyond the last breakpoint; its digits go uniform once every other
-    # term is at least p^depth smaller, so from m_d on the first sphere's
-    # digits hold on every sphere
-    m_d = rng.lo
-    for j, vj in lines:
-        if j == i0:
-            continue
-        if j < i0:
-            # a smaller index would eventually dominate: impossible on an
-            # unbounded exact-law range unless its coefficient vanishes
-            raise InternalBoundError("unbounded range with a decreasing dominance gap")
-        m_need = -(-(depth + e0 - vj) // (j - i0))
-        m_d = max(m_d, m_need)
+    pieces: list[tuple[Cell1, bool]] = []
+    stable = None
     for m in rng.values():
-        if m >= m_d:
+        in_window = m_d <= m and (m_u is None or m <= m_u)
+        if in_window and stable is None:
+            stable = read(m)
+        d_m, groups = stable if in_window else read(m)
+        tail = in_window and rng.hi is None
+        sub = rng.restrict(lo=m) if tail else ArithRange(m, m)
+        for flag in sorted(groups):
+            pieces.append((replace(cell, m_range=sub,
+                                   residues=Residues(d_m, frozenset(groups[flag]))), flag))
+        if tail:
             break
-        enumerate_m(ArithRange(m, m))
-    tail = rng.restrict(lo=m_d)
-    if tail is not None:
-        enumerate_m(tail)
     return pieces
 
 
@@ -745,9 +752,11 @@ def _fiber_entry(cell: Cell1, big_f: Poly, p: int) -> FiberImageEntry:
         q = q.derivative()
         laws.append(cell.law_for(q))
     law1 = laws[1]
-    if law1.e0.is_infinite:
-        raise InternalBoundError("derivative law is infinite on a family cell")
     rng = cell.m_range
+    if law1.e0.is_infinite:
+        raise InternalBoundError(
+            f"the law of {format_poly(big_f.derivative())} is infinite on the family "
+            f"on m in {rng} around the center {cell.center} (p = {p})")
     d = cell.residues.depth
     d_need = d
     for j in range(2, big_f.degree + 1):
@@ -759,7 +768,9 @@ def _fiber_entry(cell: Cell1, big_f: Poly, p: int) -> FiberImageEntry:
         slope = (law_j.i0 - law1.i0) + (j - 1)
         const = (law_j.e0.value - fact - law1.e0.value)
         if slope < 0 and rng.hi is None:
-            raise InternalBoundError("fiber-image criterion degenerates on an unbounded range")
+            raise InternalBoundError(
+                f"the fiber-image criterion for {format_poly(big_f)} (p = {p}) degenerates "
+                f"on the unbounded range m in {rng} around the center {cell.center}")
         worst_m = rng.lo if slope >= 0 else rng.hi
         need = -(const + slope * worst_m) // (j - 1) + 1
         d_need = max(d_need, need)

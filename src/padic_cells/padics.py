@@ -117,11 +117,19 @@ def val_min(*vals: Val) -> Val:
 
 
 def int_val(n: int, p: int) -> int:
-    """ord_p of a nonzero integer."""
+    """ord_p of a nonzero integer, in O(log v) divisions for a valuation v:
+    square p while the square still divides n, then divide n by those powers
+    of p in decreasing order where they divide it, each one bit of v."""
+    if n % p:
+        return 0
+    powers = [p]
+    while n % (q := powers[-1] * powers[-1]) == 0:
+        powers.append(q)
     v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    for k in range(len(powers) - 1, -1, -1):
+        q, r = divmod(n, powers[k])
+        if r == 0:
+            n, v = q, v + (1 << k)
     return v
 
 

@@ -3,18 +3,23 @@ the digit-atom sphere loop replaced, the exact-query digit reads (residual
 polynomial of a tie, unbounded tail, point) that the sphere kernel replaced,
 the all-pairs loops that the support-ball index replaced, the factor race
 and separation bound that the root count in an isolating ball replaced, and
-the eager zero tests that the lazy one behind `_certified` replaced, kept as
-references for the tests that compare the two."""
+the eager zero tests that the lazy one behind `_certified` replaced, the
+Fraction cell-sort key and the per-cell law sort that the integer key and
+the per-payload law order replaced, and the sphere-by-sphere digit-atom loop
+that the read-once window replaced, kept as references for the tests that
+compare the two."""
 
 import random
 from fractions import Fraction
+from dataclasses import replace
 from math import comb
 
-from padic_cells.cells import contains, intersect_cells
+from padic_cells.cells import ArithRange, Residues, contains, intersect_cells
+from padic_cells.decompose import _law_error, _sphere_digits
 from padic_cells.errors import InternalBoundError, UnsupportedInputError
 from padic_cells.hensel import (_MAX_DOUBLINGS, _at_root, _certified, _isolated, _newton,
                                 _roots_near, digits_of_poly_at, exact_value, refine_root,
-                                shift_center)
+                                shift_center, taylor_ords)
 from padic_cells.padics import Val, ord_p, unit_digits
 from padic_cells.poly import Poly, newton_min, poly_gcd, resultant_val, taylor_polys
 
@@ -278,3 +283,76 @@ def eager_difference(a, b, p: int, digits: int):
 
     return _certified(max(a.precision, b.precision), digits, estimate, p,
                       lambda: f"{a} - {b}", lambda: False)
+
+
+def fraction_cell_sort_key(cell):
+    """`cells.cell_sort_key` as it was written, comparing Fraction centers."""
+    c = cell.center
+    if c.is_rational:
+        center = (0, c.value, ())
+    else:
+        tag = c.value.rv_tag
+        center = (1, Fraction(0), (c.value.witness.coeffs, tag.valuation,
+                                   tag.unit.digits if tag.unit else -1, tag.depth))
+    point = 0 if cell.is_point else 1
+    lo = -1 if cell.is_point else cell.m_range.lo
+    res = () if cell.is_point else (cell.residues.depth, tuple(cell.residues.members(cell.prime, 4)))
+    return (center, point, lo, res)
+
+
+def fraction_sorted_cells(cells):
+    return tuple(sorted(cells, key=fraction_cell_sort_key))
+
+
+def per_cell_law_order(cell):
+    """The polynomials of a cell's law table in the order `cli._cell_json`
+    printed them when it sorted each cell's table on its own."""
+    return [f for f, _ in sorted(cell.laws.items(), key=lambda kv: kv[0].coeffs)]
+
+
+def sphere_by_sphere_digit_atom_pieces(cell, f, depth, want, p):
+    """`decompose._digit_atom_pieces` as it was written: every sphere of a
+    finite range read on its own; an unbounded range read sphere by sphere
+    up to m_d, then once for its tail."""
+    law = cell.law_for(f)
+    ords = taylor_ords(f, cell.center.value, p)
+    lines = [(i, v.value) for i, v in enumerate(ords) if not v.is_infinite]
+    rng = cell.m_range
+    e0, i0 = law.e0.value, law.i0
+    pieces = []
+
+    def enumerate_m(sub):
+        m = sub.lo
+        min_line = min(v + i * m for i, v in lines)
+        law_m = e0 + i0 * m
+        d_m = max(cell.residues.depth, depth + law_m - min_line)
+        units = cell.residues.lift(d_m, p).members(p)
+        groups = {}
+        for u, dig in zip(units, _sphere_digits(f, cell.center.value, m, law_m, depth,
+                                                 units, p)):
+            if dig % p == 0:
+                raise _law_error(f, law_m, p, cell.center.value, m, u)
+            groups.setdefault(want(dig), []).append(u)
+        for flag in sorted(groups):
+            pieces.append((replace(cell, m_range=sub,
+                                   residues=Residues(d_m, frozenset(groups[flag]))), flag))
+
+    if rng.hi is not None:
+        for m in rng.values():
+            enumerate_m(ArithRange(m, m))
+        return pieces
+    m_d = rng.lo
+    for j, vj in lines:
+        if j == i0:
+            continue
+        if j < i0:
+            raise InternalBoundError("unbounded range with a decreasing dominance gap")
+        m_d = max(m_d, -(-(depth + e0 - vj) // (j - i0)))
+    for m in rng.values():
+        if m >= m_d:
+            break
+        enumerate_m(ArithRange(m, m))
+    tail = rng.restrict(lo=m_d)
+    if tail is not None:
+        enumerate_m(tail)
+    return pieces

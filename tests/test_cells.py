@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
+from conftest import PRIMES
+from fraction_loops import fraction_sorted_cells, per_cell_law_order
 
 from padic_cells.cells import (
     ArithRange,
@@ -24,13 +27,14 @@ from padic_cells.cells import (
     refine_common,
     sorted_cells,
 )
+from padic_cells.cli import _cell_json
 from padic_cells.decompose import decompose_set, prepare
 from padic_cells.errors import UnsupportedInputError
 from padic_cells.hensel import refine_root
 from padic_cells.measure import decomposition_measure, exact_partition_check
 from padic_cells.padics import Val, ord_p, rv
 from padic_cells.parser import parse_formula
-from padic_cells.poly import Poly
+from padic_cells.poly import Poly, format_poly
 
 
 def fam(p, c, lo, hi=None, depth=1, units=None, level=1):
@@ -243,6 +247,62 @@ def test_sort_key_reads_only_the_first_units():
     assert Residues(1).members(p, limit=4) == [1, 2, 3, 4]
     assert Residues(2, frozenset({9, 3, 7, 1, 5})).members(p, limit=4) == [1, 3, 5, 7]
     assert sorted_cells([cell, pt(p, 0)]) == (pt(p, 0), cell)
+
+
+def _assert_same_orders(cells, seed=0):
+    """sorted_cells on its integer keys orders the cells as the Fraction key
+    did, from several starting orders, and the law tables of one payload,
+    ordered once per set of polynomials, print as each cell's own sort did."""
+    rng = random.Random(seed)
+    for _ in range(3):
+        shuffled = list(cells)
+        rng.shuffle(shuffled)
+        assert sorted_cells(shuffled) == fraction_sorted_cells(shuffled)
+    names, orders = {}, {}
+    for cell in cells:
+        assert list(_cell_json(cell, names, orders)["laws"]) == \
+            [format_poly(f) for f in per_cell_law_order(cell)]
+
+
+@pytest.mark.parametrize("p", PRIMES + [31])
+def test_integer_sort_keys_keep_the_fraction_order_on_the_corpus(corpus,
+                                                                  corpus_decompositions, p):
+    for name, f in corpus.items():
+        dec = corpus_decompositions[name, p] if p in PRIMES else prepare(f, p)
+        assert dec.cells == fraction_sorted_cells(dec.cells)
+        _assert_same_orders(dec.cells)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_integer_sort_keys_keep_the_fraction_order_on_formulas(p):
+    for text in ("ord(2*y - 1) >= ord(3*y + 5) & ac(1, y^2 - 2) = 1",
+                 "ord(7*y - 2) % 2 = 0 | rv(2, y^2 + 1) = 0",
+                 "ac(2, 6*y^2 - 5*y + 1) = 1 & !(ord(y) >= 2)"):
+        dec = decompose_set(parse_formula(text), p)
+        assert dec.cells == fraction_sorted_cells(dec.cells)
+        _assert_same_orders(dec.cells)
+
+
+def test_integer_sort_keys_on_mixed_denominators_and_roots():
+    """Rational centers with different denominators, one of them repeated,
+    zero, and Hensel roots, each as a point and as families."""
+    p = 7
+    roots = {c.center for c in prepare(Poly.of(-2, 0, 1), p).cells
+             if not c.center.is_rational}
+    assert len(roots) == 2
+    centers = [Center(Fraction(x), 1) for x in ("1/3", "-5/2", "2/7", "0", "1/3")] + list(roots)
+    laws = [{Poly.of(0, 1): OrderLaw(Val(0), 1)},
+            {Poly.of(-2, 0, 1): OrderLaw(Val(1), 0), Poly.of(0, 1): OrderLaw(Val(0), 0)}]
+    cells = []
+    for i, center in enumerate(centers):
+        cells.append(Cell1(p, center, None, None, laws[i % 2]))
+        for lo, res in ((0, Residues(1)), (2, Residues(1)), (2, Residues(2, frozenset({3, 8})))):
+            cells.append(Cell1(p, center, ArithRange(lo, None), res, laws[(i + lo) % 2]))
+    _assert_same_orders(cells)
+    ordered = sorted_cells(cells)
+    assert [c.center.value for c in ordered[:20:4]] == \
+        [Fraction(-5, 2), 0, Fraction(2, 7), Fraction(1, 3), Fraction(1, 3)]
+    assert not any(c.center.is_rational for c in ordered[20:])
 
 
 def _assert_candidates_cover(left, right):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -206,6 +207,10 @@ def test_cli_internal_bound_exit(capsys, monkeypatch):
     (["decompose", "--prime", "5", "--formula", "!" * 3000 + "y = 0"], 3),
     (["measure", "--prime", "5", "--poly=" + "-" * 1500 + "y"], 3),
     (["measure", "--prime", "5", "--formula", " & ".join(["ord(y) >= 0"] * 1500)], 3),
+    # answers with a number past the interpreter's int-to-string limit:
+    # 5^7000 and 5^100000 in a measure's denominator
+    (["measure", "--prime", "5", "--formula", "ord(y) >= 7000"], 3),
+    (["measure", "--prime", "5", "--poly", "y", "--ord", "100000"], 3),
     # the least strong pseudoprime to every base of the primality test
     (["measure", "--prime", "318665857834031151167461", "--poly", "y"], 3),
     # argparse owns the input flags of each subcommand
@@ -267,6 +272,65 @@ def test_cli_subcommands_on_a_ball(capsys, command):
 def test_cli_measure_at_a_large_prime(capsys):
     code, out, _ = run_cli(capsys, "measure", "--prime", "1000000007", "--poly", "y", "--json")
     assert code == 0 and json.loads(out)["measure"] == "1"
+
+
+def test_cli_prints_answers_below_the_int_to_string_limit(capsys):
+    # 5^6000 has 4,194 digits, under Python's default limit of 4,300
+    code, out, _ = run_cli(capsys, "measure", "--prime", "5", "--formula", "ord(y) >= 6000",
+                           "--json")
+    assert code == 0 and json.loads(out)["measure"] == f"1/{5**6000}"
+
+
+def test_cli_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        if kwargs.get("prog") == "padic-cells":
+            built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    for n in range(50):
+        code, out, _ = run_cli(capsys, "measure", "--prime", "5", "--poly", "y", "--ord", str(n))
+        assert code == 0 and out == f"schema: padic-cells/1\ncommand: measure\nprime: 5\n" \
+            f"ord: {n}\nmeasure: {Fraction(4, 5**(n + 1))}\n"
+    assert len(built) == 1
+
+
+def test_cli_reused_parser_answers_like_a_fresh_one(capsys, monkeypatch):
+    """One process answering a mixed sequence gives the same exit codes,
+    stdout and stderr as a fresh parser for each call: a usage error, a
+    parse error, exit 3 and exit 4 between valid requests."""
+    # an artificially low depth budget trips exit 4 on this polynomial only
+    real_budget = decompose._budget
+    monkeypatch.setattr(decompose, "_budget",
+                        lambda f, p: 3 if f == Poly.of(65, -66, 1) else real_budget(f, p))
+    sequence = [
+        ["decompose", "--prime", "5", "--poly", "y^2 - 1", "--json"],
+        ["measure", "--prime", "5", "--formula", "ord(y) >= 1", "--ord", "2"],
+        ["measure", "--prime", "5", "--formula", "ord(y) >= 1"],
+        ["zeta", "--prime", "5", "--poly", "y^2 +"],
+        ["chi", "--prime", "3", "--formula", "ac(1, y^2 - 1) = 1", "--json"],
+        ["measure", "--prime", "4", "--poly", "y"],
+        ["decompose", "--prime", "2", "--poly", "y^2 - 66*y + 65"],
+        ["decompose", "--prime", "7", "--formula", "ord(y^2 - 2) >= 3 & ac(1, y) = 3"],
+        ["cv-check", "--prime", "5", "--formula-b", "ord(y) >= 0"],
+        ["dim", "--prime", "5", "--formula", "y^2 - 1 = 0", "--json"],
+    ]
+
+    def answers(fresh):
+        out = []
+        for argv in sequence * 2:
+            if fresh:
+                cli._build_parser.cache_clear()
+            out.append(run_cli(capsys, *argv))
+        return out
+
+    reused = answers(fresh=False)
+    assert [code for code, _, _ in reused[:10]] == [0, 2, 0, 2, 0, 3, 4, 0, 2, 0]
+    assert reused == answers(fresh=True)
 
 
 def test_cli_text_output(capsys):

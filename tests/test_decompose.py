@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 
 from conftest import PRIMES
 from fraction_loops import (fraction_sphere_digits, point_digits, residual_zeros,
-                            tail_digits, taylor_digits)
+                            sphere_by_sphere_digit_atom_pieces, tail_digits, taylor_digits)
 
 import padic_cells.decompose as decompose_module
 from padic_cells.cells import (
@@ -50,7 +51,7 @@ from padic_cells.measure import (
     measure_of_order,
 )
 from padic_cells.oracle import verify_laws, verify_partition
-from padic_cells.padics import RvData, UnitDigits, Val, ord_p, rv
+from padic_cells.padics import INFINITY, RvData, UnitDigits, Val, ord_p, rv
 from padic_cells.parser import parse_formula
 from padic_cells.poly import MAX_DEGREE, Poly
 
@@ -246,8 +247,9 @@ def test_residual_filter_matches_the_full_class_walk(monkeypatch, corpus, p):
 
         monkeypatch.setattr(decompose_module, "_split_tie_class", counted)
         decs = [prepare(f, p, domain) for f in polys for domain in domains]
-        names = {}
-        payloads = [json.dumps([_cell_json(c, names) for c in dec.cells], sort_keys=True)
+        names, orders = {}, {}
+        payloads = [json.dumps([_cell_json(c, names, orders) for c in dec.cells],
+                               sort_keys=True)
                     for dec in decs]
         return decs, payloads, seen
 
@@ -438,6 +440,81 @@ def test_digit_kernel_rejects_a_contradicted_law():
             tampered = cell.with_laws({f: OrderLaw(law.e0 + shift, law.i0)})
             with pytest.raises(InternalBoundError, match=r"y\^2 - 1 = .*p = 3.*" + where):
                 _split_by_atom(tampered, AcEq(3, f, 1), 3)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_digit_atom_window_matches_the_sphere_loop(p):
+    """Reading the first sphere of the stable window once and reusing it
+    cuts every family into the same pieces as reading each sphere: on the
+    unbounded ranges of `prepare` and on finite ranges that start below, at
+    and above m_d, with step 1 and 2, and on y^2 - p^19, whose finite range
+    around 0 has a Taylor term of smaller index than the law's, so its
+    window ends before the range does from depth 2 on."""
+    polys = [Poly.of(-1, 0, 1), Poly.of(-2, 0, 1), Poly.of(1, 0, 1), Poly.of(-2, 0, 0, 1),
+             Poly.of(-17, 0, 1), Poly.of(Fraction(-1, 3), 0, 2), Poly.of(-p**19, 0, 1)]
+    starts = {"below": 0, "at": 0, "above": 0, "window ends": 0}
+    for f in polys:
+        for cell in prepare(f, p).cells:
+            if cell.is_point:
+                continue
+            rng = cell.m_range
+            law = cell.law_for(f)
+            e0, i0 = law.e0.value, law.i0
+            lines = [(j, v.value) for j, v in enumerate(taylor_ords(f, cell.center.value, p))
+                     if not v.is_infinite]
+            for depth in (1, 2, 3) if p <= 3 else (1, 2):
+                # from m_d on, the terms of larger index are p^depth below the law's
+                m_d = max([rng.lo] + [-(-(depth + e0 - v) // (j - i0)) for j, v in lines if j > i0])
+                subs = [rng] + [rng.restrict(lo=lo, hi=lo + 3) for lo in (m_d - 1, m_d, m_d + 1)]
+                if rng.hi is None:
+                    subs.append(ArithRange(m_d, m_d + 4, 2))
+                for sub in filter(None, subs):
+                    piece = replace(cell, m_range=sub)
+                    assert _digit_atom_pieces(piece, f, depth, lambda d: d, p) == \
+                        sphere_by_sphere_digit_atom_pieces(piece, f, depth, lambda d: d, p)
+                    if sub.hi is None:
+                        continue
+                    starts["below" if sub.lo < m_d else "at" if sub.lo == m_d else "above"] += 1
+                    # a term of smaller index comes within p^depth before sub.hi
+                    starts["window ends"] += any(v - e0 - depth < (i0 - j) * sub.hi
+                                                 for j, v in lines if j < i0)
+    assert all(starts.values()), starts
+
+
+@pytest.mark.parametrize("N", [1000, 2000])
+def test_deep_digit_atom_reads_its_window_once(N):
+    """ord(y^2 - 2) >= N & ac(1, y^2 - 2) = 1 at p = 7: the spheres m < N
+    around each square root of 2 share one read, so the atom no longer
+    costs a sphere read per m (15 s at N = 1000 when it did)."""
+    phi = parse_formula(f"ord(y^2 - 2) >= {N} & ac(1, y^2 - 2) = 1")
+    start = time.perf_counter()
+    measure = decomposition_measure(decompose_set(phi, 7), kept_only=True)
+    assert time.perf_counter() - start < 5
+    # around each root c, ord f = ord(y - c) and the first digit of f is
+    # 2c u, so the spheres m >= N keep one unit class of six each
+    assert measure == Fraction(1, 3 * 7**N)
+
+
+def test_internal_bound_errors_name_their_context(monkeypatch):
+    """Each InternalBoundError of the engine names f, p, the center and the
+    range of m: a Taylor expansion with no finite coefficient, a law whose
+    index outruns a smaller Taylor term on an unbounded range, and an
+    infinite derivative law on a fiber."""
+    f = Poly.of(-1, 0, 1)
+    family = next(c for c in prepare(f, 3).cells if not c.is_point and c.center.value == 1)
+    tampered = family.with_laws({f: OrderLaw(Val(0), 2)})
+    with pytest.raises(InternalBoundError, match=r"y\^2 - 1 \(p = 3\) on m in \[1\.\.inf\] "
+                       r"around the center 1 .*dominance gap"):
+        _digit_atom_pieces(tampered, f, 1, lambda d: d, 3)
+    infinite = family.with_laws({f.derivative(): OrderLaw(INFINITY, 0)})
+    with pytest.raises(InternalBoundError, match=r"2\*y is infinite on the family on m in "
+                       r"\[1\.\.inf\] around the center 1 \(p = 3\)"):
+        preserves_balls_report(Decomposition(3, ZP, (infinite,)), f, 3)
+    monkeypatch.setattr(decompose_module, "taylor_ords",
+                        lambda g, c, p: [INFINITY] * (g.degree + 1))
+    with pytest.raises(InternalBoundError, match=r"of y\^2 - 2 \(p = 7\) vanished at the "
+                       r"center 0 of the family on m in \[0\.\.inf\]"):
+        prepare(Poly.of(-2, 0, 1), 7)
 
 
 def _tie_zeros(f, center, m, p):
