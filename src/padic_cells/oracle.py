@@ -6,6 +6,16 @@ cell-membership verification over the domain's residue classes, and
 deterministic order-law sampling.  Nothing here consults the cell engine's
 reasoning: the checks work from raw membership and evaluation only, and
 polynomials are evaluated in the oracle's own integer arithmetic.
+
+A law sample y = c' + z p^m around a proxy c' of a family cell's center is
+decided modulo p^(t+1), where t is the valuation the law claims for the
+integer numerator of f(y): one Taylor expansion of that numerator at c' per
+proxy, weights reduced mod p^(t+1) per m, and a Horner loop in z per
+sample.  The claim holds exactly when that residue is nonzero and divisible
+by p^t; any sample the residue does not confirm is evaluated in full, so a
+failure reports the exact value.  Partition marks are made once per class
+mod p^j at the level j where a cell's constraint ends, and summed up to
+p^k level by level.
 """
 
 from __future__ import annotations
@@ -40,11 +50,19 @@ class RootCounts:
 
 
 def _ord_int(n: int, p: int) -> int:
-    """ord_p of a nonzero integer."""
+    """ord_p of a nonzero integer, in O(log v) divisions for a valuation v:
+    the powers p^(2^i) that divide n, then one bit of v per power, largest
+    first."""
+    if n % p:
+        return 0
+    powers = [p]
+    while n % (sq := powers[-1] * powers[-1]) == 0:
+        powers.append(sq)
     v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    for i in range(len(powers) - 1, -1, -1):
+        rest, r = divmod(n, powers[i])
+        if r == 0:
+            n, v = rest, v + (1 << i)
     return v
 
 
@@ -208,9 +226,11 @@ def _center_mod(cell: Cell1, k: int, p: int) -> int:
     return _residue(center_proxy(cell.center.value, p, k + 2), p**k)
 
 
-def _mark_cell(cell: Cell1, k: int, p: int, count: list[int], fuzzy: list[int]) -> None:
-    """Mark every class mod p^k the cell decidedly contains, and flag the
-    classes it only partially covers at this depth."""
+def _mark_cell(cell: Cell1, k: int, p: int, marks: list[list[int]], fuzzy: list[int]) -> None:
+    """Mark every class the cell decidedly contains once, as a class mod p^j
+    in marks[j] at the level j where its constraint ends (all its lifts mod
+    p^k are inside), and flag the classes mod p^k it only partially covers
+    at this depth."""
     q = p**k
     c_mod = _center_mod(cell, k, p)
     if cell.is_point:
@@ -223,25 +243,20 @@ def _mark_cell(cell: Cell1, k: int, p: int, count: list[int], fuzzy: list[int]) 
     for m in rng.values():
         if m >= k:
             break
-        if m + d <= k:
-            lifts = p ** (k - m - d)
-            qd = p**d
-            for u0 in cell.residues.members(p):
-                for t in range(lifts):
-                    cls = (c_mod + (u0 + t * qd) * p**m) % q
-                    count[cls] += 1
-        elif cell.residues.is_all:
+        pm = p**m
+        if cell.residues.is_all:
             # residues unconstrained: every class at distance m is inside
-            qk = p ** (k - m)
-            for u in range(1, qk):
-                if u % p:
-                    cls = (c_mod + u * p**m) % q
-                    count[cls] += 1
+            level, qj = marks[m + 1], pm * p
+            for u in range(1, p):
+                level[(c_mod + u * pm) % qj] += 1
+        elif m + d <= k:
+            level, qj = marks[m + d], pm * p**d
+            for u0 in cell.residues.members(p):
+                level[(c_mod + u0 * pm) % qj] += 1
         else:
             # the constraint needs more digits than the class determines
             for u0 in {u % p ** (k - m) for u in cell.residues.members(p)}:
-                cls = (c_mod + u0 * p**m) % q
-                fuzzy[cls] = 1
+                fuzzy[(c_mod + u0 * pm) % q] = 1
 
 
 def _domain_classes(dec: Decomposition, k: int) -> range:
@@ -259,11 +274,14 @@ def verify_partition(dec: Decomposition, k: int) -> PartitionReport:
     digits).  Anything else is a violation."""
     p = dec.prime
     require_classes(p, k, "k")
-    q = p**k
-    count = [0] * q
-    fuzzy = [0] * q
+    marks = [[0] * p**j for j in range(k + 1)]
+    fuzzy = [0] * p**k
     for cell in dec.cells:
-        _mark_cell(cell, k, p, count, fuzzy)
+        _mark_cell(cell, k, p, marks, fuzzy)
+    # a class mod p^j counts its own marks and those of its prefix mod p^(j-1)
+    count = marks[0]
+    for level in marks[1:]:
+        count = [a + b for a, b in zip(level, count * p)]
     violations = []
     undecided = []
     for r in _domain_classes(dec, k):
@@ -301,16 +319,20 @@ class LawReport:
         return not self.failures
 
 
-def _cell_samples(cell: Cell1, p: int, n: int, rng: random.Random) -> list[tuple[int, int, int]]:
-    """Deterministic members num/den of a family cell, with m = ord(y - c):
-    every residue class at the cell's depth, the first valuations of the
-    range, and random deeper digits.  Each member is a triple (num, den, m)."""
-    out: list[tuple[int, int, int]] = []
+def _cell_samples(cell: Cell1, p: int, n: int,
+                  rng: random.Random) -> list[tuple[int, int, int, int]]:
+    """Deterministic members of a family cell, with m = ord(y - c): every
+    residue class at the cell's depth, the first valuations of the range,
+    the last three of a finite one, and random deeper digits.  Each member
+    is (bn, bd, z, m) for y = bn/bd + z p^m, bn/bd the center's proxy and
+    z = u + extra p^d."""
+    out: list[tuple[int, int, int, int]] = []
     d = cell.residues.depth
     units = cell.residues.members(p)
-    ms = list(cell.m_range.values(limit=4))
-    if cell.m_range.hi is not None:
-        tail = [m for m in cell.m_range.values() if m >= cell.m_range.hi - 2 * cell.m_range.step]
+    r = cell.m_range
+    ms = list(r.values(limit=4))
+    if r.hi is not None:
+        tail = [m for m in (r.hi - 2 * r.step, r.hi - r.step, r.hi) if m >= r.lo]
         ms = sorted(set(ms + tail))
     precision, c_proxy = 0, Fraction(0)
 
@@ -326,28 +348,53 @@ def _cell_samples(cell: Cell1, p: int, n: int, rng: random.Random) -> list[tuple
     while len(out) < n:
         for m in ms:
             base = proxy_for(m)
-            # base + (u + extra p^d) p^m over the denominator of base
             bn, bd = base.numerator, base.denominator
-            scale = bd * p**m
             for u in units:
                 extra = rng.randrange(p3)
-                out.append((bn + (u + extra * pd) * scale, bd, m))
+                out.append((bn, bd, u + extra * pd, m))
                 if len(out) >= n:
                     return out
-        if cell.m_range.hi is None:
-            ms = [m + cell.m_range.step for m in ms[-2:]]
+        if r.hi is None:
+            ms = [m + r.step for m in ms[-2:]]
         # finite ranges repeat with fresh random digits
     return out
+
+
+def _kernel(hs: list[int], step: int, t: int, m: int, p: int) -> tuple[int, int, list[int]]:
+    """(p^(t+1), p^t, weights) for deciding ord = t on the sphere at m: the
+    numerator of f(bn/bd + z p^m) is sum h_i (bd p^m)^i z^i with
+    step = bd p^m, and the weights are its coefficients mod p^(t+1), highest
+    first.  For m >= 1 a term with i m > t is a multiple of p^(t+1) and is
+    left out, so the powers step^i kept are about the size of p^(t+1) and
+    are not reduced."""
+    pt = p**t
+    q = pt * p
+    keep = len(hs) if m < 1 else min(len(hs), t // m + 1)
+    ws, power = [], 1
+    for h in hs[:keep]:
+        ws.append(h * power % q)
+        power *= step
+    ws.reverse()
+    return q, pt, ws
+
+
+# the kernel of a claim no residue can confirm (an infinite or negative t)
+_UNDECIDED = (1, 1, [])
 
 
 def verify_laws(dec: Decomposition, f: Poly, samples: int = 200, seed: int = 0) -> LawReport:
     """Check ord f(y) = e0 + i0 * ord(y - c) on deterministic samples of every
     cell, and the inequality form ord f(y) <= ord(k a_i (y-c)^i) with the
-    decomposition's recorded depth k."""
+    decomposition's recorded depth k.
+
+    A family sample is decided modulo p^(t+1), t the valuation the law
+    claims for the numerator of f(y) (see the module docstring); a sample
+    that residue does not confirm is evaluated in full."""
     p = dec.prime
     rng = random.Random(seed)
     failures: list[LawFailure] = []
     coeffs, shift = _clear_denominators(f, p)
+    n = len(coeffs) - 1
 
     for idx, cell in enumerate(dec.cells):
         law = cell.law_for(f)
@@ -388,20 +435,39 @@ def verify_laws(dec: Decomposition, f: Poly, samples: int = 200, seed: int = 0) 
             taylor = _taylor_ords(coeffs, shift, x, p)
         else:
             taylor = taylor_ords(f, cell.center.value, p)
+        lines = [(i, v.value) for i, v in enumerate(taylor) if not v.is_infinite]
         # per m: the law's value, and the depth-k bound when the law breaks it
         at_m: dict[int, tuple[Val, Val | None]] = {}
-        for num, den, m in _cell_samples(cell, p, samples, rng):
+        # per m at the current proxy: the kernel that decides the law's value
+        kernels: dict[int, tuple[int, int, list[int]]] = {}
+        proxy = None
+        for bn, bd, z, m in _cell_samples(cell, p, samples, rng):
             if m not in at_m:
                 want = law.apply(m)
-                bound = min((v + i * m + dec.k_depth for i, v in enumerate(taylor)),
-                            default=INFINITY)
-                at_m[m] = (want, None if want <= bound else bound)
+                bound = min(v + i * m for i, v in lines) + dec.k_depth if lines else None
+                at_m[m] = (want, None if bound is None or want <= bound else Val(bound))
             want, broken = at_m[m]
-            got = _ord_value(coeffs, shift, num, den, p)
-            if got != want:
-                # _cell_samples puts every sample at distance exactly m
-                failures.append(LawFailure(idx, Fraction(num, den), want, got))
-            elif broken is not None:
+            if proxy != (bn, bd):
+                # h_i: the numerator bd^n L f(y) expanded at the proxy, with
+                # ord f(y) = ord(numerator) - vd
+                proxy, kernels = (bn, bd), {}
+                hs = _taylor_shift([c * bd ** (n - j) for j, c in enumerate(coeffs)], bn)
+                vd = shift + n * _ord_int(bd, p)
+            if m not in kernels:
+                t = -1 if want.is_infinite else want.value + vd
+                kernels[m] = _kernel(hs, bd * p**m, t, m, p) if t >= 0 else _UNDECIDED
+            q, pt, ws = kernels[m]
+            acc = 0
+            for w in ws:
+                acc = (acc * z + w) % q
+            if not (acc and acc % pt == 0):
+                num = bn + z * (bd * p**m)
+                got = _ord_value(coeffs, shift, num, bd, p)
+                if got != want:
+                    # _cell_samples puts every sample at distance exactly m
+                    failures.append(LawFailure(idx, Fraction(num, bd), want, got))
+                    continue
+            if broken is not None:
                 # the coarse inequality ord f(y) <= ord(k a_i (y-c)^i)
-                failures.append(LawFailure(idx, Fraction(num, den), broken, got))
+                failures.append(LawFailure(idx, Fraction(bn + z * (bd * p**m), bd), broken, want))
     return LawReport(seed, samples, tuple(failures))

@@ -5,8 +5,10 @@ the all-pairs loops that the support-ball index replaced, the factor race
 and separation bound that the root count in an isolating ball replaced, and
 the eager zero tests that the lazy one behind `_certified` replaced, the
 Fraction cell-sort key and the per-cell law sort that the integer key and
-the per-payload law order replaced, and the sphere-by-sphere digit-atom loop
-that the read-once window replaced, kept as references for the tests that
+the per-payload law order replaced, the sphere-by-sphere digit-atom loop
+that the read-once window replaced, and the oracle's per-class partition
+marks and per-sample law evaluation that the per-prefix marks and the
+Taylor kernel mod p^(t+1) replaced, kept as references for the tests that
 compare the two."""
 
 import random
@@ -14,13 +16,15 @@ from fractions import Fraction
 from dataclasses import replace
 from math import comb
 
-from padic_cells.cells import ArithRange, Residues, contains, intersect_cells
+from padic_cells.cells import ArithRange, Cell1, Decomposition, Residues, contains, intersect_cells
 from padic_cells.decompose import _law_error, _sphere_digits
 from padic_cells.errors import InternalBoundError, UnsupportedInputError
 from padic_cells.hensel import (_MAX_DOUBLINGS, _at_root, _certified, _isolated, _newton,
-                                _roots_near, digits_of_poly_at, exact_value, refine_root,
-                                shift_center, taylor_ords)
-from padic_cells.padics import Val, ord_p, unit_digits
+                                _roots_near, center_proxy, digits_of_poly_at, exact_value,
+                                refine_root, shift_center, taylor_ords)
+from padic_cells.oracle import (LawFailure, LawReport, _center_mod, _clear_denominators,
+                                _ord_value, _taylor_ords)
+from padic_cells.padics import INFINITY, Val, ord_p, unit_digits
 from padic_cells.poly import Poly, newton_min, poly_gcd, resultant_val, taylor_polys
 
 
@@ -356,3 +360,148 @@ def sphere_by_sphere_digit_atom_pieces(cell, f, depth, want, p):
     if tail is not None:
         enumerate_m(tail)
     return pieces
+
+
+def per_class_mark_cell(cell: Cell1, k: int, p: int, count: list[int], fuzzy: list[int]) -> None:
+    """`oracle._mark_cell` as it was written: every class mod p^k marked on its
+    own.  Mark every class mod p^k the cell decidedly contains, and flag the
+    classes it only partially covers at this depth."""
+    q = p**k
+    c_mod = _center_mod(cell, k, p)
+    if cell.is_point:
+        fuzzy[c_mod] = 1
+        return
+    rng = cell.m_range
+    d = cell.residues.depth
+    if rng.hi is None or rng.hi >= k:
+        fuzzy[c_mod] = 1  # the cell has members inside the center's class
+    for m in rng.values():
+        if m >= k:
+            break
+        if m + d <= k:
+            lifts = p ** (k - m - d)
+            qd = p**d
+            for u0 in cell.residues.members(p):
+                for t in range(lifts):
+                    cls = (c_mod + (u0 + t * qd) * p**m) % q
+                    count[cls] += 1
+        elif cell.residues.is_all:
+            # residues unconstrained: every class at distance m is inside
+            qk = p ** (k - m)
+            for u in range(1, qk):
+                if u % p:
+                    cls = (c_mod + u * p**m) % q
+                    count[cls] += 1
+        else:
+            # the constraint needs more digits than the class determines
+            for u0 in {u % p ** (k - m) for u in cell.residues.members(p)}:
+                cls = (c_mod + u0 * p**m) % q
+                fuzzy[cls] = 1
+
+
+def per_sample_cell_samples(cell: Cell1, p: int, n: int, rng: random.Random) -> list[tuple[int, int, int]]:
+    """`oracle._cell_samples` as it was written, with each member built as a
+    fraction num/den.  Deterministic members num/den of a family cell, with m = ord(y - c):
+    every residue class at the cell's depth, the first valuations of the
+    range, and random deeper digits.  Each member is a triple (num, den, m)."""
+    out: list[tuple[int, int, int]] = []
+    d = cell.residues.depth
+    units = cell.residues.members(p)
+    ms = list(cell.m_range.values(limit=4))
+    if cell.m_range.hi is not None:
+        tail = [m for m in cell.m_range.values() if m >= cell.m_range.hi - 2 * cell.m_range.step]
+        ms = sorted(set(ms + tail))
+    precision, c_proxy = 0, Fraction(0)
+
+    def proxy_for(m: int) -> Fraction:
+        nonlocal precision, c_proxy
+        need = m + d + 10
+        if need > precision:
+            precision = need + 16
+            c_proxy = center_proxy(cell.center.value, p, precision)
+        return c_proxy
+
+    p3, pd = p**3, p**d
+    while len(out) < n:
+        for m in ms:
+            base = proxy_for(m)
+            # base + (u + extra p^d) p^m over the denominator of base
+            bn, bd = base.numerator, base.denominator
+            scale = bd * p**m
+            for u in units:
+                extra = rng.randrange(p3)
+                out.append((bn + (u + extra * pd) * scale, bd, m))
+                if len(out) >= n:
+                    return out
+        if cell.m_range.hi is None:
+            ms = [m + cell.m_range.step for m in ms[-2:]]
+        # finite ranges repeat with fresh random digits
+    return out
+
+
+def per_sample_verify_laws(dec: Decomposition, f: Poly, samples: int = 200, seed: int = 0) -> LawReport:
+    """`oracle.verify_laws` as it was written: f evaluated in full at every
+    sample.  Check ord f(y) = e0 + i0 * ord(y - c) on deterministic samples of every
+    cell, and the inequality form ord f(y) <= ord(k a_i (y-c)^i) with the
+    decomposition's recorded depth k."""
+    p = dec.prime
+    rng = random.Random(seed)
+    failures: list[LawFailure] = []
+    coeffs, shift = _clear_denominators(f, p)
+
+    for idx, cell in enumerate(dec.cells):
+        law = cell.law_for(f)
+        if cell.is_point:
+            c = cell.center.value
+            want = law.apply(None)
+            if isinstance(c, Fraction):
+                got = _ord_value(coeffs, shift, c.numerator, c.denominator, p)
+                if got != want:
+                    failures.append(LawFailure(idx, c, want, got))
+            else:
+                # evaluate at a certified refinement of the center; the value
+                # is only pinned modulo p^(precision + min Taylor-tail ord)
+                floor = 8 if want.is_infinite else abs(want.value) + 8
+                ok = False
+                rr = c
+                for _ in range(6):
+                    rr = refine_root(c, floor)
+                    got, *tail = _taylor_ords(coeffs, shift, rr.approx, p)
+                    cmin = INFINITY
+                    for t in tail:
+                        if t < cmin:
+                            cmin = t
+                    bound = cmin + rr.precision
+                    if want.is_infinite:
+                        ok = got >= bound
+                        break
+                    if bound > want:
+                        ok = got == want
+                        break
+                    floor = 2 * floor + 8
+                if not ok:
+                    failures.append(LawFailure(idx, rr.approx, want, got))
+            continue
+        # Taylor valuations at an exact center from the oracle's own expansion
+        x = exact_value(cell.center.value)
+        if x is not None:
+            taylor = _taylor_ords(coeffs, shift, x, p)
+        else:
+            taylor = taylor_ords(f, cell.center.value, p)
+        # per m: the law's value, and the depth-k bound when the law breaks it
+        at_m: dict[int, tuple[Val, Val | None]] = {}
+        for num, den, m in per_sample_cell_samples(cell, p, samples, rng):
+            if m not in at_m:
+                want = law.apply(m)
+                bound = min((v + i * m + dec.k_depth for i, v in enumerate(taylor)),
+                            default=INFINITY)
+                at_m[m] = (want, None if want <= bound else bound)
+            want, broken = at_m[m]
+            got = _ord_value(coeffs, shift, num, den, p)
+            if got != want:
+                # _cell_samples puts every sample at distance exactly m
+                failures.append(LawFailure(idx, Fraction(num, den), want, got))
+            elif broken is not None:
+                # the coarse inequality ord f(y) <= ord(k a_i (y-c)^i)
+                failures.append(LawFailure(idx, Fraction(num, den), broken, got))
+    return LawReport(seed, samples, tuple(failures))

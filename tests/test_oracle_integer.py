@@ -1,22 +1,25 @@
 """Differential test of the oracle's integer arithmetic against the
 `Fraction` loops it replaced, kept here as the reference: equal reports,
-failures included, on random polynomials, ball domains and broken inputs."""
+failures included, on random polynomials, ball domains and broken inputs;
+and of its law kernel mod p^(t+1) and per-prefix partition marks against
+the per-sample evaluation and per-class marks they replaced."""
 
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from padic_cells import oracle
 from padic_cells.cells import Ball, Decomposition, OrderLaw
-from padic_cells.decompose import prepare
+from padic_cells.decompose import decompose_set, prepare
 from padic_cells.hensel import ord_between, reduce_mod, refine_root, taylor_ords
 from padic_cells.oracle import (
     LawFailure,
     LawReport,
     PartitionReport,
     _clear_denominators,
-    _mark_cell,
     _ord_value,
     count_roots_mod,
     count_roots_mod_scan,
@@ -24,7 +27,11 @@ from padic_cells.oracle import (
     verify_partition,
 )
 from padic_cells.padics import INFINITY, Val, ord_p
+from padic_cells.parser import parse_formula, parse_poly
 from padic_cells.poly import Poly
+
+from conftest import CORPUS
+from fraction_loops import per_class_mark_cell, per_sample_cell_samples, per_sample_verify_laws
 
 PRIMES = (2, 3, 5, 7, 11)
 
@@ -65,7 +72,7 @@ def ref_verify_partition(dec: Decomposition, k: int) -> PartitionReport:
     count = [0] * q
     fuzzy = [0] * q
     for cell in dec.cells:
-        _mark_cell(cell, k, p, count, fuzzy)
+        per_class_mark_cell(cell, k, p, count, fuzzy)
     violations, undecided = [], []
     for r in range(q):
         if not dec.domain.contains(Fraction(r), p):
@@ -264,3 +271,93 @@ def test_integer_valuation_matches_fractions():
             coeffs, shift = _clear_denominators(f, p)
             x = Fraction(rng.randint(-500, 500), rng.choice([1, 2, 3, p, p * p, 7 * p]))
             assert _ord_value(coeffs, shift, x.numerator, x.denominator, p) == ord_p(f.eval(x), p)
+
+
+# ---------------------------------------------------------------------------
+# The law kernel mod p^(t+1) and the per-prefix partition marks.
+# ---------------------------------------------------------------------------
+
+
+def _tampered(dec: Decomposition, f: Poly, rng: random.Random):
+    """The decomposition with one family cell's law moved by e0 +- 1 or
+    i0 +- 1, each in turn, and with a shallow recorded depth."""
+    family = [i for i, c in enumerate(dec.cells)
+              if not c.is_point and not c.law_for(f).e0.is_infinite]
+    idx = rng.choice(family)
+    law = dec.cells[idx].law_for(f)
+    for moved in (OrderLaw(law.e0 + 1, law.i0), OrderLaw(law.e0 + (-1), law.i0),
+                  OrderLaw(law.e0, law.i0 + 1), OrderLaw(law.e0, law.i0 - 1)):
+        cell = dec.cells[idx].with_laws({f: moved})
+        yield replace(dec, cells=dec.cells[:idx] + (cell,) + dec.cells[idx + 1:])
+    yield replace(dec, k_depth=dec.k_depth - 3)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_tampered_corpus_laws_match_the_per_sample_evaluation(p):
+    # every failure -- member, expected value and the exact value got -- is
+    # the one the full evaluation of every sample reports
+    rng = random.Random(3000 + p)
+    caught = 0
+    for coeffs in CORPUS.values():
+        f = Poly.of(*coeffs)
+        dec = prepare(f, p)
+        assert verify_laws(dec, f, samples=40, seed=p) == per_sample_verify_laws(dec, f, 40, p)
+        for bad in _tampered(dec, f, rng):
+            new = verify_laws(bad, f, samples=40, seed=p)
+            assert new == per_sample_verify_laws(bad, f, 40, p)
+            caught += not new.ok
+    # every moved law is caught; a shallow depth only where the bound bites
+    assert caught >= 4 * len(CORPUS)
+
+
+@pytest.mark.parametrize("p", (2, 5))
+def test_samples_are_the_members_the_per_sample_loop_drew(p):
+    # one random stream, the same members in the same order, ball domains too
+    for coeffs in CORPUS.values():
+        f = Poly.of(*coeffs)
+        for domain in (None, Ball(Fraction(3), 2)):
+            dec = prepare(f, p) if domain is None else prepare(f, p, domain)
+            new, old = random.Random(p), random.Random(p)
+            for cell in dec.cells:
+                if cell.is_point:
+                    continue
+                drawn = [(bn + z * bd * p**m, bd, m)
+                         for bn, bd, z, m in oracle._cell_samples(cell, p, 30, new)]
+                assert drawn == per_sample_cell_samples(cell, p, 30, old)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_corpus_partitions_match_the_per_class_marks(p):
+    # overlaps count their covering cells as the per-class marks did
+    k = min(_depth(p), 4)
+    for coeffs in CORPUS.values():
+        dec = prepare(Poly.of(*coeffs), p)
+        doubled = replace(dec, cells=dec.cells + dec.cells[1:3])
+        for d in (dec, doubled):
+            assert verify_partition(d, k) == ref_verify_partition(d, k)
+
+
+def test_only_rational_points_are_evaluated_in_full(monkeypatch):
+    # on correct laws the kernel confirms every family sample: a return to
+    # evaluating every sample in full shows here as extra calls
+    calls = []
+    full = oracle._ord_value
+    monkeypatch.setattr(oracle, "_ord_value", lambda *a: calls.append(a) or full(*a))
+    for p in (2, 3, 5, 7):
+        for coeffs in CORPUS.values():
+            f = Poly.of(*coeffs)
+            dec = prepare(f, p)
+            calls.clear()
+            assert verify_laws(dec, f, samples=200).ok
+            points = sum(c.is_point and c.center.is_rational for c in dec.cells)
+            assert len(calls) == points, (coeffs, p)
+
+
+def test_a_long_finite_range_is_sampled_in_bounded_time():
+    # the tail of a finite range comes from its ends, not from a walk over
+    # it, and deep spheres are decided mod p^(t+1) with O(log t) valuations
+    dec = decompose_set(parse_formula("ord(y) < 100000"), 5)
+    start = time.perf_counter()
+    report = verify_laws(dec, parse_poly("y"), samples=20)
+    assert time.perf_counter() - start < 5
+    assert report.ok
