@@ -311,6 +311,10 @@ class Center:
         return f"~{self.value.approx} (root of {format_poly(self.value.witness)})"
 
 
+# The default of `Cell1.copy`: the field keeps its value.
+_SAME = object()
+
+
 @dataclass(frozen=True)
 class Cell1:
     """A univariate cell: a point, or a family of balls around its center.
@@ -345,8 +349,18 @@ class Cell1:
             raise ValueError(f"the cell has no order law for {format_poly(f)}")
         return law
 
+    def copy(self, m_range=_SAME, residues=_SAME, laws=_SAME, keep=_SAME) -> "Cell1":
+        """The cell with the given fields changed, in one constructor call
+        (`__post_init__` included): `dataclasses.replace` would walk the
+        fields first, and cells are copied once per piece."""
+        return Cell1(self.prime, self.center,
+                     self.m_range if m_range is _SAME else m_range,
+                     self.residues if residues is _SAME else residues,
+                     self.laws if laws is _SAME else laws,
+                     self.keep if keep is _SAME else keep)
+
     def with_laws(self, extra: dict[Poly, OrderLaw]) -> "Cell1":
-        return replace(self, laws={**self.laws, **extra})
+        return self.copy(laws={**self.laws, **extra})
 
     def frozen_laws(self, m: int) -> dict[Poly, OrderLaw]:
         """The laws as constants, valid where ord(y - center) = m."""
@@ -513,16 +527,16 @@ def intersect_cells(a: Cell1, b: Cell1) -> list[Cell1]:
     if a.is_point and b.is_point:
         if not centers_equal(a.center.value, b.center.value, p):
             return []
-        return [replace(a, keep=keep, laws=_merge_laws(a.laws, b.laws))]
+        return [a.copy(laws=_merge_laws(a.laws, b.laws), keep=keep)]
     if a.is_point:
         if not contains(b, a.center.value, p):
             return []
         # a member of a family is never its center, so the distance is finite
         m_const = ord_between(a.center.value, b.center.value, p).value
-        return [replace(a, keep=keep, laws=_merge_laws(a.laws, b.frozen_laws(m_const)))]
+        return [a.copy(laws=_merge_laws(a.laws, b.frozen_laws(m_const)), keep=keep)]
     if b.is_point:
         got = intersect_cells(b, a)
-        return [replace(c, keep=keep) for c in got]
+        return [c.copy(keep=keep) for c in got]
 
     d = ord_between(a.center.value, b.center.value, p)
     if d.is_infinite:
@@ -583,7 +597,7 @@ def intersect_cells(a: Cell1, b: Cell1) -> list[Cell1]:
         tail = rng.restrict(lo=d_ab + k)
         if tail is not None and outer.residues.contains(delta, p):
             laws = _merge_laws(inner.laws, outer.frozen_laws(d_ab))
-            out.append(replace(inner, m_range=tail, laws=laws, keep=keep))
+            out.append(inner.copy(m_range=tail, laws=laws, keep=keep))
 
     # ord(y - cA) = ord(y - cB) = d_ab: members equidistant from both centers;
     # split by matching digits of (y - cA) against (cB - cA).  Where they

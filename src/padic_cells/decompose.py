@@ -35,7 +35,7 @@ a point or a ball by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from math import gcd as int_gcd
@@ -338,8 +338,8 @@ def _process_box(f: Poly, w: Poly, p: int, cell: Cell1, out: list[Cell1], work: 
     for region in _dominance_regions(lines, cell.m_range.lo, cell.m_range.hi):
         if region[0] == "strict":
             _, lo, hi, i0 = region
-            out.append(replace(cell, m_range=ArithRange(lo, hi))
-                       .with_laws({f: OrderLaw(Val(line_val[i0]), i0)}))
+            out.append(cell.copy(m_range=ArithRange(lo, hi),
+                                 laws={**cell.laws, f: OrderLaw(Val(line_val[i0]), i0)}))
             continue
         _, m_star, win = region
         if m_star + 1 - r > budget:
@@ -442,7 +442,7 @@ def _validate_atom(atom: Atom, p: int) -> None:
 
 
 def _split_range(cell: Cell1, parts) -> list[tuple[Cell1, bool]]:
-    return [(replace(cell, m_range=rng), flag) for rng, flag in parts if rng is not None]
+    return [(cell.copy(m_range=rng), flag) for rng, flag in parts if rng is not None]
 
 
 def _ord_atom_pieces(cell: Cell1, atom: Atom, p: int) -> list[tuple[Cell1, bool]]:
@@ -621,8 +621,8 @@ def _digit_atom_pieces(cell: Cell1, f: Poly, depth: int, want, p: int):
         tail = in_window and rng.hi is None
         sub = rng.restrict(lo=m) if tail else ArithRange(m, m)
         for flag in sorted(groups):
-            pieces.append((replace(cell, m_range=sub,
-                                   residues=Residues(d_m, frozenset(groups[flag]))), flag))
+            pieces.append((cell.copy(m_range=sub, residues=Residues(d_m, frozenset(groups[flag]))),
+                           flag))
         if tail:
             break
     return pieces
@@ -706,7 +706,7 @@ def decompose_set(phi: Formula, p: int, domain: Ball = ZP) -> Decomposition:
                     nxt.append((sub, {**truth, atom: flag}))
             pending = nxt
         for piece, truth in pending:
-            final.append(replace(piece, keep=eval_formula(phi, truth)))
+            final.append(piece.copy(keep=eval_formula(phi, truth)))
     return Decomposition.of_cells(p, dec.domain, final)
 
 
@@ -774,7 +774,7 @@ def _fiber_entry(cell: Cell1, big_f: Poly, p: int) -> FiberImageEntry:
         worst_m = rng.lo if slope >= 0 else rng.hi
         need = -(const + slope * worst_m) // (j - 1) + 1
         d_need = max(d_need, need)
-    piece = cell if d_need == d else replace(cell, residues=cell.residues.lift(d_need, p))
+    piece = cell if d_need == d else cell.copy(residues=cell.residues.lift(d_need, p))
     depth = piece.residues.depth
     radius = OrderLaw(law1.e0 + depth, law1.i0 + 1)
     return FiberImageEntry(piece, "ball", radius)

@@ -5,6 +5,9 @@ cell at valuation m and residue depth d has measure p^(-m-d).  All sums are
 closed-form geometric series over the arithmetic progressions of the cell
 ranges, so every result is an exact rational, and the zeta function
 Z(t) = sum_m mu(ord f = m) t^m is an exact rational function in t = p^(-s).
+A family's series is the geometric tail from its first valuation minus the
+tail past its last, so the zeta function gathers two terms per cell in one
+numerator per pole and builds no polynomial per cell.
 """
 
 from __future__ import annotations
@@ -112,42 +115,49 @@ class ZetaFn:
 
 
 def igusa_zeta(dec: Decomposition, f: Poly, p: int | None = None) -> ZetaFn:
-    """Z(t) = sum_m mu(ord f = m) t^m, in closed form cell by cell.
+    """Z(t) = sum_m mu(ord f = m) t^m, in closed form.
 
-    The cell terms are summed over their shared denominators and reduced
-    once.  Where ord f takes negative values (p-fractional coefficients),
-    every term is shifted by t^-e for the least lead exponent e < 0, and Z
-    is returned as N / (t^-e D)."""
+    A family on m = lo, lo + s, ..., hi is the tail from lo minus the tail
+    from hi + s, both over the pole 1 - p^-s t^(i0 s) of its law's slope i0
+    and step s; an unbounded family is the first tail alone.  Each tail is
+    one term, added into its pole's row keyed by exponent, so a cell costs
+    O(1) rational additions however long its range.  Each row becomes one
+    numerator, the few poles are combined over their denominators and the
+    sum is reduced once.  Where ord f takes negative values (p-fractional
+    coefficients), every term is shifted by t^-e for the least exponent
+    e < 0, and Z is returned as N / (t^-e D)."""
     if f.is_zero:
         raise UnsupportedInputError("the zeta function of the zero polynomial diverges")
     p = dec.prime if p is None else p
-    # per cell: count p^(-lo-d) t^(e0+i0*lo) * sum_k (p^-step t^(i0*step))^k
-    # over the k of its range, as (lead exponent, numerator without it, den)
-    terms: list[tuple[int, Poly, Poly]] = []
+    # with c residues at depth d and law e0 + i0 m, the tail from m0 is
+    # c p^-(m0+d) t^(e0+i0 m0) / (1 - p^-s t^(i0 s)); rows[i0, s] maps an
+    # exponent to its coefficient in the numerator of that pole
+    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
     for cell in dec.cells:
         if cell.is_point:
             continue
         law = cell.law_for(f)
         assert not law.e0.is_infinite
         e0, i0 = law.e0.value, law.i0
-        rng = cell.m_range
-        lead = Fraction(cell.residues.count(p), p ** (rng.lo + cell.residues.depth))
-        ratio = Poly.of(*([Fraction(0)] * (i0 * rng.step) + [Fraction(1, p**rng.step)]))
-        if rng.hi is None:
-            terms.append((e0 + i0 * rng.lo, Poly.of(lead), Poly.of(1) - ratio))
-            continue
-        acc, power = Poly.of(), Poly.of(lead)
-        for _ in range(rng.count()):
-            acc = acc + power
-            power = power * ratio
-        terms.append((e0 + i0 * rng.lo, acc, Poly.of(1)))
-    shift = min([0] + [e for e, _, _ in terms])
-    by_den: dict[Poly, Poly] = {}
-    for e, num, den in terms:
-        by_den[den] = by_den.get(den, Poly.of()) + _times_t(num, e - shift)
+        rng, count, d = cell.m_range, cell.residues.count(p), cell.residues.depth
+        row = rows.setdefault((i0, rng.step), {})
+        e = e0 + i0 * rng.lo
+        row[e] = row.get(e, 0) + Fraction(count, p ** (rng.lo + d))
+        if rng.hi is not None:
+            end = rng.hi + rng.step
+            e = e0 + i0 * end
+            row[e] = row.get(e, 0) - Fraction(count, p ** (end + d))
+    shift = min([0] + [e for row in rows.values() for e in row])
     num, den = Poly.of(), Poly.of(1)
-    for d, n in by_den.items():
-        num, den = num * d + n * den, den * d
+    for (i0, step), row in rows.items():
+        n = [Fraction(0)] * (max(row) - shift + 1)
+        for e, c in row.items():
+            n[e - shift] += c
+        pole = [Fraction(0)] * (i0 * step + 1)   # a constant where i0 = 0
+        pole[0] += 1
+        pole[i0 * step] -= Fraction(1, p**step)
+        n, pole = Poly.of(*n), Poly.of(*pole)
+        num, den = num * pole + n * den, den * pole
     return ZetaFn.of(num, _times_t(den, -shift))
 
 

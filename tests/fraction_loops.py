@@ -8,7 +8,8 @@ Fraction cell-sort key and the per-cell law sort that the integer key and
 the per-payload law order replaced, the sphere-by-sphere digit-atom loop
 that the read-once window replaced, and the oracle's per-class partition
 marks and per-sample law evaluation that the per-prefix marks and the
-Taylor kernel mod p^(t+1) replaced, kept as references for the tests that
+Taylor kernel mod p^(t+1) replaced, and the per-cell zeta polynomials that
+the two-tail sum per pole replaced, kept as references for the tests that
 compare the two."""
 
 import random
@@ -22,6 +23,7 @@ from padic_cells.errors import InternalBoundError, UnsupportedInputError
 from padic_cells.hensel import (_MAX_DOUBLINGS, _at_root, _certified, _isolated, _newton,
                                 _roots_near, center_proxy, digits_of_poly_at, exact_value,
                                 refine_root, shift_center, taylor_ords)
+from padic_cells.measure import ZetaFn, _times_t
 from padic_cells.oracle import (LawFailure, LawReport, _center_mod, _clear_denominators,
                                 _ord_value, _taylor_ords)
 from padic_cells.padics import INFINITY, Val, ord_p, unit_digits
@@ -505,3 +507,43 @@ def per_sample_verify_laws(dec: Decomposition, f: Poly, samples: int = 200, seed
                 # the coarse inequality ord f(y) <= ord(k a_i (y-c)^i)
                 failures.append(LawFailure(idx, Fraction(num, den), broken, got))
     return LawReport(seed, samples, tuple(failures))
+
+
+def per_cell_igusa_zeta(dec: Decomposition, f: Poly, p: int | None = None) -> ZetaFn:
+    """Z(t) = sum_m mu(ord f = m) t^m, in closed form cell by cell.
+
+    The cell terms are summed over their shared denominators and reduced
+    once.  Where ord f takes negative values (p-fractional coefficients),
+    every term is shifted by t^-e for the least lead exponent e < 0, and Z
+    is returned as N / (t^-e D)."""
+    if f.is_zero:
+        raise UnsupportedInputError("the zeta function of the zero polynomial diverges")
+    p = dec.prime if p is None else p
+    # per cell: count p^(-lo-d) t^(e0+i0*lo) * sum_k (p^-step t^(i0*step))^k
+    # over the k of its range, as (lead exponent, numerator without it, den)
+    terms: list[tuple[int, Poly, Poly]] = []
+    for cell in dec.cells:
+        if cell.is_point:
+            continue
+        law = cell.law_for(f)
+        assert not law.e0.is_infinite
+        e0, i0 = law.e0.value, law.i0
+        rng = cell.m_range
+        lead = Fraction(cell.residues.count(p), p ** (rng.lo + cell.residues.depth))
+        ratio = Poly.of(*([Fraction(0)] * (i0 * rng.step) + [Fraction(1, p**rng.step)]))
+        if rng.hi is None:
+            terms.append((e0 + i0 * rng.lo, Poly.of(lead), Poly.of(1) - ratio))
+            continue
+        acc, power = Poly.of(), Poly.of(lead)
+        for _ in range(rng.count()):
+            acc = acc + power
+            power = power * ratio
+        terms.append((e0 + i0 * rng.lo, acc, Poly.of(1)))
+    shift = min([0] + [e for e, _, _ in terms])
+    by_den: dict[Poly, Poly] = {}
+    for e, num, den in terms:
+        by_den[den] = by_den.get(den, Poly.of()) + _times_t(num, e - shift)
+    num, den = Poly.of(), Poly.of(1)
+    for d, n in by_den.items():
+        num, den = num * d + n * den, den * d
+    return ZetaFn.of(num, _times_t(den, -shift))

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import PRIMES
+from conftest import PRIMES, formula_pool
 from fraction_loops import (fraction_sphere_digits, point_digits, residual_zeros,
                             sphere_by_sphere_digit_atom_pieces, tail_digits, taylor_digits)
 
@@ -666,3 +666,21 @@ def test_preserves_squaring_p2_depth_raise():
     radius = fam.radius_law.apply(m).value
     for img in images:
         assert img == base or ord_p(img - base, 2) >= radius
+
+
+def _replace_copy(cell, **changes):
+    return replace(cell, **changes)
+
+
+@pytest.mark.parametrize("p", PRIMES + [31])
+def test_cell_copies_equal_what_replace_builds_on_the_corpus(corpus, monkeypatch, p):
+    ours = [prepare(f, p).cells for f in corpus.values()]
+    monkeypatch.setattr(Cell1, "copy", _replace_copy)
+    assert ours == [prepare(f, p).cells for f in corpus.values()]
+
+
+def test_cell_copies_equal_what_replace_builds_on_formulas(monkeypatch):
+    pool = [(parse_formula(text), p) for text, p in formula_pool()]
+    ours = [decompose_set(phi, p).cells for phi, p in pool]
+    monkeypatch.setattr(Cell1, "copy", _replace_copy)
+    assert ours == [decompose_set(phi, p).cells for phi, p in pool]

@@ -1,9 +1,11 @@
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from conftest import PRIMES
+from conftest import CORPUS, PRIMES, formula_pool, large_prime_polys
+from fraction_loops import per_cell_igusa_zeta
 
 from padic_cells.cells import (ArithRange, Ball, Cell1, Center, Decomposition, OrderLaw, Residues,
                                TConst, ZP, refine_common, sorted_cells)
@@ -19,6 +21,7 @@ from padic_cells.measure import (
 )
 from padic_cells.oracle import count_roots_mod, verify_partition
 from padic_cells.padics import RvData, UnitDigits, ord_p
+from padic_cells.parser import parse_formula, parse_poly
 from padic_cells.poly import Poly
 
 
@@ -228,6 +231,91 @@ def test_measures_of_digit_formulas_are_additive(p):
             m_phi, m_psi = mu(phi), mu(psi)
             assert m_phi + mu(FNot(phi)) == whole, phi
             assert mu(FAnd(phi, psi)) + mu(FOr(phi, psi)) == m_phi + m_psi, (phi, psi)
+
+
+# The two-tail sum per pole against the per-cell polynomials it replaced
+# (fraction_loops.py).
+
+def _law_polys(dec: Decomposition) -> list[Poly]:
+    return sorted({f for c in dec.cells for f in c.laws}, key=lambda f: f.coeffs)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_zeta_matches_the_per_cell_sum_on_the_corpus(p):
+    domains = [ZP] + [Ball(Fraction(c), r) for c, r in ((1, 1), (3, 2), (2, 1))]
+    for name, coeffs in CORPUS.items():
+        f = Poly.of(*coeffs)
+        for domain in domains:
+            dec = prepare(f, p, domain)
+            assert igusa_zeta(dec, f, p) == per_cell_igusa_zeta(dec, f, p), (name, domain)
+
+
+@pytest.mark.parametrize("p", [31, 101])
+def test_zeta_matches_the_per_cell_sum_at_large_primes(p):
+    for f in large_prime_polys():
+        dec = prepare(f, p)
+        assert igusa_zeta(dec, f, p) == per_cell_igusa_zeta(dec, f, p), f
+
+
+def test_laurent_zeta_matches_the_per_cell_sum():
+    for text in ("y - 1/5", "2*y^2 - 1/3"):
+        f = parse_poly(text)
+        for p in (2, 3, 5, 7):
+            dec = prepare(f, p)
+            assert igusa_zeta(dec, f, p) == per_cell_igusa_zeta(dec, f, p), (text, p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_zeta_matches_the_per_cell_sum_on_formulas(p):
+    """Finite ranges, steps above 1 and explicit residue sets, from ord(...)
+    bounds, ord(...) % q and ac atoms, and the formulas benchmark pool."""
+    texts = ["ord(y) % 2 = 0", "ord(y^2 - 2) % 3 = 1 & ord(y - 1) < 4",
+             "ord(y) < 7 | ord(y + 1) >= 2", "ac(1, y^2 - 2) = 1 & ord(y) % 2 = 1",
+             "ac(2, y^2 + 1) = 1 | ord(3*y - 1) < 3", "!(ac(1, y - 1) = 1) & ord(y - 1) < 5"]
+    texts += [text for text, q in formula_pool() if q == p]
+    for text in texts:
+        dec = decompose_set(parse_formula(text), p)
+        for f in _law_polys(dec):
+            assert igusa_zeta(dec, f, p) == per_cell_igusa_zeta(dec, f, p), (text, f)
+
+
+def test_zeta_of_a_long_finite_range():
+    """The sum costs O(1) per cell however long its range: ord(y) < 3000 was
+    3000 polynomial products per cell in the per-cell sum."""
+    f = parse_poly("y")
+    dec = decompose_set(parse_formula("ord(y) < 3000"), 5)
+    start = time.perf_counter()
+    igusa_zeta(dec, f)
+    assert time.perf_counter() - start < 1.0
+    dec = decompose_set(parse_formula("ord(y) < 300"), 5)
+    assert igusa_zeta(dec, f) == per_cell_igusa_zeta(dec, f)
+
+
+def test_zeta_polynomial_operations_do_not_grow_with_p(monkeypatch):
+    """A decomposition at p = 101 has O(p) cells; the sum builds one
+    numerator per pole, so its Poly additions and products do not depend on p."""
+    add, mul = Poly.__add__, Poly.__mul__
+    counts = {"add": 0, "mul": 0}
+
+    def counted_add(a, b):
+        counts["add"] += 1
+        return add(a, b)
+
+    def counted_mul(a, b):
+        counts["mul"] += 1
+        return mul(a, b)
+
+    for f in (parse_poly("y^2 - 1"), parse_poly("y^4 - 17*y^3 + 5*y^2 + 737*y - 726")):
+        seen = set()
+        for p in (31, 101, 1009):
+            dec = prepare(f, p)
+            counts.update(add=0, mul=0)
+            with monkeypatch.context() as m:
+                m.setattr(Poly, "__add__", counted_add)
+                m.setattr(Poly, "__mul__", counted_mul)
+                igusa_zeta(dec, f, p)
+            seen.add((counts["add"], counts["mul"]))
+        assert len(seen) == 1, (f, seen)
 
 
 def test_zeta_canonical_form():

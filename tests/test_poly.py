@@ -16,7 +16,7 @@ from padic_cells.poly import (
     squarefree_part,
 )
 
-from conftest import CORPUS
+from conftest import CORPUS, large_prime_polys
 from fraction_loops import (
     fraction_eval,
     fraction_root_points,
@@ -219,19 +219,6 @@ def test_estimates_at_roots_match_the_fraction_expansion(corpus_decompositions):
                 sh = fraction_taylor_shift(q, rr.approx)
                 want.append((sh.coeff(0), newton_min(sh, p, start=1) + rr.precision))
             assert [_at_root(r, q)(n) for q in qs] == want
-
-
-def large_prime_polys() -> list[Poly]:
-    """The polynomials of the large-prime benchmark pool: y^2 - 1, (y^2 - 1)^3
-    and its seeded products of 2, 2, 3 and 4 linear factors over Z."""
-    rng = random.Random("20061001:large-prime")
-    polys = [Poly.of(-1, 0, 1), Poly.of(-1, 0, 3, 0, -3, 0, 1)]
-    for degree in (2, 2, 3, 4):
-        f = Poly.of(rng.choice([1, 1, 2, 3]))
-        for _ in range(degree):
-            f = f * Poly.of(-rng.randint(-12, 12), 1)
-        polys.append(f)
-    return polys
 
 
 def root_search_cases():
