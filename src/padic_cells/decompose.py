@@ -7,17 +7,27 @@ gives every inherited family cell a law for the polynomial.  The polynomial
 is Taylor-expanded at the cell's center and the valuation range is
 partitioned at the breakpoints of the Newton polygon of the Taylor
 coefficients.  Where one term dominates strictly the range keeps
-an exact order law (case B1); where terms tie, each residue class u0 either
-contains a certified root of the squarefree part -- it is then re-centered
-at that root, realizing the Hensel law ord f(y) = ord b1 + ord(y - c) (case
-B2) -- or it is translated one digit deeper.  Either way the class becomes a
-point cell and a new family cell.  The residual polynomial of the tie over
-F_p, R(u) = sum of the first unit digits of the tied Taylor coefficients
-times u^i, decides most classes at once: f = p^best R(u0) mod p^(best+1) on
-the class, so where R(u0) is nonzero mod p the class holds no root and ord f
-is the constant best on all of it, and its family gets that law directly.
-Only the classes where R vanishes are searched for a root, and their
-families are processed in turn.
+an exact order law (case B1); where terms tie at m*, each residue class u0
+either contains a certified root of the squarefree part -- it is then
+re-centered at that root, realizing the Hensel law ord f(y) = ord b1 +
+ord(y - c) (case B2) -- or it is translated one digit deeper.  The residual
+polynomial of the tie over F_p, R(u) = sum of the first unit digits of the
+tied Taylor coefficients times u^i, decides most classes at once:
+f = p^best R(u0) mod p^(best+1) on the class, so where R(u0) is nonzero mod
+p the class holds no root of f, not even in C_p, and ord f is the constant
+best on all of it.  Only the classes where R vanishes are searched for a
+root; each becomes a point cell and a family cell processed in turn.
+
+The rootless classes of a tie go up the derivative tower as one group: the
+tie's center c, m*, the units u0 and their shared table of constant laws.
+Each polynomial F above is Taylor-expanded once at c and read on the sphere
+m* by the same Newton-polygon argument: where one Taylor line is the least
+at m*, or where the residual digit of F at u0 is nonzero, ord F is one
+constant on the class, which holds no root of F, so the class stays in the
+group with that law.  A class where F's digit vanishes leaves the group as
+its point and family cells, which F treats like any inherited cell.
+`prepare` builds the point and the family [m* + 1, oo) of every class still
+in a group once, at the top, the cells the per-class recursion would build.
 
 Every digit of f that the engine reads -- R(u0) at a tie, the unit digits
 of an `ac`/`rv` atom on a sphere, on the unbounded tail of a family and at a
@@ -39,6 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from math import gcd as int_gcd
+from typing import NamedTuple
 
 from .cells import (
     ArithRange,
@@ -269,25 +280,78 @@ def _base_cells(p: int, domain: Ball, laws: dict[Poly, OrderLaw]) -> list[Cell1]
     ]
 
 
-def _prepare_ball(f: Poly, p: int, domain: Ball, budget: int) -> list[Cell1]:
+class _RootlessGroup(NamedTuple):
+    """The classes c + u0 p^m*, u0 in `units`, of a tie at m* around the
+    center c, on none of which any polynomial of the tower so far has a root:
+    each class gets the law table `laws` (all constants) on its point and on
+    its family [m* + 1, oo)."""
+
+    center: Center
+    m_star: int
+    units: tuple[int, ...]
+    laws: dict[Poly, OrderLaw]
+
+
+def _class_cells(p: int, center: Center, m_star: int, units, laws) -> list[Cell1]:
+    """The point and the family [m* + 1, oo) of each class c + u0 p^m*, at
+    the center c + u0 p^m*, all with the law table `laws`."""
+    below = ArithRange(m_star + 1, None)
+    step = Fraction(p) ** m_star
+    out: list[Cell1] = []
+    for u0 in units:
+        c = _shifted_center(center, u0 * step)
+        out.append(Cell1(p, c, None, None, laws))
+        out.append(Cell1(p, c, below, Residues(1, None), laws))
+    return out
+
+
+def _prepare_ball(f: Poly, p: int, domain: Ball,
+                  budget: int) -> tuple[list[Cell1], list[_RootlessGroup]]:
     if f.degree == 0:
-        return _base_cells(p, domain, {f: OrderLaw(ord_p(f.coeff(0), p), 0)})
+        return _base_cells(p, domain, {f: OrderLaw(ord_p(f.coeff(0), p), 0)}), []
     if f.degree == 1:
-        return _prepare_linear(f, p, domain)
+        return _prepare_linear(f, p, domain), []
 
     # every cell built here has level 1 and, when it is a family, all units
     # at depth 1; a family still without a law for f is a work item
     w = squarefree_part(f)
     out: list[Cell1] = []
     work: list[Cell1] = []
-    for cell in _prepare_ball(f.derivative(), p, domain, budget):
+    groups: list[_RootlessGroup] = []
+    cells, lower = _prepare_ball(f.derivative(), p, domain, budget)
+    for group in lower:
+        _lift_group(f, p, group, cells, groups)
+    for cell in cells:
         if cell.is_point:
             out.append(cell.with_laws({f: OrderLaw(ord_of_poly_at(f, cell.center.value, p), 0)}))
         else:
             work.append(cell)
     while work:
-        _process_box(f, w, p, work.pop(), out, work, domain.radius_ord, budget)
-    return out
+        _process_box(f, w, p, work.pop(), out, work, groups, domain.radius_ord, budget)
+    return out, groups
+
+
+def _lift_group(f: Poly, p: int, group: _RootlessGroup, cells: list[Cell1],
+                groups: list[_RootlessGroup]) -> None:
+    """Give a rootless group a law for f from one Taylor expansion at its
+    center c.  On the sphere m* around c, ord f >= best, the least Taylor
+    line at m*, and ord f = best on every class where one line is the least
+    or, at a tie, where the residual digit that `_sphere_digits` reads is
+    nonzero.  Such a class holds no root of f in C_p, so its point has
+    ord f = best and its family [m* + 1, oo) one strict region with the law
+    (best, 0): it stays in the group.  A class whose digit vanishes leaves
+    as its point and family cells, appended to the inherited `cells`."""
+    c, m, units = group.center.value, group.m_star, group.units
+    at_m = [v.value + i * m for i, v in enumerate(taylor_ords(f, c, p)) if not v.is_infinite]
+    best = min(at_m)
+    if at_m.count(best) > 1:
+        digits = _sphere_digits(f, c, m, best, 1, units, p)
+        cells.extend(_class_cells(p, group.center, m, [u for u, d in zip(units, digits) if not d],
+                                  group.laws))
+        units = tuple(u for u, d in zip(units, digits) if d)
+    if units:
+        groups.append(_RootlessGroup(group.center, m, units,
+                                     {**group.laws, f: OrderLaw(Val(best), 0)}))
 
 
 def _prepare_linear(f: Poly, p: int, domain: Ball) -> list[Cell1]:
@@ -313,20 +377,22 @@ def _prepare_linear(f: Poly, p: int, domain: Ball) -> list[Cell1]:
 
 
 def _process_box(f: Poly, w: Poly, p: int, cell: Cell1, out: list[Cell1], work: list[Cell1],
-                 r: int, budget: int) -> None:
+                 groups: list[_RootlessGroup], r: int, budget: int) -> None:
     """Give a family cell laws for f: keep the strict regions of the Newton
-    polygon, and split each tie at m* into a point cell and a family cell per
-    residue class u0.  Descents are counted from the domain radius r.
+    polygon, and split each tie at m* by residue class u0.  Descents are
+    counted from the domain radius r.
 
     On the class y = c + p^m* (u0 + p t), f(y) = p^best R(u0) mod p^(best+1),
     R the residual polynomial of the tie, so R(u0) is f(c + p^m* u0) / p^best
     mod p, which `_sphere_digits` reads for all u0 at once, ord f >= best
-    holding on the whole sphere.  Where R(u0) is nonzero mod p, ord f
-    is best on the whole class, which holds no root, and at c' = c + u0 p^m*
-    every Taylor line i >= 1 stays above best for m > m*; so the class gets
-    the law (best, 0) on its point and on its whole family [m* + 1, oo),
-    with no root search.  The other classes go through `_split_tie_class`,
-    their families back on the work list."""
+    holding on the whole sphere.  Where R(u0) is nonzero mod p, ord f is best
+    on the whole class, which holds no root in C_p, so at c' = c + u0 p^m*
+    the constant Taylor line stays the only least one for m > m*: the class
+    needs the law (best, 0) on its point and on its whole family
+    [m* + 1, oo), with no root search.  Those classes go to `groups` as one
+    `_RootlessGroup` with that law table; the other classes go through
+    `_split_tie_class`, their point to `out` and their family back on the
+    work list."""
     ords = taylor_ords(f, cell.center.value, p)
     lines = [(i, v.value) for i, v in enumerate(ords) if not v.is_infinite]
     if not lines:
@@ -349,20 +415,21 @@ def _process_box(f: Poly, w: Poly, p: int, cell: Cell1, out: list[Cell1], work: 
             )
         frozen = cell.frozen_laws(m_star)
         best = line_val[win[0]] + win[0] * m_star
-        rootless = {**frozen, f: OrderLaw(Val(best), 0)}
         residual = _sphere_digits(f, cell.center.value, m_star, best, 1, range(1, p), p)
         below = ArithRange(m_star + 1, None)
         step = Fraction(p) ** m_star
+        rootless = []
         for u0, r_u0 in zip(range(1, p), residual):
-            off = u0 * step
             if r_u0 == 0:
-                center, f_law = _split_tie_class(f, w, p, cell.center, off, m_star + 1, budget)
+                center, f_law = _split_tie_class(f, w, p, cell.center, u0 * step, m_star + 1,
+                                                 budget)
                 out.append(Cell1(p, center, None, None, {**frozen, f: f_law}))
                 work.append(Cell1(p, center, below, Residues(1, None), frozen))
             else:
-                center = _shifted_center(cell.center, off)
-                out.append(Cell1(p, center, None, None, rootless))
-                out.append(Cell1(p, center, below, Residues(1, None), rootless))
+                rootless.append(u0)
+        if rootless:
+            groups.append(_RootlessGroup(cell.center, m_star, tuple(rootless),
+                                         {**frozen, f: OrderLaw(Val(best), 0)}))
 
 
 def _shifted_center(center: Center, off: Fraction) -> Center:
@@ -404,7 +471,9 @@ def prepare(f: Poly, p: int, domain: Ball = ZP) -> Decomposition:
         raise UnsupportedInputError("cannot decompose for the zero polynomial")
     if f.degree > MAX_DEGREE:
         raise UnsupportedInputError(f"deg f = {f.degree} is above the supported bound {MAX_DEGREE}")
-    cells = _prepare_ball(f, p, domain, _budget(f, p))
+    cells, groups = _prepare_ball(f, p, domain, _budget(f, p))
+    for g in groups:
+        cells.extend(_class_cells(p, g.center, g.m_star, g.units, g.laws))
     return Decomposition(p, domain, sorted_cells(cells))
 
 

@@ -344,13 +344,18 @@ def _cell_samples(cell: Cell1, p: int, n: int,
             c_proxy = center_proxy(cell.center.value, p, precision)
         return c_proxy
 
+    # rng.randrange(p^3) without its argument checks: the same draws of
+    # k bits, redrawn until below p^3, so the same stream and members
     p3, pd = p**3, p**d
+    k, draw = p3.bit_length(), rng.getrandbits
     while len(out) < n:
         for m in ms:
             base = proxy_for(m)
             bn, bd = base.numerator, base.denominator
             for u in units:
-                extra = rng.randrange(p3)
+                extra = draw(k)
+                while extra >= p3:
+                    extra = draw(k)
                 out.append((bn, bd, u + extra * pd, m))
                 if len(out) >= n:
                     return out

@@ -8,8 +8,9 @@ Fraction cell-sort key and the per-cell law sort that the integer key and
 the per-payload law order replaced, the sphere-by-sphere digit-atom loop
 that the read-once window replaced, and the oracle's per-class partition
 marks and per-sample law evaluation that the per-prefix marks and the
-Taylor kernel mod p^(t+1) replaced, and the per-cell zeta polynomials that
-the two-tail sum per pole replaced, kept as references for the tests that
+Taylor kernel mod p^(t+1) replaced, the per-cell zeta polynomials that
+the two-tail sum per pole replaced, and the per-class derivative tower that
+the rootless tie groups replaced, kept as references for the tests that
 compare the two."""
 
 import random
@@ -17,17 +18,21 @@ from fractions import Fraction
 from dataclasses import replace
 from math import comb
 
-from padic_cells.cells import ArithRange, Cell1, Decomposition, Residues, contains, intersect_cells
-from padic_cells.decompose import _law_error, _sphere_digits
+from padic_cells.cells import (ArithRange, Cell1, Decomposition, OrderLaw, Residues, ZP, contains,
+                               intersect_cells, sorted_cells)
+from padic_cells.decompose import (_base_cells, _budget, _dominance_regions, _law_error,
+                                   _prepare_linear, _shifted_center, _sphere_digits,
+                                   _split_tie_class)
 from padic_cells.errors import InternalBoundError, UnsupportedInputError
 from padic_cells.hensel import (_MAX_DOUBLINGS, _at_root, _certified, _isolated, _newton,
                                 _roots_near, center_proxy, digits_of_poly_at, exact_value,
-                                refine_root, shift_center, taylor_ords)
+                                ord_of_poly_at, refine_root, shift_center, taylor_ords)
 from padic_cells.measure import ZetaFn, _times_t
 from padic_cells.oracle import (LawFailure, LawReport, _center_mod, _clear_denominators,
                                 _ord_value, _taylor_ords)
 from padic_cells.padics import INFINITY, Val, ord_p, unit_digits
-from padic_cells.poly import Poly, newton_min, poly_gcd, resultant_val, taylor_polys
+from padic_cells.poly import (Poly, format_poly, newton_min, poly_gcd, resultant_val,
+                              squarefree_part, taylor_polys)
 
 
 def fraction_eval(f: Poly, x) -> Fraction:
@@ -547,3 +552,74 @@ def per_cell_igusa_zeta(dec: Decomposition, f: Poly, p: int | None = None) -> Ze
     for d, n in by_den.items():
         num, den = num * d + n * den, den * d
     return ZetaFn.of(num, _times_t(den, -shift))
+
+
+def per_class_prepare(f: Poly, p: int, domain=ZP) -> tuple[Cell1, ...]:
+    """The sorted cells of `decompose.prepare` as it was written, with every
+    rootless tie class carried up the derivative tower as its own point and
+    family cell: each higher polynomial Taylor-expands f at each of them."""
+    return sorted_cells(per_class_prepare_ball(f, p, domain, _budget(f, p)))
+
+
+def per_class_prepare_ball(f: Poly, p: int, domain, budget: int) -> list[Cell1]:
+    if f.degree == 0:
+        return _base_cells(p, domain, {f: OrderLaw(ord_p(f.coeff(0), p), 0)})
+    if f.degree == 1:
+        return _prepare_linear(f, p, domain)
+
+    # every cell built here has level 1 and, when it is a family, all units
+    # at depth 1; a family still without a law for f is a work item
+    w = squarefree_part(f)
+    out: list[Cell1] = []
+    work: list[Cell1] = []
+    for cell in per_class_prepare_ball(f.derivative(), p, domain, budget):
+        if cell.is_point:
+            out.append(cell.with_laws({f: OrderLaw(ord_of_poly_at(f, cell.center.value, p), 0)}))
+        else:
+            work.append(cell)
+    while work:
+        per_class_process_box(f, w, p, work.pop(), out, work, domain.radius_ord, budget)
+    return out
+
+
+def per_class_process_box(f: Poly, w: Poly, p: int, cell: Cell1, out: list[Cell1],
+                          work: list[Cell1], r: int, budget: int) -> None:
+    """Give a family cell laws for f: keep the strict regions of the Newton
+    polygon, and split each tie at m* into a point cell and a family cell per
+    residue class u0.  Descents are counted from the domain radius r."""
+    ords = taylor_ords(f, cell.center.value, p)
+    lines = [(i, v.value) for i, v in enumerate(ords) if not v.is_infinite]
+    if not lines:
+        raise InternalBoundError(
+            f"all Taylor coefficients of {format_poly(f)} (p = {p}) vanished at the center "
+            f"{cell.center} of the family on m in {cell.m_range}")
+    line_val = dict(lines)
+
+    for region in _dominance_regions(lines, cell.m_range.lo, cell.m_range.hi):
+        if region[0] == "strict":
+            _, lo, hi, i0 = region
+            out.append(cell.copy(m_range=ArithRange(lo, hi),
+                                 laws={**cell.laws, f: OrderLaw(Val(line_val[i0]), i0)}))
+            continue
+        _, m_star, win = region
+        if m_star + 1 - r > budget:
+            raise InternalBoundError(
+                f"descent for {format_poly(f)} (p = {p}) around the center {cell.center} "
+                f"reached depth {m_star + 1 - r}, past the termination budget {budget}"
+            )
+        frozen = cell.frozen_laws(m_star)
+        best = line_val[win[0]] + win[0] * m_star
+        rootless = {**frozen, f: OrderLaw(Val(best), 0)}
+        residual = _sphere_digits(f, cell.center.value, m_star, best, 1, range(1, p), p)
+        below = ArithRange(m_star + 1, None)
+        step = Fraction(p) ** m_star
+        for u0, r_u0 in zip(range(1, p), residual):
+            off = u0 * step
+            if r_u0 == 0:
+                center, f_law = _split_tie_class(f, w, p, cell.center, off, m_star + 1, budget)
+                out.append(Cell1(p, center, None, None, {**frozen, f: f_law}))
+                work.append(Cell1(p, center, below, Residues(1, None), frozen))
+            else:
+                center = _shifted_center(cell.center, off)
+                out.append(Cell1(p, center, None, None, rootless))
+                out.append(Cell1(p, center, below, Residues(1, None), rootless))

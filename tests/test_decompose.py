@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import PRIMES, formula_pool
-from fraction_loops import (fraction_sphere_digits, point_digits, residual_zeros,
-                            sphere_by_sphere_digit_atom_pieces, tail_digits, taylor_digits)
+from conftest import PRIMES, formula_pool, large_prime_polys
+from fraction_loops import (fraction_sphere_digits, per_class_prepare, point_digits,
+                            residual_zeros, sphere_by_sphere_digit_atom_pieces, tail_digits,
+                            taylor_digits)
 
 import padic_cells.decompose as decompose_module
 from padic_cells.cells import (
@@ -264,6 +265,78 @@ def test_residual_filter_matches_the_full_class_walk(monkeypatch, corpus, p):
     assert filtered[2]["rootless"] < walked[2]["rootless"]
     # the kept rootless branch: y^2 - 2y + 4 at p = 2, y^3 - 2 and y^4 - y at p = 3
     assert (filtered[2]["rootless"] > 0) == (p in (2, 3))
+
+
+GROUP_DOMAINS = [ZP, Ball(Fraction(1), 1), Ball(Fraction(3), 2), Ball(Fraction(2), 1)]
+
+
+@pytest.mark.parametrize("p", PRIMES + [11, 31])
+def test_grouped_tower_matches_the_per_class_tower_on_the_corpus(corpus, p):
+    """Carrying a tie's rootless classes up the derivative tower as one group
+    builds the cells that one point and one family per class did."""
+    for f in corpus.values():
+        for domain in GROUP_DOMAINS:
+            assert prepare(f, p, domain).cells == per_class_prepare(f, p, domain), (f, domain)
+
+
+@pytest.mark.parametrize("p", [31, 101])
+def test_grouped_tower_matches_the_per_class_tower_at_large_primes(p):
+    for f in large_prime_polys():
+        assert prepare(f, p).cells == per_class_prepare(f, p), f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_grouped_tower_matches_the_per_class_tower_at_inexact_centers(monkeypatch, p):
+    """Polynomials with irrational roots, whose groups sit at Hensel-root
+    centers as well as rational ones: y^3 - y - 1, (y^2 - 2)(y^2 - 3),
+    y^5 - 3 and (y^3 - 2)(y^2 - 7) build groups at such centers at p = 3,
+    7 and 13; 3y^5 - 25y^3 + 90y + 1, whose derivative is 15(y^2 - 2)(y^2 - 3),
+    lifts them from the derivative at p = 7 and 13."""
+    polys = [Poly.of(-1, -1, 0, 1), Poly.of(-2, 0, 1) * Poly.of(-3, 0, 1),
+             Poly.of(-3, 0, 0, 0, 0, 1), Poly.of(-2, 0, 0, 1) * Poly.of(-7, 0, 1),
+             Poly.of(1, 90, 0, -25, 0, 3)]
+    class_cells, lift = decompose_module._class_cells, decompose_module._lift_group
+    built, lifted = [], []
+
+    def building(p, center, *rest):
+        built.append(not center.is_rational)
+        return class_cells(p, center, *rest)
+
+    def lifting(f, p, group, *rest):
+        lifted.append(not group.center.is_rational)
+        return lift(f, p, group, *rest)
+
+    monkeypatch.setattr(decompose_module, "_class_cells", building)
+    monkeypatch.setattr(decompose_module, "_lift_group", lifting)
+    for f in polys:
+        assert prepare(f, p).cells == per_class_prepare(f, p), f
+    assert any(built) or p not in (3, 7, 13)
+    assert any(lifted) or p not in (7, 13)
+
+
+@pytest.mark.parametrize("p", [31, 101, 1009])
+def test_grouped_tower_reads_each_tie_once(monkeypatch, p):
+    """The polynomials above a tie read its sphere once, not once per class:
+    the exact queries that `prepare` makes stay under a bound that does not
+    grow with p (the per-class tower made 5,048 and 12,106 Taylor expansions
+    at p = 1009)."""
+    counts = {}
+
+    def counter(name):
+        query = getattr(decompose_module, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return query(*args)
+        return counted
+
+    for name in ("taylor_ords", "ord_of_poly_at"):
+        monkeypatch.setattr(decompose_module, name, counter(name))
+    # y^4 - 17y^3 + 5y^2 + 737y - 726 and (y^2 - 1)^3
+    for f in (Poly.of(-726, 737, 5, -17, 1), Poly.of(-1, 0, 3, 0, -3, 0, 1)):
+        counts.update(taylor_ords=0, ord_of_poly_at=0)
+        prepare(f, p)
+        assert counts["taylor_ords"] < 100 and counts["ord_of_poly_at"] < 100, (f, counts)
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -327,6 +327,22 @@ def test_samples_are_the_members_the_per_sample_loop_drew(p):
 
 
 @pytest.mark.parametrize("p", PRIMES)
+def test_sample_draws_leave_the_stream_where_randrange_left_it(p):
+    # the digits drawn by getrandbits are the digits randrange(p^3) drew,
+    # and after every cell the generator is in the same state
+    for coeffs in CORPUS.values():
+        f = Poly.of(*coeffs)
+        new, old = random.Random(p), random.Random(p)
+        for cell in prepare(f, p).cells:
+            if cell.is_point:
+                continue
+            drawn = [(bn + z * bd * p**m, bd, m)
+                     for bn, bd, z, m in oracle._cell_samples(cell, p, 50, new)]
+            assert drawn == per_sample_cell_samples(cell, p, 50, old)
+            assert new.getstate() == old.getstate()
+
+
+@pytest.mark.parametrize("p", PRIMES)
 def test_corpus_partitions_match_the_per_class_marks(p):
     # overlaps count their covering cells as the per-class marks did
     k = min(_depth(p), 4)
