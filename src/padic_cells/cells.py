@@ -246,6 +246,8 @@ class Residues:
         """The units in increasing order; with a limit, only the first ones."""
         if self.units is not None:
             return sorted(self.units)[:limit]
+        if limit is not None and p > limit:  # then the first units are 1, ..., limit
+            return list(range(1, limit + 1))
         return list(islice((u for u in range(1, p**self.depth) if u % p != 0), limit))
 
     def contains(self, u: int, p: int) -> bool:
@@ -320,7 +322,8 @@ class Cell1:
     """A univariate cell: a point, or a family of balls around its center.
 
     `laws` is the law table, polynomial -> law; it is never mutated, so
-    cells built from one another may share it.
+    cells built from one another may share it, and a shared table is
+    turned into JSON once per payload (`cli._cell_json`).
     """
 
     prime: int
@@ -479,11 +482,12 @@ def center_sort_key(c: Center, scale: int):
 
 def cell_sort_key(cell: Cell1, scale: int):
     """The center's key, then points before families, then `m_range.lo` and
-    the first residues."""
-    point = 0 if cell.is_point else 1
-    lo = -1 if cell.is_point else cell.m_range.lo
-    res = () if cell.is_point else (cell.residues.depth, tuple(cell.residues.members(cell.prime, 4)))
-    return (center_sort_key(cell.center, scale), point, lo, res)
+    the first residues (read with no generator for an all-units family)."""
+    if cell.m_range is None:
+        return (center_sort_key(cell.center, scale), 0, -1, ())
+    res = cell.residues
+    return (center_sort_key(cell.center, scale), 1, cell.m_range.lo,
+            (res.depth, tuple(res.members(cell.prime, 4))))
 
 
 def sorted_cells(cells: list[Cell1]) -> tuple[Cell1, ...]:

@@ -51,10 +51,14 @@ def _val_json(v) -> str:
 
 
 def _cell_json(cell: Cell1, names: dict[Poly, str],
-               orders: dict[frozenset[Poly], list[tuple[Poly, str]]]) -> dict:
-    """The cell as JSON.  `names` caches `format_poly` and `orders` the
-    ordered law table of each set of polynomials across one payload: the
-    cells of one decomposition mostly carry laws for the same polynomials."""
+               orders: dict[frozenset[Poly], list[tuple[Poly, str]]],
+               tables: dict[int, dict]) -> dict:
+    """The cell as JSON.  Across one payload, `names` caches `format_poly`,
+    `orders` the ordered law table of each set of polynomials (the cells of
+    one decomposition mostly carry laws for the same polynomials), and
+    `tables` the JSON of each law table, keyed by the table's identity: a
+    table is never mutated, the cells of a rootless tie group share one, and
+    every cell of the payload stays alive while it is built."""
     center = cell.center
     if center.is_rational:
         cj = {"type": "rational", "value": _frac_str(center.value)}
@@ -73,19 +77,23 @@ def _cell_json(cell: Cell1, names: dict[Poly, str],
         }
     if center.term is not None:
         cj["term"] = str(center.term)
-    polys = frozenset(cell.laws)
-    order = orders.get(polys)
-    if order is None:
-        # the one place laws are ordered: text output prints them in this order
-        order = orders[polys] = [(f, _name(f, names))
-                                 for f in sorted(polys, key=lambda f: f.coeffs)]
-    laws = cell.laws
+    laws = tables.get(id(cell.laws))
+    if laws is None:
+        polys = frozenset(cell.laws)
+        order = orders.get(polys)
+        if order is None:
+            # the one place laws are ordered: text output prints them in this order
+            order = orders[polys] = [(f, _name(f, names))
+                                     for f in sorted(polys, key=lambda f: f.coeffs)]
+        table = cell.laws
+        laws = tables[id(table)] = {name: {"e0": _val_json(table[f].e0), "i0": table[f].i0}
+                                    for f, name in order}
     out = {
         "kind": cell.kind,
         "center": cj,
         "level": center.level,
         "keep": cell.keep,
-        "laws": {name: {"e0": _val_json(laws[f].e0), "i0": laws[f].i0} for f, name in order},
+        "laws": laws,
     }
     if cell.is_point:
         out["m_range"] = "point"
@@ -178,13 +186,14 @@ def _cmd_decompose(args) -> dict:
     dec, f = _decomposition_for(args)
     names: dict[Poly, str] = {}
     orders: dict[frozenset[Poly], list[tuple[Poly, str]]] = {}
+    tables: dict[int, dict] = {}
     payload = {
         "schema": SCHEMA,
         "command": "decompose",
         "prime": args.prime,
         "input": args.poly if args.poly is not None else args.formula,
         "k_depth": dec.k_depth,
-        "cells": [_cell_json(c, names, orders) for c in dec.cells],
+        "cells": [_cell_json(c, names, orders, tables) for c in dec.cells],
     }
     if args.verify:
         chk = exact_partition_check(dec)

@@ -27,7 +27,8 @@ constant on the class, which holds no root of F, so the class stays in the
 group with that law.  A class where F's digit vanishes leaves the group as
 its point and family cells, which F treats like any inherited cell.
 `prepare` builds the point and the family [m* + 1, oo) of every class still
-in a group once, at the top, the cells the per-class recursion would build.
+in a group once, at the top, the cells the per-class recursion would build,
+all sharing the group's law table.
 
 Every digit of f that the engine reads -- R(u0) at a tie, the unit digits
 of an `ac`/`rv` atom on a sphere, on the unbounded tail of a family and at a
@@ -295,13 +296,12 @@ class _RootlessGroup(NamedTuple):
 def _class_cells(p: int, center: Center, m_star: int, units, laws) -> list[Cell1]:
     """The point and the family [m* + 1, oo) of each class c + u0 p^m*, at
     the center c + u0 p^m*, all with the law table `laws`."""
-    below = ArithRange(m_star + 1, None)
-    step = Fraction(p) ** m_star
+    below, units_all, step = ArithRange(m_star + 1, None), Residues(1, None), p**m_star
     out: list[Cell1] = []
     for u0 in units:
-        c = _shifted_center(center, u0 * step)
+        c = _shifted_center(center, u0, step)
         out.append(Cell1(p, c, None, None, laws))
-        out.append(Cell1(p, c, below, Residues(1, None), laws))
+        out.append(Cell1(p, c, below, units_all, laws))
     return out
 
 
@@ -417,12 +417,10 @@ def _process_box(f: Poly, w: Poly, p: int, cell: Cell1, out: list[Cell1], work: 
         best = line_val[win[0]] + win[0] * m_star
         residual = _sphere_digits(f, cell.center.value, m_star, best, 1, range(1, p), p)
         below = ArithRange(m_star + 1, None)
-        step = Fraction(p) ** m_star
         rootless = []
         for u0, r_u0 in zip(range(1, p), residual):
             if r_u0 == 0:
-                center, f_law = _split_tie_class(f, w, p, cell.center, u0 * step, m_star + 1,
-                                                 budget)
+                center, f_law = _split_tie_class(f, w, p, cell.center, u0, m_star, budget)
                 out.append(Cell1(p, center, None, None, {**frozen, f: f_law}))
                 work.append(Cell1(p, center, below, Residues(1, None), frozen))
             else:
@@ -432,26 +430,31 @@ def _process_box(f: Poly, w: Poly, p: int, cell: Cell1, out: list[Cell1], work: 
                                          {**frozen, f: OrderLaw(Val(best), 0)}))
 
 
-def _shifted_center(center: Center, off: Fraction) -> Center:
-    """The center c + off of a tie class that holds no root, one digit deeper
-    than c, with the term c + off (a constant where the new center is exact)."""
-    value, term = shift_center(center.value, off), center.term
-    if term is not None:
-        x = exact_value(value)
-        term = TAdd(term, TConst(off)) if x is None else TConst(x)
-    return Center(value, 1, term)
+def _shifted_center(center: Center, u0: int, step: int) -> Center:
+    """The center c + u0 * step of a tie class that holds no root, one digit
+    deeper than c (step = p^m*), with the term c + u0 * step (a constant where
+    the new center is exact).  A rational c = a/b moves to the fraction
+    (a + u0 * step * b) / b, already in lowest terms, built from integers."""
+    x = exact_value(center.value)
+    if x is not None:
+        x = Fraction(x.numerator + u0 * step * x.denominator, x.denominator)
+        return Center(x, 1, None if center.term is None else TConst(x))
+    off = Fraction(u0 * step)
+    term = None if center.term is None else TAdd(center.term, TConst(off))
+    return Center(shift_center(center.value, off), 1, term)
 
 
-def _split_tie_class(f: Poly, w: Poly, p: int, center: Center, off: Fraction, ball_ord: int,
+def _split_tie_class(f: Poly, w: Poly, p: int, center: Center, u0: int, m_star: int,
                      budget: int) -> tuple[Center, OrderLaw]:
-    """The center of the tie class {ord(y - c - off) >= ball_ord} and the law
-    of f there.  The center is a certified root of the squarefree part w if
-    the class holds one; else it is c + off, one digit deeper than c."""
-    c_value, c_term = center.value, center.term
-    base = center_proxy(c_value, p, max(ball_ord + 4, 8)) + off
-    root = next(roots_in_ball(w, base, ball_ord, p, budget + 4, 1), None)
+    """The center of the tie class {ord(y - c - u0 p^m*) >= m* + 1} and the
+    law of f there.  The center is a certified root of the squarefree part w
+    if the class holds one; else it is c + u0 p^m*, one digit deeper than c."""
+    c_value, c_term, step = center.value, center.term, p**m_star
+    off = Fraction(u0 * step)
+    base = center_proxy(c_value, p, max(m_star + 5, 8)) + off
+    root = next(roots_in_ball(w, base, m_star + 1, p, budget + 4, 1), None)
     if root is None:
-        shifted = _shifted_center(center, off)
+        shifted = _shifted_center(center, u0, step)
         return shifted, OrderLaw(ord_of_poly_at(f, shifted.value, p), 0)
     term: Term | None = None
     if c_term is not None:
@@ -711,13 +714,14 @@ def _split_by_atom(cell: Cell1, atom: Atom, p: int) -> list[tuple[Cell1, bool]]:
     law = cell.law_for(atom.f)
     if atom.tag.is_zero:
         return [(cell, cell.is_point and law.e0.is_infinite)]
+    # the unit digits compare mod p^depth, as they do for ac
+    want_digits = atom.tag.unit.digits % p**atom.depth
     if cell.is_point:
         ok = law.e0 == atom.tag.valuation and \
-            _point_digits(cell, atom.f, atom.depth, p) == atom.tag.unit.digits
+            _point_digits(cell, atom.f, atom.depth, p) == want_digits
         return [(cell, ok)]
     out: list[tuple[Cell1, bool]] = []
     val_atom = OrdCmp(atom.f, None, atom.tag.valuation, "=")
-    want_digits = atom.tag.unit.digits
     for piece, v_ok in _ord_atom_pieces(cell, val_atom, p):
         if not v_ok:
             out.append((piece, False))

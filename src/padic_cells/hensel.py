@@ -251,9 +251,15 @@ def certified_root_points(w: Poly, p: int, depth_cap: int) -> list[Fraction]:
     """Rational points in Z_p, one per root of squarefree w, each either an
     exact root or Newton-certified for w (ord w > 2 ord w').
 
-    Digit-lifting search with pruning: a residue class is abandoned as soon
-    as the constant Taylor term dominates on the whole class, and accepted
-    once it lies inside a Newton basin.
+    Digit-lifting search with pruning: a residue class c mod p^j is accepted
+    once it lies inside a Newton basin, and otherwise split by its residual
+    polynomial.  On y = c + p^j t, poly = p^mu R(t) mod p^(mu+1), where mu is
+    the least of the lines ord h_i + i*j over the Taylor numerators h_i at c
+    and R sums the first unit digits of the tied h_i times t^i.  A digit t
+    with R(t) nonzero mod p leaves ord poly = mu on its whole subclass, which
+    holds no root, even in C_p; so the search descends only into the zeros
+    of R over F_p, and abandons the class when the constant line alone is
+    the least.  A class that would descend past `depth_cap` digits raises.
     """
     # the basin criterion ord w > 2 ord w' presumes p-integral coefficients;
     # scaling by a power of p fixes the content at 0 without moving roots
@@ -263,10 +269,6 @@ def certified_root_points(w: Poly, p: int, depth_cap: int) -> list[Fraction]:
     out: list[Fraction] = []
 
     def search(poly: Poly, c: int, j: int) -> None:
-        if j > depth_cap:
-            raise InternalBoundError(
-                f"the root search for {format_poly(given)} (p = {p}) reached the class "
-                f"{c} mod {p}^{j}, past its depth bound of {depth_cap}")
         if poly.degree < 1:
             return
         # one integer expansion per class: poly(y + c) = sum_i (h_i / D) y^i;
@@ -287,12 +289,18 @@ def certified_root_points(w: Poly, p: int, depth_cap: int) -> list[Fraction]:
                 if ord_p(z - c, p) >= j:
                     out.append(z)
                 return
-        # the constant term dominates on the whole class, so there is no
-        # root, when ord h_0 < ord h_i + i*j for every i >= 1
-        if all(h % p ** max(v0 - i * j + 1, 0) == 0 for i, h in enumerate(hs) if i):
-            return
+        lines = [(i, int_val(h, p) + i * j) for i, h in enumerate(hs) if h]
+        mu = min(v for _, v in lines)
+        residual = [(i, hs[i] // p ** (mu - i * j) % p) for i, v in lines if v == mu]
+        if len(residual) == 1 and residual[0][0] == 0:
+            return  # the constant line alone is the least: no root on the class
+        if j + 1 > depth_cap:
+            raise InternalBoundError(
+                f"the root search for {format_poly(given)} (p = {p}) reached the class "
+                f"{c} mod {p}^{j + 1}, past its depth bound of {depth_cap}")
         for t in range(p):
-            search(poly, c + t * p**j, j + 1)
+            if sum(a * t**i for i, a in residual) % p == 0:
+                search(poly, c + t * p**j, j + 1)
 
     search(w, 0, 0)
     return out

@@ -9,20 +9,23 @@ the per-payload law order replaced, the sphere-by-sphere digit-atom loop
 that the read-once window replaced, and the oracle's per-class partition
 marks and per-sample law evaluation that the per-prefix marks and the
 Taylor kernel mod p^(t+1) replaced, the per-cell zeta polynomials that
-the two-tail sum per pole replaced, and the per-class derivative tower that
-the rootless tie groups replaced, kept as references for the tests that
-compare the two."""
+the two-tail sum per pole replaced, the per-class derivative tower that
+the rootless tie groups replaced, and the root search over every digit of
+a class, the Fraction class centers and the per-cell law JSON that the
+residual-polynomial descent, the integer centers and the per-table JSON
+replaced, kept as references for the tests that compare the two."""
 
 import random
+from itertools import islice
 from fractions import Fraction
 from dataclasses import replace
 from math import comb
 
-from padic_cells.cells import (ArithRange, Cell1, Decomposition, OrderLaw, Residues, ZP, contains,
-                               intersect_cells, sorted_cells)
+from padic_cells.cells import (ArithRange, Cell1, Center, Decomposition, OrderLaw, Residues, TAdd,
+                               TConst, ZP, contains, intersect_cells, sorted_cells)
 from padic_cells.decompose import (_base_cells, _budget, _dominance_regions, _law_error,
-                                   _prepare_linear, _shifted_center, _sphere_digits,
-                                   _split_tie_class)
+                                   _prepare_linear, _sphere_digits, _split_tie_class)
+from padic_cells.cli import _frac_str, _name, _val_json
 from padic_cells.errors import InternalBoundError, UnsupportedInputError
 from padic_cells.hensel import (_MAX_DOUBLINGS, _at_root, _certified, _isolated, _newton,
                                 _roots_near, center_proxy, digits_of_poly_at, exact_value,
@@ -30,7 +33,7 @@ from padic_cells.hensel import (_MAX_DOUBLINGS, _at_root, _certified, _isolated,
 from padic_cells.measure import ZetaFn, _times_t
 from padic_cells.oracle import (LawFailure, LawReport, _center_mod, _clear_denominators,
                                 _ord_value, _taylor_ords)
-from padic_cells.padics import INFINITY, Val, ord_p, unit_digits
+from padic_cells.padics import INFINITY, Val, int_val, ord_p, unit_digits
 from padic_cells.poly import (Poly, format_poly, newton_min, poly_gcd, resultant_val,
                               squarefree_part, taylor_polys)
 
@@ -307,8 +310,16 @@ def fraction_cell_sort_key(cell):
                                    tag.unit.digits if tag.unit else -1, tag.depth))
     point = 0 if cell.is_point else 1
     lo = -1 if cell.is_point else cell.m_range.lo
-    res = () if cell.is_point else (cell.residues.depth, tuple(cell.residues.members(cell.prime, 4)))
+    res = () if cell.is_point else (cell.residues.depth, generator_head(cell.residues, cell.prime))
     return (center, point, lo, res)
+
+
+def generator_head(residues: Residues, p: int, limit: int | None = 4) -> tuple[int, ...]:
+    """The first units of a residue set as `Residues.members` read them, for
+    all units from a generator over every residue mod p^depth."""
+    if residues.units is not None:
+        return tuple(sorted(residues.units)[:limit])
+    return tuple(islice((u for u in range(1, p**residues.depth) if u % p != 0), limit))
 
 
 def fraction_sorted_cells(cells):
@@ -554,6 +565,16 @@ def per_cell_igusa_zeta(dec: Decomposition, f: Poly, p: int | None = None) -> Ze
     return ZetaFn.of(num, _times_t(den, -shift))
 
 
+def fraction_shifted_center(center: Center, off: Fraction) -> Center:
+    """`decompose._shifted_center` as it was written: the center moved by the
+    Fraction offset through `shift_center`."""
+    value, term = shift_center(center.value, off), center.term
+    if term is not None:
+        x = exact_value(value)
+        term = TAdd(term, TConst(off)) if x is None else TConst(x)
+    return Center(value, 1, term)
+
+
 def per_class_prepare(f: Poly, p: int, domain=ZP) -> tuple[Cell1, ...]:
     """The sorted cells of `decompose.prepare` as it was written, with every
     rootless tie class carried up the derivative tower as its own point and
@@ -616,10 +637,119 @@ def per_class_process_box(f: Poly, w: Poly, p: int, cell: Cell1, out: list[Cell1
         for u0, r_u0 in zip(range(1, p), residual):
             off = u0 * step
             if r_u0 == 0:
-                center, f_law = _split_tie_class(f, w, p, cell.center, off, m_star + 1, budget)
+                center, f_law = _split_tie_class(f, w, p, cell.center, u0, m_star, budget)
                 out.append(Cell1(p, center, None, None, {**frozen, f: f_law}))
                 work.append(Cell1(p, center, below, Residues(1, None), frozen))
             else:
-                center = _shifted_center(cell.center, off)
+                center = fraction_shifted_center(cell.center, off)
                 out.append(Cell1(p, center, None, None, rootless))
                 out.append(Cell1(p, center, below, Residues(1, None), rootless))
+
+
+def full_walk_root_points(w: Poly, p: int, depth_cap: int) -> list[Fraction]:
+    """`hensel.certified_root_points` as it was written before the search
+    descended only into the zeros of the residual polynomial: every class
+    that the constant line does not dominate walks all p digits.
+
+    Rational points in Z_p, one per root of squarefree w, each either an
+    exact root or Newton-certified for w (ord w > 2 ord w').
+
+    Digit-lifting search with pruning: a residue class is abandoned as soon
+    as the constant Taylor term dominates on the whole class, and accepted
+    once it lies inside a Newton basin.
+    """
+    # the basin criterion ord w > 2 ord w' presumes p-integral coefficients;
+    # scaling by a power of p fixes the content at 0 without moving roots
+    given, content = w, newton_min(w, p)
+    if not content.is_infinite and content.value != 0:
+        w = w * Fraction(p) ** (-content.value)
+    out: list[Fraction] = []
+
+    def search(poly: Poly, c: int, j: int) -> None:
+        if j > depth_cap:
+            raise InternalBoundError(
+                f"the root search for {format_poly(given)} (p = {p}) reached the class "
+                f"{c} mod {p}^{j}, past its depth bound of {depth_cap}")
+        if poly.degree < 1:
+            return
+        # one integer expansion per class: poly(y + c) = sum_i (h_i / D) y^i;
+        # poly is p-integral, so D is prime to p and ord b_i = ord h_i
+        hs = poly.shifted_numerators(c)
+        if hs[0] == 0:
+            out.append(Fraction(c))
+            quo, rem = poly.divmod(Poly.of(-c, 1))
+            assert rem.is_zero
+            search(quo, c, j)
+            return
+        v0 = int_val(hs[0], p)  # ord poly(c)
+        if hs[1]:
+            v1 = int_val(hs[1], p)  # ord poly'(c)
+            if v0 > 2 * v1 and j > v1:
+                # the class sits inside the uniqueness basin around c
+                z, _prec = _newton(poly, Fraction(c), p, max(v0 - v1, j + 1))
+                if ord_p(z - c, p) >= j:
+                    out.append(z)
+                return
+        # the constant term dominates on the whole class, so there is no
+        # root, when ord h_0 < ord h_i + i*j for every i >= 1
+        if all(h % p ** max(v0 - i * j + 1, 0) == 0 for i, h in enumerate(hs) if i):
+            return
+        for t in range(p):
+            search(poly, c + t * p**j, j + 1)
+
+    search(w, 0, 0)
+    return out
+
+
+def per_set_order_cell_json(cell: Cell1, names: dict[Poly, str],
+                            orders: dict[frozenset[Poly], list[tuple[Poly, str]]]) -> dict:
+    """`cli._cell_json` as it was written before it kept the JSON of each law
+    table by the table's identity: a fresh law object per cell.
+
+    The cell as JSON.  `names` caches `format_poly` and `orders` the
+    ordered law table of each set of polynomials across one payload: the
+    cells of one decomposition mostly carry laws for the same polynomials."""
+    center = cell.center
+    if center.is_rational:
+        cj = {"type": "rational", "value": _frac_str(center.value)}
+    else:
+        r = center.value
+        cj = {
+            "type": "hensel-root",
+            "witness": _name(r.witness, names),
+            "approx": _frac_str(r.approx),
+            "precision": r.precision,
+            "rv_tag": {
+                "depth": r.rv_tag.depth,
+                "valuation": r.rv_tag.valuation,
+                "unit": r.rv_tag.unit.digits if r.rv_tag.unit else None,
+            },
+        }
+    if center.term is not None:
+        cj["term"] = str(center.term)
+    polys = frozenset(cell.laws)
+    order = orders.get(polys)
+    if order is None:
+        # the one place laws are ordered: text output prints them in this order
+        order = orders[polys] = [(f, _name(f, names))
+                                 for f in sorted(polys, key=lambda f: f.coeffs)]
+    laws = cell.laws
+    out = {
+        "kind": cell.kind,
+        "center": cj,
+        "level": center.level,
+        "keep": cell.keep,
+        "laws": {name: {"e0": _val_json(laws[f].e0), "i0": laws[f].i0} for f, name in order},
+    }
+    if cell.is_point:
+        out["m_range"] = "point"
+        out["residue"] = None
+    else:
+        rng = cell.m_range
+        out["m_range"] = {"lo": rng.lo, "hi": rng.hi, "step": rng.step}
+        out["residue"] = {
+            "depth": cell.residues.depth,
+            "units": "all" if cell.residues.is_all
+            else [str(u) for u in cell.residues.members(cell.prime)],
+        }
+    return out

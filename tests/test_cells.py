@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import PRIMES
-from fraction_loops import fraction_sorted_cells, per_cell_law_order
+from fraction_loops import fraction_sorted_cells, generator_head, per_cell_law_order
 
 from padic_cells.cells import (
     ArithRange,
@@ -249,18 +249,30 @@ def test_sort_key_reads_only_the_first_units():
     assert sorted_cells([cell, pt(p, 0)]) == (pt(p, 0), cell)
 
 
+def test_first_units_of_all_residues_match_the_generator():
+    # p > limit reads 1, ..., limit with no generator; p <= limit walks one
+    for p in (2, 3, 5, 7, 1009):
+        for depth in (1, 2, 3):
+            res = Residues(depth)
+            for limit in (1, 2, 4, 5, 9):
+                assert tuple(res.members(p, limit)) == generator_head(res, p, limit)
+            if p < 1009:
+                assert tuple(res.members(p)) == generator_head(res, p, None)
+
+
 def _assert_same_orders(cells, seed=0):
     """sorted_cells on its integer keys orders the cells as the Fraction key
     did, from several starting orders, and the law tables of one payload,
-    ordered once per set of polynomials, print as each cell's own sort did."""
+    ordered once per set of polynomials and turned into JSON once per
+    table, print as each cell's own sort did."""
     rng = random.Random(seed)
     for _ in range(3):
         shuffled = list(cells)
         rng.shuffle(shuffled)
         assert sorted_cells(shuffled) == fraction_sorted_cells(shuffled)
-    names, orders = {}, {}
+    names, orders, tables = {}, {}, {}
     for cell in cells:
-        assert list(_cell_json(cell, names, orders)["laws"]) == \
+        assert list(_cell_json(cell, names, orders, tables)["laws"]) == \
             [format_poly(f) for f in per_cell_law_order(cell)]
 
 

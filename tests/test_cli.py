@@ -382,6 +382,20 @@ def test_cli_cv_check(capsys):
     assert code == 0 and json.loads(out)["equal"] is True
 
 
+def test_cli_rv_digits_compare_mod_p_to_the_depth(capsys):
+    """rv(d, f) = (m, u) reads u mod p^d, as ac(d, f) = u does."""
+    for atom in ("rv", "ac"):
+        a, b = (("rv(2, y) = (0, 10)", "rv(2, y) = (0, 1)") if atom == "rv"
+                else ("ac(2, y) = 10", "ac(2, y) = 1"))
+        code, out, _ = run_cli(capsys, "cv-check", "--prime", "3", "--formula", a,
+                               "--formula-b", b, "--json")
+        assert code == 0 and json.loads(out)["equal"] is True
+    for u in (6, 1, -4):
+        code, out, _ = run_cli(capsys, "measure", "--prime", "5", "--formula",
+                               f"rv(1, y) = (0, {u})", "--json")
+        assert code == 0 and json.loads(out)["measure"] == "1/5"
+
+
 @pytest.mark.parametrize("fmt", [["--json"], []])
 def test_cli_exits_cleanly_when_stdout_is_closed(fmt):
     # the pipe's read end is closed before the child starts, so every write

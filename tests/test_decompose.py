@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import PRIMES, formula_pool, large_prime_polys
-from fraction_loops import (fraction_sphere_digits, per_class_prepare, point_digits,
-                            residual_zeros, sphere_by_sphere_digit_atom_pieces, tail_digits,
-                            taylor_digits)
+from fraction_loops import (fraction_shifted_center, fraction_sphere_digits, per_class_prepare,
+                            per_set_order_cell_json, point_digits, residual_zeros,
+                            sphere_by_sphere_digit_atom_pieces, tail_digits, taylor_digits)
 
 import padic_cells.decompose as decompose_module
 from padic_cells.cells import (
@@ -22,6 +22,7 @@ from padic_cells.cells import (
     OrderLaw,
     Residues,
     TAdd,
+    TConst,
     contains,
     intersect_cells,
 )
@@ -248,8 +249,8 @@ def test_residual_filter_matches_the_full_class_walk(monkeypatch, corpus, p):
 
         monkeypatch.setattr(decompose_module, "_split_tie_class", counted)
         decs = [prepare(f, p, domain) for f in polys for domain in domains]
-        names, orders = {}, {}
-        payloads = [json.dumps([_cell_json(c, names, orders) for c in dec.cells],
+        names, orders, tables = {}, {}, {}
+        payloads = [json.dumps([_cell_json(c, names, orders, tables) for c in dec.cells],
                                sort_keys=True)
                     for dec in decs]
         return decs, payloads, seen
@@ -337,6 +338,87 @@ def test_grouped_tower_reads_each_tie_once(monkeypatch, p):
         counts.update(taylor_ords=0, ord_of_poly_at=0)
         prepare(f, p)
         assert counts["taylor_ords"] < 100 and counts["ord_of_poly_at"] < 100, (f, counts)
+
+
+# y^4 - 17y^3 + 5y^2 + 737y - 726, (y^2 - 1)^3, y^2 - 1 and 3y^3 + 15y^2 - 54y - 216
+LARGE_PRIME_GATE_POLYS = [Poly.of(-726, 737, 5, -17, 1), Poly.of(-1, 0, 3, 0, -3, 0, 1),
+                          Poly.of(-1, 0, 1), Poly.of(-216, -54, 15, 3)]
+
+
+@pytest.mark.parametrize("p", [31, 101, 1009])
+def test_tie_classes_take_few_integer_expansions(monkeypatch, p):
+    """The root search of a tie class descends only into the zeros of the
+    residual polynomial, so the integer Taylor expansions that `prepare`
+    makes stay under a bound that does not grow with p (the search over
+    every digit made 5,109 and 5,212 of them for the first two at p = 1009)."""
+    calls = [0]
+    expand = Poly.shifted_numerators
+
+    def counted(self, *args):
+        calls[0] += 1
+        return expand(self, *args)
+
+    monkeypatch.setattr(Poly, "shifted_numerators", counted)
+    for f in LARGE_PRIME_GATE_POLYS:
+        calls[0] = 0
+        prepare(f, p)
+        assert calls[0] < 300, (f, calls[0])
+
+
+def test_class_centers_from_integers_match_the_fraction_shift():
+    """`_shifted_center` moves a rational a/b to (a + u0 p^m b) / b and an
+    inexact root through `shift_center`: the centers and terms of the
+    Fraction shift, with and without a term."""
+    p = 7
+    roots = list(dict.fromkeys(c.center for c in prepare(Poly.of(-2, 0, 1), p).cells
+                               if not c.center.is_rational))
+    rng = random.Random(3)
+    centers = [Center(Fraction(rng.randint(-60, 60), rng.choice([1, 2, 3, 5, 9])), 1,
+                      rng.choice([None, TConst(Fraction(1, 3)), TAdd(TConst(1), TConst(2))]))
+               for _ in range(12)] + [Center(Fraction(0), 1, TConst(Fraction(0)))] + roots
+    for center in centers:
+        for u0, m in ((1, 0), (3, 1), (6, 2), (2, 5)):
+            got = decompose_module._shifted_center(center, u0, p**m)
+            want = fraction_shifted_center(center, Fraction(u0 * p**m))
+            assert got == want and str(got.term) == str(want.term), (center, u0, m)
+    assert len(roots) == 2
+
+
+def _payloads(decs, cell_json, *caches) -> list[str]:
+    return [json.dumps([cell_json(c, *caches) for c in dec.cells]) for dec in decs]
+
+
+def test_shared_law_tables_print_as_the_per_cell_json(corpus):
+    """Each law table is turned into JSON once per payload and shared by
+    the cells of a rootless group; the payload, with its key order, is the
+    one a fresh law object per cell gave."""
+    decs = [prepare(f, p) for f in large_prime_polys() for p in (31, 101)]
+    decs += [prepare(f, p, domain) for f in corpus.values() for p in (3, 7)
+             for domain in GROUP_DOMAINS]
+    decs += [decompose_set(parse_formula(text), p) for text, p in formula_pool()]
+    assert _payloads(decs, _cell_json, {}, {}, {}) == \
+        _payloads(decs, per_set_order_cell_json, {}, {})
+    # the shared tables: a group's cells print one law object
+    cells = prepare(LARGE_PRIME_GATE_POLYS[0], 101).cells
+    names, orders, tables = {}, {}, {}
+    printed = [_cell_json(c, names, orders, tables)["laws"] for c in cells]
+    assert len({id(t) for t in printed}) < len(cells) // 10
+
+
+@pytest.mark.parametrize("p, d", [(3, 2), (5, 1), (7, 2)])
+def test_rv_digits_compare_mod_p_to_the_depth(p, d):
+    """rv(d, f) = (m, u) reads u mod p^d, as ac(d, f) = u does: an
+    out-of-range or negative u gives the cells of its residue."""
+    q = p**d
+    for f in (Y, Poly.of(-1, 0, 1)):
+        for m, u in ((0, 1), (1, 2), (0, q - 1)):
+            want = decompose_set(FAtom(RvEq(d, f, RvData(d, m, UnitDigits(d, u)))), p).cells
+            for other in (u + q, u + 3 * q, u - q):
+                got = decompose_set(FAtom(RvEq(d, f, RvData(d, m, UnitDigits(d, other)))), p)
+                assert got.cells == want, (f, m, other)
+            ac = decompose_set(FAnd(FAtom(OrdCmp(f, None, m, "=")), FAtom(AcEq(d, f, u + q))), p)
+            assert decomposition_measure(ac, kept_only=True) == \
+                decomposition_measure(Decomposition(p, ZP, want), kept_only=True)
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -20,7 +20,7 @@ from padic_cells.decompose import (
     formula_atoms,
 )
 from padic_cells.measure import exact_partition_check
-from padic_cells.padics import INFINITY, ord_p, rv, unit_digits
+from padic_cells.padics import INFINITY, RvData, UnitDigits, ord_p, rv, unit_digits
 from padic_cells.poly import Poly
 
 
@@ -45,7 +45,12 @@ def atom_truth(atom, y: Fraction, p: int) -> bool:
             return False
         return unit_digits(value, p, atom.depth).digits == atom.unit % p**atom.depth
     if isinstance(atom, RvEq):
-        return rv(value, p, atom.depth) == atom.tag
+        got, tag = rv(value, p, atom.depth), atom.tag
+        if got.is_zero or tag.is_zero:
+            return got.is_zero and tag.is_zero
+        # the unit digits compare mod p^depth, as they do for ac
+        return got.valuation == tag.valuation and \
+            got.unit.digits == tag.unit.digits % p**atom.depth
     raise TypeError(atom)
 
 
@@ -85,6 +90,14 @@ def test_fuzz_rv_and_cmp_p5():
     phi = FOr(FAtom(RvEq(1, YM1, rv(Fraction(5), 5, 1))),
               FAtom(OrdCmp(Y, YM1, -1, "<")))
     check_exhaustive(phi, 5, 3)
+
+
+def test_fuzz_rv_digits_out_of_range():
+    # unit digits past p^depth, and negative ones, name their residue mod p^depth
+    for p, d, u in ((3, 2, 10), (5, 1, 6), (5, 1, -1), (3, 1, 8)):
+        phi = FOr(FAtom(RvEq(d, YM1, RvData(d, 0, UnitDigits(d, u)))),
+                  FAtom(RvEq(d, SQ, RvData(d, 1, UnitDigits(d, u + p**d)))))
+        check_exhaustive(phi, p, 4 if p == 3 else 3)
 
 
 def test_fuzz_irrational_roots_p2():

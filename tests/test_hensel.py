@@ -32,9 +32,9 @@ from padic_cells.hensel import (
 from padic_cells.padics import Val, ord_p, rv, unit_digits
 from padic_cells.poly import Poly, resultant_val, squarefree_part, taylor_polys
 
-from conftest import CORPUS
-from fraction_loops import (eager_difference, eager_value_at, race_residue, separated_same_root,
-                            taylor_digits)
+from conftest import CORPUS, large_prime_polys
+from fraction_loops import (eager_difference, eager_value_at, full_walk_root_points, race_residue,
+                            separated_same_root, taylor_digits)
 
 
 def lift_mod(x: Fraction, q: int) -> int:
@@ -244,6 +244,86 @@ def test_root_search_cap_names_its_input():
                                                  r"reached the class 1 mod 2\^2, past its depth bound of 1$"):
         certified_root_points(Poly.of(-17, 0, 1), 2, 1)
     assert len(certified_root_points(Poly.of(-17, 0, 1), 2, 30)) == 2
+
+
+def _assert_same_search(w: Poly, p: int, cap: int) -> bool:
+    """The residual-polynomial descent finds the points of the full digit
+    walk in the same order, or raises where it raised, with the same
+    message; True when the search finished."""
+    try:
+        want = full_walk_root_points(w, p, cap)
+    except InternalBoundError as exc:
+        with pytest.raises(InternalBoundError) as got:
+            certified_root_points(w, p, cap)
+        assert str(got.value) == str(exc)
+        return False
+    assert certified_root_points(w, p, cap) == want, (w, p, cap)
+    return True
+
+
+def _search_inputs(w: Poly, p: int):
+    """w on Z_p and on balls around small integers, scaled to Z_p as
+    `roots_in_ball` scales them."""
+    balls = [(t, 1) for t in (*range(min(p, 4)), -1)] + [(1, 2), (-1, 2)]
+    return [w] + [w.shift_var(Fraction(p) ** k, Fraction(t)) for t, k in balls]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_residual_descent_matches_the_full_walk_on_the_corpus(p):
+    finished = 0
+    for coeffs in CORPUS.values():
+        w = squarefree_part(Poly.of(*coeffs))
+        if w.degree < 1:
+            continue
+        for poly in _search_inputs(w, p):
+            for cap in (0, 1, 2, 30):
+                finished += _assert_same_search(poly, p, cap)
+    assert finished > 150
+
+
+@pytest.mark.parametrize("p", [31, 101, 1009])
+def test_residual_descent_matches_the_full_walk_at_large_primes(monkeypatch, p):
+    """On the large-prime pool: Z_p, small balls, and every search that
+    `prepare` makes in its tie classes."""
+    searches = []
+
+    def recorded(w, p, depth_cap):
+        searches.append((w, depth_cap))
+        return certified_root_points(w, p, depth_cap)
+
+    monkeypatch.setattr(hensel, "certified_root_points", recorded)
+    for f in large_prime_polys():
+        w = squarefree_part(f)
+        for poly in _search_inputs(w, p):
+            for cap in (1, 30):
+                _assert_same_search(poly, p, cap)
+        assert len(certified_root_points(w, p, 30)) == w.degree
+        prepare(f, p)
+    assert len(searches) >= 12
+    for w, cap in searches:
+        assert _assert_same_search(w, p, cap)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_residual_descent_matches_the_full_walk_on_rational_coefficients_and_roots(p):
+    """2y^2 - 1/3 and 25y^2 - 5, whose content is not 0 at p = 3 and 5, and
+    polynomials with exact rational roots, found by the h_0 = 0 branch."""
+    polys = [Poly.of(Fraction(-1, 3), 0, 2), Poly.of(-5, 0, 25),
+             Poly.of(-2, 3) * Poly.of(1, 5) * Poly.of(-4, 1),
+             Poly.of(-1, 0, 1) * Poly.of(-7, 1) * Poly.of(p, 1),
+             Poly.of(-p * p, 1) * Poly.of(-2 * p * p, 1)]
+    for w in polys:
+        for poly in _search_inputs(w, p):
+            for cap in (1, 2, 30):
+                _assert_same_search(poly, p, cap)
+    assert Fraction(1) in certified_root_points(polys[3], p, 30)
+
+
+def test_residual_descent_raises_at_the_full_walks_cap():
+    # both square roots of 17 lie in the class 1 mod 2, so the search needs
+    # a second digit: caps 0 and 1 raise, at the class where the walk did
+    w = Poly.of(-17, 0, 1)
+    assert [cap for cap in range(8) if not _assert_same_search(w, 2, cap)] == [0, 1]
 
 
 def test_newton_cap_names_its_input(monkeypatch):

@@ -1,0 +1,129 @@
+"""Byte-identity sweep: run a fixed list of CLI requests through two source
+trees and report every request whose exit code, stdout or stderr differs.
+
+    python3 tools/sweep.py OLD_SRC NEW_SRC        # compare two trees
+    python3 tools/sweep.py --digests SRC          # one tree's digests, as JSON
+
+OLD_SRC and NEW_SRC are directories holding a `padic_cells` package (the
+`src` directory of two checkouts).  Each tree runs in its own process and
+calls `padic_cells.cli.main` in process, once per request.  The requests:
+
+- the acceptance corpus plus polynomials with irrational roots, rational
+  coefficients, repeated factors and split factors, at p in {2, 3, 5, 7,
+  11, 13, 31} on Z_p and two balls, as `decompose --json`, `zeta --json`
+  and a `measure` of an ac/rv formula;
+- `decompose --verify --k 3` on the corpus at p <= 7, in text mode;
+- the split polynomials at p in {101, 211, 1009}, as `decompose --json`,
+  `zeta --json` and `measure --ord 1`;
+- ac and rv formulas whose digits lie outside [0, p^d), as `measure`,
+  `decompose` and `cv-check` against the digits reduced mod p^d.
+
+The exit status is 1 when some request differs.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+
+CORPUS = [
+    "y", "y^2", "y^3", "y^2 - 1", "y^2 - 2", "y^2 - 3", "y^2 - 5", "y^2 - 7", "y^3 - y",
+    "(y - 1)^2*(y + 1)", "y + 1", "2*y + 1", "3*y - 2", "y^2 + 1", "y^2 + y + 1", "y^2 - 6",
+    "y^3 - 2", "y^3 + y + 1", "y^3 - y^2 + 20", "y^4 - 1", "y^4 - 2", "y^4 + y^2 + 1",
+    "(y^2 - 1)^2", "17*y^4 - 20*y^3 + 3*y - 19", "y^4 - y",
+]
+EXTRA = [
+    "y^3 - y - 1", "(y^2 - 2)*(y^2 - 3)", "y^5 - 3", "(y^3 - 2)*(y^2 - 7)",
+    "3*y^5 - 25*y^3 + 90*y + 1", "y^2 - 2*y + 4", "2*y^2 - 1/3", "25*y^2 - 5",
+    "(y^2 - 2)^2*(y - 1)",
+]
+SPLIT = [
+    "(y^2 - 1)^3", "y^4 - 17*y^3 + 5*y^2 + 737*y - 726", "3*y^3 + 15*y^2 - 54*y - 216",
+    "y^2 - 9*y + 8", "3*y^2 - 15*y - 108", "y^2 - 1", "(y - 2)*(y + 5)*(y - 7)",
+]
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 31)
+LARGE_PRIMES = (101, 211, 1009)
+DOMAINS = ("zp", "1:1", "3:2")
+
+
+def requests() -> list[list[str]]:
+    out = []
+    for f in CORPUS + EXTRA + SPLIT:
+        for p in SMALL_PRIMES:
+            head = ["--prime", str(p)]
+            for domain in DOMAINS:
+                at = [*head, "--domain", domain]
+                out.append(["decompose", "--json", *at, "--poly", f])
+                out.append(["zeta", "--json", *at, "--poly", f])
+                out.append(["measure", "--json", *at, "--formula",
+                            f"ac(1, {f}) = 1 | rv(2, {f}) = (1, {p + 1})"])
+    for f in CORPUS:
+        for p in (2, 3, 5, 7):
+            out.append(["decompose", "--verify", "--k", "3", "--prime", str(p), "--poly", f])
+    for f in SPLIT:
+        for p in LARGE_PRIMES:
+            head = ["--json", "--prime", str(p), "--poly", f]
+            out += [["decompose", *head], ["zeta", *head], ["measure", "--ord", "1", *head]]
+    for p in (3, 5, 7):
+        for d in (1, 2):
+            q = p**d
+            for f in ("y", "y - 1", "y^2 - 1"):
+                for m, u in ((0, q + 1), (1, 3 * q - 1), (0, -1)):
+                    head = ["--json", "--prime", str(p)]
+                    rv, ac = f"rv({d}, {f}) = ({m}, {u})", f"ac({d}, {f}) = {u}"
+                    out.append(["measure", *head, "--formula", rv])
+                    out.append(["decompose", *head, "--formula", rv])
+                    out.append(["cv-check", *head, "--formula", rv,
+                                "--formula-b", f"rv({d}, {f}) = ({m}, {u % q})"])
+                    out.append(["cv-check", *head, "--formula", ac,
+                                "--formula-b", f"ac({d}, {f}) = {u % q}"])
+    return out
+
+
+def digests(src: str) -> dict[str, str]:
+    """sha256 of (exit code, stdout, stderr) for every request, by request."""
+    sys.path.insert(0, src)
+    from padic_cells.cli import main
+
+    out = {}
+    for argv in requests():
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        text = json.dumps([code, stdout.getvalue(), stderr.getvalue()])
+        out[json.dumps(argv)] = hashlib.sha256(text.encode()).hexdigest()
+    return out
+
+
+def main() -> int:
+    if sys.argv[1:2] == ["--digests"] and len(sys.argv) == 3:
+        json.dump(digests(sys.argv[2]), sys.stdout)
+        return 0
+    if len(sys.argv) != 3:
+        raise SystemExit(__doc__)
+    runs = [json.loads(subprocess.run([sys.executable, os.path.abspath(__file__), "--digests",
+                                       os.path.abspath(src)], check=True, capture_output=True,
+                                      text=True).stdout)
+            for src in sys.argv[1:]]
+    changed = [argv for argv in runs[0] if runs[0][argv] != runs[1].get(argv)]
+    by_command: dict[str, list[str]] = {}
+    for argv in changed:
+        by_command.setdefault(json.loads(argv)[0], []).append(argv)
+    for command, argvs in sorted(by_command.items()):
+        print(f"{command}: {len(argvs)} changed")
+        for argv in argvs:
+            print(f"  {' '.join(json.loads(argv)[1:])}")
+    print(f"{len(runs[0])} requests, {len(changed)} changed")
+    return 1 if changed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
