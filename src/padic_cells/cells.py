@@ -20,10 +20,12 @@ digits and the passes over pairs of cells test only the pairs it returns.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import islice
 from math import lcm
+from operator import itemgetter
 
 from .errors import UnsupportedInputError
 from .hensel import (
@@ -222,38 +224,79 @@ class ArithRange:
         return s if self.step == 1 else f"{s}%{self.step}"
 
 
-@dataclass(frozen=True)
 class Residues:
-    """ALL units at a depth (units=None), or an explicit set of unit residues."""
+    """A set of units u mod p^depth: all of them (`classes` None, printed
+    "all"), or a union of disjoint digit classes u = a mod p^j, held as pairs
+    (j, a) with 1 <= j <= depth and a a unit below p^j.
 
-    depth: int
-    units: frozenset[int] | None = None
+    The classes are the largest the set holds: no p classes of one level fill
+    a class one level up.  So two sets at one depth are equal exactly when
+    they hold the same units, though an explicit set of every unit is not
+    all units: it prints as a list.  The constructor also takes explicit
+    units mod p^depth, held as classes of level depth; without p they reach
+    that form only when compared with a set that knows its prime.  No method
+    lists the units but `members`."""
 
-    def __post_init__(self):
-        if self.depth < 1:
+    __slots__ = ("depth", "classes", "p", "levels")
+
+    def __init__(self, depth: int, units=None, p: int | None = None, *, classes=None):
+        if depth < 1:
             raise ValueError("residue depth must be >= 1")
+        if units is not None:
+            classes = [(depth, u if p is None else u % p**depth) for u in units]
+        self.depth, self.p = depth, p
+        self.classes = None if classes is None else _largest(classes, p)
+        self.levels = () if classes is None else {j for j, _ in self.classes}
 
     @property
     def is_all(self) -> bool:
-        return self.units is None
+        return self.classes is None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Residues):
+            return NotImplemented
+        if self.depth != other.depth or self.is_all != other.is_all:
+            return False
+        if self.is_all or self.p == other.p or None not in (self.p, other.p):
+            return self.classes == other.classes
+        bare, known = (self, other) if self.p is None else (other, self)
+        return _largest(bare.classes, known.p) == known.classes
+
+    def __hash__(self) -> int:
+        return hash((self.depth, self.is_all))
+
+    def __repr__(self) -> str:
+        return f"Residues({self.depth}, classes={None if self.is_all else sorted(self.classes)})"
+
+    def explicit(self, p: int):
+        """The classes; for all units, the p - 1 classes of level 1."""
+        return [(1, a) for a in range(1, p)] if self.classes is None else self.classes
 
     def count(self, p: int) -> int:
-        if self.units is None:
+        if self.classes is None:
             return (p - 1) * p ** (self.depth - 1)
-        return len(self.units)
+        return sum(p ** (self.depth - j) for j, _ in self.classes)
 
     def members(self, p: int, limit: int | None = None) -> list[int]:
-        """The units in increasing order; with a limit, only the first ones."""
-        if self.units is not None:
-            return sorted(self.units)[:limit]
-        if limit is not None and p > limit:  # then the first units are 1, ..., limit
-            return list(range(1, limit + 1))
-        return list(islice((u for u in range(1, p**self.depth) if u % p != 0), limit))
+        """The units in increasing order; with a limit, only the first ones,
+        read from the first lifts of the classes with the least heads."""
+        if self.classes is None:
+            if limit is not None and p > limit:  # then the first units are 1, ..., limit
+                return list(range(1, limit + 1))
+            return list(islice((u for u in range(1, p**self.depth) if u % p != 0), limit))
+        q = p**self.depth
+        if limit is None:
+            return sorted(u for j, a in self.classes for u in range(a, q, p**j))
+        heads = sorted(self.classes, key=itemgetter(1))[:limit]
+        return sorted(u for j, a in heads for u in range(a, q, p**j)[:limit])[:limit]
+
+    def covers(self, j: int, a: int, p: int) -> bool:
+        """Whether the class a mod p^j lies in the set."""
+        return self.classes is None or any((i, a % p**i) in self.classes
+                                           for i in self.levels if i <= j)
 
     def contains(self, u: int, p: int) -> bool:
-        if self.units is None:
-            return True
-        return u % p**self.depth in self.units
+        return self.covers(self.depth, u, p)
 
     def lift(self, depth: int, p: int) -> "Residues":
         """The same set expressed at a deeper digit depth."""
@@ -261,20 +304,35 @@ class Residues:
             raise ValueError("cannot lower the depth of a residue set")
         if depth == self.depth:
             return self
-        if self.units is None:
-            return Residues(depth, None)
-        q = p**self.depth
-        units = frozenset(
-            u + t * q
-            for u in self.units
-            for t in range(p ** (depth - self.depth))
-        )
-        return Residues(depth, units)
+        return Residues(depth, p=self.p or p, classes=self.classes)
 
-    def __str__(self) -> str:
-        if self.units is None:
-            return f"all@{self.depth}"
-        return "{" + ",".join(map(str, sorted(self.units))) + "}@" + str(self.depth)
+    def meet(self, other: "Residues", p: int) -> "Residues":
+        """The units in both sets, at the deeper depth: of two nested classes
+        the smaller one."""
+        depth = max(self.depth, other.depth)
+        if self.is_all or other.is_all:
+            return (other if self.is_all else self).lift(depth, p)
+        return Residues(depth, p=p, classes=[c for c in self.classes if other.covers(*c, p)]
+                        + [c for c in other.classes if self.covers(*c, p)])
+
+
+def _largest(classes, p: int | None) -> frozenset[tuple[int, int]]:
+    """Disjoint classes with every p classes of one level that fill a class
+    one level up merged into it, from the deepest level on; as given
+    without p."""
+    classes = frozenset(classes)
+    if p is None or len(classes) < p:
+        return classes
+    levels: dict[int, set[int]] = {}
+    for j, a in classes:
+        levels.setdefault(j, set()).add(a)
+    for j in range(max(levels), 1, -1):
+        heads, q = levels.get(j, ()), p ** (j - 1)
+        for b, n in Counter(a % q for a in heads).items() if len(heads) >= p else ():
+            if n == p:
+                heads.difference_update(range(b, q * p, q))
+                levels.setdefault(j - 1, set()).add(b)
+    return frozenset((j, a) for j, heads in levels.items() for a in heads)
 
 
 @dataclass(frozen=True)
@@ -506,14 +564,24 @@ def _merge_laws(primary, secondary) -> dict[Poly, OrderLaw]:
     return {**secondary, **primary}
 
 
-def _transport(own: Residues, other: Residues, depth: int, scale: int, shift: int,
-               k: int, p: int) -> frozenset[int]:
-    """The units u at `depth` allowed by `own` whose image t = scale*u + shift
-    mod p^k is a unit allowed by `other`: the digits of y around one center
-    that put the digits of y around the other center in its residue set."""
-    q = p**k
-    return frozenset(u for u in Residues(depth).members(p) if own.contains(u, p)
-                     and (t := (scale * u + shift) % q) % p and other.contains(t, p))
+def _transport(own: Residues, other: Residues, depth: int, e: int, shift: int,
+               p: int) -> Residues:
+    """The units u at `depth` allowed by `own` whose image t = p^e u + shift
+    is a unit allowed by `other`: the digits of y around one center that put
+    the digits of y around the other center in its residue set.  The
+    preimage of a class t = a mod p^j is the class u = (a - shift) / p^e mod
+    p^(j - e) where p^e divides a - shift and the quotient is a unit, or,
+    where j <= e, every unit if shift = a mod p^j and none otherwise."""
+    pre = []
+    for j, a in other.explicit(p):
+        r = (a - shift) % p**j
+        if j <= e:
+            if r == 0:
+                pre = [(1, b) for b in range(1, p)]
+                break
+        elif r % p**e == 0 and r // p**e % p:
+            pre.append((j - e, r // p**e))
+    return own.meet(Residues(depth, p=p, classes=pre), p)
 
 
 def intersect_cells(a: Cell1, b: Cell1) -> list[Cell1]:
@@ -547,32 +615,24 @@ def intersect_cells(a: Cell1, b: Cell1) -> list[Cell1]:
         rng = a.m_range.intersect(b.m_range)
         if rng is None:
             return []
-        depth = max(a.residues.depth, b.residues.depth)
-        ra, rb = a.residues.lift(depth, p), b.residues.lift(depth, p)
-        if ra.is_all:
-            res = rb
-        elif rb.is_all:
-            res = ra
-        else:
-            res = Residues(depth, frozenset(ra.units) & frozenset(rb.units))
-            if not res.units:
-                return []
+        res = a.residues.meet(b.residues, p)
+        if res.classes is not None and not res.classes:
+            return []
         laws = _merge_laws(a.laws, b.laws)
-        level = max(a.center.level, b.center.level, depth)
+        level = max(a.center.level, b.center.level, res.depth)
         return [Cell1(p, replace(a.center, level=level), rng, res, laws, keep)]
 
     d_ab = d.value
     depth = max(a.residues.depth, b.residues.depth)
     out: list[Cell1] = []
 
-    def add(base: Cell1, other: Cell1, m: int, m_other: int, d: int,
-            units: frozenset[int]) -> None:
-        """A piece around base's center at ord(y - c) = m with the units at
-        depth d, where the distance to the other center is the constant m_other."""
-        if units:
+    def add(base: Cell1, other: Cell1, m: int, m_other: int, res: Residues) -> None:
+        """A piece around base's center at ord(y - c) = m with the units of
+        `res`, where the distance to the other center is the constant m_other."""
+        if res.classes:
             laws = _merge_laws(base.laws, other.frozen_laws(m_other))
-            out.append(Cell1(p, replace(base.center, level=max(base.center.level, d)),
-                             ArithRange(m, m), Residues(d, units), laws, keep))
+            out.append(Cell1(p, replace(base.center, level=max(base.center.level, res.depth)),
+                             ArithRange(m, m), res, laws, keep))
 
     # Region 1: ord(y - cA) = m < d_ab, so ord(y - cB) = m as well and the
     # unit of y - cB is the unit of y - cA minus p^(d_ab - m) * unit(cB - cA).
@@ -581,8 +641,8 @@ def intersect_cells(a: Cell1, b: Cell1) -> list[Cell1]:
         delta = digits_between(b.center.value, a.center.value, p, depth)
         for m in rng1.values():
             if m in b.m_range:
-                add(a, b, m, m, depth, _transport(a.residues, b.residues, depth, 1,
-                                                  -delta * p ** (d_ab - m), depth, p))
+                add(a, b, m, m, _transport(a.residues, b.residues, depth, 0,
+                                           -delta * p ** (d_ab - m), p))
 
     # Regions 2 and 3: ord(y - c) = m > d_ab around one center c, so the
     # distance to the other center c' is d_ab throughout and the unit of
@@ -596,8 +656,8 @@ def intersect_cells(a: Cell1, b: Cell1) -> list[Cell1]:
         delta = digits_between(inner.center.value, outer.center.value, p, k)
         head = rng.restrict(hi=d_ab + k - 1)
         for m in head.values() if head is not None else ():
-            add(inner, outer, m, d_ab, depth, _transport(inner.residues, outer.residues, depth,
-                                                         p ** (m - d_ab), delta, k, p))
+            add(inner, outer, m, d_ab, _transport(inner.residues, outer.residues, depth,
+                                                  m - d_ab, delta, p))
         tail = rng.restrict(lo=d_ab + k)
         if tail is not None and outer.residues.contains(delta, p):
             laws = _merge_laws(inner.laws, outer.frozen_laws(d_ab))
@@ -609,7 +669,7 @@ def intersect_cells(a: Cell1, b: Cell1) -> list[Cell1]:
     if d_ab in a.m_range and d_ab in b.m_range:
         k = depth + 1
         delta = digits_between(b.center.value, a.center.value, p, k)
-        add(a, b, d_ab, d_ab, k, _transport(a.residues, b.residues, k, 1, -delta, k, p))
+        add(a, b, d_ab, d_ab, _transport(a.residues, b.residues, k, 0, -delta, p))
     return out
 
 
@@ -635,10 +695,21 @@ def _support(item, p: int, depth: int) -> tuple[int, int] | None:
     return min(r, depth), x.numerator * pow(x.denominator, -1, q) % q
 
 
-def candidate_pairs(left, right) -> list[tuple[int, int]]:
+def support_keys(items, cells) -> list[tuple[int, int] | None]:
+    """The key of each item's support ball (see candidate_pairs) at the depth
+    D that `cells` fix, or None for all items when there is no cell.  Keyed
+    once, a list serves every candidate_pairs pass over the same cells."""
+    if not cells:
+        return [None] * len(items)
+    depth = 1 + min(max([0] + [x.m_range.lo for x in cells if not x.is_point]), _KEY_DIGITS)
+    return [_support(x, cells[0].prime, depth) for x in items]
+
+
+def candidate_pairs(left, right, left_keys=None, right_keys=None) -> list[tuple[int, int]]:
     """The pairs (i, j), in increasing order, where left[i] and right[j] may
     meet: a superset of the pairs that intersect_cells or contains finds
-    nonempty.  An item is a cell or a point given by its value.
+    nonempty.  An item is a cell or a point given by its value; the keys of
+    a side, where given, are its `support_keys` for the cells of both sides.
 
     A family lies in its support ball B(center, lo), a point in {center}.
     Two balls meet only if one holds the other, so a pair is a candidate only
@@ -652,9 +723,9 @@ def candidate_pairs(left, right) -> list[tuple[int, int]]:
     if not left or not right or not cells:
         return []
     p = cells[0].prime
-    depth = 1 + min(max([0] + [x.m_range.lo for x in cells if not x.is_point]), _KEY_DIGITS)
-    keys = [[_support(x, p, depth) for x in left]]
-    keys.append(keys[0] if right is left else [_support(x, p, depth) for x in right])
+    keys = [support_keys(left, cells) if left_keys is None else left_keys]
+    keys.append(right_keys if right_keys is not None else
+                keys[0] if right is left else support_keys(right, cells))
     pairs = {(i, j) for i, k in enumerate(keys[0]) if k is None for j in range(len(right))}
     pairs |= {(i, j) for j, k in enumerate(keys[1]) if k is None for i in range(len(left))}
     levels = sorted({k[0] for side in keys for k in side if k is not None})

@@ -636,11 +636,10 @@ def _point_digits(cell: Cell1, f: Poly, depth: int, p: int) -> int | None:
     return dig
 
 
-def _digit_atom_pieces(cell: Cell1, f: Poly, depth: int, want, p: int):
-    """Split a family cell so that want(unit_digits(f(y), depth)) is constant
-    on each piece: a piece per sphere m and truth value, and on an unbounded
-    range one tail piece from the first sphere whose digits hold on all later
-    ones.
+def _digit_atom_pieces(cell: Cell1, f: Poly, depth: int, target: int, p: int):
+    """Split a family cell by whether unit_digits(f(y), depth) = target: a
+    piece per sphere m and truth value, and on an unbounded range one tail
+    piece from the first sphere whose digits hold on all later ones.
 
     On the sphere m every Taylor term of f other than the law's index i0 is
     p^gap(m) smaller than the law's; where every gap is at least `depth`, the
@@ -648,7 +647,16 @@ def _digit_atom_pieces(cell: Cell1, f: Poly, depth: int, want, p: int):
     The gaps of larger indices grow with m and those of smaller ones shrink,
     so these spheres form a window [m_d, m_u]: the first of them is read and
     its digits serve the others.  An unbounded exact-law range has no term of
-    smaller index, so its window has no end and becomes the tail."""
+    smaller index, so its window has no end and becomes the tail.
+
+    A sphere is read class by class.  With g the least of v_i + i m - law_m
+    over the Taylor lines i >= 1, moving u by p^k moves f(c + p^m u) / p^law_m
+    by p^(g + k), so its digits mod p^j are one value on each class of level
+    j - g.  The first digit is read at one representative per class of that
+    level, the least unit of the class, which checks the law at every unit
+    and meets the least unit where it fails; then, for j = 1, ..., depth,
+    only the classes whose digits match the target mod p^j are lifted.  The
+    classes dropped on the way make up the false piece."""
     law = cell.law_for(f)
     assert not law.e0.is_infinite
     ords = taylor_ords(f, cell.center.value, p)
@@ -669,19 +677,28 @@ def _digit_atom_pieces(cell: Cell1, f: Poly, depth: int, want, p: int):
                     f"Taylor term {j}")
             m_u = min(m_u, (vj - e0 - depth) // (i0 - j))
 
-    def read(m: int) -> tuple[int, dict[bool, list[int]]]:
-        # the residue depth of the sphere m and its units grouped by truth value
-        min_line = min(v + i * m for i, v in lines)
+    def read(m: int) -> list[tuple[Residues, bool]]:
+        # the residues of the sphere m where the atom is false and true
         law_m = e0 + i0 * m
-        d_m = max(cell.residues.depth, depth + law_m - min_line)
-        units = cell.residues.lift(d_m, p).members(p)
-        groups: dict[bool, list[int]] = {}
-        for u, dig in zip(units, _sphere_digits(f, cell.center.value, m, law_m, depth,
-                                                 units, p)):
-            if dig % p == 0:
-                raise _law_error(f, law_m, p, cell.center.value, m, u)
-            groups.setdefault(want(dig), []).append(u)
-        return d_m, groups
+        d_m = max(cell.residues.depth, depth + law_m - min(v + i * m for i, v in lines))
+        g = min(v + i * m for i, v in lines if i) - law_m
+        classes, digits, false = cell.residues.explicit(p), {}, []
+        for j in range(1, depth + 1):
+            level = max(1, j - g)
+            classes = [(max(i, level), b) for i, a in classes
+                       for b in range(a, p ** max(i, level), p**i)]
+            fresh = sorted(b for _, b in classes if b not in digits)
+            if fresh:
+                digits.update(zip(fresh, _sphere_digits(f, cell.center.value, m, law_m, depth,
+                                                        fresh, p)))
+            bad = next((u for u in fresh if digits[u] % p == 0), None) if j == 1 else None
+            if bad is not None:
+                raise _law_error(f, law_m, p, cell.center.value, m, bad)
+            q = p**j
+            false += [c for c in classes if (digits[c[1]] - target) % q]
+            classes = [c for c in classes if (digits[c[1]] - target) % q == 0]
+        return [(Residues(d_m, p=p, classes=part), flag)
+                for part, flag in ((false, False), (classes, True)) if part]
 
     pieces: list[tuple[Cell1, bool]] = []
     stable = None
@@ -689,12 +706,10 @@ def _digit_atom_pieces(cell: Cell1, f: Poly, depth: int, want, p: int):
         in_window = m_d <= m and (m_u is None or m <= m_u)
         if in_window and stable is None:
             stable = read(m)
-        d_m, groups = stable if in_window else read(m)
         tail = in_window and rng.hi is None
         sub = rng.restrict(lo=m) if tail else ArithRange(m, m)
-        for flag in sorted(groups):
-            pieces.append((cell.copy(m_range=sub, residues=Residues(d_m, frozenset(groups[flag]))),
-                           flag))
+        for res, flag in stable if in_window else read(m):
+            pieces.append((cell.copy(m_range=sub, residues=res), flag))
         if tail:
             break
     return pieces
@@ -708,7 +723,7 @@ def _split_by_atom(cell: Cell1, atom: Atom, p: int) -> list[tuple[Cell1, bool]]:
         target = atom.unit % p**atom.depth
         if cell.is_point:
             return [(cell, _point_digits(cell, atom.f, atom.depth, p) == target)]
-        return _digit_atom_pieces(cell, atom.f, atom.depth, lambda d: d == target, p)
+        return _digit_atom_pieces(cell, atom.f, atom.depth, target, p)
 
     assert isinstance(atom, RvEq)
     law = cell.law_for(atom.f)
@@ -726,8 +741,7 @@ def _split_by_atom(cell: Cell1, atom: Atom, p: int) -> list[tuple[Cell1, bool]]:
         if not v_ok:
             out.append((piece, False))
         else:
-            out.extend(_digit_atom_pieces(piece, atom.f, atom.depth,
-                                          lambda d: d == want_digits, p))
+            out.extend(_digit_atom_pieces(piece, atom.f, atom.depth, want_digits, p))
     return out
 
 

@@ -258,8 +258,9 @@ def certified_root_points(w: Poly, p: int, depth_cap: int) -> list[Fraction]:
     and R sums the first unit digits of the tied h_i times t^i.  A digit t
     with R(t) nonzero mod p leaves ord poly = mu on its whole subclass, which
     holds no root, even in C_p; so the search descends only into the zeros
-    of R over F_p, and abandons the class when the constant line alone is
-    the least.  A class that would descend past `depth_cap` digits raises.
+    of R over F_p, read directly where R is linear, and abandons the class
+    when the constant line alone is the least.  A class that would descend
+    past `depth_cap` digits raises.
     """
     # the basin criterion ord w > 2 ord w' presumes p-integral coefficients;
     # scaling by a power of p fixes the content at 0 without moving roots
@@ -298,9 +299,13 @@ def certified_root_points(w: Poly, p: int, depth_cap: int) -> list[Fraction]:
             raise InternalBoundError(
                 f"the root search for {format_poly(given)} (p = {p}) reached the class "
                 f"{c} mod {p}^{j + 1}, past its depth bound of {depth_cap}")
-        for t in range(p):
-            if sum(a * t**i for i, a in residual) % p == 0:
-                search(poly, c + t * p**j, j + 1)
+        if residual[-1][0] == 1:  # a linear residual a0 + a1 t has the one zero -a0/a1
+            a = dict(residual)
+            zeros = [-a.get(0, 0) * pow(a[1], -1, p) % p]
+        else:
+            zeros = (t for t in range(p) if sum(a * t**i for i, a in residual) % p == 0)
+        for t in zeros:
+            search(poly, c + t * p**j, j + 1)
 
     search(w, 0, 0)
     return out

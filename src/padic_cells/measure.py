@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cells import Cell1, Decomposition, candidate_pairs, contains, intersect_cells
+from .cells import (Cell1, Decomposition, candidate_pairs, contains, intersect_cells,
+                    support_keys)
 from .errors import UnsupportedInputError
 from .hensel import center_proxy
 from .padics import ord_p
@@ -192,11 +193,13 @@ def partition_check(cells, inside, probes) -> tuple[tuple[tuple[int, int], ...],
     points has positive measure or consists of centers, so with the centers
     probed the three tests are complete.  Only the pairs of `candidate_pairs`
     can meet, so only those are intersected, and a probe is tested only
-    against the cells whose support balls hold it."""
-    overlaps = tuple((i, j) for i, j in candidate_pairs(cells, cells)
+    against the cells whose support balls hold it.  The cells are keyed
+    once for both passes."""
+    keys = support_keys(cells, cells)
+    overlaps = tuple((i, j) for i, j in candidate_pairs(cells, cells, keys, keys)
                      if i < j and intersect_cells(cells[i], cells[j]))
     holders = [[] for _ in probes]
-    for n, i in candidate_pairs(probes, cells):
+    for n, i in candidate_pairs(probes, cells, None, keys):
         holders[n].append(cells[i])
     uncovered = sum(inside(v) and sum(contains(c, v, c.prime) for c in held) != 1
                     for v, held in zip(probes, holders))

@@ -316,9 +316,10 @@ def fraction_cell_sort_key(cell):
 
 def generator_head(residues: Residues, p: int, limit: int | None = 4) -> tuple[int, ...]:
     """The first units of a residue set as `Residues.members` read them, for
-    all units from a generator over every residue mod p^depth."""
-    if residues.units is not None:
-        return tuple(sorted(residues.units)[:limit])
+    all units from a generator over every residue mod p^depth, for an
+    explicit set from the full sorted list of its members."""
+    if not residues.is_all:
+        return tuple(residues.members(p)[:limit])
     return tuple(islice((u for u in range(1, p**residues.depth) if u % p != 0), limit))
 
 
@@ -378,6 +379,72 @@ def sphere_by_sphere_digit_atom_pieces(cell, f, depth, want, p):
     if tail is not None:
         enumerate_m(tail)
     return pieces
+
+
+def unit_scan_digit_atom_pieces(cell, f, depth, want, p):
+    """`decompose._digit_atom_pieces` as it was written before the lifting
+    read: the stable window read once, but each read evaluates f at every
+    unit of the sphere at depth d_m and groups the units by want(digits)."""
+    law = cell.law_for(f)
+    ords = taylor_ords(f, cell.center.value, p)
+    lines = [(i, v.value) for i, v in enumerate(ords) if not v.is_infinite]
+    rng = cell.m_range
+    e0, i0 = law.e0.value, law.i0
+    m_d, m_u = rng.lo, rng.hi
+    for j, vj in lines:
+        if j > i0:
+            m_d = max(m_d, -(-(depth + e0 - vj) // (j - i0)))
+        elif j < i0:
+            if rng.hi is None:
+                raise InternalBoundError("unbounded range with a decreasing dominance gap")
+            m_u = min(m_u, (vj - e0 - depth) // (i0 - j))
+
+    def read(m):
+        min_line = min(v + i * m for i, v in lines)
+        law_m = e0 + i0 * m
+        d_m = max(cell.residues.depth, depth + law_m - min_line)
+        units = cell.residues.lift(d_m, p).members(p)
+        groups = {}
+        for u, dig in zip(units, _sphere_digits(f, cell.center.value, m, law_m, depth,
+                                                 units, p)):
+            if dig % p == 0:
+                raise _law_error(f, law_m, p, cell.center.value, m, u)
+            groups.setdefault(want(dig), []).append(u)
+        return d_m, groups
+
+    pieces = []
+    stable = None
+    for m in rng.values():
+        in_window = m_d <= m and (m_u is None or m <= m_u)
+        if in_window and stable is None:
+            stable = read(m)
+        d_m, groups = stable if in_window else read(m)
+        tail = in_window and rng.hi is None
+        sub = rng.restrict(lo=m) if tail else ArithRange(m, m)
+        for flag in sorted(groups):
+            pieces.append((replace(cell, m_range=sub,
+                                   residues=Residues(d_m, frozenset(groups[flag]))), flag))
+        if tail:
+            break
+    return pieces
+
+
+def unit_set(res: Residues, p: int) -> frozenset[int]:
+    """The units of a residue set mod p^depth, listed from its classes: the
+    explicit frozenset that `Residues` held before it held classes."""
+    q = p**res.depth
+    if res.is_all:
+        return frozenset(u for u in range(1, q) if u % p)
+    return frozenset(u for j, a in res.classes for u in range(a, q, p**j))
+
+
+def unit_scan_transport(own: Residues, other: Residues, depth: int, scale: int, shift: int,
+                        k: int, p: int) -> frozenset[int]:
+    """`cells._transport` as it was written, on explicit unit sets: every
+    unit u mod p^depth tested, with t = scale*u + shift mod p^k."""
+    q, mine, theirs = p**k, unit_set(own, p), unit_set(other, p)
+    return frozenset(u for u in range(1, p**depth) if u % p and u % p**own.depth in mine
+                     and (t := (scale * u + shift) % q) % p and t % p**other.depth in theirs)
 
 
 def per_class_mark_cell(cell: Cell1, k: int, p: int, count: list[int], fuzzy: list[int]) -> None:

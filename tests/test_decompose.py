@@ -3,13 +3,15 @@ import random
 import time
 from dataclasses import replace
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 
 from conftest import PRIMES, formula_pool, large_prime_polys
 from fraction_loops import (fraction_shifted_center, fraction_sphere_digits, per_class_prepare,
                             per_set_order_cell_json, point_digits, residual_zeros,
-                            sphere_by_sphere_digit_atom_pieces, tail_digits, taylor_digits)
+                            sphere_by_sphere_digit_atom_pieces, tail_digits, taylor_digits,
+                            unit_scan_digit_atom_pieces, unit_set)
 
 import padic_cells.decompose as decompose_module
 from padic_cells.cells import (
@@ -547,7 +549,8 @@ def test_digit_kernel_matches_the_fraction_loop(monkeypatch, coeffs, p, domain, 
                                                 inexact):
     """The integer sphere loop of `_digit_atom_pieces` cuts every cell into
     the same pieces as shifting the center to each member and certifying f
-    there: per digit value (ac) and through the valuation split (rv)."""
+    there: for every digit string that f meets on the cell and one it does
+    not (ac), and through the valuation split (rv)."""
     f = Poly.of(*coeffs)
     families = [c for c in prepare(f, p, domain).cells if not c.is_point]
     assert any(exact_value(c.center.value) is None for c in families) == inexact
@@ -562,7 +565,9 @@ def test_digit_kernel_matches_the_fraction_loop(monkeypatch, coeffs, p, domain, 
         for cell in families:
             law = cell.law_for(f)
             for depth in range(1, deepest + 1):
-                out.append(_digit_atom_pieces(cell, f, depth, lambda d: d, p))
+                by_digit = unit_scan_digit_atom_pieces(cell, f, depth, lambda d: d, p)
+                out += [_digit_atom_pieces(cell, f, depth, t, p)
+                        for t in _met_digits(by_digit, depth, p)]
                 tag = RvData(depth, law.apply(cell.m_range.lo + 1).value,
                              UnitDigits(depth, 1))
                 out.append(_split_by_atom(cell, RvEq(depth, f, tag), p))
@@ -598,13 +603,71 @@ def test_digit_kernel_rejects_a_contradicted_law():
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_lifting_read_names_the_unit_the_scan_names(p):
+    """A tampered law fails at the same unit of the same sphere, with the
+    same message, under the lifting read as under the scan of every unit:
+    the least failing unit is a class representative."""
+    named = 0
+    for f in (Poly.of(-1, 0, 1), Poly.of(-2, 0, 0, 1), Poly.of(1, 3, 0, 1), Poly.of(0, 1)):
+        for cell in prepare(f, p).cells:
+            if cell.is_point:
+                continue
+            law = cell.law_for(f)
+            for shift, depth in ((1, 1), (-1, 2), (2, 2)):
+                tampered = cell.with_laws({f: OrderLaw(law.e0 + shift, law.i0)})
+                with pytest.raises(InternalBoundError) as want:
+                    unit_scan_digit_atom_pieces(tampered, f, depth, lambda d: d == 1, p)
+                with pytest.raises(InternalBoundError) as got:
+                    _digit_atom_pieces(tampered, f, depth, 1, p)
+                assert str(got.value) == str(want.value)
+                named += " unit " in str(want.value)
+    assert named > 0
+
+
+def _met_digits(by_digit, depth, p):
+    """The digit strings that pieces cut per digit value meet, and one unit
+    string they do not meet where there is one: the targets whose pieces
+    together fix that cut."""
+    met = sorted({dig for _, dig in by_digit})
+    return met + [t for t in range(1, p**depth) if t % p and t not in met][:1]
+
+
+def _unit_view(pieces, p):
+    """Pieces with each residue set listed as its explicit units."""
+    return [(c.center, c.m_range, c.laws, c.keep, c.residues.depth, unit_set(c.residues, p), flag)
+            for c, flag in pieces]
+
+
+def _units_by_digit(by_digit, p):
+    """Pieces cut per digit value, as (cell, units per digit value) for each
+    sphere or tail."""
+    return [(group[0][0], {dig: unit_set(piece.residues, p) for piece, dig in group})
+            for group in (list(g) for _, g in groupby(by_digit, key=lambda x: x[0].m_range))]
+
+
+def _target_view(spheres, target):
+    """`_unit_view` of the pieces of `digits = target`, from `_units_by_digit`:
+    per sphere, or per tail, the units of every other value (False), then
+    those of the target (True), as the unit scan cut them."""
+    out = []
+    for c, units in spheres:
+        hit = units.get(target, frozenset())
+        rest = frozenset().union(*units.values()) - hit
+        out += [(c.center, c.m_range, c.laws, c.keep, c.residues.depth, part, flag)
+                for part, flag in ((rest, False), (hit, True)) if part]
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_digit_atom_window_matches_the_sphere_loop(p):
     """Reading the first sphere of the stable window once and reusing it
-    cuts every family into the same pieces as reading each sphere: on the
-    unbounded ranges of `prepare` and on finite ranges that start below, at
-    and above m_d, with step 1 and 2, and on y^2 - p^19, whose finite range
-    around 0 has a Taylor term of smaller index than the law's, so its
-    window ends before the range does from depth 2 on."""
+    cuts every family into the same pieces as reading each sphere, and the
+    lift of matching digit classes cuts, for every digit string met and one
+    not met, the pieces that the scan of every unit cuts: on the unbounded
+    ranges of `prepare` and on finite ranges that start below, at and above
+    m_d, with step 1 and 2, and on y^2 - p^19, whose finite range around 0
+    has a Taylor term of smaller index than the law's, so its window ends
+    before the range does from depth 2 on."""
     polys = [Poly.of(-1, 0, 1), Poly.of(-2, 0, 1), Poly.of(1, 0, 1), Poly.of(-2, 0, 0, 1),
              Poly.of(-17, 0, 1), Poly.of(Fraction(-1, 3), 0, 2), Poly.of(-p**19, 0, 1)]
     starts = {"below": 0, "at": 0, "above": 0, "window ends": 0}
@@ -625,8 +688,12 @@ def test_digit_atom_window_matches_the_sphere_loop(p):
                     subs.append(ArithRange(m_d, m_d + 4, 2))
                 for sub in filter(None, subs):
                     piece = replace(cell, m_range=sub)
-                    assert _digit_atom_pieces(piece, f, depth, lambda d: d, p) == \
-                        sphere_by_sphere_digit_atom_pieces(piece, f, depth, lambda d: d, p)
+                    by_digit = sphere_by_sphere_digit_atom_pieces(piece, f, depth, lambda d: d, p)
+                    assert unit_scan_digit_atom_pieces(piece, f, depth, lambda d: d, p) == by_digit
+                    spheres = _units_by_digit(by_digit, p)
+                    for target in _met_digits(by_digit, depth, p):
+                        assert _unit_view(_digit_atom_pieces(piece, f, depth, target, p), p) == \
+                            _target_view(spheres, target)
                     if sub.hi is None:
                         continue
                     starts["below" if sub.lo < m_d else "at" if sub.lo == m_d else "above"] += 1
@@ -634,6 +701,47 @@ def test_digit_atom_window_matches_the_sphere_loop(p):
                     starts["window ends"] += any(v - e0 - depth < (i0 - j) * sub.hi
                                                  for j, v in lines if j < i0)
     assert all(starts.values()), starts
+
+
+def _units_read(monkeypatch, text, p):
+    """The units at which `_sphere_digits` evaluates f inside
+    decompose_set(text, p), and the digit classes its cells store."""
+    seen = []
+
+    def counted(f, center, m, v, depth, units, p):
+        seen.append(len(units))
+        return kernel(f, center, m, v, depth, units, p)
+
+    kernel = decompose_module._sphere_digits
+    monkeypatch.setattr(decompose_module, "_sphere_digits", counted)
+    dec = decompose_set(parse_formula(text), p)
+    monkeypatch.undo()
+    stored = sum(len(c.residues.classes) for c in dec.cells
+                 if not c.is_point and not c.residues.is_all)
+    return sum(seen), stored
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
+def test_complement_digit_class_reads_few_units(monkeypatch, d):
+    """!(ac(d, y) = 1) at p = 7 lifts the one matching class digit by digit:
+    at most 10 d units read and 10 d classes stored, where the unit scan read
+    and stored every unit mod 7^d (705,894 at d = 7)."""
+    read, stored = _units_read(monkeypatch, f"!(ac({d}, y) = 1)", 7)
+    assert read <= 10 * d and stored <= 10 * d, (read, stored)
+
+
+@pytest.mark.parametrize("text,p", [
+    ("(ac(3, y + 1) = 158 | ord(y^2 + 1) = 3)", 7),
+    ("(((ord(2*y + 1) <= ord(y^2 - 1) + 1 & rv(3, y^2 - 1) = (0, 93)) | "
+     "!(ac(2, 2*y + 1) = 19)) & ord(y^2 - 1) <= 1)", 7),
+    ("(!(ord(y^2 + y - 3) > 3) & (ac(2, y^2 - 1) = 91 & ord(y^2 - 1) = 1))", 11),
+])
+def test_pool_digit_atoms_read_few_units(monkeypatch, text, p):
+    """Three formulas of the formulas benchmark pool read at most 1,000
+    units each through the sphere kernel (6,726, 9,497 and 3,769 with the
+    unit scan)."""
+    read, _ = _units_read(monkeypatch, text, p)
+    assert read <= 1000, read
 
 
 @pytest.mark.parametrize("N", [1000, 2000])
@@ -660,7 +768,7 @@ def test_internal_bound_errors_name_their_context(monkeypatch):
     tampered = family.with_laws({f: OrderLaw(Val(0), 2)})
     with pytest.raises(InternalBoundError, match=r"y\^2 - 1 \(p = 3\) on m in \[1\.\.inf\] "
                        r"around the center 1 .*dominance gap"):
-        _digit_atom_pieces(tampered, f, 1, lambda d: d, 3)
+        _digit_atom_pieces(tampered, f, 1, 1, 3)
     infinite = family.with_laws({f.derivative(): OrderLaw(INFINITY, 0)})
     with pytest.raises(InternalBoundError, match=r"2\*y is infinite on the family on m in "
                        r"\[1\.\.inf\] around the center 1 \(p = 3\)"):

@@ -268,8 +268,23 @@ def _search_inputs(w: Poly, p: int):
     return [w] + [w.shift_var(Fraction(p) ** k, Fraction(t)) for t, k in balls]
 
 
+def _linear_zeros(monkeypatch) -> list[int]:
+    """A counter of the linear residuals whose zero the search reads
+    directly: the inverses mod p that `hensel` takes, all of them there."""
+    seen = [0]
+
+    def counted(*args):
+        seen[0] += len(args) == 3 and args[1] == -1
+        return pow(*args)
+
+    monkeypatch.setattr(hensel, "pow", counted, raising=False)
+    return seen
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
-def test_residual_descent_matches_the_full_walk_on_the_corpus(p):
+def test_residual_descent_matches_the_full_walk_on_the_corpus(monkeypatch, p):
+    """Classes with a linear residual a0 + a1 t descend into -a0/a1 alone."""
+    linear = _linear_zeros(monkeypatch)
     finished = 0
     for coeffs in CORPUS.values():
         w = squarefree_part(Poly.of(*coeffs))
@@ -278,13 +293,14 @@ def test_residual_descent_matches_the_full_walk_on_the_corpus(p):
         for poly in _search_inputs(w, p):
             for cap in (0, 1, 2, 30):
                 finished += _assert_same_search(poly, p, cap)
-    assert finished > 150
+    assert finished > 150 and linear[0] > 0
 
 
 @pytest.mark.parametrize("p", [31, 101, 1009])
 def test_residual_descent_matches_the_full_walk_at_large_primes(monkeypatch, p):
     """On the large-prime pool: Z_p, small balls, and every search that
-    `prepare` makes in its tie classes."""
+    `prepare` makes in its tie classes, linear residuals among them."""
+    linear = _linear_zeros(monkeypatch)
     searches = []
 
     def recorded(w, p, depth_cap):
@@ -299,7 +315,7 @@ def test_residual_descent_matches_the_full_walk_at_large_primes(monkeypatch, p):
                 _assert_same_search(poly, p, cap)
         assert len(certified_root_points(w, p, 30)) == w.degree
         prepare(f, p)
-    assert len(searches) >= 12
+    assert len(searches) >= 12 and linear[0] > 0
     for w, cap in searches:
         assert _assert_same_search(w, p, cap)
 

@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 from conftest import CORPUS, PRIMES, formula_pool, large_prime_polys
-from fraction_loops import per_cell_igusa_zeta
+from fraction_loops import all_pairs_partition_check, per_cell_igusa_zeta
 
 from padic_cells.cells import (ArithRange, Ball, Cell1, Center, Decomposition, OrderLaw, Residues,
                                TConst, ZP, refine_common, sorted_cells)
 from padic_cells.decompose import (AcEq, FAnd, FAtom, FNot, FOr, OrdCmp, RvEq, decompose_set,
                                    prepare)
+import padic_cells.cells as cells_module
 from padic_cells.measure import (
     ZetaFn,
     cell_measure,
@@ -18,6 +19,7 @@ from padic_cells.measure import (
     exact_partition_check,
     igusa_zeta,
     measure_of_order,
+    partition_check,
 )
 from padic_cells.oracle import count_roots_mod, verify_partition
 from padic_cells.padics import RvData, UnitDigits, ord_p
@@ -370,3 +372,32 @@ def test_exact_partition_check_detects_missing_point():
     bad = Decomposition(p, ZP, cells)
     chk = exact_partition_check(bad)
     assert not chk.covers and chk.uncovered_centers == 1
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_partition_check_keys_each_cell_once(monkeypatch, corpus_decompositions, p):
+    """partition_check keys every cell and every probe once, for both of its
+    passes, and agrees with the all-pairs loops: on every other corpus
+    decomposition with its centers probed, on half of it with the centers
+    of the other half left uncovered, and with a cell repeated."""
+    keyed = [0]
+    support = cells_module._support
+
+    def counted(item, p, depth):
+        keyed[0] += 1
+        return support(item, p, depth)
+
+    monkeypatch.setattr(cells_module, "_support", counted)
+    decs = [d for (_, q), d in corpus_decompositions.items() if q == p]
+    for dec in decs[::2]:
+        cells = list(dec.cells)
+        probes = [c.center.value for c in cells] + [Fraction(1, p), Fraction(7)]
+
+        def integral(v):  # a Hensel root center lies in Z_p
+            return not isinstance(v, Fraction) or ord_p(v, p) >= 0
+
+        for part in (cells, cells[::2], cells + cells[:1], []):
+            keyed[0] = 0
+            got = partition_check(part, integral, probes)
+            assert keyed[0] == (len(part) + len(probes) if part else 0)
+            assert got == all_pairs_partition_check(part, integral, probes)
