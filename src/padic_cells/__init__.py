@@ -39,6 +39,7 @@ from .decompose import (
     RvEq,
     decompose_set,
     prepare,
+    prepare_grouped,
     preserves_balls_report,
 )
 from .measure import ZetaFn, cell_measure, igusa_zeta, measure_of_order
@@ -81,6 +82,7 @@ __all__ = [
     "RvEq",
     "decompose_set",
     "prepare",
+    "prepare_grouped",
     "preserves_balls_report",
     "ZetaFn",
     "cell_measure",

@@ -526,11 +526,12 @@ class Decomposition:
         return tuple(c for c in self.cells if c.keep)
 
 
-def center_sort_key(c: Center, scale: int):
+def center_sort_key(c: Center, scale: int | None):
     """Rational centers first, in increasing order, then Hensel roots by
-    witness and rv tag.  `scale` is a common multiple of the denominators of
-    the rational centers, so a/b is keyed by the integer a * (scale / b)."""
-    if c.is_rational:
+    witness and rv tag.  `scale` is None for a Hensel root and, for a
+    rational center, a common multiple of the denominators of the rational
+    centers, so a/b is keyed by the integer a * (scale / b)."""
+    if scale is not None:
         x = c.value
         return (0, x.numerator * (scale // x.denominator), ())
     r = c.value
@@ -538,7 +539,7 @@ def center_sort_key(c: Center, scale: int):
     return (1, 0, (r.witness.coeffs, tag.valuation, tag.unit.digits if tag.unit else -1, tag.depth))
 
 
-def cell_sort_key(cell: Cell1, scale: int):
+def cell_sort_key(cell: Cell1, scale: int | None):
     """The center's key, then points before families, then `m_range.lo` and
     the first residues (read with no generator for an all-units family)."""
     if cell.m_range is None:
@@ -549,9 +550,12 @@ def cell_sort_key(cell: Cell1, scale: int):
 
 
 def sorted_cells(cells: list[Cell1]) -> tuple[Cell1, ...]:
-    """The cells in `cell_sort_key` order, compared on integers, not Fractions."""
-    scale = lcm(*{c.center.value.denominator for c in cells if c.center.is_rational})
-    return tuple(sorted(cells, key=lambda c: cell_sort_key(c, scale)))
+    """The cells in `cell_sort_key` order, compared on integers, not Fractions.
+    Each center's type is tested once, for both the scale and the key."""
+    rational = [isinstance(c.center.value, Fraction) for c in cells]
+    scale = lcm(*{c.center.value.denominator for c, r in zip(cells, rational) if r})
+    keys = [cell_sort_key(c, scale if r else None) for c, r in zip(cells, rational)]
+    return tuple(cells[i] for i in sorted(range(len(cells)), key=keys.__getitem__))
 
 
 # ---------------------------------------------------------------------------

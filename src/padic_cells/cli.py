@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .cells import Ball, Cell1, Decomposition, ZP
-from .decompose import decompose_set, prepare, preserves_balls_report
+from .decompose import decompose_set, prepare, prepare_grouped, preserves_balls_report
 from .dim import dim_of
 from .errors import InternalBoundError, ParseError, UnsupportedInputError
 from .kgroup import chi, cv_check
@@ -173,11 +173,14 @@ def _print_text(payload: dict, indent: int = 0) -> None:
             print(f"{pad}{key}: {value}")
 
 
-def _decomposition_for(args) -> tuple[Decomposition, Poly | None]:
+def _decomposition_for(args, grouped: bool = False) -> tuple[Decomposition, Poly | None]:
+    """The decomposition of the request's formula, or of its polynomial: by
+    `prepare_grouped` for a command that only sums over cells, else by
+    `prepare`."""
     domain = _parse_domain(args.domain)
     if args.poly is not None:
         f = parse_poly(args.poly)
-        return prepare(f, args.prime, domain), f
+        return (prepare_grouped if grouped else prepare)(f, args.prime, domain), f
     phi = parse_formula(args.formula)
     return decompose_set(phi, args.prime, domain), None
 
@@ -211,7 +214,7 @@ def _cmd_decompose(args) -> dict:
 
 
 def _cmd_measure(args) -> dict:
-    dec, f = _decomposition_for(args)
+    dec, f = _decomposition_for(args, grouped=True)
     payload = {"schema": SCHEMA, "command": "measure", "prime": args.prime}
     if args.ord is not None:  # main rejects --ord with --formula
         payload["ord"] = args.ord
@@ -222,7 +225,7 @@ def _cmd_measure(args) -> dict:
 
 
 def _cmd_zeta(args) -> dict:
-    dec, f = _decomposition_for(args)
+    dec, f = _decomposition_for(args, grouped=True)
     z = igusa_zeta(dec, f, args.prime)
     return {"schema": SCHEMA, "command": "zeta", "prime": args.prime,
             "poly": args.poly, "zeta": _zeta_json(z)}
@@ -234,7 +237,7 @@ def _cmd_oracle_compare(args) -> dict:
     if args.k < 0:
         raise UnsupportedInputError(f"--k = {args.k} is out of range: it must be at least 0")
     domain = _parse_domain(args.domain)
-    dec = prepare(f, p, domain)
+    dec = prepare_grouped(f, p, domain)
     tails = order_tails(f, p, domain, args.k + 1)
     table = []
     agree = True

@@ -28,7 +28,8 @@ group with that law.  A class where F's digit vanishes leaves the group as
 its point and family cells, which F treats like any inherited cell.
 `prepare` builds the point and the family [m* + 1, oo) of every class still
 in a group once, at the top, the cells the per-class recursion would build,
-all sharing the group's law table.
+all sharing the group's law table; `prepare_grouped` builds one family cell
+per group instead, the classes' union on the sphere m*.
 
 Every digit of f that the engine reads -- R(u0) at a tie, the unit digits
 of an `ac`/`rv` atom on a sphere, on the unbounded tail of a family and at a
@@ -205,8 +206,8 @@ def _check_input(p: int, domain: Ball) -> None:
             f"below 2^{_MAX_RADIUS_BITS}")
 
 
-def _budget(f: Poly, p: int) -> int:
-    w = squarefree_part(f)
+def _budget(f: Poly, p: int, w: Poly) -> int:
+    """The descent budget of f, given its squarefree part w."""
     r = 0
     if w.degree >= 1:
         res = resultant_val(w, w.derivative(), p)
@@ -305,8 +306,11 @@ def _class_cells(p: int, center: Center, m_star: int, units, laws) -> list[Cell1
     return out
 
 
-def _prepare_ball(f: Poly, p: int, domain: Ball,
-                  budget: int) -> tuple[list[Cell1], list[_RootlessGroup]]:
+def _prepare_ball(f: Poly, p: int, domain: Ball, budget: int,
+                  w: Poly | None = None) -> tuple[list[Cell1], list[_RootlessGroup]]:
+    """The cells of the domain with laws for f and its derivative tower, and
+    the rootless groups still to be expanded; w is f's squarefree part,
+    computed here where not given."""
     if f.degree == 0:
         return _base_cells(p, domain, {f: OrderLaw(ord_p(f.coeff(0), p), 0)}), []
     if f.degree == 1:
@@ -314,7 +318,8 @@ def _prepare_ball(f: Poly, p: int, domain: Ball,
 
     # every cell built here has level 1 and, when it is a family, all units
     # at depth 1; a family still without a law for f is a work item
-    w = squarefree_part(f)
+    if w is None:
+        w = squarefree_part(f)
     out: list[Cell1] = []
     work: list[Cell1] = []
     groups: list[_RootlessGroup] = []
@@ -463,20 +468,48 @@ def _split_tie_class(f: Poly, w: Poly, p: int, center: Center, u0: int, m_star: 
     return Center(center_of(root), 1, term), OrderLaw(INFINITY, 0)
 
 
+def _prepare_cells(f: Poly, p: int, domain: Ball) -> tuple[list[Cell1], list[_RootlessGroup]]:
+    """The checked input's cells and rootless groups, as `_prepare_ball`
+    builds them for the whole domain."""
+    _check_input(p, domain)
+    if f.is_zero:
+        raise UnsupportedInputError("cannot decompose for the zero polynomial")
+    if f.degree > MAX_DEGREE:
+        raise UnsupportedInputError(f"deg f = {f.degree} is above the supported bound {MAX_DEGREE}")
+    w = squarefree_part(f)
+    return _prepare_ball(f, p, domain, _budget(f, p, w), w)
+
+
 def prepare(f: Poly, p: int, domain: Ball = ZP) -> Decomposition:
     """A decomposition of the domain ball with an exact order law for f (and
     for the whole derivative tower, inherited from the recursion) on every
     cell.  The recursion runs on the ball itself, with centers in f's own
     coordinates; descents are counted from the ball's radius, so the budget
     bounds the depth below the ball, not below Z_p."""
-    _check_input(p, domain)
-    if f.is_zero:
-        raise UnsupportedInputError("cannot decompose for the zero polynomial")
-    if f.degree > MAX_DEGREE:
-        raise UnsupportedInputError(f"deg f = {f.degree} is above the supported bound {MAX_DEGREE}")
-    cells, groups = _prepare_ball(f, p, domain, _budget(f, p))
+    cells, groups = _prepare_cells(f, p, domain)
     for g in groups:
         cells.extend(_class_cells(p, g.center, g.m_star, g.units, g.laws))
+    return Decomposition(p, domain, sorted_cells(cells))
+
+
+def prepare_grouped(f: Poly, p: int, domain: Ball = ZP) -> Decomposition:
+    """`prepare` with each rootless tie group as one family cell: the sphere
+    ord(y - c) = m* around the tie's center c whose first digits are the
+    group's units, with the group's constant law table.  That is the union
+    of the points and families [m* + 1, oo) that `prepare` lists per class,
+    with the same laws, so every sum over cells -- measures, the measure of
+    each order, the zeta function -- is the same, and the number of cells
+    does not grow with p.
+
+    Commands that answer with such a sum use this form.  Those that list
+    cells, sample laws per cell or read the cut (`decompose`, `chi`, `dim`,
+    `preserves-balls`) keep `prepare`: this form would change their
+    payloads, and `chi` still depends on how a set is cut, so it would
+    change the Euler characteristics too.  They move once `chi` reads the
+    set alone and this form becomes the printed decomposition."""
+    cells, groups = _prepare_cells(f, p, domain)
+    cells.extend(Cell1(p, g.center, ArithRange(g.m_star, g.m_star), Residues(1, g.units, p),
+                       g.laws) for g in groups)
     return Decomposition(p, domain, sorted_cells(cells))
 
 

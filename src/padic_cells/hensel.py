@@ -268,10 +268,13 @@ def certified_root_points(w: Poly, p: int, depth_cap: int) -> list[Fraction]:
     if not content.is_infinite and content.value != 0:
         w = w * Fraction(p) ** (-content.value)
     out: list[Fraction] = []
-
-    def search(poly: Poly, c: int, j: int) -> None:
+    # the classes still to visit, (poly, c, j), the next one last: a stack,
+    # not a recursive closure, which would leave a reference cycle per call
+    stack = [(w, 0, 0)]
+    while stack:
+        poly, c, j = stack.pop()
         if poly.degree < 1:
-            return
+            continue
         # one integer expansion per class: poly(y + c) = sum_i (h_i / D) y^i;
         # poly is p-integral, so D is prime to p and ord b_i = ord h_i
         hs = poly.shifted_numerators(c)
@@ -279,8 +282,8 @@ def certified_root_points(w: Poly, p: int, depth_cap: int) -> list[Fraction]:
             out.append(Fraction(c))
             quo, rem = poly.divmod(Poly.of(-c, 1))
             assert rem.is_zero
-            search(quo, c, j)
-            return
+            stack.append((quo, c, j))
+            continue
         v0 = int_val(hs[0], p)  # ord poly(c)
         if hs[1]:
             v1 = int_val(hs[1], p)  # ord poly'(c)
@@ -289,12 +292,12 @@ def certified_root_points(w: Poly, p: int, depth_cap: int) -> list[Fraction]:
                 z, _prec = _newton(poly, Fraction(c), p, max(v0 - v1, j + 1))
                 if ord_p(z - c, p) >= j:
                     out.append(z)
-                return
+                continue
         lines = [(i, int_val(h, p) + i * j) for i, h in enumerate(hs) if h]
         mu = min(v for _, v in lines)
         residual = [(i, hs[i] // p ** (mu - i * j) % p) for i, v in lines if v == mu]
         if len(residual) == 1 and residual[0][0] == 0:
-            return  # the constant line alone is the least: no root on the class
+            continue  # the constant line alone is the least: no root on the class
         if j + 1 > depth_cap:
             raise InternalBoundError(
                 f"the root search for {format_poly(given)} (p = {p}) reached the class "
@@ -303,11 +306,8 @@ def certified_root_points(w: Poly, p: int, depth_cap: int) -> list[Fraction]:
             a = dict(residual)
             zeros = [-a.get(0, 0) * pow(a[1], -1, p) % p]
         else:
-            zeros = (t for t in range(p) if sum(a * t**i for i, a in residual) % p == 0)
-        for t in zeros:
-            search(poly, c + t * p**j, j + 1)
-
-    search(w, 0, 0)
+            zeros = [t for t in range(p) if sum(a * t**i for i, a in residual) % p == 0]
+        stack.extend((poly, c + t * p**j, j + 1) for t in reversed(zeros))
     return out
 
 

@@ -646,7 +646,7 @@ def per_class_prepare(f: Poly, p: int, domain=ZP) -> tuple[Cell1, ...]:
     """The sorted cells of `decompose.prepare` as it was written, with every
     rootless tie class carried up the derivative tower as its own point and
     family cell: each higher polynomial Taylor-expands f at each of them."""
-    return sorted_cells(per_class_prepare_ball(f, p, domain, _budget(f, p)))
+    return sorted_cells(per_class_prepare_ball(f, p, domain, _budget(f, p, squarefree_part(f))))
 
 
 def per_class_prepare_ball(f: Poly, p: int, domain, budget: int) -> list[Cell1]:

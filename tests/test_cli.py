@@ -156,7 +156,7 @@ def test_cli_exit_codes(capsys):
 
 def test_cli_internal_bound_exit(capsys, monkeypatch):
     # an artificially low depth budget trips the internal-defect path
-    monkeypatch.setattr(decompose, "_budget", lambda f, p: 3)
+    monkeypatch.setattr(decompose, "_budget", lambda f, p, w: 3)
     code, _, err = run_cli(capsys, "decompose", "--prime", "2",
                            "--poly", "y^2 - 66*y + 65")
     assert code == 4 and "bound" in err
@@ -306,7 +306,7 @@ def test_cli_reused_parser_answers_like_a_fresh_one(capsys, monkeypatch):
     # an artificially low depth budget trips exit 4 on this polynomial only
     real_budget = decompose._budget
     monkeypatch.setattr(decompose, "_budget",
-                        lambda f, p: 3 if f == Poly.of(65, -66, 1) else real_budget(f, p))
+                        lambda f, p, w: 3 if f == Poly.of(65, -66, 1) else real_budget(f, p, w))
     sequence = [
         ["decompose", "--prime", "5", "--poly", "y^2 - 1", "--json"],
         ["measure", "--prime", "5", "--formula", "ord(y) >= 1", "--ord", "2"],
@@ -519,3 +519,26 @@ def test_cli_fuzz_exits_with_a_documented_code(capsys):
         assert code in (0, 2, 3, 4) and "Traceback" not in out.err, argv
         assert code == 0 or (out.out == "" and out.err), argv
     assert reached > 100
+
+
+def test_sum_commands_read_tie_groups_as_one_cell(capsys, monkeypatch):
+    """zeta, measure --poly and oracle-compare answer with sums over cells
+    and decompose with `prepare_grouped`; the commands that list or cut
+    cells keep `prepare`.  Both are looked up on the module at call time,
+    so a wrapper set there sees every call."""
+    built = []
+    for name in ("prepare", "prepare_grouped"):
+        build = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, name=name, build=build:
+                            built.append(name) or build(*args))
+    head = ["--prime", "31", "--poly", "y^2 - 1"]
+    for command, want in ((["zeta"], "prepare_grouped"), (["measure"], "prepare_grouped"),
+                          (["measure", "--ord", "1"], "prepare_grouped"),
+                          (["oracle-compare", "--k", "1"], "prepare_grouped"),
+                          (["decompose"], "prepare"),
+                          (["decompose", "--verify", "--k", "1"], "prepare"),
+                          (["chi"], "prepare"), (["dim"], "prepare"),
+                          (["preserves-balls"], "prepare")):
+        built.clear()
+        code, _, err = run_cli(capsys, *command, *head)
+        assert code == 0 and built == [want], (command, built, err)

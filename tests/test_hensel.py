@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -340,6 +341,24 @@ def test_residual_descent_raises_at_the_full_walks_cap():
     # a second digit: caps 0 and 1 raise, at the class where the walk did
     w = Poly.of(-17, 0, 1)
     assert [cap for cap in range(8) if not _assert_same_search(w, 2, cap)] == [0, 1]
+
+
+@pytest.mark.parametrize("w,p", [(Poly.of(-1, 0, 1), 5), (Poly.of(-726, 737, 5, -17, 1), 101),
+                                 (Poly.of(-2, 0, 1), 7)])
+def test_root_search_leaves_no_reference_cycles(w, p):
+    """The search walks its classes on a stack: with the collector paused,
+    its calls leave nothing for `gc.collect` (a recursive closure left a
+    cycle of the function and its cells per call, 30 objects for three
+    calls on y^2 - 1 at p = 5)."""
+    certified_root_points(w, p, 30)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            certified_root_points(w, p, 30)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_newton_cap_names_its_input(monkeypatch):

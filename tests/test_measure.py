@@ -9,8 +9,8 @@ from fraction_loops import all_pairs_partition_check, per_cell_igusa_zeta
 
 from padic_cells.cells import (ArithRange, Ball, Cell1, Center, Decomposition, OrderLaw, Residues,
                                TConst, ZP, refine_common, sorted_cells)
-from padic_cells.decompose import (AcEq, FAnd, FAtom, FNot, FOr, OrdCmp, RvEq, decompose_set,
-                                   prepare)
+from padic_cells.decompose import (AcEq, FAnd, FAtom, FNot, FOr, OrdCmp, RvEq, _class_cells,
+                                   decompose_set, prepare, prepare_grouped)
 import padic_cells.cells as cells_module
 from padic_cells.measure import (
     ZetaFn,
@@ -318,6 +318,45 @@ def test_zeta_polynomial_operations_do_not_grow_with_p(monkeypatch):
                 igusa_zeta(dec, f, p)
             seen.add((counts["add"], counts["mul"]))
         assert len(seen) == 1, (f, seen)
+
+
+GROUPED_DOMAINS = [ZP, Ball(Fraction(1), 1), Ball(Fraction(3), 2)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 31, 101])
+def test_grouped_form_has_the_sums_of_the_listed_form(p):
+    """`prepare_grouped` reads each rootless tie group as one sphere cell:
+    expanding those cells into the point and family of each class gives
+    `prepare`'s cells, the zeta function, the measure of each order and the
+    total measure are the same, and the grouped cells partition the domain."""
+    merged = 0
+    for name, coeffs in CORPUS.items():
+        f = Poly.of(*coeffs)
+        for domain in GROUPED_DOMAINS:
+            listed, grouped = prepare(f, p, domain), prepare_grouped(f, p, domain)
+            kept, expanded = [], []
+            for cell in grouped.cells:
+                if cell.is_point or cell.m_range.hi is None or cell.residues.is_all:
+                    kept.append(cell)
+                else:
+                    expanded += _class_cells(p, cell.center, cell.m_range.lo,
+                                             cell.residues.members(p), cell.laws)
+            merged += bool(expanded)
+            assert sorted_cells(kept + expanded) == listed.cells, (name, domain)
+            assert igusa_zeta(grouped, f, p) == igusa_zeta(listed, f, p), (name, domain)
+            assert [measure_of_order(grouped, f, m) for m in range(8)] == \
+                [measure_of_order(listed, f, m) for m in range(8)], (name, domain)
+            assert decomposition_measure(grouped) == decomposition_measure(listed)
+            assert exact_partition_check(grouped).ok, (name, domain)
+    assert merged >= 6
+
+
+@pytest.mark.parametrize("p", [101, 1009, 10007])
+def test_grouped_form_does_not_grow_with_p(p):
+    """The quartic's ties have p - 1 - r rootless classes: `prepare` lists
+    802, 12,098 and 80,050 cells at these primes, the grouped form at most 40."""
+    f = Poly.of(-726, 737, 5, -17, 1)
+    assert len(prepare_grouped(f, p).cells) <= 40
 
 
 def test_zeta_canonical_form():
