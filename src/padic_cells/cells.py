@@ -233,17 +233,19 @@ class Residues:
     a class one level up.  So two sets at one depth are equal exactly when
     they hold the same units, though an explicit set of every unit is not
     all units: it prints as a list.  The constructor also takes explicit
-    units mod p^depth, held as classes of level depth; without p they reach
-    that form only when compared with a set that knows its prime.  No method
-    lists the units but `members`."""
+    units mod p^depth, held as classes of level depth; an explicit set needs
+    its prime p.  No method lists the units but `members`."""
 
     __slots__ = ("depth", "classes", "p", "levels")
 
     def __init__(self, depth: int, units=None, p: int | None = None, *, classes=None):
         if depth < 1:
             raise ValueError("residue depth must be >= 1")
+        if (units is not None or classes is not None) and p is None:
+            raise ValueError("an explicit residue set needs its prime")
         if units is not None:
-            classes = [(depth, u if p is None else u % p**depth) for u in units]
+            q = p**depth
+            classes = [(depth, u % q) for u in units]
         self.depth, self.p = depth, p
         self.classes = None if classes is None else _largest(classes, p)
         self.levels = () if classes is None else {j for j, _ in self.classes}
@@ -255,12 +257,7 @@ class Residues:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Residues):
             return NotImplemented
-        if self.depth != other.depth or self.is_all != other.is_all:
-            return False
-        if self.is_all or self.p == other.p or None not in (self.p, other.p):
-            return self.classes == other.classes
-        bare, known = (self, other) if self.p is None else (other, self)
-        return _largest(bare.classes, known.p) == known.classes
+        return self.depth == other.depth and self.classes == other.classes
 
     def __hash__(self) -> int:
         return hash((self.depth, self.is_all))
@@ -286,6 +283,8 @@ class Residues:
             return list(islice((u for u in range(1, p**self.depth) if u % p != 0), limit))
         q = p**self.depth
         if limit is None:
+            if self.levels == {self.depth}:  # each class is one unit
+                return sorted(map(itemgetter(1), self.classes))
             return sorted(u for j, a in self.classes for u in range(a, q, p**j))
         heads = sorted(self.classes, key=itemgetter(1))[:limit]
         return sorted(u for j, a in heads for u in range(a, q, p**j)[:limit])[:limit]
@@ -304,7 +303,7 @@ class Residues:
             raise ValueError("cannot lower the depth of a residue set")
         if depth == self.depth:
             return self
-        return Residues(depth, p=self.p or p, classes=self.classes)
+        return Residues(depth, p=p, classes=self.classes)
 
     def meet(self, other: "Residues", p: int) -> "Residues":
         """The units in both sets, at the deeper depth: of two nested classes
@@ -316,12 +315,11 @@ class Residues:
                         + [c for c in other.classes if self.covers(*c, p)])
 
 
-def _largest(classes, p: int | None) -> frozenset[tuple[int, int]]:
+def _largest(classes, p: int) -> frozenset[tuple[int, int]]:
     """Disjoint classes with every p classes of one level that fill a class
-    one level up merged into it, from the deepest level on; as given
-    without p."""
+    one level up merged into it, from the deepest level on."""
     classes = frozenset(classes)
-    if p is None or len(classes) < p:
+    if len(classes) < p:
         return classes
     levels: dict[int, set[int]] = {}
     for j, a in classes:

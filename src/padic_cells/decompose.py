@@ -1,8 +1,8 @@
 """Cell decomposition of a ball in Z_p adapted to polynomial valuation data.
 
-`prepare` follows the constructive recursion on the degree, on the domain
-ball B(b, r) itself (Z_p is B(0, 0)): it starts from the point b and the
-spheres ord(y - b) = m >= r, decomposes for the derivative first, then
+`prepare_grouped` follows the constructive recursion on the degree, on the
+domain ball B(b, r) itself (Z_p is B(0, 0)): it starts from the point b and
+the spheres ord(y - b) = m >= r, decomposes for the derivative first, then
 gives every inherited family cell a law for the polynomial.  The polynomial
 is Taylor-expanded at the cell's center and the valuation range is
 partitioned at the breakpoints of the Newton polygon of the Taylor
@@ -18,26 +18,28 @@ p the class holds no root of f, not even in C_p, and ord f is the constant
 best on all of it.  Only the classes where R vanishes are searched for a
 root; each becomes a point cell and a family cell processed in turn.
 
-The rootless classes of a tie go up the derivative tower as one group: the
-tie's center c, m*, the units u0 and their shared table of constant laws.
-Each polynomial F above is Taylor-expanded once at c and read on the sphere
-m* by the same Newton-polygon argument: where one Taylor line is the least
-at m*, or where the residual digit of F at u0 is nonzero, ord F is one
-constant on the class, which holds no root of F, so the class stays in the
-group with that law.  A class where F's digit vanishes leaves the group as
-its point and family cells, which F treats like any inherited cell.
-`prepare` builds the point and the family [m* + 1, oo) of every class still
-in a group once, at the top, the cells the per-class recursion would build,
-all sharing the group's law table; `prepare_grouped` builds one family cell
-per group instead, the classes' union on the sphere m*.
+The rootless classes of a tie are one cell, a rootless group: the family
+on the one sphere ord(y - c) = m* around the tie's center c whose first
+digits are the units u0, with one table of constant laws.  It goes up the
+derivative tower as it is.  Each polynomial F above is Taylor-expanded once
+at c and read on the sphere m* by the same Newton-polygon argument: where
+one Taylor line is the least at m*, or where the residual digit of F at u0
+is nonzero, ord F is one constant on the class, which holds no root of F,
+so the class stays in the group with that law.  A class where F's digit
+vanishes leaves the group as its point and family cells, which F treats
+like any inherited cell.  `prepare_grouped` returns the groups as they are;
+`prepare` lists the point and the family [m* + 1, oo) of each of their
+classes, the cells the per-class recursion would build, all sharing the
+group's law table.
 
 Every digit of f that the engine reads -- R(u0) at a tie, the unit digits
 of an `ac`/`rv` atom on a sphere, on the unbounded tail of a family and at a
 point -- is read where ord f is already known to be at least some v, so it
 is f(c + p^m u) / p^v mod p^depth: `_sphere_digits` computes it from one
 integer expansion of f at a rational proxy of the center.  Every cell
-`prepare` builds has level 1 and, if a family, all units at depth 1.
-Descents below the ball's radius are capped by a resultant-based budget.
+`prepare` builds has level 1 and, if a family, all units at depth 1; so
+does every cell of `prepare_grouped` but a group.  Descents below the
+ball's radius are capped by a resultant-based budget.
 
 `decompose_set` applies `prepare` to every polynomial of a quantifier-free
 formula, forms the common refinement, and splits cells until every atom is
@@ -51,7 +53,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from math import gcd as int_gcd
-from typing import NamedTuple
 
 from .cells import (
     ArithRange,
@@ -282,16 +283,10 @@ def _base_cells(p: int, domain: Ball, laws: dict[Poly, OrderLaw]) -> list[Cell1]
     ]
 
 
-class _RootlessGroup(NamedTuple):
-    """The classes c + u0 p^m*, u0 in `units`, of a tie at m* around the
-    center c, on none of which any polynomial of the tower so far has a root:
-    each class gets the law table `laws` (all constants) on its point and on
-    its family [m* + 1, oo)."""
-
-    center: Center
-    m_star: int
-    units: tuple[int, ...]
-    laws: dict[Poly, OrderLaw]
+def _taylor_lines(f: Poly, center: CenterValue, p: int) -> list[tuple[int, int]]:
+    """The Newton-polygon lines (i, ord c_i) of the finite Taylor
+    coefficients c_i of f at the center."""
+    return [(i, v.value) for i, v in enumerate(taylor_ords(f, center, p)) if not v.is_infinite]
 
 
 def _class_cells(p: int, center: Center, m_star: int, units, laws) -> list[Cell1]:
@@ -307,56 +302,56 @@ def _class_cells(p: int, center: Center, m_star: int, units, laws) -> list[Cell1
 
 
 def _prepare_ball(f: Poly, p: int, domain: Ball, budget: int,
-                  w: Poly | None = None) -> tuple[list[Cell1], list[_RootlessGroup]]:
-    """The cells of the domain with laws for f and its derivative tower, and
-    the rootless groups still to be expanded; w is f's squarefree part,
-    computed here where not given."""
+                  w: Poly | None = None) -> list[Cell1]:
+    """The cells of the domain with laws for f and its derivative tower; w is
+    f's squarefree part, computed here where not given.  A family whose
+    residues are not all units is a rootless group; every other has all
+    units at depth 1 and still needs a law for f, a work item."""
     if f.degree == 0:
-        return _base_cells(p, domain, {f: OrderLaw(ord_p(f.coeff(0), p), 0)}), []
+        return _base_cells(p, domain, {f: OrderLaw(ord_p(f.coeff(0), p), 0)})
     if f.degree == 1:
-        return _prepare_linear(f, p, domain), []
+        return _prepare_linear(f, p, domain)
 
-    # every cell built here has level 1 and, when it is a family, all units
-    # at depth 1; a family still without a law for f is a work item
     if w is None:
         w = squarefree_part(f)
     out: list[Cell1] = []
     work: list[Cell1] = []
-    groups: list[_RootlessGroup] = []
-    cells, lower = _prepare_ball(f.derivative(), p, domain, budget)
-    for group in lower:
-        _lift_group(f, p, group, cells, groups)
-    for cell in cells:
+    cells = _prepare_ball(f.derivative(), p, domain, budget)
+    for cell in cells:  # `_lift_group` appends the classes that leave a group
         if cell.is_point:
             out.append(cell.with_laws({f: OrderLaw(ord_of_poly_at(f, cell.center.value, p), 0)}))
-        else:
+        elif cell.residues.is_all:
             work.append(cell)
+        else:
+            _lift_group(f, p, cell, cells, out)
     while work:
-        _process_box(f, w, p, work.pop(), out, work, groups, domain.radius_ord, budget)
-    return out, groups
+        _process_box(f, w, p, work.pop(), out, work, domain.radius_ord, budget)
+    return out
 
 
-def _lift_group(f: Poly, p: int, group: _RootlessGroup, cells: list[Cell1],
-                groups: list[_RootlessGroup]) -> None:
-    """Give a rootless group a law for f from one Taylor expansion at its
-    center c.  On the sphere m* around c, ord f >= best, the least Taylor
-    line at m*, and ord f = best on every class where one line is the least
-    or, at a tie, where the residual digit that `_sphere_digits` reads is
-    nonzero.  Such a class holds no root of f in C_p, so its point has
-    ord f = best and its family [m* + 1, oo) one strict region with the law
-    (best, 0): it stays in the group.  A class whose digit vanishes leaves
-    as its point and family cells, appended to the inherited `cells`."""
-    c, m, units = group.center.value, group.m_star, group.units
-    at_m = [v.value + i * m for i, v in enumerate(taylor_ords(f, c, p)) if not v.is_infinite]
+def _lift_group(f: Poly, p: int, group: Cell1, cells: list[Cell1], out: list[Cell1]) -> None:
+    """Give a rootless group -- the sphere m* around the center c, its
+    classes' first digits as residues -- a law for f from one Taylor
+    expansion at c.  On the sphere ord f >= best, the least Taylor line at
+    m*, and ord f = best on every class where one line is the least or, at
+    a tie, where the residual digit that `_sphere_digits` reads is nonzero.
+    Such a class holds no root of f in C_p, so its point has ord f = best
+    and its family [m* + 1, oo) one strict region with the law (best, 0):
+    it stays in the group, which goes to `out`.  A class whose digit
+    vanishes leaves as its point and family cells, appended to the
+    inherited `cells`."""
+    c, m, residues = group.center.value, group.m_range.lo, group.residues
+    at_m = [v + i * m for i, v in _taylor_lines(f, c, p)]
     best = min(at_m)
     if at_m.count(best) > 1:
+        units = residues.members(p)
         digits = _sphere_digits(f, c, m, best, 1, units, p)
-        cells.extend(_class_cells(p, group.center, m, [u for u, d in zip(units, digits) if not d],
-                                  group.laws))
-        units = tuple(u for u, d in zip(units, digits) if d)
-    if units:
-        groups.append(_RootlessGroup(group.center, m, units,
-                                     {**group.laws, f: OrderLaw(Val(best), 0)}))
+        if not all(digits):
+            cells.extend(_class_cells(p, group.center, m,
+                                      [u for u, d in zip(units, digits) if not d], group.laws))
+            residues = Residues(1, [u for u, d in zip(units, digits) if d], p)
+    if residues.classes:
+        out.append(group.copy(residues=residues, laws={**group.laws, f: OrderLaw(Val(best), 0)}))
 
 
 def _prepare_linear(f: Poly, p: int, domain: Ball) -> list[Cell1]:
@@ -382,7 +377,7 @@ def _prepare_linear(f: Poly, p: int, domain: Ball) -> list[Cell1]:
 
 
 def _process_box(f: Poly, w: Poly, p: int, cell: Cell1, out: list[Cell1], work: list[Cell1],
-                 groups: list[_RootlessGroup], r: int, budget: int) -> None:
+                 r: int, budget: int) -> None:
     """Give a family cell laws for f: keep the strict regions of the Newton
     polygon, and split each tie at m* by residue class u0.  Descents are
     counted from the domain radius r.
@@ -394,12 +389,12 @@ def _process_box(f: Poly, w: Poly, p: int, cell: Cell1, out: list[Cell1], work: 
     on the whole class, which holds no root in C_p, so at c' = c + u0 p^m*
     the constant Taylor line stays the only least one for m > m*: the class
     needs the law (best, 0) on its point and on its whole family
-    [m* + 1, oo), with no root search.  Those classes go to `groups` as one
-    `_RootlessGroup` with that law table; the other classes go through
-    `_split_tie_class`, their point to `out` and their family back on the
-    work list."""
-    ords = taylor_ords(f, cell.center.value, p)
-    lines = [(i, v.value) for i, v in enumerate(ords) if not v.is_infinite]
+    [m* + 1, oo), with no root search.  Those classes go to `out` as one
+    rootless group, the family cell on the sphere m* whose residues are
+    their units at depth 1, with that constant law table; the other classes
+    go through `_split_tie_class`, their point to `out` and their family
+    back on the work list."""
+    lines = _taylor_lines(f, cell.center.value, p)
     if not lines:
         raise InternalBoundError(
             f"all Taylor coefficients of {format_poly(f)} (p = {p}) vanished at the center "
@@ -431,8 +426,8 @@ def _process_box(f: Poly, w: Poly, p: int, cell: Cell1, out: list[Cell1], work: 
             else:
                 rootless.append(u0)
         if rootless:
-            groups.append(_RootlessGroup(cell.center, m_star, tuple(rootless),
-                                         {**frozen, f: OrderLaw(Val(best), 0)}))
+            out.append(Cell1(p, cell.center, ArithRange(m_star, m_star), Residues(1, rootless, p),
+                             {**frozen, f: OrderLaw(Val(best), 0)}))
 
 
 def _shifted_center(center: Center, u0: int, step: int) -> Center:
@@ -468,48 +463,47 @@ def _split_tie_class(f: Poly, w: Poly, p: int, center: Center, u0: int, m_star: 
     return Center(center_of(root), 1, term), OrderLaw(INFINITY, 0)
 
 
-def _prepare_cells(f: Poly, p: int, domain: Ball) -> tuple[list[Cell1], list[_RootlessGroup]]:
-    """The checked input's cells and rootless groups, as `_prepare_ball`
-    builds them for the whole domain."""
+def prepare_grouped(f: Poly, p: int, domain: Ball = ZP) -> Decomposition:
+    """A decomposition of the domain ball with an exact order law for f (and
+    for the whole derivative tower, inherited from the recursion) on every
+    cell.  The recursion runs on the ball itself, with centers in f's own
+    coordinates; descents are counted from the ball's radius, so the budget
+    bounds the depth below the ball, not below Z_p.  Each rootless tie group
+    is one family cell, the sphere ord(y - c) = m* around the tie's center c
+    whose first digits are its classes, so the number of cells does not
+    grow with p.
+
+    Commands that answer with a sum over cells -- a measure, the measure
+    of each order, the zeta function -- use this form.  Those that list
+    cells, sample laws per cell or read the cut (`decompose`, `chi`, `dim`,
+    `preserves-balls`) use `prepare`: this form would change their
+    payloads, and `chi` still depends on how a set is cut, so it would
+    change the Euler characteristics too.  They move once `chi` reads the
+    set alone and this form becomes the printed decomposition."""
     _check_input(p, domain)
     if f.is_zero:
         raise UnsupportedInputError("cannot decompose for the zero polynomial")
     if f.degree > MAX_DEGREE:
         raise UnsupportedInputError(f"deg f = {f.degree} is above the supported bound {MAX_DEGREE}")
     w = squarefree_part(f)
-    return _prepare_ball(f, p, domain, _budget(f, p, w), w)
+    return Decomposition(p, domain, sorted_cells(_prepare_ball(f, p, domain, _budget(f, p, w), w)))
 
 
 def prepare(f: Poly, p: int, domain: Ball = ZP) -> Decomposition:
-    """A decomposition of the domain ball with an exact order law for f (and
-    for the whole derivative tower, inherited from the recursion) on every
-    cell.  The recursion runs on the ball itself, with centers in f's own
-    coordinates; descents are counted from the ball's radius, so the budget
-    bounds the depth below the ball, not below Z_p."""
-    cells, groups = _prepare_cells(f, p, domain)
-    for g in groups:
-        cells.extend(_class_cells(p, g.center, g.m_star, g.units, g.laws))
-    return Decomposition(p, domain, sorted_cells(cells))
-
-
-def prepare_grouped(f: Poly, p: int, domain: Ball = ZP) -> Decomposition:
-    """`prepare` with each rootless tie group as one family cell: the sphere
-    ord(y - c) = m* around the tie's center c whose first digits are the
-    group's units, with the group's constant law table.  That is the union
-    of the points and families [m* + 1, oo) that `prepare` lists per class,
-    with the same laws, so every sum over cells -- measures, the measure of
-    each order, the zeta function -- is the same, and the number of cells
-    does not grow with p.
-
-    Commands that answer with such a sum use this form.  Those that list
-    cells, sample laws per cell or read the cut (`decompose`, `chi`, `dim`,
-    `preserves-balls`) keep `prepare`: this form would change their
-    payloads, and `chi` still depends on how a set is cut, so it would
-    change the Euler characteristics too.  They move once `chi` reads the
-    set alone and this form becomes the printed decomposition."""
-    cells, groups = _prepare_cells(f, p, domain)
-    cells.extend(Cell1(p, g.center, ArithRange(g.m_star, g.m_star), Residues(1, g.units, p),
-                       g.laws) for g in groups)
+    """`prepare_grouped` with each rootless tie group listed as the point
+    and the family [m* + 1, oo) of each of its classes, at the class's
+    center c + u0 p^m*, all sharing the group's law table: the same set with
+    the same laws, as the per-class recursion builds it.  Every family has
+    all units at depth 1."""
+    grouped, cells = prepare_grouped(f, p, domain), []
+    for cell in grouped.cells:
+        if cell.is_point or cell.residues.is_all:
+            cells.append(cell)
+        else:
+            cells += _class_cells(p, cell.center, cell.m_range.lo, cell.residues.members(p),
+                                  cell.laws)
+    if len(cells) == len(grouped.cells):  # no group: the cells are sorted already
+        return grouped
     return Decomposition(p, domain, sorted_cells(cells))
 
 
@@ -692,8 +686,7 @@ def _digit_atom_pieces(cell: Cell1, f: Poly, depth: int, target: int, p: int):
     classes dropped on the way make up the false piece."""
     law = cell.law_for(f)
     assert not law.e0.is_infinite
-    ords = taylor_ords(f, cell.center.value, p)
-    lines = [(i, v.value) for i, v in enumerate(ords) if not v.is_infinite]
+    lines = _taylor_lines(f, cell.center.value, p)
     rng = cell.m_range
     e0, i0 = law.e0.value, law.i0
     m_d, m_u = rng.lo, rng.hi

@@ -358,7 +358,7 @@ def sphere_by_sphere_digit_atom_pieces(cell, f, depth, want, p):
             groups.setdefault(want(dig), []).append(u)
         for flag in sorted(groups):
             pieces.append((replace(cell, m_range=sub,
-                                   residues=Residues(d_m, frozenset(groups[flag]))), flag))
+                                   residues=Residues(d_m, frozenset(groups[flag]), p)), flag))
 
     if rng.hi is not None:
         for m in rng.values():
@@ -423,7 +423,7 @@ def unit_scan_digit_atom_pieces(cell, f, depth, want, p):
         sub = rng.restrict(lo=m) if tail else ArithRange(m, m)
         for flag in sorted(groups):
             pieces.append((replace(cell, m_range=sub,
-                                   residues=Residues(d_m, frozenset(groups[flag]))), flag))
+                                   residues=Residues(d_m, frozenset(groups[flag]), p)), flag))
         if tail:
             break
     return pieces

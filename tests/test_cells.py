@@ -40,7 +40,7 @@ from padic_cells.poly import Poly, format_poly
 def fam(p, c, lo, hi=None, depth=1, units=None, level=1):
     return Cell1(p, Center(Fraction(c), level, TConst(Fraction(c))),
                  ArithRange(lo, hi),
-                 Residues(depth, None if units is None else frozenset(units)))
+                 Residues(depth, None if units is None else frozenset(units), p))
 
 
 def pt(p, c):
@@ -245,7 +245,7 @@ def test_sort_key_reads_only_the_first_units():
     p = 1000000007
     cell = Cell1(p, Center(Fraction(0), 1), ArithRange(0, None), Residues(1))
     assert Residues(1).members(p, limit=4) == [1, 2, 3, 4]
-    assert Residues(2, frozenset({9, 3, 7, 1, 5})).members(p, limit=4) == [1, 3, 5, 7]
+    assert Residues(2, frozenset({9, 3, 7, 1, 5}), p).members(p, limit=4) == [1, 3, 5, 7]
     assert sorted_cells([cell, pt(p, 0)]) == (pt(p, 0), cell)
 
 
@@ -308,7 +308,7 @@ def test_integer_sort_keys_on_mixed_denominators_and_roots():
     cells = []
     for i, center in enumerate(centers):
         cells.append(Cell1(p, center, None, None, laws[i % 2]))
-        for lo, res in ((0, Residues(1)), (2, Residues(1)), (2, Residues(2, frozenset({3, 8})))):
+        for lo, res in ((0, Residues(1)), (2, Residues(1)), (2, Residues(2, frozenset({3, 8}), p))):
             cells.append(Cell1(p, center, ArithRange(lo, None), res, laws[(i + lo) % 2]))
     _assert_same_orders(cells)
     ordered = sorted_cells(cells)

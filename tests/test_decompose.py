@@ -45,6 +45,7 @@ from padic_cells.decompose import (
     _split_by_atom,
     decompose_set,
     prepare,
+    prepare_grouped,
     preserves_balls_report,
 )
 from padic_cells.errors import InternalBoundError, UnsupportedInputError
@@ -280,6 +281,25 @@ def test_grouped_tower_matches_the_per_class_tower_on_the_corpus(corpus, p):
     for f in corpus.values():
         for domain in GROUP_DOMAINS:
             assert prepare(f, p, domain).cells == per_class_prepare(f, p, domain), (f, domain)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 31, 101])
+def test_every_family_but_a_group_has_all_units_at_depth_one(corpus, p):
+    """The invariant that routes a family in `_prepare_ball` and that
+    `prepare` expands by: a family of `prepare_grouped` whose residues are
+    not all units is a rootless group, on one sphere at depth 1 with every
+    law constant, and every family of `prepare` has all units at depth 1."""
+    for f in corpus.values():
+        for domain in (ZP, Ball(Fraction(1), 1), Ball(Fraction(3), 2)):
+            for cell in prepare_grouped(f, p, domain).cells:
+                if cell.is_point or cell.residues.is_all:
+                    continue
+                rng = cell.m_range
+                assert rng.lo == rng.hi and cell.residues.depth == 1, (f, domain, cell)
+                assert all(law.i0 == 0 for law in cell.laws.values()), (f, domain, cell)
+            for cell in prepare(f, p, domain).cells:
+                assert cell.is_point or (cell.residues.is_all and cell.residues.depth == 1), \
+                    (f, domain, cell)
 
 
 @pytest.mark.parametrize("p", [31, 101])

@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 from conftest import CORPUS, PRIMES, formula_pool, large_prime_polys
-from fraction_loops import all_pairs_partition_check, per_cell_igusa_zeta
+from fraction_loops import all_pairs_partition_check, per_cell_igusa_zeta, per_class_prepare
 
 from padic_cells.cells import (ArithRange, Ball, Cell1, Center, Decomposition, OrderLaw, Residues,
                                TConst, ZP, refine_common, sorted_cells)
-from padic_cells.decompose import (AcEq, FAnd, FAtom, FNot, FOr, OrdCmp, RvEq, _class_cells,
-                                   decompose_set, prepare, prepare_grouped)
+from padic_cells.decompose import (AcEq, FAnd, FAtom, FNot, FOr, OrdCmp, RvEq, decompose_set,
+                                   prepare, prepare_grouped)
 import padic_cells.cells as cells_module
 from padic_cells.measure import (
     ZetaFn,
@@ -29,7 +29,7 @@ from padic_cells.poly import Poly
 
 def fam(p, c, lo, hi=None, depth=1, units=None):
     return Cell1(p, Center(Fraction(c), 1, TConst(Fraction(c))), ArithRange(lo, hi),
-                 Residues(depth, None if units is None else frozenset(units)))
+                 Residues(depth, None if units is None else frozenset(units), p))
 
 
 def test_cell_measure_examples():
@@ -326,23 +326,17 @@ GROUPED_DOMAINS = [ZP, Ball(Fraction(1), 1), Ball(Fraction(3), 2)]
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 31, 101])
 def test_grouped_form_has_the_sums_of_the_listed_form(p):
     """`prepare_grouped` reads each rootless tie group as one sphere cell:
-    expanding those cells into the point and family of each class gives
-    `prepare`'s cells, the zeta function, the measure of each order and the
-    total measure are the same, and the grouped cells partition the domain."""
+    `prepare`, which lists the point and family of each class instead, gives
+    the cells of the per-class recursion, the zeta function, the measure of
+    each order and the total measure are the same, and the grouped cells
+    partition the domain."""
     merged = 0
     for name, coeffs in CORPUS.items():
         f = Poly.of(*coeffs)
         for domain in GROUPED_DOMAINS:
             listed, grouped = prepare(f, p, domain), prepare_grouped(f, p, domain)
-            kept, expanded = [], []
-            for cell in grouped.cells:
-                if cell.is_point or cell.m_range.hi is None or cell.residues.is_all:
-                    kept.append(cell)
-                else:
-                    expanded += _class_cells(p, cell.center, cell.m_range.lo,
-                                             cell.residues.members(p), cell.laws)
-            merged += bool(expanded)
-            assert sorted_cells(kept + expanded) == listed.cells, (name, domain)
+            merged += len(grouped.cells) < len(listed.cells)
+            assert listed.cells == per_class_prepare(f, p, domain), (name, domain)
             assert igusa_zeta(grouped, f, p) == igusa_zeta(listed, f, p), (name, domain)
             assert [measure_of_order(grouped, f, m) for m in range(8)] == \
                 [measure_of_order(listed, f, m) for m in range(8)], (name, domain)

@@ -3,10 +3,16 @@ trees and report every request whose exit code, stdout or stderr differs.
 
     python3 tools/sweep.py OLD_SRC NEW_SRC        # compare two trees
     python3 tools/sweep.py --digests SRC          # one tree's digests, as JSON
+    python3 tools/sweep.py --check SRC            # compare a tree with the manifest
+    python3 tools/sweep.py --update SRC           # rewrite the manifest from a tree
 
-OLD_SRC and NEW_SRC are directories holding a `padic_cells` package (the
-`src` directory of two checkouts).  Each tree runs in its own process and
-calls `padic_cells.cli.main` in process, once per request.  The requests:
+OLD_SRC, NEW_SRC and SRC are directories holding a `padic_cells` package
+(the `src` directory of a checkout).  Each tree runs in its own process and
+calls `padic_cells.cli.main` in process, once per request.  The manifest,
+`sweep_manifest.json` beside this script, holds the first 16 hex digits of
+each request's digest in request order and a digest of the request list,
+so `--check` needs no second tree; it fails, asking for `--update`, when
+the request list itself has changed.  The requests:
 
 - the acceptance corpus plus polynomials with irrational roots, rational
   coefficients, repeated factors and split factors, at p in {2, 3, 5, 7,
@@ -49,6 +55,7 @@ SPLIT = [
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 31)
 LARGE_PRIMES = (101, 211, 1009)
 DOMAINS = ("zp", "1:1", "3:2")
+MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)), "sweep_manifest.json")
 
 
 def requests() -> list[list[str]]:
@@ -103,17 +110,45 @@ def digests(src: str) -> dict[str, str]:
     return out
 
 
+def _tree_digests(src: str) -> dict[str, str]:
+    """`digests` of a tree, computed in a process of its own."""
+    return json.loads(subprocess.run([sys.executable, os.path.abspath(__file__), "--digests",
+                                      os.path.abspath(src)], check=True, capture_output=True,
+                                     text=True).stdout)
+
+
+def _request_list_digest() -> str:
+    return hashlib.sha256(json.dumps(requests()).encode()).hexdigest()[:16]
+
+
 def main() -> int:
-    if sys.argv[1:2] == ["--digests"] and len(sys.argv) == 3:
-        json.dump(digests(sys.argv[2]), sys.stdout)
-        return 0
-    if len(sys.argv) != 3:
+    args = sys.argv[1:]
+    flag = args.pop(0) if args[:1] and args[0].startswith("--") else None
+    if flag not in (None, "--digests", "--check", "--update") or \
+            len(args) != (2 if flag is None else 1):
         raise SystemExit(__doc__)
-    runs = [json.loads(subprocess.run([sys.executable, os.path.abspath(__file__), "--digests",
-                                       os.path.abspath(src)], check=True, capture_output=True,
-                                      text=True).stdout)
-            for src in sys.argv[1:]]
-    changed = [argv for argv in runs[0] if runs[0][argv] != runs[1].get(argv)]
+    if flag == "--digests":
+        json.dump(digests(args[0]), sys.stdout)
+        return 0
+    if flag in ("--check", "--update"):
+        new = {argv: digest[:16] for argv, digest in _tree_digests(args[0]).items()}
+        if flag == "--update":
+            with open(MANIFEST, "w") as out:
+                json.dump({"requests": _request_list_digest(), "digests": list(new.values())},
+                          out, indent=0)
+                out.write("\n")
+            print(f"{len(new)} digests written to {MANIFEST}")
+            return 0
+        with open(MANIFEST) as manifest:
+            want = json.load(manifest)
+        if want["requests"] != _request_list_digest():
+            print(f"the request list is not the one {MANIFEST} was written for: "
+                  "rerun with --update on a tree whose output is known to be right")
+            return 1
+        old = dict(zip(new, want["digests"]))
+    else:
+        old, new = (_tree_digests(src) for src in args)
+    changed = [argv for argv in old if old[argv] != new.get(argv)]
     by_command: dict[str, list[str]] = {}
     for argv in changed:
         by_command.setdefault(json.loads(argv)[0], []).append(argv)
@@ -121,7 +156,7 @@ def main() -> int:
         print(f"{command}: {len(argvs)} changed")
         for argv in argvs:
             print(f"  {' '.join(json.loads(argv)[1:])}")
-    print(f"{len(runs[0])} requests, {len(changed)} changed")
+    print(f"{len(old)} requests, {len(changed)} changed")
     return 1 if changed else 0
 
 
