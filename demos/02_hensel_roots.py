@@ -33,7 +33,7 @@ print("h(3y-1, rv(2))  =", h([-1, 3], rv(Fraction(1, 3), p, 1), p))
 
 # the order law at the root: ord f(w) = ord b1 + ord(w - y0) near the root
 f = Poly.of(-6, 0, 1)
-print("ord b1 for y^2-6:", order_law_at_root(f, root, p))
+print("ord b1 for y^2-6:", order_law_at_root(f, root))
 w = 1 + 5 * 123456                       # a point in the same rv-class
 from padic_cells import ord_p
 dist = ord_p(Fraction(w) - deep.approx, p)

@@ -30,11 +30,11 @@ for m in range(5):
 # the zeta function of a monomial has the textbook closed form
 for k in (1, 2, 3):
     g = Poly.of(*([0] * k + [1]))
-    z = igusa_zeta(prepare(g, p), g, p)
+    z = igusa_zeta(prepare(g, p), g)
     print(f"\nZ(t) for {format_poly(g)}:", z)
 
 # evaluating at t = 1 recovers the total measure of the domain
-z = igusa_zeta(dec, f, p)
+z = igusa_zeta(dec, f)
 print("\nZ(t) for y^2 - 1:", z)
 print("Z(1) =", z.eval(Fraction(1)))
 print("series coefficients through t^5:", [str(c) for c in z.taylor_coefficients(5)])

@@ -15,14 +15,14 @@ from padic_cells.poly import Poly
 
 p = 5
 D = prepare(Poly.of(0, 1), p)
-print("chi(Z_5)          =", chi(D, kept_only=False))
+print("chi(Z_5)          =", chi(D))
 
 # a cell family of all spheres with 20 residue classes at depth 2 presents
 # the punctured line Z_5 \ {0}
 zero = Center(Fraction(0), 1, TConst(Fraction(0)))
 punct = lambda depth: Decomposition(p, ZP, sorted_cells([
     Cell1(p, zero, None, None, {}, keep=False),
-    Cell1(p, zero, ArithRange(0, None), Residues(depth, None), {}, keep=True),
+    Cell1(p, zero, ArithRange(0, None), Residues(depth, p=p), {}, keep=True),
 ]))
 print("chi at depth 1    =", chi(punct(1)))
 print("chi at depth 2    =", chi(punct(2)))
@@ -34,7 +34,7 @@ print("cv_check 0 vs 1   =", cv_check(prepare(Poly.of(0, 1), p),
 
 # multiplication is cartesian product with grades adding; the grade equals
 # the dimension of the cell
-a = chi(D, kept_only=False)
+a = chi(D)
 print("chi x chi         =", k0_mul(a, a))
 pairs = [product([x, z]) for x in D.cells for z in D.cells]
 print("chi of Z_5 x Z_5  =", chi_product(pairs))

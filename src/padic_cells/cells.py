@@ -3,9 +3,10 @@
 A cell is either a single point or a family of balls around an explicit
 center: the presentation y |-> (ord(y - c), unit digits of (y - c)) of the
 constructive proof.  Families carry an arithmetic-progression range for the
-valuation and a residue constraint at some digit depth.  Every cell carries
-a law table: a mapping from each polynomial to its exact order law
-ord f(y) = e0 + i0 * ord(y - c), valid on every member.  A table is never
+valuation and a residue set at some digit depth.  A cell and its residue
+set hold one prime p, which no function here takes again beside them.
+Every cell carries a law table: a mapping from each polynomial to its exact
+order law ord f(y) = e0 + i0 * ord(y - c), valid on every member and never
 mutated once built.  `Cell1` answers `law_for` (a missing law is a
 ValueError) and freezes the laws to constants where ord(y - c) is fixed.
 
@@ -21,6 +22,7 @@ digits and the passes over pairs of cells test only the pairs it returns.
 from __future__ import annotations
 
 from collections import Counter
+from heapq import nsmallest
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import islice
@@ -233,16 +235,16 @@ class Residues:
     a class one level up.  So two sets at one depth are equal exactly when
     they hold the same units, though an explicit set of every unit is not
     all units: it prints as a list.  The constructor also takes explicit
-    units mod p^depth, held as classes of level depth; an explicit set needs
-    its prime p.  No method lists the units but `members`."""
+    units mod p^depth, held as classes of level depth.  Every set holds its
+    prime p.  No method lists the units but `members`."""
 
     __slots__ = ("depth", "classes", "p", "levels")
 
     def __init__(self, depth: int, units=None, p: int | None = None, *, classes=None):
         if depth < 1:
             raise ValueError("residue depth must be >= 1")
-        if (units is not None or classes is not None) and p is None:
-            raise ValueError("an explicit residue set needs its prime")
+        if p is None:
+            raise TypeError("a residue set needs its prime p")
         if units is not None:
             q = p**depth
             classes = [(depth, u % q) for u in units]
@@ -257,7 +259,7 @@ class Residues:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Residues):
             return NotImplemented
-        return self.depth == other.depth and self.classes == other.classes
+        return self.depth == other.depth and self.p == other.p and self.classes == other.classes
 
     def __hash__(self) -> int:
         return hash((self.depth, self.is_all))
@@ -265,18 +267,19 @@ class Residues:
     def __repr__(self) -> str:
         return f"Residues({self.depth}, classes={None if self.is_all else sorted(self.classes)})"
 
-    def explicit(self, p: int):
+    def explicit(self):
         """The classes; for all units, the p - 1 classes of level 1."""
-        return [(1, a) for a in range(1, p)] if self.classes is None else self.classes
+        return [(1, a) for a in range(1, self.p)] if self.classes is None else self.classes
 
-    def count(self, p: int) -> int:
+    def count(self) -> int:
         if self.classes is None:
-            return (p - 1) * p ** (self.depth - 1)
-        return sum(p ** (self.depth - j) for j, _ in self.classes)
+            return (self.p - 1) * self.p ** (self.depth - 1)
+        return sum(self.p ** (self.depth - j) for j, _ in self.classes)
 
-    def members(self, p: int, limit: int | None = None) -> list[int]:
+    def members(self, *, limit: int | None = None) -> list[int]:
         """The units in increasing order; with a limit, only the first ones,
         read from the first lifts of the classes with the least heads."""
+        p = self.p
         if self.classes is None:
             if limit is not None and p > limit:  # then the first units are 1, ..., limit
                 return list(range(1, limit + 1))
@@ -286,33 +289,33 @@ class Residues:
             if self.levels == {self.depth}:  # each class is one unit
                 return sorted(map(itemgetter(1), self.classes))
             return sorted(u for j, a in self.classes for u in range(a, q, p**j))
-        heads = sorted(self.classes, key=itemgetter(1))[:limit]
+        heads = nsmallest(limit, self.classes, key=itemgetter(1))
         return sorted(u for j, a in heads for u in range(a, q, p**j)[:limit])[:limit]
 
-    def covers(self, j: int, a: int, p: int) -> bool:
+    def covers(self, j: int, a: int) -> bool:
         """Whether the class a mod p^j lies in the set."""
-        return self.classes is None or any((i, a % p**i) in self.classes
+        return self.classes is None or any((i, a % self.p**i) in self.classes
                                            for i in self.levels if i <= j)
 
-    def contains(self, u: int, p: int) -> bool:
-        return self.covers(self.depth, u, p)
+    def contains(self, u: int) -> bool:
+        return self.covers(self.depth, u)
 
-    def lift(self, depth: int, p: int) -> "Residues":
+    def lift(self, depth: int) -> "Residues":
         """The same set expressed at a deeper digit depth."""
         if depth < self.depth:
             raise ValueError("cannot lower the depth of a residue set")
         if depth == self.depth:
             return self
-        return Residues(depth, p=p, classes=self.classes)
+        return Residues(depth, p=self.p, classes=self.classes)
 
-    def meet(self, other: "Residues", p: int) -> "Residues":
+    def meet(self, other: "Residues") -> "Residues":
         """The units in both sets, at the deeper depth: of two nested classes
         the smaller one."""
         depth = max(self.depth, other.depth)
         if self.is_all or other.is_all:
-            return (other if self.is_all else self).lift(depth, p)
-        return Residues(depth, p=p, classes=[c for c in self.classes if other.covers(*c, p)]
-                        + [c for c in other.classes if self.covers(*c, p)])
+            return (other if self.is_all else self).lift(depth)
+        return Residues(depth, p=self.p, classes=[c for c in self.classes if other.covers(*c)]
+                        + [c for c in other.classes if self.covers(*c)])
 
 
 def _largest(classes, p: int) -> frozenset[tuple[int, int]]:
@@ -392,6 +395,8 @@ class Cell1:
     def __post_init__(self):
         if (self.m_range is None) != (self.residues is None):
             raise ValueError("point cells have neither range nor residues")
+        if self.residues is not None and self.residues.p != self.prime:
+            raise ValueError("the residue set is over another prime than the cell")
 
     @property
     def is_point(self) -> bool:
@@ -431,9 +436,9 @@ class Cell1:
 # ---------------------------------------------------------------------------
 
 
-def contains(cell: Cell1, y: Rat | CenterValue, p: int | None = None) -> bool:
+def contains(cell: Cell1, y: Rat | CenterValue) -> bool:
     """Exact membership of a point: a rational, or another cell's center."""
-    p = cell.prime if p is None else p
+    p = cell.prime
     if cell.is_point:
         return centers_equal(y, cell.center.value, p)
     v = ord_between(y, cell.center.value, p)
@@ -444,7 +449,7 @@ def contains(cell: Cell1, y: Rat | CenterValue, p: int | None = None) -> bool:
     if cell.residues.is_all:
         return True
     u = digits_between(y, cell.center.value, p, cell.residues.depth)
-    return cell.residues.contains(u, p)
+    return cell.residues.contains(u)
 
 
 @dataclass(frozen=True)
@@ -544,7 +549,7 @@ def cell_sort_key(cell: Cell1, scale: int | None):
         return (center_sort_key(cell.center, scale), 0, -1, ())
     res = cell.residues
     return (center_sort_key(cell.center, scale), 1, cell.m_range.lo,
-            (res.depth, tuple(res.members(cell.prime, 4))))
+            (res.depth, tuple(res.members(limit=4))))
 
 
 def sorted_cells(cells: list[Cell1]) -> tuple[Cell1, ...]:
@@ -566,16 +571,15 @@ def _merge_laws(primary, secondary) -> dict[Poly, OrderLaw]:
     return {**secondary, **primary}
 
 
-def _transport(own: Residues, other: Residues, depth: int, e: int, shift: int,
-               p: int) -> Residues:
+def _transport(own: Residues, other: Residues, depth: int, e: int, shift: int) -> Residues:
     """The units u at `depth` allowed by `own` whose image t = p^e u + shift
     is a unit allowed by `other`: the digits of y around one center that put
     the digits of y around the other center in its residue set.  The
     preimage of a class t = a mod p^j is the class u = (a - shift) / p^e mod
     p^(j - e) where p^e divides a - shift and the quotient is a unit, or,
     where j <= e, every unit if shift = a mod p^j and none otherwise."""
-    pre = []
-    for j, a in other.explicit(p):
+    p, pre = own.p, []
+    for j, a in other.explicit():
         r = (a - shift) % p**j
         if j <= e:
             if r == 0:
@@ -583,7 +587,7 @@ def _transport(own: Residues, other: Residues, depth: int, e: int, shift: int,
                 break
         elif r % p**e == 0 and r // p**e % p:
             pre.append((j - e, r // p**e))
-    return own.meet(Residues(depth, p=p, classes=pre), p)
+    return own.meet(Residues(depth, p=p, classes=pre))
 
 
 def intersect_cells(a: Cell1, b: Cell1) -> list[Cell1]:
@@ -603,7 +607,7 @@ def intersect_cells(a: Cell1, b: Cell1) -> list[Cell1]:
             return []
         return [a.copy(laws=_merge_laws(a.laws, b.laws), keep=keep)]
     if a.is_point:
-        if not contains(b, a.center.value, p):
+        if not contains(b, a.center.value):
             return []
         # a member of a family is never its center, so the distance is finite
         m_const = ord_between(a.center.value, b.center.value, p).value
@@ -617,7 +621,7 @@ def intersect_cells(a: Cell1, b: Cell1) -> list[Cell1]:
         rng = a.m_range.intersect(b.m_range)
         if rng is None:
             return []
-        res = a.residues.meet(b.residues, p)
+        res = a.residues.meet(b.residues)
         if res.classes is not None and not res.classes:
             return []
         laws = _merge_laws(a.laws, b.laws)
@@ -644,7 +648,7 @@ def intersect_cells(a: Cell1, b: Cell1) -> list[Cell1]:
         for m in rng1.values():
             if m in b.m_range:
                 add(a, b, m, m, _transport(a.residues, b.residues, depth, 0,
-                                           -delta * p ** (d_ab - m), p))
+                                           -delta * p ** (d_ab - m)))
 
     # Regions 2 and 3: ord(y - c) = m > d_ab around one center c, so the
     # distance to the other center c' is d_ab throughout and the unit of
@@ -659,9 +663,9 @@ def intersect_cells(a: Cell1, b: Cell1) -> list[Cell1]:
         head = rng.restrict(hi=d_ab + k - 1)
         for m in head.values() if head is not None else ():
             add(inner, outer, m, d_ab, _transport(inner.residues, outer.residues, depth,
-                                                  m - d_ab, delta, p))
+                                                  m - d_ab, delta))
         tail = rng.restrict(lo=d_ab + k)
-        if tail is not None and outer.residues.contains(delta, p):
+        if tail is not None and outer.residues.contains(delta):
             laws = _merge_laws(inner.laws, outer.frozen_laws(d_ab))
             out.append(inner.copy(m_range=tail, laws=laws, keep=keep))
 
@@ -671,7 +675,7 @@ def intersect_cells(a: Cell1, b: Cell1) -> list[Cell1]:
     if d_ab in a.m_range and d_ab in b.m_range:
         k = depth + 1
         delta = digits_between(b.center.value, a.center.value, p, k)
-        add(a, b, d_ab, d_ab, _transport(a.residues, b.residues, k, 0, -delta, p))
+        add(a, b, d_ab, d_ab, _transport(a.residues, b.residues, k, 0, -delta))
     return out
 
 

@@ -104,7 +104,7 @@ def _cell_json(cell: Cell1, names: dict[Poly, str],
         out["residue"] = {
             "depth": cell.residues.depth,
             "units": "all" if cell.residues.is_all
-            else [str(u) for u in cell.residues.members(cell.prime)],
+            else [str(u) for u in cell.residues.members()],
         }
     return out
 
@@ -220,13 +220,13 @@ def _cmd_measure(args) -> dict:
         payload["ord"] = args.ord
         payload["measure"] = _frac_str(measure_of_order(dec, f, args.ord))
     else:
-        payload["measure"] = _frac_str(decomposition_measure(dec, kept_only=f is None))
+        payload["measure"] = _frac_str(decomposition_measure(dec, kept_only=True))
     return payload
 
 
 def _cmd_zeta(args) -> dict:
     dec, f = _decomposition_for(args, grouped=True)
-    z = igusa_zeta(dec, f, args.prime)
+    z = igusa_zeta(dec, f)
     return {"schema": SCHEMA, "command": "zeta", "prime": args.prime,
             "poly": args.poly, "zeta": _zeta_json(z)}
 
@@ -253,10 +253,8 @@ def _cmd_oracle_compare(args) -> dict:
 
 
 def _cmd_chi(args) -> dict:
-    dec, f = _decomposition_for(args)
-    element = chi(dec, kept_only=f is None)
     return {"schema": SCHEMA, "command": "chi", "prime": args.prime,
-            "chi": _chi_json(element)}
+            "chi": _chi_json(chi(_decomposition_for(args)[0]))}
 
 
 def _cmd_cv_check(args) -> dict:
@@ -268,15 +266,14 @@ def _cmd_cv_check(args) -> dict:
 
 
 def _cmd_dim(args) -> dict:
-    dec, f = _decomposition_for(args)
-    d = dim_of(dec if f is None else list(dec.cells))
+    d = dim_of(_decomposition_for(args)[0])
     return {"schema": SCHEMA, "command": "dim", "prime": args.prime,
             "dim": "-inf" if d.is_minus_infinity else d.value}
 
 
 def _cmd_preserves_balls(args) -> dict:
     dec, f = _decomposition_for(args)
-    rep = preserves_balls_report(dec, f, args.prime)
+    rep = preserves_balls_report(dec, f)
     return {
         "schema": SCHEMA,
         "command": "preserves-balls",

@@ -279,7 +279,7 @@ def _base_cells(p: int, domain: Ball, laws: dict[Poly, OrderLaw]) -> list[Cell1]
     center = Center(b, 1, TConst(b))
     return [
         Cell1(p, center, None, None, laws),
-        Cell1(p, center, ArithRange(domain.radius_ord, None), Residues(1, None), laws),
+        Cell1(p, center, ArithRange(domain.radius_ord, None), Residues(1, p=p), laws),
     ]
 
 
@@ -292,7 +292,7 @@ def _taylor_lines(f: Poly, center: CenterValue, p: int) -> list[tuple[int, int]]
 def _class_cells(p: int, center: Center, m_star: int, units, laws) -> list[Cell1]:
     """The point and the family [m* + 1, oo) of each class c + u0 p^m*, at
     the center c + u0 p^m*, all with the law table `laws`."""
-    below, units_all, step = ArithRange(m_star + 1, None), Residues(1, None), p**m_star
+    below, units_all, step = ArithRange(m_star + 1, None), Residues(1, p=p), p**m_star
     out: list[Cell1] = []
     for u0 in units:
         c = _shifted_center(center, u0, step)
@@ -323,13 +323,13 @@ def _prepare_ball(f: Poly, p: int, domain: Ball, budget: int,
         elif cell.residues.is_all:
             work.append(cell)
         else:
-            _lift_group(f, p, cell, cells, out)
+            _lift_group(f, cell, cells, out)
     while work:
-        _process_box(f, w, p, work.pop(), out, work, domain.radius_ord, budget)
+        _process_box(f, w, work.pop(), out, work, domain.radius_ord, budget)
     return out
 
 
-def _lift_group(f: Poly, p: int, group: Cell1, cells: list[Cell1], out: list[Cell1]) -> None:
+def _lift_group(f: Poly, group: Cell1, cells: list[Cell1], out: list[Cell1]) -> None:
     """Give a rootless group -- the sphere m* around the center c, its
     classes' first digits as residues -- a law for f from one Taylor
     expansion at c.  On the sphere ord f >= best, the least Taylor line at
@@ -340,11 +340,11 @@ def _lift_group(f: Poly, p: int, group: Cell1, cells: list[Cell1], out: list[Cel
     it stays in the group, which goes to `out`.  A class whose digit
     vanishes leaves as its point and family cells, appended to the
     inherited `cells`."""
-    c, m, residues = group.center.value, group.m_range.lo, group.residues
+    p, c, m, residues = group.prime, group.center.value, group.m_range.lo, group.residues
     at_m = [v + i * m for i, v in _taylor_lines(f, c, p)]
     best = min(at_m)
     if at_m.count(best) > 1:
-        units = residues.members(p)
+        units = residues.members()
         digits = _sphere_digits(f, c, m, best, 1, units, p)
         if not all(digits):
             cells.extend(_class_cells(p, group.center, m,
@@ -368,7 +368,7 @@ def _prepare_linear(f: Poly, p: int, domain: Ball) -> list[Cell1]:
         center = Center(root, 1, term)
         return [
             Cell1(p, center, None, None, {f: OrderLaw(INFINITY, 0), df: d1_law}),
-            Cell1(p, center, ArithRange(domain.radius_ord, None), Residues(1, None),
+            Cell1(p, center, ArithRange(domain.radius_ord, None), Residues(1, p=p),
                   {f: OrderLaw(ord_p(a1, p), 1), df: d1_law}),
         ]
     # root outside the ball: ord f is the constant ord f(b) on the ball
@@ -376,7 +376,7 @@ def _prepare_linear(f: Poly, p: int, domain: Ball) -> list[Cell1]:
                                    df: d1_law})
 
 
-def _process_box(f: Poly, w: Poly, p: int, cell: Cell1, out: list[Cell1], work: list[Cell1],
+def _process_box(f: Poly, w: Poly, cell: Cell1, out: list[Cell1], work: list[Cell1],
                  r: int, budget: int) -> None:
     """Give a family cell laws for f: keep the strict regions of the Newton
     polygon, and split each tie at m* by residue class u0.  Descents are
@@ -394,6 +394,7 @@ def _process_box(f: Poly, w: Poly, p: int, cell: Cell1, out: list[Cell1], work: 
     their units at depth 1, with that constant law table; the other classes
     go through `_split_tie_class`, their point to `out` and their family
     back on the work list."""
+    p = cell.prime
     lines = _taylor_lines(f, cell.center.value, p)
     if not lines:
         raise InternalBoundError(
@@ -422,7 +423,7 @@ def _process_box(f: Poly, w: Poly, p: int, cell: Cell1, out: list[Cell1], work: 
             if r_u0 == 0:
                 center, f_law = _split_tie_class(f, w, p, cell.center, u0, m_star, budget)
                 out.append(Cell1(p, center, None, None, {**frozen, f: f_law}))
-                work.append(Cell1(p, center, below, Residues(1, None), frozen))
+                work.append(Cell1(p, center, below, Residues(1, p=p), frozen))
             else:
                 rootless.append(u0)
         if rootless:
@@ -500,7 +501,7 @@ def prepare(f: Poly, p: int, domain: Ball = ZP) -> Decomposition:
         if cell.is_point or cell.residues.is_all:
             cells.append(cell)
         else:
-            cells += _class_cells(p, cell.center, cell.m_range.lo, cell.residues.members(p),
+            cells += _class_cells(p, cell.center, cell.m_range.lo, cell.residues.members(),
                                   cell.laws)
     if len(cells) == len(grouped.cells):  # no group: the cells are sorted already
         return grouped
@@ -544,7 +545,7 @@ def _split_range(cell: Cell1, parts) -> list[tuple[Cell1, bool]]:
     return [(cell.copy(m_range=rng), flag) for rng, flag in parts if rng is not None]
 
 
-def _ord_atom_pieces(cell: Cell1, atom: Atom, p: int) -> list[tuple[Cell1, bool]]:
+def _ord_atom_pieces(cell: Cell1, atom: Atom) -> list[tuple[Cell1, bool]]:
     law_f = cell.law_for(atom.f)
 
     if isinstance(atom, OrdEqInf):
@@ -652,9 +653,9 @@ def _law_error(f: Poly, v: int, p: int, center: CenterValue, m: int, u: int):
         f"the law ord {format_poly(f)} = {v} (p = {p}) fails at {at} {center}")
 
 
-def _point_digits(cell: Cell1, f: Poly, depth: int, p: int) -> int | None:
+def _point_digits(cell: Cell1, f: Poly, depth: int) -> int | None:
     """The first `depth` unit digits of f at a point cell; None where f vanishes."""
-    law = cell.law_for(f)
+    law, p = cell.law_for(f), cell.prime
     if law.e0.is_infinite:
         return None
     dig = _sphere_digits(f, cell.center.value, 0, law.e0.value, depth, [0], p)[0]
@@ -663,7 +664,7 @@ def _point_digits(cell: Cell1, f: Poly, depth: int, p: int) -> int | None:
     return dig
 
 
-def _digit_atom_pieces(cell: Cell1, f: Poly, depth: int, target: int, p: int):
+def _digit_atom_pieces(cell: Cell1, f: Poly, depth: int, target: int):
     """Split a family cell by whether unit_digits(f(y), depth) = target: a
     piece per sphere m and truth value, and on an unbounded range one tail
     piece from the first sphere whose digits hold on all later ones.
@@ -684,7 +685,7 @@ def _digit_atom_pieces(cell: Cell1, f: Poly, depth: int, target: int, p: int):
     and meets the least unit where it fails; then, for j = 1, ..., depth,
     only the classes whose digits match the target mod p^j are lifted.  The
     classes dropped on the way make up the false piece."""
-    law = cell.law_for(f)
+    law, p = cell.law_for(f), cell.prime
     assert not law.e0.is_infinite
     lines = _taylor_lines(f, cell.center.value, p)
     rng = cell.m_range
@@ -708,7 +709,7 @@ def _digit_atom_pieces(cell: Cell1, f: Poly, depth: int, target: int, p: int):
         law_m = e0 + i0 * m
         d_m = max(cell.residues.depth, depth + law_m - min(v + i * m for i, v in lines))
         g = min(v + i * m for i, v in lines if i) - law_m
-        classes, digits, false = cell.residues.explicit(p), {}, []
+        classes, digits, false = cell.residues.explicit(), {}, []
         for j in range(1, depth + 1):
             level = max(1, j - g)
             classes = [(max(i, level), b) for i, a in classes
@@ -741,33 +742,33 @@ def _digit_atom_pieces(cell: Cell1, f: Poly, depth: int, target: int, p: int):
     return pieces
 
 
-def _split_by_atom(cell: Cell1, atom: Atom, p: int) -> list[tuple[Cell1, bool]]:
+def _split_by_atom(cell: Cell1, atom: Atom) -> list[tuple[Cell1, bool]]:
     if isinstance(atom, (OrdCmp, OrdEqInf, OrdModEq)):
-        return _ord_atom_pieces(cell, atom, p)
+        return _ord_atom_pieces(cell, atom)
 
     if isinstance(atom, AcEq):
-        target = atom.unit % p**atom.depth
+        target = atom.unit % cell.prime**atom.depth
         if cell.is_point:
-            return [(cell, _point_digits(cell, atom.f, atom.depth, p) == target)]
-        return _digit_atom_pieces(cell, atom.f, atom.depth, target, p)
+            return [(cell, _point_digits(cell, atom.f, atom.depth) == target)]
+        return _digit_atom_pieces(cell, atom.f, atom.depth, target)
 
     assert isinstance(atom, RvEq)
     law = cell.law_for(atom.f)
     if atom.tag.is_zero:
         return [(cell, cell.is_point and law.e0.is_infinite)]
     # the unit digits compare mod p^depth, as they do for ac
-    want_digits = atom.tag.unit.digits % p**atom.depth
+    want_digits = atom.tag.unit.digits % cell.prime**atom.depth
     if cell.is_point:
         ok = law.e0 == atom.tag.valuation and \
-            _point_digits(cell, atom.f, atom.depth, p) == want_digits
+            _point_digits(cell, atom.f, atom.depth) == want_digits
         return [(cell, ok)]
     out: list[tuple[Cell1, bool]] = []
     val_atom = OrdCmp(atom.f, None, atom.tag.valuation, "=")
-    for piece, v_ok in _ord_atom_pieces(cell, val_atom, p):
+    for piece, v_ok in _ord_atom_pieces(cell, val_atom):
         if not v_ok:
             out.append((piece, False))
         else:
-            out.extend(_digit_atom_pieces(piece, atom.f, atom.depth, want_digits, p))
+            out.extend(_digit_atom_pieces(piece, atom.f, atom.depth, want_digits))
     return out
 
 
@@ -815,7 +816,7 @@ def decompose_set(phi: Formula, p: int, domain: Ball = ZP) -> Decomposition:
                     flag = True if isinstance(atom, OrdEqInf) else atom.tag.is_zero
                     nxt.append((piece, {**truth, atom: flag}))
                     continue
-                for sub, flag in _split_by_atom(piece, atom, p):
+                for sub, flag in _split_by_atom(piece, atom):
                     nxt.append((sub, {**truth, atom: flag}))
             pending = nxt
         for piece, truth in pending:
@@ -839,7 +840,7 @@ class PreservesBallsReport:
         return all(e.verdict in ("ball", "point") for e in self.entries)
 
 
-def preserves_balls_report(dec: Decomposition, big_f: Poly, p: int) -> PreservesBallsReport:
+def preserves_balls_report(dec: Decomposition, big_f: Poly) -> PreservesBallsReport:
     """Decide per cell fiber whether the polynomial image of the fiber ball
     is a ball or a point, using the derivative-tower order laws.
 
@@ -852,14 +853,14 @@ def preserves_balls_report(dec: Decomposition, big_f: Poly, p: int) -> Preserves
         if big_f.degree <= 0 or cell.is_point:
             entries.append(FiberImageEntry(cell, "point", None))
             continue
-        entries.append(_fiber_entry(cell, big_f, p))
+        entries.append(_fiber_entry(cell, big_f))
     return PreservesBallsReport(tuple(entries))
 
 
-def _fiber_entry(cell: Cell1, big_f: Poly, p: int) -> FiberImageEntry:
+def _fiber_entry(cell: Cell1, big_f: Poly) -> FiberImageEntry:
     # laws for the derivative tower, as laws for the Taylor coefficients:
     # ord c_j(member) = law_j(m) - ord(j!)
-    laws: list[OrderLaw | None] = [None]
+    p, laws = cell.prime, [None]
     q = big_f
     for _ in range(big_f.degree):
         q = q.derivative()
@@ -887,7 +888,7 @@ def _fiber_entry(cell: Cell1, big_f: Poly, p: int) -> FiberImageEntry:
         worst_m = rng.lo if slope >= 0 else rng.hi
         need = -(const + slope * worst_m) // (j - 1) + 1
         d_need = max(d_need, need)
-    piece = cell if d_need == d else cell.copy(residues=cell.residues.lift(d_need, p))
+    piece = cell if d_need == d else cell.copy(residues=cell.residues.lift(d_need))
     depth = piece.residues.depth
     radius = OrderLaw(law1.e0 + depth, law1.i0 + 1)
     return FiberImageEntry(piece, "ball", radius)

@@ -387,14 +387,14 @@ def h(a: list[Rat], x0: RvData, p: int) -> PadicApprox | None:
     return accepted[0] if accepted else None
 
 
-def order_law_at_root(f: Poly, r: PadicApprox, p: int) -> Val:
+def order_law_at_root(f: Poly, r: PadicApprox) -> Val:
     """ord_p of the linear Taylor coefficient of f at the root (= ord f'(root)).
 
     Signals NonSimpleRootError when f' also vanishes there.
     """
-    if not ord_of_poly_at(f, r, p).is_infinite:
+    if not ord_of_poly_at(f, r, r.prime).is_infinite:
         raise ValueError("the approximation is not a root of f")
-    v = ord_of_poly_at(f.derivative(), r, p)
+    v = ord_of_poly_at(f.derivative(), r, r.prime)
     if v.is_infinite:
         raise NonSimpleRootError("derivative vanishes at the root")
     return v

@@ -100,16 +100,13 @@ def _cell_shape(cell: Cell1) -> AuxShape:
         return POINT_SHAPE
     rng = cell.m_range
     length = None if rng.hi is None else rng.count()
-    return AuxShape(cell.residues.count(cell.prime), (length,))
+    return AuxShape(cell.residues.count(), (length,))
 
 
-def chi(dec: Decomposition | list[Cell1], kept_only: bool = True) -> K0Element:
-    """The Euler-characteristic element: one graded auxiliary class per cell."""
-    if isinstance(dec, Decomposition):
-        cells = dec.kept_cells if kept_only else dec.cells
-    else:
-        cells = tuple(dec)
-    return K0Element.of([(_cell_shape(c), c.kind) for c in cells])
+def chi(dec: Decomposition) -> K0Element:
+    """The Euler-characteristic element of the kept set, one graded auxiliary
+    class per kept cell: of the whole domain for a polynomial's decomposition."""
+    return K0Element.of([(_cell_shape(c), c.kind) for c in dec.kept_cells])
 
 
 def chi_product(cells: list[ProductCell]) -> K0Element:
@@ -156,6 +153,6 @@ def cv_check(d1: Decomposition, d2: Decomposition) -> bool:
            for parent, children, total in parents):
         return False
     # no overlapping pair and no uncovered center in any group
-    return all(partition_check(children, lambda v: contains(parent, v, parent.prime),
+    return all(partition_check(children, lambda v: contains(parent, v),
                                [parent.center.value] + [c.center.value for c in children])
                == ((), 0) for parent, children, _ in parents)

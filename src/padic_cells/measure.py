@@ -23,15 +23,12 @@ from .padics import ord_p
 from .poly import Poly, format_poly, poly_gcd
 
 
-def cell_measure(cell: Cell1, p: int | None = None) -> Fraction:
+def cell_measure(cell: Cell1) -> Fraction:
     """Haar measure of a cell: 0 for points, a geometric sum for families."""
-    p = cell.prime if p is None else p
     if cell.is_point:
         return Fraction(0)
-    rng = cell.m_range
-    count = cell.residues.count(p)
-    d = cell.residues.depth
-    per_m0 = Fraction(count, p ** (rng.lo + d))
+    p, rng = cell.prime, cell.m_range
+    per_m0 = Fraction(cell.residues.count(), p ** (rng.lo + cell.residues.depth))
     ratio = Fraction(1, p**rng.step)
     if rng.hi is None:
         return per_m0 / (1 - ratio)
@@ -41,7 +38,7 @@ def cell_measure(cell: Cell1, p: int | None = None) -> Fraction:
 
 def decomposition_measure(dec: Decomposition, kept_only: bool = False) -> Fraction:
     cells = dec.kept_cells if kept_only else dec.cells
-    return sum((cell_measure(c, dec.prime) for c in cells), Fraction(0))
+    return sum((cell_measure(c) for c in cells), Fraction(0))
 
 
 def measure_of_order(dec: Decomposition, f: Poly, m: int) -> Fraction:
@@ -57,14 +54,14 @@ def measure_of_order(dec: Decomposition, f: Poly, m: int) -> Fraction:
         e0, i0 = law.e0.value, law.i0
         if i0 == 0:
             if e0 == m:
-                total += cell_measure(cell, p)
+                total += cell_measure(cell)
             continue
         if (m - e0) % i0 != 0:
             continue
         m_y = (m - e0) // i0
         if m_y not in cell.m_range:
             continue
-        total += Fraction(cell.residues.count(p), p ** (m_y + cell.residues.depth))
+        total += Fraction(cell.residues.count(), p ** (m_y + cell.residues.depth))
     return total
 
 
@@ -115,7 +112,7 @@ class ZetaFn:
         return f"({format_poly(self.num, 't')}) / ({format_poly(self.den, 't')})"
 
 
-def igusa_zeta(dec: Decomposition, f: Poly, p: int | None = None) -> ZetaFn:
+def igusa_zeta(dec: Decomposition, f: Poly) -> ZetaFn:
     """Z(t) = sum_m mu(ord f = m) t^m, in closed form.
 
     A family on m = lo, lo + s, ..., hi is the tail from lo minus the tail
@@ -129,7 +126,7 @@ def igusa_zeta(dec: Decomposition, f: Poly, p: int | None = None) -> ZetaFn:
     e < 0, and Z is returned as N / (t^-e D)."""
     if f.is_zero:
         raise UnsupportedInputError("the zeta function of the zero polynomial diverges")
-    p = dec.prime if p is None else p
+    p = dec.prime
     # with c residues at depth d and law e0 + i0 m, the tail from m0 is
     # c p^-(m0+d) t^(e0+i0 m0) / (1 - p^-s t^(i0 s)); rows[i0, s] maps an
     # exponent to its coefficient in the numerator of that pole
@@ -140,7 +137,7 @@ def igusa_zeta(dec: Decomposition, f: Poly, p: int | None = None) -> ZetaFn:
         law = cell.law_for(f)
         assert not law.e0.is_infinite
         e0, i0 = law.e0.value, law.i0
-        rng, count, d = cell.m_range, cell.residues.count(p), cell.residues.depth
+        rng, count, d = cell.m_range, cell.residues.count(), cell.residues.depth
         row = rows.setdefault((i0, rng.step), {})
         e = e0 + i0 * rng.lo
         row[e] = row.get(e, 0) + Fraction(count, p ** (rng.lo + d))
@@ -201,7 +198,7 @@ def partition_check(cells, inside, probes) -> tuple[tuple[tuple[int, int], ...],
     holders = [[] for _ in probes]
     for n, i in candidate_pairs(probes, cells, None, keys):
         holders[n].append(cells[i])
-    uncovered = sum(inside(v) and sum(contains(c, v, c.prime) for c in held) != 1
+    uncovered = sum(inside(v) and sum(contains(c, v) for c in held) != 1
                     for v, held in zip(probes, holders))
     return overlaps, uncovered
 

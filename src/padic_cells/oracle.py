@@ -28,7 +28,7 @@ from math import lcm
 from .cells import Ball, Cell1, Decomposition
 from .errors import UnsupportedInputError
 from .hensel import center_proxy, exact_value, refine_root, taylor_ords
-from .padics import INFINITY, MAX_CLASSES, Val, ord_p, require_classes
+from .padics import INFINITY, MAX_CLASSES, MAX_SAMPLES, Val, ord_p, require_classes
 from .poly import Poly
 
 
@@ -221,18 +221,18 @@ class PartitionReport:
         return not self.violations
 
 
-def _center_mod(cell: Cell1, k: int, p: int) -> int:
+def _center_mod(cell: Cell1, k: int) -> int:
     """The center reduced mod p^k (centers of Z_p-cells are p-integral)."""
-    return _residue(center_proxy(cell.center.value, p, k + 2), p**k)
+    return _residue(center_proxy(cell.center.value, cell.prime, k + 2), cell.prime**k)
 
 
-def _mark_cell(cell: Cell1, k: int, p: int, marks: list[list[int]], fuzzy: list[int]) -> None:
+def _mark_cell(cell: Cell1, k: int, marks: list[list[int]], fuzzy: list[int]) -> None:
     """Mark every class the cell decidedly contains once, as a class mod p^j
     in marks[j] at the level j where its constraint ends (all its lifts mod
     p^k are inside), and flag the classes mod p^k it only partially covers
     at this depth."""
-    q = p**k
-    c_mod = _center_mod(cell, k, p)
+    p = cell.prime
+    q, c_mod = p**k, _center_mod(cell, k)
     if cell.is_point:
         fuzzy[c_mod] = 1
         return
@@ -251,11 +251,11 @@ def _mark_cell(cell: Cell1, k: int, p: int, marks: list[list[int]], fuzzy: list[
                 level[(c_mod + u * pm) % qj] += 1
         elif m + d <= k:
             level, qj = marks[m + d], pm * p**d
-            for u0 in cell.residues.members(p):
+            for u0 in cell.residues.members():
                 level[(c_mod + u0 * pm) % qj] += 1
         else:
             # the constraint needs more digits than the class determines
-            for u0 in {u % p ** (k - m) for u in cell.residues.members(p)}:
+            for u0 in {u % p ** (k - m) for u in cell.residues.members()}:
                 fuzzy[(c_mod + u0 * pm) % q] = 1
 
 
@@ -277,7 +277,7 @@ def verify_partition(dec: Decomposition, k: int) -> PartitionReport:
     marks = [[0] * p**j for j in range(k + 1)]
     fuzzy = [0] * p**k
     for cell in dec.cells:
-        _mark_cell(cell, k, p, marks, fuzzy)
+        _mark_cell(cell, k, marks, fuzzy)
     # a class mod p^j counts its own marks and those of its prefix mod p^(j-1)
     count = marks[0]
     for level in marks[1:]:
@@ -319,16 +319,15 @@ class LawReport:
         return not self.failures
 
 
-def _cell_samples(cell: Cell1, p: int, n: int,
-                  rng: random.Random) -> list[tuple[int, int, int, int]]:
+def _cell_samples(cell: Cell1, n: int, rng: random.Random) -> list[tuple[int, int, int, int]]:
     """Deterministic members of a family cell, with m = ord(y - c): every
     residue class at the cell's depth, the first valuations of the range,
     the last three of a finite one, and random deeper digits.  Each member
     is (bn, bd, z, m) for y = bn/bd + z p^m, bn/bd the center's proxy and
     z = u + extra p^d."""
     out: list[tuple[int, int, int, int]] = []
-    d = cell.residues.depth
-    units = cell.residues.members(p)
+    p, d = cell.prime, cell.residues.depth
+    units = cell.residues.members()
     r = cell.m_range
     ms = list(r.values(limit=4))
     if r.hi is not None:
@@ -395,6 +394,8 @@ def verify_laws(dec: Decomposition, f: Poly, samples: int = 200, seed: int = 0) 
     A family sample is decided modulo p^(t+1), t the valuation the law
     claims for the numerator of f(y) (see the module docstring); a sample
     that residue does not confirm is evaluated in full."""
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise UnsupportedInputError(f"samples = {samples} is not from 1 to {MAX_SAMPLES}")
     p = dec.prime
     rng = random.Random(seed)
     failures: list[LawFailure] = []
@@ -446,7 +447,7 @@ def verify_laws(dec: Decomposition, f: Poly, samples: int = 200, seed: int = 0) 
         # per m at the current proxy: the kernel that decides the law's value
         kernels: dict[int, tuple[int, int, list[int]]] = {}
         proxy = None
-        for bn, bd, z, m in _cell_samples(cell, p, samples, rng):
+        for bn, bd, z, m in _cell_samples(cell, samples, rng):
             if m not in at_m:
                 want = law.apply(m)
                 bound = min(v + i * m for i, v in lines) + dec.k_depth if lines else None

@@ -25,6 +25,9 @@ Rat = Union[int, Fraction]
 # enumerate; the acceptance suite's largest scan is 7^6 = 117,649 classes.
 MAX_CLASSES = 10**6
 
+# The most law samples per cell, whose time grows with their count squared.
+MAX_SAMPLES = 10**4
+
 # The least strong pseudoprime to all twelve bases of `is_prime`.
 _MR_EXACT_BELOW = 318665857834031151167461
 

@@ -13,7 +13,8 @@ the two-tail sum per pole replaced, the per-class derivative tower that
 the rootless tie groups replaced, and the root search over every digit of
 a class, the Fraction class centers and the per-cell law JSON that the
 residual-polynomial descent, the integer centers and the per-table JSON
-replaced, kept as references for the tests that compare the two."""
+replaced, and the chi of every cell, kept or not, that the chi of the kept
+cells replaced, kept as references for the tests that compare the two."""
 
 import random
 from itertools import islice
@@ -30,6 +31,7 @@ from padic_cells.errors import InternalBoundError, UnsupportedInputError
 from padic_cells.hensel import (_MAX_DOUBLINGS, _at_root, _certified, _isolated, _newton,
                                 _roots_near, center_proxy, digits_of_poly_at, exact_value,
                                 ord_of_poly_at, refine_root, shift_center, taylor_ords)
+from padic_cells.kgroup import K0Element, _cell_shape
 from padic_cells.measure import ZetaFn, _times_t
 from padic_cells.oracle import (LawFailure, LawReport, _center_mod, _clear_denominators,
                                 _ord_value, _taylor_ords)
@@ -174,7 +176,7 @@ def all_pairs_partition_check(cells, inside, probes):
     intersected, every probe tested against every cell."""
     overlaps = tuple((i, j) for i in range(len(cells)) for j in range(i + 1, len(cells))
                      if intersect_cells(cells[i], cells[j]))
-    uncovered = sum(inside(v) and sum(contains(c, v, c.prime) for c in cells) != 1
+    uncovered = sum(inside(v) and sum(contains(c, v) for c in cells) != 1
                     for v in probes)
     return overlaps, uncovered
 
@@ -319,7 +321,7 @@ def generator_head(residues: Residues, p: int, limit: int | None = 4) -> tuple[i
     all units from a generator over every residue mod p^depth, for an
     explicit set from the full sorted list of its members."""
     if not residues.is_all:
-        return tuple(residues.members(p)[:limit])
+        return tuple(residues.members()[:limit])
     return tuple(islice((u for u in range(1, p**residues.depth) if u % p != 0), limit))
 
 
@@ -349,7 +351,7 @@ def sphere_by_sphere_digit_atom_pieces(cell, f, depth, want, p):
         min_line = min(v + i * m for i, v in lines)
         law_m = e0 + i0 * m
         d_m = max(cell.residues.depth, depth + law_m - min_line)
-        units = cell.residues.lift(d_m, p).members(p)
+        units = cell.residues.lift(d_m).members()
         groups = {}
         for u, dig in zip(units, _sphere_digits(f, cell.center.value, m, law_m, depth,
                                                  units, p)):
@@ -403,7 +405,7 @@ def unit_scan_digit_atom_pieces(cell, f, depth, want, p):
         min_line = min(v + i * m for i, v in lines)
         law_m = e0 + i0 * m
         d_m = max(cell.residues.depth, depth + law_m - min_line)
-        units = cell.residues.lift(d_m, p).members(p)
+        units = cell.residues.lift(d_m).members()
         groups = {}
         for u, dig in zip(units, _sphere_digits(f, cell.center.value, m, law_m, depth,
                                                  units, p)):
@@ -452,7 +454,7 @@ def per_class_mark_cell(cell: Cell1, k: int, p: int, count: list[int], fuzzy: li
     own.  Mark every class mod p^k the cell decidedly contains, and flag the
     classes it only partially covers at this depth."""
     q = p**k
-    c_mod = _center_mod(cell, k, p)
+    c_mod = _center_mod(cell, k)
     if cell.is_point:
         fuzzy[c_mod] = 1
         return
@@ -466,7 +468,7 @@ def per_class_mark_cell(cell: Cell1, k: int, p: int, count: list[int], fuzzy: li
         if m + d <= k:
             lifts = p ** (k - m - d)
             qd = p**d
-            for u0 in cell.residues.members(p):
+            for u0 in cell.residues.members():
                 for t in range(lifts):
                     cls = (c_mod + (u0 + t * qd) * p**m) % q
                     count[cls] += 1
@@ -479,7 +481,7 @@ def per_class_mark_cell(cell: Cell1, k: int, p: int, count: list[int], fuzzy: li
                     count[cls] += 1
         else:
             # the constraint needs more digits than the class determines
-            for u0 in {u % p ** (k - m) for u in cell.residues.members(p)}:
+            for u0 in {u % p ** (k - m) for u in cell.residues.members()}:
                 cls = (c_mod + u0 * p**m) % q
                 fuzzy[cls] = 1
 
@@ -491,7 +493,7 @@ def per_sample_cell_samples(cell: Cell1, p: int, n: int, rng: random.Random) -> 
     range, and random deeper digits.  Each member is a triple (num, den, m)."""
     out: list[tuple[int, int, int]] = []
     d = cell.residues.depth
-    units = cell.residues.members(p)
+    units = cell.residues.members()
     ms = list(cell.m_range.values(limit=4))
     if cell.m_range.hi is not None:
         tail = [m for m in cell.m_range.values() if m >= cell.m_range.hi - 2 * cell.m_range.step]
@@ -612,7 +614,7 @@ def per_cell_igusa_zeta(dec: Decomposition, f: Poly, p: int | None = None) -> Ze
         assert not law.e0.is_infinite
         e0, i0 = law.e0.value, law.i0
         rng = cell.m_range
-        lead = Fraction(cell.residues.count(p), p ** (rng.lo + cell.residues.depth))
+        lead = Fraction(cell.residues.count(), p ** (rng.lo + cell.residues.depth))
         ratio = Poly.of(*([Fraction(0)] * (i0 * rng.step) + [Fraction(1, p**rng.step)]))
         if rng.hi is None:
             terms.append((e0 + i0 * rng.lo, Poly.of(lead), Poly.of(1) - ratio))
@@ -706,11 +708,11 @@ def per_class_process_box(f: Poly, w: Poly, p: int, cell: Cell1, out: list[Cell1
             if r_u0 == 0:
                 center, f_law = _split_tie_class(f, w, p, cell.center, u0, m_star, budget)
                 out.append(Cell1(p, center, None, None, {**frozen, f: f_law}))
-                work.append(Cell1(p, center, below, Residues(1, None), frozen))
+                work.append(Cell1(p, center, below, Residues(1, p=p), frozen))
             else:
                 center = fraction_shifted_center(cell.center, off)
                 out.append(Cell1(p, center, None, None, rootless))
-                out.append(Cell1(p, center, below, Residues(1, None), rootless))
+                out.append(Cell1(p, center, below, Residues(1, p=p), rootless))
 
 
 def full_walk_root_points(w: Poly, p: int, depth_cap: int) -> list[Fraction]:
@@ -817,6 +819,12 @@ def per_set_order_cell_json(cell: Cell1, names: dict[Poly, str],
         out["residue"] = {
             "depth": cell.residues.depth,
             "units": "all" if cell.residues.is_all
-            else [str(u) for u in cell.residues.members(cell.prime)],
+            else [str(u) for u in cell.residues.members()],
         }
     return out
+
+
+def all_cells_chi(dec: Decomposition) -> K0Element:
+    """`kgroup.chi(dec, kept_only=False)` as it was written: one graded
+    auxiliary class per cell, kept or not."""
+    return K0Element.of([(_cell_shape(c), c.kind) for c in dec.cells])

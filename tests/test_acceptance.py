@@ -97,12 +97,12 @@ def test_criterion_4_igusa_closed_forms(corpus, corpus_decompositions):
     for k in (1, 2, 3):
         for p in (3, 5, 7):
             f = Poly.of(*([0] * k + [1]))
-            z = igusa_zeta(prepare(f, p), f, p)
+            z = igusa_zeta(prepare(f, p), f)
             want = ZetaFn.of(Poly.of(1 - Fraction(1, p)),
                              Poly.of(*([1] + [0] * (k - 1) + [Fraction(-1, p)])))
             assert z == want, (k, p)
     for (name, p), dec in corpus_decompositions.items():
-        z = igusa_zeta(dec, corpus[name], p)
+        z = igusa_zeta(dec, corpus[name])
         assert z.eval(Fraction(1)) == 1, (name, p)
     _report(4, "Z(t) for y^k matches (1-1/p)/(1-t^k/p) and Z(1) = 1 on the corpus")
 
@@ -162,7 +162,7 @@ def test_criterion_5_hensel_suite(corpus):
                     # oracle uniqueness of the lifted class
                     assert _liftable_class_count(w, x0, p) == 1, (name, p, x0)
                     # the (h5) identity on 50 sampled w
-                    b1 = order_law_at_root(w, rr, p)
+                    b1 = order_law_at_root(w, rr)
                     deep = refine_root(rr, 30)
                     rng = random.Random(hash((name, p, m, u)) & 0xFFFF)
                     for _ in range(50):
@@ -218,7 +218,7 @@ def _punctured(p, depth):
     zero = Center(Fraction(0), 1, TConst(Fraction(0)))
     return Decomposition(p, ZP, sorted_cells([
         Cell1(p, zero, None, None, {}, keep=False),
-        Cell1(p, zero, ArithRange(0, None), Residues(depth, None), {}, keep=True),
+        Cell1(p, zero, ArithRange(0, None), Residues(depth, p=p), {}, keep=True),
     ]))
 
 
@@ -244,7 +244,7 @@ def test_criterion_7_chi_and_cv():
         D = prepare(Y, p)
         cells = list(D.cells)
         prod = chi_product([product([x, z]) for x in cells for z in cells])
-        assert prod == k0_mul(chi(D, kept_only=False), chi(D, kept_only=False))
+        assert prod == k0_mul(chi(D), chi(D))
     _report(7, "cv_check true on 10 pairs; chi additivity and product grading exact")
 
 
@@ -291,8 +291,8 @@ def test_criterion_9_negative_controls(capsys):
     zero = Center(Fraction(0), 1, TConst(Fraction(0)))
     overlap = Decomposition(p, ZP, sorted_cells([
         Cell1(p, zero, None, None, {}),
-        Cell1(p, zero, ArithRange(0, None), Residues(1, None), {}),
-        Cell1(p, zero, ArithRange(2, 2), Residues(1, None), {}),
+        Cell1(p, zero, ArithRange(0, None), Residues(1, p=p), {}),
+        Cell1(p, zero, ArithRange(2, 2), Residues(1, p=p), {}),
     ]))
     rep = verify_partition(overlap, 4)
     assert rep.violations

@@ -104,11 +104,25 @@ def test_refine_common_idempotent():
     assert len(R.cells) == len(D.cells)
 
 
+def test_every_residue_set_holds_its_prime():
+    # a set without its prime fails at once, and a cell takes only a set of
+    # its own prime
+    with pytest.raises(TypeError):
+        Residues(1, None)
+    with pytest.raises(TypeError):
+        Residues(2, classes=[(1, 1)])
+    zero = Center(Fraction(0), 1)
+    with pytest.raises(ValueError, match="another prime"):
+        Cell1(5, zero, ArithRange(0, None), Residues(1, p=7))
+    assert Cell1(5, zero, ArithRange(0, None), Residues(1, p=5)).residues.p == 5
+    assert Residues(1, p=5) != Residues(1, p=7)
+
+
 def test_refine_common_depths():
     zero = Center(Fraction(0), 1, TConst(Fraction(0)))
     mk = lambda depth: Decomposition(5, ZP, sorted_cells([
         Cell1(5, zero, None, None, {}),
-        Cell1(5, zero, ArithRange(0, None), Residues(depth, None), {}),
+        Cell1(5, zero, ArithRange(0, None), Residues(depth, p=5), {}),
     ]))
     R = refine_common(mk(1), mk(2))
     fams = [c for c in R.cells if not c.is_point]
@@ -227,7 +241,7 @@ def test_type_uniqueness_on_produced_cells():
 def test_law_table():
     p, y, sq = 5, Poly.of(0, 1), Poly.of(-1, 0, 1)
     law_y, law_sq = OrderLaw(Val(0), 1), OrderLaw(Val(2), 0)
-    cell = Cell1(p, Center(Fraction(0), 1), ArithRange(0, None), Residues(1), {sq: law_sq, y: law_y})
+    cell = Cell1(p, Center(Fraction(0), 1), ArithRange(0, None), Residues(1, p=p), {sq: law_sq, y: law_y})
     # the table is a mapping, one law per polynomial
     assert cell.laws == {y: law_y, sq: law_sq}
     assert cell.law_for(y) == law_y
@@ -243,9 +257,9 @@ def test_law_table():
 def test_sort_key_reads_only_the_first_units():
     # the full unit list at p = 10^9 + 7 would hold 10^9 entries
     p = 1000000007
-    cell = Cell1(p, Center(Fraction(0), 1), ArithRange(0, None), Residues(1))
-    assert Residues(1).members(p, limit=4) == [1, 2, 3, 4]
-    assert Residues(2, frozenset({9, 3, 7, 1, 5}), p).members(p, limit=4) == [1, 3, 5, 7]
+    cell = Cell1(p, Center(Fraction(0), 1), ArithRange(0, None), Residues(1, p=p))
+    assert Residues(1, p=p).members(limit=4) == [1, 2, 3, 4]
+    assert Residues(2, frozenset({9, 3, 7, 1, 5}), p).members(limit=4) == [1, 3, 5, 7]
     assert sorted_cells([cell, pt(p, 0)]) == (pt(p, 0), cell)
 
 
@@ -253,11 +267,11 @@ def test_first_units_of_all_residues_match_the_generator():
     # p > limit reads 1, ..., limit with no generator; p <= limit walks one
     for p in (2, 3, 5, 7, 1009):
         for depth in (1, 2, 3):
-            res = Residues(depth)
+            res = Residues(depth, p=p)
             for limit in (1, 2, 4, 5, 9):
-                assert tuple(res.members(p, limit)) == generator_head(res, p, limit)
+                assert tuple(res.members(limit=limit)) == generator_head(res, p, limit)
             if p < 1009:
-                assert tuple(res.members(p)) == generator_head(res, p, None)
+                assert tuple(res.members()) == generator_head(res, p, None)
 
 
 def _assert_same_orders(cells, seed=0):
@@ -308,7 +322,7 @@ def test_integer_sort_keys_on_mixed_denominators_and_roots():
     cells = []
     for i, center in enumerate(centers):
         cells.append(Cell1(p, center, None, None, laws[i % 2]))
-        for lo, res in ((0, Residues(1)), (2, Residues(1)), (2, Residues(2, frozenset({3, 8}), p))):
+        for lo, res in ((0, Residues(1, p=p)), (2, Residues(1, p=p)), (2, Residues(2, frozenset({3, 8}), p))):
             cells.append(Cell1(p, center, ArithRange(lo, None), res, laws[(i + lo) % 2]))
     _assert_same_orders(cells)
     ordered = sorted_cells(cells)

@@ -211,6 +211,10 @@ def test_cli_internal_bound_exit(capsys, monkeypatch):
     # 5^7000 and 5^100000 in a measure's denominator
     (["measure", "--prime", "5", "--formula", "ord(y) >= 7000"], 3),
     (["measure", "--prime", "5", "--poly", "y", "--ord", "100000"], 3),
+    # a law-sample count outside [1, 10,000]: below 1 the law check would
+    # draw nothing and pass, and its time grows with the count squared
+    *[(["decompose", "--verify", "--prime", "5", "--poly", "y^2 - 1", "--samples", n], 3)
+      for n in ("0", "-1", "10001", "1000000000")],
     # the least strong pseudoprime to every base of the primality test
     (["measure", "--prime", "318665857834031151167461", "--poly", "y"], 3),
     # argparse owns the input flags of each subcommand

@@ -188,12 +188,12 @@ def test_prepare_on_sub_ball():
     D = prepare(f, 5, domain)
     assert decomposition_measure(D) == Fraction(1, 5)
     member = Fraction(2 + 5 * 3)
-    assert any(contains(c, member, 5) for c in D.cells)
+    assert any(contains(c, member) for c in D.cells)
     law_cells = [c for c in D.cells if not c.is_point]
     for cell in law_cells:
         law = cell.law_for(f)
         for m in cell.m_range.values(limit=3):
-            u = cell.residues.members(5)[0]
+            u = cell.residues.members()[0]
             y = cell.center.value + Fraction(u) * Fraction(5) ** m \
                 if cell.center.is_rational else None
             if y is None:
@@ -325,9 +325,9 @@ def test_grouped_tower_matches_the_per_class_tower_at_inexact_centers(monkeypatc
         built.append(not center.is_rational)
         return class_cells(p, center, *rest)
 
-    def lifting(f, p, group, *rest):
+    def lifting(f, group, *rest):
         lifted.append(not group.center.is_rational)
-        return lift(f, p, group, *rest)
+        return lift(f, group, *rest)
 
     monkeypatch.setattr(decompose_module, "_class_cells", building)
     monkeypatch.setattr(decompose_module, "_lift_group", lifting)
@@ -451,7 +451,7 @@ def test_ball_domain_is_the_zp_decomposition_restricted(corpus, corpus_decomposi
         ball = Ball(Fraction(b), r)
         center = Center(Fraction(b), 1, None)
         halves = [Cell1(p, center, None, None, {}),
-                  Cell1(p, center, ArithRange(r, None), Residues(1, None), {})]
+                  Cell1(p, center, ArithRange(r, None), Residues(1, p=p), {})]
         for name, f in corpus.items():
             cut = Decomposition(p, ball, tuple(
                 piece for cell in corpus_decompositions[name, p].cells for half in halves
@@ -496,9 +496,9 @@ def test_set_cubes_p7():
     # membership agrees with actual cubes
     for x in (1, 2, 3, 6, 10, 14):
         cube = Fraction(x) ** 3
-        assert any(contains(c, cube, 7) for c in D.kept_cells)
+        assert any(contains(c, cube) for c in D.kept_cells)
     for bad in (2, 3, 7, 14, 5):
-        assert not any(contains(c, Fraction(bad), 7) for c in D.kept_cells)
+        assert not any(contains(c, Fraction(bad)) for c in D.kept_cells)
 
 
 def test_set_ord_comparison_two_polys():
@@ -509,7 +509,7 @@ def test_set_ord_comparison_two_polys():
     for r in range(1, 5**4):
         y = Fraction(r)
         want = ord_p(y * y - 1, 5) >= ord_p(y, 5) + 1
-        got = any(contains(c, y, 5) for c in D.kept_cells)
+        got = any(contains(c, y) for c in D.kept_cells)
         assert want == got, r
 
 
@@ -543,7 +543,7 @@ def test_set_ac_depth_two():
         y = Fraction(r)
         u = (y / 5 ** ord_p(y, 5).value)
         want = (u.numerator * pow(u.denominator, -1, 25)) % 25 == 7
-        got = any(contains(c, y, 5) for c in D.kept_cells)
+        got = any(contains(c, y) for c in D.kept_cells)
         assert want == got, r
 
 
@@ -586,11 +586,11 @@ def test_digit_kernel_matches_the_fraction_loop(monkeypatch, coeffs, p, domain, 
             law = cell.law_for(f)
             for depth in range(1, deepest + 1):
                 by_digit = unit_scan_digit_atom_pieces(cell, f, depth, lambda d: d, p)
-                out += [_digit_atom_pieces(cell, f, depth, t, p)
+                out += [_digit_atom_pieces(cell, f, depth, t)
                         for t in _met_digits(by_digit, depth, p)]
                 tag = RvData(depth, law.apply(cell.m_range.lo + 1).value,
                              UnitDigits(depth, 1))
-                out.append(_split_by_atom(cell, RvEq(depth, f, tag), p))
+                out.append(_split_by_atom(cell, RvEq(depth, f, tag)))
         return out
 
     kernel = decompose_module._sphere_digits
@@ -619,7 +619,7 @@ def test_digit_kernel_rejects_a_contradicted_law():
         for shift in (1, -1):  # too high a valuation, and too low a one
             tampered = cell.with_laws({f: OrderLaw(law.e0 + shift, law.i0)})
             with pytest.raises(InternalBoundError, match=r"y\^2 - 1 = .*p = 3.*" + where):
-                _split_by_atom(tampered, AcEq(3, f, 1), 3)
+                _split_by_atom(tampered, AcEq(3, f, 1))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
@@ -638,7 +638,7 @@ def test_lifting_read_names_the_unit_the_scan_names(p):
                 with pytest.raises(InternalBoundError) as want:
                     unit_scan_digit_atom_pieces(tampered, f, depth, lambda d: d == 1, p)
                 with pytest.raises(InternalBoundError) as got:
-                    _digit_atom_pieces(tampered, f, depth, 1, p)
+                    _digit_atom_pieces(tampered, f, depth, 1)
                 assert str(got.value) == str(want.value)
                 named += " unit " in str(want.value)
     assert named > 0
@@ -712,7 +712,7 @@ def test_digit_atom_window_matches_the_sphere_loop(p):
                     assert unit_scan_digit_atom_pieces(piece, f, depth, lambda d: d, p) == by_digit
                     spheres = _units_by_digit(by_digit, p)
                     for target in _met_digits(by_digit, depth, p):
-                        assert _unit_view(_digit_atom_pieces(piece, f, depth, target, p), p) == \
+                        assert _unit_view(_digit_atom_pieces(piece, f, depth, target), p) == \
                             _target_view(spheres, target)
                     if sub.hi is None:
                         continue
@@ -788,11 +788,11 @@ def test_internal_bound_errors_name_their_context(monkeypatch):
     tampered = family.with_laws({f: OrderLaw(Val(0), 2)})
     with pytest.raises(InternalBoundError, match=r"y\^2 - 1 \(p = 3\) on m in \[1\.\.inf\] "
                        r"around the center 1 .*dominance gap"):
-        _digit_atom_pieces(tampered, f, 1, 1, 3)
+        _digit_atom_pieces(tampered, f, 1, 1)
     infinite = family.with_laws({f.derivative(): OrderLaw(INFINITY, 0)})
     with pytest.raises(InternalBoundError, match=r"2\*y is infinite on the family on m in "
                        r"\[1\.\.inf\] around the center 1 \(p = 3\)"):
-        preserves_balls_report(Decomposition(3, ZP, (infinite,)), f, 3)
+        preserves_balls_report(Decomposition(3, ZP, (infinite,)), f)
     monkeypatch.setattr(decompose_module, "taylor_ords",
                         lambda g, c, p: [INFINITY] * (g.degree + 1))
     with pytest.raises(InternalBoundError, match=r"of y\^2 - 2 \(p = 7\) vanished at the "
@@ -899,7 +899,7 @@ def test_sphere_kernel_at_sqrt6_in_z5():
 
 def test_preserves_identity():
     D = prepare(Y, 5)
-    rep = preserves_balls_report(D, Y, 5)
+    rep = preserves_balls_report(D, Y)
     assert rep.all_ball_or_point
     fam = next(e for e in rep.entries if not e.cell.is_point)
     # the image of the (m, u) fiber is that same ball: radius ord m + 1
@@ -909,14 +909,14 @@ def test_preserves_identity():
 def test_preserves_squaring():
     f = Poly.of(0, 0, 1)
     D = prepare(f, 5)
-    rep = preserves_balls_report(D, f, 5)
+    rep = preserves_balls_report(D, f)
     assert rep.all_ball_or_point
     fam = next(e for e in rep.entries if not e.cell.is_point)
     # fiber {ord y = 0, ac = u}: image is a ball around u^2 of radius ord 2m+d+...
     # brute force one fiber
     entry = fam
     m = entry.cell.m_range.lo
-    u = entry.cell.residues.members(5)[0]
+    u = entry.cell.residues.members()[0]
     d = entry.cell.residues.depth
     members = [Fraction(u + t * 5**d) * 5**m for t in range(40)]
     images = [v * v for v in members]
@@ -929,19 +929,19 @@ def test_preserves_squaring():
 def test_preserves_constant():
     f = Poly.of(3)
     D = prepare(f, 5)
-    rep = preserves_balls_report(D, f, 5)
+    rep = preserves_balls_report(D, f)
     assert all(e.verdict == "point" for e in rep.entries)
 
 
 def test_preserves_squaring_p2_depth_raise():
     f = Poly.of(0, 0, 1)
     D = prepare(f, 2)
-    rep = preserves_balls_report(D, f, 2)
+    rep = preserves_balls_report(D, f)
     assert rep.all_ball_or_point
     fam = next(e for e in rep.entries if not e.cell.is_point)
     assert fam.cell.residues.depth >= 2  # p=2 needs a deeper split
     m = fam.cell.m_range.lo
-    u = fam.cell.residues.members(2)[0]
+    u = fam.cell.residues.members()[0]
     d = fam.cell.residues.depth
     members = [Fraction(u + t * 2**d) * 2**m for t in range(64)]
     images = sorted(set(v * v for v in members))

@@ -20,7 +20,7 @@ def exhaustive_check(f: Poly, p: int, k: int) -> None:
     assert verify_laws(dec, f, samples=60).ok
     for r in range(1, p**k):
         y = Fraction(r)
-        cells = [c for c in dec.cells if contains(c, y, p)]
+        cells = [c for c in dec.cells if contains(c, y)]
         assert len(cells) == 1, (r, len(cells))
         law = cells[0].law_for(f)
         m = ord_between(y, cells[0].center.value, p)

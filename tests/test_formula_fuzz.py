@@ -71,7 +71,7 @@ def check_exhaustive(phi, p, k):
     for r in range(p**k):
         y = Fraction(r)
         want = formula_truth(phi, y, p)
-        got = sum(1 for c in kept if contains(c, y, p))
+        got = sum(1 for c in kept if contains(c, y))
         assert got <= 1
         assert bool(got) == want, (r, want)
 

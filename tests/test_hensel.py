@@ -151,9 +151,9 @@ def test_newton_certificate_invariant():
 
 
 def test_order_law_at_root():
-    assert order_law_at_root(Poly.of(-1, 0, 1), h([-1, 0, 1], rv(1, 5, 1), 5), 5) == Val(0)
-    assert order_law_at_root(Poly.of(-6, 0, 1), h([-6, 0, 1], rv(1, 5, 1), 5), 5) == Val(0)
-    assert order_law_at_root(Poly.of(-25, 0, 1), h([-25, 0, 1], rv(5, 5, 1), 5), 5) == Val(1)
+    assert order_law_at_root(Poly.of(-1, 0, 1), h([-1, 0, 1], rv(1, 5, 1), 5)) == Val(0)
+    assert order_law_at_root(Poly.of(-6, 0, 1), h([-6, 0, 1], rv(1, 5, 1), 5)) == Val(0)
+    assert order_law_at_root(Poly.of(-25, 0, 1), h([-25, 0, 1], rv(5, 5, 1), 5)) == Val(1)
 
 
 def test_order_law_rejects_non_simple():
@@ -162,7 +162,7 @@ def test_order_law_rejects_non_simple():
     r = h([1, -2, 1], rv(1, 5, 1), 5)
     assert r is not None and r.approx == 1
     with pytest.raises(NonSimpleRootError):
-        order_law_at_root(Poly.of(1, -2, 1), r, 5)
+        order_law_at_root(Poly.of(1, -2, 1), r)
 
 
 def test_h5_identity_sampled():
@@ -170,7 +170,7 @@ def test_h5_identity_sampled():
     p = 5
     f = Poly.of(-6, 0, 1)
     r = refine_root(h([-6, 0, 1], rv(1, p, 1), p), 40)
-    b1 = order_law_at_root(f, r, p)
+    b1 = order_law_at_root(f, r)
     rng = random.Random(0)
     for _ in range(50):
         w = 1 + 5 * Fraction(rng.randrange(1, 5**12))

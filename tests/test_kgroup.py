@@ -35,22 +35,33 @@ from padic_cells.measure import cell_measure, exact_partition_check, partition_c
 from padic_cells.parser import parse_formula
 from padic_cells.poly import Poly
 
-from fraction_loops import all_pairs_common_pieces, all_pairs_partition_check
+from conftest import PRIMES
+from fraction_loops import all_cells_chi, all_pairs_common_pieces, all_pairs_partition_check
 
 
 def punctured_zp(p, depth, keep_point=False):
     zero = Center(Fraction(0), 1, TConst(Fraction(0)))
     return Decomposition(p, ZP, sorted_cells([
         Cell1(p, zero, None, None, {}, keep=keep_point),
-        Cell1(p, zero, ArithRange(0, None), Residues(depth, None), {}, keep=True),
+        Cell1(p, zero, ArithRange(0, None), Residues(depth, p=p), {}, keep=True),
     ]))
 
 
 def test_chi_standard_decomposition():
     D = prepare(Poly.of(0, 1), 5)
-    el = chi(D, kept_only=False)
+    el = chi(D)
     want = K0Element.of([(POINT_SHAPE, 0), (AuxShape(4, (None,)), 1)])
     assert el == want
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_chi_of_a_polynomial_reads_every_cell(corpus, corpus_decompositions, p):
+    # a polynomial's decomposition keeps every cell, so chi of its kept cells
+    # is the chi of all of them that kept_only=False used to read
+    for name in corpus:
+        dec = corpus_decompositions[name, p]
+        assert all(c.keep for c in dec.cells)
+        assert chi(dec) == all_cells_chi(dec), (name, p)
 
 
 def test_chi_punctured_depth2():
@@ -60,7 +71,7 @@ def test_chi_punctured_depth2():
 
 def test_chi_additive_over_disjoint_union():
     d1 = chi(punctured_zp(5, 1))
-    d2 = chi(prepare(Poly.of(0, 1), 5), kept_only=False)
+    d2 = chi(prepare(Poly.of(0, 1), 5))
     both = k0_add(d1, d2)
     # multiset union, exactly
     assert both == K0Element.of([(AuxShape(4, (None,)), 1),
@@ -82,7 +93,7 @@ def test_product_grading_matches_dimension():
     cells = list(D.cells)
     pairs = [product([a, b]) for a in cells for b in cells]
     el = chi_product(pairs)
-    single = chi(D, kept_only=False)
+    single = chi(D)
     assert el == k0_mul(single, single)
     grades = {grade for (shape, grade), _ in el.parts}
     assert grades == {0, 1, 2}
@@ -109,8 +120,8 @@ def test_cv_check_false_on_a_broken_partition():
     zero = Center(Fraction(0), 1, TConst(Fraction(0)))
     overlapping = Decomposition(p, ZP, sorted_cells([
         Cell1(p, zero, None, None, {}),
-        Cell1(p, zero, ArithRange(0, None), Residues(1, None), {}),
-        Cell1(p, zero, ArithRange(1, 2), Residues(1, None), {}),
+        Cell1(p, zero, ArithRange(0, None), Residues(1, p=p), {}),
+        Cell1(p, zero, ArithRange(1, 2), Residues(1, p=p), {}),
     ]))
     assert cv_check(overlapping, prepare(Poly.of(0, 1), p)) is False
 
@@ -140,7 +151,7 @@ def _index_of_holder(piece, dec):
     assert len(meets) == 1
     parent = dec.cells[meets[0]]
     if piece.is_point:
-        assert contains(parent, piece.center.value, dec.prime)
+        assert contains(parent, piece.center.value)
     else:
         inside = sum((cell_measure(c) for c in intersect_cells(parent, piece)), Fraction(0))
         assert inside == cell_measure(piece)
@@ -173,7 +184,7 @@ def _broken(dec):
     stay right), or with a family added that overlaps other cells."""
     cells = list(dec.cells)
     zero = Center(Fraction(0), 1, TConst(Fraction(0)))
-    overlap = Cell1(dec.prime, zero, ArithRange(1, 2), Residues(1, None), {})
+    overlap = Cell1(dec.prime, zero, ArithRange(1, 2), Residues(1, p=dec.prime), {})
     variants = [cells[:i] + cells[i + 1:] for i in range(len(cells))]
     variants += [cells + [c] for c in cells] + [cells + [overlap]]
     variants += [cells[:i] + cells[i + 1:] + [c] for i, gone in enumerate(cells)
@@ -206,7 +217,7 @@ def _parent_checks(d1, d2, pieces, check):
     for i, j, piece in pieces:
         groups[0][i].append(piece)
         groups[1][j].append(piece)
-    return [check(children, lambda v, parent=parent: contains(parent, v, parent.prime),
+    return [check(children, lambda v, parent=parent: contains(parent, v),
                   [parent.center.value] + [c.center.value for c in children])
             for dec, kids in zip((d1, d2), groups) for parent, children in zip(dec.cells, kids)]
 
@@ -242,7 +253,7 @@ def test_cv_check_measures_each_cell_once(monkeypatch):
 
     def counted(cell, p=None):
         calls.append(cell)
-        return cell_measure(cell, p)
+        return cell_measure(cell)
 
     monkeypatch.setattr(kgroup, "cell_measure", counted)
     monkeypatch.setattr(measure, "cell_measure", counted)

@@ -20,7 +20,7 @@ from padic_cells.oracle import (
     verify_laws,
     verify_partition,
 )
-from padic_cells.padics import INFINITY, Val, ord_p
+from padic_cells.padics import INFINITY, MAX_SAMPLES, Val, ord_p
 from padic_cells.poly import Poly
 
 from fraction_loops import fraction_taylor_shift, random_rational
@@ -115,8 +115,8 @@ def test_verify_partition_detects_overlap():
     zero = Center(Fraction(0), 1, TConst(Fraction(0)))
     cells = sorted_cells([
         Cell1(p, zero, None, None, {}),
-        Cell1(p, zero, ArithRange(0, None), Residues(1, None), {}),
-        Cell1(p, zero, ArithRange(1, 2), Residues(1, None), {}),  # overlap
+        Cell1(p, zero, ArithRange(0, None), Residues(1, p=p), {}),
+        Cell1(p, zero, ArithRange(1, 2), Residues(1, p=p), {}),  # overlap
     ])
     rep = verify_partition(Decomposition(p, ZP, cells), 4)
     assert not rep.ok and rep.violations
@@ -148,6 +148,12 @@ def test_verify_laws_detects_corruption():
     rep = verify_laws(bad, f, samples=60)
     assert not rep.ok
     assert {fail.cell_index for fail in rep.failures} == {tampered}
+    # no sample count turns the check off: below 1 it would draw nothing and
+    # report no failure, and past the bound its time grows with the count squared
+    for n in (0, -3, MAX_SAMPLES + 1, 10**9):
+        with pytest.raises(UnsupportedInputError):
+            verify_laws(bad, f, samples=n)
+    assert not verify_laws(bad, f, samples=1).ok
 
 
 def test_verify_laws_trusts_no_engine_distance(monkeypatch):
@@ -183,7 +189,7 @@ def test_verify_partition_below_the_residue_depth():
     zero = Center(Fraction(0), 1, TConst(Fraction(0)))
     punctured = Decomposition(p, ZP, sorted_cells([
         Cell1(p, zero, None, None, {}),
-        Cell1(p, zero, ArithRange(0, None), Residues(2, None), {}),
+        Cell1(p, zero, ArithRange(0, None), Residues(2, p=p), {}),
     ]))
     # all units at depth 2 still cover the classes 1 and 2 whole
     rep = verify_partition(punctured, 1)

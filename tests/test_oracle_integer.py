@@ -90,7 +90,7 @@ def ref_verify_partition(dec: Decomposition, k: int) -> PartitionReport:
 def ref_cell_samples(cell, p, n, rng):
     out = []
     d = cell.residues.depth
-    units = cell.residues.members(p)
+    units = cell.residues.members()
     ms = list(cell.m_range.values(limit=4))
     if cell.m_range.hi is not None:
         tail = [m for m in cell.m_range.values() if m >= cell.m_range.hi - 2 * cell.m_range.step]
@@ -322,7 +322,7 @@ def test_samples_are_the_members_the_per_sample_loop_drew(p):
                 if cell.is_point:
                     continue
                 drawn = [(bn + z * bd * p**m, bd, m)
-                         for bn, bd, z, m in oracle._cell_samples(cell, p, 30, new)]
+                         for bn, bd, z, m in oracle._cell_samples(cell, 30, new)]
                 assert drawn == per_sample_cell_samples(cell, p, 30, old)
 
 
@@ -337,7 +337,7 @@ def test_sample_draws_leave_the_stream_where_randrange_left_it(p):
             if cell.is_point:
                 continue
             drawn = [(bn + z * bd * p**m, bd, m)
-                     for bn, bd, z, m in oracle._cell_samples(cell, p, 50, new)]
+                     for bn, bd, z, m in oracle._cell_samples(cell, 50, new)]
             assert drawn == per_sample_cell_samples(cell, p, 50, old)
             assert new.getstate() == old.getstate()
 

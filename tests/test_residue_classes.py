@@ -39,14 +39,14 @@ def _build_everything():
         init(self, *args, **kwargs)
         built.append(self)
 
-    def recorded_meet(self, other, p):
-        out = meet(self, other, p)
-        calls.append(("meet", self, other, p, out))
+    def recorded_meet(self, other):
+        out = meet(self, other)
+        calls.append(("meet", self, other, self.p, out))
         return out
 
-    def recorded_transport(own, other, depth, e, shift, p):
-        out = transport(own, other, depth, e, shift, p)
-        calls.append(("transport", own, other, p, (depth, e, shift, out)))
+    def recorded_transport(own, other, depth, e, shift):
+        out = transport(own, other, depth, e, shift)
+        calls.append(("transport", own, other, own.p, (depth, e, shift, out)))
         return out
 
     patch = pytest.MonkeyPatch()
@@ -82,8 +82,7 @@ def recorded():
 def _distinct(sets):
     out = {}
     for res in sets:
-        if res.p is not None:
-            out.setdefault((res.depth, res.classes, res.p), res)
+        out.setdefault((res.depth, res.classes, res.p), res)
     return list(out.values())
 
 
@@ -104,18 +103,18 @@ def test_every_built_set_agrees_with_its_units(recorded):
             for j in res.levels - {1}:
                 heads = [a % p ** (j - 1) for i, a in res.classes if i == j]
                 assert all(heads.count(b) < p for b in heads)  # nothing left to merge
-            assert res == Residues(d, units, p) != Residues(d)
-        assert res.count(p) == len(units)
+            assert res == Residues(d, units, p) != Residues(d, p=p)
+        assert res.count() == len(units)
         ordered = sorted(units)
-        assert res.members(p) == ordered
+        assert res.members() == ordered
         for limit in (1, 2, 4, 5):
-            assert res.members(p, limit) == ordered[:limit]
+            assert res.members(limit=limit) == ordered[:limit]
         q = p**d
         probe = range(q) if q <= _FULL_SCAN else \
             list(units)[:_FULL_SCAN] + [rng.randrange(q) for _ in range(_FULL_SCAN)]
-        assert all(res.contains(u, p) == (u % q in units) for u in probe if u % p)
+        assert all(res.contains(u) == (u % q in units) for u in probe if u % p)
         if q * p <= _FULL_SCAN:
-            assert unit_set(res.lift(d + 1, p), p) == _old_lift(units, p, d, d + 1)
+            assert unit_set(res.lift(d + 1), p) == _old_lift(units, p, d, d + 1)
 
 
 def test_every_meet_and_transport_agrees_with_the_unit_scan(recorded):
@@ -151,17 +150,17 @@ def test_random_pairs_of_built_sets_meet_and_transport(recorded):
         if res.p ** (res.depth + 1) <= _FULL_SCAN:
             by_prime.setdefault(res.p, []).append(res)
     for p, sets in sorted(by_prime.items()):
-        sets += [Residues(1), Residues(2)]
+        sets += [Residues(1, p=p), Residues(2, p=p)]
         for _ in range(150):
             own, other = rng.choice(sets), rng.choice(sets)
             depth = max(own.depth, other.depth)
             mine = _old_lift(unit_set(own, p), p, own.depth, depth)
             theirs = _old_lift(unit_set(other, p), p, other.depth, depth)
-            assert unit_set(own.meet(other, p), p) == mine & theirs
+            assert unit_set(own.meet(other), p) == mine & theirs
             for e in range(other.depth):
                 to = depth + rng.randint(0, 1)
                 for shift in (1, 0, rng.randrange(-p**to, p**to)):
-                    got = cells_module._transport(own, other, to, e, shift, p)
+                    got = cells_module._transport(own, other, to, e, shift)
                     assert unit_set(got, p) == unit_scan_transport(own, other, to, p**e, shift,
                                                                    to, p)
 
@@ -170,12 +169,12 @@ def test_equality_is_set_equality():
     """Classes in normal form compare as sets of units; an explicit set of
     every unit is not all units."""
     p = 3
-    assert Residues(2, {1, 4, 7}, p) == Residues(1, {1}, p).lift(2, p)
+    assert Residues(2, {1, 4, 7}, p) == Residues(1, {1}, p).lift(2)
     assert Residues(2, {1, 4, 7}, p).classes == frozenset({(1, 1)})
     assert Residues(2, {1, 4}, p) != Residues(2, {1, 4, 7}, p)
     every = Residues(2, {1, 2, 4, 5, 7, 8}, p)
-    assert every.classes == frozenset({(1, 1), (1, 2)}) and every != Residues(2)
-    assert every.count(p) == Residues(2).count(p) == 6
+    assert every.classes == frozenset({(1, 1), (1, 2)}) and every != Residues(2, p=p)
+    assert every.count() == Residues(2, p=p).count() == 6
     assert Residues(1, {1}, p) != Residues(2, {1, 4, 7}, p)  # the depths differ
 
 
@@ -188,7 +187,7 @@ def test_complement_of_a_deep_digit_class_stays_small():
     rest = next(c.residues for c in dec.cells if c.keep and not c.is_point)
     one = next(c.residues for c in dec.cells if not c.keep)
     assert one == Residues(d, {1}, p) and len(rest.classes) == 6 * d - 1
-    assert rest.count(p) == 6 * p ** (d - 1) - 1
-    assert rest.members(p, 4) == [2, 3, 4, 5]
-    assert not rest.contains(1, p) and not rest.contains(1 + p**d, p)
-    assert rest.contains(8, p) and rest.meet(one, p).classes == frozenset()
+    assert rest.count() == 6 * p ** (d - 1) - 1
+    assert rest.members(limit=4) == [2, 3, 4, 5]
+    assert not rest.contains(1) and not rest.contains(1 + p**d)
+    assert rest.contains(8) and rest.meet(one).classes == frozenset()

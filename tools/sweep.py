@@ -22,7 +22,18 @@ the request list itself has changed.  The requests:
 - the split polynomials at p in {101, 211, 1009}, as `decompose --json`,
   `zeta --json` and `measure --ord 1`;
 - ac and rv formulas whose digits lie outside [0, p^d), as `measure`,
-  `decompose` and `cv-check` against the digits reduced mod p^d.
+  `decompose` and `cv-check` against the digits reduced mod p^d;
+- `chi`, `dim` and `measure` of every polynomial above at p <= 31 on Z_p
+  and the two balls, and its `preserves-balls` and `oracle-compare --k 2`
+  on Z_p;
+- the three benchmark pools of `perfbench/workloads.py` in the order of
+  its run seed 1, as they are (`--json`) and in text mode;
+- `decompose --verify` on the corpus at p <= 7 with `--samples` and
+  `--seed` across their range, and on formulas;
+- a seeded fuzz of formulas with two to four atoms of every kind, as
+  `decompose`, `measure`, `chi`, `dim` and `cv-check` against the De Morgan
+  form, at p in {2, 3, 5, 7, 11};
+- the parser-bound inputs that CI also runs through the entry point.
 
 The exit status is 1 when some request differs.
 """
@@ -34,6 +45,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -55,7 +67,11 @@ SPLIT = [
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 31)
 LARGE_PRIMES = (101, 211, 1009)
 DOMAINS = ("zp", "1:1", "3:2")
-MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)), "sweep_manifest.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+MANIFEST = os.path.join(HERE, "sweep_manifest.json")
+FUZZ_SEED = 20061024
+FUZZ_POLYS = ["y", "y - 1", "y + 1", "2*y - 1", "y^2 - 1", "y^2 - 2", "y^2 + 1", "y^2 - y",
+              "y^3 - y", "3*y^2 - 1/3"]
 
 
 def requests() -> list[list[str]]:
@@ -89,7 +105,103 @@ def requests() -> list[list[str]]:
                                 "--formula-b", f"rv({d}, {f}) = ({m}, {u % q})"])
                     out.append(["cv-check", *head, "--formula", ac,
                                 "--formula-b", f"ac({d}, {f}) = {u % q}"])
+    for f in CORPUS + EXTRA + SPLIT:
+        for p in SMALL_PRIMES:
+            for domain in DOMAINS:
+                at = ["--json", "--prime", str(p), "--domain", domain, "--poly", f]
+                out += [["chi", *at], ["dim", *at], ["measure", *at]]
+            at = ["--json", "--prime", str(p), "--poly", f]
+            out += [["preserves-balls", *at], ["oracle-compare", "--k", "2", *at]]
+    for argv in _pool_requests():
+        out += [argv, [a for a in argv if a != "--json"]]
+    for n, f in enumerate(CORPUS):
+        for p in (2, 3, 5, 7):
+            for samples, seed in ((1, n), (37, 2**31 - 1 - n), (1000, p * n)):
+                out.append(["decompose", "--json", "--verify", "--k", "2", "--samples",
+                            str(samples), "--seed", str(seed), "--prime", str(p), "--poly", f])
+    out += _fuzz_requests(random.Random(FUZZ_SEED))
+    out += _parser_bound_requests()
+    return list(map(list, dict.fromkeys(map(tuple, out))))
+
+
+def _pool_requests() -> list[list[str]]:
+    """The requests of the three benchmark pools, in the order of run seed 1."""
+    sys.path.insert(0, os.path.join(HERE, os.pardir, "perfbench"))
+    import workloads
+
+    return [argv for name in workloads.WORKLOADS
+            for _, argv in workloads.requests(workloads.build_pool(name), 1)]
+
+
+def _fuzz_atom(rng: random.Random, p: int) -> str:
+    f, g = rng.choice(FUZZ_POLYS), rng.choice(FUZZ_POLYS)
+    rel = rng.choice(("<", "<=", "=", ">=", ">"))
+    kind = rng.randrange(7)
+    if kind == 0:
+        return f"ord({f}) {rel} {rng.randint(-1, 4)}"
+    if kind == 1:
+        return f"ord({f}) {rel} ord({g}) + {rng.randint(-1, 2)}"
+    if kind == 2:
+        q = rng.randint(1, 3)
+        return f"ord({f}) % {q} = {rng.randrange(q)}"
+    d = rng.randint(1, 2)
+    u = rng.randint(-p, p**d + p)
+    if kind == 3:
+        return f"ac({d}, {f}) = {u}"
+    if kind == 4:
+        return f"rv({d}, {f}) = ({rng.randint(-1, 3)}, {u})"
+    if kind == 5:
+        return f"rv({d}, {f}) = 0"
+    return f"{f} = 0"
+
+
+def _fuzz_formula(rng: random.Random, p: int, atoms: int) -> tuple[str, str]:
+    """A formula of `atoms` atoms joined by & and |, some negated, and the
+    same set in De Morgan form."""
+    phi = _fuzz_atom(rng, p)
+    for _ in range(atoms - 1):
+        other = _fuzz_atom(rng, p)
+        if rng.random() < 0.3:
+            other = f"!({other})"
+        op = rng.choice("&|")
+        phi, last, left = f"({phi} {op} {other})", other, phi
+    dual = "|" if op == "&" else "&"
+    return phi, f"!(!({last}) {dual} !({left}))"
+
+
+def _fuzz_requests(rng: random.Random) -> list[list[str]]:
+    out = []
+    for n in range(300):
+        p = (2, 3, 5, 7, 11)[n % 5]
+        phi, same = _fuzz_formula(rng, p, rng.randint(2, 4))
+        head = ["--prime", str(p)] + (["--json"] if n % 3 else [])
+        if n % 7 == 0:
+            head += ["--domain", rng.choice(DOMAINS[1:])]
+        for command in ("decompose", "measure", "chi", "dim"):
+            out.append([command, *head, "--formula", phi])
+        out.append(["cv-check", *head, "--formula", phi, "--formula-b", same])
+        if n % 10 == 0:
+            out.append(["decompose", "--verify", "--k", "3", *head, "--formula", phi])
     return out
+
+
+def _parser_bound_requests() -> list[list[str]]:
+    """Inputs past the parser's bounds, or with answers past the
+    interpreter's int-to-string limit: each exits 2 or 3."""
+    nested = "(" * 2000 + "y" + ")" * 2000
+    return [
+        ["measure", "--prime", "5", "--poly", "y + 1/0"],
+        ["measure", "--prime", "5", "--formula", "ord(y - 1/0) >= 0"],
+        ["measure", "--prime", "5", "--poly", "y^" + "1" * 5000],
+        ["measure", "--prime", "5", "--poly", "3" * 5000 + "*y"],
+        ["decompose", "--prime", "5", "--poly", f"({'9' * 50}*y+1)^100"],
+        ["measure", "--prime", "5", "--poly", nested],
+        ["decompose", "--prime", "5", "--formula", "!" * 3000 + "y = 0"],
+        ["measure", "--prime", "5", "--poly=" + "-" * 1500 + "y"],
+        ["measure", "--prime", "5", "--formula", "ord(y) >= 0" + " & ord(y) >= 0" * 1499],
+        ["measure", "--prime", "5", "--formula", "ord(y) >= 7000"],
+        ["measure", "--prime", "5", "--poly", "y", "--ord", "100000"],
+    ]
 
 
 def digests(src: str) -> dict[str, str]:
