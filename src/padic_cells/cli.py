@@ -175,8 +175,8 @@ def _print_text(payload: dict, indent: int = 0) -> None:
 
 def _decomposition_for(args, grouped: bool = False) -> tuple[Decomposition, Poly | None]:
     """The decomposition of the request's formula, or of its polynomial: by
-    `prepare_grouped` for a command that only sums over cells, else by
-    `prepare`."""
+    `prepare_grouped` for a command that only sums or maximises over cells,
+    else by `prepare`."""
     domain = _parse_domain(args.domain)
     if args.poly is not None:
         f = parse_poly(args.poly)
@@ -266,7 +266,7 @@ def _cmd_cv_check(args) -> dict:
 
 
 def _cmd_dim(args) -> dict:
-    d = dim_of(_decomposition_for(args)[0])
+    d = dim_of(_decomposition_for(args, grouped=True)[0])
     return {"schema": SCHEMA, "command": "dim", "prime": args.prime,
             "dim": "-inf" if d.is_minus_infinity else d.value}
 

@@ -464,6 +464,17 @@ def _split_tie_class(f: Poly, w: Poly, p: int, center: Center, u0: int, m_star: 
     return Center(center_of(root), 1, term), OrderLaw(INFINITY, 0)
 
 
+def _checked_walk(f: Poly, p: int, domain: Ball) -> list[Cell1]:
+    """The unsorted cells of `prepare_grouped`, after the input checks."""
+    _check_input(p, domain)
+    if f.is_zero:
+        raise UnsupportedInputError("cannot decompose for the zero polynomial")
+    if f.degree > MAX_DEGREE:
+        raise UnsupportedInputError(f"deg f = {f.degree} is above the supported bound {MAX_DEGREE}")
+    w = squarefree_part(f)
+    return _prepare_ball(f, p, domain, _budget(f, p, w), w)
+
+
 def prepare_grouped(f: Poly, p: int, domain: Ball = ZP) -> Decomposition:
     """A decomposition of the domain ball with an exact order law for f (and
     for the whole derivative tower, inherited from the recursion) on every
@@ -474,20 +485,14 @@ def prepare_grouped(f: Poly, p: int, domain: Ball = ZP) -> Decomposition:
     whose first digits are its classes, so the number of cells does not
     grow with p.
 
-    Commands that answer with a sum over cells -- a measure, the measure
-    of each order, the zeta function -- use this form.  Those that list
-    cells, sample laws per cell or read the cut (`decompose`, `chi`, `dim`,
-    `preserves-balls`) use `prepare`: this form would change their
-    payloads, and `chi` still depends on how a set is cut, so it would
-    change the Euler characteristics too.  They move once `chi` reads the
-    set alone and this form becomes the printed decomposition."""
-    _check_input(p, domain)
-    if f.is_zero:
-        raise UnsupportedInputError("cannot decompose for the zero polynomial")
-    if f.degree > MAX_DEGREE:
-        raise UnsupportedInputError(f"deg f = {f.degree} is above the supported bound {MAX_DEGREE}")
-    w = squarefree_part(f)
-    return Decomposition(p, domain, sorted_cells(_prepare_ball(f, p, domain, _budget(f, p, w), w)))
+    Commands that answer with a sum or a maximum over cells -- a measure,
+    the measure of each order, the zeta function, the dimension -- use this
+    form.  Those that list cells, sample laws per cell or read the cut
+    (`decompose`, `chi`, `preserves-balls`) use `prepare`: this form would
+    change their payloads, and `chi` still depends on how a set is cut, so
+    it would change the Euler characteristics too.  They move once `chi`
+    reads the set alone and this form becomes the printed decomposition."""
+    return Decomposition(p, domain, sorted_cells(_checked_walk(f, p, domain)))
 
 
 def prepare(f: Poly, p: int, domain: Ball = ZP) -> Decomposition:
@@ -495,16 +500,14 @@ def prepare(f: Poly, p: int, domain: Ball = ZP) -> Decomposition:
     and the family [m* + 1, oo) of each of its classes, at the class's
     center c + u0 p^m*, all sharing the group's law table: the same set with
     the same laws, as the per-class recursion builds it.  Every family has
-    all units at depth 1."""
-    grouped, cells = prepare_grouped(f, p, domain), []
-    for cell in grouped.cells:
+    all units at depth 1.  The cells are sorted once, after the listing."""
+    cells = []
+    for cell in _checked_walk(f, p, domain):
         if cell.is_point or cell.residues.is_all:
             cells.append(cell)
-        else:
-            cells += _class_cells(p, cell.center, cell.m_range.lo, cell.residues.members(),
-                                  cell.laws)
-    if len(cells) == len(grouped.cells):  # no group: the cells are sorted already
-        return grouped
+        else:  # a group: its classes are the units u0 at depth 1
+            cells += _class_cells(p, cell.center, cell.m_range.lo,
+                                  [u0 for _, u0 in cell.residues.explicit()], cell.laws)
     return Decomposition(p, domain, sorted_cells(cells))
 
 

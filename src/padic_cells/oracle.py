@@ -4,8 +4,9 @@ Root counting modulo prime powers by digit-lifting (with a class-level prune
 when the polynomial vanishes identically to the requested depth), exhaustive
 cell-membership verification over the domain's residue classes, and
 deterministic order-law sampling.  Nothing here consults the cell engine's
-reasoning: the checks work from raw membership and evaluation only, and
-polynomials are evaluated in the oracle's own integer arithmetic.
+reasoning: a cell is read only as data -- its center, valuation range and
+digit classes -- and polynomials are evaluated in the oracle's own integer
+arithmetic.  The engine is called only to refine an inexact center.
 
 A law sample y = c' + z p^m around a proxy c' of a family cell's center is
 decided modulo p^(t+1), where t is the valuation the law claims for the
@@ -13,9 +14,12 @@ integer numerator of f(y): one Taylor expansion of that numerator at c' per
 proxy, weights reduced mod p^(t+1) per m, and a Horner loop in z per
 sample.  The claim holds exactly when that residue is nonzero and divisible
 by p^t; any sample the residue does not confirm is evaluated in full, so a
-failure reports the exact value.  Partition marks are made once per class
-mod p^j at the level j where a cell's constraint ends, and summed up to
-p^k level by level.
+failure reports the exact value.  The same expansion gives the depth-k
+bound: c' agrees with the center past m digits, so the Newton-polygon
+minimum min_i(ord b_i + i m) is the same at both.  Samples read only the
+first units of a residue set, and partition marks are made once per digit
+class, as a class mod p^j at the level j where a cell's constraint ends,
+and summed up to p^k level by level.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from math import lcm
 
 from .cells import Ball, Cell1, Decomposition
 from .errors import UnsupportedInputError
-from .hensel import center_proxy, exact_value, refine_root, taylor_ords
+from .hensel import center_proxy, refine_root
 from .padics import INFINITY, MAX_CLASSES, MAX_SAMPLES, Val, ord_p, require_classes
 from .poly import Poly
 
@@ -230,33 +234,28 @@ def _mark_cell(cell: Cell1, k: int, marks: list[list[int]], fuzzy: list[int]) ->
     """Mark every class the cell decidedly contains once, as a class mod p^j
     in marks[j] at the level j where its constraint ends (all its lifts mod
     p^k are inside), and flag the classes mod p^k it only partially covers
-    at this depth."""
-    p = cell.prime
-    q, c_mod = p**k, _center_mod(cell, k)
+    at this depth.  A digit class (j, a) on the sphere at m is the class
+    c + a p^m mod p^(m+j); a listed set is decided once its depth fits in k."""
+    p, c_mod = cell.prime, _center_mod(cell, k)
     if cell.is_point:
         fuzzy[c_mod] = 1
         return
-    rng = cell.m_range
-    d = cell.residues.depth
+    rng, res = cell.m_range, cell.residues
     if rng.hi is None or rng.hi >= k:
         fuzzy[c_mod] = 1  # the cell has members inside the center's class
     for m in rng.values():
         if m >= k:
             break
-        pm = p**m
-        if cell.residues.is_all:
-            # residues unconstrained: every class at distance m is inside
-            level, qj = marks[m + 1], pm * p
-            for u in range(1, p):
-                level[(c_mod + u * pm) % qj] += 1
-        elif m + d <= k:
-            level, qj = marks[m + d], pm * p**d
-            for u0 in cell.residues.members():
-                level[(c_mod + u0 * pm) % qj] += 1
-        else:
-            # the constraint needs more digits than the class determines
-            for u0 in {u % p ** (k - m) for u in cell.residues.members()}:
-                fuzzy[(c_mod + u0 * pm) % q] = 1
+        pm, decided = p**m, res.is_all or m + res.depth <= k
+        for j, a in res.explicit():
+            level = min(m + j, k)
+            qj = p**level
+            r = (c_mod + a * pm) % qj
+            if decided:
+                marks[level][r] += 1
+            else:
+                # the constraint needs more digits than the class determines
+                fuzzy[r::qj] = [1] * p ** (k - level)
 
 
 def _domain_classes(dec: Decomposition, k: int) -> range:
@@ -327,7 +326,7 @@ def _cell_samples(cell: Cell1, n: int, rng: random.Random) -> list[tuple[int, in
     z = u + extra p^d."""
     out: list[tuple[int, int, int, int]] = []
     p, d = cell.prime, cell.residues.depth
-    units = cell.residues.members()
+    units = cell.residues.members(limit=n)  # each m walks them from the first
     r = cell.m_range
     ms = list(r.values(limit=4))
     if r.hi is not None:
@@ -435,34 +434,27 @@ def verify_laws(dec: Decomposition, f: Poly, samples: int = 200, seed: int = 0) 
                 if not ok:
                     failures.append(LawFailure(idx, rr.approx, want, got))
             continue
-        # Taylor valuations at an exact center from the oracle's own expansion
-        x = exact_value(cell.center.value)
-        if x is not None:
-            taylor = _taylor_ords(coeffs, shift, x, p)
-        else:
-            taylor = taylor_ords(f, cell.center.value, p)
-        lines = [(i, v.value) for i, v in enumerate(taylor) if not v.is_infinite]
-        # per m: the law's value, and the depth-k bound when the law breaks it
-        at_m: dict[int, tuple[Val, Val | None]] = {}
-        # per m at the current proxy: the kernel that decides the law's value
-        kernels: dict[int, tuple[int, int, list[int]]] = {}
         proxy = None
         for bn, bd, z, m in _cell_samples(cell, samples, rng):
-            if m not in at_m:
-                want = law.apply(m)
-                bound = min(v + i * m for i, v in lines) + dec.k_depth if lines else None
-                at_m[m] = (want, None if bound is None or want <= bound else Val(bound))
-            want, broken = at_m[m]
             if proxy != (bn, bd):
                 # h_i: the numerator bd^n L f(y) expanded at the proxy, with
-                # ord f(y) = ord(numerator) - vd
-                proxy, kernels = (bn, bd), {}
+                # ord f(y) = ord(numerator) - vd and ord h_i + i vbd - vd the
+                # Taylor line i of f there; per m, at_m holds the law's value,
+                # the depth-k bound when the law breaks it, and the kernel
+                proxy, at_m = (bn, bd), {}
                 hs = _taylor_shift([c * bd ** (n - j) for j, c in enumerate(coeffs)], bn)
-                vd = shift + n * _ord_int(bd, p)
-            if m not in kernels:
+                vbd = _ord_int(bd, p)
+                vd = shift + n * vbd
+                lines = [(i, _ord_int(h, p) + i * vbd - vd) for i, h in enumerate(hs) if h]
+            if m not in at_m:
+                # the proxy agrees with the center past m digits, so the ball
+                # ord(y - c) >= m and its Newton-polygon minimum are the center's
+                want = law.apply(m)
+                bound = min(v + i * m for i, v in lines) + dec.k_depth if lines else None
                 t = -1 if want.is_infinite else want.value + vd
-                kernels[m] = _kernel(hs, bd * p**m, t, m, p) if t >= 0 else _UNDECIDED
-            q, pt, ws = kernels[m]
+                at_m[m] = (want, None if bound is None or want <= bound else Val(bound),
+                           _kernel(hs, bd * p**m, t, m, p) if t >= 0 else _UNDECIDED)
+            want, broken, (q, pt, ws) = at_m[m]
             acc = 0
             for w in ws:
                 acc = (acc * z + w) % q

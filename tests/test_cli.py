@@ -526,9 +526,9 @@ def test_cli_fuzz_exits_with_a_documented_code(capsys):
 
 
 def test_sum_commands_read_tie_groups_as_one_cell(capsys, monkeypatch):
-    """zeta, measure --poly and oracle-compare answer with sums over cells
-    and decompose with `prepare_grouped`; the commands that list or cut
-    cells keep `prepare`.  Both are looked up on the module at call time,
+    """zeta, measure --poly and oracle-compare answer with sums over cells,
+    dim --poly with a maximum, and they decompose with `prepare_grouped`;
+    the commands that list or cut cells keep `prepare`.  Both are looked up on the module at call time,
     so a wrapper set there sees every call."""
     built = []
     for name in ("prepare", "prepare_grouped"):
@@ -541,7 +541,7 @@ def test_sum_commands_read_tie_groups_as_one_cell(capsys, monkeypatch):
                           (["oracle-compare", "--k", "1"], "prepare_grouped"),
                           (["decompose"], "prepare"),
                           (["decompose", "--verify", "--k", "1"], "prepare"),
-                          (["chi"], "prepare"), (["dim"], "prepare"),
+                          (["chi"], "prepare"), (["dim"], "prepare_grouped"),
                           (["preserves-balls"], "prepare")):
         built.clear()
         code, _, err = run_cli(capsys, *command, *head)

@@ -12,9 +12,9 @@ from fractions import Fraction
 import pytest
 
 from padic_cells import oracle
-from padic_cells.cells import Ball, Decomposition, OrderLaw
-from padic_cells.decompose import decompose_set, prepare
-from padic_cells.hensel import ord_between, reduce_mod, refine_root, taylor_ords
+from padic_cells.cells import Ball, Decomposition, OrderLaw, Residues
+from padic_cells.decompose import decompose_set, prepare, prepare_grouped
+from padic_cells.hensel import exact_value, ord_between, reduce_mod, refine_root, taylor_ords
 from padic_cells.oracle import (
     LawFailure,
     LawReport,
@@ -30,7 +30,7 @@ from padic_cells.padics import INFINITY, Val, ord_p
 from padic_cells.parser import parse_formula, parse_poly
 from padic_cells.poly import Poly
 
-from conftest import CORPUS
+from conftest import CORPUS, formula_pool, large_prime_polys
 from fraction_loops import per_class_mark_cell, per_sample_cell_samples, per_sample_verify_laws
 
 PRIMES = (2, 3, 5, 7, 11)
@@ -293,14 +293,21 @@ def _tampered(dec: Decomposition, f: Poly, rng: random.Random):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_tampered_corpus_laws_match_the_per_sample_evaluation(p):
+def test_tampered_corpus_laws_match_the_per_sample_evaluation(monkeypatch, p):
     # every failure -- member, expected value and the exact value got -- is
-    # the one the full evaluation of every sample reports
+    # the one the full evaluation of every sample reports; the depth-k bound
+    # comes from the oracle's own expansion at each proxy, so the engine's
+    # Taylor valuations are never read, at inexact centers either
+    def engine_taylor_ords(*args):
+        raise AssertionError("the oracle read the engine's Taylor valuations")
+
+    monkeypatch.setattr(oracle, "taylor_ords", engine_taylor_ords, raising=False)
     rng = random.Random(3000 + p)
-    caught = 0
+    caught = inexact = 0
     for coeffs in CORPUS.values():
         f = Poly.of(*coeffs)
         dec = prepare(f, p)
+        inexact += sum(not c.is_point and exact_value(c.center.value) is None for c in dec.cells)
         assert verify_laws(dec, f, samples=40, seed=p) == per_sample_verify_laws(dec, f, 40, p)
         for bad in _tampered(dec, f, rng):
             new = verify_laws(bad, f, samples=40, seed=p)
@@ -308,6 +315,7 @@ def test_tampered_corpus_laws_match_the_per_sample_evaluation(p):
             caught += not new.ok
     # every moved law is caught; a shallow depth only where the bound bites
     assert caught >= 4 * len(CORPUS)
+    assert inexact
 
 
 @pytest.mark.parametrize("p", (2, 5))
@@ -351,6 +359,66 @@ def test_corpus_partitions_match_the_per_class_marks(p):
         doubled = replace(dec, cells=dec.cells + dec.cells[1:3])
         for d in (dec, doubled):
             assert verify_partition(d, k) == ref_verify_partition(d, k)
+
+
+def _strict_members(monkeypatch, seen: list[int] | None = None) -> None:
+    """Make `Residues.members` refuse a call without `limit`, and record
+    the length of every list it returns."""
+    members = Residues.members
+
+    def strict(self, *, limit=None):
+        if limit is None:
+            raise AssertionError("the oracle listed every unit of a residue set")
+        out = members(self, limit=limit)
+        if seen is not None:
+            seen.append(len(out))
+        return out
+
+    monkeypatch.setattr(Residues, "members", strict)
+
+
+def _complement_decompositions():
+    """!(ac(d, y) = 1) at p = 7 for d = 2..4, at k = 1..4: class marks below
+    the depth, listed sets decided at m + d and undecided ones."""
+    return [(decompose_set(parse_formula(f"!(ac({d}, y) = 1)"), 7), k)
+            for d in (2, 3, 4) for k in (1, 2, 3, 4)]
+
+
+def _grouped_decompositions():
+    """The rootless tie groups of `prepare_grouped`, a listed set per group."""
+    out = [(prepare_grouped(Poly.of(*coeffs), p), min(_depth(p), 3))
+           for p in (3, 5, 7) for coeffs in CORPUS.values()]
+    return out + [(prepare_grouped(f, 101), 2) for f in large_prime_polys()]
+
+
+def _formula_decompositions():
+    return [(decompose_set(parse_formula(text), p), min(_depth(p), 4))
+            for text, p in formula_pool()]
+
+
+@pytest.mark.parametrize("build", [_complement_decompositions, _grouped_decompositions,
+                                   _formula_decompositions])
+def test_partition_marks_read_digit_classes_not_units(monkeypatch, build):
+    # each digit class is marked once at its own level: the reports are the
+    # per-unit marks', and no residue set is listed unit by unit
+    cases = build()
+    refs = [ref_verify_partition(dec, k) for dec, k in cases]
+    assert any(not c.is_point and not c.residues.is_all for dec, _ in cases for c in dec.cells)
+    _strict_members(monkeypatch)
+    for (dec, k), ref in zip(cases, refs):
+        assert verify_partition(dec, k) == ref, k
+
+
+def test_law_samples_read_only_the_units_they_draw(monkeypatch):
+    # at p = 1009 a tie group holds about a thousand units; 20 samples read 20
+    f = parse_poly("y^4 - 17*y^3 + 5*y^2 + 737*y - 726")
+    dec = prepare_grouped(f, 1009)
+    want = ref_verify_laws(dec, f, samples=20)
+    seen: list[int] = []
+    _strict_members(monkeypatch, seen)
+    assert verify_laws(dec, f, samples=20) == want and want.ok
+    assert seen and max(seen) <= 20
+    assert any(c.residues.count() > 20 for c in dec.cells if not c.is_point)
 
 
 def test_only_rational_points_are_evaluated_in_full(monkeypatch):

@@ -35,7 +35,8 @@ the request list itself has changed.  The requests:
   form, at p in {2, 3, 5, 7, 11};
 - the parser-bound inputs that CI also runs through the entry point.
 
-The exit status is 1 when some request differs.
+The exit status is 1 when some request differs.  The manifest holds on
+Python 3.10, 3.11 and 3.12: `--check src` prints the same digests on each.
 """
 
 from __future__ import annotations
