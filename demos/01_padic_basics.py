@@ -15,9 +15,9 @@ print("ord_5(0)    =", ord_p(0, p))
 
 # the unit part of x is x / p^ord(x); its digits mod p^d are computed via a
 # modular inverse of the prime-to-p denominator
-print("unit_digits(50, 5, 1)  =", unit_digits(50, p, 1).digits)    # 2
-print("unit_digits(7/5, 5, 2) =", unit_digits(Fraction(7, 5), p, 2).digits)
-print("unit_digits(-1, 5, 2)  =", unit_digits(-1, p, 2).digits)    # 24
+print("unit_digits(50, 5, 1)  =", unit_digits(50, p, 1))    # 2
+print("unit_digits(7/5, 5, 2) =", unit_digits(Fraction(7, 5), p, 2))
+print("unit_digits(-1, 5, 2)  =", unit_digits(-1, p, 2))    # 24
 
 # rv bundles both; zero goes to the zero element of every level
 print("rv(50, 5, 1) =", rv(50, p, 1))
@@ -33,5 +33,5 @@ print("computed directly at 1   =", rv(Fraction(7, 5), p, 1))
 x, y = Fraction(12, 7), Fraction(-45, 11)
 rx, ry, rxy = rv(x, p, 2), rv(y, p, 2), rv(x * y, p, 2)
 print("valuations add:   ", rx.valuation, "+", ry.valuation, "=", rxy.valuation)
-print("units multiply:   ", rx.unit.digits, "*", ry.unit.digits,
-      "= ", rx.unit.digits * ry.unit.digits % 25, "mod 25 ->", rxy.unit.digits)
+print("units multiply:   ", rx.unit, "*", ry.unit,
+      "= ", rx.unit * ry.unit % 25, "mod 25 ->", rxy.unit)

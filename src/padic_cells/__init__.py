@@ -7,7 +7,7 @@ Grothendieck-semiring Euler characteristics from the cells.  A brute-force
 oracle certifies everything independently.
 """
 
-from .padics import INFINITY, RvData, UnitDigits, Val, ord_p, rv, unit_digits
+from .padics import INFINITY, RvData, ord_p, rv, unit_digits
 from .poly import Poly, resultant_val
 from .hensel import (
     NonSimpleRootError,
@@ -50,8 +50,6 @@ from .dim import MINUS_INFINITY, Dim, dim_of, dim_product, dim_union
 __all__ = [
     "INFINITY",
     "RvData",
-    "UnitDigits",
-    "Val",
     "ord_p",
     "rv",
     "unit_digits",

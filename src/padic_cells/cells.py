@@ -350,8 +350,7 @@ class OrderLaw:
         return self.e0 + self.i0 * m
 
     def __str__(self) -> str:
-        e = "inf" if self.e0.is_infinite else str(self.e0.value)
-        return f"(e0={e}, i0={self.i0})"
+        return f"(e0={self.e0}, i0={self.i0})"
 
 
 @dataclass(frozen=True)
@@ -442,9 +441,9 @@ def contains(cell: Cell1, y: Rat | CenterValue) -> bool:
     if cell.is_point:
         return centers_equal(y, cell.center.value, p)
     v = ord_between(y, cell.center.value, p)
-    if v.is_infinite:
+    if v is INFINITY:
         return False  # the center itself is not a member of a family
-    if v.value not in cell.m_range:
+    if v not in cell.m_range:
         return False
     if cell.residues.is_all:
         return True
@@ -539,7 +538,7 @@ def center_sort_key(c: Center, scale: int | None):
         return (0, x.numerator * (scale // x.denominator), ())
     r = c.value
     tag = r.rv_tag
-    return (1, 0, (r.witness.coeffs, tag.valuation, tag.unit.digits if tag.unit else -1, tag.depth))
+    return (1, 0, (r.witness.coeffs, tag.valuation, -1 if tag.is_zero else tag.unit, tag.depth))
 
 
 def cell_sort_key(cell: Cell1, scale: int | None):
@@ -610,14 +609,14 @@ def intersect_cells(a: Cell1, b: Cell1) -> list[Cell1]:
         if not contains(b, a.center.value):
             return []
         # a member of a family is never its center, so the distance is finite
-        m_const = ord_between(a.center.value, b.center.value, p).value
+        m_const = ord_between(a.center.value, b.center.value, p)
         return [a.copy(laws=_merge_laws(a.laws, b.frozen_laws(m_const)), keep=keep)]
     if b.is_point:
         got = intersect_cells(b, a)
         return [c.copy(keep=keep) for c in got]
 
-    d = ord_between(a.center.value, b.center.value, p)
-    if d.is_infinite:
+    d_ab = ord_between(a.center.value, b.center.value, p)
+    if d_ab is INFINITY:
         rng = a.m_range.intersect(b.m_range)
         if rng is None:
             return []
@@ -628,7 +627,6 @@ def intersect_cells(a: Cell1, b: Cell1) -> list[Cell1]:
         level = max(a.center.level, b.center.level, res.depth)
         return [Cell1(p, replace(a.center, level=level), rng, res, laws, keep)]
 
-    d_ab = d.value
     depth = max(a.residues.depth, b.residues.depth)
     out: list[Cell1] = []
 

@@ -46,10 +46,6 @@ def _frac_str(x: Fraction) -> str:
             f"interpreter's int-to-string limit") from None
 
 
-def _val_json(v) -> str:
-    return "inf" if v.is_infinite else str(v.value)
-
-
 def _cell_json(cell: Cell1, names: dict[Poly, str],
                orders: dict[frozenset[Poly], list[tuple[Poly, str]]],
                tables: dict[int, dict]) -> dict:
@@ -72,7 +68,7 @@ def _cell_json(cell: Cell1, names: dict[Poly, str],
             "rv_tag": {
                 "depth": r.rv_tag.depth,
                 "valuation": r.rv_tag.valuation,
-                "unit": r.rv_tag.unit.digits if r.rv_tag.unit else None,
+                "unit": r.rv_tag.unit,
             },
         }
     if center.term is not None:
@@ -86,7 +82,7 @@ def _cell_json(cell: Cell1, names: dict[Poly, str],
             order = orders[polys] = [(f, _name(f, names))
                                      for f in sorted(polys, key=lambda f: f.coeffs)]
         table = cell.laws
-        laws = tables[id(table)] = {name: {"e0": _val_json(table[f].e0), "i0": table[f].i0}
+        laws = tables[id(table)] = {name: {"e0": str(table[f].e0), "i0": table[f].i0}
                                     for f, name in order}
     out = {
         "kind": cell.kind,
@@ -282,7 +278,7 @@ def _cmd_preserves_balls(args) -> dict:
         "entries": [
             {"kind": e.cell.kind, "verdict": e.verdict,
              "radius_law": None if e.radius_law is None else
-             {"e0": _val_json(e.radius_law.e0), "i0": e.radius_law.i0}}
+             {"e0": str(e.radius_law.e0), "i0": e.radius_law.i0}}
             for e in rep.entries
         ],
     }

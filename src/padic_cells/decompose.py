@@ -212,7 +212,7 @@ def _budget(f: Poly, p: int, w: Poly) -> int:
     r = 0
     if w.degree >= 1:
         res = resultant_val(w, w.derivative(), p)
-        r = 0 if res.is_infinite else max(res.value, 0)
+        r = 0 if res is INFINITY else max(res, 0)
     return max(2 * r + f.degree + 4, 8)
 
 
@@ -286,7 +286,7 @@ def _base_cells(p: int, domain: Ball, laws: dict[Poly, OrderLaw]) -> list[Cell1]
 def _taylor_lines(f: Poly, center: CenterValue, p: int) -> list[tuple[int, int]]:
     """The Newton-polygon lines (i, ord c_i) of the finite Taylor
     coefficients c_i of f at the center."""
-    return [(i, v.value) for i, v in enumerate(taylor_ords(f, center, p)) if not v.is_infinite]
+    return [(i, v) for i, v in enumerate(taylor_ords(f, center, p)) if v is not INFINITY]
 
 
 def _class_cells(p: int, center: Center, m_star: int, units, laws) -> list[Cell1]:
@@ -351,7 +351,7 @@ def _lift_group(f: Poly, group: Cell1, cells: list[Cell1], out: list[Cell1]) -> 
                                       [u for u, d in zip(units, digits) if not d], group.laws))
             residues = Residues(1, [u for u, d in zip(units, digits) if d], p)
     if residues.classes:
-        out.append(group.copy(residues=residues, laws={**group.laws, f: OrderLaw(Val(best), 0)}))
+        out.append(group.copy(residues=residues, laws={**group.laws, f: OrderLaw(best, 0)}))
 
 
 def _prepare_linear(f: Poly, p: int, domain: Ball) -> list[Cell1]:
@@ -406,7 +406,7 @@ def _process_box(f: Poly, w: Poly, cell: Cell1, out: list[Cell1], work: list[Cel
         if region[0] == "strict":
             _, lo, hi, i0 = region
             out.append(cell.copy(m_range=ArithRange(lo, hi),
-                                 laws={**cell.laws, f: OrderLaw(Val(line_val[i0]), i0)}))
+                                 laws={**cell.laws, f: OrderLaw(line_val[i0], i0)}))
             continue
         _, m_star, win = region
         if m_star + 1 - r > budget:
@@ -428,7 +428,7 @@ def _process_box(f: Poly, w: Poly, cell: Cell1, out: list[Cell1], work: list[Cel
                 rootless.append(u0)
         if rootless:
             out.append(Cell1(p, cell.center, ArithRange(m_star, m_star), Residues(1, rootless, p),
-                             {**frozen, f: OrderLaw(Val(best), 0)}))
+                             {**frozen, f: OrderLaw(best, 0)}))
 
 
 def _shifted_center(center: Center, u0: int, step: int) -> Center:
@@ -553,15 +553,14 @@ def _ord_atom_pieces(cell: Cell1, atom: Atom) -> list[tuple[Cell1, bool]]:
 
     if isinstance(atom, OrdEqInf):
         if cell.is_point:
-            return [(cell, law_f.e0.is_infinite)]
+            return [(cell, law_f.e0 is INFINITY)]
         return [(cell, False)]
 
     if isinstance(atom, OrdModEq):
         if cell.is_point:
             v = law_f.e0
-            ok = (not v.is_infinite) and (v.value - atom.residue) % atom.modulus == 0
-            return [(cell, ok)]
-        e0, i0 = law_f.e0.value, law_f.i0
+            return [(cell, v is not INFINITY and (v - atom.residue) % atom.modulus == 0)]
+        e0, i0 = law_f.e0, law_f.i0
         q = atom.modulus
         if q == 1:
             return [(cell, True)]
@@ -584,20 +583,20 @@ def _ord_atom_pieces(cell: Cell1, atom: Atom) -> list[tuple[Cell1, bool]]:
 
     assert isinstance(atom, OrdCmp)
     if atom.g is None:
-        e_g, i_g = Val(atom.offset), 0
+        e_g, i_g = atom.offset, 0
     else:
         law_g = cell.law_for(atom.g)
         e_g, i_g = law_g.e0 + atom.offset, law_g.i0
     if cell.is_point:
         return [(cell, _compare(atom.rel, law_f.e0, e_g))]
     e_f, i_f = law_f.e0, law_f.i0
-    if e_f.is_infinite or e_g.is_infinite:
+    if e_f is INFINITY or e_g is INFINITY:
         return [(cell, _compare(atom.rel, e_f, e_g))]
     a = i_f - i_g
-    b = e_f.value - e_g.value
+    b = e_f - e_g
     rng = cell.m_range
     if a == 0:
-        return [(cell, _compare(atom.rel, Val(b), Val(0)))]
+        return [(cell, _compare(atom.rel, b, 0))]
     crossing = Fraction(-b, a)
     fl = crossing.numerator // crossing.denominator
     exact = crossing == fl
@@ -608,7 +607,7 @@ def _ord_atom_pieces(cell: Cell1, atom: Atom) -> list[tuple[Cell1, bool]]:
     for sub in (below, at, above):
         if sub is None:
             continue
-        pieces.append((sub, _compare(atom.rel, Val(b + a * sub.lo), Val(0))))
+        pieces.append((sub, _compare(atom.rel, b + a * sub.lo, 0)))
     return _split_range(cell, pieces)
 
 
@@ -659,11 +658,11 @@ def _law_error(f: Poly, v: int, p: int, center: CenterValue, m: int, u: int):
 def _point_digits(cell: Cell1, f: Poly, depth: int) -> int | None:
     """The first `depth` unit digits of f at a point cell; None where f vanishes."""
     law, p = cell.law_for(f), cell.prime
-    if law.e0.is_infinite:
+    if law.e0 is INFINITY:
         return None
-    dig = _sphere_digits(f, cell.center.value, 0, law.e0.value, depth, [0], p)[0]
+    dig = _sphere_digits(f, cell.center.value, 0, law.e0, depth, [0], p)[0]
     if dig % p == 0:
-        raise _law_error(f, law.e0.value, p, cell.center.value, 0, 0)
+        raise _law_error(f, law.e0, p, cell.center.value, 0, 0)
     return dig
 
 
@@ -689,10 +688,10 @@ def _digit_atom_pieces(cell: Cell1, f: Poly, depth: int, target: int):
     only the classes whose digits match the target mod p^j are lifted.  The
     classes dropped on the way make up the false piece."""
     law, p = cell.law_for(f), cell.prime
-    assert not law.e0.is_infinite
+    assert law.e0 is not INFINITY
     lines = _taylor_lines(f, cell.center.value, p)
     rng = cell.m_range
-    e0, i0 = law.e0.value, law.i0
+    e0, i0 = law.e0, law.i0
     m_d, m_u = rng.lo, rng.hi
     for j, vj in lines:
         if j > i0:
@@ -758,9 +757,9 @@ def _split_by_atom(cell: Cell1, atom: Atom) -> list[tuple[Cell1, bool]]:
     assert isinstance(atom, RvEq)
     law = cell.law_for(atom.f)
     if atom.tag.is_zero:
-        return [(cell, cell.is_point and law.e0.is_infinite)]
+        return [(cell, cell.is_point and law.e0 is INFINITY)]
     # the unit digits compare mod p^depth, as they do for ac
-    want_digits = atom.tag.unit.digits % cell.prime**atom.depth
+    want_digits = atom.tag.unit % cell.prime**atom.depth
     if cell.is_point:
         ok = law.e0 == atom.tag.valuation and \
             _point_digits(cell, atom.f, atom.depth) == want_digits
@@ -870,7 +869,7 @@ def _fiber_entry(cell: Cell1, big_f: Poly) -> FiberImageEntry:
         laws.append(cell.law_for(q))
     law1 = laws[1]
     rng = cell.m_range
-    if law1.e0.is_infinite:
+    if law1.e0 is INFINITY:
         raise InternalBoundError(
             f"the law of {format_poly(big_f.derivative())} is infinite on the family "
             f"on m in {rng} around the center {cell.center} (p = {p})")
@@ -878,12 +877,12 @@ def _fiber_entry(cell: Cell1, big_f: Poly) -> FiberImageEntry:
     d_need = d
     for j in range(2, big_f.degree + 1):
         law_j = laws[j]
-        if law_j.e0.is_infinite:
+        if law_j.e0 is INFINITY:
             continue
-        fact = ord_p(Fraction(factorial(j)), p).value
+        fact = ord_p(factorial(j), p)
         # need (law_j(m) - fact) + j(m+d) > law_1(m) + (m+d) for all m in rng
         slope = (law_j.i0 - law1.i0) + (j - 1)
-        const = (law_j.e0.value - fact - law1.e0.value)
+        const = (law_j.e0 - fact - law1.e0)
         if slope < 0 and rng.hi is None:
             raise InternalBoundError(
                 f"the fiber-image criterion for {format_poly(big_f)} (p = {p}) degenerates "

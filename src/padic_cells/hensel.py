@@ -49,7 +49,6 @@ from .padics import (
     ord_p,
     rv,
     unit_digits,
-    val_min,
 )
 from .poly import (Poly, format_poly, newton_min, poly_gcd, resultant_val, squarefree_part,
                    taylor_polys)
@@ -93,10 +92,10 @@ def reduce_mod(x: Rat, p: int, n: int) -> Fraction:
     x = Fraction(x)
     if x == 0:
         return x
-    v = ord_p(x, p).value
+    v = ord_p(x, p)
     if n <= v:
         return Fraction(0)
-    u = unit_digits(x, p, n - v).digits
+    u = unit_digits(x, p, n - v)
     return Fraction(u) * Fraction(p) ** v
 
 
@@ -131,15 +130,15 @@ def _newton(w: Poly, z: Fraction, p: int, target: int) -> tuple[Fraction, int]:
     # can lower the valuation of Taylor terms by at most this much
     guard = 0
     vz = ord_p(z, p)
-    if not vz.is_infinite and vz.value < 0:
-        guard += -vz.value * w.degree
-    guard = 2 * max(guard, -newton_min(w, p).value)
+    if vz < 0:
+        guard += -vz * w.degree
+    guard = 2 * max(guard, -newton_min(w, p))
     start, reached = z, None
     for _ in range(_MAX_DOUBLINGS):
         fz = w.eval(z)
         if fz == 0:
             return z, target
-        reached = ord_p(fz, p).value - ord_p(dw.eval(z), p).value
+        reached = ord_p(fz, p) - ord_p(dw.eval(z), p)
         if reached >= target:
             return z, reached
         z = z - fz / dw.eval(z)
@@ -165,11 +164,11 @@ def _try_exact(w: Poly, z: Fraction, p: int, prec: int) -> Fraction | None:
         return z
     if z == 0:
         return None
-    v = ord_p(z, p).value
+    v = ord_p(z, p)
     k = prec - v
     if k < 2:
         return None
-    a = unit_digits(z, p, k).digits
+    a = unit_digits(z, p, k)
     cand = rational_reconstruct(a, p**k)
     if cand is None:
         return None
@@ -188,9 +187,9 @@ def make_root_approx(witness: Poly, approx: Fraction, p: int, tag_depth: int) ->
         vf, vd = ord_p(fz, p), ord_p(dw.eval(approx), p)
         if not vf > vd * 2:
             raise ValueError("point is not Newton-certified for the witness")
-        prec = vf.value - vd.value
+        prec = vf - vd
     e1 = ord_p(dw.eval(approx), p)
-    default = 2 * ((0 if e1.is_infinite else max(e1.value, 0)) + tag_depth) + 4
+    default = 2 * ((0 if e1 is INFINITY else max(e1, 0)) + tag_depth) + 4
     target = max(prec, default)
     z, prec = (approx, target) if fz == 0 else _newton(witness, approx, p, target)
     exact = _try_exact(witness, z, p, prec)
@@ -199,12 +198,12 @@ def make_root_approx(witness: Poly, approx: Fraction, p: int, tag_depth: int) ->
     # deepen the tag until its class lies inside the Newton basin, so the
     # witness has exactly one root carrying this tag
     vz = ord_p(z, p)
-    if vz.is_infinite:
+    if vz is INFINITY:
         return PadicApprox(witness, z, prec, RvData.zero(tag_depth), p)
     e1 = ord_p(dw.eval(z), p)
-    depth = max(tag_depth, (0 if e1.is_infinite else e1.value) - vz.value + 1)
-    if prec < vz.value + depth + 1 and witness.eval(z) != 0:
-        z, prec = _newton(witness, z, p, vz.value + depth + 1)
+    depth = max(tag_depth, (0 if e1 is INFINITY else e1) - vz + 1)
+    if prec < vz + depth + 1 and witness.eval(z) != 0:
+        z, prec = _newton(witness, z, p, vz + depth + 1)
     tag = rv(z, p, depth)
     return PadicApprox(witness, z, prec, tag, p)
 
@@ -241,7 +240,7 @@ def check_conditions(
     if rv(x, p, d) != x0:
         raise ValueError("rv(x) does not match the given rv-data")
     f = Poly.of(*a)
-    m = ord_p(x, p).value
+    m = ord_p(x, p)
     vfx = ord_p(f.eval(x), p)
     vdfx = ord_p(f.derivative().eval(x), p)
     return _conditions_index(f, p, m, vfx, vdfx, d)
@@ -265,8 +264,8 @@ def certified_root_points(w: Poly, p: int, depth_cap: int) -> list[Fraction]:
     # the basin criterion ord w > 2 ord w' presumes p-integral coefficients;
     # scaling by a power of p fixes the content at 0 without moving roots
     given, content = w, newton_min(w, p)
-    if not content.is_infinite and content.value != 0:
-        w = w * Fraction(p) ** (-content.value)
+    if content not in (0, INFINITY):
+        w = w * Fraction(p) ** (-content)
     out: list[Fraction] = []
     # the classes still to visit, (poly, c, j), the next one last: a stack,
     # not a recursive closure, which would leave a reference cycle per call
@@ -363,7 +362,7 @@ def h(a: list[Rat], x0: RvData, p: int) -> PadicApprox | None:
         return None
     d = x0.depth
     res = resultant_val(w, w.derivative(), p)
-    cap = 2 * (0 if res.is_infinite else max(res.value, 0)) + 2 * d + 2
+    cap = 2 * (0 if res is INFINITY else max(res, 0)) + 2 * d + 2
     dwpoly = w.derivative()
     m = x0.valuation
     lift = canonical_lift(x0, p)
@@ -392,10 +391,10 @@ def order_law_at_root(f: Poly, r: PadicApprox) -> Val:
 
     Signals NonSimpleRootError when f' also vanishes there.
     """
-    if not ord_of_poly_at(f, r, r.prime).is_infinite:
+    if ord_of_poly_at(f, r, r.prime) is not INFINITY:
         raise ValueError("the approximation is not a root of f")
     v = ord_of_poly_at(f.derivative(), r, r.prime)
-    if v.is_infinite:
+    if v is INFINITY:
         raise NonSimpleRootError("derivative vanishes at the root")
     return v
 
@@ -454,7 +453,7 @@ def _at_root(r: PadicApprox, q: Poly):
     approximation, off by at most the Taylor tail."""
     def estimate(n: int):
         rr = refine_root(r, n)
-        tail = val_min(*taylor_ords(q, rr.approx, r.prime)[1:])
+        tail = min(taylor_ords(q, rr.approx, r.prime)[1:], default=INFINITY)
         return q.eval(rr.approx), tail + rr.precision
     return estimate
 
@@ -491,7 +490,7 @@ def ord_of_poly_at(q: Poly, center: CenterValue, p: int) -> Val:
 
 def digits_of_poly_at(q: Poly, center: CenterValue, p: int, depth: int) -> int:
     """Unit digits of q(center) at the given depth; q(center) must be nonzero."""
-    return unit_digits(_value_at(q, center, depth), p, depth).digits
+    return unit_digits(_value_at(q, center, depth), p, depth)
 
 
 def _same_root(a: PadicApprox, b: PadicApprox) -> bool:
@@ -520,7 +519,7 @@ def _difference(a: CenterValue | Rat, b: CenterValue | Rat, p: int, digits: int)
 
     def estimate(n: int):
         ra, rb = refine_root(a, n), refine_root(b, n)
-        return ra.approx - rb.approx, Val(min(ra.precision, rb.precision))
+        return ra.approx - rb.approx, min(ra.precision, rb.precision)
 
     return _certified(max(a.precision, b.precision), digits, estimate, p,
                       lambda: f"the difference of the roots {a} and {b}",
@@ -534,7 +533,7 @@ def ord_between(a: CenterValue | Rat, b: CenterValue | Rat, p: int) -> Val:
 
 def digits_between(a: CenterValue | Rat, b: CenterValue | Rat, p: int, depth: int) -> int:
     """Unit digits of a - b at the given depth; the points must differ."""
-    return unit_digits(_difference(a, b, p, depth), p, depth).digits
+    return unit_digits(_difference(a, b, p, depth), p, depth)
 
 
 def taylor_ords(f: Poly, center: CenterValue, p: int) -> list[Val]:
@@ -545,7 +544,7 @@ def taylor_ords(f: Poly, center: CenterValue, p: int) -> list[Val]:
     # coefficient i is h_i / (D b^(n-i)) for x = a/b
     hs = f.shifted_numerators(x.numerator, x.denominator)
     n, vd, vb = f.degree, int_val(f.integral[1], p), int_val(x.denominator, p)
-    return [Val(int_val(h, p) - vd - (n - i) * vb) if h else INFINITY
+    return [int_val(h, p) - vd - (n - i) * vb if h else INFINITY
             for i, h in enumerate(hs)]
 
 
@@ -554,7 +553,7 @@ def _roots_near(q: Poly, a: Fraction, n: int, p: int) -> int:
     a rational a: by the Newton polygon of q(a + t), the largest index i that
     minimizes ord b_i + i*n over the Taylor coefficients b_i."""
     terms = [v + i * n for i, v in enumerate(taylor_ords(q, a, p))]
-    low = val_min(*terms)
+    low = min(terms)
     return max(i for i, t in enumerate(terms) if t == low)
 
 
@@ -593,10 +592,10 @@ def shift_center(center: CenterValue, offset: Fraction) -> CenterValue:
     w = center.witness.taylor_shift(-offset)
     rr = PadicApprox(w, center.approx + offset, center.precision, center.rv_tag, p)
     vz = ord_p(rr.approx, p)
-    if vz.is_infinite:
+    if vz is INFINITY:
         rr = refine_root(rr, rr.precision + depth + 1)
         vz = ord_p(rr.approx, p)
-    elif rr.precision < vz.value + depth + 1:
-        rr = refine_root(rr, vz.value + depth + 1)
-    tag = RvData.zero(depth) if vz.is_infinite else rv(rr.approx, p, depth)
+    elif rr.precision < vz + depth + 1:
+        rr = refine_root(rr, vz + depth + 1)
+    tag = RvData.zero(depth) if vz is INFINITY else rv(rr.approx, p, depth)
     return replace(rr, rv_tag=tag)

@@ -19,7 +19,7 @@ from .cells import (Cell1, Decomposition, candidate_pairs, contains, intersect_c
                     support_keys)
 from .errors import UnsupportedInputError
 from .hensel import center_proxy
-from .padics import ord_p
+from .padics import INFINITY, ord_p
 from .poly import Poly, format_poly, poly_gcd
 
 
@@ -49,9 +49,9 @@ def measure_of_order(dec: Decomposition, f: Poly, m: int) -> Fraction:
         law = cell.law_for(f)
         if cell.is_point:
             continue  # points have measure zero
-        if law.e0.is_infinite:
+        if law.e0 is INFINITY:
             continue
-        e0, i0 = law.e0.value, law.i0
+        e0, i0 = law.e0, law.i0
         if i0 == 0:
             if e0 == m:
                 total += cell_measure(cell)
@@ -135,8 +135,8 @@ def igusa_zeta(dec: Decomposition, f: Poly) -> ZetaFn:
         if cell.is_point:
             continue
         law = cell.law_for(f)
-        assert not law.e0.is_infinite
-        e0, i0 = law.e0.value, law.i0
+        assert law.e0 is not INFINITY
+        e0, i0 = law.e0, law.i0
         rng, count, d = cell.m_range, cell.residues.count(), cell.residues.depth
         row = rows.setdefault((i0, rng.step), {})
         e = e0 + i0 * rng.lo

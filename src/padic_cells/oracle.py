@@ -17,9 +17,11 @@ by p^t; any sample the residue does not confirm is evaluated in full, so a
 failure reports the exact value.  The same expansion gives the depth-k
 bound: c' agrees with the center past m digits, so the Newton-polygon
 minimum min_i(ord b_i + i m) is the same at both.  Samples read only the
-first units of a residue set, and partition marks are made once per digit
-class, as a class mod p^j at the level j where a cell's constraint ends,
-and summed up to p^k level by level.
+first units of a residue set.  Partition marks are made once per digit
+class, at the class's own level: a class a mod p^j on the sphere at m is
+marked as a class mod p^(m+j) where m + j <= k, and otherwise flags the one
+class mod p^k it partly covers.  The marks are summed up to p^k level by
+level.
 """
 
 from __future__ import annotations
@@ -34,17 +36,6 @@ from .errors import UnsupportedInputError
 from .hensel import center_proxy, refine_root
 from .padics import INFINITY, MAX_CLASSES, MAX_SAMPLES, Val, ord_p, require_classes
 from .poly import Poly
-
-
-@dataclass(frozen=True)
-class RootCounts:
-    prime: int
-    counts: tuple[int, ...]  # counts[k-1] = #{y mod p^k : f(y) = 0 mod p^k}
-
-    def __post_init__(self):
-        for a, b in zip(self.counts, self.counts[1:]):
-            if b > self.prime * a:
-                raise ValueError("root counts violate the lifting bound")
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +107,7 @@ def _taylor_ords(coeffs: list[int], shift: int, x: Fraction, p: int) -> list[Val
     n = len(coeffs) - 1
     hs = _taylor_shift([c * b ** (n - j) for j, c in enumerate(coeffs)], a)
     vb = _ord_int(b, p)
-    return [Val(_ord_int(h, p) - shift - (n - i) * vb) if h else INFINITY
+    return [_ord_int(h, p) - shift - (n - i) * vb if h else INFINITY
             for i, h in enumerate(hs)]
 
 
@@ -129,7 +120,7 @@ def _ord_value(coeffs: list[int], shift: int, num: int, den: int, p: int) -> Val
         power *= den
     if acc == 0:
         return INFINITY
-    return Val(_ord_int(acc, p) - shift - (len(coeffs) - 1) * _ord_int(den, p))
+    return _ord_int(acc, p) - shift - (len(coeffs) - 1) * _ord_int(den, p)
 
 
 def count_roots_mod(f: Poly, p: int, k: int, start: tuple[int, int] = (0, 0)) -> int:
@@ -178,17 +169,6 @@ def count_roots_mod(f: Poly, p: int, k: int, start: tuple[int, int] = (0, 0)) ->
     return total
 
 
-def count_roots_mod_scan(f: Poly, p: int, k: int) -> int:
-    """Full-scan reference counter for validating the pruned version."""
-    coeffs = _require_p_integral(f, p)
-    q = p**k
-    return sum(1 for y in range(q) if _eval_mod(coeffs, y, q) == 0)
-
-
-def root_counts(f: Poly, p: int, k_max: int) -> RootCounts:
-    return RootCounts(p, tuple(count_roots_mod(f, p, k) for k in range(1, k_max + 1)))
-
-
 def order_tails(f: Poly, p: int, domain: Ball, k: int) -> list[Fraction]:
     """mu{y in the ball B(b, r) : ord f(y) >= m} for m = 0..k.
 
@@ -235,7 +215,8 @@ def _mark_cell(cell: Cell1, k: int, marks: list[list[int]], fuzzy: list[int]) ->
     in marks[j] at the level j where its constraint ends (all its lifts mod
     p^k are inside), and flag the classes mod p^k it only partially covers
     at this depth.  A digit class (j, a) on the sphere at m is the class
-    c + a p^m mod p^(m+j); a listed set is decided once its depth fits in k."""
+    c + a p^m mod p^(m+j): marked at m + j where that fits in k, and else
+    inside one class mod p^k, which it only partly covers."""
     p, c_mod = cell.prime, _center_mod(cell, k)
     if cell.is_point:
         fuzzy[c_mod] = 1
@@ -246,16 +227,12 @@ def _mark_cell(cell: Cell1, k: int, marks: list[list[int]], fuzzy: list[int]) ->
     for m in rng.values():
         if m >= k:
             break
-        pm, decided = p**m, res.is_all or m + res.depth <= k
+        pm = p**m
         for j, a in res.explicit():
-            level = min(m + j, k)
-            qj = p**level
-            r = (c_mod + a * pm) % qj
-            if decided:
-                marks[level][r] += 1
+            if m + j <= k:
+                marks[m + j][(c_mod + a * pm) % p ** (m + j)] += 1
             else:
-                # the constraint needs more digits than the class determines
-                fuzzy[r::qj] = [1] * p ** (k - level)
+                fuzzy[(c_mod + a * pm) % p**k] = 1
 
 
 def _domain_classes(dec: Decomposition, k: int) -> range:
@@ -413,18 +390,14 @@ def verify_laws(dec: Decomposition, f: Poly, samples: int = 200, seed: int = 0) 
             else:
                 # evaluate at a certified refinement of the center; the value
                 # is only pinned modulo p^(precision + min Taylor-tail ord)
-                floor = 8 if want.is_infinite else abs(want.value) + 8
+                floor = 8 if want is INFINITY else abs(want) + 8
                 ok = False
                 rr = c
                 for _ in range(6):
                     rr = refine_root(c, floor)
                     got, *tail = _taylor_ords(coeffs, shift, rr.approx, p)
-                    cmin = INFINITY
-                    for t in tail:
-                        if t < cmin:
-                            cmin = t
-                    bound = cmin + rr.precision
-                    if want.is_infinite:
+                    bound = min(tail, default=INFINITY) + rr.precision
+                    if want is INFINITY:
                         ok = got >= bound
                         break
                     if bound > want:
@@ -451,8 +424,8 @@ def verify_laws(dec: Decomposition, f: Poly, samples: int = 200, seed: int = 0) 
                 # ord(y - c) >= m and its Newton-polygon minimum are the center's
                 want = law.apply(m)
                 bound = min(v + i * m for i, v in lines) + dec.k_depth if lines else None
-                t = -1 if want.is_infinite else want.value + vd
-                at_m[m] = (want, None if bound is None or want <= bound else Val(bound),
+                t = -1 if want is INFINITY else want + vd
+                at_m[m] = (want, None if bound is None or want <= bound else bound,
                            _kernel(hs, bd * p**m, t, m, p) if t >= 0 else _UNDECIDED)
             want, broken, (q, pt, ws) = at_m[m]
             acc = 0

@@ -6,6 +6,11 @@ denominator).  The three building blocks are the p-adic valuation, the unit
 digits of the prime-free part, and the combined rv-data (valuation plus a
 fixed number of leading unit digits).
 
+A valuation is a plain int, and the valuation of 0 is the one object
+INFINITY, which compares above every int and Fraction and absorbs sums, so
+`min(..., default=INFINITY)` is the least of some valuations.  The unit
+digits of x at depth d are the int (x / p^ord x) mod p^d.
+
 Levels are always digit depths: the coset 1 + p^d Z_p is the only kind of
 congruence subgroup that matters over Q_p, so a level is stored as the
 positive integer d.
@@ -32,91 +37,53 @@ MAX_SAMPLES = 10**4
 _MR_EXACT_BELOW = 318665857834031151167461
 
 
-class Val:
-    """An element of the value group Z extended by an absorbing infinity.
+class _Infinity:
+    """The valuation of zero, the one element of the value group past Z.
 
-    ``Val(n)`` wraps an integer; ``INFINITY`` is the valuation of zero.
-    Addition, scalar multiplication and comparisons follow the usual
-    conventions: infinity absorbs sums and is larger than every integer.
-    """
+    It is larger than every int and Fraction, absorbs sums and products by
+    nonzero integers, and leaves 0 * INFINITY undefined.  Finite valuations
+    are plain ints; test for this one with `is INFINITY`."""
 
-    __slots__ = ("_v",)
+    __slots__ = ()
 
-    def __init__(self, v: int | None):
-        self._v = v
-
-    @property
-    def is_infinite(self) -> bool:
-        return self._v is None
-
-    @property
-    def value(self) -> int:
-        if self._v is None:
-            raise ValueError("infinite valuation has no integer value")
-        return self._v
-
-    def __add__(self, other: "Val | int") -> "Val":
-        o = other._v if isinstance(other, Val) else other
-        if self._v is None or o is None:
-            return INFINITY
-        return Val(self._v + o)
+    def __add__(self, other: int) -> "_Infinity":
+        return self
 
     __radd__ = __add__
 
-    def __mul__(self, k: int) -> "Val":
-        if self._v is None:
-            if k == 0:
-                raise ValueError("0 * infinity is undefined")
-            return INFINITY
-        return Val(self._v * k)
+    def __mul__(self, k: int) -> "_Infinity":
+        if k == 0:
+            raise ValueError("0 * infinity is undefined")
+        return self
 
     __rmul__ = __mul__
 
-    def _key(self, other: "Val | int") -> tuple[int | None, int | None]:
-        o = other._v if isinstance(other, Val) else other
-        return self._v, o
+    def __lt__(self, other) -> bool:
+        return False
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Val):
-            return self._v == other._v
-        if isinstance(other, int):
-            return self._v == other
-        return NotImplemented
+    def __le__(self, other) -> bool:
+        return other is self
 
-    def __lt__(self, other: "Val | int") -> bool:
-        a, b = self._key(other)
-        if a is None:
-            return False
-        if b is None:
-            return True
-        return a < b
+    def __gt__(self, other) -> bool:
+        return other is not self
 
-    def __le__(self, other: "Val | int") -> bool:
-        return self == other or self < other
+    def __ge__(self, other) -> bool:
+        return True
 
-    def __gt__(self, other: "Val | int") -> bool:
-        return not self <= other
-
-    def __ge__(self, other: "Val | int") -> bool:
-        return not self < other
-
-    def __hash__(self) -> int:
-        return hash(("Val", self._v))
+    def __reduce__(self) -> str:
+        return "INFINITY"  # a copy or a pickle is the one object again
 
     def __repr__(self) -> str:
-        return "INFINITY" if self._v is None else f"Val({self._v})"
+        return "INFINITY"
+
+    def __str__(self) -> str:
+        return "inf"
 
 
-INFINITY = Val(None)
+INFINITY = _Infinity()
 
-
-def val_min(*vals: Val) -> Val:
-    """min(INFINITY, v) = v; the empty min is INFINITY."""
-    best = INFINITY
-    for v in vals:
-        if v < best:
-            best = v
-    return best
+# A valuation: an int, or INFINITY for the valuation of zero.
+Val = Union[int, _Infinity]
 
 
 def int_val(n: int, p: int) -> int:
@@ -177,26 +144,10 @@ def ord_p(x: Rat, p: int) -> Val:
     if x == 0:
         return INFINITY
     # an int is its own numerator, over the denominator 1
-    return Val(int_val(x.numerator, p) - int_val(x.denominator, p))
+    return int_val(x.numerator, p) - int_val(x.denominator, p)
 
 
-@dataclass(frozen=True)
-class UnitDigits:
-    """The first `depth` base-p digits of a unit, i.e. a residue in (Z/p^d)^x."""
-
-    depth: int
-    digits: int
-
-    def project(self, depth: int, p: int) -> "UnitDigits":
-        if depth > self.depth:
-            raise ValueError("cannot project to a deeper level")
-        return UnitDigits(depth, self.digits % p**depth)
-
-    def __repr__(self) -> str:
-        return f"u{self.digits}@{self.depth}"
-
-
-def unit_digits(x: Rat, p: int, d: int) -> UnitDigits:
+def unit_digits(x: Rat, p: int, d: int) -> int:
     """Unit part of x modulo p^d, i.e. (x / p^ord(x)) mod p^d, computed exactly.
 
     The denominator is prime to p after stripping the p-part, so it has a
@@ -212,8 +163,7 @@ def unit_digits(x: Rat, p: int, d: int) -> UnitDigits:
     num //= p**vn
     den //= p**vd
     q = p**d
-    u = num * pow(den, -1, q) % q
-    return UnitDigits(d, u)
+    return num * pow(den, -1, q) % q
 
 
 @dataclass(frozen=True)
@@ -226,15 +176,13 @@ class RvData:
 
     depth: int
     valuation: int | None
-    unit: UnitDigits | None
+    unit: int | None  # the first `depth` unit digits, a residue mod p^depth
 
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
         if (self.valuation is None) != (self.unit is None):
             raise ValueError("zero rv-data has neither valuation nor unit")
-        if self.unit is not None and self.unit.depth != self.depth:
-            raise ValueError("unit depth must match rv depth")
 
     @property
     def is_zero(self) -> bool:
@@ -248,12 +196,14 @@ class RvData:
         """The natural projection RV_n -> RV_m for m dividing n (here: d' <= d)."""
         if self.is_zero:
             return RvData.zero(depth)
-        return RvData(depth, self.valuation, self.unit.project(depth, p))
+        if depth > self.depth:
+            raise ValueError("cannot project to a deeper level")
+        return RvData(depth, self.valuation, self.unit % p**depth)
 
     def __repr__(self) -> str:
         if self.is_zero:
             return f"rv0@{self.depth}"
-        return f"rv({self.valuation};{self.unit.digits})@{self.depth}"
+        return f"rv({self.valuation};{self.unit})@{self.depth}"
 
 
 def rv(x: Rat, p: int, d: int) -> RvData:
@@ -261,11 +211,11 @@ def rv(x: Rat, p: int, d: int) -> RvData:
     x = Fraction(x)
     if x == 0:
         return RvData.zero(d)
-    return RvData(d, ord_p(x, p).value, unit_digits(x, p, d))
+    return RvData(d, ord_p(x, p), unit_digits(x, p, d))
 
 
 def canonical_lift(r: RvData, p: int) -> Fraction:
     """The smallest representative p^m * u of a nonzero rv-class."""
     if r.is_zero:
         return Fraction(0)
-    return Fraction(r.unit.digits) * Fraction(p) ** r.valuation
+    return Fraction(r.unit) * Fraction(p) ** r.valuation

@@ -31,7 +31,7 @@ from .decompose import (
     RvEq,
 )
 from .errors import ParseError, UnsupportedInputError
-from .padics import RvData, UnitDigits
+from .padics import RvData
 from .poly import MAX_DEGREE, Poly
 
 MAX_LITERAL_DIGITS = 1000
@@ -291,7 +291,7 @@ class _Parser:
             self.next(",")
             u = self.parse_int()
             self.next(")")
-            return FAtom(RvEq(depth, f, RvData(depth, m, UnitDigits(depth, u))))
+            return FAtom(RvEq(depth, f, RvData(depth, m, u)))
         # bare polynomial equation f = 0
         return self._poly_eq_zero()
 
@@ -365,32 +365,3 @@ def parse_formula(text: str) -> Formula:
     p.expect_end()
     return out
 
-
-def print_formula(phi: Formula) -> str:
-    if isinstance(phi, FAtom):
-        return _print_atom(phi.atom)
-    if isinstance(phi, FNot):
-        return f"!({print_formula(phi.sub)})"
-    if isinstance(phi, FAnd):
-        return f"({print_formula(phi.left)} & {print_formula(phi.right)})"
-    return f"({print_formula(phi.left)} | {print_formula(phi.right)})"
-
-
-def _print_atom(atom) -> str:
-    from .poly import format_poly
-
-    if isinstance(atom, OrdCmp):
-        rhs = str(atom.offset) if atom.g is None else (
-            f"ord({format_poly(atom.g)})"
-            + (f" + {atom.offset}" if atom.offset > 0 else f" - {-atom.offset}" if atom.offset < 0 else "")
-        )
-        return f"ord({format_poly(atom.f)}) {atom.rel} {rhs}"
-    if isinstance(atom, OrdEqInf):
-        return f"{format_poly(atom.f)} = 0"
-    if isinstance(atom, OrdModEq):
-        return f"ord({format_poly(atom.f)}) % {atom.modulus} = {atom.residue}"
-    if isinstance(atom, AcEq):
-        return f"ac({atom.depth}, {format_poly(atom.f)}) = {atom.unit}"
-    tag = atom.tag
-    rhs = "0" if tag.is_zero else f"({tag.valuation}, {tag.unit.digits})"
-    return f"rv({atom.depth}, {format_poly(atom.f)}) = {rhs}"

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .padics import Rat, Val, ord_p, val_min
+from .padics import INFINITY, Rat, Val, ord_p
 
 # The largest degree the parser and `prepare` accept.  `prepare` recurses
 # once per derivative, so its stack depth grows with the degree, and the
@@ -236,7 +236,8 @@ def newton_min(f: Poly, p: int, m: int = 0, start: int = 0) -> Val:
 
     With m = 0 and start = 0 this is the content valuation of f; with
     start = 1 at a Taylor expansion it bounds the Taylor tail."""
-    return val_min(*(ord_p(f.coeff(i), p) + i * m for i in range(start, len(f.coeffs))))
+    return min((ord_p(f.coeff(i), p) + i * m for i in range(start, len(f.coeffs))),
+               default=INFINITY)
 
 
 def format_poly(f: Poly, var: str = "y") -> str:

@@ -13,20 +13,23 @@ the two-tail sum per pole replaced, the per-class derivative tower that
 the rootless tie groups replaced, and the root search over every digit of
 a class, the Fraction class centers and the per-cell law JSON that the
 residual-polynomial descent, the integer centers and the per-table JSON
-replaced, and the chi of every cell, kept or not, that the chi of the kept
-cells replaced, kept as references for the tests that compare the two."""
+replaced, the chi of every cell, kept or not, that the chi of the kept
+cells replaced, and the full-scan root count that the pruned one in
+`oracle` is checked against, kept as references for the tests that compare
+the two."""
 
 import random
+from collections import Counter
 from itertools import islice
 from fractions import Fraction
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from math import comb
 
 from padic_cells.cells import (ArithRange, Cell1, Center, Decomposition, OrderLaw, Residues, TAdd,
                                TConst, ZP, contains, intersect_cells, sorted_cells)
 from padic_cells.decompose import (_base_cells, _budget, _dominance_regions, _law_error,
                                    _prepare_linear, _sphere_digits, _split_tie_class)
-from padic_cells.cli import _frac_str, _name, _val_json
+from padic_cells.cli import _frac_str, _name
 from padic_cells.errors import InternalBoundError, UnsupportedInputError
 from padic_cells.hensel import (_MAX_DOUBLINGS, _at_root, _certified, _isolated, _newton,
                                 _roots_near, center_proxy, digits_of_poly_at, exact_value,
@@ -34,7 +37,8 @@ from padic_cells.hensel import (_MAX_DOUBLINGS, _at_root, _certified, _isolated,
 from padic_cells.kgroup import K0Element, _cell_shape
 from padic_cells.measure import ZetaFn, _times_t
 from padic_cells.oracle import (LawFailure, LawReport, _center_mod, _clear_denominators,
-                                _ord_value, _taylor_ords)
+                                _eval_mod, _ord_value, _require_p_integral, _taylor_ords,
+                                count_roots_mod)
 from padic_cells.padics import INFINITY, Val, int_val, ord_p, unit_digits
 from padic_cells.poly import (Poly, format_poly, newton_min, poly_gcd, resultant_val,
                               squarefree_part, taylor_polys)
@@ -76,8 +80,8 @@ def random_rational(rng: random.Random, p: int) -> Fraction:
 def fraction_root_points(w: Poly, p: int, depth_cap: int) -> list[Fraction]:
     """`certified_root_points` as it was written on Fraction arithmetic."""
     content = newton_min(w, p)
-    if not content.is_infinite and content.value != 0:
-        w = w * Fraction(p) ** (-content.value)
+    if content is not INFINITY and content != 0:
+        w = w * Fraction(p) ** (-content)
     out: list[Fraction] = []
 
     def search(poly: Poly, c: int, j: int) -> None:
@@ -94,8 +98,8 @@ def fraction_root_points(w: Poly, p: int, depth_cap: int) -> list[Fraction]:
             return
         v0 = ord_p(val, p)
         v1 = ord_p(fraction_eval(poly.derivative(), c), p)
-        if not v1.is_infinite and v0 > v1 * 2 and Val(j) > v1:
-            z, _prec = _newton(poly, Fraction(c), p, max(v0.value - v1.value, j + 1))
+        if v1 is not INFINITY and v0 > v1 * 2 and j > v1:
+            z, _prec = _newton(poly, Fraction(c), p, max(v0 - v1, j + 1))
             if ord_p(z - c, p) >= j:
                 out.append(z)
             return
@@ -125,7 +129,7 @@ def fraction_sphere_digits(f: Poly, center, m: int, v: int, depth: int,
         if e < v:
             raise InternalBoundError(f"ord {f} < {v} at the unit {u}")
         out.append(0 if e >= v + depth else
-                   p ** (e.value - v) * unit_digits(value, p, depth).digits % p**depth)
+                   p ** (e - v) * unit_digits(value, p, depth) % p**depth)
     return out
 
 
@@ -139,7 +143,7 @@ def taylor_digits(f: Poly, center, p: int, indices: list[int]) -> list[int]:
         return [digits_of_poly_at(qs[i], center, p, 1) for i in indices]
     hs = f.shifted_numerators(x.numerator, x.denominator)
     n, den, b = f.degree, f.integral[1], x.denominator
-    return [unit_digits(Fraction(hs[i], den * b ** (n - i)), p, 1).digits for i in indices]
+    return [unit_digits(Fraction(hs[i], den * b ** (n - i)), p, 1) for i in indices]
 
 
 def residual_zeros(digits: dict[int, int], p: int) -> set[int]:
@@ -220,17 +224,17 @@ def root_separation_bound(w: Poly, p: int) -> int:
     if d <= 1:
         return 0
     res = resultant_val(w, w.derivative(), p)
-    if res.is_infinite:
+    if res is INFINITY:
         raise ValueError("witness is not squarefree")
-    vlc = ord_p(w.leading(), p).value
+    vlc = ord_p(w.leading(), p)
     slopes = []
     pts = [(i, ord_p(c, p)) for i, c in enumerate(w.coeffs) if c != 0]
     for (i, vi), (j, vj) in zip(pts, pts[1:]):
-        slopes.append(Fraction(vj.value - vi.value, j - i))
+        slopes.append(Fraction(vj - vi, j - i))
     min_root_val = -max(slopes) if slopes else Fraction(0)
     pair_floor = min(0, int(min_root_val) - 1)
     pairs = d * (d - 1) // 2
-    bound = (res.value - (2 * d - 1) * vlc) // 2 - (pairs - 1) * pair_floor
+    bound = (res - (2 * d - 1) * vlc) // 2 - (pairs - 1) * pair_floor
     return max(bound, 0) + 1
 
 
@@ -295,7 +299,7 @@ def eager_difference(a, b, p: int, digits: int):
 
     def estimate(n: int):
         ra, rb = refine_root(a, n), refine_root(b, n)
-        return ra.approx - rb.approx, Val(min(ra.precision, rb.precision))
+        return ra.approx - rb.approx, min(ra.precision, rb.precision)
 
     return _certified(max(a.precision, b.precision), digits, estimate, p,
                       lambda: f"{a} - {b}", lambda: False)
@@ -309,7 +313,7 @@ def fraction_cell_sort_key(cell):
     else:
         tag = c.value.rv_tag
         center = (1, Fraction(0), (c.value.witness.coeffs, tag.valuation,
-                                   tag.unit.digits if tag.unit else -1, tag.depth))
+                                   -1 if tag.is_zero else tag.unit, tag.depth))
     point = 0 if cell.is_point else 1
     lo = -1 if cell.is_point else cell.m_range.lo
     res = () if cell.is_point else (cell.residues.depth, generator_head(cell.residues, cell.prime))
@@ -341,9 +345,9 @@ def sphere_by_sphere_digit_atom_pieces(cell, f, depth, want, p):
     up to m_d, then once for its tail."""
     law = cell.law_for(f)
     ords = taylor_ords(f, cell.center.value, p)
-    lines = [(i, v.value) for i, v in enumerate(ords) if not v.is_infinite]
+    lines = [(i, v) for i, v in enumerate(ords) if v is not INFINITY]
     rng = cell.m_range
-    e0, i0 = law.e0.value, law.i0
+    e0, i0 = law.e0, law.i0
     pieces = []
 
     def enumerate_m(sub):
@@ -389,9 +393,9 @@ def unit_scan_digit_atom_pieces(cell, f, depth, want, p):
     unit of the sphere at depth d_m and groups the units by want(digits)."""
     law = cell.law_for(f)
     ords = taylor_ords(f, cell.center.value, p)
-    lines = [(i, v.value) for i, v in enumerate(ords) if not v.is_infinite]
+    lines = [(i, v) for i, v in enumerate(ords) if v is not INFINITY]
     rng = cell.m_range
-    e0, i0 = law.e0.value, law.i0
+    e0, i0 = law.e0, law.i0
     m_d, m_u = rng.lo, rng.hi
     for j, vj in lines:
         if j > i0:
@@ -450,9 +454,11 @@ def unit_scan_transport(own: Residues, other: Residues, depth: int, scale: int, 
 
 
 def per_class_mark_cell(cell: Cell1, k: int, p: int, count: list[int], fuzzy: list[int]) -> None:
-    """`oracle._mark_cell` as it was written: every class mod p^k marked on its
-    own.  Mark every class mod p^k the cell decidedly contains, and flag the
-    classes it only partially covers at this depth."""
+    """`oracle._mark_cell` as a loop over units: every class mod p^k marked on
+    its own.  Mark every class mod p^k the cell decidedly contains, and flag
+    the classes it only partially covers at this depth: on a sphere m with
+    m + d > k, a class mod p^k is inside when the set holds every unit that
+    lifts its k - m digits, and partly covered when it holds some."""
     q = p**k
     c_mod = _center_mod(cell, k)
     if cell.is_point:
@@ -480,10 +486,13 @@ def per_class_mark_cell(cell: Cell1, k: int, p: int, count: list[int], fuzzy: li
                     cls = (c_mod + u * p**m) % q
                     count[cls] += 1
         else:
-            # the constraint needs more digits than the class determines
-            for u0 in {u % p ** (k - m) for u in cell.residues.members()}:
+            held = Counter(u % p ** (k - m) for u in cell.residues.members())
+            for u0, n in held.items():
                 cls = (c_mod + u0 * p**m) % q
-                fuzzy[cls] = 1
+                if n == p ** (m + d - k):
+                    count[cls] += 1
+                else:
+                    fuzzy[cls] = 1
 
 
 def per_sample_cell_samples(cell: Cell1, p: int, n: int, rng: random.Random) -> list[tuple[int, int, int]]:
@@ -548,7 +557,7 @@ def per_sample_verify_laws(dec: Decomposition, f: Poly, samples: int = 200, seed
             else:
                 # evaluate at a certified refinement of the center; the value
                 # is only pinned modulo p^(precision + min Taylor-tail ord)
-                floor = 8 if want.is_infinite else abs(want.value) + 8
+                floor = 8 if want is INFINITY else abs(want) + 8
                 ok = False
                 rr = c
                 for _ in range(6):
@@ -559,7 +568,7 @@ def per_sample_verify_laws(dec: Decomposition, f: Poly, samples: int = 200, seed
                         if t < cmin:
                             cmin = t
                     bound = cmin + rr.precision
-                    if want.is_infinite:
+                    if want is INFINITY:
                         ok = got >= bound
                         break
                     if bound > want:
@@ -611,8 +620,8 @@ def per_cell_igusa_zeta(dec: Decomposition, f: Poly, p: int | None = None) -> Ze
         if cell.is_point:
             continue
         law = cell.law_for(f)
-        assert not law.e0.is_infinite
-        e0, i0 = law.e0.value, law.i0
+        assert law.e0 is not INFINITY
+        e0, i0 = law.e0, law.i0
         rng = cell.m_range
         lead = Fraction(cell.residues.count(), p ** (rng.lo + cell.residues.depth))
         ratio = Poly.of(*([Fraction(0)] * (i0 * rng.step) + [Fraction(1, p**rng.step)]))
@@ -678,7 +687,7 @@ def per_class_process_box(f: Poly, w: Poly, p: int, cell: Cell1, out: list[Cell1
     polygon, and split each tie at m* into a point cell and a family cell per
     residue class u0.  Descents are counted from the domain radius r."""
     ords = taylor_ords(f, cell.center.value, p)
-    lines = [(i, v.value) for i, v in enumerate(ords) if not v.is_infinite]
+    lines = [(i, v) for i, v in enumerate(ords) if v is not INFINITY]
     if not lines:
         raise InternalBoundError(
             f"all Taylor coefficients of {format_poly(f)} (p = {p}) vanished at the center "
@@ -689,7 +698,7 @@ def per_class_process_box(f: Poly, w: Poly, p: int, cell: Cell1, out: list[Cell1
         if region[0] == "strict":
             _, lo, hi, i0 = region
             out.append(cell.copy(m_range=ArithRange(lo, hi),
-                                 laws={**cell.laws, f: OrderLaw(Val(line_val[i0]), i0)}))
+                                 laws={**cell.laws, f: OrderLaw(line_val[i0], i0)}))
             continue
         _, m_star, win = region
         if m_star + 1 - r > budget:
@@ -699,7 +708,7 @@ def per_class_process_box(f: Poly, w: Poly, p: int, cell: Cell1, out: list[Cell1
             )
         frozen = cell.frozen_laws(m_star)
         best = line_val[win[0]] + win[0] * m_star
-        rootless = {**frozen, f: OrderLaw(Val(best), 0)}
+        rootless = {**frozen, f: OrderLaw(best, 0)}
         residual = _sphere_digits(f, cell.center.value, m_star, best, 1, range(1, p), p)
         below = ArithRange(m_star + 1, None)
         step = Fraction(p) ** m_star
@@ -730,8 +739,8 @@ def full_walk_root_points(w: Poly, p: int, depth_cap: int) -> list[Fraction]:
     # the basin criterion ord w > 2 ord w' presumes p-integral coefficients;
     # scaling by a power of p fixes the content at 0 without moving roots
     given, content = w, newton_min(w, p)
-    if not content.is_infinite and content.value != 0:
-        w = w * Fraction(p) ** (-content.value)
+    if content is not INFINITY and content != 0:
+        w = w * Fraction(p) ** (-content)
     out: list[Fraction] = []
 
     def search(poly: Poly, c: int, j: int) -> None:
@@ -791,7 +800,7 @@ def per_set_order_cell_json(cell: Cell1, names: dict[Poly, str],
             "rv_tag": {
                 "depth": r.rv_tag.depth,
                 "valuation": r.rv_tag.valuation,
-                "unit": r.rv_tag.unit.digits if r.rv_tag.unit else None,
+                "unit": r.rv_tag.unit,
             },
         }
     if center.term is not None:
@@ -808,7 +817,7 @@ def per_set_order_cell_json(cell: Cell1, names: dict[Poly, str],
         "center": cj,
         "level": center.level,
         "keep": cell.keep,
-        "laws": {name: {"e0": _val_json(laws[f].e0), "i0": laws[f].i0} for f, name in order},
+        "laws": {name: {"e0": str(laws[f].e0), "i0": laws[f].i0} for f, name in order},
     }
     if cell.is_point:
         out["m_range"] = "point"
@@ -828,3 +837,25 @@ def all_cells_chi(dec: Decomposition) -> K0Element:
     """`kgroup.chi(dec, kept_only=False)` as it was written: one graded
     auxiliary class per cell, kept or not."""
     return K0Element.of([(_cell_shape(c), c.kind) for c in dec.cells])
+
+
+@dataclass(frozen=True)
+class RootCounts:
+    prime: int
+    counts: tuple[int, ...]  # counts[k-1] = #{y mod p^k : f(y) = 0 mod p^k}
+
+    def __post_init__(self):
+        for a, b in zip(self.counts, self.counts[1:]):
+            if b > self.prime * a:
+                raise ValueError("root counts violate the lifting bound")
+
+
+def root_counts(f: Poly, p: int, k_max: int) -> RootCounts:
+    return RootCounts(p, tuple(count_roots_mod(f, p, k) for k in range(1, k_max + 1)))
+
+
+def count_roots_mod_scan(f: Poly, p: int, k: int) -> int:
+    """Full-scan reference counter for validating the pruned one in `oracle`."""
+    coeffs = _require_p_integral(f, p)
+    q = p**k
+    return sum(1 for y in range(q) if _eval_mod(coeffs, y, q) == 0)

@@ -32,7 +32,7 @@ from padic_cells.decompose import decompose_set, prepare
 from padic_cells.errors import UnsupportedInputError
 from padic_cells.hensel import refine_root
 from padic_cells.measure import decomposition_measure, exact_partition_check
-from padic_cells.padics import Val, ord_p, rv
+from padic_cells.padics import INFINITY, ord_p, rv
 from padic_cells.parser import parse_formula
 from padic_cells.poly import Poly, format_poly
 
@@ -171,7 +171,7 @@ def test_ord_between_algebraic():
     a, b = roots[0], roots[1]
     # sqrt(6) branches differ by 2 sqrt(6), a unit
     assert ord_between(a, b, 5) == ord_p(Fraction(2), 5)
-    assert ord_between(a, a, 5).is_infinite
+    assert ord_between(a, a, 5) is INFINITY
 
 
 def test_center_term_examples():
@@ -240,16 +240,16 @@ def test_type_uniqueness_on_produced_cells():
 
 def test_law_table():
     p, y, sq = 5, Poly.of(0, 1), Poly.of(-1, 0, 1)
-    law_y, law_sq = OrderLaw(Val(0), 1), OrderLaw(Val(2), 0)
+    law_y, law_sq = OrderLaw(0, 1), OrderLaw(2, 0)
     cell = Cell1(p, Center(Fraction(0), 1), ArithRange(0, None), Residues(1, p=p), {sq: law_sq, y: law_y})
     # the table is a mapping, one law per polynomial
     assert cell.laws == {y: law_y, sq: law_sq}
     assert cell.law_for(y) == law_y
     with pytest.raises(ValueError):
         cell.law_for(Poly.of(1, 1))
-    assert cell.frozen_laws(3) == {sq: law_sq, y: OrderLaw(Val(3), 0)}
-    updated = cell.with_laws({y: OrderLaw(Val(1), 0)})
-    assert updated.laws == {sq: law_sq, y: OrderLaw(Val(1), 0)}
+    assert cell.frozen_laws(3) == {sq: law_sq, y: OrderLaw(3, 0)}
+    updated = cell.with_laws({y: OrderLaw(1, 0)})
+    assert updated.laws == {sq: law_sq, y: OrderLaw(1, 0)}
     # with_laws builds a new table and leaves the old one as it was
     assert cell.laws[y] == law_y
 
@@ -317,8 +317,8 @@ def test_integer_sort_keys_on_mixed_denominators_and_roots():
              if not c.center.is_rational}
     assert len(roots) == 2
     centers = [Center(Fraction(x), 1) for x in ("1/3", "-5/2", "2/7", "0", "1/3")] + list(roots)
-    laws = [{Poly.of(0, 1): OrderLaw(Val(0), 1)},
-            {Poly.of(-2, 0, 1): OrderLaw(Val(1), 0), Poly.of(0, 1): OrderLaw(Val(0), 0)}]
+    laws = [{Poly.of(0, 1): OrderLaw(0, 1)},
+            {Poly.of(-2, 0, 1): OrderLaw(1, 0), Poly.of(0, 1): OrderLaw(0, 0)}]
     cells = []
     for i, center in enumerate(centers):
         cells.append(Cell1(p, center, None, None, laws[i % 2]))

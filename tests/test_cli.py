@@ -13,8 +13,9 @@ import pytest
 import padic_cells
 from padic_cells import cli, decompose
 from padic_cells.cli import main
+from padic_cells.decompose import AcEq, FAnd, FAtom, FNot, OrdCmp, OrdEqInf, OrdModEq
 from padic_cells.errors import ParseError, UnsupportedInputError
-from padic_cells.parser import parse_formula, parse_poly, print_formula
+from padic_cells.parser import parse_formula, parse_poly
 from padic_cells.poly import Poly, format_poly
 
 
@@ -25,6 +26,34 @@ def run_cli(capsys, *argv):
         code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def print_formula(phi) -> str:
+    """The formula in the parser's surface syntax, fully parenthesized."""
+    if isinstance(phi, FAtom):
+        return _print_atom(phi.atom)
+    if isinstance(phi, FNot):
+        return f"!({print_formula(phi.sub)})"
+    op = "&" if isinstance(phi, FAnd) else "|"
+    return f"({print_formula(phi.left)} {op} {print_formula(phi.right)})"
+
+
+def _print_atom(atom) -> str:
+    if isinstance(atom, OrdCmp):
+        rhs = str(atom.offset) if atom.g is None else (
+            f"ord({format_poly(atom.g)})"
+            + (f" + {atom.offset}" if atom.offset > 0 else f" - {-atom.offset}" if atom.offset < 0 else "")
+        )
+        return f"ord({format_poly(atom.f)}) {atom.rel} {rhs}"
+    if isinstance(atom, OrdEqInf):
+        return f"{format_poly(atom.f)} = 0"
+    if isinstance(atom, OrdModEq):
+        return f"ord({format_poly(atom.f)}) % {atom.modulus} = {atom.residue}"
+    if isinstance(atom, AcEq):
+        return f"ac({atom.depth}, {format_poly(atom.f)}) = {atom.unit}"
+    tag = atom.tag
+    rhs = "0" if tag.is_zero else f"({tag.valuation}, {tag.unit})"
+    return f"rv({atom.depth}, {format_poly(atom.f)}) = {rhs}"
 
 
 def test_parse_poly_examples():

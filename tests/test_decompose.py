@@ -56,7 +56,7 @@ from padic_cells.measure import (
     measure_of_order,
 )
 from padic_cells.oracle import verify_laws, verify_partition
-from padic_cells.padics import INFINITY, RvData, UnitDigits, Val, ord_p, rv
+from padic_cells.padics import INFINITY, RvData, ord_p, rv
 from padic_cells.parser import parse_formula
 from padic_cells.poly import MAX_DEGREE, Poly
 
@@ -83,7 +83,7 @@ def test_prepare_monomial():
     assert fam.m_range.lo == 0 and fam.m_range.hi is None
     assert fam.residues.is_all
     law = fam.law_for(Y)
-    assert law.e0 == Val(0) and law.i0 == 1
+    assert law.e0 == 0 and law.i0 == 1
 
 
 def test_prepare_rejects_zero():
@@ -141,9 +141,9 @@ def test_prepare_squares_minus_one():
                  if c.center.is_rational and c.center.value == root]
         fam = next(c for c in cells if not c.is_point)
         law = fam.law_for(f)
-        assert law.i0 == 1 and law.e0 == Val(0)
+        assert law.i0 == 1 and law.e0 == 0
         point = next(c for c in cells if c.is_point)
-        assert point.law_for(f).e0.is_infinite
+        assert point.law_for(f).e0 is INFINITY
     # all laws hold exactly on sampled members
     assert verify_laws(D, f, samples=200).ok
     assert exact_partition_check(D).ok
@@ -225,7 +225,7 @@ def test_prepare_on_a_deep_ball():
     f = Poly.of(-2, 0, 1)
     root = next(c.center.value for c in prepare(f, 7).cells if not c.center.is_rational)
     D = prepare(f, 7, Ball(center_proxy(root, 7, 20), 20))
-    assert any(c.is_point and c.law_for(f).e0.is_infinite for c in D.cells)
+    assert any(c.is_point and c.law_for(f).e0 is INFINITY for c in D.cells)
     assert exact_partition_check(D).ok
     assert verify_laws(D, f, samples=50).ok
 
@@ -247,7 +247,7 @@ def test_residual_filter_matches_the_full_class_walk(monkeypatch, corpus, p):
 
         def counted(*args):
             center, law = split(*args)
-            seen["root" if law.e0.is_infinite else "rootless"] += 1
+            seen["root" if law.e0 is INFINITY else "rootless"] += 1
             return center, law
 
         monkeypatch.setattr(decompose_module, "_split_tie_class", counted)
@@ -434,9 +434,9 @@ def test_rv_digits_compare_mod_p_to_the_depth(p, d):
     q = p**d
     for f in (Y, Poly.of(-1, 0, 1)):
         for m, u in ((0, 1), (1, 2), (0, q - 1)):
-            want = decompose_set(FAtom(RvEq(d, f, RvData(d, m, UnitDigits(d, u)))), p).cells
+            want = decompose_set(FAtom(RvEq(d, f, RvData(d, m, u))), p).cells
             for other in (u + q, u + 3 * q, u - q):
-                got = decompose_set(FAtom(RvEq(d, f, RvData(d, m, UnitDigits(d, other)))), p)
+                got = decompose_set(FAtom(RvEq(d, f, RvData(d, m, other))), p)
                 assert got.cells == want, (f, m, other)
             ac = decompose_set(FAnd(FAtom(OrdCmp(f, None, m, "=")), FAtom(AcEq(d, f, u + q))), p)
             assert decomposition_measure(ac, kept_only=True) == \
@@ -541,7 +541,7 @@ def test_set_ac_depth_two():
     assert exact_partition_check(D).ok
     for r in range(1, 5**4):
         y = Fraction(r)
-        u = (y / 5 ** ord_p(y, 5).value)
+        u = (y / 5 ** ord_p(y, 5))
         want = (u.numerator * pow(u.denominator, -1, 25)) % 25 == 7
         got = any(contains(c, y) for c in D.kept_cells)
         assert want == got, r
@@ -588,8 +588,7 @@ def test_digit_kernel_matches_the_fraction_loop(monkeypatch, coeffs, p, domain, 
                 by_digit = unit_scan_digit_atom_pieces(cell, f, depth, lambda d: d, p)
                 out += [_digit_atom_pieces(cell, f, depth, t)
                         for t in _met_digits(by_digit, depth, p)]
-                tag = RvData(depth, law.apply(cell.m_range.lo + 1).value,
-                             UnitDigits(depth, 1))
+                tag = RvData(depth, law.apply(cell.m_range.lo + 1), 1)
                 out.append(_split_by_atom(cell, RvEq(depth, f, tag)))
         return out
 
@@ -697,9 +696,9 @@ def test_digit_atom_window_matches_the_sphere_loop(p):
                 continue
             rng = cell.m_range
             law = cell.law_for(f)
-            e0, i0 = law.e0.value, law.i0
-            lines = [(j, v.value) for j, v in enumerate(taylor_ords(f, cell.center.value, p))
-                     if not v.is_infinite]
+            e0, i0 = law.e0, law.i0
+            lines = [(j, v) for j, v in enumerate(taylor_ords(f, cell.center.value, p))
+                     if v is not INFINITY]
             for depth in (1, 2, 3) if p <= 3 else (1, 2):
                 # from m_d on, the terms of larger index are p^depth below the law's
                 m_d = max([rng.lo] + [-(-(depth + e0 - v) // (j - i0)) for j, v in lines if j > i0])
@@ -785,7 +784,7 @@ def test_internal_bound_errors_name_their_context(monkeypatch):
     infinite derivative law on a fiber."""
     f = Poly.of(-1, 0, 1)
     family = next(c for c in prepare(f, 3).cells if not c.is_point and c.center.value == 1)
-    tampered = family.with_laws({f: OrderLaw(Val(0), 2)})
+    tampered = family.with_laws({f: OrderLaw(0, 2)})
     with pytest.raises(InternalBoundError, match=r"y\^2 - 1 \(p = 3\) on m in \[1\.\.inf\] "
                        r"around the center 1 .*dominance gap"):
         _digit_atom_pieces(tampered, f, 1, 1)
@@ -803,8 +802,8 @@ def test_internal_bound_errors_name_their_context(monkeypatch):
 def _tie_zeros(f, center, m, p):
     """The classes of the tie at m where the residual polynomial vanishes,
     read by the kernel and by the exact queries, and whether m is a tie."""
-    lines = [(i, v.value) for i, v in enumerate(taylor_ords(f, center, p))
-             if not v.is_infinite]
+    lines = [(i, v) for i, v in enumerate(taylor_ords(f, center, p))
+             if v is not INFINITY]
     best = min(v + i * m for i, v in lines)
     win = [i for i, v in lines if v + i * m == best]
     units = range(1, p)
@@ -819,8 +818,8 @@ def _assert_reads_match(f, center, p):
     zeros at every tie of f's Newton polygon, the digits on the unbounded
     tail of its last region and the digits at the center.  Returns the
     numbers of ties, tails and points compared."""
-    lines = [(i, v.value) for i, v in enumerate(taylor_ords(f, center, p))
-             if not v.is_infinite]
+    lines = [(i, v) for i, v in enumerate(taylor_ords(f, center, p))
+             if v is not INFINITY]
     seen = [0, 0, 0]
     for region in _dominance_regions(lines, 0, None):
         if region[0] == "tie":
@@ -903,7 +902,7 @@ def test_preserves_identity():
     assert rep.all_ball_or_point
     fam = next(e for e in rep.entries if not e.cell.is_point)
     # the image of the (m, u) fiber is that same ball: radius ord m + 1
-    assert fam.radius_law.apply(3) == Val(4)
+    assert fam.radius_law.apply(3) == 4
 
 
 def test_preserves_squaring():
@@ -921,7 +920,7 @@ def test_preserves_squaring():
     members = [Fraction(u + t * 5**d) * 5**m for t in range(40)]
     images = [v * v for v in members]
     base = images[0]
-    radius = entry.radius_law.apply(m).value
+    radius = entry.radius_law.apply(m)
     for img in images:
         assert img == base or ord_p(img - base, 5) >= radius
 
@@ -946,7 +945,7 @@ def test_preserves_squaring_p2_depth_raise():
     members = [Fraction(u + t * 2**d) * 2**m for t in range(64)]
     images = sorted(set(v * v for v in members))
     base = images[0]
-    radius = fam.radius_law.apply(m).value
+    radius = fam.radius_law.apply(m)
     for img in images:
         assert img == base or ord_p(img - base, 2) >= radius
 

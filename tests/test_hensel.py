@@ -30,7 +30,7 @@ from padic_cells.hensel import (
     roots_in_ball,
     shift_center,
 )
-from padic_cells.padics import Val, ord_p, rv, unit_digits
+from padic_cells.padics import INFINITY, ord_p, rv, unit_digits
 from padic_cells.poly import Poly, resultant_val, squarefree_part, taylor_polys
 
 from conftest import CORPUS, large_prime_polys
@@ -52,7 +52,7 @@ def test_roots_in_ball_finds_every_root_once():
             continue
         for p in (2, 3, 5, 7):
             res = resultant_val(w, w.derivative(), p)
-            cap = 2 * (0 if res.is_infinite else max(res.value, 0)) + 8
+            cap = 2 * (0 if res is INFINITY else max(res, 0)) + 8
             counts = []
             for k in (0, 1, 2):
                 count = 0
@@ -60,7 +60,7 @@ def test_roots_in_ball_finds_every_root_once():
                     roots = list(roots_in_ball(w, Fraction(t), k, p, cap, 1))
                     for n, r in enumerate(roots):
                         assert ord_between(r, t, p) >= k, (w, p, t, k, r)
-                        assert ord_of_poly_at(w, r, p).is_infinite, (w, p, r)
+                        assert ord_of_poly_at(w, r, p) is INFINITY, (w, p, r)
                         assert not any(centers_equal(r, s, p) for s in roots[:n]), (w, p, r)
                     count += len(roots)
                 counts.append(count)
@@ -151,9 +151,9 @@ def test_newton_certificate_invariant():
 
 
 def test_order_law_at_root():
-    assert order_law_at_root(Poly.of(-1, 0, 1), h([-1, 0, 1], rv(1, 5, 1), 5)) == Val(0)
-    assert order_law_at_root(Poly.of(-6, 0, 1), h([-6, 0, 1], rv(1, 5, 1), 5)) == Val(0)
-    assert order_law_at_root(Poly.of(-25, 0, 1), h([-25, 0, 1], rv(5, 5, 1), 5)) == Val(1)
+    assert order_law_at_root(Poly.of(-1, 0, 1), h([-1, 0, 1], rv(1, 5, 1), 5)) == 0
+    assert order_law_at_root(Poly.of(-6, 0, 1), h([-6, 0, 1], rv(1, 5, 1), 5)) == 0
+    assert order_law_at_root(Poly.of(-25, 0, 1), h([-25, 0, 1], rv(5, 5, 1), 5)) == 1
 
 
 def test_order_law_rejects_non_simple():
@@ -176,25 +176,25 @@ def test_h5_identity_sampled():
         w = 1 + 5 * Fraction(rng.randrange(1, 5**12))
         got = ord_p(f.eval(w), p)
         dist = ord_p(w - r.approx, p)
-        assert dist < Val(r.precision)  # sample well inside certified digits
-        assert got == b1 + dist.value
+        assert dist < r.precision  # sample well inside certified digits
+        assert got == b1 + dist
 
 
 def test_ord_at_root_splits_factors():
     # witness y^2-1 pins the root 1; queries must tell the factors apart
     r = h([-1, 0, 1], rv(1, 5, 1), 5)
-    assert ord_of_poly_at(Poly.of(-1, 1), r, 5).is_infinite      # y - 1
-    assert not ord_of_poly_at(Poly.of(1, 1), r, 5).is_infinite   # y + 1
-    assert ord_of_poly_at(Poly.of(1, 1), r, 5) == Val(0)
-    assert ord_of_poly_at(Poly.of(-1, 1), r, 5).is_infinite
+    assert ord_of_poly_at(Poly.of(-1, 1), r, 5) is INFINITY      # y - 1
+    assert ord_of_poly_at(Poly.of(1, 1), r, 5) is not INFINITY   # y + 1
+    assert ord_of_poly_at(Poly.of(1, 1), r, 5) == 0
+    assert ord_of_poly_at(Poly.of(-1, 1), r, 5) is INFINITY
 
 
 def test_ord_at_root_algebraic():
     r = h([-6, 0, 1], rv(1, 5, 1), 5)
-    assert ord_of_poly_at(Poly.of(0, 2), r, 5) == Val(0)          # 2*y0
-    assert ord_of_poly_at(Poly.of(-6, 0, 1), r, 5).is_infinite    # its own witness
+    assert ord_of_poly_at(Poly.of(0, 2), r, 5) == 0          # 2*y0
+    assert ord_of_poly_at(Poly.of(-6, 0, 1), r, 5) is INFINITY    # its own witness
     v = ord_of_poly_at(Poly.of(-1, 1), r, 5)                      # y0 - 1: ord 1
-    assert v == Val(1)
+    assert v == 1
     assert digits_of_poly_at(Poly.of(0, 1), r, 5, 2) == 16
 
 
@@ -206,8 +206,8 @@ def test_taylor_digits_at_a_root():
     x = refine_root(r, 30).approx
     coeffs = f.taylor_shift(x).coeffs
     assert taylor_digits(f, r, p, [0, 1, 2, 3]) == \
-        [unit_digits(c, p, 1).digits for c in coeffs]
-    assert taylor_digits(f, r, p, [3, 1]) == [1, unit_digits(coeffs[1], p, 1).digits]
+        [unit_digits(c, p, 1) for c in coeffs]
+    assert taylor_digits(f, r, p, [3, 1]) == [1, unit_digits(coeffs[1], p, 1)]
 
 
 def test_exact_root_answers_like_its_rational():
@@ -219,7 +219,7 @@ def test_exact_root_answers_like_its_rational():
     sqrt6 = h([-6, 0, 1], rv(1, p, 1), p)  # inexact, = 1 mod 5
     for q in (Poly.of(-1, 1), Poly.of(1, 1), Poly.of(-6, 0, 1), Poly.of(3, 0, 2)):
         assert ord_of_poly_at(q, r, p) == ord_of_poly_at(q, one, p)
-        if not ord_of_poly_at(q, one, p).is_infinite:
+        if ord_of_poly_at(q, one, p) is not INFINITY:
             assert digits_of_poly_at(q, r, p, 3) == digits_of_poly_at(q, one, p, 3)
     for x in (one, Fraction(26), Fraction(-4), Fraction(7, 3), sqrt6, r):
         for a, b in ((r, x), (x, r)):
@@ -374,7 +374,7 @@ def test_rational_reconstruction():
     a = pow(3, -1, q)
     assert rational_reconstruct(a, q) == Fraction(1, 3)
     got = reduce_mod(Fraction(1, 3), 5, 3)
-    assert got.denominator == 1 and ord_p(got - Fraction(1, 3), 5) >= Val(3)
+    assert got.denominator == 1 and ord_p(got - Fraction(1, 3), 5) >= 3
 
 
 def test_h_negative_valuation_classes():
@@ -384,7 +384,7 @@ def test_h_negative_valuation_classes():
     assert h([-1, 0, 25], xi, 5).approx == Fraction(1, 5)
     assert h([-2, 0, 25], xi, 5) is None
     r = h([-6, 0, 25], xi, 5)
-    assert r is not None and ord_p(r.approx, 5) == Val(-1)
+    assert r is not None and ord_p(r.approx, 5) == -1
 
 
 def test_h_linear_inverse_trick():
@@ -419,8 +419,8 @@ def test_isolated_refines_until_the_ball_holds_one_root(monkeypatch):
     assert _roots_near(w, a, 3, p) == 2
     r = _isolated(loose)
     assert r.precision >= 5 and _roots_near(w, r.approx, r.precision, p) == 1
-    assert ord_of_poly_at(Poly.of(-2, 0, 1), loose, p).is_infinite
-    assert not ord_of_poly_at(Poly.of(-2 - p**4, 0, 1), loose, p).is_infinite
+    assert ord_of_poly_at(Poly.of(-2, 0, 1), loose, p) is INFINITY
+    assert ord_of_poly_at(Poly.of(-2 - p**4, 0, 1), loose, p) is not INFINITY
     # the ball is tested at precision 3, and refining to 10 would pass the cap
     monkeypatch.setattr(hensel, "_MAX_PRECISION", 9)
     with pytest.raises(InternalBoundError, match=r"isolating the root .* of y\^4 - 2405\*y\^2 \+ 4806 "
@@ -436,7 +436,7 @@ def test_same_root_needs_a_root_of_the_witness():
     b = h([-2 - p**11, 0, 1], rv(3, p, 1), p)
     assert a.precision == b.precision == 8
     assert not centers_equal(a, b, p) and not centers_equal(b, a, p)
-    assert ord_between(a, b, p) == Val(11)
+    assert ord_between(a, b, p) == 11
     back = shift_center(shift_center(a, Fraction(1)), Fraction(-1))
     assert centers_equal(a, back, p) and centers_equal(back, a, p)
 
@@ -453,12 +453,12 @@ def test_zero_test_runs_only_when_the_first_estimate_does_not_settle(monkeypatch
 
     # sqrt(2) - 1 is a unit: the first estimate settles
     monkeypatch.setattr(hensel, "_vanishes", refuse)
-    assert ord_of_poly_at(Poly.of(-1, 1), r, p) == Val(0)
+    assert ord_of_poly_at(Poly.of(-1, 1), r, p) == 0
     monkeypatch.setattr(hensel, "_vanishes", lambda q, c: asked.append(q) or vanishes(q, c))
     # the value -7^12 lies below the first estimate's 8 digits
-    assert ord_of_poly_at(Poly.of(-2 - p**12, 0, 1), r, p) == Val(12)
+    assert ord_of_poly_at(Poly.of(-2 - p**12, 0, 1), r, p) == 12
     assert len(asked) == 1
-    assert ord_of_poly_at(Poly.of(-2, 0, 1) * Poly.of(1, 1), r, p).is_infinite
+    assert ord_of_poly_at(Poly.of(-2, 0, 1) * Poly.of(1, 1), r, p) is INFINITY
     assert len(asked) == 2
 
 
@@ -495,13 +495,13 @@ def test_root_count_decisions_match_the_race_and_the_separation_bound(p):
             for c in centers:
                 for q in taylor_polys(f) + [c.witness]:
                     v = ord_of_poly_at(q, c, p)
-                    zero = v.is_infinite
+                    zero = v is INFINITY
                     assert zero == (race_residue(q, c) is None)
                     # the lazy zero test answers like the eager one
                     assert v == ord_p(eager_value_at(q, c, 1), p)
                     if not zero:
                         assert digits_of_poly_at(q, c, p, 2) == unit_digits(
-                            eager_value_at(q, c, 2), p, 2).digits
+                            eager_value_at(q, c, 2), p, 2)
                     zeros += zero
             for i, a in enumerate(centers):
                 for b in centers[i:]:
@@ -510,6 +510,6 @@ def test_root_count_decisions_match_the_race_and_the_separation_bound(p):
                     assert ord_between(a, b, p) == ord_p(eager_difference(a, b, p, 1), p)
                     if not same:
                         assert digits_between(a, b, p, 2) == unit_digits(
-                            eager_difference(a, b, p, 2), p, 2).digits
+                            eager_difference(a, b, p, 2), p, 2)
                     equal += same
     assert zeros and equal

@@ -5,25 +5,24 @@ import pytest
 
 from padic_cells.cells import (ArithRange, Ball, Cell1, Center, Decomposition, OrderLaw, Residues,
                                TConst, ZP, sorted_cells)
-from padic_cells.decompose import prepare
+from padic_cells.decompose import decompose_set, prepare
 from padic_cells import oracle
 from padic_cells.errors import UnsupportedInputError
 from padic_cells.hensel import exact_value
 from padic_cells.oracle import (
-    RootCounts,
     _clear_denominators,
     _taylor_ords,
     count_roots_mod,
-    count_roots_mod_scan,
     order_tails,
-    root_counts,
     verify_laws,
     verify_partition,
 )
-from padic_cells.padics import INFINITY, MAX_SAMPLES, Val, ord_p
+from padic_cells.padics import INFINITY, MAX_SAMPLES, ord_p
+from padic_cells.parser import parse_formula
 from padic_cells.poly import Poly
 
-from fraction_loops import fraction_taylor_shift, random_rational
+from fraction_loops import (RootCounts, count_roots_mod_scan, fraction_taylor_shift,
+                            random_rational, root_counts)
 
 
 def test_count_examples():
@@ -139,7 +138,7 @@ def test_verify_laws_detects_corruption():
     tampered = None
     for i, c in enumerate(D.cells):
         law = c.law_for(f)
-        if not c.is_point and tampered is None and not law.e0.is_infinite:
+        if not c.is_point and tampered is None and law.e0 is not INFINITY:
             bad_cells.append(c.with_laws({f: OrderLaw(law.e0 + 1, law.i0)}))
             tampered = i
         else:
@@ -195,11 +194,26 @@ def test_verify_partition_below_the_residue_depth():
     rep = verify_partition(punctured, 1)
     assert rep.ok and rep.undecided == (0,)
 
+    # ac(2, y) = 1 cuts the class 1 mod 3 at depth 2, so only that class and
+    # the center's are undecided: the class 2 mod 3 is one digit class of
+    # the false cell, decided at its own level
     ac = decompose_set(FAtom(AcEq(2, Poly.of(0, 1), 1)), p)
     assert any(not c.is_point and c.residues.depth == 2 for c in ac.cells)
     rep = verify_partition(ac, 1)
-    assert rep.ok and rep.undecided == (0, 1, 2)
+    assert rep.ok and rep.undecided == (0, 1)
     assert verify_partition(ac, 3).ok
+
+
+@pytest.mark.parametrize("d", (3, 4, 5, 6))
+def test_digit_classes_deeper_than_k_are_decided_at_their_own_level(d):
+    # !(ac(d, y) = 1) at p = 7, k = 3: each digit class of the complement is
+    # marked at m + j where that fits in k, so only the classes of the center
+    # (0, 7, 49) and, from d = 4 on, the class 1 cut by the atom stay
+    # undecided, not every class on a sphere the depth d does not fit
+    dec = decompose_set(parse_formula(f"!(ac({d}, y) = 1)"), 7)
+    rep = verify_partition(dec, 3)
+    assert rep.ok
+    assert rep.undecided == ((0, 7, 49) if d == 3 else (0, 1, 7, 49))
 
 
 def test_taylor_ords_match_the_fraction_expansion():

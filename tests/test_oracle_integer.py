@@ -22,16 +22,16 @@ from padic_cells.oracle import (
     _clear_denominators,
     _ord_value,
     count_roots_mod,
-    count_roots_mod_scan,
     verify_laws,
     verify_partition,
 )
-from padic_cells.padics import INFINITY, Val, ord_p
+from padic_cells.padics import INFINITY, ord_p
 from padic_cells.parser import parse_formula, parse_poly
 from padic_cells.poly import Poly
 
 from conftest import CORPUS, formula_pool, large_prime_polys
-from fraction_loops import per_class_mark_cell, per_sample_cell_samples, per_sample_verify_laws
+from fraction_loops import (count_roots_mod_scan, per_class_mark_cell, per_sample_cell_samples,
+                            per_sample_verify_laws)
 
 PRIMES = (2, 3, 5, 7, 11)
 
@@ -56,7 +56,7 @@ def ref_count_roots_mod(f: Poly, p: int, k: int) -> int:
             total += 1
             continue
         sh = f.taylor_shift(Fraction(c))
-        if all(ord_p(sh.coeff(i), p) + i * j >= Val(k) for i in range(len(sh.coeffs))):
+        if all(ord_p(sh.coeff(i), p) + i * j >= k for i in range(len(sh.coeffs))):
             total += p ** (k - j)
             continue
         for t in range(p):
@@ -129,7 +129,7 @@ def ref_verify_laws(dec: Decomposition, f: Poly, samples: int = 200, seed: int =
                 if got != want:
                     failures.append(LawFailure(idx, c, want, got))
             else:
-                floor = 8 if want.is_infinite else abs(want.value) + 8
+                floor = 8 if want is INFINITY else abs(want) + 8
                 ok = False
                 rr = c
                 for _ in range(6):
@@ -142,7 +142,7 @@ def ref_verify_laws(dec: Decomposition, f: Poly, samples: int = 200, seed: int =
                         if t < cmin:
                             cmin = t
                     bound = cmin + rr.precision
-                    if want.is_infinite:
+                    if want is INFINITY:
                         ok = got >= bound
                         break
                     if bound > want:
@@ -158,7 +158,7 @@ def ref_verify_laws(dec: Decomposition, f: Poly, samples: int = 200, seed: int =
             want = law.apply(m)
             if got != want:
                 true_m = ord_between(member, cell.center.value, p)
-                if true_m.is_infinite or true_m.value != m:
+                if true_m is INFINITY or true_m != m:
                     continue
                 failures.append(LawFailure(idx, member, want, got))
                 continue
@@ -250,7 +250,7 @@ def test_broken_decompositions_report_the_same_faults(p, f):
     assert new == ref and new.violations
     # tampered laws fail on their cells' samples, the same members in both
     broken = {i for i, c in enumerate(dec.cells)
-              if not c.is_point and not c.law_for(f).e0.is_infinite}
+              if not c.is_point and c.law_for(f).e0 is not INFINITY}
     cells = tuple(replace(c, laws={g: OrderLaw(law.e0 + 1, law.i0) for g, law in c.laws.items()})
                   if i in broken else c for i, c in enumerate(dec.cells))
     tampered = replace(dec, cells=cells)
@@ -282,7 +282,7 @@ def _tampered(dec: Decomposition, f: Poly, rng: random.Random):
     """The decomposition with one family cell's law moved by e0 +- 1 or
     i0 +- 1, each in turn, and with a shallow recorded depth."""
     family = [i for i, c in enumerate(dec.cells)
-              if not c.is_point and not c.law_for(f).e0.is_infinite]
+              if not c.is_point and c.law_for(f).e0 is not INFINITY]
     idx = rng.choice(family)
     law = dec.cells[idx].law_for(f)
     for moved in (OrderLaw(law.e0 + 1, law.i0), OrderLaw(law.e0 + (-1), law.i0),
@@ -378,8 +378,8 @@ def _strict_members(monkeypatch, seen: list[int] | None = None) -> None:
 
 
 def _complement_decompositions():
-    """!(ac(d, y) = 1) at p = 7 for d = 2..4, at k = 1..4: class marks below
-    the depth, listed sets decided at m + d and undecided ones."""
+    """!(ac(d, y) = 1) at p = 7 for d = 2..4, at k = 1..4: digit classes
+    marked at their own level m + j, and classes deeper than k flagged."""
     return [(decompose_set(parse_formula(f"!(ac({d}, y) = 1)"), 7), k)
             for d in (2, 3, 4) for k in (1, 2, 3, 4)]
 

@@ -5,7 +5,7 @@ import pytest
 
 from padic_cells.errors import InternalBoundError
 from padic_cells.hensel import _at_root, certified_root_points, refine_root, taylor_ords
-from padic_cells.padics import INFINITY, Val, ord_p, unit_digits
+from padic_cells.padics import INFINITY, ord_p, unit_digits
 from padic_cells.poly import (
     Poly,
     format_poly,
@@ -89,9 +89,9 @@ def test_taylor_shift_inverse_and_eval():
 
 
 def test_resultant_examples():
-    assert resultant_val(Poly.of(-1, 0, 1), Poly.of(0, 2), 5) == Val(0)
-    assert resultant_val(Poly.of(0, 1), Poly.of(-5, 1), 5) == Val(1)
-    assert resultant_val(Poly.of(0, 0, 1), Poly.of(0, 2), 5).is_infinite
+    assert resultant_val(Poly.of(-1, 0, 1), Poly.of(0, 2), 5) == 0
+    assert resultant_val(Poly.of(0, 1), Poly.of(-5, 1), 5) == 1
+    assert resultant_val(Poly.of(0, 0, 1), Poly.of(0, 2), 5) is INFINITY
     # lc(f)^5 times the product of g over the roots of f
     assert resultant(Poly.of(2, 0, 0, 1), Poly.of(1, 1, 0, 0, 0, 1)) == -45
     with pytest.raises(ValueError):
@@ -116,7 +116,7 @@ def test_squarefree_resultant_finite():
             continue
         w = squarefree_part(f)
         if w.degree >= 1:
-            assert not resultant_val(w, w.derivative(), 5).is_infinite
+            assert resultant_val(w, w.derivative(), 5) is not INFINITY
 
 
 def test_squarefree_part():
@@ -158,8 +158,8 @@ def test_newton_min_is_the_polygon_envelope():
             for m in (-1, 0, 2):
                 for start in (0, 1, 3):
                     vals = [ord_p(f.coeff(i), p) + i * m for i in range(start, f.degree + 1)]
-                    finite = [v.value for v in vals if not v.is_infinite]
-                    want = Val(min(finite)) if finite else INFINITY
+                    finite = [v for v in vals if v is not INFINITY]
+                    want = min(finite) if finite else INFINITY
                     assert newton_min(f, p, m, start) == want
     assert newton_min(Poly.of(), 5) is INFINITY
     assert newton_min(Poly.of(7), 5, start=1) is INFINITY
@@ -185,7 +185,7 @@ def test_kernel_matches_the_fraction_loops(p):
             assert taylor_ords(f, Fraction(x), p) == [ord_p(c, p) for c in sh.coeffs]
             nonzero = [i for i, c in enumerate(sh.coeffs) if c]
             assert taylor_digits(f, Fraction(x), p, nonzero) == \
-                [unit_digits(sh.coeffs[i], p, 1).digits for i in nonzero]
+                [unit_digits(sh.coeffs[i], p, 1) for i in nonzero]
         scale, offset = random_rational(rng, p), random_rational(rng, p)
         for s in (scale, Fraction(p) ** 3, Fraction(1, p), 0):
             assert f.shift_var(s, offset).coeffs == fraction_shift_var(f, s, offset).coeffs
