@@ -49,11 +49,14 @@ def _frac_str(x: Fraction) -> str:
 def _cell_json(cell: Cell1, names: dict[Poly, str],
                orders: dict[frozenset[Poly], list[tuple[Poly, str]]],
                tables: dict[int, dict]) -> dict:
-    """The cell as JSON.  Across one payload, `names` caches `format_poly`,
-    `orders` the ordered law table of each set of polynomials (the cells of
-    one decomposition mostly carry laws for the same polynomials), and
-    `tables` the JSON of each law table, keyed by the table's identity: a
-    table is never mutated, the cells of a rootless tie group share one, and
+    """The cell as JSON.  A rootless tie group of `prepare_grouped` is one
+    family cell: its `m_range` is the one sphere {lo: m*, hi: m*, step: 1}
+    and its `residue` the first digits of its classes, {depth: 1, units}.
+    Across one payload, `names` caches `format_poly`, `orders` the ordered
+    law table of each set of polynomials (the cells of one decomposition
+    mostly carry laws for the same polynomials), and `tables` the JSON of
+    each law table, keyed by the table's identity: a table is never
+    mutated, the cells a formula's splits cut from one cell share one, and
     every cell of the payload stays alive while it is built."""
     center = cell.center
     if center.is_rational:
@@ -169,14 +172,14 @@ def _print_text(payload: dict, indent: int = 0) -> None:
             print(f"{pad}{key}: {value}")
 
 
-def _decomposition_for(args, grouped: bool = False) -> tuple[Decomposition, Poly | None]:
+def _decomposition_for(args, listed: bool = False) -> tuple[Decomposition, Poly | None]:
     """The decomposition of the request's formula, or of its polynomial: by
-    `prepare_grouped` for a command that only sums or maximises over cells,
-    else by `prepare`."""
+    `prepare_grouped`, or by `prepare` where `listed`, for `chi` and
+    `preserves-balls`, which still read the cut."""
     domain = _parse_domain(args.domain)
     if args.poly is not None:
         f = parse_poly(args.poly)
-        return (prepare_grouped if grouped else prepare)(f, args.prime, domain), f
+        return (prepare if listed else prepare_grouped)(f, args.prime, domain), f
     phi = parse_formula(args.formula)
     return decompose_set(phi, args.prime, domain), None
 
@@ -210,7 +213,7 @@ def _cmd_decompose(args) -> dict:
 
 
 def _cmd_measure(args) -> dict:
-    dec, f = _decomposition_for(args, grouped=True)
+    dec, f = _decomposition_for(args)
     payload = {"schema": SCHEMA, "command": "measure", "prime": args.prime}
     if args.ord is not None:  # main rejects --ord with --formula
         payload["ord"] = args.ord
@@ -221,7 +224,7 @@ def _cmd_measure(args) -> dict:
 
 
 def _cmd_zeta(args) -> dict:
-    dec, f = _decomposition_for(args, grouped=True)
+    dec, f = _decomposition_for(args)
     z = igusa_zeta(dec, f)
     return {"schema": SCHEMA, "command": "zeta", "prime": args.prime,
             "poly": args.poly, "zeta": _zeta_json(z)}
@@ -250,7 +253,7 @@ def _cmd_oracle_compare(args) -> dict:
 
 def _cmd_chi(args) -> dict:
     return {"schema": SCHEMA, "command": "chi", "prime": args.prime,
-            "chi": _chi_json(chi(_decomposition_for(args)[0]))}
+            "chi": _chi_json(chi(_decomposition_for(args, listed=True)[0]))}
 
 
 def _cmd_cv_check(args) -> dict:
@@ -262,13 +265,13 @@ def _cmd_cv_check(args) -> dict:
 
 
 def _cmd_dim(args) -> dict:
-    d = dim_of(_decomposition_for(args, grouped=True)[0])
+    d = dim_of(_decomposition_for(args)[0])
     return {"schema": SCHEMA, "command": "dim", "prime": args.prime,
             "dim": "-inf" if d.is_minus_infinity else d.value}
 
 
 def _cmd_preserves_balls(args) -> dict:
-    dec, f = _decomposition_for(args)
+    dec, f = _decomposition_for(args, listed=True)
     rep = preserves_balls_report(dec, f)
     return {
         "schema": SCHEMA,

@@ -27,10 +27,11 @@ one Taylor line is the least at m*, or where the residual digit of F at u0
 is nonzero, ord F is one constant on the class, which holds no root of F,
 so the class stays in the group with that law.  A class where F's digit
 vanishes leaves the group as its point and family cells, which F treats
-like any inherited cell.  `prepare_grouped` returns the groups as they are;
-`prepare` lists the point and the family [m* + 1, oo) of each of their
-classes, the cells the per-class recursion would build, all sharing the
-group's law table.
+like any inherited cell.  `prepare_grouped` returns the groups as they are,
+the form `decompose --poly` prints and verifies and every sum over cells
+reads; `prepare` lists the point and the family [m* + 1, oo) of each of
+their classes, the cells the per-class recursion would build, all sharing
+the group's law table, for the commands that still read the cut.
 
 Every digit of f that the engine reads -- R(u0) at a tie, the unit digits
 of an `ac`/`rv` atom on a sphere, on the unbounded tail of a family and at a
@@ -41,9 +42,10 @@ integer expansion of f at a rational proxy of the center.  Every cell
 does every cell of `prepare_grouped` but a group.  Descents below the
 ball's radius are capped by a resultant-based budget.
 
-`decompose_set` applies `prepare` to every polynomial of a quantifier-free
-formula, forms the common refinement, and splits cells until every atom is
-constant per cell, recording keep flags.  Every fiber of every kept cell is
+`decompose_set` applies `prepare` (the listed form, which `chi` of a
+formula reads) to every polynomial of a quantifier-free formula, forms the
+common refinement, and splits cells until every atom is constant per cell,
+recording keep flags.  Every fiber of every kept cell is
 a point or a ball by construction.
 """
 
@@ -485,13 +487,13 @@ def prepare_grouped(f: Poly, p: int, domain: Ball = ZP) -> Decomposition:
     whose first digits are its classes, so the number of cells does not
     grow with p.
 
-    Commands that answer with a sum or a maximum over cells -- a measure,
-    the measure of each order, the zeta function, the dimension -- use this
-    form.  Those that list cells, sample laws per cell or read the cut
-    (`decompose`, `chi`, `preserves-balls`) use `prepare`: this form would
-    change their payloads, and `chi` still depends on how a set is cut, so
-    it would change the Euler characteristics too.  They move once `chi`
-    reads the set alone and this form becomes the printed decomposition."""
+    `decompose --poly` prints and verifies this form, a group as one cell
+    whose residues are its classes' first digits at depth 1, and the law
+    check samples every class.  So do the commands that answer with a sum or
+    a maximum over cells: a measure, the measure of each order, the zeta
+    function, the dimension.  `chi` and `preserves-balls` read the cut, and
+    `chi` still depends on how a set is cut, so they use `prepare` until
+    `chi` reads the set alone."""
     return Decomposition(p, domain, sorted_cells(_checked_walk(f, p, domain)))
 
 
@@ -500,7 +502,9 @@ def prepare(f: Poly, p: int, domain: Ball = ZP) -> Decomposition:
     and the family [m* + 1, oo) of each of its classes, at the class's
     center c + u0 p^m*, all sharing the group's law table: the same set with
     the same laws, as the per-class recursion builds it.  Every family has
-    all units at depth 1.  The cells are sorted once, after the listing."""
+    all units at depth 1.  The cells are sorted once, after the listing.
+    `chi`, `preserves-balls` and `decompose_set` read this form; its cells
+    grow as 2·(p - 1 - r) per tie with r root classes."""
     cells = []
     for cell in _checked_walk(f, p, domain):
         if cell.is_point or cell.residues.is_all:

@@ -16,12 +16,13 @@ sample.  The claim holds exactly when that residue is nonzero and divisible
 by p^t; any sample the residue does not confirm is evaluated in full, so a
 failure reports the exact value.  The same expansion gives the depth-k
 bound: c' agrees with the center past m digits, so the Newton-polygon
-minimum min_i(ord b_i + i m) is the same at both.  Samples read only the
-first units of a residue set.  Partition marks are made once per digit
-class, at the class's own level: a class a mod p^j on the sphere at m is
-marked as a class mod p^(m+j) where m + j <= k, and otherwise flags the one
-class mod p^k it partly covers.  The marks are summed up to p^k level by
-level.
+minimum min_i(ord b_i + i m) is the same at both.  Samples read the first
+units of a residue set and one unit of each of its digit classes, never the
+whole set, so every class of a rootless tie group is sampled.  Partition
+marks are made once per digit class, at the class's own level: a class
+a mod p^j on the sphere at m is marked as a class mod p^(m+j) where
+m + j <= k, and otherwise flags the one class mod p^k it partly covers.
+The marks are summed up to p^k level by level.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .cells import Ball, Cell1, Decomposition
+from .cells import Ball, Cell1, Decomposition, Residues
 from .errors import UnsupportedInputError
 from .hensel import center_proxy, refine_root
 from .padics import INFINITY, MAX_CLASSES, MAX_SAMPLES, Val, ord_p, require_classes
@@ -295,15 +296,32 @@ class LawReport:
         return not self.failures
 
 
+def _sample_units(res: Residues, n: int) -> list[int]:
+    """The units a family cell's samples walk, in increasing order: one of
+    every digit class, its head a, and the first units of the set besides,
+    up to max(n, classes) in all (the first n of all units).  For a set of
+    units at depth 1, each class one unit, those are its first
+    max(n, classes) units."""
+    if res.is_all:
+        return res.members(limit=n)
+    heads = {a for _, a in res.classes}
+    if len(heads) >= n:
+        return sorted(heads)
+    rest = [u for u in res.members(limit=n) if u not in heads]
+    return sorted([*heads, *rest[:n - len(heads)]])
+
+
 def _cell_samples(cell: Cell1, n: int, rng: random.Random) -> list[tuple[int, int, int, int]]:
-    """Deterministic members of a family cell, with m = ord(y - c): every
-    residue class at the cell's depth, the first valuations of the range,
-    the last three of a finite one, and random deeper digits.  Each member
-    is (bn, bd, z, m) for y = bn/bd + z p^m, bn/bd the center's proxy and
+    """Deterministic members of a family cell, with m = ord(y - c): the
+    units of `_sample_units`, at least one per digit class, at the first
+    valuations of the range and the last three of a finite one, with random
+    deeper digits; max(n, units) members in all.  Each member is
+    (bn, bd, z, m) for y = bn/bd + z p^m, bn/bd the center's proxy and
     z = u + extra p^d."""
     out: list[tuple[int, int, int, int]] = []
     p, d = cell.prime, cell.residues.depth
-    units = cell.residues.members(limit=n)  # each m walks them from the first
+    units = _sample_units(cell.residues, n)  # each m walks them from the first
+    n = max(n, len(units))
     r = cell.m_range
     ms = list(r.values(limit=4))
     if r.hi is not None:

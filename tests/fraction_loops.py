@@ -497,12 +497,18 @@ def per_class_mark_cell(cell: Cell1, k: int, p: int, count: list[int], fuzzy: li
 
 def per_sample_cell_samples(cell: Cell1, p: int, n: int, rng: random.Random) -> list[tuple[int, int, int]]:
     """`oracle._cell_samples` as it was written, with each member built as a
-    fraction num/den.  Deterministic members num/den of a family cell, with m = ord(y - c):
-    every residue class at the cell's depth, the first valuations of the
-    range, and random deeper digits.  Each member is a triple (num, den, m)."""
+    fraction num/den and the units read from the whole set.  Deterministic
+    members num/den of a family cell, with m = ord(y - c): one unit of every
+    digit class and the first n units, at the first valuations of the range,
+    with random deeper digits.  Each member is a triple (num, den, m)."""
     out: list[tuple[int, int, int]] = []
     d = cell.residues.depth
     units = cell.residues.members()
+    if not cell.residues.is_all:  # one unit of every class, and the first n
+        heads = {a for _, a in cell.residues.classes}
+        first = [u for u in units[:n] if u not in heads][:max(n - len(heads), 0)]
+        units = sorted(heads.union(first))
+        n = max(n, len(units))
     ms = list(cell.m_range.values(limit=4))
     if cell.m_range.hi is not None:
         tail = [m for m in cell.m_range.values() if m >= cell.m_range.hi - 2 * cell.m_range.step]

@@ -556,9 +556,10 @@ def test_cli_fuzz_exits_with_a_documented_code(capsys):
 
 def test_sum_commands_read_tie_groups_as_one_cell(capsys, monkeypatch):
     """zeta, measure --poly and oracle-compare answer with sums over cells,
-    dim --poly with a maximum, and they decompose with `prepare_grouped`;
-    the commands that list or cut cells keep `prepare`.  Both are looked up on the module at call time,
-    so a wrapper set there sees every call."""
+    dim --poly with a maximum, and decompose prints and verifies the grouped
+    form: they decompose with `prepare_grouped`.  chi and preserves-balls,
+    which read the cut, keep `prepare`.  Both are looked up on the module at
+    call time, so a wrapper set there sees every call."""
     built = []
     for name in ("prepare", "prepare_grouped"):
         build = getattr(cli, name)
@@ -568,8 +569,8 @@ def test_sum_commands_read_tie_groups_as_one_cell(capsys, monkeypatch):
     for command, want in ((["zeta"], "prepare_grouped"), (["measure"], "prepare_grouped"),
                           (["measure", "--ord", "1"], "prepare_grouped"),
                           (["oracle-compare", "--k", "1"], "prepare_grouped"),
-                          (["decompose"], "prepare"),
-                          (["decompose", "--verify", "--k", "1"], "prepare"),
+                          (["decompose"], "prepare_grouped"),
+                          (["decompose", "--verify", "--k", "1"], "prepare_grouped"),
                           (["chi"], "prepare"), (["dim"], "prepare_grouped"),
                           (["preserves-balls"], "prepare")):
         built.clear()

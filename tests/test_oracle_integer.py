@@ -15,6 +15,7 @@ from padic_cells import oracle
 from padic_cells.cells import Ball, Decomposition, OrderLaw, Residues
 from padic_cells.decompose import decompose_set, prepare, prepare_grouped
 from padic_cells.hensel import exact_value, ord_between, reduce_mod, refine_root, taylor_ords
+from padic_cells.measure import exact_partition_check
 from padic_cells.oracle import (
     LawFailure,
     LawReport,
@@ -91,6 +92,11 @@ def ref_cell_samples(cell, p, n, rng):
     out = []
     d = cell.residues.depth
     units = cell.residues.members()
+    if not cell.residues.is_all:  # one unit of every class, and the first n
+        heads = {a for _, a in cell.residues.classes}
+        first = [u for u in units[:n] if u not in heads][:max(n - len(heads), 0)]
+        units = sorted(heads.union(first))
+        n = max(n, len(units))
     ms = list(cell.m_range.values(limit=4))
     if cell.m_range.hi is not None:
         tail = [m for m in cell.m_range.values() if m >= cell.m_range.hi - 2 * cell.m_range.step]
@@ -361,18 +367,14 @@ def test_corpus_partitions_match_the_per_class_marks(p):
             assert verify_partition(d, k) == ref_verify_partition(d, k)
 
 
-def _strict_members(monkeypatch, seen: list[int] | None = None) -> None:
-    """Make `Residues.members` refuse a call without `limit`, and record
-    the length of every list it returns."""
+def _strict_members(monkeypatch) -> None:
+    """Make `Residues.members` refuse a call without `limit`."""
     members = Residues.members
 
     def strict(self, *, limit=None):
         if limit is None:
             raise AssertionError("the oracle listed every unit of a residue set")
-        out = members(self, limit=limit)
-        if seen is not None:
-            seen.append(len(out))
-        return out
+        return members(self, limit=limit)
 
     monkeypatch.setattr(Residues, "members", strict)
 
@@ -410,15 +412,55 @@ def test_partition_marks_read_digit_classes_not_units(monkeypatch, build):
 
 
 def test_law_samples_read_only_the_units_they_draw(monkeypatch):
-    # at p = 1009 a tie group holds about a thousand units; 20 samples read 20
+    # at p = 1009 a tie group holds about a thousand classes: 20 samples per
+    # cell read one unit of every class, max(20, classes) units in all, and
+    # no residue set is listed whole
     f = parse_poly("y^4 - 17*y^3 + 5*y^2 + 737*y - 726")
     dec = prepare_grouped(f, 1009)
     want = ref_verify_laws(dec, f, samples=20)
-    seen: list[int] = []
-    _strict_members(monkeypatch, seen)
+    drawn = []
+    sample_units = oracle._sample_units
+    monkeypatch.setattr(oracle, "_sample_units", lambda res, n: drawn.append(
+        (res, sample_units(res, n))) or drawn[-1][1])
+    _strict_members(monkeypatch)
     assert verify_laws(dec, f, samples=20) == want and want.ok
-    assert seen and max(seen) <= 20
-    assert any(c.residues.count() > 20 for c in dec.cells if not c.is_point)
+    assert drawn
+    for res, units in drawn:
+        classes = frozenset() if res.is_all else res.classes
+        assert len(units) <= max(20, len(classes))
+        assert classes <= {(j, u % res.p**j) for u in units for j in res.levels}
+    assert any(not res.is_all and len(res.classes) > 20 for res, _ in drawn)
+
+
+def test_samples_cover_every_digit_class_of_a_mixed_set():
+    # the first units of a set with classes at several levels can all lie
+    # in one class; the heads of the others are sampled too
+    dec = decompose_set(parse_formula("!(ac(3, y) = 1)"), 7)
+    sets = [c.residues for c in dec.cells if not c.is_point and len(c.residues.levels) > 1]
+    assert sets
+    for res in sets:
+        for n in (1, 5, 200):
+            units = oracle._sample_units(res, n)
+            assert len(units) == max(n, len(res.classes)) and units == sorted(set(units))
+            assert all(res.contains(u) for u in units)
+            assert res.classes <= {(j, u % res.p**j) for u in units for j in res.levels}
+
+
+@pytest.mark.parametrize("p", [1009, 10007])
+def test_a_root_class_moved_into_a_rootless_group_fails_its_law(p):
+    # the tie of y^2 - 1 at 0 leaves the classes 2, ..., p - 2 rootless: one
+    # group with the law ord f = 0.  With the root class p - 1 moved into it
+    # and the point and family at -1 dropped, the cells still partition Z_p,
+    # but the law is wrong on all of y = -1 mod p, and that class is sampled
+    f = parse_poly("y^2 - 1")
+    dec = prepare_grouped(f, p)
+    [group] = [c for c in dec.cells if not c.is_point and not c.residues.is_all]
+    wide = group.copy(residues=Residues(1, [*group.residues.members(), p - 1], p))
+    mutated = replace(dec, cells=tuple(wide if c is group else c for c in dec.cells
+                                       if c.center.value != -1))
+    assert len(mutated.cells) == len(dec.cells) - 2
+    assert exact_partition_check(mutated).ok
+    assert verify_laws(mutated, f).failures
 
 
 def test_only_rational_points_are_evaluated_in_full(monkeypatch):
