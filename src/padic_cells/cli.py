@@ -175,13 +175,14 @@ def _print_text(payload: dict, indent: int = 0) -> None:
 def _decomposition_for(args, listed: bool = False) -> tuple[Decomposition, Poly | None]:
     """The decomposition of the request's formula, or of its polynomial: by
     `prepare_grouped`, or by `prepare` where `listed`, for `chi` and
-    `preserves-balls`, which still read the cut."""
+    `preserves-balls`, which still read the cut.  A formula's polynomials
+    are built the same way by `decompose_set`."""
     domain = _parse_domain(args.domain)
     if args.poly is not None:
         f = parse_poly(args.poly)
         return (prepare if listed else prepare_grouped)(f, args.prime, domain), f
     phi = parse_formula(args.formula)
-    return decompose_set(phi, args.prime, domain), None
+    return decompose_set(phi, args.prime, domain, listed=listed), None
 
 
 def _cmd_decompose(args) -> dict:

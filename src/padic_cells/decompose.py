@@ -28,10 +28,10 @@ is nonzero, ord F is one constant on the class, which holds no root of F,
 so the class stays in the group with that law.  A class where F's digit
 vanishes leaves the group as its point and family cells, which F treats
 like any inherited cell.  `prepare_grouped` returns the groups as they are,
-the form `decompose --poly` prints and verifies and every sum over cells
-reads; `prepare` lists the point and the family [m* + 1, oo) of each of
-their classes, the cells the per-class recursion would build, all sharing
-the group's law table, for the commands that still read the cut.
+the form `decompose` prints and verifies, formulas refine and every sum
+over cells reads; `prepare` lists the point and the family [m* + 1, oo) of
+each of their classes, the cells the per-class recursion would build, all
+sharing the group's law table, for `chi`, which still reads the cut.
 
 Every digit of f that the engine reads -- R(u0) at a tie, the unit digits
 of an `ac`/`rv` atom on a sphere, on the unbounded tail of a family and at a
@@ -42,11 +42,12 @@ integer expansion of f at a rational proxy of the center.  Every cell
 does every cell of `prepare_grouped` but a group.  Descents below the
 ball's radius are capped by a resultant-based budget.
 
-`decompose_set` applies `prepare` (the listed form, which `chi` of a
-formula reads) to every polynomial of a quantifier-free formula, forms the
+`decompose_set` applies `prepare_grouped` to every polynomial of a
+quantifier-free formula (or `prepare`, for `chi` of a formula), forms the
 common refinement, and splits cells until every atom is constant per cell,
-recording keep flags.  Every fiber of every kept cell is
-a point or a ball by construction.
+recording keep flags: a group stays one cell where no atom and no other
+polynomial cuts it.  Every fiber of every kept cell is a point or a ball by
+construction.
 """
 
 from __future__ import annotations
@@ -487,13 +488,14 @@ def prepare_grouped(f: Poly, p: int, domain: Ball = ZP) -> Decomposition:
     whose first digits are its classes, so the number of cells does not
     grow with p.
 
-    `decompose --poly` prints and verifies this form, a group as one cell
-    whose residues are its classes' first digits at depth 1, and the law
-    check samples every class.  So do the commands that answer with a sum or
-    a maximum over cells: a measure, the measure of each order, the zeta
-    function, the dimension.  `chi` and `preserves-balls` read the cut, and
-    `chi` still depends on how a set is cut, so they use `prepare` until
-    `chi` reads the set alone."""
+    `decompose` prints and verifies this form, a group as one cell whose
+    residues are its classes' first digits at depth 1, and the law check
+    samples every class.  So do the commands that answer with a sum or a
+    maximum over cells: a measure, the measure of each order, the zeta
+    function, the dimension; and `decompose_set` refines it for every
+    command on a formula but `chi`.  `chi` and `preserves-balls` read the
+    cut, and `chi` still depends on how a set is cut, so they use `prepare`
+    until `chi` reads the set alone."""
     return Decomposition(p, domain, sorted_cells(_checked_walk(f, p, domain)))
 
 
@@ -503,8 +505,9 @@ def prepare(f: Poly, p: int, domain: Ball = ZP) -> Decomposition:
     center c + u0 p^m*, all sharing the group's law table: the same set with
     the same laws, as the per-class recursion builds it.  Every family has
     all units at depth 1.  The cells are sorted once, after the listing.
-    `chi`, `preserves-balls` and `decompose_set` read this form; its cells
-    grow as 2·(p - 1 - r) per tie with r root classes."""
+    `chi` and `preserves-balls` read this form, and `decompose_set` where
+    `listed`, for `chi` of a formula; its cells grow as 2·(p - 1 - r) per
+    tie with r root classes."""
     cells = []
     for cell in _checked_walk(f, p, domain):
         if cell.is_point or cell.residues.is_all:
@@ -783,9 +786,14 @@ def _split_by_atom(cell: Cell1, atom: Atom) -> list[tuple[Cell1, bool]]:
 # ---------------------------------------------------------------------------
 
 
-def decompose_set(phi: Formula, p: int, domain: Ball = ZP) -> Decomposition:
+def decompose_set(phi: Formula, p: int, domain: Ball = ZP, listed: bool = False) -> Decomposition:
     """A decomposition of the domain on which the formula is constant per
-    cell; the truth value is recorded as the cell's keep flag."""
+    cell; the truth value is recorded as the cell's keep flag.  Each
+    polynomial is decomposed by `prepare_grouped`, so a rootless tie group
+    stays one cell unless an atom or another polynomial cuts it, or by
+    `prepare` where `listed`, for `chi`, which still reads the cut (the
+    keyword goes when `chi` reads the set alone); the refinement and the
+    atom splits are the same on both."""
     _check_input(p, domain)
     atoms: list[Atom] = []
     for atom in formula_atoms(phi):
@@ -799,9 +807,10 @@ def decompose_set(phi: Formula, p: int, domain: Ball = ZP) -> Decomposition:
                 polys.append(q)
     if not polys:
         polys = [Poly.of(0, 1)]
-    dec = prepare(polys[0], p, domain)
+    build = prepare if listed else prepare_grouped
+    dec = build(polys[0], p, domain)
     for q in polys[1:]:
-        dec = refine_common(dec, prepare(q, p, domain))
+        dec = refine_common(dec, build(q, p, domain))
 
     const_laws = {
         q: OrderLaw(ord_p(q.coeff(0), p), 0)

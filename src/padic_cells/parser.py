@@ -59,9 +59,9 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j - i > MAX_LITERAL_DIGITS:
                 raise UnsupportedInputError(f"the literal at position {i} has {j - i} digits, "

@@ -278,6 +278,17 @@ def test_cli_parse_errors_inside_parentheses(capsys, formula, message):
     assert code == 2 and out == "" and message in err
 
 
+def test_cli_digits_are_what_int_reads(capsys):
+    # "²" is a digit to str.isdigit but not to int(): a parse error, not a
+    # traceback; Arabic-Indic and fullwidth digits are decimal and parse
+    for flag, text in (("--poly", "y^²"), ("--formula", "ord(y) >= ²")):
+        code, out, err = run_cli(capsys, "measure", "--prime", "5", flag, text)
+        assert code == 2 and out == "" and "unexpected character '²'" in err
+    for three in ("٣", "３"):
+        assert run_cli(capsys, "measure", "--prime", "5", "--poly", f"y^{three}") == \
+            run_cli(capsys, "measure", "--prime", "5", "--poly", "y^3")
+
+
 @pytest.mark.parametrize("command", [
     ["decompose", "--verify", "--poly", "y^3 - y"],
     ["measure", "--poly", "y^3 - y", "--ord", "1"],
@@ -576,3 +587,26 @@ def test_sum_commands_read_tie_groups_as_one_cell(capsys, monkeypatch):
         built.clear()
         code, _, err = run_cli(capsys, *command, *head)
         assert code == 0 and built == [want], (command, built, err)
+
+
+def test_formula_commands_read_tie_groups_as_one_cell(capsys, monkeypatch):
+    """`decompose_set` builds every polynomial of a formula with
+    `prepare_grouped`, so decompose (with --verify or not), measure, dim and
+    cv-check of a formula read the grouped form; chi passes `listed` and
+    builds with `prepare`, the cut it still reads."""
+    built = []
+    for name in ("prepare", "prepare_grouped"):
+        build = getattr(decompose, name)
+        monkeypatch.setattr(decompose, name, lambda *args, name=name, build=build:
+                            built.append(name) or build(*args))
+    phi = "(ord(y^2 - 1) >= 1 | ac(1, y - 2) = 1)"
+    head = ["--prime", "31", "--formula", phi]
+    for command, want in ((["decompose"], "prepare_grouped"),
+                          (["decompose", "--verify", "--k", "1"], "prepare_grouped"),
+                          (["measure"], "prepare_grouped"), (["dim"], "prepare_grouped"),
+                          (["cv-check", "--formula-b", phi], "prepare_grouped"),
+                          (["chi"], "prepare")):
+        built.clear()
+        code, _, err = run_cli(capsys, *command, *head)
+        calls = 4 if command[0] == "cv-check" else 2
+        assert code == 0 and built == [want] * calls, (command, built, err)

@@ -64,8 +64,10 @@ YM1 = Poly.of(-1, 1)
 SQ = Poly.of(-1, 0, 1)
 
 
-def check_exhaustive(phi, p, k):
-    dec = decompose_set(phi, p)
+def check_exhaustive(phi, p, k, dec=None):
+    """Membership in the kept cells of `dec` (by default the decomposition
+    of phi) against phi itself at every integer below p^k."""
+    dec = decompose_set(phi, p) if dec is None else dec
     assert exact_partition_check(dec).ok
     kept = dec.kept_cells
     for r in range(p**k):
