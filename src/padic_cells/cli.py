@@ -174,9 +174,9 @@ def _print_text(payload: dict, indent: int = 0) -> None:
 
 def _decomposition_for(args, listed: bool = False) -> tuple[Decomposition, Poly | None]:
     """The decomposition of the request's formula, or of its polynomial: by
-    `prepare_grouped`, or by `prepare` where `listed`, for `chi` and
-    `preserves-balls`, which still read the cut.  A formula's polynomials
-    are built the same way by `decompose_set`."""
+    `prepare_grouped`, or by `prepare` where `listed`, for `chi`, which
+    still reads the cut.  A formula's polynomials are built the same way by
+    `decompose_set`."""
     domain = _parse_domain(args.domain)
     if args.poly is not None:
         f = parse_poly(args.poly)
@@ -272,7 +272,7 @@ def _cmd_dim(args) -> dict:
 
 
 def _cmd_preserves_balls(args) -> dict:
-    dec, f = _decomposition_for(args, listed=True)
+    dec, f = _decomposition_for(args)
     rep = preserves_balls_report(dec, f)
     return {
         "schema": SCHEMA,

@@ -20,18 +20,12 @@ root; each becomes a point cell and a family cell processed in turn.
 
 The rootless classes of a tie are one cell, a rootless group: the family
 on the one sphere ord(y - c) = m* around the tie's center c whose first
-digits are the units u0, with one table of constant laws.  It goes up the
-derivative tower as it is.  Each polynomial F above is Taylor-expanded once
-at c and read on the sphere m* by the same Newton-polygon argument: where
-one Taylor line is the least at m*, or where the residual digit of F at u0
-is nonzero, ord F is one constant on the class, which holds no root of F,
-so the class stays in the group with that law.  A class where F's digit
-vanishes leaves the group as its point and family cells, which F treats
-like any inherited cell.  `prepare_grouped` returns the groups as they are,
-the form `decompose` prints and verifies, formulas refine and every sum
-over cells reads; `prepare` lists the point and the family [m* + 1, oo) of
-each of their classes, the cells the per-class recursion would build, all
-sharing the group's law table, for `chi`, which still reads the cut.
+digits are the units u0, which every polynomial above walks like any
+inherited family, reading its residual at those units only.
+`prepare_grouped` returns the groups as they are, the form every command
+but `chi` reads; `prepare` lists the point and the family [m* + 1, oo) of
+each of their classes, with the group's laws frozen at m*, for `chi`,
+which still reads the cut.
 
 Every digit of f that the engine reads -- R(u0) at a tie, the unit digits
 of an `ac`/`rv` atom on a sphere, on the unbounded tail of a family and at a
@@ -292,24 +286,11 @@ def _taylor_lines(f: Poly, center: CenterValue, p: int) -> list[tuple[int, int]]
     return [(i, v) for i, v in enumerate(taylor_ords(f, center, p)) if v is not INFINITY]
 
 
-def _class_cells(p: int, center: Center, m_star: int, units, laws) -> list[Cell1]:
-    """The point and the family [m* + 1, oo) of each class c + u0 p^m*, at
-    the center c + u0 p^m*, all with the law table `laws`."""
-    below, units_all, step = ArithRange(m_star + 1, None), Residues(1, p=p), p**m_star
-    out: list[Cell1] = []
-    for u0 in units:
-        c = _shifted_center(center, u0, step)
-        out.append(Cell1(p, c, None, None, laws))
-        out.append(Cell1(p, c, below, units_all, laws))
-    return out
-
-
 def _prepare_ball(f: Poly, p: int, domain: Ball, budget: int,
                   w: Poly | None = None) -> list[Cell1]:
     """The cells of the domain with laws for f and its derivative tower; w is
-    f's squarefree part, computed here where not given.  A family whose
-    residues are not all units is a rootless group; every other has all
-    units at depth 1 and still needs a law for f, a work item."""
+    f's squarefree part, computed here where not given.  Every inherited
+    family, a rootless group or not, still needs a law for f, a work item."""
     if f.degree == 0:
         return _base_cells(p, domain, {f: OrderLaw(ord_p(f.coeff(0), p), 0)})
     if f.degree == 1:
@@ -319,42 +300,14 @@ def _prepare_ball(f: Poly, p: int, domain: Ball, budget: int,
         w = squarefree_part(f)
     out: list[Cell1] = []
     work: list[Cell1] = []
-    cells = _prepare_ball(f.derivative(), p, domain, budget)
-    for cell in cells:  # `_lift_group` appends the classes that leave a group
+    for cell in _prepare_ball(f.derivative(), p, domain, budget):
         if cell.is_point:
             out.append(cell.with_laws({f: OrderLaw(ord_of_poly_at(f, cell.center.value, p), 0)}))
-        elif cell.residues.is_all:
-            work.append(cell)
         else:
-            _lift_group(f, cell, cells, out)
+            work.append(cell)
     while work:
         _process_box(f, w, work.pop(), out, work, domain.radius_ord, budget)
     return out
-
-
-def _lift_group(f: Poly, group: Cell1, cells: list[Cell1], out: list[Cell1]) -> None:
-    """Give a rootless group -- the sphere m* around the center c, its
-    classes' first digits as residues -- a law for f from one Taylor
-    expansion at c.  On the sphere ord f >= best, the least Taylor line at
-    m*, and ord f = best on every class where one line is the least or, at
-    a tie, where the residual digit that `_sphere_digits` reads is nonzero.
-    Such a class holds no root of f in C_p, so its point has ord f = best
-    and its family [m* + 1, oo) one strict region with the law (best, 0):
-    it stays in the group, which goes to `out`.  A class whose digit
-    vanishes leaves as its point and family cells, appended to the
-    inherited `cells`."""
-    p, c, m, residues = group.prime, group.center.value, group.m_range.lo, group.residues
-    at_m = [v + i * m for i, v in _taylor_lines(f, c, p)]
-    best = min(at_m)
-    if at_m.count(best) > 1:
-        units = residues.members()
-        digits = _sphere_digits(f, c, m, best, 1, units, p)
-        if not all(digits):
-            cells.extend(_class_cells(p, group.center, m,
-                                      [u for u, d in zip(units, digits) if not d], group.laws))
-            residues = Residues(1, [u for u, d in zip(units, digits) if d], p)
-    if residues.classes:
-        out.append(group.copy(residues=residues, laws={**group.laws, f: OrderLaw(best, 0)}))
 
 
 def _prepare_linear(f: Poly, p: int, domain: Ball) -> list[Cell1]:
@@ -382,18 +335,19 @@ def _prepare_linear(f: Poly, p: int, domain: Ball) -> list[Cell1]:
 def _process_box(f: Poly, w: Poly, cell: Cell1, out: list[Cell1], work: list[Cell1],
                  r: int, budget: int) -> None:
     """Give a family cell laws for f: keep the strict regions of the Newton
-    polygon, and split each tie at m* by residue class u0.  Descents are
-    counted from the domain radius r.
+    polygon, and split each tie at m* by the cell's residue classes u0, all
+    units or a group's first digits.  Descents are counted from the domain
+    radius r.
 
     On the class y = c + p^m* (u0 + p t), f(y) = p^best R(u0) mod p^(best+1),
     R the residual polynomial of the tie, so R(u0) is f(c + p^m* u0) / p^best
-    mod p, which `_sphere_digits` reads for all u0 at once, ord f >= best
-    holding on the whole sphere.  Where R(u0) is nonzero mod p, ord f is best
-    on the whole class, which holds no root in C_p, so at c' = c + u0 p^m*
-    the constant Taylor line stays the only least one for m > m*: the class
-    needs the law (best, 0) on its point and on its whole family
-    [m* + 1, oo), with no root search.  Those classes go to `out` as one
-    rootless group, the family cell on the sphere m* whose residues are
+    mod p, which `_sphere_digits` reads for all the cell's u0 at once, ord
+    f >= best holding on the whole sphere.  Where R(u0) is nonzero mod p,
+    ord f is best on the whole class, which holds no root in C_p, so at
+    c' = c + u0 p^m* the constant Taylor line stays the only least one for
+    m > m*: the class needs the law (best, 0) on its point and on its whole
+    family [m* + 1, oo), with no root search.  Those classes go to `out` as
+    one rootless group, the family cell on the sphere m* whose residues are
     their units at depth 1, with that constant law table; the other classes
     go through `_split_tie_class`, their point to `out` and their family
     back on the work list."""
@@ -419,10 +373,11 @@ def _process_box(f: Poly, w: Poly, cell: Cell1, out: list[Cell1], work: list[Cel
             )
         frozen = cell.frozen_laws(m_star)
         best = line_val[win[0]] + win[0] * m_star
-        residual = _sphere_digits(f, cell.center.value, m_star, best, 1, range(1, p), p)
+        units = cell.residues.members()
+        residual = _sphere_digits(f, cell.center.value, m_star, best, 1, units, p)
         below = ArithRange(m_star + 1, None)
         rootless = []
-        for u0, r_u0 in zip(range(1, p), residual):
+        for u0, r_u0 in zip(units, residual):
             if r_u0 == 0:
                 center, f_law = _split_tie_class(f, w, p, cell.center, u0, m_star, budget)
                 out.append(Cell1(p, center, None, None, {**frozen, f: f_law}))
@@ -486,35 +441,40 @@ def prepare_grouped(f: Poly, p: int, domain: Ball = ZP) -> Decomposition:
     bounds the depth below the ball, not below Z_p.  Each rootless tie group
     is one family cell, the sphere ord(y - c) = m* around the tie's center c
     whose first digits are its classes, so the number of cells does not
-    grow with p.
+    grow with p.  A group goes up the derivative tower as one family cell
+    too: each higher polynomial walks it like any other.
 
     `decompose` prints and verifies this form, a group as one cell whose
     residues are its classes' first digits at depth 1, and the law check
     samples every class.  So do the commands that answer with a sum or a
     maximum over cells: a measure, the measure of each order, the zeta
-    function, the dimension; and `decompose_set` refines it for every
-    command on a formula but `chi`.  `chi` and `preserves-balls` read the
-    cut, and `chi` still depends on how a set is cut, so they use `prepare`
-    until `chi` reads the set alone."""
+    function, the dimension; `preserves-balls`, whose verdict per cell
+    holds on a group as on its classes; and `decompose_set` refines it for
+    every command on a formula but `chi`.  `chi` still depends on how a set
+    is cut, so it uses `prepare` until it reads the set alone."""
     return Decomposition(p, domain, sorted_cells(_checked_walk(f, p, domain)))
 
 
 def prepare(f: Poly, p: int, domain: Ball = ZP) -> Decomposition:
     """`prepare_grouped` with each rootless tie group listed as the point
     and the family [m* + 1, oo) of each of its classes, at the class's
-    center c + u0 p^m*, all sharing the group's law table: the same set with
-    the same laws, as the per-class recursion builds it.  Every family has
-    all units at depth 1.  The cells are sorted once, after the listing.
-    `chi` and `preserves-balls` read this form, and `decompose_set` where
+    center c + u0 p^m*, all sharing the group's laws frozen at m* (a strict
+    region may give a group a law with a slope, constant on its sphere):
+    the same set with the same laws, as the per-class recursion builds it.
+    Every family has all units at depth 1.  The cells are sorted once,
+    after the listing.  `chi` reads this form, and `decompose_set` where
     `listed`, for `chi` of a formula; its cells grow as 2·(p - 1 - r) per
     tie with r root classes."""
     cells = []
     for cell in _checked_walk(f, p, domain):
         if cell.is_point or cell.residues.is_all:
             cells.append(cell)
-        else:  # a group: its classes are the units u0 at depth 1
-            cells += _class_cells(p, cell.center, cell.m_range.lo,
-                                  [u0 for _, u0 in cell.residues.explicit()], cell.laws)
+            continue
+        m_star = cell.m_range.lo  # a group: its classes are the units u0 at depth 1
+        laws, below = cell.frozen_laws(m_star), ArithRange(m_star + 1, None)
+        for u0 in cell.residues.members():
+            c = _shifted_center(cell.center, u0, p**m_star)
+            cells += [Cell1(p, c, None, None, laws), Cell1(p, c, below, Residues(1, p=p), laws)]
     return Decomposition(p, domain, sorted_cells(cells))
 
 

@@ -660,10 +660,22 @@ def fraction_shifted_center(center: Center, off: Fraction) -> Center:
 
 
 def per_class_prepare(f: Poly, p: int, domain=ZP) -> tuple[Cell1, ...]:
-    """The sorted cells of `decompose.prepare` as it was written, with every
-    rootless tie class carried up the derivative tower as its own point and
-    family cell: each higher polynomial Taylor-expands f at each of them."""
-    return sorted_cells(per_class_prepare_ball(f, p, domain, _budget(f, p, squarefree_part(f))))
+    """The sorted cells of `decompose.prepare` as the per-class recursion
+    builds them: every rootless tie class is carried up the derivative tower
+    as its own one-class sphere cell, which each higher polynomial walks like
+    any family, and at the end each such cell is listed as the point and the
+    family [m* + 1, oo) of its class, with its laws frozen at m*."""
+    out = []
+    for cell in per_class_prepare_ball(f, p, domain, _budget(f, p, squarefree_part(f))):
+        if cell.is_point or cell.residues.is_all:
+            out.append(cell)
+            continue
+        m_star, (u0,) = cell.m_range.lo, cell.residues.members()
+        center = fraction_shifted_center(cell.center, u0 * Fraction(p) ** m_star)
+        laws = cell.frozen_laws(m_star)
+        out += [Cell1(p, center, None, None, laws),
+                Cell1(p, center, ArithRange(m_star + 1, None), Residues(1, p=p), laws)]
+    return sorted_cells(out)
 
 
 def per_class_prepare_ball(f: Poly, p: int, domain, budget: int) -> list[Cell1]:
@@ -672,8 +684,8 @@ def per_class_prepare_ball(f: Poly, p: int, domain, budget: int) -> list[Cell1]:
     if f.degree == 1:
         return _prepare_linear(f, p, domain)
 
-    # every cell built here has level 1 and, when it is a family, all units
-    # at depth 1; a family still without a law for f is a work item
+    # every cell built here has level 1; a family still without a law for f
+    # is a work item, a one-class sphere cell as well
     w = squarefree_part(f)
     out: list[Cell1] = []
     work: list[Cell1] = []
@@ -690,8 +702,10 @@ def per_class_prepare_ball(f: Poly, p: int, domain, budget: int) -> list[Cell1]:
 def per_class_process_box(f: Poly, w: Poly, p: int, cell: Cell1, out: list[Cell1],
                           work: list[Cell1], r: int, budget: int) -> None:
     """Give a family cell laws for f: keep the strict regions of the Newton
-    polygon, and split each tie at m* into a point cell and a family cell per
-    residue class u0.  Descents are counted from the domain radius r."""
+    polygon, and split each tie at m* by the cell's residue classes u0: a
+    class holding a zero of the residual into a point cell and a family cell,
+    any other into its own one-class sphere cell.  Descents are counted from
+    the domain radius r."""
     ords = taylor_ords(f, cell.center.value, p)
     lines = [(i, v) for i, v in enumerate(ords) if v is not INFINITY]
     if not lines:
@@ -715,19 +729,17 @@ def per_class_process_box(f: Poly, w: Poly, p: int, cell: Cell1, out: list[Cell1
         frozen = cell.frozen_laws(m_star)
         best = line_val[win[0]] + win[0] * m_star
         rootless = {**frozen, f: OrderLaw(best, 0)}
-        residual = _sphere_digits(f, cell.center.value, m_star, best, 1, range(1, p), p)
+        units = cell.residues.members()
+        residual = _sphere_digits(f, cell.center.value, m_star, best, 1, units, p)
         below = ArithRange(m_star + 1, None)
-        step = Fraction(p) ** m_star
-        for u0, r_u0 in zip(range(1, p), residual):
-            off = u0 * step
+        for u0, r_u0 in zip(units, residual):
             if r_u0 == 0:
                 center, f_law = _split_tie_class(f, w, p, cell.center, u0, m_star, budget)
                 out.append(Cell1(p, center, None, None, {**frozen, f: f_law}))
                 work.append(Cell1(p, center, below, Residues(1, p=p), frozen))
             else:
-                center = fraction_shifted_center(cell.center, off)
-                out.append(Cell1(p, center, None, None, rootless))
-                out.append(Cell1(p, center, below, Residues(1, p=p), rootless))
+                out.append(Cell1(p, cell.center, ArithRange(m_star, m_star),
+                                 Residues(1, [u0], p), rootless))
 
 
 def full_walk_root_points(w: Poly, p: int, depth_cap: int) -> list[Fraction]:

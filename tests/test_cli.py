@@ -567,10 +567,11 @@ def test_cli_fuzz_exits_with_a_documented_code(capsys):
 
 def test_sum_commands_read_tie_groups_as_one_cell(capsys, monkeypatch):
     """zeta, measure --poly and oracle-compare answer with sums over cells,
-    dim --poly with a maximum, and decompose prints and verifies the grouped
-    form: they decompose with `prepare_grouped`.  chi and preserves-balls,
-    which read the cut, keep `prepare`.  Both are looked up on the module at
-    call time, so a wrapper set there sees every call."""
+    dim --poly with a maximum, preserves-balls with a verdict per cell, and
+    decompose prints and verifies the grouped form: they decompose with
+    `prepare_grouped`.  chi, which reads the cut, keeps `prepare`.  Both are
+    looked up on the module at call time, so a wrapper set there sees every
+    call."""
     built = []
     for name in ("prepare", "prepare_grouped"):
         build = getattr(cli, name)
@@ -583,7 +584,7 @@ def test_sum_commands_read_tie_groups_as_one_cell(capsys, monkeypatch):
                           (["decompose"], "prepare_grouped"),
                           (["decompose", "--verify", "--k", "1"], "prepare_grouped"),
                           (["chi"], "prepare"), (["dim"], "prepare_grouped"),
-                          (["preserves-balls"], "prepare")):
+                          (["preserves-balls"], "prepare_grouped")):
         built.clear()
         code, _, err = run_cli(capsys, *command, *head)
         assert code == 0 and built == [want], (command, built, err)

@@ -39,6 +39,7 @@ from padic_cells.decompose import (
     OrdEqInf,
     OrdModEq,
     RvEq,
+    _budget,
     _digit_atom_pieces,
     _dominance_regions,
     _sphere_digits,
@@ -53,12 +54,13 @@ from padic_cells.hensel import center_proxy, exact_value, h, taylor_ords
 from padic_cells.measure import (
     decomposition_measure,
     exact_partition_check,
+    igusa_zeta,
     measure_of_order,
 )
 from padic_cells.oracle import verify_laws, verify_partition
 from padic_cells.padics import INFINITY, RvData, ord_p, rv
 from padic_cells.parser import parse_formula
-from padic_cells.poly import MAX_DEGREE, Poly
+from padic_cells.poly import MAX_DEGREE, Poly, squarefree_part
 
 Y = Poly.of(0, 1)
 
@@ -232,12 +234,13 @@ def test_prepare_on_a_deep_ball():
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 31])
 def test_residual_filter_matches_the_full_class_walk(monkeypatch, corpus, p):
-    """The tie classes where the residual polynomial does not vanish get the
-    same cells as the root search over every class would give them: equal
-    decompositions and equal cells in the `--json` payload, on Z_p and on
-    two balls.  Besides the corpus, y^2 + 1, whose residual at p = 3 has no
-    zero, and y^2 - 2y + 4, whose residual at p = 2 vanishes on a class
-    with no 2-adic root."""
+    """The tie classes where the residual polynomial does not vanish stay in
+    a rootless group, and the root search over every class agrees with that:
+    it finds no root in any class of a group and gives it the group's law,
+    and the two walks have equal zeta functions and equal measures of each
+    order, on Z_p and on two balls.  Besides the corpus, y^2 + 1, whose
+    residual at p = 3 has no zero, and y^2 - 2y + 4, whose residual at p = 2
+    vanishes on a class with no 2-adic root."""
     polys = list(corpus.values()) + [Poly.of(1, 0, 1), Poly.of(4, -2, 1)]
     domains = [ZP, Ball(Fraction(1), 1), Ball(Fraction(3), 2)]
     split = decompose_module._split_tie_class
@@ -251,24 +254,35 @@ def test_residual_filter_matches_the_full_class_walk(monkeypatch, corpus, p):
             return center, law
 
         monkeypatch.setattr(decompose_module, "_split_tie_class", counted)
-        decs = [prepare(f, p, domain) for f in polys for domain in domains]
-        names, orders, tables = {}, {}, {}
-        payloads = [json.dumps([_cell_json(c, names, orders, tables) for c in dec.cells],
-                               sort_keys=True)
-                    for dec in decs]
-        return decs, payloads, seen
+        return [prepare_grouped(f, p, domain) for f in polys for domain in domains], seen
 
     filtered = outputs()
     # a residual that vanishes everywhere sends every class to the root search
     monkeypatch.setattr(decompose_module, "_sphere_digits",
                         lambda f, c, m, v, depth, units, p: [0] * len(units))
     walked = outputs()
-    assert filtered[:2] == walked[:2]
-    # the filter skips only rootless classes, and some of them at every prime
-    assert filtered[2]["root"] == walked[2]["root"]
-    assert filtered[2]["rootless"] < walked[2]["rootless"]
+    monkeypatch.undo()
+    for f, dec, full in zip([f for f in polys for _ in domains], filtered[0], walked[0]):
+        assert igusa_zeta(dec, f) == igusa_zeta(full, f), (f, dec.domain)
+        assert [measure_of_order(dec, f, m) for m in range(6)] == \
+            [measure_of_order(full, f, m) for m in range(6)], (f, dec.domain)
+        w = squarefree_part(f)
+        for cell in dec.cells:
+            if cell.is_point or cell.residues.is_all:
+                continue
+            m_star = cell.m_range.lo
+            best = cell.law_for(f).apply(m_star)
+            for u0 in cell.residues.members():
+                _, law = split(f, w, p, cell.center, u0, m_star, _budget(f, p, w))
+                assert law == OrderLaw(best, 0), (f, dec.domain, cell, u0)
+    # the filter skips rootless classes, some of them at every prime; at
+    # p >= 5 it centers the class u0 = 1 around 0 of a group of f' at the
+    # root 1 of y^3 - y, (y^2 - 1)^2 and y^4 - y on Z_p, where the walk
+    # moved the center to 1 and read the root as that class's point
+    assert filtered[1]["root"] - walked[1]["root"] == (3 if p >= 5 else 0)
+    assert filtered[1]["rootless"] < walked[1]["rootless"]
     # the kept rootless branch: y^2 - 2y + 4 at p = 2, y^3 - 2 and y^4 - y at p = 3
-    assert (filtered[2]["rootless"] > 0) == (p in (2, 3))
+    assert (filtered[1]["rootless"] > 0) == (p in (2, 3))
 
 
 GROUP_DOMAINS = [ZP, Ball(Fraction(1), 1), Ball(Fraction(3), 2), Ball(Fraction(2), 1)]
@@ -283,12 +297,32 @@ def test_grouped_tower_matches_the_per_class_tower_on_the_corpus(corpus, p):
             assert prepare(f, p, domain).cells == per_class_prepare(f, p, domain), (f, domain)
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_a_group_class_whose_digit_vanishes_is_centered_at_its_root(p):
+    """The rootless group of f' = 3y^2 - 1 around 0 holds the roots 1 and -1
+    of f = y^3 - y; each of their classes is split off the group like any tie
+    class and centered at its root: the root -1 has its family from m = 1,
+    with no point at p - 1 above it and no family from m = 2."""
+    f = Poly.of(0, -1, 0, 1)
+    dec = prepare_grouped(f, p)
+    assert len(dec.cells) == 7
+    at_root = [c for c in dec.cells if c.center.value == -1]
+    assert [c.law_for(f).e0 for c in at_root if c.is_point] == [INFINITY]
+    assert [c.m_range.lo for c in at_root if not c.is_point] == [1]
+    assert not any(c.center.value == p - 1 for c in dec.cells)
+    assert exact_partition_check(dec).ok
+    assert verify_partition(dec, 3).ok
+    assert verify_laws(dec, f, samples=50).ok
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 31, 101])
 def test_every_family_but_a_group_has_all_units_at_depth_one(corpus, p):
-    """The invariant that routes a family in `_prepare_ball` and that
-    `prepare` expands by: a family of `prepare_grouped` whose residues are
-    not all units is a rootless group, on one sphere at depth 1 with every
-    law constant, and every family of `prepare` has all units at depth 1."""
+    """The invariant that `prepare` expands by: a family of
+    `prepare_grouped` whose residues are not all units is a rootless group,
+    on one sphere at depth 1, and every family of `prepare` has all units at
+    depth 1.  On the corpus every law of a group is constant too; in general
+    a group that a strict region of the Newton polygon lifts keeps that
+    region's law, slope and all, which `prepare` freezes at its sphere."""
     for f in corpus.values():
         for domain in (ZP, Ball(Fraction(1), 1), Ball(Fraction(3), 2)):
             for cell in prepare_grouped(f, p, domain).cells:
@@ -318,21 +352,18 @@ def test_grouped_tower_matches_the_per_class_tower_at_inexact_centers(monkeypatc
     polys = [Poly.of(-1, -1, 0, 1), Poly.of(-2, 0, 1) * Poly.of(-3, 0, 1),
              Poly.of(-3, 0, 0, 0, 0, 1), Poly.of(-2, 0, 0, 1) * Poly.of(-7, 0, 1),
              Poly.of(1, 90, 0, -25, 0, 3)]
-    class_cells, lift = decompose_module._class_cells, decompose_module._lift_group
+    process = decompose_module._process_box
     built, lifted = [], []
 
-    def building(p, center, *rest):
-        built.append(not center.is_rational)
-        return class_cells(p, center, *rest)
+    def lifting(f, w, cell, *rest):
+        lifted.append(not cell.residues.is_all and not cell.center.is_rational)
+        return process(f, w, cell, *rest)
 
-    def lifting(f, group, *rest):
-        lifted.append(not group.center.is_rational)
-        return lift(f, group, *rest)
-
-    monkeypatch.setattr(decompose_module, "_class_cells", building)
-    monkeypatch.setattr(decompose_module, "_lift_group", lifting)
+    monkeypatch.setattr(decompose_module, "_process_box", lifting)
     for f in polys:
         assert prepare(f, p).cells == per_class_prepare(f, p), f
+        built += [not c.center.is_rational for c in prepare_grouped(f, p).cells
+                  if not (c.is_point or c.residues.is_all)]
     assert any(built) or p not in (3, 7, 13)
     assert any(lifted) or p not in (7, 13)
 
