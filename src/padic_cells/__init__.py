@@ -45,7 +45,7 @@ from .decompose import (
 from .measure import ZetaFn, cell_measure, igusa_zeta, measure_of_order
 from .kgroup import AuxShape, K0Element, chi, cv_check, k0_add, k0_mul
 from .oracle import count_roots_mod, verify_laws, verify_partition
-from .dim import MINUS_INFINITY, Dim, dim_of, dim_product, dim_union
+from .dim import dim_of, dim_product, dim_union
 
 __all__ = [
     "INFINITY",
@@ -95,8 +95,6 @@ __all__ = [
     "count_roots_mod",
     "verify_laws",
     "verify_partition",
-    "MINUS_INFINITY",
-    "Dim",
     "dim_of",
     "dim_product",
     "dim_union",

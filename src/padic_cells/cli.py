@@ -268,7 +268,7 @@ def _cmd_cv_check(args) -> dict:
 def _cmd_dim(args) -> dict:
     d = dim_of(_decomposition_for(args)[0])
     return {"schema": SCHEMA, "command": "dim", "prime": args.prime,
-            "dim": "-inf" if d.is_minus_infinity else d.value}
+            "dim": "-inf" if d is None else d}
 
 
 def _cmd_preserves_balls(args) -> dict:

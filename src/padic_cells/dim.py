@@ -1,34 +1,13 @@
 """Dimension theory on cells, decompositions and products.
 
-The dimension of a decomposed set is the maximum type sum over its cells;
-the empty set has dimension minus infinity, which absorbs sums.
+The dimension of a decomposed set is the maximum type sum over its cells, an
+int; the empty set has dimension minus infinity, written None, which absorbs
+sums.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cells import Cell1, Decomposition, ProductCell
-
-
-@dataclass(frozen=True)
-class Dim:
-    value: int | None  # None = minus infinity (the empty set)
-
-    @property
-    def is_minus_infinity(self) -> bool:
-        return self.value is None
-
-    def __add__(self, other: "Dim") -> "Dim":
-        if self.value is None or other.value is None:
-            return MINUS_INFINITY
-        return Dim(self.value + other.value)
-
-    def __str__(self) -> str:
-        return "-inf" if self.value is None else str(self.value)
-
-
-MINUS_INFINITY = Dim(None)
 
 
 def _cells_of(x) -> list:
@@ -37,20 +16,14 @@ def _cells_of(x) -> list:
     return list(x)
 
 
-def dim_of(x: Decomposition | list[Cell1] | list[ProductCell]) -> Dim:
-    """Maximum type sum over the (kept) cells; -inf for the empty set."""
-    cells = _cells_of(x)
-    if not cells:
-        return MINUS_INFINITY
-    best = None
-    for c in cells:
-        s = sum(c.type) if isinstance(c, ProductCell) else c.kind
-        best = s if best is None else max(best, s)
-    return Dim(best)
+def dim_of(x: Decomposition | list[Cell1] | list[ProductCell]) -> int | None:
+    """Maximum type sum over the (kept) cells; None (-inf) for the empty set."""
+    return max((sum(c.type) if isinstance(c, ProductCell) else c.kind for c in _cells_of(x)),
+               default=None)
 
 
-def dim_product(a: Dim, b: Dim) -> Dim:
-    return a + b
+def dim_product(a: int | None, b: int | None) -> int | None:
+    return None if a is None or b is None else a + b
 
 
 def verify_dim_product(xa, xb) -> bool:
@@ -60,10 +33,10 @@ def verify_dim_product(xa, xb) -> bool:
     da, db = dim_of(xa), dim_of(xb)
     ca, cb = _cells_of(xa), _cells_of(xb)
     pairs = [product([a, b]) for a in ca for b in cb]
-    return dim_of(pairs).value == dim_product(da, db).value
+    return dim_of(pairs) == dim_product(da, db)
 
 
-def dim_union(decs: list[Decomposition]) -> Dim:
+def dim_union(decs: list[Decomposition]) -> int | None:
     """Dimension of a disjoint union: the maximum of the dimensions."""
     from .cells import candidate_pairs, intersect_cells
 
@@ -74,9 +47,4 @@ def dim_union(decs: list[Decomposition]) -> Dim:
             ka, kb = decs[i].kept_cells, decs[j].kept_cells
             if any(intersect_cells(ka[s], kb[t]) for s, t in candidate_pairs(ka, kb)):
                 raise ValueError("union is not disjoint")
-    out = MINUS_INFINITY
-    for d in decs:
-        got = dim_of(d)
-        if out.is_minus_infinity or (not got.is_minus_infinity and got.value > out.value):
-            out = got
-    return out
+    return max((d for d in map(dim_of, decs) if d is not None), default=None)

@@ -1,7 +1,8 @@
 """Independent brute-force ground truth for decompositions.
 
-Root counting modulo prime powers by digit-lifting (with a class-level prune
-when the polynomial vanishes identically to the requested depth), exhaustive
+Root counting modulo prime powers by digit-lifting (with two class-level
+prunes: when the polynomial vanishes identically to the requested depth, and
+when its constant Taylor line is strictly least and below it), exhaustive
 cell-membership verification over the domain's residue classes, and
 deterministic order-law sampling.  Nothing here consults the cell engine's
 reasoning: a cell is read only as data -- its center, valuation range and
@@ -152,10 +153,18 @@ def count_roots_mod(f: Poly, p: int, k: int, start: tuple[int, int] = (0, 0)) ->
         if j == k:
             total += 1
             continue
+        bs = _taylor_shift(coeffs, c)
         # prune: if f vanishes mod p^k on the whole class, count it wholesale
         # (ord b_i + i*j >= k for every Taylor coefficient b_i at c)
-        if all(b % p ** max(k - i * j, 0) == 0 for i, b in enumerate(_taylor_shift(coeffs, c))):
+        if all(b % p ** max(k - i * j, 0) == 0 for i, b in enumerate(bs)):
             total += p ** (k - j)
+            continue
+        # prune: if the constant line ord b_0 is below k and below every
+        # other line ord b_i + i*j, then ord f = ord b_0 on the whole class,
+        # which holds no root mod p^k
+        v0 = _ord_int(bs[0], p) if bs[0] else k
+        if v0 < k and all(b % p ** max(v0 + 1 - i * j, 0) == 0 for i, b in enumerate(bs)
+                          if i):
             continue
         tested += p
         if tested > MAX_CLASSES:

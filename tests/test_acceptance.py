@@ -37,7 +37,7 @@ from padic_cells.decompose import (
     decompose_set,
     prepare,
 )
-from padic_cells.dim import MINUS_INFINITY, Dim, dim_of, dim_product, dim_union, verify_dim_product
+from padic_cells.dim import dim_of, dim_product, dim_union, verify_dim_product
 from padic_cells.hensel import check_conditions, h, order_law_at_root, refine_root
 from padic_cells.kgroup import chi, chi_product, cv_check, k0_add, k0_mul
 from padic_cells.measure import (
@@ -250,7 +250,7 @@ def test_criterion_7_chi_and_cv():
 
 def test_criterion_8_dimension():
     for p in PRIMES:
-        assert dim_of(prepare(Y, p)).value == 1
+        assert dim_of(prepare(Y, p)) == 1
     # product additivity on 10 examples
     D5, D3 = prepare(Y, 5), prepare(Y, 3)
     pts5 = [c for c in D5.cells if c.is_point]
@@ -263,7 +263,7 @@ def test_criterion_8_dimension():
     assert len(product_examples) == 10
     for xa, xb in product_examples:
         assert verify_dim_product(xa, xb)
-    assert dim_product(MINUS_INFINITY, Dim(1)).is_minus_infinity
+    assert dim_product(None, 1) is None
 
     # union-max on 10 disjoint-union examples: spheres ord(y) = k are disjoint
     sphere = lambda p, k: decompose_set(FAtom(OrdCmp(Y, None, k, "=")), p)
@@ -278,9 +278,9 @@ def test_criterion_8_dimension():
     union_examples.append([sphere(2, 2)])
     assert len(union_examples) == 10
     for decs in union_examples:
-        assert dim_union(decs).value == 1
-    assert dim_union([]).is_minus_infinity
-    assert dim_of([]).is_minus_infinity
+        assert dim_union(decs) == 1
+    assert dim_union([]) is None
+    assert dim_of([]) is None
     _report(8, "dim Z_p = 1; 10 product and 10 union examples exact; "
                "empty-set convention holds")
 

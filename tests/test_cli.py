@@ -173,6 +173,17 @@ def test_cli_oracle_compare(capsys):
     assert len(payload["table"]) == 6
 
 
+def test_cli_oracle_compare_past_a_double_root_at_large_p(capsys):
+    # the quartic has the double root 11: at p = 1009 and k = 3 the count
+    # prunes each class beside the root by its constant Taylor line
+    code, out, _ = run_cli(capsys, "oracle-compare", "--k", "3", "--prime", "1009", "--json",
+                           "--poly", "y^4 - 17*y^3 + 5*y^2 + 737*y - 726")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["agree"] is True
+    assert len(payload["table"]) == 4
+
+
 def test_cli_exit_codes(capsys):
     code, _, err = run_cli(capsys, "decompose", "--prime", "5",
                            "--formula", "exists y (y = 0)")

@@ -33,7 +33,12 @@ the request list itself has changed.  The requests:
 - a seeded fuzz of formulas with two to four atoms of every kind, as
   `decompose`, `measure`, `chi`, `dim` and `cv-check` against the De Morgan
   form, at p in {2, 3, 5, 7, 11};
-- the parser-bound inputs that CI also runs through the entry point.
+- the parser-bound inputs that CI also runs through the entry point;
+- the requests of PINS that no section above makes.
+
+`tests/test_output_pins.py` runs a slice of these requests in process and
+checks each against the manifest entry at its index, so Tier-1 and CI read
+one record of what a request prints.
 
 The exit status is 1 when some request differs.  The manifest holds on
 Python 3.10, 3.11 and 3.12: `--check src` prints the same digests on each.
@@ -43,6 +48,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -73,6 +79,41 @@ MANIFEST = os.path.join(HERE, "sweep_manifest.json")
 FUZZ_SEED = 20061024
 FUZZ_POLYS = ["y", "y - 1", "y + 1", "2*y - 1", "y^2 - 1", "y^2 - 2", "y^2 + 1", "y^2 - y",
               "y^3 - y", "3*y^2 - 1/3"]
+# Outputs that `tests/test_output_pins.py` checks by name: the two factored
+# corpus entries written out expanded, which `decompose` echoes as its input;
+# ten formulas of two to four atoms, nine of them from the formulas pool; and
+# text output of `decompose`, `zeta` and `chi`.
+PINS = [
+    *(["decompose", "--json", "--prime", str(p), "--poly", f]
+      for f in ("y^3 - y^2 - y + 1", "y^4 - 2*y^2 + 1") for p in (2, 3, 5, 7)),
+    *(["decompose", "--json", "--prime", str(p), "--formula", phi] for p, phi in (
+        (3, "(rv(1, y^2 - y) = (2, 2) | ((ord(y^2 - y) % 3 = 1 | rv(1, y^2 - y) = (2, 2)) "
+            "& rv(3, y^2 - y) = (0, 10)))"),
+        (3, "(!(ord(y^2 - 2) <= 2) & (ac(2, 2*y + 1) = 4 | rv(2, y^2 - 2) = (1, 7)))"),
+        (5, "(ord(y^2 + 1) <= 3 | rv(3, y^2 + 1) = (0, 82))"),
+        (5, "(ord(y) > 2 & (rv(1, y + 1) = (0, 1) & ord(y + 1) = ord(y) + 1))"),
+        (5, "(((!(ord(y^2 - y) >= 3) & ord(y^2 - y) % 2 = 1) & ac(1, y^2 - y) = 1) "
+            "| ord(y + 1) < 3)"),
+        (7, "(((ord(2*y + 1) <= ord(y^2 - 1) + 1 & rv(3, y^2 - 1) = (0, 93)) "
+            "| !(ac(2, 2*y + 1) = 19)) & ord(y^2 - 1) <= 1)"),
+        (7, "(ac(3, y + 1) = 158 | ord(y^2 + 1) = 3)"),
+        (7, "(ac(2, y^2 - 2) = 10 & ord(y - 3) % 2 = 1)"),
+        (11, "(((ord(y - 2) <= ord(y^2 - 2) + 2 & ord(y - 2) < ord(y^2 - 2) - 1) "
+             "& ord(y^2 - 2) >= ord(y - 2) - 1) | ord(y^2 - 2) > 1)"),
+        (11, "(!(rv(1, y - 1) = (0, 10)) | (ord(y - 2) <= ord(y - 1) - 1 & ac(1, y - 1) = 1))"),
+    )),
+    ["decompose", "--prime", "5", "--poly", "y^3 - y"],
+    ["decompose", "--prime", "3", "--poly", "(y^2-1)^2", "--domain", "1:1"],
+    ["decompose", "--prime", "3", "--formula", "ord(y^2-1) >= ord(2*y+1) + 1"],
+    ["decompose", "--prime", "7", "--formula", "(ac(2, y^2 - 2) = 10 & ord(y - 3) % 2 = 1)"],
+    ["zeta", "--prime", "5", "--poly", "(y^2-1)^2"],
+    ["chi", "--prime", "5", "--formula", "ord(y^2 - 1) >= 1"],
+]
+
+
+def ac_rv_formula(f: str, p: int) -> str:
+    """The formula whose measure the sweep takes for each polynomial f."""
+    return f"ac(1, {f}) = 1 | rv(2, {f}) = (1, {p + 1})"
 
 
 def requests() -> list[list[str]]:
@@ -84,8 +125,7 @@ def requests() -> list[list[str]]:
                 at = [*head, "--domain", domain]
                 out.append(["decompose", "--json", *at, "--poly", f])
                 out.append(["zeta", "--json", *at, "--poly", f])
-                out.append(["measure", "--json", *at, "--formula",
-                            f"ac(1, {f}) = 1 | rv(2, {f}) = (1, {p + 1})"])
+                out.append(["measure", "--json", *at, "--formula", ac_rv_formula(f, p)])
     for f in CORPUS:
         for p in (2, 3, 5, 7):
             out.append(["decompose", "--verify", "--k", "3", "--prime", str(p), "--poly", f])
@@ -122,13 +162,18 @@ def requests() -> list[list[str]]:
                             str(samples), "--seed", str(seed), "--prime", str(p), "--poly", f])
     out += _fuzz_requests(random.Random(FUZZ_SEED))
     out += _parser_bound_requests()
+    out += PINS
     return list(map(list, dict.fromkeys(map(tuple, out))))
 
 
 def _pool_requests() -> list[list[str]]:
-    """The requests of the three benchmark pools, in the order of run seed 1."""
-    sys.path.insert(0, os.path.join(HERE, os.pardir, "perfbench"))
-    import workloads
+    """The requests of the three benchmark pools, in the order of run seed 1.
+    `perfbench/workloads.py` is loaded from its file, so that the sweep's
+    callers, Tier-1 among them, keep their import path."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(HERE, os.pardir, "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
 
     return [argv for name in workloads.WORKLOADS
             for _, argv in workloads.requests(workloads.build_pool(name), 1)]
@@ -205,22 +250,25 @@ def _parser_bound_requests() -> list[list[str]]:
     ]
 
 
-def digests(src: str) -> dict[str, str]:
-    """sha256 of (exit code, stdout, stderr) for every request, by request."""
-    sys.path.insert(0, src)
+def request_digest(argv: list[str]) -> str:
+    """sha256 of [exit code, stdout, stderr] of one request, run in process
+    through the `padic_cells` on the path."""
     from padic_cells.cli import main
 
-    out = {}
-    for argv in requests():
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            try:
-                code = main(list(argv))
-            except SystemExit as exc:
-                code = exc.code
-        text = json.dumps([code, stdout.getvalue(), stderr.getvalue()])
-        out[json.dumps(argv)] = hashlib.sha256(text.encode()).hexdigest()
-    return out
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    text = json.dumps([code, stdout.getvalue(), stderr.getvalue()])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def digests(src: str) -> dict[str, str]:
+    """`request_digest` of every request, by request, for the tree src."""
+    sys.path.insert(0, src)
+    return {json.dumps(argv): request_digest(argv) for argv in requests()}
 
 
 def _tree_digests(src: str) -> dict[str, str]:
@@ -230,7 +278,7 @@ def _tree_digests(src: str) -> dict[str, str]:
                                      text=True).stdout)
 
 
-def _request_list_digest() -> str:
+def request_list_digest() -> str:
     return hashlib.sha256(json.dumps(requests()).encode()).hexdigest()[:16]
 
 
@@ -247,14 +295,14 @@ def main() -> int:
         new = {argv: digest[:16] for argv, digest in _tree_digests(args[0]).items()}
         if flag == "--update":
             with open(MANIFEST, "w") as out:
-                json.dump({"requests": _request_list_digest(), "digests": list(new.values())},
+                json.dump({"requests": request_list_digest(), "digests": list(new.values())},
                           out, indent=0)
                 out.write("\n")
             print(f"{len(new)} digests written to {MANIFEST}")
             return 0
         with open(MANIFEST) as manifest:
             want = json.load(manifest)
-        if want["requests"] != _request_list_digest():
+        if want["requests"] != request_list_digest():
             print(f"the request list is not the one {MANIFEST} was written for: "
                   "rerun with --update on a tree whose output is known to be right")
             return 1
