@@ -191,9 +191,6 @@ def _cmd_decompose(args) -> dict:
     orders: dict[frozenset[Poly], list[tuple[Poly, str]]] = {}
     tables: dict[int, dict] = {}
     payload = {
-        "schema": SCHEMA,
-        "command": "decompose",
-        "prime": args.prime,
         "input": args.poly if args.poly is not None else args.formula,
         "k_depth": dec.k_depth,
         "cells": [_cell_json(c, names, orders, tables) for c in dec.cells],
@@ -215,20 +212,15 @@ def _cmd_decompose(args) -> dict:
 
 def _cmd_measure(args) -> dict:
     dec, f = _decomposition_for(args)
-    payload = {"schema": SCHEMA, "command": "measure", "prime": args.prime}
     if args.ord is not None:  # main rejects --ord with --formula
-        payload["ord"] = args.ord
-        payload["measure"] = _frac_str(measure_of_order(dec, f, args.ord))
-    else:
-        payload["measure"] = _frac_str(decomposition_measure(dec, kept_only=True))
-    return payload
+        return {"ord": args.ord, "measure": _frac_str(measure_of_order(dec, f, args.ord))}
+    return {"measure": _frac_str(decomposition_measure(dec, kept_only=True))}
 
 
 def _cmd_zeta(args) -> dict:
     dec, f = _decomposition_for(args)
     z = igusa_zeta(dec, f)
-    return {"schema": SCHEMA, "command": "zeta", "prime": args.prime,
-            "poly": args.poly, "zeta": _zeta_json(z)}
+    return {"poly": args.poly, "zeta": _zeta_json(z)}
 
 
 def _cmd_oracle_compare(args) -> dict:
@@ -248,36 +240,29 @@ def _cmd_oracle_compare(args) -> dict:
         agree = agree and ok
         table.append({"m": m, "cells": _frac_str(mu), "oracle": _frac_str(oracle),
                       "equal": ok})
-    return {"schema": SCHEMA, "command": "oracle-compare", "prime": p,
-            "poly": args.poly, "agree": agree, "table": table}
+    return {"poly": args.poly, "agree": agree, "table": table}
 
 
 def _cmd_chi(args) -> dict:
-    return {"schema": SCHEMA, "command": "chi", "prime": args.prime,
-            "chi": _chi_json(chi(_decomposition_for(args, listed=True)[0]))}
+    return {"chi": _chi_json(chi(_decomposition_for(args, listed=True)[0]))}
 
 
 def _cmd_cv_check(args) -> dict:
     domain = _parse_domain(args.domain)
     d1 = decompose_set(parse_formula(args.formula), args.prime, domain)
     d2 = decompose_set(parse_formula(args.formula_b), args.prime, domain)
-    return {"schema": SCHEMA, "command": "cv-check", "prime": args.prime,
-            "equal": cv_check(d1, d2)}
+    return {"equal": cv_check(d1, d2)}
 
 
 def _cmd_dim(args) -> dict:
     d = dim_of(_decomposition_for(args)[0])
-    return {"schema": SCHEMA, "command": "dim", "prime": args.prime,
-            "dim": "-inf" if d is None else d}
+    return {"dim": "-inf" if d is None else d}
 
 
 def _cmd_preserves_balls(args) -> dict:
     dec, f = _decomposition_for(args)
     rep = preserves_balls_report(dec, f)
     return {
-        "schema": SCHEMA,
-        "command": "preserves-balls",
-        "prime": args.prime,
         "all_ball_or_point": rep.all_ball_or_point,
         "entries": [
             {"kind": e.cell.kind, "verdict": e.verdict,
@@ -360,7 +345,9 @@ def main(argv: list[str] | None = None) -> int:
         if ignored and not read:
             args.usage.error(f"{', '.join(ignored)}: used only with {needed}")
     try:
-        payload = args.func(args)
+        # text mode prints in this order: the header, then the command's keys
+        payload = {"schema": SCHEMA, "command": args.command, "prime": args.prime,
+                   **args.func(args)}
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

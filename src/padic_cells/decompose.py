@@ -46,6 +46,7 @@ construction.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -80,7 +81,7 @@ from .hensel import (
     shift_center,
     taylor_ords,
 )
-from .padics import INFINITY, RvData, Val, int_val, is_prime, ord_p, require_classes
+from .padics import INFINITY, RvData, int_val, is_prime, ord_p, require_classes
 from .poly import MAX_DEGREE, Poly, format_poly, resultant_val, squarefree_part
 
 # p^r for the domain radius r stays below 2^_MAX_RADIUS_BITS, so measures
@@ -92,6 +93,11 @@ _MAX_RADIUS_BITS = 8192
 # Quantifier-free formulas over one p-adic variable.
 # ---------------------------------------------------------------------------
 
+# the relations of an order comparison; INFINITY compares through them as
+# through the operators
+RELATIONS = {"<": operator.lt, "<=": operator.le, "=": operator.eq, ">=": operator.ge,
+             ">": operator.gt}
+
 
 @dataclass(frozen=True)
 class OrdCmp:
@@ -100,10 +106,10 @@ class OrdCmp:
     f: Poly
     g: Poly | None
     offset: int
-    rel: str  # one of < <= = >= >
+    rel: str  # a key of RELATIONS
 
     def __post_init__(self):
-        if self.rel not in ("<", "<=", "=", ">=", ">"):
+        if self.rel not in RELATIONS:
             raise ValueError(f"unknown relation {self.rel!r}")
 
 
@@ -483,18 +489,6 @@ def prepare(f: Poly, p: int, domain: Ball = ZP) -> Decomposition:
 # ---------------------------------------------------------------------------
 
 
-def _compare(rel: str, left: Val, right: Val) -> bool:
-    if rel == "<":
-        return left < right
-    if rel == "<=":
-        return left <= right
-    if rel == "=":
-        return left == right
-    if rel == ">=":
-        return left >= right
-    return left > right
-
-
 def _atom_polys(atom: Atom) -> list[Poly]:
     if isinstance(atom, OrdCmp):
         return [atom.f] + ([atom.g] if atom.g is not None else [])
@@ -549,21 +543,22 @@ def _ord_atom_pieces(cell: Cell1, atom: Atom) -> list[tuple[Cell1, bool]]:
         return _split_range(cell, pieces)
 
     assert isinstance(atom, OrdCmp)
+    compare = RELATIONS[atom.rel]
     if atom.g is None:
         e_g, i_g = atom.offset, 0
     else:
         law_g = cell.law_for(atom.g)
         e_g, i_g = law_g.e0 + atom.offset, law_g.i0
     if cell.is_point:
-        return [(cell, _compare(atom.rel, law_f.e0, e_g))]
+        return [(cell, compare(law_f.e0, e_g))]
     e_f, i_f = law_f.e0, law_f.i0
     if e_f is INFINITY or e_g is INFINITY:
-        return [(cell, _compare(atom.rel, e_f, e_g))]
+        return [(cell, compare(e_f, e_g))]
     a = i_f - i_g
     b = e_f - e_g
     rng = cell.m_range
     if a == 0:
-        return [(cell, _compare(atom.rel, b, 0))]
+        return [(cell, compare(b, 0))]
     crossing = Fraction(-b, a)
     fl = crossing.numerator // crossing.denominator
     exact = crossing == fl
@@ -574,7 +569,7 @@ def _ord_atom_pieces(cell: Cell1, atom: Atom) -> list[tuple[Cell1, bool]]:
     for sub in (below, at, above):
         if sub is None:
             continue
-        pieces.append((sub, _compare(atom.rel, b + a * sub.lo, 0)))
+        pieces.append((sub, compare(b + a * sub.lo, 0)))
     return _split_range(cell, pieces)
 
 

@@ -28,6 +28,7 @@ from .decompose import (
     OrdCmp,
     OrdEqInf,
     OrdModEq,
+    RELATIONS,
     RvEq,
 )
 from .errors import ParseError, UnsupportedInputError
@@ -307,7 +308,7 @@ class _Parser:
             residue = self.parse_int()
             return FAtom(OrdModEq(f, modulus, residue % max(modulus, 1)))
         rel_tok = self.peek()
-        if rel_tok is None or rel_tok.kind not in ("<", "<=", "=", ">=", ">"):
+        if rel_tok is None or rel_tok.kind not in RELATIONS:
             raise ParseError("expected a relation after ord(...)",
                              rel_tok.pos if rel_tok else len(self.text))
         rel = self.next().kind

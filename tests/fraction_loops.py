@@ -1,28 +1,42 @@
-"""The Fraction loops that `Poly`'s integer kernel, the Hensel root search and
-the digit-atom sphere loop replaced, the exact-query digit reads (residual
-polynomial of a tie, unbounded tail, point) that the sphere kernel replaced,
-the all-pairs loops that the support-ball index replaced, the factor race
-and separation bound that the root count in an isolating ball replaced, and
-the eager zero tests that the lazy one behind `_certified` replaced, the
-Fraction cell-sort key and the per-cell law sort that the integer key and
-the per-payload law order replaced, the sphere-by-sphere digit-atom loop
-that the read-once window replaced, and the oracle's per-class partition
-marks and per-sample law evaluation that the per-prefix marks and the
-Taylor kernel mod p^(t+1) replaced, the per-cell zeta polynomials that
-the two-tail sum per pole replaced, the per-class derivative tower that
-the rootless tie groups replaced, and the root search over every digit of
-a class, the Fraction class centers and the per-cell law JSON that the
-residual-polynomial descent, the integer centers and the per-table JSON
-replaced, the chi of every cell, kept or not, that the chi of the kept
-cells replaced, and the full-scan root count that the pruned one in
-`oracle` is checked against, kept as references for the tests that compare
-the two."""
+"""Plain references for the optimised functions of `padic_cells`, one per
+function.  Each computes the same answer the direct way, most of them as
+the loop that the optimised code replaced, and the tests compare the two:
+
+- `Poly.eval`, `taylor_shift` and `shift_var`: `fraction_eval`,
+  `fraction_taylor_shift` and `fraction_shift_var`, in Fraction arithmetic;
+- `hensel.certified_root_points`: `full_walk_root_points`, which walks
+  every digit of each class that its constant Taylor line does not rule out;
+- `hensel._vanishes` and `_same_root`: `race_residue`, the race of the two
+  coprime factors of the witness, and `separated_same_root`, the root
+  separation bound from `root_separation_bound`;
+- `decompose._sphere_digits`: `fraction_sphere_digits`, f certified at each
+  member, for every sphere it reads; `taylor_digits` with `residual_zeros`,
+  `tail_digits` and `point_digits`, exact queries at the center, for the
+  residual polynomial of a tie, the unbounded tail and a point;
+- `decompose._digit_atom_pieces`: `sphere_by_sphere_digit_atom_pieces`;
+- `decompose._shifted_center`: `fraction_shifted_center`;
+- the rootless tie groups of `decompose.prepare`: `per_class_prepare`, a
+  one-class cell per rootless class up the derivative tower;
+- `cells.cell_sort_key` and `Residues.members`: `fraction_cell_sort_key`
+  (`fraction_sorted_cells`) and `generator_head`;
+- `cells._transport`: `unit_scan_transport`, on the unit sets of `unit_set`;
+- `cells.common_pieces` and `measure.partition_check`:
+  `all_pairs_common_pieces` and `all_pairs_partition_check`;
+- the law order and law tables of `cli._cell_json`: `per_cell_law_order`
+  and `per_set_order_cell_json`;
+- `oracle.verify_partition`: `per_class_mark_cell`, every class mod p^k
+  marked on its own;
+- `oracle.verify_laws` and `_cell_samples`: `per_sample_verify_laws` and
+  `per_sample_cell_samples`, f evaluated in full at every sample;
+- `oracle.count_roots_mod`: `count_roots_mod_scan`, every residue mod p^k;
+- `measure.igusa_zeta`: `per_cell_igusa_zeta`;
+- `kgroup.chi`: `all_cells_chi`, the chi of every cell, kept or not."""
 
 import random
 from collections import Counter
 from itertools import islice
 from fractions import Fraction
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from math import comb
 
 from padic_cells.cells import (ArithRange, Cell1, Center, Decomposition, OrderLaw, Residues, TAdd,
@@ -31,14 +45,13 @@ from padic_cells.decompose import (_base_cells, _budget, _dominance_regions, _la
                                    _prepare_linear, _sphere_digits, _split_tie_class)
 from padic_cells.cli import _frac_str, _name
 from padic_cells.errors import InternalBoundError, UnsupportedInputError
-from padic_cells.hensel import (_MAX_DOUBLINGS, _at_root, _certified, _isolated, _newton,
-                                _roots_near, center_proxy, digits_of_poly_at, exact_value,
-                                ord_of_poly_at, refine_root, shift_center, taylor_ords)
+from padic_cells.hensel import (_MAX_DOUBLINGS, _at_root, _certified, _newton, center_proxy,
+                                digits_of_poly_at, exact_value, ord_of_poly_at, refine_root,
+                                shift_center, taylor_ords)
 from padic_cells.kgroup import K0Element, _cell_shape
 from padic_cells.measure import ZetaFn, _times_t
 from padic_cells.oracle import (LawFailure, LawReport, _center_mod, _clear_denominators,
-                                _eval_mod, _ord_value, _require_p_integral, _taylor_ords,
-                                count_roots_mod)
+                                _ord_value, _taylor_ords)
 from padic_cells.padics import INFINITY, Val, int_val, ord_p, unit_digits
 from padic_cells.poly import (Poly, format_poly, newton_min, poly_gcd, resultant_val,
                               squarefree_part, taylor_polys)
@@ -75,41 +88,6 @@ def fraction_shift_var(f: Poly, scale, offset) -> Poly:
 def random_rational(rng: random.Random, p: int) -> Fraction:
     # denominators with and without p, numerators of either sign
     return Fraction(rng.randint(-60, 60), rng.choice([1, 1, 2, 3, 7, p, p * p, 2 * p]))
-
-
-def fraction_root_points(w: Poly, p: int, depth_cap: int) -> list[Fraction]:
-    """`certified_root_points` as it was written on Fraction arithmetic."""
-    content = newton_min(w, p)
-    if content is not INFINITY and content != 0:
-        w = w * Fraction(p) ** (-content)
-    out: list[Fraction] = []
-
-    def search(poly: Poly, c: int, j: int) -> None:
-        if j > depth_cap:
-            raise InternalBoundError("root search exceeded its depth bound")
-        if poly.degree < 1:
-            return
-        val = fraction_eval(poly, c)
-        if val == 0:
-            out.append(Fraction(c))
-            quo, rem = poly.divmod(Poly.of(-c, 1))
-            assert rem.is_zero
-            search(quo, c, j)
-            return
-        v0 = ord_p(val, p)
-        v1 = ord_p(fraction_eval(poly.derivative(), c), p)
-        if v1 is not INFINITY and v0 > v1 * 2 and j > v1:
-            z, _prec = _newton(poly, Fraction(c), p, max(v0 - v1, j + 1))
-            if ord_p(z - c, p) >= j:
-                out.append(z)
-            return
-        if v0 < newton_min(fraction_taylor_shift(poly, c), p, j, 1):
-            return
-        for t in range(p):
-            search(poly, c + t * p**j, j + 1)
-
-    search(w, 0, 0)
-    return out
 
 
 def fraction_sphere_digits(f: Poly, center, m: int, v: int, depth: int,
@@ -248,63 +226,6 @@ def separated_same_root(a, b, p: int) -> bool:
     return ord_p(refine_root(a, sep).approx - refine_root(b, sep).approx, p) >= sep
 
 
-def eager_residue(q: Poly, r) -> Poly | None:
-    """`hensel._residue` as it was last written, before the zero test moved
-    behind the first estimate: q mod the witness w of an inexact root, or
-    None when q(root) = 0: when g = gcd(w, q mod w) has a root in the root's
-    isolating ball."""
-    qr = q % r.witness
-    if qr.is_zero:
-        return None
-    g = poly_gcd(r.witness, qr)
-    if g.degree < 1:
-        return qr
-    r = _isolated(r)
-    return None if _roots_near(g, r.approx, r.precision, r.prime) else qr
-
-
-def eager_value_at(q: Poly, center, digits: int):
-    """`hensel._value_at` as it was written: zero ruled out by
-    `eager_residue` before any estimate, and the residue certified."""
-    x = exact_value(center)
-    if x is not None:
-        return q.eval(x)
-    q = eager_residue(q, center)
-    if q is None:
-        return Fraction(0)
-    return _certified(center.precision, digits, _at_root(center, q), center.prime,
-                      lambda: f"{q} at {center}", lambda: False)
-
-
-def eager_same_root(a, b) -> bool:
-    """`hensel._same_root` as it was written, on `eager_residue`."""
-    if eager_residue(a.witness, b) is not None:
-        return False
-    a = _isolated(a)
-    return ord_p(refine_root(b, a.precision).approx - a.approx, a.prime) >= a.precision
-
-
-def eager_difference(a, b, p: int, digits: int):
-    """`hensel._difference` as it was written: equality of two inexact roots
-    ruled out by `eager_same_root` before any estimate."""
-    xa, xb = exact_value(a), exact_value(b)
-    if xa is not None and xb is not None:
-        return xa - xb
-    if xb is not None:
-        return eager_value_at(Poly.of(-xb, 1), a, digits)
-    if xa is not None:
-        return eager_value_at(Poly.of(xa, -1), b, digits)
-    if eager_same_root(a, b):
-        return Fraction(0)
-
-    def estimate(n: int):
-        ra, rb = refine_root(a, n), refine_root(b, n)
-        return ra.approx - rb.approx, min(ra.precision, rb.precision)
-
-    return _certified(max(a.precision, b.precision), digits, estimate, p,
-                      lambda: f"{a} - {b}", lambda: False)
-
-
 def fraction_cell_sort_key(cell):
     """`cells.cell_sort_key` as it was written, comparing Fraction centers."""
     c = cell.center
@@ -384,54 +305,6 @@ def sphere_by_sphere_digit_atom_pieces(cell, f, depth, want, p):
     tail = rng.restrict(lo=m_d)
     if tail is not None:
         enumerate_m(tail)
-    return pieces
-
-
-def unit_scan_digit_atom_pieces(cell, f, depth, want, p):
-    """`decompose._digit_atom_pieces` as it was written before the lifting
-    read: the stable window read once, but each read evaluates f at every
-    unit of the sphere at depth d_m and groups the units by want(digits)."""
-    law = cell.law_for(f)
-    ords = taylor_ords(f, cell.center.value, p)
-    lines = [(i, v) for i, v in enumerate(ords) if v is not INFINITY]
-    rng = cell.m_range
-    e0, i0 = law.e0, law.i0
-    m_d, m_u = rng.lo, rng.hi
-    for j, vj in lines:
-        if j > i0:
-            m_d = max(m_d, -(-(depth + e0 - vj) // (j - i0)))
-        elif j < i0:
-            if rng.hi is None:
-                raise InternalBoundError("unbounded range with a decreasing dominance gap")
-            m_u = min(m_u, (vj - e0 - depth) // (i0 - j))
-
-    def read(m):
-        min_line = min(v + i * m for i, v in lines)
-        law_m = e0 + i0 * m
-        d_m = max(cell.residues.depth, depth + law_m - min_line)
-        units = cell.residues.lift(d_m).members()
-        groups = {}
-        for u, dig in zip(units, _sphere_digits(f, cell.center.value, m, law_m, depth,
-                                                 units, p)):
-            if dig % p == 0:
-                raise _law_error(f, law_m, p, cell.center.value, m, u)
-            groups.setdefault(want(dig), []).append(u)
-        return d_m, groups
-
-    pieces = []
-    stable = None
-    for m in rng.values():
-        in_window = m_d <= m and (m_u is None or m <= m_u)
-        if in_window and stable is None:
-            stable = read(m)
-        d_m, groups = stable if in_window else read(m)
-        tail = in_window and rng.hi is None
-        sub = rng.restrict(lo=m) if tail else ArithRange(m, m)
-        for flag in sorted(groups):
-            pieces.append((replace(cell, m_range=sub,
-                                   residues=Residues(d_m, frozenset(groups[flag]), p)), flag))
-        if tail:
-            break
     return pieces
 
 
@@ -857,23 +730,7 @@ def all_cells_chi(dec: Decomposition) -> K0Element:
     return K0Element.of([(_cell_shape(c), c.kind) for c in dec.cells])
 
 
-@dataclass(frozen=True)
-class RootCounts:
-    prime: int
-    counts: tuple[int, ...]  # counts[k-1] = #{y mod p^k : f(y) = 0 mod p^k}
-
-    def __post_init__(self):
-        for a, b in zip(self.counts, self.counts[1:]):
-            if b > self.prime * a:
-                raise ValueError("root counts violate the lifting bound")
-
-
-def root_counts(f: Poly, p: int, k_max: int) -> RootCounts:
-    return RootCounts(p, tuple(count_roots_mod(f, p, k) for k in range(1, k_max + 1)))
-
-
 def count_roots_mod_scan(f: Poly, p: int, k: int) -> int:
-    """Full-scan reference counter for validating the pruned one in `oracle`."""
-    coeffs = _require_p_integral(f, p)
-    q = p**k
-    return sum(1 for y in range(q) if _eval_mod(coeffs, y, q) == 0)
+    """The roots of f mod p^k, counted by evaluating f at every residue: the
+    reference for the pruned lifting in `oracle.count_roots_mod`."""
+    return sum(ord_p(f.eval(y), p) >= k for y in range(p**k))

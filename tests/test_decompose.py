@@ -11,7 +11,7 @@ from conftest import PRIMES, formula_pool, large_prime_polys
 from fraction_loops import (fraction_shifted_center, fraction_sphere_digits, per_class_prepare,
                             per_set_order_cell_json, point_digits, residual_zeros,
                             sphere_by_sphere_digit_atom_pieces, tail_digits, taylor_digits,
-                            unit_scan_digit_atom_pieces, unit_set)
+                            unit_set)
 
 import padic_cells.decompose as decompose_module
 from padic_cells.cells import (
@@ -38,6 +38,7 @@ from padic_cells.decompose import (
     OrdCmp,
     OrdEqInf,
     OrdModEq,
+    RELATIONS,
     RvEq,
     _budget,
     _digit_atom_pieces,
@@ -100,6 +101,19 @@ def test_prepare_rejects_degree_above_the_bound():
         prepare(f, 5)
     with pytest.raises(UnsupportedInputError, match="bound"):
         decompose_set(FAtom(OrdCmp(f, None, 0, ">=")), 5)
+
+
+def test_order_comparisons_take_the_five_relations():
+    # an unknown relation is refused when the atom is built, and INFINITY
+    # compares through the table as through the operators
+    with pytest.raises(ValueError, match="unknown relation '!='"):
+        OrdCmp(Y, None, 0, "!=")
+    spelled = {"<": lambda a, b: a < b, "<=": lambda a, b: a <= b, "=": lambda a, b: a == b,
+               ">=": lambda a, b: a >= b, ">": lambda a, b: a > b}
+    assert RELATIONS.keys() == spelled.keys()
+    for rel, compare in RELATIONS.items():
+        for a, b in ((INFINITY, 3), (3, INFINITY), (INFINITY, INFINITY), (2, 3), (3, 3)):
+            assert compare(a, b) == spelled[rel](a, b), (a, rel, b)
 
 
 def test_dominance_regions_match_the_envelope():
@@ -616,7 +630,7 @@ def test_digit_kernel_matches_the_fraction_loop(monkeypatch, coeffs, p, domain, 
         for cell in families:
             law = cell.law_for(f)
             for depth in range(1, deepest + 1):
-                by_digit = unit_scan_digit_atom_pieces(cell, f, depth, lambda d: d, p)
+                by_digit = sphere_by_sphere_digit_atom_pieces(cell, f, depth, lambda d: d, p)
                 out += [_digit_atom_pieces(cell, f, depth, t)
                         for t in _met_digits(by_digit, depth, p)]
                 tag = RvData(depth, law.apply(cell.m_range.lo + 1), 1)
@@ -655,8 +669,8 @@ def test_digit_kernel_rejects_a_contradicted_law():
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_lifting_read_names_the_unit_the_scan_names(p):
     """A tampered law fails at the same unit of the same sphere, with the
-    same message, under the lifting read as under the scan of every unit:
-    the least failing unit is a class representative."""
+    same message, under the lifting read as under the scan of every unit of
+    every sphere: the least failing unit is a class representative."""
     named = 0
     for f in (Poly.of(-1, 0, 1), Poly.of(-2, 0, 0, 1), Poly.of(1, 3, 0, 1), Poly.of(0, 1)):
         for cell in prepare(f, p).cells:
@@ -666,7 +680,7 @@ def test_lifting_read_names_the_unit_the_scan_names(p):
             for shift, depth in ((1, 1), (-1, 2), (2, 2)):
                 tampered = cell.with_laws({f: OrderLaw(law.e0 + shift, law.i0)})
                 with pytest.raises(InternalBoundError) as want:
-                    unit_scan_digit_atom_pieces(tampered, f, depth, lambda d: d == 1, p)
+                    sphere_by_sphere_digit_atom_pieces(tampered, f, depth, lambda d: d == 1, p)
                 with pytest.raises(InternalBoundError) as got:
                     _digit_atom_pieces(tampered, f, depth, 1)
                 assert str(got.value) == str(want.value)
@@ -710,14 +724,13 @@ def _target_view(spheres, target):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_digit_atom_window_matches_the_sphere_loop(p):
-    """Reading the first sphere of the stable window once and reusing it
-    cuts every family into the same pieces as reading each sphere, and the
-    lift of matching digit classes cuts, for every digit string met and one
-    not met, the pieces that the scan of every unit cuts: on the unbounded
-    ranges of `prepare` and on finite ranges that start below, at and above
-    m_d, with step 1 and 2, and on y^2 - p^19, whose finite range around 0
-    has a Taylor term of smaller index than the law's, so its window ends
-    before the range does from depth 2 on."""
+    """Reading the first sphere of the stable window once, reusing it and
+    lifting matching digit classes cuts, for every digit string met and one
+    not met, the pieces that the scan of every unit of each sphere cuts: on
+    the unbounded ranges of `prepare` and on finite ranges that start below,
+    at and above m_d, with step 1 and 2, and on y^2 - p^19, whose finite
+    range around 0 has a Taylor term of smaller index than the law's, so its
+    window ends before the range does from depth 2 on."""
     polys = [Poly.of(-1, 0, 1), Poly.of(-2, 0, 1), Poly.of(1, 0, 1), Poly.of(-2, 0, 0, 1),
              Poly.of(-17, 0, 1), Poly.of(Fraction(-1, 3), 0, 2), Poly.of(-p**19, 0, 1)]
     starts = {"below": 0, "at": 0, "above": 0, "window ends": 0}
@@ -739,7 +752,6 @@ def test_digit_atom_window_matches_the_sphere_loop(p):
                 for sub in filter(None, subs):
                     piece = replace(cell, m_range=sub)
                     by_digit = sphere_by_sphere_digit_atom_pieces(piece, f, depth, lambda d: d, p)
-                    assert unit_scan_digit_atom_pieces(piece, f, depth, lambda d: d, p) == by_digit
                     spheres = _units_by_digit(by_digit, p)
                     for target in _met_digits(by_digit, depth, p):
                         assert _unit_view(_digit_atom_pieces(piece, f, depth, target), p) == \

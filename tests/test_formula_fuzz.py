@@ -14,6 +14,7 @@ from padic_cells.decompose import (
     OrdCmp,
     OrdEqInf,
     OrdModEq,
+    RELATIONS,
     RvEq,
     decompose_set,
     eval_formula,
@@ -35,8 +36,7 @@ def atom_truth(atom, y: Fraction, p: int) -> bool:
             rhs = ord_p(Fraction(1), p) + atom.offset
         else:
             rhs = rhs + atom.offset
-        from padic_cells.decompose import _compare
-        return _compare(atom.rel, lhs, rhs)
+        return RELATIONS[atom.rel](lhs, rhs)
     if isinstance(atom, OrdModEq):
         v = ord_p(value, p)
         return (v is not INFINITY) and (v - atom.residue) % atom.modulus == 0

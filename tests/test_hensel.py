@@ -2,8 +2,6 @@ import gc
 import random
 from fractions import Fraction
 
-from dataclasses import replace
-
 import pytest
 
 from padic_cells import hensel
@@ -34,8 +32,8 @@ from padic_cells.padics import INFINITY, ord_p, rv, unit_digits
 from padic_cells.poly import Poly, resultant_val, squarefree_part, taylor_polys
 
 from conftest import CORPUS, large_prime_polys
-from fraction_loops import (eager_difference, eager_value_at, full_walk_root_points, race_residue,
-                            separated_same_root, taylor_digits)
+from fraction_loops import (full_walk_root_points, race_residue, separated_same_root,
+                            taylor_digits)
 
 
 def lift_mod(x: Fraction, q: int) -> int:
@@ -239,8 +237,8 @@ def test_certification_cap_names_its_input(monkeypatch):
 
 
 def test_root_search_cap_names_its_input():
-    # cap 1, as in test_root_search_matches_the_fraction_search: both square
-    # roots of 17 lie in the class 1 mod 2, so the search needs a second digit
+    # cap 1, as in the comparisons with the full walk: both square roots of
+    # 17 lie in the class 1 mod 2, so the search needs a second digit
     with pytest.raises(InternalBoundError, match=r"root search for y\^2 - 17 \(p = 2\) "
                                                  r"reached the class 1 mod 2\^2, past its depth bound of 1$"):
         certified_root_points(Poly.of(-17, 0, 1), 2, 1)
@@ -477,10 +475,28 @@ def _inexact_centers(f: Poly, p: int, domain: Ball) -> list:
     return [c.center.value for c in prepare(f, p, domain).cells if not c.center.is_rational]
 
 
+def _value_to(q: Poly, r, n: int) -> Fraction:
+    """A rational congruent to q(r) mod p^n at the inexact root r: q at a
+    refinement of r whose Taylor tail, min ord b_i + i * precision over the
+    Taylor coefficients b_i with i >= 1, lies at p^n or past it."""
+    precision = r.precision
+    for _ in range(12):
+        rr = refine_root(r, precision)
+        sh = q.taylor_shift(rr.approx)
+        tail = min((ord_p(b, r.prime) + i * rr.precision for i, b in enumerate(sh.coeffs) if i),
+                   default=INFINITY)
+        if tail >= n:
+            return sh.coeff(0)
+        precision = 2 * precision + 4
+    raise AssertionError(f"the Taylor tail of {q} at {r} stayed below p^{n}")
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_root_count_decisions_match_the_race_and_the_separation_bound(p):
     # zeros and equality at inexact centers, decided by a root count in the
-    # isolating ball, against the factor race and the separation bound
+    # isolating ball, against the factor race and the separation bound; the
+    # valuation and two digits of each nonzero value against the value two
+    # digits past it, read at a refinement of the roots
     domains = [ZP, Ball(Fraction(1), 1), Ball(Fraction(3), 2)]
     zeros = equal = 0
     for coeffs in CORPUS.values():
@@ -497,19 +513,20 @@ def test_root_count_decisions_match_the_race_and_the_separation_bound(p):
                     v = ord_of_poly_at(q, c, p)
                     zero = v is INFINITY
                     assert zero == (race_residue(q, c) is None)
-                    # the lazy zero test answers like the eager one
-                    assert v == ord_p(eager_value_at(q, c, 1), p)
                     if not zero:
-                        assert digits_of_poly_at(q, c, p, 2) == unit_digits(
-                            eager_value_at(q, c, 2), p, 2)
+                        x = _value_to(q, c, v + 2)
+                        assert ord_p(x, p) == v
+                        assert digits_of_poly_at(q, c, p, 2) == unit_digits(x, p, 2)
                     zeros += zero
             for i, a in enumerate(centers):
                 for b in centers[i:]:
                     same = centers_equal(a, b, p)
                     assert same == separated_same_root(a, b, p)
-                    assert ord_between(a, b, p) == ord_p(eager_difference(a, b, p, 1), p)
+                    v = ord_between(a, b, p)
+                    assert (v is INFINITY) == same
                     if not same:
-                        assert digits_between(a, b, p, 2) == unit_digits(
-                            eager_difference(a, b, p, 2), p, 2)
+                        x = refine_root(a, v + 2).approx - refine_root(b, v + 2).approx
+                        assert ord_p(x, p) == v
+                        assert digits_between(a, b, p, 2) == unit_digits(x, p, 2)
                     equal += same
     assert zeros and equal

@@ -21,8 +21,7 @@ from padic_cells.padics import INFINITY, MAX_SAMPLES, ord_p
 from padic_cells.parser import parse_formula
 from padic_cells.poly import Poly
 
-from fraction_loops import (RootCounts, count_roots_mod_scan, fraction_taylor_shift,
-                            random_rational, root_counts)
+from fraction_loops import count_roots_mod_scan, fraction_taylor_shift, random_rational
 
 
 def test_count_examples():
@@ -93,11 +92,11 @@ def test_count_bounds():
 
 
 def test_root_counts_monotone():
-    rc = root_counts(Poly.of(0, 0, 1), 3, 6)
-    for a, b in zip(rc.counts, rc.counts[1:]):
-        assert b <= 3 * a
-    with pytest.raises(ValueError):
-        RootCounts(3, (1, 100))
+    # each root mod p^k lifts to at most p roots mod p^(k+1)
+    for coeffs in ([0, 0, 1], [-1, 0, 1], [0, 0, 0, 1], [-6, 0, 1]):
+        counts = [count_roots_mod(Poly.of(*coeffs), 3, k) for k in range(1, 7)]
+        assert all(b <= 3 * a for a, b in zip(counts, counts[1:])), (coeffs, counts)
+    assert [count_roots_mod(Poly.of(0, 0, 1), 3, k) for k in range(1, 7)] == [1, 3, 3, 9, 9, 27]
 
 
 def test_verify_partition_clean():

@@ -1,8 +1,9 @@
-"""Differential test of the oracle's integer arithmetic against the
-`Fraction` loops it replaced, kept here as the reference: equal reports,
-failures included, on random polynomials, ball domains and broken inputs;
-and of its law kernel mod p^(t+1) and per-prefix partition marks against
-the per-sample evaluation and per-class marks they replaced."""
+"""Differential test of the oracle against one reference per function, from
+`fraction_loops`: `verify_partition` against the per-class marks,
+`verify_laws` and `_cell_samples` against the per-sample evaluation of f in
+full, and `count_roots_mod` against the full scan.  The reports are equal,
+failures included, on random polynomials, ball domains, the corpus, formulas
+and broken inputs."""
 
 import random
 import time
@@ -14,11 +15,9 @@ import pytest
 from padic_cells import oracle
 from padic_cells.cells import Ball, Decomposition, OrderLaw, Residues
 from padic_cells.decompose import decompose_set, prepare, prepare_grouped
-from padic_cells.hensel import exact_value, ord_between, reduce_mod, refine_root, taylor_ords
+from padic_cells.hensel import exact_value
 from padic_cells.measure import exact_partition_check
 from padic_cells.oracle import (
-    LawFailure,
-    LawReport,
     PartitionReport,
     _clear_denominators,
     _ord_value,
@@ -38,33 +37,8 @@ PRIMES = (2, 3, 5, 7, 11)
 
 
 # ---------------------------------------------------------------------------
-# The reference: the Fraction loops, verbatim in what they compute.
+# The partition reference: every class mod p^k marked on its own.
 # ---------------------------------------------------------------------------
-
-
-def ref_count_roots_mod(f: Poly, p: int, k: int) -> int:
-    from math import lcm
-
-    den = 1
-    for c in f.coeffs:
-        den = lcm(den, c.denominator)
-    f = f * Fraction(den)
-    total = 0
-    stack = [(0, 0)]
-    while stack:
-        c, j = stack.pop()
-        if j == k:
-            total += 1
-            continue
-        sh = f.taylor_shift(Fraction(c))
-        if all(ord_p(sh.coeff(i), p) + i * j >= k for i in range(len(sh.coeffs))):
-            total += p ** (k - j)
-            continue
-        for t in range(p):
-            cc = c + t * p**j
-            if f.eval(Fraction(cc)) % Fraction(p) ** min(k, j + 1) == 0:
-                stack.append((cc, j + 1))
-    return total
 
 
 def ref_verify_partition(dec: Decomposition, k: int) -> PartitionReport:
@@ -86,96 +60,6 @@ def ref_verify_partition(dec: Decomposition, k: int) -> PartitionReport:
         else:
             violations.append((r, hits))
     return PartitionReport(p, k, tuple(violations), tuple(undecided))
-
-
-def ref_cell_samples(cell, p, n, rng):
-    out = []
-    d = cell.residues.depth
-    units = cell.residues.members()
-    if not cell.residues.is_all:  # one unit of every class, and the first n
-        heads = {a for _, a in cell.residues.classes}
-        first = [u for u in units[:n] if u not in heads][:max(n - len(heads), 0)]
-        units = sorted(heads.union(first))
-        n = max(n, len(units))
-    ms = list(cell.m_range.values(limit=4))
-    if cell.m_range.hi is not None:
-        tail = [m for m in cell.m_range.values() if m >= cell.m_range.hi - 2 * cell.m_range.step]
-        ms = sorted(set(ms + tail))
-    c = cell.center.value
-    precision = 0
-    c_proxy = c if isinstance(c, Fraction) else Fraction(0)
-    while len(out) < n:
-        for m in ms:
-            need = m + d + 10
-            if need > precision:
-                precision = need + 16
-                if not isinstance(c, Fraction):
-                    c_proxy = reduce_mod(refine_root(c, precision).approx, p, precision)
-            for u in units:
-                extra = rng.randrange(p**3)
-                out.append((c_proxy + Fraction(u + extra * p**d) * Fraction(p) ** m, m))
-                if len(out) >= n:
-                    return out
-        if cell.m_range.hi is None:
-            ms = [m + cell.m_range.step for m in ms[-2:]]
-    return out
-
-
-def ref_verify_laws(dec: Decomposition, f: Poly, samples: int = 200, seed: int = 0) -> LawReport:
-    p = dec.prime
-    rng = random.Random(seed)
-    failures = []
-    for idx, cell in enumerate(dec.cells):
-        law = cell.law_for(f)
-        if cell.is_point:
-            c = cell.center.value
-            want = law.apply(None)
-            if isinstance(c, Fraction):
-                got = ord_p(f.eval(c), p)
-                if got != want:
-                    failures.append(LawFailure(idx, c, want, got))
-            else:
-                floor = 8 if want is INFINITY else abs(want) + 8
-                ok = False
-                rr = c
-                for _ in range(6):
-                    rr = refine_root(c, floor)
-                    sh = f.taylor_shift(rr.approx)
-                    got = ord_p(sh.coeff(0), p)
-                    cmin = INFINITY
-                    for i in range(1, len(sh.coeffs)):
-                        t = ord_p(sh.coeff(i), p)
-                        if t < cmin:
-                            cmin = t
-                    bound = cmin + rr.precision
-                    if want is INFINITY:
-                        ok = got >= bound
-                        break
-                    if bound > want:
-                        ok = got == want
-                        break
-                    floor = 2 * floor + 8
-                if not ok:
-                    failures.append(LawFailure(idx, rr.approx, want, got))
-            continue
-        taylor = taylor_ords(f, cell.center.value, p)
-        for member, m in ref_cell_samples(cell, p, samples, rng):
-            got = ord_p(f.eval(member), p)
-            want = law.apply(m)
-            if got != want:
-                true_m = ord_between(member, cell.center.value, p)
-                if true_m is INFINITY or true_m != m:
-                    continue
-                failures.append(LawFailure(idx, member, want, got))
-                continue
-            bound = INFINITY
-            for i, v in enumerate(taylor):
-                vv = v + i * m + dec.k_depth
-                if vv < bound:
-                    bound = vv
-            if not got <= bound:
-                failures.append(LawFailure(idx, member, bound, got))
-    return LawReport(seed, samples, tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +86,7 @@ def _random_poly(rng: random.Random, p: int) -> Poly:
 
 def _assert_same(dec: Decomposition, f: Poly, k: int, samples: int = 30) -> None:
     assert verify_partition(dec, k) == ref_verify_partition(dec, k)
-    assert verify_laws(dec, f, samples=samples, seed=7) == ref_verify_laws(dec, f, samples=samples, seed=7)
+    assert verify_laws(dec, f, samples=samples, seed=7) == per_sample_verify_laws(dec, f, samples, 7)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -213,8 +97,7 @@ def test_random_polynomials_agree_with_the_fraction_loops(p):
         f = _random_poly(rng, p)
         _assert_same(prepare(f, p), f, k)
         for j in range(1, min(k, 3) + 1):
-            assert count_roots_mod(f, p, j) == ref_count_roots_mod(f, p, j)
-            assert count_roots_mod_scan(f, p, j) == ref_count_roots_mod(f, p, j)
+            assert count_roots_mod(f, p, j) == count_roots_mod_scan(f, p, j)
 
 
 @pytest.mark.parametrize("p", (3, 5))
@@ -260,12 +143,12 @@ def test_broken_decompositions_report_the_same_faults(p, f):
     cells = tuple(replace(c, laws={g: OrderLaw(law.e0 + 1, law.i0) for g, law in c.laws.items()})
                   if i in broken else c for i, c in enumerate(dec.cells))
     tampered = replace(dec, cells=cells)
-    new, ref = verify_laws(tampered, f, samples=40), ref_verify_laws(tampered, f, samples=40)
+    new, ref = verify_laws(tampered, f, samples=40), per_sample_verify_laws(tampered, f, 40)
     assert new == ref
     assert {x.cell_index for x in new.failures} == broken
     # a recorded depth too small for the laws breaks the depth-k inequality
     shallow = replace(dec, k_depth=-5)
-    new, ref = verify_laws(shallow, f, samples=40), ref_verify_laws(shallow, f, samples=40)
+    new, ref = verify_laws(shallow, f, samples=40), per_sample_verify_laws(shallow, f, 40)
     assert new == ref and new.failures
 
 
@@ -417,7 +300,7 @@ def test_law_samples_read_only_the_units_they_draw(monkeypatch):
     # no residue set is listed whole
     f = parse_poly("y^4 - 17*y^3 + 5*y^2 + 737*y - 726")
     dec = prepare_grouped(f, 1009)
-    want = ref_verify_laws(dec, f, samples=20)
+    want = per_sample_verify_laws(dec, f, 20)
     drawn = []
     sample_units = oracle._sample_units
     monkeypatch.setattr(oracle, "_sample_units", lambda res, n: drawn.append(

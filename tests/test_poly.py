@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from padic_cells.errors import InternalBoundError
-from padic_cells.hensel import _at_root, certified_root_points, refine_root, taylor_ords
+from padic_cells.hensel import _at_root, refine_root, taylor_ords
 from padic_cells.padics import INFINITY, ord_p, unit_digits
 from padic_cells.poly import (
     Poly,
@@ -16,10 +15,9 @@ from padic_cells.poly import (
     squarefree_part,
 )
 
-from conftest import CORPUS, large_prime_polys
+from conftest import CORPUS
 from fraction_loops import (
     fraction_eval,
-    fraction_root_points,
     fraction_shift_var,
     fraction_taylor_shift,
     random_rational,
@@ -219,34 +217,3 @@ def test_estimates_at_roots_match_the_fraction_expansion(corpus_decompositions):
                 sh = fraction_taylor_shift(q, rr.approx)
                 want.append((sh.coeff(0), newton_min(sh, p, start=1) + rr.precision))
             assert [_at_root(r, q)(n) for q in qs] == want
-
-
-def root_search_cases():
-    for coeffs in CORPUS.values():
-        for p in (2, 3, 5, 7):
-            yield squarefree_part(Poly.of(*coeffs)), p
-    for f in large_prime_polys():
-        for p in (31, 101):
-            yield squarefree_part(f), p
-
-
-def test_root_search_matches_the_fraction_search():
-    cases = 0
-    for w, p in root_search_cases():
-        if w.degree < 1:
-            continue
-        # Z_p and the balls B(t, k) scaled to Z_p as `roots_in_ball` scales
-        # them, with a cap that some searches reach
-        balls = [(t, 1) for t in (*range(min(p, 4)), -1)] + [(1, 2), (-1, 2)]
-        inputs = [w] + [w.shift_var(Fraction(p) ** k, Fraction(t)) for t, k in balls]
-        for poly in inputs:
-            for cap in (1, 30):
-                try:
-                    want = fraction_root_points(poly, p, cap)
-                except InternalBoundError:
-                    with pytest.raises(InternalBoundError):
-                        certified_root_points(poly, p, cap)
-                    continue
-                assert certified_root_points(poly, p, cap) == want
-                cases += 1
-    assert cases > 300
