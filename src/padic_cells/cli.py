@@ -201,7 +201,7 @@ def _cmd_decompose(args) -> dict:
         payload["verify"] = {
             "exact_disjoint": chk.disjoint,
             "exact_cover": chk.covers,
-            "partition_violations": len(vp.violations),
+            "partition_violations": vp.violating_classes,
             "partition_undecided": len(vp.undecided),
         }
         if f is not None:

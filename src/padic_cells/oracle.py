@@ -23,12 +23,15 @@ whole set, so every class of a rootless tie group is sampled.  Partition
 marks are made once per digit class, at the class's own level: a class
 a mod p^j on the sphere at m is marked as a class mod p^(m+j) where
 m + j <= k, and otherwise flags the one class mod p^k it partly covers.
-The marks are summed up to p^k level by level.
+The marks are the leaves of a trie of prefixes walked from the domain's
+prefix: a prefix with no mark or flag below it decides its p^(k-j)
+classes at once, so the check takes time linear in the marks, not in p^k.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -36,7 +39,7 @@ from math import lcm
 from .cells import Ball, Cell1, Decomposition, Residues
 from .errors import UnsupportedInputError
 from .hensel import center_proxy, refine_root
-from .padics import INFINITY, MAX_CLASSES, MAX_SAMPLES, Val, ord_p, require_classes
+from .padics import INFINITY, MAX_CLASSES, MAX_SAMPLES, Val, ord_p
 from .poly import Poly
 
 
@@ -125,6 +128,14 @@ def _ord_value(coeffs: list[int], shift: int, num: int, den: int, p: int) -> Val
     return _ord_int(acc, p) - shift - (len(coeffs) - 1) * _ord_int(den, p)
 
 
+def _require_depth(k: int, what: str) -> None:
+    """Reject a depth k outside 1..20: past 20, p^k is past MAX_CLASSES for
+    every p."""
+    if not 1 <= k <= MAX_CLASSES.bit_length():
+        raise UnsupportedInputError(
+            f"{what} for k from 1 to {MAX_CLASSES.bit_length()}, and k = {k} is out of range")
+
+
 def count_roots_mod(f: Poly, p: int, k: int, start: tuple[int, int] = (0, 0)) -> int:
     """#{ y mod p^k : y = c mod p^j, f(y) = 0 mod p^k } for start = (c, j)
     with 0 <= j <= k, exact, by digit lifting from the class c mod p^j.
@@ -135,10 +146,7 @@ def count_roots_mod(f: Poly, p: int, k: int, start: tuple[int, int] = (0, 0)) ->
     roots mod p^j."""
     if f.is_zero:
         raise UnsupportedInputError("zero polynomial")
-    if not 1 <= k <= MAX_CLASSES.bit_length():
-        raise UnsupportedInputError(
-            f"roots are counted mod p^k for k from 1 to {MAX_CLASSES.bit_length()}, "
-            f"and k = {k} is out of range")
+    _require_depth(k, "roots are counted mod p^k")
     c, j = start
     if not 0 <= j <= k:
         raise ValueError(f"the class mod p^{j} is not inside the count mod p^{k}")
@@ -207,12 +215,18 @@ def order_tails(f: Poly, p: int, domain: Ball, k: int) -> list[Fraction]:
 class PartitionReport:
     prime: int
     depth: int
-    violations: tuple[tuple[int, int], ...]  # (class, number of covering cells)
+    # (level j, residue a mod p^j, covering cells, classes): that many
+    # classes mod p^k inside a mod p^j, each covered that many times
+    violations: tuple[tuple[int, int, int, int], ...]
     undecided: tuple[int, ...]
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    @property
+    def violating_classes(self) -> int:
+        return sum(classes for *_, classes in self.violations)
 
 
 def _center_mod(cell: Cell1, k: int) -> int:
@@ -220,7 +234,20 @@ def _center_mod(cell: Cell1, k: int) -> int:
     return _residue(center_proxy(cell.center.value, cell.prime, k + 2), cell.prime**k)
 
 
-def _mark_cell(cell: Cell1, k: int, marks: list[list[int]], fuzzy: list[int]) -> None:
+def _mark_count(cell: Cell1, k: int) -> int:
+    """The marks and flags `_mark_cell` makes for the cell at depth k: one
+    per digit class per value of its range below k, and one flag for a
+    point or a range that reaches k."""
+    if cell.is_point:
+        return 1
+    rng, res = cell.m_range, cell.residues
+    below = 0 if rng.lo >= k else (
+        (k - 1 if rng.hi is None else min(rng.hi, k - 1)) - rng.lo) // rng.step + 1
+    classes = res.p - 1 if res.is_all else len(res.classes)
+    return below * classes + (rng.hi is None or rng.hi >= k)
+
+
+def _mark_cell(cell: Cell1, k: int, marks: list[Counter], flags: set[int]) -> None:
     """Mark every class the cell decidedly contains once, as a class mod p^j
     in marks[j] at the level j where its constraint ends (all its lifts mod
     p^k are inside), and flag the classes mod p^k it only partially covers
@@ -229,56 +256,91 @@ def _mark_cell(cell: Cell1, k: int, marks: list[list[int]], fuzzy: list[int]) ->
     inside one class mod p^k, which it only partly covers."""
     p, c_mod = cell.prime, _center_mod(cell, k)
     if cell.is_point:
-        fuzzy[c_mod] = 1
+        flags.add(c_mod)
         return
-    rng, res = cell.m_range, cell.residues
+    rng = cell.m_range
     if rng.hi is None or rng.hi >= k:
-        fuzzy[c_mod] = 1  # the cell has members inside the center's class
+        flags.add(c_mod)  # the cell has members inside the center's class
+    if cell.residues.is_all:
+        heads = {1: range(1, p)}
+    else:  # the heads a of the digit classes (j, a), by level j
+        heads = {}
+        for j, a in cell.residues.classes:
+            heads.setdefault(j, []).append(a)
     for m in rng.values():
         if m >= k:
             break
         pm = p**m
-        for j, a in res.explicit():
+        for j, group in heads.items():
+            q = p ** min(m + j, k)
+            classes = [(c_mod + a * pm) % q for a in group]
             if m + j <= k:
-                marks[m + j][(c_mod + a * pm) % p ** (m + j)] += 1
+                marks[m + j].update(classes)
             else:
-                fuzzy[(c_mod + a * pm) % p**k] = 1
+                flags.update(classes)
 
 
-def _domain_classes(dec: Decomposition, k: int) -> range:
-    """The representatives 0 <= r < p^k that lie in the domain ball."""
+def _domain_node(dec: Decomposition, k: int) -> tuple[int, int] | None:
+    """The prefix (j, b mod p^j), 0 <= j <= k, whose classes mod p^k meet
+    the domain ball B(b, r): j is r clamped to 0..k, so a ball deeper than k
+    lies in the one class b mod p^k; None when the ball misses Z_p."""
     p, b, rad = dec.prime, dec.domain.center, dec.domain.radius_ord
     if b.denominator % p == 0:  # ord(r - b) = ord(b) < 0 for every integer r
-        return range(p**k) if ord_p(b, p) >= rad else range(0)
-    step = p ** max(rad, 0)
-    return range(_residue(b, step), p**k, step)
+        return (0, 0) if ord_p(b, p) >= rad else None
+    j = min(max(rad, 0), k)
+    return j, _residue(b, p**j)
 
 
 def verify_partition(dec: Decomposition, k: int) -> PartitionReport:
-    """For every residue class mod p^k: exactly one cell decidedly contains
-    it, or the class is flagged undecided (a cell boundary needs more
-    digits).  Anything else is a violation."""
+    """For every residue class mod p^k in the domain: exactly one cell
+    decidedly contains it, or the class is flagged undecided (a cell
+    boundary needs more digits).  Anything else is a violation.
+
+    The marks and flags are the leaves of a trie of prefixes a mod p^j
+    below the domain's prefix, and each prefix counts the marks on its path
+    from the root.  The children of a prefix that hold no mark or flag
+    share its count, so they are decided at once, p^(k-j-1) classes each:
+    the work grows with the marks, not with p^k.  Raises
+    UnsupportedInputError unless 1 <= k <= 20 and the cells make at most
+    MAX_CLASSES marks and flags."""
     p = dec.prime
-    require_classes(p, k, "k")
-    marks = [[0] * p**j for j in range(k + 1)]
-    fuzzy = [0] * p**k
+    _require_depth(k, "the partition is checked mod p^k")
+    if sum(_mark_count(cell, k) for cell in dec.cells) > MAX_CLASSES:
+        raise UnsupportedInputError(
+            f"checking the partition mod {p}^{k} marks more than {MAX_CLASSES} classes")
+    marks = [Counter() for _ in range(k + 1)]
+    flags: set[int] = set()
     for cell in dec.cells:
-        _mark_cell(cell, k, marks, fuzzy)
-    # a class mod p^j counts its own marks and those of its prefix mod p^(j-1)
-    count = marks[0]
-    for level in marks[1:]:
-        count = [a + b for a, b in zip(level, count * p)]
+        _mark_cell(cell, k, marks, flags)
+    node = _domain_node(dec, k)
+    if node is None:
+        return PartitionReport(p, k, (), ())
+    r, b = node
+    pw = [p**j for j in range(k + 1)]
+    # held[j]: the prefixes mod p^j inside the domain with a mark or a flag
+    # at or below them; kids[j]: how many children each of them holds
+    held = [{b} if j <= r else {a for a in marks[j] if a % pw[r] == b} for j in range(k + 1)]
+    held[k] |= {a for a in flags if a % pw[r] == b}
+    kids = [Counter() for _ in range(k)]
+    for j in range(k, r, -1):
+        q = pw[j - 1]
+        kids[j - 1].update([a % q for a in held[j]])
+        held[j - 1] |= kids[j - 1].keys()
     violations = []
+    hits = {b: sum(marks[j].get(b % pw[j], 0) for j in range(r + 1))}
+    for j in range(r, k):
+        below = kids[j]
+        violations += [(j, a, h, (p - below[a]) * pw[k - j - 1])
+                       for a, h in hits.items() if h != 1 and below[a] < p]
+        q, level = pw[j], marks[j + 1]
+        hits = {c: hits[c % q] + level.get(c, 0) for c in held[j + 1]}
     undecided = []
-    for r in _domain_classes(dec, k):
-        hits = count[r]
-        if hits == 1 and not fuzzy[r]:
-            continue
-        if fuzzy[r] and hits <= 1:
-            undecided.append(r)
-        else:
-            violations.append((r, hits))
-    return PartitionReport(p, k, tuple(violations), tuple(undecided))
+    for a, h in hits.items():
+        if a in flags and h <= 1:
+            undecided.append(a)
+        elif h != 1:
+            violations.append((k, a, h, 1))
+    return PartitionReport(p, k, tuple(sorted(violations)), tuple(sorted(undecided)))
 
 
 # ---------------------------------------------------------------------------

@@ -344,24 +344,25 @@ def per_class_mark_cell(cell: Cell1, k: int, p: int, count: list[int], fuzzy: li
     for m in rng.values():
         if m >= k:
             break
+        pm = p**m
         if m + d <= k:
             lifts = p ** (k - m - d)
-            qd = p**d
+            step = p**d * pm
             for u0 in cell.residues.members():
+                base = c_mod + u0 * pm
                 for t in range(lifts):
-                    cls = (c_mod + (u0 + t * qd) * p**m) % q
-                    count[cls] += 1
+                    count[(base + t * step) % q] += 1
         elif cell.residues.is_all:
             # residues unconstrained: every class at distance m is inside
             qk = p ** (k - m)
             for u in range(1, qk):
                 if u % p:
-                    cls = (c_mod + u * p**m) % q
+                    cls = (c_mod + u * pm) % q
                     count[cls] += 1
         else:
             held = Counter(u % p ** (k - m) for u in cell.residues.members())
             for u0, n in held.items():
-                cls = (c_mod + u0 * p**m) % q
+                cls = (c_mod + u0 * pm) % q
                 if n == p ** (m + d - k):
                     count[cls] += 1
                 else:

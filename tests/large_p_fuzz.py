@@ -103,8 +103,6 @@ def check(case: Case) -> list[str]:
     if p <= 13:
         forms["listed"] = prepare
     tails = order_tails(f, p, case.domain, k)
-    # verify_partition scans p^k classes: at most about 3 * 10^4 of them
-    depth = max(j for j in range(1, k + 1) if j == 1 or p**j <= 30000)
     problems = []
     for form, build in forms.items():
         dec = build(f, p, case.domain)
@@ -115,9 +113,9 @@ def check(case: Case) -> list[str]:
         part = exact_partition_check(dec)
         if not part.ok:
             problems.append(f"{form}: exact partition check: {part}")
-        report = verify_partition(dec, depth)
+        report = verify_partition(dec, k)
         if report.violations:
-            problems.append(f"{form}: verify_partition at k = {depth}: {report.violations[:5]}")
+            problems.append(f"{form}: verify_partition at k = {k}: {report.violations[:5]}")
         laws = verify_laws(dec, f, samples=SAMPLES, seed=case.seed)
         if laws.failures:
             problems.append(f"{form}: verify_laws: {len(laws.failures)} failures, "

@@ -218,11 +218,13 @@ def test_cli_internal_bound_exit(capsys, monkeypatch):
     (["measure", "--prime", "5", "--domain", "0:1:2", "--poly", "y"], 2),
     (["cv-check", "--prime", "5", "--formula", "ord(y) >= 1",
      "--formula-b", "ord(y) >= 0"], 3),
-    # resource bounds: the domain radius, p^k of the scan, p^depth of digit
-    # atoms, the depth of oracle-compare's root counts
+    # resource bounds: the domain radius, the depth and the marks of the
+    # partition check, p^depth of digit atoms, the depth of oracle-compare's
+    # root counts
     (["measure", "--prime", "5", "--domain", "0:100000", "--poly", "y"], 3),
-    (["decompose", "--prime", "5", "--poly", "y", "--verify", "--k", "12"], 3),
+    (["decompose", "--prime", "5", "--poly", "y", "--verify", "--k", "21"], 3),
     (["decompose", "--prime", "5", "--poly", "y", "--verify", "--k", "-1"], 3),
+    (["decompose", "--prime", "100003", "--poly", "y", "--verify", "--k", "20"], 3),
     (["decompose", "--json", "--prime", "5", "--formula", "ac(9, y) = 1"], 3),
     (["decompose", "--prime", "5", "--formula", "rv(9, y) = 0"], 3),
     (["oracle-compare", "--prime", "5", "--poly", "y", "--k", "-1"], 3),

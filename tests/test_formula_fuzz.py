@@ -31,11 +31,7 @@ def atom_truth(atom, y: Fraction, p: int) -> bool:
         return value == 0
     if isinstance(atom, OrdCmp):
         lhs = ord_p(value, p)
-        rhs = (INFINITY if atom.g is None else ord_p(atom.g.eval(y), p))
-        if atom.g is None:
-            rhs = ord_p(Fraction(1), p) + atom.offset
-        else:
-            rhs = rhs + atom.offset
+        rhs = atom.offset if atom.g is None else ord_p(atom.g.eval(y), p) + atom.offset
         return RELATIONS[atom.rel](lhs, rhs)
     if isinstance(atom, OrdModEq):
         v = ord_p(value, p)

@@ -1,11 +1,12 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from padic_cells.cells import (ArithRange, Ball, Cell1, Center, Decomposition, OrderLaw, Residues,
                                TConst, ZP, sorted_cells)
-from padic_cells.decompose import decompose_set, prepare
+from padic_cells.decompose import decompose_set, prepare, prepare_grouped
 from padic_cells import oracle
 from padic_cells.errors import UnsupportedInputError
 from padic_cells.hensel import exact_value
@@ -18,7 +19,7 @@ from padic_cells.oracle import (
     verify_partition,
 )
 from padic_cells.padics import INFINITY, MAX_SAMPLES, ord_p
-from padic_cells.parser import parse_formula
+from padic_cells.parser import parse_formula, parse_poly
 from padic_cells.poly import Poly
 
 from fraction_loops import count_roots_mod_scan, fraction_taylor_shift, random_rational
@@ -125,6 +126,43 @@ def test_verify_partition_detects_overlap():
     ])
     rep = verify_partition(Decomposition(p, ZP, cells), 4)
     assert not rep.ok and rep.violations
+
+
+def test_verify_partition_depth_and_marks_are_bounded():
+    # k runs from 1 to 20, and the marks are counted before any is made;
+    # p^k itself is not bounded
+    dec = prepare(Poly.of(0, 1), 5)
+    for k in (0, 21):
+        with pytest.raises(UnsupportedInputError):
+            verify_partition(dec, k)
+    assert verify_partition(dec, 20).ok
+    wide = prepare_grouped(Poly.of(0, 1), 100003)
+    with pytest.raises(UnsupportedInputError):
+        verify_partition(wide, 10)  # 10 spheres of 100,002 classes each
+    assert verify_partition(wide, 2).ok
+
+
+QUARTIC = "y^4 - 17*y^3 + 5*y^2 + 737*y - 726"
+
+
+def test_faults_around_a_double_root_at_p_1009_show_at_k_2():
+    # the quartic's double root 11: a family around it that starts one
+    # sphere late leaves the sphere ord(y - 11) = 1 uncovered, and an extra
+    # one-class family on it covers one class twice; both are finer than
+    # one digit, so k = 1 sees neither
+    p = 1009
+    dec = prepare_grouped(parse_poly(QUARTIC), p)
+    [family] = [c for c in dec.cells if not c.is_point and c.center.value == 11]
+    late = family.copy(m_range=ArithRange(2, None))
+    gap = replace(dec, cells=tuple(late if c is family else c for c in dec.cells))
+    extra = family.copy(m_range=ArithRange(1, 1), residues=Residues(1, [5], p))
+    overlap = replace(dec, cells=dec.cells + (extra,))
+    for bad, classes in ((gap, p - 1), (overlap, 1)):
+        assert verify_partition(bad, 1).ok
+        rep = verify_partition(bad, 2)
+        assert rep.violating_classes == classes
+        assert rep.undecided == verify_partition(dec, 2).undecided
+    assert verify_partition(dec, 2).ok
 
 
 def test_verify_laws_clean():

@@ -2,11 +2,13 @@
 `fraction_loops`: `verify_partition` against the per-class marks,
 `verify_laws` and `_cell_samples` against the per-sample evaluation of f in
 full, and `count_roots_mod` against the full scan.  The reports are equal,
-failures included, on random polynomials, ball domains, the corpus, formulas
-and broken inputs."""
+failures included, on random polynomials, ball domains, the corpus, formulas,
+the large-p fuzz and broken inputs; a partition report's violating prefixes
+are compared class by class."""
 
 import random
 import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -25,10 +27,11 @@ from padic_cells.oracle import (
     verify_laws,
     verify_partition,
 )
-from padic_cells.padics import INFINITY, ord_p
+from padic_cells.padics import INFINITY, int_val, ord_p
 from padic_cells.parser import parse_formula, parse_poly
 from padic_cells.poly import Poly
 
+import large_p_fuzz
 from conftest import CORPUS, formula_pool, large_prime_polys
 from fraction_loops import (count_roots_mod_scan, per_class_mark_cell, per_sample_cell_samples,
                             per_sample_verify_laws)
@@ -41,25 +44,58 @@ PRIMES = (2, 3, 5, 7, 11)
 # ---------------------------------------------------------------------------
 
 
-def ref_verify_partition(dec: Decomposition, k: int) -> PartitionReport:
+def ref_verify_partition(dec: Decomposition, k: int) -> tuple[tuple, tuple]:
+    """The violations, as (class, covering cells) pairs, and the undecided
+    classes, among the classes r mod p^k that meet the domain ball."""
     p = dec.prime
     q = p**k
     count = [0] * q
     fuzzy = [0] * q
     for cell in dec.cells:
         per_class_mark_cell(cell, k, p, count, fuzzy)
+    # the class meets the ball B(b, rad) when ord(r - b) >= min(k, rad),
+    # with r - b = (r den - num) / den for b = num / den
+    b, depth = dec.domain.center, min(k, dec.domain.radius_ord)
+    num, den, shift = b.numerator, b.denominator, int_val(b.denominator, p)
     violations, undecided = [], []
-    for r in range(q):
-        if not dec.domain.contains(Fraction(r), p):
+    for r in [r for r in range(q) if count[r] != 1 or fuzzy[r]]:
+        n = r * den - num
+        if n and int_val(n, p) - shift < depth:
             continue
         hits = count[r]
-        if hits == 1 and not fuzzy[r]:
-            continue
         if fuzzy[r] and hits <= 1:
             undecided.append(r)
         else:
             violations.append((r, hits))
-    return PartitionReport(p, k, tuple(violations), tuple(undecided))
+    return tuple(violations), tuple(undecided)
+
+
+def assert_same_partition(rep: PartitionReport, ref: tuple[tuple, tuple]) -> None:
+    """The report's prefix violations expanded into (class, hits) pairs are
+    the reference's, and so are the undecided classes.  A violating class
+    belongs to the deepest prefix a mod p^j of the report that holds it,
+    which must count it and give its hits."""
+    pairs, undecided = ref
+    p, k = rep.prime, rep.depth
+    prefixes = {(j, a): (hits, classes) for j, a, hits, classes in rep.violations}
+    assert len(prefixes) == len(rep.violations)
+    expanded, held = [], Counter()
+    for r, _ in pairs:
+        prefix = next(((j, r % p**j) for j in range(k, -1, -1) if (j, r % p**j) in prefixes),
+                      None)
+        assert prefix is not None, r
+        expanded.append((r, prefixes[prefix][0]))
+        held[prefix] += 1
+    assert expanded == list(pairs)
+    assert all(held[prefix] == classes for prefix, (_, classes) in prefixes.items())
+    assert rep.violating_classes == len(pairs)
+    assert rep.undecided == undecided
+
+
+def assert_partition_matches(dec: Decomposition, k: int) -> PartitionReport:
+    rep = verify_partition(dec, k)
+    assert_same_partition(rep, ref_verify_partition(dec, k))
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +121,7 @@ def _random_poly(rng: random.Random, p: int) -> Poly:
 
 
 def _assert_same(dec: Decomposition, f: Poly, k: int, samples: int = 30) -> None:
-    assert verify_partition(dec, k) == ref_verify_partition(dec, k)
+    assert_partition_matches(dec, k)
     assert verify_laws(dec, f, samples=samples, seed=7) == per_sample_verify_laws(dec, f, samples, 7)
 
 
@@ -118,7 +154,16 @@ def test_domains_outside_the_engine_contract_agree():
     dec = prepare(f, p)
     for domain in (Ball(Fraction(1, 3), -1), Ball(Fraction(1, 3), 0), Ball(Fraction(5), -2)):
         moved = replace(dec, domain=domain)
-        assert verify_partition(moved, k) == ref_verify_partition(moved, k)
+        assert_partition_matches(moved, k)
+
+
+def test_a_domain_deeper_than_k_is_checked_in_its_class():
+    # B(50, 3) and B(1, 3) at p = 7 both lie in the class 1 mod 49, which
+    # meets the ball: at k = 2 that one class is checked, and it is undecided
+    for center in (50, 1):
+        dec = prepare_grouped(Poly.of(-1, 0, 1), 7, Ball(Fraction(center), 3))
+        rep = assert_partition_matches(dec, 2)
+        assert rep.ok and rep.undecided == (1,)
 
 
 def test_rational_centers_and_p_fractional_polynomials_agree():
@@ -135,8 +180,7 @@ def test_broken_decompositions_report_the_same_faults(p, f):
     k = _depth(p)
     # a dropped cell leaves classes uncovered
     dropped = replace(dec, cells=dec.cells[:1] + dec.cells[2:])
-    new, ref = verify_partition(dropped, k), ref_verify_partition(dropped, k)
-    assert new == ref and new.violations
+    assert assert_partition_matches(dropped, k).violations
     # tampered laws fail on their cells' samples, the same members in both
     broken = {i for i, c in enumerate(dec.cells)
               if not c.is_point and c.law_for(f).e0 is not INFINITY}
@@ -239,15 +283,25 @@ def test_sample_draws_leave_the_stream_where_randrange_left_it(p):
             assert new.getstate() == old.getstate()
 
 
-@pytest.mark.parametrize("p", PRIMES)
-def test_corpus_partitions_match_the_per_class_marks(p):
-    # overlaps count their covering cells as the per-class marks did
-    k = min(_depth(p), 4)
+@pytest.mark.parametrize("p,depth", [(2, 6), (3, 6), (5, 6), (7, 5), (11, 3)])
+def test_corpus_partitions_match_the_per_class_marks(p, depth):
+    # every k up to the depth; overlaps count their covering cells as the
+    # per-class marks did
     for coeffs in CORPUS.values():
         dec = prepare(Poly.of(*coeffs), p)
-        doubled = replace(dec, cells=dec.cells + dec.cells[1:3])
-        for d in (dec, doubled):
-            assert verify_partition(d, k) == ref_verify_partition(d, k)
+        for k in range(1, depth + 1):
+            assert_partition_matches(dec, k)
+        assert_partition_matches(replace(dec, cells=dec.cells + dec.cells[1:3]), min(depth, 4))
+
+
+def test_large_p_fuzz_partitions_match_the_per_class_marks():
+    # the grouped decompositions of the large-p fuzz's Tier-1 cases whose
+    # p^k is at most 10^6, at the fuzz's depth k
+    cases = [large_p_fuzz.draw(10**6 + i) for i in range(80)]
+    cases = [case for case in cases if case.p**case.k <= 10**6]
+    assert len(cases) >= 20
+    for case in cases:
+        assert_partition_matches(prepare_grouped(case.f, case.p, case.domain), case.k)
 
 
 def _strict_members(monkeypatch) -> None:
@@ -291,7 +345,7 @@ def test_partition_marks_read_digit_classes_not_units(monkeypatch, build):
     assert any(not c.is_point and not c.residues.is_all for dec, _ in cases for c in dec.cells)
     _strict_members(monkeypatch)
     for (dec, k), ref in zip(cases, refs):
-        assert verify_partition(dec, k) == ref, k
+        assert_same_partition(verify_partition(dec, k), ref)
 
 
 def test_law_samples_read_only_the_units_they_draw(monkeypatch):
