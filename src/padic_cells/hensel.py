@@ -17,10 +17,13 @@ root every question goes through one loop (`_certified`): its first estimate
 almost always settles a nonzero answer; only when it does not is the value
 tested for zero, once, by a Newton-polygon root count (`_roots_near`) in the
 root's isolating ball, and refined until the Taylor tail can no longer change
-the digits asked for.  The decomposition engine and the cell algebra use only
-these queries.  Where the engine already knows a lower bound v for ord f, as
-on every cell with an order law, it reads the digits of f near a center from
-one `center_proxy` exact to v plus the digits wanted, with no certification.
+the digits asked for.  `taylor_ords` applies the same rule to every Taylor
+coefficient at once: each refinement reads them all from one integer
+expansion at the approximation.  The decomposition engine and the cell
+algebra use only these queries.  Where the engine already knows a lower
+bound v for ord f, as on every cell with an order law, it reads the digits
+of f near a center from one `center_proxy` exact to v plus the digits
+wanted, with no certification.
 
 `roots_in_ball` is the one root search: it scales a ball to Z_p, runs the
 pruned digit search `certified_root_points` there and certifies each root it
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt
 
 from .errors import InternalBoundError
 from .padics import (
@@ -50,8 +53,8 @@ from .padics import (
     rv,
     unit_digits,
 )
-from .poly import (Poly, format_poly, newton_min, poly_gcd, resultant_val, squarefree_part,
-                   taylor_polys)
+from .poly import (Poly, format_poly, newton_min, poly_gcd, pseudo_remainder, resultant_val,
+                   squarefree_part)
 
 _MAX_DOUBLINGS = 64
 _MAX_PRECISION = 2**13  # digits past which no estimate, ball or basin point is refined
@@ -460,8 +463,9 @@ def _at_root(r: PadicApprox, q: Poly):
 
 def _vanishes(q: Poly, r: PadicApprox) -> bool:
     """Whether q vanishes at the inexact root r: when q mod its witness w is
-    0, or g = gcd(w, q mod w) has a root in the root's isolating ball."""
-    qr = q % r.witness
+    0, or g = gcd(w, q mod w) has a root in the root's isolating ball; q mod
+    w is taken up to a constant factor, as an integer pseudo-remainder."""
+    qr = pseudo_remainder(q, r.witness)
     if qr.is_zero:
         return True
     g = poly_gcd(r.witness, qr)
@@ -536,16 +540,51 @@ def digits_between(a: CenterValue | Rat, b: CenterValue | Rat, p: int, depth: in
     return unit_digits(_difference(a, b, p, depth), p, depth)
 
 
-def taylor_ords(f: Poly, center: CenterValue, p: int) -> list[Val]:
-    """ord_p of the Taylor coefficients of f at the center."""
-    x = exact_value(center)
-    if x is None:
-        return [ord_of_poly_at(q, center, p) for q in taylor_polys(f)]
-    # coefficient i is h_i / (D b^(n-i)) for x = a/b
+def _ords_at(f: Poly, x: Rat, p: int) -> list[Val]:
+    """ord_p of the Taylor coefficients of f at a rational x = a/b, from one
+    integer expansion: coefficient i is h_i / (D b^(n-i))."""
     hs = f.shifted_numerators(x.numerator, x.denominator)
     n, vd, vb = f.degree, int_val(f.integral[1], p), int_val(x.denominator, p)
     return [int_val(h, p) - vd - (n - i) * vb if h else INFINITY
             for i, h in enumerate(hs)]
+
+
+def taylor_ords(f: Poly, center: CenterValue, p: int) -> list[Val]:
+    """ord_p of the Taylor coefficients b_i of f at the center.
+
+    At an inexact root a + delta, ord delta >= precision, every b_i(a) comes
+    from one expansion per refinement.  b_i(root) - b_i(a) is sum_{j>i}
+    C(j, i) b_j(a) delta^(j-i), so by the rule of `_certified` b_i(a) settles
+    when it is nonzero and ord b_i(a) + 1 <= min_{j>i} (ord b_j(a) + (j - i)
+    precision); one zero test, on q_i = f^(i) / i!, decides each coefficient
+    the first estimate leaves open."""
+    x = exact_value(center)
+    if x is not None:
+        return _ords_at(f, x, p)
+    out: list[Val | None] = [None] * len(f.coeffs)
+    rr, n, tested = center, max(center.precision, 2), False
+    while n <= _MAX_PRECISION:
+        rr = refine_root(rr, n)
+        ords = _ords_at(f, rr.approx, p)
+        tail = INFINITY  # min over j > i of ords[j] + (j - i) * precision
+        for i in range(len(ords) - 1, -1, -1):
+            if out[i] is None and ords[i] is not INFINITY and ords[i] + 1 <= tail:
+                out[i] = ords[i]
+            tail = min(tail, ords[i]) + rr.precision
+        if not tested:
+            tested = True
+            for i, v in enumerate(out):
+                if v is None and _vanishes(
+                        Poly.of(*(comb(j, i) * c for j, c in enumerate(f.coeffs[i:], i))),
+                        center):
+                    out[i] = INFINITY
+        if None not in out:
+            return out
+        n = 2 * n + 4
+    raise InternalBoundError(
+        f"certifying the Taylor coefficient {out.index(None)} of {format_poly(f)} at the "
+        f"root {center} (p = {p}) reached precision {n} without settling, past the cap of "
+        f"{_MAX_PRECISION} digits")
 
 
 def _roots_near(q: Poly, a: Fraction, n: int, p: int) -> int:

@@ -4,12 +4,15 @@ Polynomials are immutable coefficient tuples (index i = coefficient of y^i,
 trailing zeros trimmed, zero polynomial = empty tuple with degree -1).
 Besides evaluation, derivative and Taylor recentering, this module provides
 the handful of classical algorithms the decomposition engine leans on:
-polynomial gcd, Yun's squarefree part, and the valuation of a resultant.
+polynomial gcd, the squarefree part f / gcd(f, f'), and the valuation of a
+resultant.
 
-Evaluation and recentering run on integers: each polynomial clears its
-denominators once (`Poly.integral`), and `eval`, `taylor_shift` and
-`shift_var` work on those numerators, building `Fraction`s only for their
-results.
+Everything runs on integers: each polynomial clears its denominators once
+(`Poly.integral`), and `eval`, `taylor_shift` and `shift_var` work on those
+numerators, building `Fraction`s only for their results.  The gcd, the
+squarefree part and the resultant follow the primitive polynomial remainder
+sequence over Z, each pseudo-remainder divided by its content (Collins,
+J. ACM 1967; Brown and Traub, J. ACM 1971), not Euclid's algorithm over Q.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .padics import INFINITY, Rat, Val, ord_p
 
@@ -178,39 +181,90 @@ class Poly:
         return f"Poly({format_poly(self)})"
 
 
+def _primitive(a: list[int]) -> list[int]:
+    """a over the gcd of its coefficients (its content); [] stays []."""
+    c = gcd(*a)
+    return a if c in (0, 1) else [x // c for x in a]
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """The pseudo-remainder of a by b in Z[y], trimmed: lc(b)^e a mod b with
+    e = deg a - deg b + 1, and a itself when deg a < deg b.  Coefficient
+    lists run low to high; b is nonzero."""
+    r, db, lc = list(a), len(b) - 1, b[-1]
+    for top in range(len(a) - 1, db - 1, -1):
+        c = r.pop()  # the coefficient of y^top, cancelled against c y^(top-db) b
+        r = [x * lc for x in r]
+        if c:
+            for j in range(db):
+                r[top - db + j] -= c * b[j]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """A primitive gcd in Z[y] by the primitive PRS: each pseudo-remainder
+    is divided by its content, which keeps the coefficients small."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    return a
+
+
+def _monic(a: list[int]) -> Poly:
+    return Poly(tuple(Fraction(c, a[-1]) for c in a)) if a else Poly(())
+
+
+def pseudo_remainder(f: Poly, g: Poly) -> Poly:
+    """f mod g up to a nonzero rational factor, with coprime integer
+    coefficients: the primitive pseudo-remainder of their numerators."""
+    return Poly.of(*_primitive(_prem(list(f.integral[0]), list(g.integral[0]))))
+
+
 def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd over Q by the Euclidean algorithm."""
-    a, b = f, g
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic() if not a.is_zero else a
+    """Monic gcd over Q; the zero polynomial when both are zero."""
+    return _monic(_int_gcd(list(f.integral[0]), list(g.integral[0])))
 
 
 def squarefree_part(f: Poly) -> Poly:
-    """f / gcd(f, f'), monic; the radical of f over Q."""
+    """f / gcd(f, f'), monic; the radical of f over Q.  By Gauss's lemma the
+    primitive gcd divides the primitive numerators of f exactly in Z[y]."""
     if f.is_zero:
         raise ValueError("zero polynomial has no squarefree part")
-    if f.degree == 0:
-        return Poly.of(1)
-    g = poly_gcd(f, f.derivative())
-    q, r = f.divmod(g)
-    assert r.is_zero
-    return q.monic()
+    a = _primitive(list(f.integral[0]))
+    g = _int_gcd(a, [i * c for i, c in enumerate(a)][1:])
+    rem, quo = list(a), [0] * (len(a) - len(g) + 1)
+    for i in range(len(quo) - 1, -1, -1):
+        quo[i], r = divmod(rem[i + len(g) - 1], g[-1])
+        assert r == 0
+        for j, c in enumerate(g):
+            rem[i + j] -= quo[i] * c
+    assert not any(rem)
+    return _monic(quo)
 
 
 def resultant(f: Poly, g: Poly) -> Fraction:
-    """Res(f, g) by the Euclidean recurrence, exact over Q."""
+    """Res(f, g), exact: Res(A / D, B / E) = Res(A, B) / (D^deg g E^deg f)
+    over the numerators, by Res(A, B) = (-1)^(mn) lc(B)^(m - deg R) Res(B, R)
+    for R = A mod B, m = deg A, n = deg B, on the primitive pseudo-remainder
+    c R' = lc(B)^e R: Res(B, R) = c^n Res(B, R') / lc(B)^(en)."""
     if f.is_zero or g.is_zero:
         raise ValueError("resultant of the zero polynomial is not supported")
-    if f.degree == 0:
-        return f.coeffs[0] ** g.degree
-    if g.degree == 0:
-        return g.coeffs[0] ** f.degree
-    r = f % g
-    if r.is_zero:
-        return Fraction(0)
-    sign = -1 if (f.degree % 2) and (g.degree % 2) else 1
-    return sign * g.leading() ** (f.degree - r.degree) * resultant(g, r)
+    (a, d), (b, e) = f.integral, g.integral
+    res = Fraction(1, d**g.degree * e**f.degree)
+    a, b = list(a), list(b)
+    while len(b) > 1:
+        r = _prem(a, b)
+        if not r:
+            return Fraction(0)
+        m, n, lc, c = len(a) - 1, len(b) - 1, b[-1], gcd(*r)
+        res *= Fraction((-1) ** (m * n) * lc ** (m - len(r) + 1) * c**n,
+                        lc ** (max(m - n + 1, 0) * n))
+        a, b = b, [x // c for x in r]
+    return res * b[0] ** (len(a) - 1)
 
 
 def resultant_val(f: Poly, g: Poly, p: int) -> Val:
@@ -218,16 +272,6 @@ def resultant_val(f: Poly, g: Poly, p: int) -> Val:
     if f.is_zero or g.is_zero:
         raise ValueError("resultant_val requires nonzero polynomials")
     return ord_p(resultant(f, g), p)
-
-
-def taylor_polys(f: Poly) -> list[Poly]:
-    """q_i with q_i(c) = i-th Taylor coefficient of f at c."""
-    out = [f]
-    q = f
-    for i in range(1, f.degree + 1):
-        q = q.derivative() * Fraction(1, i)
-        out.append(q)
-    return out
 
 
 def newton_min(f: Poly, p: int, m: int = 0, start: int = 0) -> Val:

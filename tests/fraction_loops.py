@@ -4,6 +4,11 @@ the loop that the optimised code replaced, and the tests compare the two:
 
 - `Poly.eval`, `taylor_shift` and `shift_var`: `fraction_eval`,
   `fraction_taylor_shift` and `fraction_shift_var`, in Fraction arithmetic;
+- `poly.poly_gcd`, `squarefree_part` and `resultant`: `euclid_poly_gcd`,
+  `euclid_squarefree_part` and `euclid_resultant`, Euclid's algorithm over
+  Fraction;
+- `hensel.taylor_ords` at an inexact center: `per_coefficient_taylor_ords`,
+  one exact query per Taylor polynomial of `taylor_polys`;
 - `hensel.certified_root_points`: `full_walk_root_points`, which walks
   every digit of each class that its constant Taylor line does not rule out;
 - `hensel._vanishes` and `_same_root`: `race_residue`, the race of the two
@@ -53,8 +58,7 @@ from padic_cells.measure import ZetaFn, _times_t
 from padic_cells.oracle import (LawFailure, LawReport, _center_mod, _clear_denominators,
                                 _ord_value, _taylor_ords)
 from padic_cells.padics import INFINITY, Val, int_val, ord_p, unit_digits
-from padic_cells.poly import (Poly, format_poly, newton_min, poly_gcd, resultant_val,
-                              squarefree_part, taylor_polys)
+from padic_cells.poly import Poly, format_poly, newton_min
 
 
 def fraction_eval(f: Poly, x) -> Fraction:
@@ -83,6 +87,56 @@ def fraction_shift_var(f: Poly, scale, offset) -> Poly:
     g = fraction_taylor_shift(f, offset)
     s = Fraction(scale)
     return Poly.of(*(c * s**i for i, c in enumerate(g.coeffs)))
+
+
+def euclid_poly_gcd(f: Poly, g: Poly) -> Poly:
+    """Monic gcd over Q by the Euclidean algorithm."""
+    a, b = f, g
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic() if not a.is_zero else a
+
+
+def euclid_squarefree_part(f: Poly) -> Poly:
+    """f / gcd(f, f'), monic."""
+    if f.is_zero:
+        raise ValueError("zero polynomial has no squarefree part")
+    if f.degree == 0:
+        return Poly.of(1)
+    q, r = f.divmod(euclid_poly_gcd(f, f.derivative()))
+    assert r.is_zero
+    return q.monic()
+
+
+def euclid_resultant(f: Poly, g: Poly) -> Fraction:
+    """Res(f, g) by the Euclidean recurrence over Q."""
+    if f.is_zero or g.is_zero:
+        raise ValueError("resultant of the zero polynomial is not supported")
+    if f.degree == 0:
+        return f.coeffs[0] ** g.degree
+    if g.degree == 0:
+        return g.coeffs[0] ** f.degree
+    r = f % g
+    if r.is_zero:
+        return Fraction(0)
+    sign = -1 if (f.degree % 2) and (g.degree % 2) else 1
+    return sign * g.leading() ** (f.degree - r.degree) * euclid_resultant(g, r)
+
+
+def taylor_polys(f: Poly) -> list[Poly]:
+    """q_i with q_i(c) = i-th Taylor coefficient of f at c."""
+    out = [f]
+    q = f
+    for i in range(1, f.degree + 1):
+        q = q.derivative() * Fraction(1, i)
+        out.append(q)
+    return out
+
+
+def per_coefficient_taylor_ords(f: Poly, center, p: int) -> list[Val]:
+    """`hensel.taylor_ords` as it was written: one exact query, with its own
+    refinement and expansion, per Taylor polynomial."""
+    return [ord_of_poly_at(q, center, p) for q in taylor_polys(f)]
 
 
 def random_rational(rng: random.Random, p: int) -> Fraction:
@@ -179,7 +233,7 @@ def race_residue(q: Poly, r) -> Poly | None:
     qr = q % r.witness
     if qr.is_zero:
         return None
-    g = poly_gcd(r.witness, qr)
+    g = euclid_poly_gcd(r.witness, qr)
     if g.degree < 1:
         return qr
     h, _ = r.witness.divmod(g)
@@ -201,7 +255,7 @@ def root_separation_bound(w: Poly, p: int) -> int:
     d = w.degree
     if d <= 1:
         return 0
-    res = resultant_val(w, w.derivative(), p)
+    res = ord_p(euclid_resultant(w, w.derivative()), p)
     if res is INFINITY:
         raise ValueError("witness is not squarefree")
     vlc = ord_p(w.leading(), p)
@@ -219,7 +273,7 @@ def root_separation_bound(w: Poly, p: int) -> int:
 def separated_same_root(a, b, p: int) -> bool:
     """`hensel._same_root` as it was written: both roots are roots of the
     common factor g of their witnesses, closer than two roots of g can be."""
-    g = poly_gcd(a.witness, b.witness)
+    g = euclid_poly_gcd(a.witness, b.witness)
     if g.degree < 1 or race_residue(g, a) is not None or race_residue(g, b) is not None:
         return False
     sep = root_separation_bound(g, p) + 1
@@ -463,7 +517,7 @@ def per_sample_verify_laws(dec: Decomposition, f: Poly, samples: int = 200, seed
         if x is not None:
             taylor = _taylor_ords(coeffs, shift, x, p)
         else:
-            taylor = taylor_ords(f, cell.center.value, p)
+            taylor = per_coefficient_taylor_ords(f, cell.center.value, p)
         # per m: the law's value, and the depth-k bound when the law breaks it
         at_m: dict[int, tuple[Val, Val | None]] = {}
         for num, den, m in per_sample_cell_samples(cell, p, samples, rng):
@@ -540,7 +594,7 @@ def per_class_prepare(f: Poly, p: int, domain=ZP) -> tuple[Cell1, ...]:
     any family, and at the end each such cell is listed as the point and the
     family [m* + 1, oo) of its class, with its laws frozen at m*."""
     out = []
-    for cell in per_class_prepare_ball(f, p, domain, _budget(f, p, squarefree_part(f))):
+    for cell in per_class_prepare_ball(f, p, domain, _budget(f, p, euclid_squarefree_part(f))):
         if cell.is_point or cell.residues.is_all:
             out.append(cell)
             continue
@@ -560,7 +614,7 @@ def per_class_prepare_ball(f: Poly, p: int, domain, budget: int) -> list[Cell1]:
 
     # every cell built here has level 1; a family still without a law for f
     # is a work item, a one-class sphere cell as well
-    w = squarefree_part(f)
+    w = euclid_squarefree_part(f)
     out: list[Cell1] = []
     work: list[Cell1] = []
     for cell in per_class_prepare_ball(f.derivative(), p, domain, budget):

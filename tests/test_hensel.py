@@ -1,12 +1,13 @@
 import gc
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from padic_cells import hensel
+from padic_cells import decompose, hensel
 from padic_cells.cells import ZP, Ball
-from padic_cells.decompose import prepare
+from padic_cells.decompose import prepare, prepare_grouped
 from padic_cells.errors import InternalBoundError
 from padic_cells.hensel import (
     NonSimpleRootError,
@@ -18,6 +19,7 @@ from padic_cells.hensel import (
     check_conditions,
     digits_between,
     digits_of_poly_at,
+    exact_value,
     h,
     ord_between,
     ord_of_poly_at,
@@ -27,13 +29,14 @@ from padic_cells.hensel import (
     refine_root,
     roots_in_ball,
     shift_center,
+    taylor_ords,
 )
 from padic_cells.padics import INFINITY, ord_p, rv, unit_digits
-from padic_cells.poly import Poly, resultant_val, squarefree_part, taylor_polys
+from padic_cells.poly import Poly, resultant_val, squarefree_part
 
 from conftest import CORPUS, large_prime_polys
-from fraction_loops import (full_walk_root_points, race_residue, separated_same_root,
-                            taylor_digits)
+from fraction_loops import (full_walk_root_points, per_coefficient_taylor_ords, race_residue,
+                            separated_same_root, taylor_digits, taylor_polys)
 
 
 def lift_mod(x: Fraction, q: int) -> int:
@@ -469,6 +472,72 @@ def test_faulty_zero_test_stops_at_the_precision_cap(monkeypatch):
     with pytest.raises(InternalBoundError, match=r"y\^2 - 2 at the root .* \(p = 7\) reached "
                                                  r"precision \d+ .* cap of 8192 digits"):
         ord_of_poly_at(Poly.of(-2, 0, 1), r, p)
+
+
+def test_taylor_ords_read_one_expansion_per_refinement(monkeypatch):
+    # sqrt(2) in Z_7, known to 8 digits, where no Taylor coefficient of
+    # these f vanishes: one refinement and one integer expansion settle
+    # every coefficient, where one query per coefficient took one of each
+    p = 7
+    r = h([-2, 0, 1], rv(3, p, 1), p)
+    cases = []
+    for d in range(3, 9):
+        f = Poly.of(1)
+        for _ in range(d):
+            f = f * Poly.of(1, 1)
+        cases += [(f, 1), (f + Poly.of(*[0] * (d - 1), Fraction(1, 7), -3), 1)]
+    # ord(sqrt(2)^2 - 2 - 7^12) = 12 lies past the first estimate's 8
+    # digits: the constant coefficient settles after one doubling
+    cases.append((Poly.of(-2 - p**12, 0, 1) * Poly.of(1, 1), 2))
+    want = [per_coefficient_taylor_ords(f, r, p) for f, _ in cases]
+    counts = Counter()
+    refine, shifted = hensel.refine_root, Poly.shifted_numerators
+    monkeypatch.setattr(hensel, "refine_root",
+                        lambda *a: counts.update(["refine_root"]) or refine(*a))
+    monkeypatch.setattr(Poly, "shifted_numerators",
+                        lambda *a: counts.update(["shifted_numerators"]) or shifted(*a))
+    for (f, estimates), ords in zip(cases, want):
+        counts.clear()
+        assert taylor_ords(f, r, p) == ords
+        assert counts == {"refine_root": estimates, "shifted_numerators": estimates}, f
+    assert want[-1][0] == 12
+
+
+def test_taylor_ords_cap_names_the_coefficient(monkeypatch):
+    # a zero test that misses the zero of y^2 - 2 at sqrt(2) leaves its
+    # constant Taylor coefficient open until the cap
+    p = 7
+    r = h([-2, 0, 1], rv(3, p, 1), p)
+    monkeypatch.setattr(hensel, "_vanishes", lambda q, center: False)
+    with pytest.raises(InternalBoundError,
+                       match=r"Taylor coefficient 0 of y\^3 - 2\*y at the root .* \(p = 7\) "
+                             r"reached precision \d+ .* cap of 8192 digits"):
+        taylor_ords(Poly.of(0, -2, 0, 1), r, p)
+
+
+def test_taylor_ords_match_the_per_coefficient_queries(monkeypatch):
+    # every inexact center at which prepare_grouped reads a Taylor expansion
+    recorded = {}
+    engine = decompose.taylor_ords
+
+    def record(f, center, p):
+        if exact_value(center) is None:
+            recorded.setdefault((f, center, p), None)
+        return engine(f, center, p)
+
+    monkeypatch.setattr(decompose, "taylor_ords", record)
+    cases = [(Poly.of(*coeffs), p) for coeffs in CORPUS.values() for p in (2, 3, 5, 7, 11, 13)]
+    cases += [(f, p) for f in large_prime_polys() for p in (31, 101)]
+    f = Poly.of(1)
+    for _ in range(12):
+        f = f * Poly.of(-1, 0, 1)
+        cases.append((f, 5))
+    for f, p in cases:
+        prepare_grouped(f, p)
+    monkeypatch.undo()
+    assert len(recorded) > 200
+    for f, center, p in recorded:
+        assert taylor_ords(f, center, p) == per_coefficient_taylor_ords(f, center, p), (f, center)
 
 
 def _inexact_centers(f: Poly, p: int, domain: Ball) -> list:

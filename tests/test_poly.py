@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -10,6 +11,7 @@ from padic_cells.poly import (
     format_poly,
     newton_min,
     poly_gcd,
+    pseudo_remainder,
     resultant,
     resultant_val,
     squarefree_part,
@@ -17,6 +19,9 @@ from padic_cells.poly import (
 
 from conftest import CORPUS
 from fraction_loops import (
+    euclid_poly_gcd,
+    euclid_resultant,
+    euclid_squarefree_part,
     fraction_eval,
     fraction_shift_var,
     fraction_taylor_shift,
@@ -190,6 +195,46 @@ def test_kernel_matches_the_fraction_loops(p):
     # every coefficient stays a normalized Fraction
     g = Poly.of(Fraction(1, 3), -2, 0, 5).taylor_shift(Fraction(-2, 9))
     assert all(type(c) is Fraction for c in g.coeffs)
+
+
+def test_gcd_family_matches_euclid_over_fractions():
+    # the primitive PRS over Z against Euclid's algorithm over Fraction, on
+    # products of shared and repeated factors with rational coefficients,
+    # constants and the zero polynomial among them
+    rng = random.Random(53)
+    factors = [Poly.of(*(random_rational(rng, 5) for _ in range(rng.randint(1, 4))))
+               for _ in range(12)]
+
+    def product() -> Poly:
+        f = Poly.of(random_rational(rng, 5) or 1)
+        for _ in range(rng.randint(0, 4)):
+            q = rng.choice(factors)
+            f = f * q * q if rng.random() < 0.3 else f * q
+        return f
+
+    polys = [Poly.of(), Poly.of(3), Poly.of(Fraction(-2, 7))] + [product() for _ in range(80)]
+    shared = repeated = 0
+    for f in polys:
+        if not f.is_zero:
+            w = squarefree_part(f)
+            assert w == euclid_squarefree_part(f)
+            repeated += w.degree < f.degree
+        for g in rng.sample(polys, 6) + [f, f.derivative()]:
+            d = poly_gcd(f, g)
+            assert d == euclid_poly_gcd(f, g)
+            shared += d.degree > 0
+            if not g.is_zero:
+                # a rational multiple of f mod g, with coprime integer coefficients
+                r = pseudo_remainder(f, g)
+                assert r.monic() == (f % g).monic()
+                assert all(c.denominator == 1 for c in r.coeffs) and gcd(*r.integral[0]) < 2
+            if not (f.is_zero or g.is_zero):
+                assert resultant(f, g) == euclid_resultant(f, g)
+    assert shared > 100 and repeated > 20
+    with pytest.raises(ValueError):
+        squarefree_part(Poly.of())
+    with pytest.raises(ValueError):
+        resultant(Poly.of(), Poly.of(1))
 
 
 def test_integral_form_is_not_part_of_equality():
