@@ -7,6 +7,13 @@ together with a Newton certificate (ord f(z) >= precision + ord f'(z)).
 Such approximations can be refined to any precision, so exact questions
 about the root are decidable.
 
+Hensel lifting runs on integers.  At z = a/b one homogeneous Horner pass
+(`_horner`) over the numerators of w gives F and G with w(z) = F / (D b^n)
+and w'(z) = G / (D b^(n-1)); every Newton step, certificate check, basin
+test and exactness test reads its valuations from that pair, and the next
+Newton iterate (aG - F)/(bG) is reduced mod p^N by its unit parts
+(`_reduce`), with no `Fraction` arithmetic and no derivative polynomial.
+
 A cell center is a rational or a `PadicApprox`, and this is the only module
 that knows which.  The center queries at the end of the file -- the
 valuation or leading digits of q(center) for a rational polynomial q, the
@@ -39,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from math import comb, isqrt
 
 from .errors import InternalBoundError
@@ -81,25 +89,34 @@ class PadicApprox:
     rv_tag: RvData
     prime: int
 
-    @property
+    @cached_property
     def is_exact(self) -> bool:
-        return self.witness.eval(self.approx) == 0
+        return _is_root(self.witness, self.approx)
 
     def __repr__(self) -> str:
         kind = "exact" if self.is_exact else f"mod {self.prime}^{self.precision}"
         return f"PadicApprox({self.approx} {kind}, tag={self.rv_tag})"
 
 
+def _reduce(num: int, den: int, p: int, n: int) -> tuple[int, int]:
+    """(a, b) with a/b = `reduce_mod`(num/den, p, n) for a nonzero den: 0, or
+    p^v times the unit part of num over the unit part of den mod p^(n - v),
+    where v = ord(num/den) < n.  The unit part mod p^(n - v) does not depend
+    on how num/den is written, and a/b is in lowest terms."""
+    if num == 0:
+        return 0, 1
+    vn, vd = int_val(num, p), int_val(den, p)
+    v = vn - vd
+    if n <= v:
+        return 0, 1
+    q = p ** (n - v)
+    u = num // p**vn * pow(den // p**vd, -1, q) % q
+    return (u * p**v, 1) if v >= 0 else (u, p**-v)
+
+
 def reduce_mod(x: Rat, p: int, n: int) -> Fraction:
     """A short rational y = p^v * (unit digits) with ord(x - y) >= n."""
-    x = Fraction(x)
-    if x == 0:
-        return x
-    v = ord_p(x, p)
-    if n <= v:
-        return Fraction(0)
-    u = unit_digits(x, p, n - v)
-    return Fraction(u) * Fraction(p) ** v
+    return Fraction(*_reduce(x.numerator, x.denominator, p, n))
 
 
 def rational_reconstruct(a: int, m: int) -> Fraction | None:
@@ -120,34 +137,68 @@ def rational_reconstruct(a: int, m: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
+def _horner(w: Poly, a: int, b: int) -> tuple[int, int]:
+    """Integers (F, G) with w(a/b) = F / (D b^n) and w'(a/b) = G / (D b^(n-1)),
+    where (N, D) = `w.integral` and n = deg w.  One homogeneous Horner pass:
+    F = sum N_i a^i b^(n-i), and G = dF/da = sum i N_i a^(i-1) b^(n-i)
+    accumulates the partial sums of F."""
+    nums = w.integral[0]
+    f = g = 0
+    power = 1  # b^(n-i)
+    for i in range(len(nums) - 1, -1, -1):
+        g = g * a + f
+        f = f * a + nums[i] * power
+        if i:
+            power *= b
+    return f, g
+
+
+def _is_root(w: Poly, z: Rat) -> bool:
+    """Whether w(z) = 0, read from the F of one `_horner` pass."""
+    return _horner(w, z.numerator, z.denominator)[0] == 0
+
+
+def _ords(w: Poly, z: Rat, p: int) -> tuple[Val, Val]:
+    """ord_p of w(z) and of w'(z), from one `_horner` pass."""
+    f, g = _horner(w, z.numerator, z.denominator)
+    vd, vb, n = int_val(w.integral[1], p), int_val(z.denominator, p), w.degree
+    return (int_val(f, p) - vd - n * vb if f else INFINITY,
+            int_val(g, p) - vd - (n - 1) * vb if g else INFINITY)
+
+
 def _newton(w: Poly, z: Fraction, p: int, target: int) -> tuple[Fraction, int]:
     """Newton-refine a certified starting point to the target precision.
 
     Requires ord(w(z)) > 2 ord(w'(z)).  Returns (approx, precision) where
     precision = ord(w(approx)) - ord(w'(approx)) >= target, or precision =
-    target for an exact rational root.  Iterates are reduced mod a generous
-    power of p to keep heights small.
+    target for an exact rational root.  Each step runs on integers (von zur
+    Gathen and Gerhard, "Modern Computer Algebra", ch. 9): at z = a/b one
+    `_horner` pass gives F and G, so that ord w(z) - ord w'(z) = ord F -
+    ord G - ord b and the next iterate z - w(z)/w'(z) is (aG - F)/(bG),
+    which is reduced mod a generous power of p (`_reduce`) to keep heights
+    small.
     """
-    dw = w.derivative()
+    a, b = z.numerator, z.denominator
+    vb = int_val(b, p)
     # reduction slack: negative coefficient content and a non-integral start
     # can lower the valuation of Taylor terms by at most this much
-    guard = 0
-    vz = ord_p(z, p)
-    if vz < 0:
-        guard += -vz * w.degree
-    guard = 2 * max(guard, -newton_min(w, p))
-    start, reached = z, None
+    guard = 2 * max(vb * w.degree, -newton_min(w, p))
+    reached = None
     for _ in range(_MAX_DOUBLINGS):
-        fz = w.eval(z)
-        if fz == 0:
-            return z, target
-        reached = ord_p(fz, p) - ord_p(dw.eval(z), p)
+        f, g = _horner(w, a, b)
+        if f == 0:
+            return Fraction(a, b), target
+        if g == 0:
+            raise InternalBoundError(
+                f"Newton iteration on {format_poly(w)} (p = {p}) met a zero of the "
+                f"derivative at {Fraction(a, b)}")
+        reached = int_val(f, p) - int_val(g, p) - vb
         if reached >= target:
-            return z, reached
-        z = z - fz / dw.eval(z)
-        z = reduce_mod(z, p, 2 * max(target, reached + 1) + guard + 4)
+            return Fraction(a, b), reached
+        a, b = _reduce(a * g - f, b * g, p, 2 * max(target, reached + 1) + guard + 4)
+        vb = int_val(b, p)
     raise InternalBoundError(
-        f"Newton iteration on {format_poly(w)} (p = {p}) from {start} reached precision "
+        f"Newton iteration on {format_poly(w)} (p = {p}) from {z} reached precision "
         f"{reached} short of the target {target}, past the cap of {_MAX_DOUBLINGS} steps")
 
 
@@ -163,7 +214,7 @@ def refine_root(r: PadicApprox, target: int) -> PadicApprox:
 
 def _try_exact(w: Poly, z: Fraction, p: int, prec: int) -> Fraction | None:
     """Attempt to recognize the root as an exact rational."""
-    if w.eval(z) == 0:
+    if _is_root(w, z):
         return z
     if z == 0:
         return None
@@ -176,25 +227,22 @@ def _try_exact(w: Poly, z: Fraction, p: int, prec: int) -> Fraction | None:
     if cand is None:
         return None
     cand = cand * Fraction(p) ** v
-    if w.eval(cand) == 0 and ord_p(cand - z, p) >= prec:
+    if _is_root(w, cand) and ord_p(cand - z, p) >= prec:
         return cand
     return None
 
 
 def make_root_approx(witness: Poly, approx: Fraction, p: int, tag_depth: int) -> PadicApprox:
     """Package a Newton-certified point as a PadicApprox with a stamped rv-tag."""
-    dw = witness.derivative()
-    fz = witness.eval(approx)
+    vf, e1 = _ords(witness, approx, p)
     prec = 0
-    if fz != 0:
-        vf, vd = ord_p(fz, p), ord_p(dw.eval(approx), p)
-        if not vf > vd * 2:
+    if vf is not INFINITY:
+        if not vf > e1 * 2:
             raise ValueError("point is not Newton-certified for the witness")
-        prec = vf - vd
-    e1 = ord_p(dw.eval(approx), p)
+        prec = vf - e1
     default = 2 * ((0 if e1 is INFINITY else max(e1, 0)) + tag_depth) + 4
     target = max(prec, default)
-    z, prec = (approx, target) if fz == 0 else _newton(witness, approx, p, target)
+    z, prec = (approx, target) if vf is INFINITY else _newton(witness, approx, p, target)
     exact = _try_exact(witness, z, p, prec)
     if exact is not None:
         z = exact
@@ -203,9 +251,9 @@ def make_root_approx(witness: Poly, approx: Fraction, p: int, tag_depth: int) ->
     vz = ord_p(z, p)
     if vz is INFINITY:
         return PadicApprox(witness, z, prec, RvData.zero(tag_depth), p)
-    e1 = ord_p(dw.eval(z), p)
+    vf, e1 = _ords(witness, z, p)
     depth = max(tag_depth, (0 if e1 is INFINITY else e1) - vz + 1)
-    if prec < vz + depth + 1 and witness.eval(z) != 0:
+    if prec < vz + depth + 1 and vf is not INFINITY:
         z, prec = _newton(witness, z, p, vz + depth + 1)
     tag = rv(z, p, depth)
     return PadicApprox(witness, z, prec, tag, p)
@@ -243,10 +291,7 @@ def check_conditions(
     if rv(x, p, d) != x0:
         raise ValueError("rv(x) does not match the given rv-data")
     f = Poly.of(*a)
-    m = ord_p(x, p)
-    vfx = ord_p(f.eval(x), p)
-    vdfx = ord_p(f.derivative().eval(x), p)
-    return _conditions_index(f, p, m, vfx, vdfx, d)
+    return _conditions_index(f, p, ord_p(x, p), *_ords(f, x, p), d)
 
 
 def certified_root_points(w: Poly, p: int, depth_cap: int) -> list[Fraction]:
@@ -323,8 +368,8 @@ def transfer_basin(w: Poly, inner: Poly, embed, t: Fraction, p: int) -> Fraction
     start, reached, target = t, None, 4
     while True:
         y = embed(t)
-        wy = w.eval(y)
-        if wy == 0 or ord_p(wy, p) > ord_p(w.derivative().eval(y), p) * 2:
+        vf, vd = _ords(w, y, p)
+        if vf is INFINITY or vf > vd * 2:
             return y
         if target > _MAX_PRECISION:
             raise InternalBoundError(
@@ -366,13 +411,11 @@ def h(a: list[Rat], x0: RvData, p: int) -> PadicApprox | None:
     d = x0.depth
     res = resultant_val(w, w.derivative(), p)
     cap = 2 * (0 if res is INFINITY else max(res, 0)) + 2 * d + 2
-    dwpoly = w.derivative()
     m = x0.valuation
     lift = canonical_lift(x0, p)
 
     def conditions_hold(x: Fraction) -> bool:
-        return rv(x, p, d) == x0 and _conditions_index(
-            w, p, m, ord_p(w.eval(x), p), ord_p(dwpoly.eval(x), p), d) is not None
+        return rv(x, p, d) == x0 and _conditions_index(w, p, m, *_ords(w, x, p), d) is not None
 
     accepted: list[PadicApprox] = []
     for root in roots_in_ball(w, lift, m + d, p, cap, d):
@@ -520,6 +563,8 @@ def _difference(a: CenterValue | Rat, b: CenterValue | Rat, p: int, digits: int)
         return _value_at(Poly.of(-xb, 1), a, digits)  # (Y - b) at a
     if xa is not None:
         return _value_at(Poly.of(xa, -1), b, digits)  # (a - Y) at b
+    if a is b or a == b:  # one root, with no estimate to certify
+        return Fraction(0)
 
     def estimate(n: int):
         ra, rb = refine_root(a, n), refine_root(b, n)

@@ -181,6 +181,8 @@ class _Parser:
             e = int(tok.text)
             # a large exponent is refused even on a constant: its digits grow too
             _check_degree(max(e, base.degree * e), tok.pos)
+            if base.coeffs == (0, 1):  # y^e is a monomial, with no products to check
+                return Poly.of(*[0] * e, 1)
             out = Poly.of(1)
             for _ in range(e):
                 out = _check_size(out * base, tok.pos)

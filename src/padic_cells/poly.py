@@ -152,15 +152,6 @@ class Poly:
                 rem[i - d + j] -= q * b
         return Poly.of(*quo), Poly.of(*rem)
 
-    def __mod__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[1]
-
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            return self
-        lc = self.leading()
-        return Poly.of(*(c / lc for c in self.coeffs))
-
     def shift_var(self, scale: Rat, offset: Rat) -> "Poly":
         """The polynomial g(z) = f(scale * z + offset), exact: with offset a/b
         and scale u/v, coefficient i is H_i u^i / (D b^(n-i) v^i), H the

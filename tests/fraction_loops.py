@@ -6,9 +6,11 @@ the loop that the optimised code replaced, and the tests compare the two:
   `fraction_taylor_shift` and `fraction_shift_var`, in Fraction arithmetic;
 - `poly.poly_gcd`, `squarefree_part` and `resultant`: `euclid_poly_gcd`,
   `euclid_squarefree_part` and `euclid_resultant`, Euclid's algorithm over
-  Fraction;
+  Fraction, with its remainder `poly_mod` and `monic`;
 - `hensel.taylor_ords` at an inexact center: `per_coefficient_taylor_ords`,
   one exact query per Taylor polynomial of `taylor_polys`;
+- `hensel._newton` and `reduce_mod`: `fraction_newton` and
+  `fraction_reduce_mod`, in Fraction arithmetic;
 - `hensel.certified_root_points`: `full_walk_root_points`, which walks
   every digit of each class that its constant Taylor line does not rule out;
 - `hensel._vanishes` and `_same_root`: `race_residue`, the race of the two
@@ -89,12 +91,22 @@ def fraction_shift_var(f: Poly, scale, offset) -> Poly:
     return Poly.of(*(c * s**i for i, c in enumerate(g.coeffs)))
 
 
+def poly_mod(f: Poly, g: Poly) -> Poly:
+    """The remainder of f by g over Q."""
+    return f.divmod(g)[1]
+
+
+def monic(f: Poly) -> Poly:
+    """f over its leading coefficient; the zero polynomial stays zero."""
+    return f if f.is_zero else Poly.of(*(c / f.leading() for c in f.coeffs))
+
+
 def euclid_poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd over Q by the Euclidean algorithm."""
     a, b = f, g
     while not b.is_zero:
-        a, b = b, a % b
-    return a.monic() if not a.is_zero else a
+        a, b = b, poly_mod(a, b)
+    return monic(a)
 
 
 def euclid_squarefree_part(f: Poly) -> Poly:
@@ -105,7 +117,7 @@ def euclid_squarefree_part(f: Poly) -> Poly:
         return Poly.of(1)
     q, r = f.divmod(euclid_poly_gcd(f, f.derivative()))
     assert r.is_zero
-    return q.monic()
+    return monic(q)
 
 
 def euclid_resultant(f: Poly, g: Poly) -> Fraction:
@@ -116,7 +128,7 @@ def euclid_resultant(f: Poly, g: Poly) -> Fraction:
         return f.coeffs[0] ** g.degree
     if g.degree == 0:
         return g.coeffs[0] ** f.degree
-    r = f % g
+    r = poly_mod(f, g)
     if r.is_zero:
         return Fraction(0)
     sign = -1 if (f.degree % 2) and (g.degree % 2) else 1
@@ -137,6 +149,44 @@ def per_coefficient_taylor_ords(f: Poly, center, p: int) -> list[Val]:
     """`hensel.taylor_ords` as it was written: one exact query, with its own
     refinement and expansion, per Taylor polynomial."""
     return [ord_of_poly_at(q, center, p) for q in taylor_polys(f)]
+
+
+def fraction_reduce_mod(x, p: int, n: int) -> Fraction:
+    """`hensel.reduce_mod` as it was written, in Fraction arithmetic."""
+    x = Fraction(x)
+    if x == 0:
+        return x
+    v = ord_p(x, p)
+    if n <= v:
+        return Fraction(0)
+    u = unit_digits(x, p, n - v)
+    return Fraction(u) * Fraction(p) ** v
+
+
+def fraction_newton(w: Poly, z: Fraction, p: int, target: int) -> tuple[Fraction, int]:
+    """`hensel._newton` as it was written: each step evaluates w and w' as
+    Fractions, divides, and reduces with `fraction_reduce_mod`."""
+    dw = w.derivative()
+    # reduction slack: negative coefficient content and a non-integral start
+    # can lower the valuation of Taylor terms by at most this much
+    guard = 0
+    vz = ord_p(z, p)
+    if vz < 0:
+        guard += -vz * w.degree
+    guard = 2 * max(guard, -newton_min(w, p))
+    start, reached = z, None
+    for _ in range(_MAX_DOUBLINGS):
+        fz = w.eval(z)
+        if fz == 0:
+            return z, target
+        reached = ord_p(fz, p) - ord_p(dw.eval(z), p)
+        if reached >= target:
+            return z, reached
+        z = z - fz / dw.eval(z)
+        z = fraction_reduce_mod(z, p, 2 * max(target, reached + 1) + guard + 4)
+    raise InternalBoundError(
+        f"Newton iteration on {format_poly(w)} (p = {p}) from {start} reached precision "
+        f"{reached} short of the target {target}, past the cap of {_MAX_DOUBLINGS} steps")
 
 
 def random_rational(rng: random.Random, p: int) -> Fraction:
@@ -230,7 +280,7 @@ def race_residue(q: Poly, r) -> Poly | None:
     q vanishes at the inexact root r, decided by refining r until one of the
     coprime factors g = gcd(w, q mod w) and w/g certifies as nonzero there;
     the root is a root of the other one."""
-    qr = q % r.witness
+    qr = poly_mod(q, r.witness)
     if qr.is_zero:
         return None
     g = euclid_poly_gcd(r.witness, qr)

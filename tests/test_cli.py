@@ -16,7 +16,7 @@ from padic_cells.cli import main
 from padic_cells.decompose import AcEq, FAnd, FAtom, FNot, OrdCmp, OrdEqInf, OrdModEq
 from padic_cells.errors import ParseError, UnsupportedInputError
 from padic_cells.parser import parse_formula, parse_poly
-from padic_cells.poly import Poly, format_poly
+from padic_cells.poly import MAX_DEGREE, Poly, format_poly
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +61,17 @@ def test_parse_poly_examples():
     assert parse_poly("2*y + 1") == Poly.of(1, 2)
     assert parse_poly("-y^3 + 1/2") == Poly.of(Fraction(1, 2), 0, 0, -1)
     assert parse_poly("(y - 1)^2 * (y + 1)") == Poly.of(1, -1, -1, 1)
+
+
+def test_powers_of_y_are_the_repeated_products():
+    for e in range(MAX_DEGREE + 1):
+        want = Poly.of(1)
+        for _ in range(e):
+            want = want * Poly.of(0, 1)
+        assert parse_poly(f"y^{e}") == parse_poly(f"(y)^{e}") == want
+    assert parse_poly("-y^3") == Poly.of(0, 0, 0, -1)
+    with pytest.raises(UnsupportedInputError, match="position 2 reaches 101"):
+        parse_poly(f"y^{MAX_DEGREE + 1}")
 
 
 def test_parse_poly_roundtrip():

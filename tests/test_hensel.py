@@ -1,6 +1,7 @@
 import gc
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from padic_cells.hensel import (
     digits_of_poly_at,
     exact_value,
     h,
+    make_root_approx,
     ord_between,
     ord_of_poly_at,
     order_law_at_root,
@@ -30,12 +32,15 @@ from padic_cells.hensel import (
     roots_in_ball,
     shift_center,
     taylor_ords,
+    transfer_basin,
 )
+from padic_cells.oracle import verify_laws
 from padic_cells.padics import INFINITY, ord_p, rv, unit_digits
-from padic_cells.poly import Poly, resultant_val, squarefree_part
+from padic_cells.poly import Poly, newton_min, resultant_val, squarefree_part
 
 from conftest import CORPUS, large_prime_polys
-from fraction_loops import (full_walk_root_points, per_coefficient_taylor_ords, race_residue,
+from fraction_loops import (fraction_eval, fraction_newton, fraction_reduce_mod,
+                            full_walk_root_points, per_coefficient_taylor_ords, race_residue,
                             separated_same_root, taylor_digits, taylor_polys)
 
 
@@ -367,6 +372,120 @@ def test_newton_cap_names_its_input(monkeypatch):
     with pytest.raises(InternalBoundError, match=r"Newton iteration on y\^2 - 6 \(p = 5\) from 1 "
                                                  r"reached precision 1 short of the target 30"):
         _newton(Poly.of(-6, 0, 1), Fraction(1), 5, 30)
+
+
+def test_newton_at_a_zero_of_the_derivative_names_its_input():
+    with pytest.raises(InternalBoundError, match=r"Newton iteration on y\^2 - 2 \(p = 7\) met a "
+                                                 r"zero of the derivative at 0"):
+        _newton(Poly.of(-2, 0, 1), Fraction(0), 7, 10)
+
+
+def _certified_starts(rng: random.Random, p: int, count: int) -> list:
+    """Seeded (w, z, target) with ord w(z) > 2 ord w'(z): w a rational
+    multiple, often p-fractional, of a product of distinct rational linear
+    factors, and z a point near one of its roots, often with ord z < 0."""
+    out = []
+    while len(out) < count:
+        roots = {Fraction(rng.randint(-60, 60), rng.choice([1, 1, 2, 3]) * p**rng.randint(0, 2))
+                 for _ in range(rng.randint(1, 4))}
+        w = Poly.of(Fraction(rng.randint(1, 9) * rng.choice([1, p]), p**rng.randint(0, 3)))
+        for r in roots:
+            w = w * Poly.of(-r, 1)
+        z = rng.choice(sorted(roots)) + rng.randint(1, 30) * Fraction(p)**rng.randint(-2, 6)
+        fz, dz = fraction_eval(w, z), fraction_eval(w.derivative(), z)
+        if fz and dz and ord_p(fz, p) > 2 * ord_p(dz, p):
+            out.append((w, z, rng.randint(1, 40)))
+    return out
+
+
+def test_newton_matches_the_fraction_iteration(monkeypatch):
+    # every Newton call of the grouped engine on the corpus and the
+    # large-prime pool, and of the oracle's law samples on the corpus
+    recorded = {}
+    engine = hensel._newton
+
+    def record(w, z, p, target):
+        recorded.setdefault((w, z, p, target), None)
+        return engine(w, z, p, target)
+
+    monkeypatch.setattr(hensel, "_newton", record)
+    for coeffs in CORPUS.values():
+        f = Poly.of(*coeffs)
+        for p in (2, 3, 5, 7):
+            verify_laws(prepare_grouped(f, p), f)
+    for f in large_prime_polys():
+        for p in (31, 101):
+            prepare_grouped(f, p)
+    monkeypatch.undo()
+    assert len(recorded) > 100
+    for w, z, p, target in recorded:
+        assert _newton(w, z, p, target) == fraction_newton(w, z, p, target), (w, z, p, target)
+
+    def outcome(newton, w, z, p, target):
+        try:
+            return newton(w, z, p, target)
+        except InternalBoundError as e:  # ord w(z) > 2 ord w'(z) alone is no basin off Z_p[y]
+            return str(e)
+
+    rng = random.Random(34)
+    starts = [(w, z, p, target) for p in (2, 3, 5, 7, 31)
+              for w, z, target in _certified_starts(rng, p, 12)]
+    got = [outcome(_newton, *case) for case in starts]
+    assert got == [outcome(fraction_newton, *case) for case in starts]
+    # most starts converge, many of them through the guard: a start off Z_p,
+    # and a witness with p in its denominators
+    converged = [case for case, out in zip(starts, got) if not isinstance(out, str)]
+    assert len(converged) > 40
+    assert sum(ord_p(z, p) < 0 and newton_min(w, p) < 0 for w, z, p, _ in converged) > 20
+
+
+def test_reduce_mod_matches_the_fraction_reduction():
+    rng = random.Random(34)
+    for p in (2, 3, 5, 7, 101):
+        for _ in range(200):
+            x = Fraction(rng.randint(-10**6, 10**6) * p**rng.randint(0, 4),
+                         rng.randint(1, 10**4) * p**rng.randint(0, 4))
+            n = rng.randint(-6, 12)
+            assert reduce_mod(x, p, n) == fraction_reduce_mod(x, p, n), (x, p, n)
+
+
+def test_newton_and_the_basin_evaluate_no_fraction_polynomial(monkeypatch):
+    # Newton steps, the packaging of a root and the basin transfer read w
+    # and w' from one integer Horner pass, never from Poly.eval or a
+    # derivative polynomial
+    p = 7
+    sqrt2 = Poly.of(-2, 0, 1)
+    inner = sqrt2.shift_var(Fraction(p), Fraction(3))
+    [t] = certified_root_points(inner, p, 20)
+    fractional = Poly.of(Fraction(-2, p**3), 0, Fraction(1, p))
+    rational = Poly.of(Fraction(-1, 7), 1) * Poly.of(-2, 1)
+
+    def refuse(*args):
+        raise AssertionError("a Fraction evaluation")
+
+    monkeypatch.setattr(Poly, "eval", refuse)
+    monkeypatch.setattr(Poly, "derivative", refuse)
+    assert _newton(sqrt2, Fraction(3), p, 30)[1] >= 30
+    assert _newton(fractional, Fraction(3, p), p, 12)[1] >= 12
+    y = transfer_basin(sqrt2, inner, lambda z: 3 + p * z, t, p)
+    r = make_root_approx(sqrt2, y, p, 1)
+    assert not r.is_exact and r.rv_tag == rv(3, p, 1)
+    # an approximation of 1/7 that the packaging recognizes as exact
+    r = make_root_approx(rational, reduce_mod(Fraction(1, 7), p, 12), p, 1)
+    assert r.is_exact and r.approx == Fraction(1, 7)
+
+
+def test_same_point_makes_no_certification(monkeypatch):
+    # a root against itself, or against an equal copy, is 0 at once
+    p = 7
+    r = h([-2, 0, 1], rv(3, p, 1), p)
+
+    def refuse(q, center):
+        raise AssertionError("a zero test")
+
+    monkeypatch.setattr(hensel, "_vanishes", refuse)
+    assert centers_equal(r, r, p)
+    assert ord_between(r, replace(r), p) is INFINITY
 
 
 def test_rational_reconstruction():
