@@ -27,6 +27,7 @@ from .measure import (
     measure_of_order,
 )
 from .oracle import order_tails, verify_laws, verify_partition
+from .padics import MAX_CLASSES
 from .parser import parse_formula, parse_poly
 from .poly import Poly, format_poly
 
@@ -228,6 +229,10 @@ def _cmd_oracle_compare(args) -> dict:
     p = args.prime
     if args.k < 0:
         raise UnsupportedInputError(f"--k = {args.k} is out of range: it must be at least 0")
+    # the tails count roots mod p^(k+1), to depth at most 20 (`count_roots_mod`)
+    if args.k >= MAX_CLASSES.bit_length():
+        raise UnsupportedInputError(f"--k = {args.k} is out of range: it must be from 0 to "
+                                    f"{MAX_CLASSES.bit_length() - 1}")
     domain = _parse_domain(args.domain)
     dec = prepare_grouped(f, p, domain)
     tails = order_tails(f, p, domain, args.k + 1)

@@ -9,23 +9,27 @@ reasoning: a cell is read only as data -- its center, valuation range and
 digit classes -- and polynomials are evaluated in the oracle's own integer
 arithmetic.  The engine is called only to refine an inexact center.
 
-A law sample y = c' + z p^m around a proxy c' of a family cell's center is
-decided modulo p^(t+1), where t is the valuation the law claims for the
-integer numerator of f(y): one Taylor expansion of that numerator at c' per
-proxy, weights reduced mod p^(t+1) per m, and a Horner loop in z per
-sample.  The claim holds exactly when that residue is nonzero and divisible
-by p^t; any sample the residue does not confirm is evaluated in full, so a
-failure reports the exact value.  The same expansion gives the depth-k
-bound: c' agrees with the center past m digits, so the Newton-polygon
-minimum min_i(ord b_i + i m) is the same at both.  Samples read the first
-units of a residue set and one unit of each of its digit classes, never the
-whole set, so every class of a rootless tie group is sampled.  Partition
-marks are made once per digit class, at the class's own level: a class
-a mod p^j on the sphere at m is marked as a class mod p^(m+j) where
-m + j <= k, and otherwise flags the one class mod p^k it partly covers.
-The marks are the leaves of a trie of prefixes walked from the domain's
-prefix: a prefix with no mark or flag below it decides its p^(k-j)
-classes at once, so the check takes time linear in the marks, not in p^k.
+The law check walks each family cell sphere by sphere in one loop.  A
+sample y = c' + z p^m around a proxy c' of the cell's center is decided
+modulo p^(t+1), where t is the valuation the law claims for the integer
+numerator of f(y): one Taylor expansion of that numerator at c' per proxy,
+the law's value, t and the weights mod p^(t+1) once per sphere m, and per
+sample one draw of deeper digits and one Horner pass in z.  The claim holds
+exactly when that residue is nonzero and divisible by p^t; any sample the
+residue does not confirm is evaluated in full, so a failure reports the
+exact value.  An inexact center is lifted from its last refinement, so the
+proxies of ever deeper spheres cost a few Newton doublings per cell.  The
+same expansion gives the depth-k bound: c' agrees with the center past m
+digits, so the Newton-polygon minimum min_i(ord b_i + i m) is the same at
+both.  Samples read the first units of a residue set and one unit of each
+of its digit classes, never the whole set, so every class of a rootless tie
+group is sampled.  Partition marks are made once per digit class, at the
+class's own level: a class a mod p^j on the sphere at m is marked as a
+class mod p^(m+j) where m + j <= k, and otherwise flags the one class
+mod p^k it partly covers.  The marks are the leaves of a trie of prefixes
+walked from the domain's prefix: a prefix with no mark or flag below it
+decides its p^(k-j) classes at once, so the check takes time linear in the
+marks, not in p^k.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from math import lcm
 
 from .cells import Ball, Cell1, Decomposition, Residues
 from .errors import UnsupportedInputError
-from .hensel import center_proxy, refine_root
+from .hensel import center_proxy, exact_value, reduce_mod, refine_root
 from .padics import INFINITY, MAX_CLASSES, MAX_SAMPLES, Val, ord_p
 from .poly import Poly
 
@@ -382,83 +386,18 @@ def _sample_units(res: Residues, n: int) -> list[int]:
     return sorted([*heads, *rest[:n - len(heads)]])
 
 
-def _cell_samples(cell: Cell1, n: int, rng: random.Random) -> list[tuple[int, int, int, int]]:
-    """Deterministic members of a family cell, with m = ord(y - c): the
-    units of `_sample_units`, at least one per digit class, at the first
-    valuations of the range and the last three of a finite one, with random
-    deeper digits; max(n, units) members in all.  Each member is
-    (bn, bd, z, m) for y = bn/bd + z p^m, bn/bd the center's proxy and
-    z = u + extra p^d."""
-    out: list[tuple[int, int, int, int]] = []
-    p, d = cell.prime, cell.residues.depth
-    units = _sample_units(cell.residues, n)  # each m walks them from the first
-    n = max(n, len(units))
-    r = cell.m_range
-    ms = list(r.values(limit=4))
-    if r.hi is not None:
-        tail = [m for m in (r.hi - 2 * r.step, r.hi - r.step, r.hi) if m >= r.lo]
-        ms = sorted(set(ms + tail))
-    precision, c_proxy = 0, Fraction(0)
-
-    def proxy_for(m: int) -> Fraction:
-        nonlocal precision, c_proxy
-        need = m + d + 10
-        if need > precision:
-            precision = need + 16
-            c_proxy = center_proxy(cell.center.value, p, precision)
-        return c_proxy
-
-    # rng.randrange(p^3) without its argument checks: the same draws of
-    # k bits, redrawn until below p^3, so the same stream and members
-    p3, pd = p**3, p**d
-    k, draw = p3.bit_length(), rng.getrandbits
-    while len(out) < n:
-        for m in ms:
-            base = proxy_for(m)
-            bn, bd = base.numerator, base.denominator
-            for u in units:
-                extra = draw(k)
-                while extra >= p3:
-                    extra = draw(k)
-                out.append((bn, bd, u + extra * pd, m))
-                if len(out) >= n:
-                    return out
-        if r.hi is None:
-            ms = [m + r.step for m in ms[-2:]]
-        # finite ranges repeat with fresh random digits
-    return out
-
-
-def _kernel(hs: list[int], step: int, t: int, m: int, p: int) -> tuple[int, int, list[int]]:
-    """(p^(t+1), p^t, weights) for deciding ord = t on the sphere at m: the
-    numerator of f(bn/bd + z p^m) is sum h_i (bd p^m)^i z^i with
-    step = bd p^m, and the weights are its coefficients mod p^(t+1), highest
-    first.  For m >= 1 a term with i m > t is a multiple of p^(t+1) and is
-    left out, so the powers step^i kept are about the size of p^(t+1) and
-    are not reduced."""
-    pt = p**t
-    q = pt * p
-    keep = len(hs) if m < 1 else min(len(hs), t // m + 1)
-    ws, power = [], 1
-    for h in hs[:keep]:
-        ws.append(h * power % q)
-        power *= step
-    ws.reverse()
-    return q, pt, ws
-
-
-# the kernel of a claim no residue can confirm (an infinite or negative t)
-_UNDECIDED = (1, 1, [])
-
-
 def verify_laws(dec: Decomposition, f: Poly, samples: int = 200, seed: int = 0) -> LawReport:
     """Check ord f(y) = e0 + i0 * ord(y - c) on deterministic samples of every
     cell, and the inequality form ord f(y) <= ord(k a_i (y-c)^i) with the
     decomposition's recorded depth k.
 
-    A family sample is decided modulo p^(t+1), t the valuation the law
-    claims for the numerator of f(y) (see the module docstring); a sample
-    that residue does not confirm is evaluated in full."""
+    A family cell is walked sphere by sphere, at the first four valuations
+    of its range and the last three of a finite one; each sphere takes the
+    units of `_sample_units` from the first, with random deeper digits, until
+    max(samples, units) members are drawn.  A sample is decided modulo
+    p^(t+1), t the valuation the law claims for the numerator of f(y) (see
+    the module docstring); a sample that residue does not confirm is
+    evaluated in full."""
     if not 1 <= samples <= MAX_SAMPLES:
         raise UnsupportedInputError(f"samples = {samples} is not from 1 to {MAX_SAMPLES}")
     p = dec.prime
@@ -466,6 +405,8 @@ def verify_laws(dec: Decomposition, f: Poly, samples: int = 200, seed: int = 0) 
     failures: list[LawFailure] = []
     coeffs, shift = _clear_denominators(f, p)
     n = len(coeffs) - 1
+    p3, draw = p**3, rng.getrandbits
+    bits = p3.bit_length()
 
     for idx, cell in enumerate(dec.cells):
         law = cell.law_for(f)
@@ -496,38 +437,85 @@ def verify_laws(dec: Decomposition, f: Poly, samples: int = 200, seed: int = 0) 
                 if not ok:
                     failures.append(LawFailure(idx, rr.approx, want, got))
             continue
-        proxy = None
-        for bn, bd, z, m in _cell_samples(cell, samples, rng):
-            if proxy != (bn, bd):
-                # h_i: the numerator bd^n L f(y) expanded at the proxy, with
-                # ord f(y) = ord(numerator) - vd and ord h_i + i vbd - vd the
-                # Taylor line i of f there; per m, at_m holds the law's value,
-                # the depth-k bound when the law breaks it, and the kernel
-                proxy, at_m = (bn, bd), {}
-                hs = _taylor_shift([c * bd ** (n - j) for j, c in enumerate(coeffs)], bn)
-                vbd = _ord_int(bd, p)
-                vd = shift + n * vbd
-                lines = [(i, _ord_int(h, p) + i * vbd - vd) for i, h in enumerate(hs) if h]
-            if m not in at_m:
-                # the proxy agrees with the center past m digits, so the ball
-                # ord(y - c) >= m and its Newton-polygon minimum are the center's
-                want = law.apply(m)
-                bound = min(v + i * m for i, v in lines) + dec.k_depth if lines else None
-                t = -1 if want is INFINITY else want + vd
-                at_m[m] = (want, None if bound is None or want <= bound else bound,
-                           _kernel(hs, bd * p**m, t, m, p) if t >= 0 else _UNDECIDED)
-            want, broken, (q, pt, ws) = at_m[m]
-            acc = 0
-            for w in ws:
-                acc = (acc * z + w) % q
-            if not (acc and acc % pt == 0):
-                num = bn + z * (bd * p**m)
-                got = _ord_value(coeffs, shift, num, bd, p)
-                if got != want:
-                    # _cell_samples puts every sample at distance exactly m
-                    failures.append(LawFailure(idx, Fraction(num, bd), want, got))
-                    continue
-            if broken is not None:
-                # the coarse inequality ord f(y) <= ord(k a_i (y-c)^i)
-                failures.append(LawFailure(idx, Fraction(bn + z * (bd * p**m), bd), broken, want))
+        d, rng_m = cell.residues.depth, cell.m_range
+        pd = p**d
+        units = _sample_units(cell.residues, samples)
+        nu = len(units)
+        left = max(samples, nu)
+        ms = list(rng_m.values(limit=4))
+        if rng_m.hi is not None:
+            tail = [m for m in (rng_m.hi - 2 * rng_m.step, rng_m.hi - rng_m.step, rng_m.hi)
+                    if m >= rng_m.lo]
+            ms = sorted(set(ms + tail))
+        root, exact = cell.center.value, exact_value(cell.center.value)
+        precision, proxy = 0, None
+        while left > 0:
+            for m in ms:
+                if m + d + 10 > precision:
+                    # the proxy: the center mod p^precision, an inexact one
+                    # lifted from its last refinement
+                    precision = m + d + 26
+                    if exact is None:
+                        root = refine_root(root, precision)
+                        c = reduce_mod(root.approx, p, precision)
+                    else:
+                        c = exact
+                    if c != proxy:
+                        # h_i: the numerator bd^n L f(y) expanded at the proxy,
+                        # with ord f(y) = ord(numerator) - vd and
+                        # ord h_i + i vbd - vd the Taylor line i of f there
+                        proxy, at_m = c, {}
+                        bn, bd = c.numerator, c.denominator
+                        hs = _taylor_shift([a * bd ** (n - j) for j, a in enumerate(coeffs)], bn)
+                        vbd = _ord_int(bd, p)
+                        vd = shift + n * vbd
+                        lines = [(i, _ord_int(h, p) + i * vbd - vd) for i, h in enumerate(hs) if h]
+                sphere = at_m.get(m)
+                if sphere is None:
+                    # the law's value; the depth-k bound when the law breaks
+                    # it (the proxy agrees with the center past m digits, so
+                    # the ball ord(y - c) >= m and its Newton-polygon minimum
+                    # are the center's); and y = bn/bd + z p^m decided mod
+                    # p^(t+1): the numerator is sum h_i (bd p^m)^i z^i, whose
+                    # weights mod p^(t+1) are kept highest first, and for
+                    # m >= 1 a term with i m > t is a multiple of p^(t+1)
+                    want = law.apply(m)
+                    bound = min([v + i * m for i, v in lines]) + dec.k_depth if lines else None
+                    t = -1 if want is INFINITY else want + vd
+                    step, ws, q, pt = bd * p**m, [], 1, 1
+                    if t >= 0:  # else no residue confirms the claim
+                        pt = p**t
+                        q = pt * p
+                        power = 1
+                        for h in hs[:len(hs) if m < 1 else t // m + 1]:
+                            ws.append(h * power % q)
+                            power *= step
+                        ws.reverse()
+                    sphere = at_m[m] = (want, None if bound is None or want <= bound else bound,
+                                        step, q, pt, ws)
+                want, broken, step, q, pt, ws = sphere
+                for u in units if left >= nu else units[:left]:
+                    # randrange(p^3) without its argument checks: the same
+                    # draws of p^3's bit length, redrawn until below p^3
+                    extra = draw(bits)
+                    while extra >= p3:
+                        extra = draw(bits)
+                    z = u + extra * pd
+                    acc = 0
+                    for w in ws:
+                        acc = (acc * z + w) % q
+                    if not (acc and acc % pt == 0):
+                        got = _ord_value(coeffs, shift, bn + z * step, bd, p)
+                        if got != want:
+                            failures.append(LawFailure(idx, Fraction(bn + z * step, bd), want, got))
+                            continue
+                    if broken is not None:
+                        # the coarse inequality ord f(y) <= ord(k a_i (y-c)^i)
+                        failures.append(LawFailure(idx, Fraction(bn + z * step, bd), broken, want))
+                left -= nu
+                if left <= 0:
+                    break
+            if rng_m.hi is None:  # the last two spheres move on by the step
+                ms = [m + rng_m.step for m in ms[-2:]]
+            # finite ranges repeat with fresh random digits
     return LawReport(seed, samples, tuple(failures))

@@ -33,8 +33,8 @@ the loop that the optimised code replaced, and the tests compare the two:
   and `per_set_order_cell_json`;
 - `oracle.verify_partition`: `per_class_mark_cell`, every class mod p^k
   marked on its own;
-- `oracle.verify_laws` and `_cell_samples`: `per_sample_verify_laws` and
-  `per_sample_cell_samples`, f evaluated in full at every sample;
+- `oracle.verify_laws` and its sampling schedule: `per_sample_verify_laws`
+  and `per_sample_cell_samples`, f evaluated in full at every sample;
 - `oracle.count_roots_mod`: `count_roots_mod_scan`, every residue mod p^k;
 - `measure.igusa_zeta`: `per_cell_igusa_zeta`;
 - `kgroup.chi`: `all_cells_chi`, the chi of every cell, kept or not."""
@@ -474,11 +474,13 @@ def per_class_mark_cell(cell: Cell1, k: int, p: int, count: list[int], fuzzy: li
 
 
 def per_sample_cell_samples(cell: Cell1, p: int, n: int, rng: random.Random) -> list[tuple[int, int, int]]:
-    """`oracle._cell_samples` as it was written, with each member built as a
-    fraction num/den and the units read from the whole set.  Deterministic
-    members num/den of a family cell, with m = ord(y - c): one unit of every
-    digit class and the first n units, at the first valuations of the range,
-    with random deeper digits.  Each member is a triple (num, den, m)."""
+    """The members `oracle.verify_laws` samples from a family cell, listed
+    one by one, each built as a fraction num/den, the units read from the
+    whole set and the center's proxy refined from its stored approximation.
+    Deterministic members num/den of a family cell, with m = ord(y - c): one
+    unit of every digit class and the first n units, at the first valuations
+    of the range, with random deeper digits.  Each member is a triple
+    (num, den, m)."""
     out: list[tuple[int, int, int]] = []
     d = cell.residues.depth
     units = cell.residues.members()
@@ -579,7 +581,7 @@ def per_sample_verify_laws(dec: Decomposition, f: Poly, samples: int = 200, seed
             want, broken = at_m[m]
             got = _ord_value(coeffs, shift, num, den, p)
             if got != want:
-                # _cell_samples puts every sample at distance exactly m
+                # per_sample_cell_samples puts every sample at distance exactly m
                 failures.append(LawFailure(idx, Fraction(num, den), want, got))
             elif broken is not None:
                 # the coarse inequality ord f(y) <= ord(k a_i (y-c)^i)

@@ -195,6 +195,29 @@ def test_cli_oracle_compare_past_a_double_root_at_large_p(capsys):
     assert len(payload["table"]) == 4
 
 
+@pytest.mark.parametrize("k", ["20", "3000"])
+def test_cli_oracle_compare_refuses_a_deep_k_before_any_work(capsys, monkeypatch, k):
+    # the tails count roots mod p^(k+1), at most 20 digits deep: a larger
+    # --k is refused with its own value before the decomposition or the count
+    def no_work(*args, **kwargs):
+        raise AssertionError("oracle-compare worked on an --k out of range")
+
+    monkeypatch.setattr(cli, "prepare_grouped", no_work)
+    monkeypatch.setattr(cli, "order_tails", no_work)
+    code, out, err = run_cli(capsys, "oracle-compare", "--k", k, "--prime", "10007",
+                             "--poly", "(y^2-1)^3")
+    assert (code, out) == (3, "")
+    assert f"--k = {k} is out of range: it must be from 0 to 19" in err
+
+
+def test_cli_oracle_compare_runs_at_the_deepest_k(capsys):
+    code, out, _ = run_cli(capsys, "oracle-compare", "--k", "19", "--prime", "3", "--json",
+                           "--poly", "y^2 - 2")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["agree"] is True and len(payload["table"]) == 20
+
+
 def test_cli_exit_codes(capsys):
     code, _, err = run_cli(capsys, "decompose", "--prime", "5",
                            "--formula", "exists y (y = 0)")

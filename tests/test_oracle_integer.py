@@ -1,10 +1,10 @@
 """Differential test of the oracle against one reference per function, from
 `fraction_loops`: `verify_partition` against the per-class marks,
-`verify_laws` and `_cell_samples` against the per-sample evaluation of f in
-full, and `count_roots_mod` against the full scan.  The reports are equal,
-failures included, on random polynomials, ball domains, the corpus, formulas,
-the large-p fuzz and broken inputs; a partition report's violating prefixes
-are compared class by class."""
+`verify_laws` against the per-sample evaluation of f in full at members
+drawn one by one, and `count_roots_mod` against the full scan.  The reports
+are equal, failures included, on random polynomials, ball domains, the
+corpus, formulas, the large-p fuzz and broken inputs; a partition report's
+violating prefixes are compared class by class."""
 
 import random
 import time
@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from padic_cells import oracle
+from padic_cells import hensel, oracle
 from padic_cells.cells import Ball, Decomposition, OrderLaw, Residues
 from padic_cells.decompose import decompose_set, prepare, prepare_grouped
 from padic_cells.hensel import exact_value
@@ -33,8 +33,7 @@ from padic_cells.poly import Poly
 
 import large_p_fuzz
 from conftest import CORPUS, formula_pool, large_prime_polys
-from fraction_loops import (count_roots_mod_scan, per_class_mark_cell, per_sample_cell_samples,
-                            per_sample_verify_laws)
+from fraction_loops import count_roots_mod_scan, per_class_mark_cell, per_sample_verify_laws
 
 PRIMES = (2, 3, 5, 7, 11)
 
@@ -251,6 +250,29 @@ def test_tampered_corpus_laws_match_the_per_sample_evaluation(monkeypatch, p):
     assert inexact
 
 
+def _every_sample_failing(dec: Decomposition, f: Poly) -> Decomposition:
+    """The decomposition with every finite family law moved by e0 + 1, so
+    that every sample of those cells fails and its report lists the member,
+    and its cells twice, so that the second copy of each cell draws where
+    the first pass left the random stream."""
+    cells = tuple(c.with_laws({f: OrderLaw(c.law_for(f).e0 + 1, c.law_for(f).i0)})
+                  if not c.is_point and c.law_for(f).e0 is not INFINITY else c
+                  for c in dec.cells)
+    return replace(dec, cells=cells + cells)
+
+
+def _assert_every_member_listed(dec: Decomposition, f: Poly, samples: int, seed: int) -> None:
+    """The report equals the per-sample evaluation's, and each moved cell
+    lists max(samples, units) failing members."""
+    moved = _every_sample_failing(dec, f)
+    rep = verify_laws(moved, f, samples=samples, seed=seed)
+    assert rep == per_sample_verify_laws(moved, f, samples, seed)
+    listed = Counter(x.cell_index for x in rep.failures)
+    for i, cell in enumerate(moved.cells):
+        if not cell.is_point and cell.law_for(f).e0 is not INFINITY:
+            assert listed[i] == max(samples, len(oracle._sample_units(cell.residues, samples)))
+
+
 @pytest.mark.parametrize("p", (2, 5))
 def test_samples_are_the_members_the_per_sample_loop_drew(p):
     # one random stream, the same members in the same order, ball domains too
@@ -258,29 +280,44 @@ def test_samples_are_the_members_the_per_sample_loop_drew(p):
         f = Poly.of(*coeffs)
         for domain in (None, Ball(Fraction(3), 2)):
             dec = prepare(f, p) if domain is None else prepare(f, p, domain)
-            new, old = random.Random(p), random.Random(p)
-            for cell in dec.cells:
-                if cell.is_point:
-                    continue
-                drawn = [(bn + z * bd * p**m, bd, m)
-                         for bn, bd, z, m in oracle._cell_samples(cell, 30, new)]
-                assert drawn == per_sample_cell_samples(cell, p, 30, old)
+            _assert_every_member_listed(dec, f, 30, p)
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_sample_draws_leave_the_stream_where_randrange_left_it(p):
     # the digits drawn by getrandbits are the digits randrange(p^3) drew,
-    # and after every cell the generator is in the same state
+    # and after every cell the generator is in the same state: the second
+    # pass over the cells draws the same members in both
     for coeffs in CORPUS.values():
         f = Poly.of(*coeffs)
-        new, old = random.Random(p), random.Random(p)
-        for cell in prepare(f, p).cells:
-            if cell.is_point:
-                continue
-            drawn = [(bn + z * bd * p**m, bd, m)
-                     for bn, bd, z, m in oracle._cell_samples(cell, 50, new)]
-            assert drawn == per_sample_cell_samples(cell, p, 50, old)
-            assert new.getstate() == old.getstate()
+        _assert_every_member_listed(prepare(f, p), f, 50, p)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_grouped_corpus_laws_match_the_per_sample_evaluation(p):
+    # the inputs of the corpus-verify benchmark: the grouped form of the
+    # corpus at 200 samples, on two seeds
+    for coeffs in CORPUS.values():
+        f = Poly.of(*coeffs)
+        dec = prepare_grouped(f, p)
+        for seed in (p, 100 + p):
+            assert verify_laws(dec, f, samples=200, seed=seed) == per_sample_verify_laws(
+                dec, f, 200, seed)
+
+
+def test_law_check_lifts_an_inexact_center_from_its_last_refinement(monkeypatch):
+    # 10,000 samples at p = 2 walk thousands of spheres, with a new proxy of
+    # the center every 16 of them: each inexact one continues Newton from the
+    # last refinement, so a few doublings serve them all (590 calls when
+    # every proxy restarted from the stored approximation)
+    f = parse_poly("17*y^4 - 20*y^3 + 3*y - 19")
+    dec = prepare_grouped(f, 2)
+    assert any(not c.is_point and exact_value(c.center.value) is None for c in dec.cells)
+    calls = []
+    newton = hensel._newton
+    monkeypatch.setattr(hensel, "_newton", lambda *a: calls.append(a) or newton(*a))
+    assert verify_laws(dec, f, samples=10000).ok
+    assert len(calls) <= 30
 
 
 @pytest.mark.parametrize("p,depth", [(2, 6), (3, 6), (5, 6), (7, 5), (11, 3)])
